@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke bench-e2e bench-e2e-smoke smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
 
 all: check
 
@@ -10,8 +10,9 @@ all: check
 # suite, the same suite again under the race detector (the parallel pipeline
 # must be data-race-free and bit-identical at any worker count), the smoothopd
 # replay smoke, the short fault-injection soak, the concurrent what-if planner
-# soak, and the short online-placement fragmentation sweep.
-check: build vet lint test test-race smoke soak-short plan-soak-short frag-sweep-short multidim-sweep-short
+# soak, the short online-placement fragmentation sweep, and the end-to-end
+# benchmark's smoke run (the "results unchanged" oracle).
+check: build vet lint test test-race smoke soak-short plan-soak-short frag-sweep-short multidim-sweep-short bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -75,6 +76,21 @@ bench-scale-short:
 # CI runs this on every push.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# bench-e2e runs the repo's benchmark (BENCHMARK.json, bench/README.md): four
+# replay-driven workloads through a real core.Runtime behind the /v1 API,
+# end-to-end metrics plus the per-layer metrics of a traced run.
+bench-e2e:
+	bash bench/run.sh --workload all --trace 2
+
+# bench-e2e-smoke is the same at ≈200 instances for two seconds per phase. It
+# exits non-zero on any output-check violation (residents ≠ ledger, breakers,
+# capacity overcommit, a same-seed rerun landing elsewhere) or any mismatch
+# between an operation's result and its re-enactment from the exported layer
+# calls — so a refactor that changes a swap, a leaf, a tree byte or a
+# fragmentation row fails here.
+bench-e2e-smoke:
+	bash bench/run.sh --workload all --size smoke --trace 2 --seconds 2
 
 # smoke drives smoothopd's run() end to end twice — replay, flag validation,
 # and a scrape of GET /metrics asserting deterministic counters.
@@ -141,4 +157,4 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
 
 clean:
-	rm -rf internal/*/testdata/fuzz
+	rm -rf internal/*/testdata/fuzz .bench_build

@@ -76,7 +76,7 @@ func snapshotTotals(t *testing.T) map[string]uint64 {
 // TestSmokeReplayAndMetrics drives run() end to end twice on a small DC1
 // replay: the second replay must move every counter by exactly the same
 // delta as the first (replay determinism, timing histograms exempted), and
-// the handler run() would have served must answer GET /metrics with the
+// the handler run() would have served must answer GET /v1/metrics with the
 // full catalogue.
 func TestSmokeReplayAndMetrics(t *testing.T) {
 	var handlers []http.Handler
@@ -133,7 +133,7 @@ func TestSmokeReplayAndMetrics(t *testing.T) {
 	srv := httptest.NewServer(handlers[1])
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,19 +143,19 @@ func TestSmokeReplayAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics status = %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("Content-Type"); got != obs.ContentType {
-		t.Fatalf("GET /metrics Content-Type = %q, want %q", got, obs.ContentType)
+		t.Fatalf("GET /v1/metrics Content-Type = %q, want %q", got, obs.ContentType)
 	}
 	served := parseTotals(t, string(body))
 	for name, want := range v2 {
 		if got, ok := served[name]; !ok || got < want {
-			t.Errorf("served /metrics %s = %d (present %v), want ≥ %d", name, got, ok, want)
+			t.Errorf("served /v1/metrics %s = %d (present %v), want ≥ %d", name, got, ok, want)
 		}
 	}
 
-	resp2, err := http.Get(srv.URL + "/status")
+	resp2, err := http.Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSmokeReplayAndMetrics(t *testing.T) {
 		t.Fatalf("GET /status status = %d", resp2.StatusCode)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/metrics", nil)
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +174,9 @@ func TestSmokeReplayAndMetrics(t *testing.T) {
 	}
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE /metrics status = %d, want 405", resp3.StatusCode)
+		t.Fatalf("DELETE /v1/metrics status = %d, want 405", resp3.StatusCode)
 	}
 	if got := resp3.Header.Get("Allow"); got != http.MethodGet {
-		t.Fatalf("DELETE /metrics Allow = %q, want GET", got)
+		t.Fatalf("DELETE /v1/metrics Allow = %q, want GET", got)
 	}
 }

@@ -144,16 +144,18 @@ func TestPowertreeAggregateOldVsNewEquivalence(t *testing.T) {
 			}
 		})
 		for _, level := range powertree.Levels {
-			direct, err := tree.SumOfPeaksParallel(level, pf, w)
+			direct, err := tree.SumOfPeaks(level, pf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if direct != aggs.SumOfPeaks(level) {
 				t.Fatalf("workers=%d: SumOfPeaks(%s) differs", w, level)
 			}
-			peaks, err := tree.LevelPeaks(level, pf)
-			if err != nil {
-				t.Fatal(err)
+			peaks := make(map[string]float64)
+			for _, n := range tree.NodesAtLevel(level) {
+				if peaks[n.Name], err = n.PeakPower(pf); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if !reflect.DeepEqual(peaks, aggs.LevelPeaks(level)) {
 				t.Fatalf("workers=%d: LevelPeaks(%s) differs", w, level)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
@@ -16,11 +15,11 @@ import (
 // whole fleet snapshot at once; deployments then churn one instance at a
 // time. AdmitInstance scores an arriving instance from its stored telemetry
 // (falling back to its service's reference trace below the quarantine
-// floor, exactly like Bootstrap) and hands it to an asynchrony-aware
-// placement.Online over the live tree. RetireInstance releases a departing
-// instance. Both are safe for concurrent use — the HTTP layer calls them
-// from request goroutines — and both refresh the per-level fragmentation
-// gauges.
+// floor, exactly like Bootstrap) and hands it to the view's placement.Online
+// over the live tree. RetireInstance releases a departing instance. Both are
+// safe for concurrent use — the HTTP layer calls them from request
+// goroutines — and both end in viewChanged, which refreshes the per-level
+// fragmentation gauges.
 
 // AdmitRequest describes one arriving instance for Admit — the redesigned
 // admission entry point (AdmitInstance remains as a positional shorthand).
@@ -42,8 +41,8 @@ type AdmitRequest struct {
 	Demands powertree.ResourceVector
 }
 
-// placementCfg assembles the placer options for admission views and
-// tick-time remapping: the configured policy with the runtime's own demand
+// placementCfg assembles the placer options for views and tick-time
+// remapping: the configured policy with the runtime's own demand
 // ledger overlaid on the config's resolver (ledger wins). With no ledger
 // entries and no configured resolver the config passes through untouched,
 // keeping every multi-resource path inert.
@@ -104,20 +103,21 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 	if trainWeeks < 1 {
 		trainWeeks = r.fw.cfg.trainWeeks()
 	}
-	if err := r.ensureOnline(asOf, trainWeeks); err != nil {
+	if err := r.ensureView(asOf, trainWeeks); err != nil {
 		return "", err
 	}
-	if _, ok := r.online.Leaf(id); ok {
+	v := r.view
+	if _, ok := v.online.Leaf(id); ok {
 		return "", fmt.Errorf("%w: %q", placement.ErrAlreadyAdmitted, id)
 	}
 	tr, quarantined, err := r.admissionTrace(id, service, asOf, trainWeeks)
 	if err != nil {
 		return "", err
 	}
-	r.onlineTraces[id] = tr
-	leaf, err := r.online.Admit(placement.Instance{ID: id, Service: service, Demands: req.Demands})
+	v.traces[id] = tr
+	leaf, err := v.online.Admit(placement.Instance{ID: id, Service: service, Demands: req.Demands})
 	if err != nil {
-		delete(r.onlineTraces, id)
+		delete(v.traces, id)
 		if errors.Is(err, placement.ErrNoCapacity) {
 			obsRuntimeAdmissionRejects.Inc()
 		}
@@ -128,15 +128,12 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 		r.demands[id] = req.Demands.Clone()
 	}
 	if quarantined {
+		v.filled[id] = true
 		r.quarantined = append(r.quarantined, id)
 		obsQuarantined.Set(float64(len(r.quarantined)))
-	} else {
-		r.refPool[service] = append(r.refPool[service], tr)
-		r.refAll = append(r.refAll, tr)
 	}
 	obsRuntimeAdmissions.Inc()
-	r.fragDelta(r.onlineTraces, true, leaf)
-	r.invalidatePlanSnapshot()
+	r.viewChanged()
 	return leaf.Name, nil
 }
 
@@ -149,93 +146,46 @@ func (r *Runtime) RetireInstance(id string) (string, error) {
 	if !r.placed {
 		return "", ErrNotPlaced
 	}
-	if r.online != nil {
-		leaf, err := r.online.Retire(id)
-		if err != nil {
-			return "", err
-		}
-		delete(r.onlineTraces, id)
-		delete(r.demands, id)
-		obsRuntimeRetirements.Inc()
-		r.fragDelta(r.onlineTraces, true, leaf)
-		r.invalidatePlanSnapshot()
-		return leaf.Name, nil
+	leaf, err := r.view.online.Retire(id)
+	if err != nil {
+		return "", err
 	}
-	// No online view is live (e.g. right after Bootstrap or Tick): detach
-	// directly; the next admission rebuilds its view from the store anyway.
-	for _, leaf := range r.tree.Leaves() {
-		for _, rid := range leaf.Instances {
-			if rid != id {
-				continue
-			}
-			if !leaf.Detach(id) {
-				return "", fmt.Errorf("core: retire bookkeeping failed for %q", id)
-			}
-			delete(r.demands, id)
-			obsRuntimeRetirements.Inc()
-			r.fragDelta(r.traces, false, leaf)
-			r.invalidatePlanSnapshot()
-			return leaf.Name, nil
-		}
-	}
-	return "", fmt.Errorf("%w: %q", placement.ErrUnknownInstance, id)
+	delete(r.view.traces, id)
+	delete(r.view.filled, id)
+	delete(r.demands, id)
+	obsRuntimeRetirements.Inc()
+	r.viewChanged()
+	return leaf.Name, nil
 }
 
-// ensureOnline (re)builds the runtime's online-placement view: averaged
-// I-traces for every current resident as of (asOf, trainWeeks), quarantined
-// residents filled from reference traces, wrapped in a placement.Online with
-// the asynchrony-aware policy. The view is cached between admissions with
-// the same window and invalidated by Tick (remapping moves instances).
+// ensureView makes the runtime's view an admission view for the window
+// (asOf, trainWeeks): averaged I-traces for every current resident,
+// quarantined residents filled from reference traces. A view already keyed
+// at that window is reused as is; anything else — the Bootstrap/Tick view, a
+// different window — is rebuilt from the store.
 //
 // smoothop:locked mu
-func (r *Runtime) ensureOnline(asOf time.Time, trainWeeks int) error {
-	if r.online != nil && r.onlineAsOf.Equal(asOf) && r.onlineWeeks == trainWeeks {
+func (r *Runtime) ensureView(asOf time.Time, trainWeeks int) error {
+	if r.view.weeks == trainWeeks && r.view.asOf.Equal(asOf) {
 		return nil
 	}
-	traces := make(map[string]timeseries.Series)
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	var quarantined []string
-	for _, id := range r.tree.AllInstances() {
-		tr, q, err := r.residentTrace(id, asOf, trainWeeks)
-		if err != nil {
-			return fmt.Errorf("core: admission view for %q: %w", id, err)
-		}
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		traces[id] = tr
-		byService[r.services[id]] = append(byService[r.services[id]], tr)
-		healthy = append(healthy, tr)
-	}
-	if err := r.fillReferences(traces, quarantined, byService, healthy); err != nil {
-		return fmt.Errorf("core: admission view: %w", err)
-	}
-	lookup := placement.TraceFn(func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
+	traces, _, quarantined, err := r.scoringTraces("admission view", r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
+		return r.residentTrace(id, asOf, trainWeeks)
 	})
-	online, err := placement.NewOnline(r.tree, lookup, r.placementCfg())
+	if err != nil {
+		return err
+	}
+	v, err := r.newView(traces, quarantined, asOf, trainWeeks)
 	if err != nil {
 		return fmt.Errorf("core: admission view: %w", err)
 	}
-	r.online = online
-	r.onlineTraces = traces
-	r.refPool = byService
-	r.refAll = healthy
-	r.onlineAsOf = asOf
-	r.onlineWeeks = trainWeeks
-	// Re-anchor the fragmentation aggregator on the new view's trace map so
-	// subsequent admissions can refresh gauges by delta, and drop the cached
-	// planning snapshot — it captured the previous trace view.
-	r.rebuildFragView(traces, true)
-	r.invalidatePlanSnapshot()
+	r.setView(v)
 	return nil
 }
 
 // residentTrace reads one resident's averaged I-trace and grade, treating a
-// never-reported instance as an empty window rather than an error.
+// never-reported instance (e.g. a whole-window dropout) as an empty window
+// rather than an error.
 func (r *Runtime) residentTrace(id string, asOf time.Time, trainWeeks int) (timeseries.Series, tracestore.Quality, error) {
 	tr, q, err := r.store.AveragedITraceQuality(id, asOf, trainWeeks)
 	if errors.Is(err, tracestore.ErrUnknownInstance) {
@@ -248,8 +198,9 @@ func (r *Runtime) residentTrace(id string, asOf time.Time, trainWeeks int) (time
 }
 
 // admissionTrace resolves the arriving instance's scoring trace: its own
-// averaged I-trace when healthy, otherwise its service's reference trace
-// (mean of healthy same-service residents, then the fleet-wide mean). The
+// averaged I-trace when healthy, otherwise a reference trace computed from
+// the view's current healthy residents in tree order (same service first,
+// then the whole fleet) — never from instances that have since retired. The
 // boolean reports whether the fallback fired.
 //
 // smoothop:locked mu
@@ -259,127 +210,23 @@ func (r *Runtime) admissionTrace(id, service string, asOf time.Time, trainWeeks 
 		return timeseries.Series{}, false, fmt.Errorf("core: admission trace for %q: %w", id, err)
 	}
 	r.quality[id] = q
-	if q.Grade != tracestore.GradeNoData && q.Coverage >= r.minCoverage {
+	if !r.quarantines(q) {
 		return tr, false, nil
 	}
-	ref, ok := meanSeries(r.refPool[service])
-	if !ok {
-		ref, ok = meanSeries(r.refAll)
+	var peers, fleet []timeseries.Series
+	for _, rid := range r.tree.AllInstances() {
+		if r.view.filled[rid] {
+			continue
+		}
+		fleet = append(fleet, r.view.traces[rid])
+		if r.services[rid] == service {
+			peers = append(peers, r.view.traces[rid])
+		}
 	}
+	ref, ok := referenceTrace(peers, fleet)
 	if !ok {
 		return timeseries.Series{}, false, ErrAllQuarantined
 	}
 	obsFallbackTraces.Inc()
 	return ref, true, nil
-}
-
-// rebuildFragView rebuilds the fragmentation-gauge aggregator from scratch
-// over the given trace view and refreshes the gauges. online records which
-// view the aggregator's PowerFn captured (the admission view mutates in
-// place across admissions, so the captured map stays current until the view
-// itself is replaced). Gauges are best-effort: a nil or broken view drops
-// the aggregator and leaves the gauges at their last value rather than
-// failing the operation.
-//
-// smoothop:locked mu
-func (r *Runtime) rebuildFragView(traces map[string]timeseries.Series, online bool) {
-	if traces == nil {
-		r.fragAgg = nil
-		return
-	}
-	view := traces // local so the PowerFn closure does not capture guarded state
-	agg, err := powertree.NewAggregator(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := view[id]
-		return tr, ok
-	})
-	if err != nil {
-		r.fragAgg = nil
-		return
-	}
-	r.fragAgg = agg
-	r.fragViewOnline = online
-	obsFragFullRefreshes.Inc()
-	r.setFragGauges(agg.Snapshot())
-}
-
-// fragDelta refreshes the fragmentation gauges after churn confined to the
-// given leaves, folding only those leaves into the cached aggregation. Any
-// mismatch — no aggregator yet, the trace view switched, a mark or update
-// failure — falls back to a full rebuild, so the gauges never go stale.
-//
-// smoothop:locked mu
-func (r *Runtime) fragDelta(traces map[string]timeseries.Series, online bool, leaves ...*powertree.Node) {
-	if r.fragAgg == nil || r.fragViewOnline != online {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	if err := r.fragAgg.MarkDirty(leaves...); err != nil {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	snap, err := r.fragAgg.Update()
-	if err != nil {
-		r.rebuildFragView(traces, online)
-		return
-	}
-	obsFragDeltaRefreshes.Inc()
-	r.setFragGauges(snap)
-}
-
-// setFragGauges publishes per-level fragmentation rates computed from an
-// aggregation snapshot. Best-effort, like the refresh paths above.
-//
-// smoothop:locked mu
-func (r *Runtime) setFragGauges(aggs *powertree.Aggregates) {
-	rows, err := metrics.FragmentationRatesFrom(r.tree, aggs)
-	if err != nil {
-		return
-	}
-	for _, row := range rows {
-		if g := fragGauge(row.Level); g != nil {
-			g.Set(row.RatePct)
-		}
-	}
-}
-
-// FragmentationRates reports the tree's current power-fragmentation rates
-// per level, computed from the latest trace view (the admission view when
-// one is live, otherwise the last Bootstrap/Tick traces).
-func (r *Runtime) FragmentationRates() ([]metrics.FragmentationRow, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.placed {
-		return nil, ErrNotPlaced
-	}
-	traces := r.onlineTraces
-	if traces == nil {
-		traces = r.traces
-	}
-	return metrics.FragmentationRates(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
-	})
-}
-
-// MultiFragmentationRates is FragmentationRates extended with per-dimension
-// stranded-capacity rows (metrics.MultiFragmentationRates), resolving
-// instance demands the same way placement does: admission-time demands from
-// the runtime's ledger win, then any resolver configured via
-// RuntimeConfig.Placement.Demands. On a power-only tree — no declared
-// capacities, or no known demands — it returns exactly the power rows.
-func (r *Runtime) MultiFragmentationRates() ([]metrics.FragmentationRow, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.placed {
-		return nil, ErrNotPlaced
-	}
-	traces := r.onlineTraces
-	if traces == nil {
-		traces = r.traces
-	}
-	// The demand closure is only invoked inside this call, under mu.
-	return metrics.MultiFragmentationRates(r.tree, func(id string) (timeseries.Series, bool) {
-		tr, ok := traces[id]
-		return tr, ok
-	}, r.placementCfg().Demands)
 }

@@ -169,22 +169,23 @@ func TestRetireWithoutOnlineView(t *testing.T) {
 	}
 }
 
-// TestTickRetainsOnlineView checks that the cached admission view survives a
-// tick: a clean remap keeps it (resyncing only swapped leaves) so
-// retirements and windowed admissions reuse it directly, and only a
-// reconciliation failure drops it wholesale.
+// TestTickRetainsOnlineView checks that an admission view survives a tick:
+// a clean remap keeps it (resyncing only swapped leaves) so retirements and
+// windowed admissions reuse it directly, and only a reconciliation failure
+// hands the runtime over to the tick's own view.
 func TestTickRetainsOnlineView(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	if _, err := rt.AdmitInstance(held[0].ID, held[0].Service, trainEnd, 2); err != nil {
 		t.Fatal(err)
 	}
+	admissionView := rt.view
 	if _, err := rt.Tick(trainEnd.Add(7*24*time.Hour), 0); err != nil {
 		t.Fatal(err)
 	}
-	if rt.online == nil {
-		t.Fatal("tick dropped the online view despite a clean remap")
+	if rt.view != admissionView {
+		t.Fatal("tick replaced the admission view despite a clean remap")
 	}
-	if _, ok := rt.online.Leaf(held[0].ID); !ok {
+	if _, ok := rt.view.online.Leaf(held[0].ID); !ok {
 		t.Fatalf("retained view lost track of %s", held[0].ID)
 	}
 	// The view is still keyed at its original window, so an explicitly
@@ -196,35 +197,47 @@ func TestTickRetainsOnlineView(t *testing.T) {
 	if _, err := rt.RetireInstance(held[0].ID); err != nil {
 		t.Fatalf("retire after tick: %v", err)
 	}
+	if rt.view != admissionView {
+		t.Fatal("windowed admission or retirement rebuilt the retained view")
+	}
 
 	// A remap that swapped real leaves resyncs in place and keeps the view.
 	leaves := rt.Tree().Leaves()
+	tickView := func() *view {
+		tv, err := rt.newView(rt.view.traces, nil, trainEnd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tv
+	}
 	rt.mu.Lock()
-	rt.retargetOnline([]placement.Swap{{NodeA: leaves[0].Name, NodeB: leaves[1].Name}})
+	rt.adoptTick(tickView(), rt.swappedLeaves([]placement.Swap{{NodeA: leaves[0].Name, NodeB: leaves[1].Name}}))
 	rt.mu.Unlock()
-	if rt.online == nil {
+	if rt.view != admissionView {
 		t.Fatal("resync of real leaves dropped the view")
 	}
 
-	// A swap naming a leaf the tree does not have must drop the view.
+	// A swap naming a leaf the tree does not have cannot be reconciled: the
+	// tick's view takes over.
+	tv := tickView()
 	rt.mu.Lock()
-	rt.retargetOnline([]placement.Swap{{NodeA: "no-such-leaf", NodeB: leaves[0].Name}})
+	rt.adoptTick(tv, rt.swappedLeaves([]placement.Swap{{NodeA: "no-such-leaf", NodeB: leaves[0].Name}}))
 	rt.mu.Unlock()
-	if rt.online != nil {
-		t.Fatal("failed reconciliation kept a stale online view")
+	if rt.view != tv {
+		t.Fatal("failed reconciliation kept a stale admission view")
 	}
-	// The next admission rebuilds the view from the store.
+	// The next admission rebuilds an admission view from the store.
 	if _, err := rt.AdmitInstance(held[2].ID, held[2].Service, trainEnd, 2); err != nil {
 		t.Fatalf("admit after drop: %v", err)
 	}
-	if rt.online == nil {
+	if rt.view == tv || rt.view.weeks != 2 {
 		t.Fatal("admission did not rebuild the dropped view")
 	}
 }
 
 func TestRuntimeFragmentationRates(t *testing.T) {
 	rt, _, _, _ := admissionFixture(t)
-	rows, err := rt.FragmentationRates()
+	rows, err := rt.MultiFragmentationRates()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +251,7 @@ func TestRuntimeFragmentationRates(t *testing.T) {
 	}
 
 	unplaced, _, _, _ := runtimeFixture(t)
-	if _, err := unplaced.FragmentationRates(); !errors.Is(err, ErrNotPlaced) {
+	if _, err := unplaced.MultiFragmentationRates(); !errors.Is(err, ErrNotPlaced) {
 		t.Fatalf("rates before bootstrap: %v, want ErrNotPlaced", err)
 	}
 }

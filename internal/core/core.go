@@ -452,31 +452,33 @@ type DriftReport struct {
 // remapping only for perfectly synchronous nodes; the paper leaves the
 // trigger operational — 1.2–1.5 works well in practice).
 func (f *Framework) Adapt(tree *powertree.Node, fresh map[string]timeseries.Series, scoreFloor float64, maxSwaps int) (*DriftReport, error) {
-	return f.AdaptWithPolicy(tree, fresh, scoreFloor, maxSwaps, placement.PolicyConfig{})
-}
-
-// AdaptWithPolicy is Adapt with the redesigned placement policy options
-// threaded through to the remapping step: when policy.Demands is set, swaps
-// additionally respect every capacity dimension the tree declares (see
-// placement.RemapConfig.Policy). The zero PolicyConfig is plain Adapt.
-func (f *Framework) AdaptWithPolicy(tree *powertree.Node, fresh map[string]timeseries.Series, scoreFloor float64, maxSwaps int, policy placement.PolicyConfig) (*DriftReport, error) {
-	traceFn := placement.TraceFn(workload.SubPowerFn(fresh))
-	scores, err := placement.LevelAsynchrony(tree, powertree.RPP, traceFn)
+	traces := workload.SubPowerFn(fresh)
+	aggs, err := tree.AggregateAll(traces)
 	if err != nil {
 		return nil, err
 	}
-	rep := &DriftReport{WorstScore: math.Inf(1)}
+	return adapt(tree, traces, aggs, scoreFloor, maxSwaps, placement.PolicyConfig{})
+}
+
+// adapt is the drift monitor behind Adapt and Runtime.Tick. aggs is the
+// caller's aggregation of tree over traces (Σ leaf peaks is read from it,
+// before any swap); policy threads the placement options through to the
+// remapping step: when policy.Demands is set, swaps additionally respect
+// every capacity dimension the tree declares (see
+// placement.RemapConfig.Policy).
+func adapt(tree *powertree.Node, traces placement.TraceFn, aggs *powertree.Aggregates, scoreFloor float64, maxSwaps int, policy placement.PolicyConfig) (*DriftReport, error) {
+	scores, err := placement.LevelAsynchrony(tree, powertree.RPP, traces)
+	if err != nil {
+		return nil, err
+	}
+	rep := &DriftReport{WorstScore: math.Inf(1), SumOfPeaks: aggs.SumOfPeaks(powertree.RPP)}
 	for _, node := range detmap.SortedKeys(scores) {
 		if s := scores[node]; s < rep.WorstScore {
 			rep.WorstScore, rep.WorstNode = s, node
 		}
 	}
-	rep.SumOfPeaks, err = tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(fresh)))
-	if err != nil {
-		return nil, err
-	}
 	if rep.WorstScore < scoreFloor {
-		rep.Swaps, err = placement.Remap(tree, traceFn, placement.RemapConfig{MaxSwaps: maxSwaps, Policy: policy})
+		rep.Swaps, err = placement.Remap(tree, traces, placement.RemapConfig{MaxSwaps: maxSwaps, Policy: policy})
 		if err != nil {
 			return nil, err
 		}

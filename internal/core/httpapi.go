@@ -54,11 +54,6 @@ import (
 // in-flight limit get 429 "overloaded" with a Retry-After hint; queries (or
 // admissions) cut off by a deadline get 503 "deadline_exceeded".
 //
-// The pre-versioning paths (/healthz, /status, /tree, /history, /metrics)
-// remain as deprecated aliases: same behaviour, plus a "Deprecation: true"
-// header and a Link header naming the successor under /v1/. They will be
-// removed in a future major version; new clients should use /v1/.
-//
 // The GET surface is read-only; /v1/instances mutates the placement through
 // the runtime's serialized admission path. Ingestion and ticking stay with
 // the owner.
@@ -72,14 +67,14 @@ func HTTPHandler(rt *Runtime) http.Handler {
 }
 
 // HTTPHandlerWithClock is HTTPHandler with an explicit time source. Metrics
-// (request/error counters and the /metrics exposition) come from the
+// (request/error counters and the /v1/metrics exposition) come from the
 // process-global obs registry.
 func HTTPHandlerWithClock(rt *Runtime, now func() time.Time) http.Handler {
 	return HTTPHandlerWithObs(rt, now, obs.Default())
 }
 
 // HTTPHandlerWithObs is HTTPHandlerWithClock with an explicit metrics
-// registry: /metrics serves reg, and the API's own request/error counters
+// registry: /v1/metrics serves reg, and the API's own request/error counters
 // register there. Tests use a fresh registry per handler to keep the
 // exposition independent of other activity in the process. The planning
 // service behind /v1/plan runs with default limits; use
@@ -107,10 +102,6 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 			"HTTP API requests rejected or failed while encoding the response."),
 	}
 
-	healthz := func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	}
 	health := func(w http.ResponseWriter, r *http.Request) {
 		quarantined := rt.Quarantined()
 		emergency := rt.EmergencyNodes()
@@ -144,8 +135,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 		api.writeJSON(w, view)
 	}
 	status := func(w http.ResponseWriter, r *http.Request) {
-		tree := rt.Tree()
-		history := rt.History()
+		st := rt.status()
 		view := struct {
 			Placed      bool      `json:"placed"`
 			Instances   int       `json:"instances"`
@@ -155,15 +145,15 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 			LastTick    *tickView `json:"last_tick,omitempty"`
 			Time        time.Time `json:"time"`
 		}{
-			Placed:      rt.Placed(),
-			Instances:   tree.InstanceCount(),
-			Leaves:      len(tree.Leaves()),
-			Ticks:       len(history),
-			Quarantined: len(rt.Quarantined()),
+			Placed:      st.placed,
+			Instances:   st.instances,
+			Leaves:      st.leaves,
+			Ticks:       st.ticks,
+			Quarantined: st.quarantined,
 			Time:        now().UTC(),
 		}
-		if n := len(history); n > 0 {
-			view.LastTick = newTickView(history[n-1])
+		if st.lastTick != nil {
+			view.LastTick = newTickView(st.lastTick)
 		}
 		api.writeJSON(w, view)
 	}
@@ -171,7 +161,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 		// Render into a buffer first: writing the response body before a
 		// failure would lock in a 200 status with truncated JSON.
 		var buf bytes.Buffer
-		if err := rt.Tree().Save(&buf); err != nil {
+		if err := rt.saveTree(&buf); err != nil {
 			api.writeError(w, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
@@ -283,7 +273,6 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 	}
 
 	mux := http.NewServeMux()
-	// The versioned API.
 	mux.HandleFunc("/v1/health", api.get(health))
 	mux.HandleFunc("/v1/status", api.get(status))
 	mux.HandleFunc("/v1/tree", api.get(treeH))
@@ -293,29 +282,12 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 	mux.HandleFunc("/v1/instances", api.method(http.MethodPost, admit))
 	mux.HandleFunc("/v1/instances/", api.method(http.MethodDelete, retire))
 	mux.HandleFunc("/v1/plan", api.method(http.MethodPost, planH))
-	// Deprecated pre-versioning aliases: identical behaviour plus
-	// deprecation headers pointing at the successor route.
-	mux.HandleFunc("/healthz", api.get(deprecated("/v1/health", healthz)))
-	mux.HandleFunc("/status", api.get(deprecated("/v1/status", status)))
-	mux.HandleFunc("/tree", api.get(deprecated("/v1/tree", treeH)))
-	mux.HandleFunc("/history", api.get(deprecated("/v1/history", history)))
-	mux.HandleFunc("/metrics", api.get(deprecated("/v1/metrics", metrics)))
 	// Everything else: the error envelope, not the mux's plain-text 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		api.requests.Inc()
 		api.writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
 	return mux
-}
-
-// deprecated marks a legacy route with the standard deprecation headers and
-// its /v1/ successor before delegating.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // httpAPI bundles the runtime with the API's own instrumentation.

@@ -25,11 +25,11 @@ func metricsFixture(t *testing.T) (*httptest.Server, *obs.Registry) {
 
 // TestHTTPMetricsStableAcrossRuns builds two identical handler+registry
 // pairs, performs the same single scrape against each, and requires
-// byte-identical /metrics bodies: sorted names, deterministic values.
+// byte-identical /v1/metrics bodies: sorted names, deterministic values.
 func TestHTTPMetricsStableAcrossRuns(t *testing.T) {
 	scrape := func() string {
 		srv, _ := metricsFixture(t)
-		resp, err := http.Get(srv.URL + "/metrics")
+		resp, err := http.Get(srv.URL + "/v1/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestHTTPMetricsStableAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /metrics status = %d", resp.StatusCode)
+			t.Fatalf("GET /v1/metrics status = %d", resp.StatusCode)
 		}
 		if got := resp.Header.Get("Content-Type"); got != obs.ContentType {
 			t.Fatalf("Content-Type = %q, want %q", got, obs.ContentType)
@@ -48,7 +48,7 @@ func TestHTTPMetricsStableAcrossRuns(t *testing.T) {
 	}
 	a, b := scrape(), scrape()
 	if a != b {
-		t.Fatalf("two identical runs produced different /metrics output:\n%s\nvs\n%s", a, b)
+		t.Fatalf("two identical runs produced different /v1/metrics output:\n%s\nvs\n%s", a, b)
 	}
 	for _, want := range []string{
 		"# TYPE smoothop_http_requests_total counter",
@@ -56,7 +56,7 @@ func TestHTTPMetricsStableAcrossRuns(t *testing.T) {
 		"smoothop_http_errors_total 0",
 	} {
 		if !strings.Contains(a, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, a)
+			t.Fatalf("/v1/metrics missing %q:\n%s", want, a)
 		}
 	}
 	// Names must appear in sorted order.
@@ -78,7 +78,7 @@ func TestHTTPMetricsStableAcrossRuns(t *testing.T) {
 // counter.
 func TestHTTPMethodRejection(t *testing.T) {
 	srv, reg := metricsFixture(t)
-	for _, path := range []string{"/healthz", "/status", "/tree", "/history", "/metrics"} {
+	for _, path := range []string{"/v1/health", "/v1/status", "/v1/tree", "/v1/history", "/v1/metrics"} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)

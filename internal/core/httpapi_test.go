@@ -33,13 +33,13 @@ func TestHTTPHandler(t *testing.T) {
 	}
 
 	// Liveness.
-	resp, body := get("/healthz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("healthz: %d %q", resp.StatusCode, body)
+	resp, body := get("/v1/health")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
+		t.Fatalf("health: %d %q", resp.StatusCode, body)
 	}
 
 	// Status before bootstrap.
-	resp, body = get("/status")
+	resp, body = get("/v1/status")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status: %d", resp.StatusCode)
 	}
@@ -62,7 +62,7 @@ func TestHTTPHandler(t *testing.T) {
 	if _, err := rt.Tick(trainEnd.Add(7*24*time.Hour), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, body = get("/status")
+	_, body = get("/v1/status")
 	if err := json.Unmarshal([]byte(body), &status); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestHTTPHandler(t *testing.T) {
 	}
 
 	// Tree round-trips through the powertree codec.
-	resp, body = get("/tree")
+	resp, body = get("/v1/tree")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tree: %d", resp.StatusCode)
 	}
@@ -84,7 +84,7 @@ func TestHTTPHandler(t *testing.T) {
 	}
 
 	// History lists the tick.
-	_, body = get("/history")
+	_, body = get("/v1/history")
 	var views []struct {
 		WorstNode string `json:"worst_node"`
 		Swaps     int    `json:"swaps"`
@@ -97,7 +97,7 @@ func TestHTTPHandler(t *testing.T) {
 	}
 
 	// Non-GET methods are rejected.
-	post, err := http.Post(srv.URL+"/status", "text/plain", strings.NewReader("x"))
+	post, err := http.Post(srv.URL+"/v1/status", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

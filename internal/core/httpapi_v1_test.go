@@ -11,47 +11,32 @@ import (
 )
 
 // TestHTTPV1RoutesAndLegacyAliases checks the versioned API contract: every
-// /v1/ route serves without deprecation headers, every legacy alias serves
-// the same status with Deprecation plus a successor Link, and errors come
-// back in the uniform JSON envelope.
+// /v1/ GET route serves, and the pre-versioning aliases are gone — they
+// answer like any other unknown path, with the 404 envelope.
 func TestHTTPV1RoutesAndLegacyAliases(t *testing.T) {
 	srv, _ := metricsFixture(t)
 	client := srv.Client()
 
-	pairs := []struct{ v1, legacy string }{
-		{"/v1/health", "/healthz"},
-		{"/v1/status", "/status"},
-		{"/v1/tree", "/tree"},
-		{"/v1/history", "/history"},
-		{"/v1/metrics", "/metrics"},
+	for _, path := range []string{"/v1/health", "/v1/status", "/v1/tree", "/v1/history", "/v1/metrics"} {
+		resp, err := client.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
 	}
-	for _, p := range pairs {
-		v1Resp, err := client.Get(srv.URL + p.v1)
+	for _, path := range []string{"/healthz", "/status", "/tree", "/history", "/metrics"} {
+		resp, err := client.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1Resp.Body.Close()
-		if v1Resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", p.v1, v1Resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: the unversioned aliases were removed", path, resp.StatusCode)
 		}
-		if got := v1Resp.Header.Get("Deprecation"); got != "" {
-			t.Errorf("GET %s carries Deprecation %q; versioned routes must not", p.v1, got)
-		}
-
-		legResp, err := client.Get(srv.URL + p.legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legResp.Body.Close()
-		if legResp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200", p.legacy, legResp.StatusCode)
-		}
-		if got := legResp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s Deprecation = %q, want true", p.legacy, got)
-		}
-		wantLink := "<" + p.v1 + `>; rel="successor-version"`
-		if got := legResp.Header.Get("Link"); got != wantLink {
-			t.Errorf("GET %s Link = %q, want %q", p.legacy, got, wantLink)
+		if code, _ := decodeEnvelope(t, resp); code != "not_found" {
+			t.Errorf("GET %s envelope code = %q, want not_found", path, code)
 		}
 	}
 }
@@ -89,8 +74,8 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		t.Fatalf("404 envelope = %q %q", code, msg)
 	}
 
-	// Wrong method → 405 envelope with Allow, on both route families.
-	for _, path := range []string{"/v1/status", "/status"} {
+	// Wrong method → 405 envelope with Allow.
+	for _, path := range []string{"/v1/status", "/v1/tree"} {
 		resp, err := client.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/detmap"
 	"repro/internal/faults"
 	"repro/internal/placement"
-	"repro/internal/plan"
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
 	"repro/internal/tracestore"
@@ -71,9 +70,9 @@ type Runtime struct {
 	services map[string]string //smoothop:guardedby mu
 	// demands is the runtime's resource-demand ledger: the validated demand
 	// vector of every placed instance that declared one (at Bootstrap or
-	// admission). It outlives the cached admission view, so rebuilt views
-	// re-learn demands through placementCfg's resolver. The map is allocated
-	// once and mutated in place — placementCfg's closure captures it.
+	// admission). It outlives any one view, so rebuilt views re-learn demands
+	// through placementCfg's resolver. The map is allocated once and mutated
+	// in place — placementCfg's closure captures it.
 	demands map[string]powertree.ResourceVector //smoothop:guardedby mu
 	// quality and quarantined reflect the most recent Bootstrap or Tick.
 	quality     map[string]tracestore.Quality //smoothop:guardedby mu
@@ -90,31 +89,9 @@ type Runtime struct {
 	// the replayed telemetry rather than the wall clock.
 	evalAsOf time.Time //smoothop:guardedby mu
 
-	// traces is the latest Bootstrap/Tick scoring view (references filled),
-	// kept for fragmentation reporting between admissions.
-	traces map[string]timeseries.Series //smoothop:guardedby mu
-	// online is the lazily-built admission view over the live tree; nil
-	// until the first AdmitInstance and invalidated by Tick (remapping moves
-	// instances). onlineTraces/refPool/refAll are its trace view and the
-	// healthy reference pools; onlineAsOf/onlineWeeks key the cache.
-	online       *placement.Online              //smoothop:guardedby mu
-	onlineTraces map[string]timeseries.Series   //smoothop:guardedby mu
-	refPool      map[string][]timeseries.Series //smoothop:guardedby mu
-	refAll       []timeseries.Series            //smoothop:guardedby mu
-	onlineAsOf   time.Time                      //smoothop:guardedby mu
-	onlineWeeks  int                            //smoothop:guardedby mu
-
-	// fragAgg carries the fragmentation-gauge aggregation forward
-	// incrementally: admissions and retirements mark only the touched leaf
-	// dirty instead of re-aggregating the whole tree. fragViewOnline records
-	// which trace view (admission view vs Bootstrap/Tick traces) the
-	// aggregator's PowerFn captured, so a view switch forces a rebuild.
-	fragAgg        *powertree.Aggregator //smoothop:guardedby mu
-	fragViewOnline bool                  //smoothop:guardedby mu
-
-	// planSnap is the cached what-if planning snapshot, shared by concurrent
-	// /v1/plan queries between placement mutations (see plan.go).
-	planSnap *plan.Snapshot //smoothop:guardedby mu
+	// view is the runtime's only derived state (see view.go): replaced by
+	// setView, dirtied by viewChanged, nil until Bootstrap.
+	view *view //smoothop:guardedby mu
 }
 
 // RuntimeConfig tunes the runtime. It is a value handed over once at
@@ -345,7 +322,9 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	if trainWeeks < 1 {
 		trainWeeks = r.fw.cfg.trainWeeks()
 	}
-	for _, inst := range instances {
+	ids := make([]string, len(instances))
+	for i, inst := range instances {
+		ids[i] = inst.ID
 		r.services[inst.ID] = inst.Service
 		// Demands enter the runtime's ledger here; the batch placer itself is
 		// power-only, so capacity dimensions bind at admission and remap time.
@@ -356,49 +335,27 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 			r.demands[inst.ID] = inst.Demands.Clone()
 		}
 	}
-	avg := make(map[string]timeseries.Series, len(instances))
-	quality := make(map[string]tracestore.Quality, len(instances))
-	var quarantined []string
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	for _, inst := range instances {
-		tr, q, err := r.store.AveragedITraceQuality(inst.ID, asOf, trainWeeks)
-		if errors.Is(err, tracestore.ErrUnknownInstance) {
-			// Never reported at all (e.g. a whole-window dropout): treat as
-			// an empty window rather than failing the placement.
-			q, err = tracestore.Quality{Grade: tracestore.GradeNoData}, nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: bootstrap trace for %q: %w", inst.ID, err)
-		}
-		quality[inst.ID] = q
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, inst.ID)
-			continue
-		}
-		avg[inst.ID] = tr
-		byService[inst.Service] = append(byService[inst.Service], tr)
-		healthy = append(healthy, tr)
-	}
-	if err := r.fillReferences(avg, quarantined, byService, healthy); err != nil {
-		return fmt.Errorf("core: bootstrap: %w", err)
+	avg, quality, quarantined, err := r.scoringTraces("bootstrap", ids, func(id string) (timeseries.Series, tracestore.Quality, error) {
+		return r.residentTrace(id, asOf, trainWeeks)
+	})
+	if err != nil {
+		return err
 	}
 	placer := placement.WorkloadAware{
 		TopServices:      r.fw.cfg.topServices(),
 		ClustersPerChild: r.fw.cfg.ClustersPerChild,
 		Seed:             r.fw.cfg.Seed,
 	}
-	lookup := placement.TraceFn(func(id string) (timeseries.Series, bool) {
-		tr, ok := avg[id]
-		return tr, ok
-	})
-	if err := placer.Place(r.tree, instances, lookup); err != nil {
+	if err := placer.Place(r.tree, instances, workload.SubPowerFn(avg)); err != nil {
 		return fmt.Errorf("core: bootstrap placement: %w", err)
+	}
+	v, err := r.newView(avg, quarantined, asOf, 0)
+	if err != nil {
+		r.tree.ClearInstances() // leave the tree as NewRuntime requires it
+		return fmt.Errorf("core: bootstrap: %w", err)
 	}
 	r.quality = quality
 	r.quarantined = quarantined
-	r.traces = avg
-	r.rebuildFragView(avg, false)
 	obsQuarantined.Set(float64(len(quarantined)))
 	if r.faults != nil {
 		capper, err := capping.New(r.tree, capping.Config{SustainSteps: 1})
@@ -409,29 +366,62 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	}
 	r.placed = true
 	r.evalAsOf = asOf
-	r.invalidatePlanSnapshot()
+	r.setView(v)
 	return nil
 }
 
-// fillReferences gives every quarantined instance a reference trace: the
-// mean of its service's healthy peers, falling back to the fleet-wide mean
-// when the whole service is dark. No healthy trace anywhere is
-// ErrAllQuarantined.
+// quarantines reports whether a trace of this quality is too thin to score
+// its instance from.
+func (r *Runtime) quarantines(q tracestore.Quality) bool {
+	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage
+}
+
+// scoringTraces reads one trace per instance through read and grades it.
+// Instances below the quarantine floor are scored from a reference trace
+// instead: the mean of their service's healthy peers (in ids order), falling
+// back to the fleet-wide mean when the whole service is dark. No healthy
+// trace anywhere is ErrAllQuarantined. what names the caller in errors.
 //
 // smoothop:locked mu
-func (r *Runtime) fillReferences(dst map[string]timeseries.Series, quarantined []string, byService map[string][]timeseries.Series, healthy []timeseries.Series) error {
+func (r *Runtime) scoringTraces(what string, ids []string, read func(id string) (timeseries.Series, tracestore.Quality, error)) (map[string]timeseries.Series, map[string]tracestore.Quality, []string, error) {
+	traces := make(map[string]timeseries.Series, len(ids))
+	quality := make(map[string]tracestore.Quality, len(ids))
+	var quarantined []string
+	byService := make(map[string][]timeseries.Series)
+	var healthy []timeseries.Series
+	for _, id := range ids {
+		tr, q, err := read(id)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: %s trace for %q: %w", what, id, err)
+		}
+		quality[id] = q
+		if r.quarantines(q) {
+			quarantined = append(quarantined, id)
+			continue
+		}
+		traces[id] = tr
+		byService[r.services[id]] = append(byService[r.services[id]], tr)
+		healthy = append(healthy, tr)
+	}
 	for _, id := range quarantined {
-		ref, ok := meanSeries(byService[r.services[id]])
+		ref, ok := referenceTrace(byService[r.services[id]], healthy)
 		if !ok {
-			ref, ok = meanSeries(healthy)
+			return nil, nil, nil, fmt.Errorf("core: %s: %w", what, ErrAllQuarantined)
 		}
-		if !ok {
-			return ErrAllQuarantined
-		}
-		dst[id] = ref
+		traces[id] = ref
 		obsFallbackTraces.Inc()
 	}
-	return nil
+	return traces, quality, quarantined, nil
+}
+
+// referenceTrace stands in for an instance whose own telemetry cannot be
+// trusted: the mean of its healthy same-service peers, or of the whole
+// healthy fleet when it has none.
+func referenceTrace(peers, fleet []timeseries.Series) (timeseries.Series, bool) {
+	if ref, ok := meanSeries(peers); ok {
+		return ref, true
+	}
+	return meanSeries(fleet)
 }
 
 // despike rejects single-slot impulses from a materialised trace: a sample
@@ -504,30 +494,21 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 		window = 7 * 24 * time.Hour
 	}
 	from := asOf.Add(-window)
-	fresh := make(map[string]timeseries.Series)
-	quality := make(map[string]tracestore.Quality)
-	var quarantined []string
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
-	for _, id := range r.tree.AllInstances() {
+	fresh, quality, quarantined, err := r.scoringTraces("tick", r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
 		tr, q, err := r.store.SnapshotQuality(id, from, asOf)
-		if err != nil {
-			return nil, fmt.Errorf("core: tick snapshot for %q: %w", id, err)
-		}
-		quality[id] = q
-		if q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		tr = despike(tr)
-		fresh[id] = tr
-		byService[r.services[id]] = append(byService[r.services[id]], tr)
-		healthy = append(healthy, tr)
+		return despike(tr), q, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := r.fillReferences(fresh, quarantined, byService, healthy); err != nil {
+	// The tick's one full aggregation: a view over the fresh window. Σ leaf
+	// peaks and the trip-window breaker check read its ledger, and it
+	// becomes the runtime's view unless an admission view is live.
+	tv, err := r.newView(fresh, quarantined, asOf, 0)
+	if err != nil {
 		return nil, fmt.Errorf("core: tick: %w", err)
 	}
-	rep, err := r.fw.AdaptWithPolicy(r.tree, fresh, r.scoreFloor, r.maxSwaps, r.placementCfg())
+	rep, err := adapt(r.tree, workload.SubPowerFn(fresh), tv.online.Aggregates(), r.scoreFloor, r.maxSwaps, r.placementCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -535,17 +516,14 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	r.quality = quality
 	r.quarantined = quarantined
 	obsQuarantined.Set(float64(len(quarantined)))
-	// The remap may have moved instances between leaves. Instead of dropping
-	// the cached admission view wholesale, resync only the swapped leaves
-	// (no swaps means the placement is untouched and the view stays valid
-	// as-is); the gauges are refreshed from the tick's fresh window.
-	r.retargetOnline(rep.Swaps)
-	r.traces = fresh
 	r.evalAsOf = asOf
-	r.rebuildFragView(fresh, false)
-	r.invalidatePlanSnapshot()
+	moved := r.swappedLeaves(rep.Swaps)
+	if err := resync(tv, moved); err != nil {
+		return nil, fmt.Errorf("core: tick: %w", err)
+	}
+	r.adoptTick(tv, moved)
 
-	if err := r.emergencyStep(rep, from, asOf, fresh); err != nil {
+	if err := r.emergencyStep(rep, from, asOf, tv); err != nil {
 		return nil, err
 	}
 
@@ -556,55 +534,54 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	return rep, nil
 }
 
-// retargetOnline reconciles the cached admission view with the tree after a
-// tick's remap. With no swaps the placement is unchanged and the view is
-// kept untouched; otherwise only the swapped leaves are resynced (their
-// residents' traces are already in the view's trace map — swaps move
-// existing residents). Any reconciliation failure — a swapped leaf that
-// cannot be found, a resident the view cannot resolve — drops the view
-// wholesale, restoring the old rebuild-on-next-admission behaviour.
-//
-// The retained view stays keyed at its original (onlineAsOf, onlineWeeks)
-// window: its traces ARE that window's telemetry, so retirements and
-// explicitly windowed admissions reuse it immediately, while a zero-asOf
-// admission after the tick re-keys to the new evalAsOf and rebuilds.
-//
-// smoothop:locked mu
-func (r *Runtime) retargetOnline(swaps []placement.Swap) {
-	if r.online == nil || len(swaps) == 0 {
-		return
-	}
+// swappedLeaves lists the leaves a remap's swaps touched, each once, in swap
+// order. A name the tree does not know yields a nil entry, which no view
+// will accept.
+func (r *Runtime) swappedLeaves(swaps []placement.Swap) []*powertree.Node {
 	seen := make(map[string]bool, 2*len(swaps))
 	var leaves []*powertree.Node
 	for _, sw := range swaps {
 		for _, name := range [2]string{sw.NodeA, sw.NodeB} {
-			if seen[name] {
-				continue
+			if !seen[name] {
+				seen[name] = true
+				leaves = append(leaves, r.tree.Find(name))
 			}
-			seen[name] = true
-			leaf := r.tree.Find(name)
-			if leaf == nil {
-				r.dropOnline()
-				return
-			}
-			leaves = append(leaves, leaf)
 		}
 	}
-	if err := r.online.Resync(leaves...); err != nil {
-		r.dropOnline()
-		return
-	}
-	obsOnlineResyncs.Inc()
+	return leaves
 }
 
-// dropOnline discards the cached admission view; the next AdmitInstance
-// rebuilds it from the store.
+// resync has a view's placer re-read the leaves a remap moved instances
+// between (their traces are already in the view — swaps move residents).
+func resync(v *view, moved []*powertree.Node) error {
+	if len(moved) == 0 {
+		return nil
+	}
+	return v.online.Resync(moved...)
+}
+
+// adoptTick settles which view the runtime holds after a tick. A live
+// admission view stays: its traces ARE its window's telemetry, so it only
+// has to absorb the remap's swaps, after which retirements and explicitly
+// windowed admissions keep reusing it while a zero-asOf admission re-keys to
+// the new evalAsOf and rebuilds. Otherwise — no admission view yet, or one
+// that cannot be reconciled with the tree — the tick's own view takes over.
 //
 // smoothop:locked mu
-func (r *Runtime) dropOnline() {
-	r.online = nil
-	r.onlineTraces = nil
-	obsOnlineDrops.Inc()
+func (r *Runtime) adoptTick(tv *view, moved []*powertree.Node) {
+	if r.view.weeks == 0 {
+		r.setView(tv)
+		return
+	}
+	if err := resync(r.view, moved); err != nil {
+		obsOnlineDrops.Inc()
+		r.setView(tv)
+		return
+	}
+	if len(moved) > 0 {
+		obsOnlineResyncs.Inc()
+	}
+	r.viewChanged()
 }
 
 // emergencyStep runs the injected-trip escalation path: check breakers at
@@ -612,7 +589,7 @@ func (r *Runtime) dropOnline() {
 // report's ActiveTrips, BreakerTrips and EmergencyThrottles.
 //
 // smoothop:locked mu
-func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, fresh map[string]timeseries.Series) error {
+func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, tv *view) error {
 	if r.faults == nil || r.capper == nil {
 		r.lastTrips = nil
 		return nil
@@ -629,12 +606,8 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, fresh ma
 		}
 	}
 	if len(factor) > 0 {
-		breakerTrips, err := r.breakersUnder(factor, fresh)
-		if err != nil {
-			return err
-		}
-		rep.BreakerTrips = breakerTrips
-		obsBreakerTrips.Add(uint64(len(breakerTrips)))
+		rep.BreakerTrips = r.breakersUnder(factor, tv.online.Aggregates())
+		obsBreakerTrips.Add(uint64(len(rep.BreakerTrips)))
 	}
 
 	// Step the capper when budgets are reduced, or when a previous tick left
@@ -658,7 +631,7 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, fresh ma
 			return nominal[node] * f, true
 		}
 	}
-	throttles, events, err := r.capper.StepWithBudgets(peakReader(fresh), override)
+	throttles, events, err := r.capper.StepWithBudgets(peakReader(tv.traces), override)
 	if err != nil {
 		return err
 	}
@@ -674,9 +647,10 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, fresh ma
 	return nil
 }
 
-// breakersUnder re-checks the tree's breakers with tripped nodes scaled to
-// their backup-feed budgets, restoring the nominal budgets afterwards.
-func (r *Runtime) breakersUnder(factor map[string]float64, fresh map[string]timeseries.Series) ([]powertree.BreakerTrip, error) {
+// breakersUnder re-checks the tree's breakers against the tick's aggregates
+// with tripped nodes scaled to their backup-feed budgets, restoring the
+// nominal budgets afterwards.
+func (r *Runtime) breakersUnder(factor map[string]float64, aggs *powertree.Aggregates) []powertree.BreakerTrip {
 	saved := make(map[string]float64, len(factor))
 	r.tree.Walk(func(n *powertree.Node) {
 		if f, ok := factor[n.Name]; ok {
@@ -689,7 +663,7 @@ func (r *Runtime) breakersUnder(factor map[string]float64, fresh map[string]time
 			n.Budget = b
 		}
 	})
-	return r.tree.CheckBreakers(powertree.PowerFn(workload.SubPowerFn(fresh)), 2*r.store.Step())
+	return aggs.CheckBreakers(2 * r.store.Step())
 }
 
 // peakReader views a window's traces as capping state: an instance draws

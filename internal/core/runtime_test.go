@@ -14,6 +14,12 @@ import (
 // Runtime, exactly like a deployment would stream sensor data.
 func runtimeFixture(t *testing.T) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
 	t.Helper()
+	return runtimeFixtureWith(t, RuntimeConfig{})
+}
+
+// runtimeFixtureWith is runtimeFixture with an explicit runtime config.
+func runtimeFixtureWith(t *testing.T, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
+	t.Helper()
 	cfg, err := workload.StandardDCConfig(workload.DC2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +30,7 @@ func runtimeFixture(t *testing.T) (*Runtime, []placement.Instance, *workload.Fle
 		t.Fatal(err)
 	}
 	store := tracestore.New(tracestore.Config{Step: time.Hour, Retention: 4 * 7 * 24 * time.Hour})
-	rt, err := NewRuntime(New(Config{TopServices: 8, Seed: 1}), store, tree, RuntimeConfig{})
+	rt, err := NewRuntime(New(Config{TopServices: 8, Seed: 1}), store, tree, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 				row.Admitted++
 			}
 		}
-		row.SumLeafPeaks, err = tree.SumOfPeaksParallel(powertree.RPP, powertree.PowerFn(traceFn), 1)
+		row.SumLeafPeaks, err = tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(traceFn))
 		if err != nil {
 			return MultiDimRow{}, err
 		}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/powertree"
 )
@@ -28,6 +29,17 @@ import (
 // fragmentation rate of a level is Σ stranded over its nodes, normalized by
 // the level's total budget, so 0 means every advertised watt of headroom is
 // reachable and 1 means the level's whole capacity is stranded.
+//
+// With multi-resource nodes (powertree.ResourceVector) the same question is
+// asked per capacity dimension: a leaf can advertise free network ports that
+// are unreachable because an ancestor's declared network capacity is
+// exhausted, and — the FARB motivation — a node can hold abundant residual
+// in one dimension and none in another. One routine (strandedRows) answers
+// it for every dimension; power is simply the dimension every node declares,
+// with capacity Budget and usage the aggregate peak. A node that does not
+// declare a dimension imposes no constraint on it (its subtree passes demand
+// through unbounded), mirroring the partial-declaration rule of
+// powertree.Node.Capacities.
 
 // FragmentationRow is one level's share of a fragmentation report, for one
 // resource dimension.
@@ -55,81 +67,175 @@ type FragmentationRow struct {
 	RatePct float64
 }
 
-// FragmentationRates computes the power-fragmentation rate of every level
-// of the tree in one bottom-up pass over a single aggregation. Leaves have
-// rate 0 by construction (nothing sits below their breakers); interior
-// levels accumulate the headroom their subtrees cannot deliver.
-func FragmentationRates(tree *powertree.Node, traces powertree.PowerFn) ([]FragmentationRow, error) {
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: aggregating for fragmentation: %w", err)
-	}
-	return FragmentationRatesFrom(tree, aggs)
-}
-
-// FragmentationRatesFrom is FragmentationRates over an existing aggregation
-// snapshot (callers that already hold an Aggregates avoid the re-walk).
-func FragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates) ([]FragmentationRow, error) {
-	admissible := make(map[*powertree.Node]float64)
+// strandedRows computes one dimension's per-level rows in a single bottom-up
+// pass. limit reports a node's declared capacity in the dimension (false =
+// undeclared, unconstrained) and used what its subtree currently draws.
+// Levels where no node declares the dimension are skipped; rows come back in
+// root-to-leaf level order, each summing its nodes in tree order.
+func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) (float64, bool), used func(*powertree.Node) float64) []FragmentationRow {
+	rows := make(map[powertree.Level]*FragmentationRow)
+	// build returns admissible(n): +Inf means the subtree imposes no
+	// constraint (no declarations at or below n).
 	var build func(n *powertree.Node) float64
 	build = func(n *powertree.Node) float64 {
-		head := n.Budget - aggs.Peak(n)
+		below := math.Inf(1)
+		if !n.IsLeaf() {
+			below = 0
+			for _, c := range n.Children {
+				below += build(c)
+			}
+		}
+		capacity, declared := limit(n)
+		if !declared {
+			return below
+		}
+		head := capacity - used(n)
 		if head < 0 {
 			head = 0
 		}
 		adm := head
-		if !n.IsLeaf() {
-			var sum float64
-			for _, c := range n.Children {
-				sum += build(c)
-			}
-			if sum < adm {
-				adm = sum
-			}
+		if below < adm {
+			adm = below
 		}
-		admissible[n] = adm
+		row := rows[n.Level]
+		if row == nil {
+			row = &FragmentationRow{Level: n.Level, Dimension: dim}
+			rows[n.Level] = row
+		}
+		row.Capacity += capacity
+		row.Headroom += head
+		row.Admissible += adm
 		return adm
 	}
 	build(tree)
 
-	out := make([]FragmentationRow, 0, len(powertree.Levels))
+	out := make([]FragmentationRow, 0, len(rows))
 	for _, level := range powertree.Levels {
-		nodes := tree.NodesAtLevel(level)
-		if len(nodes) == 0 {
+		row := rows[level]
+		if row == nil {
 			continue
 		}
-		var row FragmentationRow
-		row.Level = level
-		row.Dimension = powertree.PowerDimension
-		for _, n := range nodes {
-			head := n.Budget - aggs.Peak(n)
-			if head < 0 {
-				head = 0
-			}
-			row.Capacity += n.Budget
-			row.Headroom += head
-			row.Admissible += admissible[n]
-		}
 		row.StrandedWatts = row.Headroom - row.Admissible
-		if row.Capacity <= 0 {
-			return nil, fmt.Errorf("%w: level %s has no capacity", ErrBudget, level)
+		if row.Capacity > 0 {
+			row.RatePct = 100 * row.StrandedWatts / row.Capacity
 		}
-		row.RatePct = 100 * row.StrandedWatts / row.Capacity
-		out = append(out, row)
+		out = append(out, *row)
 	}
-	return out, nil
+	return out
 }
 
-// FragmentationRate returns one level's power-fragmentation rate in percent.
-func FragmentationRate(tree *powertree.Node, traces powertree.PowerFn, level powertree.Level) (float64, error) {
-	rows, err := FragmentationRates(tree, traces)
+// FragmentationRatesFrom computes the power-fragmentation rate of every
+// level of the tree from an aggregation snapshot. Leaves have rate 0 by
+// construction (nothing sits below their breakers); interior levels
+// accumulate the headroom their subtrees cannot deliver.
+func FragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates) ([]FragmentationRow, error) {
+	rows := strandedRows(tree, powertree.PowerDimension,
+		func(n *powertree.Node) (float64, bool) { return n.Budget, true }, aggs.Peak)
+	for _, row := range rows {
+		if row.Capacity <= 0 {
+			return nil, fmt.Errorf("%w: level %s has no capacity", ErrBudget, row.Level)
+		}
+	}
+	return rows, nil
+}
+
+// MultiFragmentationRates aggregates the tree afresh and reports one row per
+// (level, dimension): the canonical power rows come first (in level order),
+// then each declared capacity dimension's rows in ascending dimension order. demands resolves instance IDs to their demand vectors (the
+// placement.DemandFn shape); a nil resolver or a tree with no declared
+// capacities yields exactly the power rows.
+func MultiFragmentationRates(tree *powertree.Node, traces powertree.PowerFn, demands func(id string) (powertree.ResourceVector, bool)) ([]FragmentationRow, error) {
+	aggs, err := tree.AggregateAll(traces)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: aggregating for fragmentation: %w", err)
+	}
+	usage, err := rollUp(tree, demands)
+	if err != nil {
+		return nil, err
+	}
+	return MultiFragmentationRatesFrom(tree, aggs, usage.Of)
+}
+
+// MultiFragmentationRatesFrom is MultiFragmentationRates over state the
+// caller already holds: an aggregation snapshot and each node's used
+// capacity (powertree.Usage.Of, or a placer's ledger).
+func MultiFragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates, used func(*powertree.Node) powertree.ResourceVector) ([]FragmentationRow, error) {
+	rows, err := FragmentationRatesFrom(tree, aggs)
+	if err != nil {
+		return nil, err
+	}
+	// Every capacity dimension declared anywhere in the tree, ascending.
+	var declared powertree.ResourceVector
+	tree.Walk(func(n *powertree.Node) {
+		declared = declared.AddInPlace(n.Capacities)
+	})
+	for _, dim := range declared.Dimensions() {
+		rows = append(rows, strandedRows(tree, dim,
+			func(n *powertree.Node) (float64, bool) { c, ok := n.Capacities[dim]; return c, ok },
+			func(n *powertree.Node) float64 { return used(n).Get(dim) })...)
+	}
+	return rows, nil
+}
+
+// rollUp sums every node's subtree demand through the given resolver,
+// validating each placed instance's vector on the way.
+func rollUp(tree *powertree.Node, demands func(id string) (powertree.ResourceVector, bool)) (*powertree.Usage, error) {
+	if demands == nil {
+		return powertree.RollUp(tree, nil)
+	}
+	return powertree.RollUp(tree, func(id string) (powertree.ResourceVector, error) {
+		d, ok := demands(id)
+		if !ok || len(d) == 0 {
+			return nil, nil
+		}
+		if err := d.Validate(); err != nil {
+			return nil, fmt.Errorf("metrics: demand for instance %q: %w", id, err)
+		}
+		return d, nil
+	})
+}
+
+// StrandedNodeCount reports how many nodes at a level are stranded for the
+// given demand shape: the node has strictly positive headroom in at least
+// one dimension (power included) yet cannot admit one probe instance of the
+// given demand because some other dimension (or an ancestor) is exhausted.
+// It is the node-granularity companion to the rate rows — the quantity the
+// multi-dimension experiment drives down — computed against a probe of
+// probePower watts and probeDemand (nil means power-only probing).
+func StrandedNodeCount(tree *powertree.Node, traces powertree.PowerFn, demands func(id string) (powertree.ResourceVector, bool), level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) (int, error) {
+	aggs, err := tree.AggregateAll(traces)
+	if err != nil {
+		return 0, fmt.Errorf("metrics: aggregating for stranded nodes: %w", err)
+	}
+	usage, err := rollUp(tree, demands)
 	if err != nil {
 		return 0, err
 	}
-	for _, row := range rows {
-		if row.Level == level {
-			return row.RatePct, nil
+	fits := func(n *powertree.Node) bool {
+		for m := n; m != nil; m = m.Parent() {
+			if aggs.Peak(m)+probePower > m.Budget {
+				return false
+			}
+			for _, dim := range probeDemand.Dimensions() {
+				limit, ok := m.Capacities[dim]
+				if ok && usage.Of(m).Get(dim)+probeDemand[dim] > limit {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	count := 0
+	for _, n := range aggs.NodesAtLevel(level) {
+		headroom := aggs.Headroom(n) > 0
+		for _, dim := range n.Capacities.Dimensions() {
+			if n.Capacities[dim]-usage.Of(n).Get(dim) > 0 {
+				headroom = true
+			}
+		}
+		if headroom && !fits(n) {
+			count++
 		}
 	}
-	return 0, fmt.Errorf("metrics: tree has no nodes at level %s", level)
+	return count, nil
 }

@@ -30,6 +30,20 @@ func demandTable(d map[string]powertree.ResourceVector) func(string) (powertree.
 	}
 }
 
+// powerOnlyRows is the single-dimension report over a fresh aggregation.
+func powerOnlyRows(t *testing.T, tree *powertree.Node, traces map[string]timeseries.Series) []FragmentationRow {
+	t.Helper()
+	aggs, err := tree.AggregateAll(fragLookup(traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := FragmentationRatesFrom(tree, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestMultiFragmentationRates(t *testing.T) {
 	traces := map[string]timeseries.Series{
 		"a": fragSeries(50, 50), "b": fragSeries(50, 50),
@@ -54,10 +68,7 @@ func TestMultiFragmentationRates(t *testing.T) {
 	}
 
 	// Power rows come first and match the single-dimension report exactly.
-	powerRows, err := FragmentationRates(tree, fragLookup(traces))
-	if err != nil {
-		t.Fatal(err)
-	}
+	powerRows := powerOnlyRows(t, tree, traces)
 	for i, want := range powerRows {
 		if rows[i] != want {
 			t.Fatalf("power row %d = %+v, want %+v", i, rows[i], want)
@@ -146,10 +157,7 @@ func TestMultiFragmentationPowerOnlyPassThrough(t *testing.T) {
 	if err := tree.Leaves()[0].Attach("a"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := FragmentationRates(tree, fragLookup(traces))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := powerOnlyRows(t, tree, traces)
 	got, err := MultiFragmentationRates(tree, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func TestFragmentationSynchronousVsInterleaved(t *testing.T) {
 	// though Σ leaf peaks is 320.
 	sync := fragTree(t, 200)
 	attach(t, sync, [][]string{{"a0", "a1"}, {"b0", "b1"}, {}, {}})
-	syncRows, err := FragmentationRates(sync, fragLookup(traces))
+	syncRows, err := MultiFragmentationRates(sync, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFragmentationSynchronousVsInterleaved(t *testing.T) {
 	// Interleaved: counter-phased pairs flatten every leaf to 100.
 	mixed := fragTree(t, 200)
 	attach(t, mixed, [][]string{{"a0", "b0"}, {"a1", "b1"}, {}, {}})
-	mixedRows, err := FragmentationRates(mixed, fragLookup(traces))
+	mixedRows, err := MultiFragmentationRates(mixed, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFragmentationHandComputed(t *testing.T) {
 	if err := leaves[1].Attach("y"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := FragmentationRates(tree, fragLookup(traces))
+	rows, err := MultiFragmentationRates(tree, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFragmentationOverloadedNodeClamps(t *testing.T) {
 	if err := tree.Leaves()[0].Attach("hot"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := FragmentationRates(tree, fragLookup(traces))
+	rows, err := MultiFragmentationRates(tree, fragLookup(traces), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +173,20 @@ func TestFragmentationOverloadedNodeClamps(t *testing.T) {
 	}
 }
 
-// TestFragmentationRateSingleLevel exercises the one-level helper.
+// TestFragmentationRateSingleLevel: an empty tree strands nothing at any
+// level, and every level of the tree gets exactly one power row.
 func TestFragmentationRateSingleLevel(t *testing.T) {
 	tree := fragTree(t, 100)
-	traces := map[string]timeseries.Series{}
-	rate, err := FragmentationRate(tree, fragLookup(traces), powertree.DC)
+	rows, err := MultiFragmentationRates(tree, fragLookup(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rate != 0 {
-		t.Fatalf("empty tree rate = %v, want 0", rate)
+	if len(rows) != len(powertree.Levels) {
+		t.Fatalf("got %d rows, want one per level (%d)", len(rows), len(powertree.Levels))
+	}
+	for _, row := range rows {
+		if row.RatePct != 0 || row.Dimension != powertree.PowerDimension {
+			t.Fatalf("empty tree row = %+v, want a power row at rate 0", row)
+		}
 	}
 }

@@ -192,13 +192,13 @@ func ExtraServers(tree *powertree.Node, traces powertree.PowerFn, serverPeak flo
 	if serverPeak <= 0 {
 		return 0, fmt.Errorf("metrics: server peak must be positive")
 	}
+	aggs, err := tree.AggregateAll(traces)
+	if err != nil {
+		return 0, err
+	}
 	total := 0
-	for _, leaf := range tree.Leaves() {
-		h, err := leaf.Headroom(traces)
-		if err != nil {
-			return 0, err
-		}
-		if h > 0 {
+	for _, leaf := range aggs.Leaves() {
+		if h := aggs.Headroom(leaf); h > 0 {
 			total += int(math.Floor(h / serverPeak))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/powertree"
 	"repro/internal/score"
@@ -26,7 +27,6 @@ var (
 	ErrNoCapacity      = errors.New("placement: no leaf can admit the instance without a breaker violation")
 	ErrAlreadyAdmitted = errors.New("placement: instance already admitted")
 	ErrUnknownInstance = errors.New("placement: instance not admitted")
-	ErrNilPolicy       = errors.New("placement: online placer needs a policy")
 )
 
 // OnlineCandidate is one feasible leaf offered to an online policy.
@@ -71,37 +71,34 @@ type OnlinePlacer interface {
 	Retire(id string) (*powertree.Node, error)
 }
 
-// Online is the concrete OnlinePlacer. It snapshots the tree's current
-// residents at construction and then maintains per-leaf resident trace sets
-// and per-node aggregate traces incrementally: an admission adds one trace
-// to the leaf's set and to the aggregates along the leaf's root path, a
-// retirement rebuilds only that same path. No full-tree re-aggregation ever
-// happens after construction.
+// Online is the concrete OnlinePlacer. It records the tree's residents at
+// construction and keeps two ledgers current through every Admit, Retire and
+// Resync: a powertree.Aggregator holding each node's aggregate power trace
+// and a powertree.Usage holding each node's used capacity. Both recompute
+// whole nodes from their parts (dirty leaves and their root paths only), so
+// the placer's state is a pure function of (tree, traces, demands): a placer
+// that has lived through any admit/retire/resync history is bit-identical to
+// one freshly built over the same tree.
 type Online struct {
 	tree    *powertree.Node
 	traces  TraceFn
 	policy  OnlinePolicy
 	demands DemandFn
 
-	// agg is every node's aggregate power trace (Empty when the subtree
-	// hosts no instances).
-	agg map[*powertree.Node]timeseries.Series
+	ledger *powertree.Aggregator
 	// demandOf records each known instance's resolved demand vector (absent
-	// = power-only); used accumulates the demands of each node's subtree
-	// residents — the capacity-dimension analogue of agg. Both stay empty on
-	// power-only trees, keeping that path allocation-identical to before.
+	// = power-only); usage rolls them up per node. Both stay empty on
+	// power-only trees.
 	demandOf map[string]powertree.ResourceVector
-	used     map[*powertree.Node]powertree.ResourceVector
-	// residents holds per-leaf traces parallel to leaf.Instances;
-	// residentIDs holds the matching instance IDs — the placer's own record
-	// of who it thinks lives on each leaf, which Resync diffs against the
-	// tree after an external move.
+	usage    *powertree.Usage
+	// residents holds per-leaf traces parallel to leaf.Instances — what the
+	// policies score an arrival against; residentIDs holds the matching
+	// instance IDs — the placer's own record of who it thinks lives on each
+	// leaf, which Resync diffs against the tree after an external move.
 	residents   map[*powertree.Node][]timeseries.Series
 	residentIDs map[*powertree.Node][]string
 	// leafOf locates every admitted instance's hosting leaf.
-	leafOf  map[string]*powertree.Node
-	leaves  []*powertree.Node
-	leafSet map[*powertree.Node]bool
+	leafOf map[string]*powertree.Node
 }
 
 // NewOnline wraps a live (possibly already populated) tree for online
@@ -115,21 +112,6 @@ func NewOnline(tree *powertree.Node, traces TraceFn, cfg PolicyConfig) (*Online,
 	if err != nil {
 		return nil, err
 	}
-	return newOnline(tree, traces, policy, cfg.Demands)
-}
-
-// NewOnlineWithPolicy wraps a live tree using a caller-implemented Policy
-// value directly. Prefer NewOnline with PolicyConfig{Custom: policy,
-// Demands: fn}, which can also install a demand resolver; this constructor
-// installs none.
-func NewOnlineWithPolicy(tree *powertree.Node, traces TraceFn, policy Policy) (*Online, error) {
-	return newOnline(tree, traces, policy, nil)
-}
-
-func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands DemandFn) (*Online, error) {
-	if policy == nil {
-		return nil, ErrNilPolicy
-	}
 	leaves := tree.Leaves()
 	if len(leaves) == 0 {
 		return nil, ErrNoLeaves
@@ -138,35 +120,29 @@ func newOnline(tree *powertree.Node, traces TraceFn, policy Policy, demands Dema
 		tree:        tree,
 		traces:      traces,
 		policy:      policy,
-		demands:     demands,
-		agg:         make(map[*powertree.Node]timeseries.Series),
+		demands:     cfg.Demands,
 		demandOf:    make(map[string]powertree.ResourceVector),
-		used:        make(map[*powertree.Node]powertree.ResourceVector),
 		residents:   make(map[*powertree.Node][]timeseries.Series, len(leaves)),
 		residentIDs: make(map[*powertree.Node][]string, len(leaves)),
 		leafOf:      make(map[string]*powertree.Node),
-		leaves:      leaves,
-		leafSet:     make(map[*powertree.Node]bool, len(leaves)),
 	}
 	for _, leaf := range leaves {
-		o.leafSet[leaf] = true
 		if err := o.snapshotLeaf(leaf); err != nil {
 			return nil, err
 		}
 	}
-	if err := o.rebuildAll(); err != nil {
+	if o.ledger, err = powertree.NewAggregator(tree, powertree.PowerFn(traces)); err != nil {
+		return nil, err
+	}
+	if o.usage, err = powertree.RollUp(tree, o.recordedDemand); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
-// Tree returns the live tree the placer operates on.
-func (o *Online) Tree() *powertree.Node { return o.tree }
-
-// Aggregate returns the node's current aggregate power trace (Empty when
-// the subtree hosts no instances). The series is owned by the placer and
-// must not be mutated.
-func (o *Online) Aggregate(n *powertree.Node) timeseries.Series { return o.agg[n] }
+// Aggregates returns every node's current aggregate power trace as an
+// immutable snapshot, bit-identical to a fresh AggregateAll over the tree.
+func (o *Online) Aggregates() *powertree.Aggregates { return o.ledger.Snapshot() }
 
 // Leaf reports which leaf hosts an admitted (or pre-existing) instance.
 func (o *Online) Leaf(id string) (*powertree.Node, bool) {
@@ -178,7 +154,7 @@ func (o *Online) Leaf(id string) (*powertree.Node, bool) {
 // per-dimension sum over the subtree's residents (nil when nothing in the
 // subtree demands anything beyond power). The vector is owned by the placer
 // and must not be mutated.
-func (o *Online) Used(n *powertree.Node) powertree.ResourceVector { return o.used[n] }
+func (o *Online) Used(n *powertree.Node) powertree.ResourceVector { return o.usage.Of(n) }
 
 // Demand reports the demand vector on record for an admitted (or
 // pre-existing) instance; ok is false for unknown or power-only instances.
@@ -188,13 +164,19 @@ func (o *Online) Demand(id string) (powertree.ResourceVector, bool) {
 	return d, ok
 }
 
+// recordedDemand is the usage ledger's resolver: demands were validated when
+// they were recorded, so it cannot fail.
+func (o *Online) recordedDemand(id string) (powertree.ResourceVector, error) {
+	return o.demandOf[id], nil
+}
+
 // resolveDemand resolves an instance's demand vector — the inline vector
-// from the Instance itself wins, then the placer's DemandFn — validating
-// and defensively cloning it. Nil means power-only.
-func (o *Online) resolveDemand(id string, inline powertree.ResourceVector) (powertree.ResourceVector, error) {
+// wins, then the DemandFn — validating and defensively cloning it. Nil means
+// power-only.
+func resolveDemand(demands DemandFn, id string, inline powertree.ResourceVector) (powertree.ResourceVector, error) {
 	d := inline
-	if d == nil && o.demands != nil {
-		if v, ok := o.demands(id); ok {
+	if d == nil && demands != nil {
+		if v, ok := demands(id); ok {
 			d = v
 		}
 	}
@@ -223,7 +205,7 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 		// Demands recorded at admission (possibly inline on the Instance)
 		// survive resyncs; only unseen residents consult the DemandFn.
 		if _, ok := o.demandOf[id]; !ok {
-			d, err := o.resolveDemand(id, nil)
+			d, err := resolveDemand(o.demands, id, nil)
 			if err != nil {
 				return err
 			}
@@ -237,26 +219,34 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 	return nil
 }
 
+// refold brings both ledgers up to date after the given leaves' residents
+// changed: each leaf is re-folded and its root path recombined.
+func (o *Online) refold(leaves ...*powertree.Node) error {
+	if err := o.ledger.MarkDirty(leaves...); err != nil {
+		return err
+	}
+	if _, err := o.ledger.Update(); err != nil {
+		return err
+	}
+	return o.usage.Reroll(o.recordedDemand, leaves...)
+}
+
 // Resync reconciles the placer's state with the live tree for the given
 // leaves after an external mutation moved instances among them (typically a
 // Remap tick swapping residents between RPPs). Only the named leaves and
 // their root paths are touched: residents are re-snapshotted from
-// leaf.Instances and the path aggregates rebuilt, so a k-leaf resync costs
-// O(k·(instances-per-leaf + depth)·len) instead of a full reconstruction.
+// leaf.Instances and the path aggregates recombined, so a k-leaf resync
+// costs O(k·(instances-per-leaf + depth)·len) instead of a full
+// reconstruction.
 //
 // The caller must name every leaf whose instance set changed; missing one
-// leaves that leaf's aggregates stale. On error (unknown resident trace,
-// foreign node) the placer's state may be partially updated and the placer
-// should be discarded and rebuilt.
+// leaves that leaf's aggregates stale. A target that is not a leaf of the
+// placer's tree is rejected before anything changes; on any other error
+// (unknown resident trace) the placer's state may be partially updated and
+// the placer should be discarded and rebuilt.
 func (o *Online) Resync(leaves ...*powertree.Node) error {
-	for _, leaf := range leaves {
-		if leaf == nil || !o.leafSet[leaf] {
-			name := "<nil>"
-			if leaf != nil {
-				name = leaf.Name
-			}
-			return fmt.Errorf("placement: resync target %q is not a leaf of the placer's tree", name)
-		}
+	if err := o.ledger.MarkDirty(leaves...); err != nil {
+		return fmt.Errorf("placement: resync target: %w", err)
 	}
 	// Phase 1: forget every instance the placer had recorded on the resynced
 	// leaves. All removals happen before any re-snapshot so an instance
@@ -274,82 +264,11 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 			return err
 		}
 	}
-	// Phase 3: rebuild the aggregates along each root path. Shared ancestors
-	// are rebuilt more than once; rebuildNode is idempotent so the extra
-	// passes only cost time.
-	for _, leaf := range leaves {
-		for n := leaf; n != nil; n = n.Parent() {
-			if err := o.rebuildNode(n); err != nil {
-				return err
-			}
-		}
+	if err := o.refold(leaves...); err != nil {
+		return err
 	}
 	obsResyncs.Inc()
 	obsResyncLeaves.Add(uint64(len(leaves)))
-	return nil
-}
-
-// rebuildAll recomputes every node's aggregate bottom-up from the resident
-// trace sets (construction and full-invalidation path).
-func (o *Online) rebuildAll() error {
-	var build func(n *powertree.Node) error
-	build = func(n *powertree.Node) error {
-		for _, c := range n.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		return o.rebuildNode(n)
-	}
-	return build(o.tree)
-}
-
-// rebuildNode recomputes one node's aggregate trace and used-capacity
-// vector from its own residents (leaf) or its children's (interior), which
-// must already be current.
-func (o *Online) rebuildNode(n *powertree.Node) error {
-	var used powertree.ResourceVector
-	if n.IsLeaf() {
-		for _, id := range o.residentIDs[n] {
-			used = used.AddInPlace(o.demandOf[id])
-		}
-	} else {
-		for _, c := range n.Children {
-			used = used.AddInPlace(o.used[c])
-		}
-	}
-	if used == nil {
-		delete(o.used, n)
-	} else {
-		o.used[n] = used
-	}
-	var agg timeseries.Series
-	started := false
-	fold := func(tr timeseries.Series) error {
-		if tr.Empty() {
-			return nil
-		}
-		if !started {
-			agg = tr.Clone()
-			started = true
-			return nil
-		}
-		return agg.AddInPlace(tr)
-	}
-	if n.IsLeaf() {
-		for _, tr := range o.residents[n] {
-			if err := fold(tr); err != nil {
-				return fmt.Errorf("placement: aggregating leaf %q: %w", n.Name, err)
-			}
-		}
-	} else {
-		for _, c := range n.Children {
-			if err := fold(o.agg[c]); err != nil {
-				return fmt.Errorf("placement: aggregating node %q: %w", n.Name, err)
-			}
-		}
-	}
-	o.agg[n] = agg
 	return nil
 }
 
@@ -379,7 +298,7 @@ func (o *Online) fitsCapacities(n *powertree.Node, demand powertree.ResourceVect
 	if len(demand) == 0 || len(n.Capacities) == 0 {
 		return true
 	}
-	used := o.used[n]
+	used := o.usage.Of(n)
 	for _, dim := range demand.Dimensions() {
 		limit, ok := n.Capacities[dim]
 		if ok && used.Get(dim)+demand[dim] > limit {
@@ -399,7 +318,7 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 	if len(leaf.Capacities) == 0 {
 		return res
 	}
-	used := o.used[leaf]
+	used := o.usage.Of(leaf)
 	for _, dim := range leaf.Capacities.Dimensions() {
 		limit := leaf.Capacities[dim]
 		frac := 0.0
@@ -421,10 +340,12 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 // node that cannot absorb the instance. Candidates come back in tree (leaf)
 // order.
 func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceVector) ([]OnlineCandidate, error) {
+	aggs := o.ledger.Snapshot()
 	var cands []OnlineCandidate
 	var walk func(n *powertree.Node) error
 	walk = func(n *powertree.Node) error {
-		post, err := peakWith(o.agg[n], tr)
+		agg, _ := aggs.Trace(n)
+		post, err := peakWith(agg, tr)
 		if err != nil {
 			return err
 		}
@@ -468,7 +389,7 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, inst.ID)
 	}
-	demand, err := o.resolveDemand(inst.ID, inst.Demands)
+	demand, err := resolveDemand(o.demands, inst.ID, inst.Demands)
 	if err != nil {
 		return nil, err
 	}
@@ -494,31 +415,18 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	o.residents[leaf] = append(o.residents[leaf], tr)
 	o.residentIDs[leaf] = append(o.residentIDs[leaf], inst.ID)
 	o.leafOf[inst.ID] = leaf
-	// Fold the new trace (and demand) into the aggregates along the leaf's
-	// root path.
-	for n := leaf; n != nil; n = n.Parent() {
-		agg := o.agg[n]
-		if agg.Empty() {
-			o.agg[n] = tr.Clone()
-			continue
-		}
-		if err := agg.AddInPlace(tr); err != nil {
-			return nil, fmt.Errorf("placement: updating aggregate at %q: %w", n.Name, err)
-		}
-		o.agg[n] = agg
-	}
 	if demand != nil {
 		o.demandOf[inst.ID] = demand
-		for n := leaf; n != nil; n = n.Parent() {
-			o.used[n] = o.used[n].AddInPlace(demand)
-		}
+	}
+	if err := o.refold(leaf); err != nil {
+		return nil, fmt.Errorf("placement: admitting %q onto %q: %w", inst.ID, leaf.Name, err)
 	}
 	obsAdmissions.Inc()
 	return leaf, nil
 }
 
-// Retire implements OnlinePlacer: it detaches the instance and rebuilds the
-// aggregates along its leaf's root path only.
+// Retire implements OnlinePlacer: it detaches the instance and recombines
+// the ledgers along its leaf's root path only.
 func (o *Online) Retire(id string) (*powertree.Node, error) {
 	leaf, ok := o.leafOf[id]
 	if !ok {
@@ -534,16 +442,14 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 	if idx < 0 || !leaf.Detach(id) {
 		return nil, fmt.Errorf("placement: retire bookkeeping failed for %q", id)
 	}
-	trs := o.residents[leaf]
-	o.residents[leaf] = append(trs[:idx:idx], trs[idx+1:]...)
-	ids := o.residentIDs[leaf]
-	o.residentIDs[leaf] = append(ids[:idx:idx], ids[idx+1:]...)
+	// slices.Delete zeroes the vacated tail slot, so the retired trace is not
+	// kept alive by the backing array.
+	o.residents[leaf] = slices.Delete(o.residents[leaf], idx, idx+1)
+	o.residentIDs[leaf] = slices.Delete(o.residentIDs[leaf], idx, idx+1)
 	delete(o.leafOf, id)
 	delete(o.demandOf, id)
-	for n := leaf; n != nil; n = n.Parent() {
-		if err := o.rebuildNode(n); err != nil {
-			return nil, err
-		}
+	if err := o.refold(leaf); err != nil {
+		return nil, fmt.Errorf("placement: retiring %q from %q: %w", id, leaf.Name, err)
 	}
 	obsRetirements.Inc()
 	return leaf, nil
@@ -557,26 +463,6 @@ func (o *Online) Retire(id string) (*powertree.Node, error) {
 type OnlineRandom struct {
 	rng *rand.Rand
 }
-
-// NewOnlineRandom returns a random policy with a fixed decision stream.
-//
-// Deprecated: use NewPolicy(PolicyConfig{Kind: PolicyRandom, Seed: seed}),
-// or pass that PolicyConfig to NewOnline directly.
-func NewOnlineRandom(seed int64) *OnlineRandom {
-	return &OnlineRandom{rng: newRand(seed)}
-}
-
-// NewOnlineBestFit returns the best-fit policy.
-//
-// Deprecated: use NewPolicy(PolicyConfig{Kind: PolicyBestFit}), or pass
-// that PolicyConfig to NewOnline directly.
-func NewOnlineBestFit() OnlineBestFit { return OnlineBestFit{} }
-
-// NewOnlineAsynchrony returns the workload-aware asynchrony policy.
-//
-// Deprecated: use NewPolicy(PolicyConfig{}) — asynchrony is the default
-// kind — or pass the PolicyConfig to NewOnline directly.
-func NewOnlineAsynchrony() OnlineAsynchrony { return OnlineAsynchrony{} }
 
 // Name implements OnlinePolicy.
 func (p *OnlineRandom) Name() string { return "random" }

@@ -2,10 +2,12 @@ package placement
 
 import (
 	"errors"
-	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
 )
@@ -14,14 +16,14 @@ import (
 // policies carry a decision stream, so tests must not share them between
 // runs).
 func onlinePolicies() []OnlinePolicy {
-	return []OnlinePolicy{NewOnlineRandom(7), OnlineBestFit{}, OnlineAsynchrony{}}
+	return []OnlinePolicy{&OnlineRandom{rng: newRand(7)}, OnlineBestFit{}, OnlineAsynchrony{}}
 }
 
 func TestOnlineAdmitsWholeFleet(t *testing.T) {
 	for _, policy := range onlinePolicies() {
 		t.Run(policy.Name(), func(t *testing.T) {
 			instances, traces, tree := testFixture(t)
-			o, err := NewOnlineWithPolicy(tree, traces, policy)
+			o, err := NewOnline(tree, traces, PolicyConfig{Custom: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,14 +49,11 @@ func TestOnlineAdmitsWholeFleet(t *testing.T) {
 					t.Errorf("node %q peak %.1f exceeds budget %.1f", n.Name, p, n.Budget)
 				}
 			})
-			// The placer's incremental aggregates must agree with a fresh
-			// bottom-up aggregation (tiny float slack: the incremental path
-			// folds arrivals in admission order).
+			// The placer's ledger must equal a fresh bottom-up aggregation
+			// exactly: it recombines whole nodes, never adjusts them.
 			tree.Walk(func(n *powertree.Node) {
-				got := o.Aggregate(n).Peak()
-				want := aggs.Peak(n)
-				if math.Abs(got-want) > 1e-6*math.Max(1, want) {
-					t.Errorf("node %q incremental peak %.9f, fresh %.9f", n.Name, got, want)
+				if got, want := o.Aggregates().Peak(n), aggs.Peak(n); got != want {
+					t.Errorf("node %q ledger peak %v, fresh %v", n.Name, got, want)
 				}
 			})
 		})
@@ -163,13 +162,13 @@ func TestOnlineMissingTrace(t *testing.T) {
 
 func TestOnlineDeterministicReplay(t *testing.T) {
 	for _, mk := range []func() OnlinePolicy{
-		func() OnlinePolicy { return NewOnlineRandom(11) },
+		func() OnlinePolicy { return &OnlineRandom{rng: newRand(11)} },
 		func() OnlinePolicy { return OnlineBestFit{} },
 		func() OnlinePolicy { return OnlineAsynchrony{} },
 	} {
 		run := func() map[string]string {
 			instances, traces, tree := testFixture(t)
-			o, err := NewOnlineWithPolicy(tree, traces, mk())
+			o, err := NewOnline(tree, traces, PolicyConfig{Custom: mk()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +256,7 @@ func TestOnlineAsynchronySpreadsSynchronousPairs(t *testing.T) {
 // TestOnlineResync: after instances are moved between leaves behind the
 // placer's back (the Remap tick), Resync on the touched leaves must bring
 // leaf lookups and path aggregates back in line with a fresh bottom-up
-// aggregation — without rebuilding the untouched leaves.
+// aggregation, bit for bit — without rebuilding the untouched leaves.
 func TestOnlineResync(t *testing.T) {
 	instances, traces, tree := testFixture(t)
 	if err := (Random{Seed: 5}).Place(tree, instances, traces); err != nil {
@@ -305,9 +304,8 @@ func TestOnlineResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.Walk(func(n *powertree.Node) {
-		got, want := o.Aggregate(n).Peak(), aggs.Peak(n)
-		if math.Abs(got-want) > 1e-6*math.Max(1, want) {
-			t.Errorf("node %q resynced peak %.9f, fresh %.9f", n.Name, got, want)
+		if got, want := o.Aggregates().Peak(n), aggs.Peak(n); got != want {
+			t.Errorf("node %q resynced peak %v, fresh %v", n.Name, got, want)
 		}
 	})
 
@@ -339,5 +337,83 @@ func TestOnlineResync(t *testing.T) {
 	}
 	if err := o.Resync(nil); err == nil {
 		t.Fatal("resync accepted nil")
+	}
+}
+
+// TestOnlineHistoryIndependent is the single-ledger invariant: after any
+// seeded admit / retire / resync sequence, every node's aggregate trace and
+// used-capacity vector in the long-lived placer equal, bit for bit, those of
+// a placer freshly built over the same tree — at workers 1 and 8.
+func TestOnlineHistoryIndependent(t *testing.T) {
+	for _, workers := range []string{"1", "8"} {
+		t.Setenv(parallel.EnvWorkers, workers)
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(900 + seed))
+			instances, traces, tree := testFixture(t)
+			tree.Walk(func(n *powertree.Node) { n.Capacities = powertree.ResourceVector{"gpu": 1e6} })
+			demands := make(map[string]powertree.ResourceVector)
+			for _, inst := range instances {
+				if rng.Intn(3) > 0 {
+					// Thirds are not exactly representable, so an adjusted
+					// (add/subtract) ledger would drift from a re-summed one.
+					demands[inst.ID] = powertree.ResourceVector{"gpu": float64(1+rng.Intn(4)) / 3}
+				}
+			}
+			cfg := PolicyConfig{Kind: PolicyRandom, Seed: seed, Demands: func(id string) (powertree.ResourceVector, bool) {
+				d, ok := demands[id]
+				return d, ok
+			}}
+			o, err := NewOnline(tree, traces, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var placed []string
+			for step := 0; step < 120; step++ {
+				switch k := rng.Intn(4); {
+				case k <= 1 && len(placed) < len(instances): // admit the next arrival
+					inst := instances[len(placed)]
+					if _, err := o.Admit(inst); err != nil {
+						t.Fatalf("seed %d step %d: admit: %v", seed, step, err)
+					}
+					placed = append(placed, inst.ID)
+				case k == 2 && len(placed) > 1: // retire a resident, readmit it at the end
+					i := rng.Intn(len(placed))
+					id := placed[i]
+					if _, err := o.Retire(id); err != nil {
+						t.Fatalf("seed %d step %d: retire: %v", seed, step, err)
+					}
+					if _, err := o.Admit(Instance{ID: id}); err != nil {
+						t.Fatalf("seed %d step %d: readmit: %v", seed, step, err)
+					}
+				case k == 3 && len(placed) > 1: // move a resident behind the placer's back
+					id := placed[rng.Intn(len(placed))]
+					from, _ := o.Leaf(id)
+					leaves := tree.Leaves()
+					to := leaves[rng.Intn(len(leaves))]
+					from.Detach(id)
+					if err := to.Attach(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := o.Resync(from, to); err != nil {
+						t.Fatalf("seed %d step %d: resync: %v", seed, step, err)
+					}
+				}
+				fresh, err := NewOnline(tree, traces, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := o.Aggregates(), fresh.Aggregates()
+				tree.Walk(func(n *powertree.Node) {
+					gt, _ := got.Trace(n)
+					wt, _ := want.Trace(n)
+					if !reflect.DeepEqual(gt.Values, wt.Values) || got.Peak(n) != want.Peak(n) {
+						t.Fatalf("workers %s seed %d step %d: aggregate at %q differs from a fresh placer's", workers, seed, step, n.Name)
+					}
+					if !reflect.DeepEqual(o.Used(n), fresh.Used(n)) {
+						t.Fatalf("workers %s seed %d step %d: used at %q = %v, fresh %v", workers, seed, step, n.Name, o.Used(n), fresh.Used(n))
+					}
+				})
+			}
+		}
 	}
 }

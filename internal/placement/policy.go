@@ -12,14 +12,9 @@ import (
 
 // Redesigned policy/capacity API.
 //
-// The online placer grew one positional constructor per policy
-// (NewOnlineRandom, OnlineBestFit{}, OnlineAsynchrony{}); multi-resource
-// placement would have doubled that surface again. The redesign collapses
-// policy selection into a single options struct: callers build a
-// PolicyConfig (kind, seed, FARB weights, optional demand resolver) and
-// hand it to NewOnline; custom implementations plug in through the Custom
-// field or NewOnlineWithPolicy. The old names remain as thin, deprecated
-// constructors so existing callers keep compiling.
+// Policy selection is a single options struct: callers build a PolicyConfig
+// (kind, seed, FARB weights, optional demand resolver) and hand it to
+// NewOnline; custom implementations plug in through the Custom field.
 
 // Policy picks which feasible leaf hosts an arriving instance — the
 // redesigned name for OnlinePolicy (kept as an alias for compatibility).

@@ -37,13 +37,6 @@ func TestNewPolicyKinds(t *testing.T) {
 	if _, err := NewPolicy(PolicyConfig{Kind: PolicyFARB, Weights: score.FARBWeights{Balance: -1}}); !errors.Is(err, score.ErrBadWeights) {
 		t.Fatalf("bad weights: %v", err)
 	}
-	if _, err := NewOnlineWithPolicy(nil, nil, nil); !errors.Is(err, ErrNilPolicy) {
-		t.Fatalf("nil policy: %v", err)
-	}
-	// The deprecated thin wrappers still hand back working policies.
-	if NewOnlineBestFit().Name() != "best-fit" || NewOnlineAsynchrony().Name() != "asynchrony" {
-		t.Fatal("deprecated constructors broken")
-	}
 }
 
 // flatTrace builds a constant trace so power never discriminates between
@@ -159,7 +152,7 @@ func TestOnlineFARBAvoidsStranding(t *testing.T) {
 	tree, traces, lookup := multiFixture(t)
 	leaves := tree.Leaves()
 	demands := map[string]powertree.ResourceVector{
-		"seed-0": {"net": 8},            // leaf 0 nearly out of net
+		"seed-0": {"net": 8}, // leaf 0 nearly out of net
 		"arr":    {"net": 1, "space": 1},
 	}
 	traces["seed-0"], traces["arr"] = flatTrace(100), flatTrace(100)
@@ -251,30 +244,24 @@ func TestOnlineResyncPreservesDemands(t *testing.T) {
 
 // TestOnlinePowerOnlyEquivalence pins the bit-exactness contract of the
 // redesigned API: with the default (or explicitly power-only) PolicyConfig,
-// the placer must reproduce the legacy policy-value constructors'
-// leaf assignments exactly — same tree, same order, same decisions.
+// the placer must reproduce the policy struct values' leaf assignments
+// exactly — same tree, same order, same decisions.
 func TestOnlinePowerOnlyEquivalence(t *testing.T) {
 	type variant struct {
 		name   string
-		legacy func(tree *powertree.Node, traces TraceFn) (*Online, error)
+		policy Policy
 		cfg    PolicyConfig
 	}
 	variants := []variant{
-		{"asynchrony", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, OnlineAsynchrony{})
-		}, PolicyConfig{}},
-		{"best-fit", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, OnlineBestFit{})
-		}, PolicyConfig{Kind: PolicyBestFit}},
-		{"random", func(tr *powertree.Node, f TraceFn) (*Online, error) {
-			return NewOnlineWithPolicy(tr, f, NewOnlineRandom(17))
-		}, PolicyConfig{Kind: PolicyRandom, Seed: 17}},
+		{"asynchrony", OnlineAsynchrony{}, PolicyConfig{}},
+		{"best-fit", OnlineBestFit{}, PolicyConfig{Kind: PolicyBestFit}},
+		{"random", &OnlineRandom{rng: newRand(17)}, PolicyConfig{Kind: PolicyRandom, Seed: 17}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			instances, traces, treeA := testFixture(t)
 			_, _, treeB := testFixture(t)
-			oldO, err := v.legacy(treeA, traces)
+			oldO, err := NewOnline(treeA, traces, PolicyConfig{Custom: v.policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,13 +273,13 @@ func TestOnlinePowerOnlyEquivalence(t *testing.T) {
 				la, errA := oldO.Admit(inst)
 				lb, errB := newO.Admit(inst)
 				if (errA == nil) != (errB == nil) {
-					t.Fatalf("admit %q diverged: legacy err=%v, config err=%v", inst.ID, errA, errB)
+					t.Fatalf("admit %q diverged: struct value err=%v, config err=%v", inst.ID, errA, errB)
 				}
 				if errA != nil {
 					continue
 				}
 				if la.Name != lb.Name {
-					t.Fatalf("admit %q diverged: legacy %q, config %q", inst.ID, la.Name, lb.Name)
+					t.Fatalf("admit %q diverged: struct value %q, config %q", inst.ID, la.Name, lb.Name)
 				}
 			}
 		})

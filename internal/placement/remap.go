@@ -257,7 +257,9 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
-					capGuard.apply(worst, partner, victimDemand, partnerDemand)
+					if err := capGuard.swapped(worst, partner); err != nil {
+						return nil, err
+					}
 					// Only the two nodes touched by the swap changed;
 					// every other cached trace set and score stays valid.
 					cache[worstIdx], cache[cand.idx] = nil, nil

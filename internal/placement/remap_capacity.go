@@ -1,10 +1,6 @@
 package placement
 
-import (
-	"fmt"
-
-	"repro/internal/powertree"
-)
+import "repro/internal/powertree"
 
 // Multi-resource capacity enforcement for Remap.
 //
@@ -15,50 +11,25 @@ import (
 // they declare after the exchange. A nil resolver keeps the whole guard
 // inert — the power-only path is bit-identical to before.
 
-// remapCapacity tracks per-node used-capacity vectors across a Remap run. A
-// nil *remapCapacity is the inert power-only guard: every method is a no-op
-// that reports "fits".
+// remapCapacity tracks per-node used capacity across a Remap run. A nil
+// *remapCapacity is the inert power-only guard: every method is a no-op that
+// reports "fits".
 type remapCapacity struct {
 	demands  DemandFn
 	demandOf map[string]powertree.ResourceVector
-	used     map[*powertree.Node]powertree.ResourceVector
+	usage    *powertree.Usage
 }
 
 // newRemapCapacity builds the guard for a tree, resolving and validating
-// every placed instance's demand once and summing subtree usage bottom-up.
-// A nil demands resolver yields a nil (inert) guard.
+// every placed instance's demand once and rolling subtree usage up. A nil
+// demands resolver yields a nil (inert) guard.
 func newRemapCapacity(tree *powertree.Node, demands DemandFn) (*remapCapacity, error) {
 	if demands == nil {
 		return nil, nil
 	}
-	rc := &remapCapacity{
-		demands:  demands,
-		demandOf: make(map[string]powertree.ResourceVector),
-		used:     make(map[*powertree.Node]powertree.ResourceVector),
-	}
-	var build func(n *powertree.Node) (powertree.ResourceVector, error)
-	build = func(n *powertree.Node) (powertree.ResourceVector, error) {
-		var used powertree.ResourceVector
-		for _, id := range n.Instances {
-			d, err := rc.demandFor(id)
-			if err != nil {
-				return nil, err
-			}
-			used = used.AddInPlace(d)
-		}
-		for _, c := range n.Children {
-			cu, err := build(c)
-			if err != nil {
-				return nil, err
-			}
-			used = used.AddInPlace(cu)
-		}
-		if used != nil {
-			rc.used[n] = used
-		}
-		return used, nil
-	}
-	if _, err := build(tree); err != nil {
+	rc := &remapCapacity{demands: demands, demandOf: make(map[string]powertree.ResourceVector)}
+	var err error
+	if rc.usage, err = powertree.RollUp(tree, rc.demandFor); err != nil {
 		return nil, err
 	}
 	return rc, nil
@@ -73,18 +44,10 @@ func (rc *remapCapacity) demandFor(id string) (powertree.ResourceVector, error) 
 	if d, ok := rc.demandOf[id]; ok {
 		return d, nil
 	}
-	var d powertree.ResourceVector
-	if v, ok := rc.demands(id); ok {
-		d = v
+	d, err := resolveDemand(rc.demands, id, nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(d) == 0 {
-		rc.demandOf[id] = nil
-		return nil, nil
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("placement: demand for instance %q: %w", id, err)
-	}
-	d = d.Clone()
 	rc.demandOf[id] = d
 	return d, nil
 }
@@ -114,7 +77,7 @@ func (rc *remapCapacity) pathFits(n, stop *powertree.Node, in, out powertree.Res
 		if len(n.Capacities) == 0 {
 			continue
 		}
-		used := rc.used[n]
+		used := rc.usage.Of(n)
 		for _, dim := range dims {
 			limit, ok := n.Capacities[dim]
 			if ok && used.Get(dim)-out.Get(dim)+in.Get(dim) > limit {
@@ -137,17 +100,11 @@ func (rc *remapCapacity) swapFits(a, b *powertree.Node, da, db powertree.Resourc
 	return rc.pathFits(a, lca, db, da) && rc.pathFits(b, lca, da, db)
 }
 
-// apply commits an accepted swap's demand deltas to the used vectors along
-// both root paths (up to the LCA, which sees no net change).
-func (rc *remapCapacity) apply(a, b *powertree.Node, da, db powertree.ResourceVector) {
-	if rc == nil || (len(da) == 0 && len(db) == 0) {
-		return
+// swapped re-rolls both root paths after an accepted swap moved instances
+// between a and b.
+func (rc *remapCapacity) swapped(a, b *powertree.Node) error {
+	if rc == nil {
+		return nil
 	}
-	lca := rc.lca(a, b)
-	for n := a; n != nil && n != lca; n = n.Parent() {
-		rc.used[n] = rc.used[n].AddInPlace(db).SubInPlace(da)
-	}
-	for n := b; n != nil && n != lca; n = n.Parent() {
-		rc.used[n] = rc.used[n].AddInPlace(da).SubInPlace(db)
-	}
+	return rc.usage.Reroll(rc.demandFor, a, b)
 }

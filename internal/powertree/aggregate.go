@@ -11,10 +11,10 @@
 // child-recursive operation order as AggregatePower, so every per-node
 // result is bit-identical to the per-node path for any worker count.
 //
-// The same two primitives — foldLeaf for a leaf's own instances, combineEntry
-// for an interior node over its children's entries — also back the
-// incremental delta path (see incremental.go), which re-runs them only on
-// dirty leaves and their root paths.
+// One primitive, combineEntry, computes every entry — a leaf is the case with
+// no children — and also backs the incremental delta path (see
+// incremental.go), which re-runs it only on dirty leaves and their root
+// paths.
 package powertree
 
 import (
@@ -39,9 +39,7 @@ type aggEntry struct {
 // Leaves() for the fold fan-out and NodesAtLevel() for the per-level
 // statistics. One walk at aggregation time replaces a fresh allocation and
 // re-walk per call. The index describes topology only (node identity and
-// levels), so it stays valid across instance churn and trace changes; it is
-// invalidated only when children are added or removed (see
-// Aggregator.InvalidateTopology).
+// levels), so it stays valid across instance churn and trace changes.
 type treeIndex struct {
 	leaves  []*Node
 	byLevel map[Level][]*Node
@@ -76,49 +74,24 @@ type Aggregates struct {
 	index   *treeIndex
 }
 
-// foldLeaf folds one leaf's own instance traces in attachment order —
-// AggregatePower's exact operation order for a leaf. The returned entry owns
-// a freshly allocated trace.
-func foldLeaf(m *Node, power PowerFn) (*aggEntry, error) {
-	e := &aggEntry{}
-	for _, id := range m.Instances {
-		s, ok := power(id)
-		if !ok {
-			e.missing = append(e.missing, id)
-			continue
-		}
-		if !e.started {
-			e.trace = s.Clone()
-			e.started = true
-			continue
-		}
-		if err := e.trace.AddInPlace(s); err != nil {
-			return nil, fmt.Errorf("powertree: aggregating %q under %q: %w", id, m.Name, err)
-		}
-	}
-	if e.started {
-		e.peak = e.trace.Peak()
-	}
-	return e, nil
-}
-
 // foldLeaves folds each leaf concurrently, one leaf per index (workers ≤ 0
 // means the package default). Each fold touches only per-index state, so the
 // result is bit-identical to a serial loop and the error returned is the one
 // the lowest-index leaf would have hit serially.
 func foldLeaves(leaves []*Node, power PowerFn, workers int) ([]*aggEntry, error) {
 	return parallel.Map(context.Background(), len(leaves), workers, func(i int) (*aggEntry, error) {
-		return foldLeaf(leaves[i], power)
+		return combineEntry(leaves[i], power, nil)
 	})
 }
 
-// combineEntry recomputes one interior node's entry from its own instance
-// traces and its children's current entries, preserving AggregatePower's
-// child-recursive operation order exactly: own instances in attachment
-// order, then each child's aggregate in child order, first contribution
-// cloned, the rest accumulated in place. Given bit-identical child entries
-// it therefore produces a bit-identical parent entry — the invariant the
-// delta path relies on.
+// combineEntry computes one node's entry from its own instance traces and
+// its children's current entries (child is never called for a leaf),
+// preserving AggregatePower's child-recursive operation order exactly: own
+// instances in attachment order, then each child's aggregate in child order,
+// first contribution cloned, the rest accumulated in place. Given
+// bit-identical child entries it therefore produces a bit-identical parent
+// entry — the invariant the delta path relies on. It is the only place
+// instance traces are summed into a node trace.
 func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntry, error) {
 	e := &aggEntry{}
 	// Interior nodes hosting instances are invalid (Validate rejects them)
@@ -261,8 +234,8 @@ func (a *Aggregates) Missing(n *Node) []string {
 	return nil
 }
 
-// Headroom returns budget − peak aggregate power for the node, like
-// Node.Headroom but without re-aggregating.
+// Headroom returns budget − peak aggregate power for the node. Negative
+// headroom means the node is over-committed.
 func (a *Aggregates) Headroom(n *Node) float64 {
 	return n.Budget - a.Peak(n)
 }

@@ -8,8 +8,8 @@
 // only their root paths, reusing the cached entries of every clean subtree.
 //
 // Determinism contract: clean entries are reused by pointer, dirty leaves
-// are re-folded by foldLeaf and dirty interiors re-combined by combineEntry
-// — the exact operation order AggregateAll and AggregatePower use. A node's
+// and their ancestors are recomputed by combineEntry — the exact operation
+// order AggregateAll and AggregatePower use. A node's
 // entry is a pure function of its subtree's instance traces under that
 // order, so reusing a clean child's entry and recomputing a dirty one
 // compose into bit-identical per-node results versus a fresh AggregateAll,
@@ -18,9 +18,8 @@
 // Staleness contract: the dirty set must cover every leaf whose instance
 // set or traces changed since the last Update. A trace change the caller
 // does not mark is silently stale — the Aggregator cannot observe PowerFn
-// mutations. Topology changes (children added or removed) additionally
-// require InvalidateTopology, which forces the next Update to rebuild the
-// snapshot and its cached tree index from scratch.
+// mutations. The topology (children) must not change under an Aggregator;
+// build a new one instead.
 package powertree
 
 import (
@@ -60,24 +59,16 @@ type Aggregator struct {
 	// dirty is the set of leaves whose instances or traces changed since
 	// snap was computed.
 	dirty map[*Node]bool //smoothop:guardedby mu
-	// stale is set by InvalidateTopology: the cached tree index no longer
-	// matches the tree, so the next Update must rebuild from scratch.
-	stale bool //smoothop:guardedby mu
 }
 
-// NewAggregator runs one full AggregateAll pass over the tree and returns an
-// Aggregator carrying that snapshot, using the default worker count.
+// NewAggregator runs one full AggregateAll pass over the tree, with the
+// default worker count, and returns an Aggregator carrying that snapshot.
 func NewAggregator(tree *Node, power PowerFn) (*Aggregator, error) {
-	return NewAggregatorParallel(tree, power, 0)
-}
-
-// NewAggregatorParallel is NewAggregator with an explicit worker count (≤ 0
-// means the package default).
-func NewAggregatorParallel(tree *Node, power PowerFn, workers int) (*Aggregator, error) {
-	snap, err := tree.AggregateAllParallel(power, workers)
+	snap, err := tree.AggregateAll(power)
 	if err != nil {
 		return nil, err
 	}
+	obsDeltaRebuilds.Inc()
 	return &Aggregator{
 		tree:  tree,
 		power: power,
@@ -86,9 +77,6 @@ func NewAggregatorParallel(tree *Node, power PowerFn, workers int) (*Aggregator,
 	}, nil
 }
 
-// Tree returns the tree the Aggregator aggregates.
-func (g *Aggregator) Tree() *Node { return g.tree }
-
 // Snapshot returns the current Aggregates. The snapshot is immutable and
 // safe for concurrent reads; it reflects all Updates completed before the
 // call and none of the dirty marks not yet folded in by Update.
@@ -96,13 +84,6 @@ func (g *Aggregator) Snapshot() *Aggregates {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.snap
-}
-
-// DirtyCount returns the number of leaves currently marked dirty.
-func (g *Aggregator) DirtyCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.dirty)
 }
 
 // MarkDirty records that the given leaves' instance sets or traces changed.
@@ -124,9 +105,7 @@ func (g *Aggregator) MarkDirty(leaves ...*Node) error {
 	return nil
 }
 
-// checkLeaf validates one dirty-mark target. With a live index membership is
-// a set lookup; in stale mode (topology changed, index not yet rebuilt) it
-// falls back to walking parent links up to the aggregated root.
+// checkLeaf validates one dirty-mark target against the snapshot's index.
 //
 // smoothop:locked mu
 func (g *Aggregator) checkLeaf(leaf *Node) error {
@@ -136,58 +115,24 @@ func (g *Aggregator) checkLeaf(leaf *Node) error {
 	if !leaf.IsLeaf() {
 		return fmt.Errorf("%w: %q (%s)", ErrNotALeaf, leaf.Name, leaf.Level)
 	}
-	if !g.stale {
-		if !g.snap.index.leafSet[leaf] {
-			return fmt.Errorf("%w: %q", ErrForeignLeaf, leaf.Name)
-		}
-		return nil
+	if !g.snap.index.leafSet[leaf] {
+		return fmt.Errorf("%w: %q", ErrForeignLeaf, leaf.Name)
 	}
-	for m := leaf; m != nil; m = m.Parent() {
-		if m == g.tree {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %q", ErrForeignLeaf, leaf.Name)
+	return nil
 }
 
-// InvalidateTopology marks the cached tree index stale after a structural
-// tree mutation (children added or removed). The next Update performs a full
-// AggregateAll rebuild — with a fresh index — instead of a delta pass.
-// Instance churn on existing leaves does NOT need this; MarkDirty suffices.
-func (g *Aggregator) InvalidateTopology() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.stale = true
-}
-
-// Update folds all pending dirty marks into a new snapshot with the default
-// worker count and returns it. With no pending marks it returns the current
-// snapshot unchanged (a no-op: no folds, no new allocations).
+// Update folds all pending dirty marks into a new snapshot and returns it.
+// With no pending marks it returns the current snapshot unchanged (a no-op:
+// no folds, no new allocations). Dirty-leaf re-folds fan out one leaf per
+// index with the default worker count; dirty ancestors are re-combined
+// serially in tree order. Every per-node result is bit-identical to a fresh
+// AggregateAll over the same tree and traces, for any worker count. On error
+// the snapshot and dirty set are left unchanged, so the Update can be
+// retried.
 func (g *Aggregator) Update() (*Aggregates, error) {
-	return g.UpdateParallel(0)
-}
-
-// UpdateParallel is Update with an explicit worker count (≤ 0 means the
-// package default). Dirty-leaf re-folds fan out one leaf per index; dirty
-// ancestors are re-combined serially in tree order. Every per-node result is
-// bit-identical to a fresh AggregateAll over the same tree and traces, for
-// any worker count. On error the snapshot and dirty set are left unchanged,
-// so the Update can be retried.
-func (g *Aggregator) UpdateParallel(workers int) (*Aggregates, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	if g.stale {
-		snap, err := g.tree.AggregateAllParallel(g.power, workers)
-		if err != nil {
-			return nil, err
-		}
-		g.snap = snap
-		g.dirty = make(map[*Node]bool)
-		g.stale = false
-		obsDeltaRebuilds.Inc()
-		return snap, nil
-	}
 	if len(g.dirty) == 0 {
 		obsDeltaNoops.Inc()
 		return g.snap, nil
@@ -205,7 +150,7 @@ func (g *Aggregator) UpdateParallel(workers int) (*Aggregates, error) {
 		}
 	}
 
-	folds, err := foldLeaves(dirtyLeaves, g.power, workers)
+	folds, err := foldLeaves(dirtyLeaves, g.power, 0)
 	if err != nil {
 		// Keep the dirty set: the caller can fix the traces and retry.
 		return nil, err

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/timeseries"
 )
 
@@ -51,6 +53,7 @@ func requireSameAggs(t *testing.T, tree *Node, got, want *Aggregates, ctx string
 func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
 	for _, workers := range []int{1, 8} {
+		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
 		for trial := 0; trial < 25; trial++ {
 			rng := rand.New(rand.NewSource(int64(4000 + trial)))
 			tree := randomTree(rng)
@@ -65,8 +68,8 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 				return s
 			}
 			instID := 0
-			var placed []string          // ids currently attached somewhere
-			home := map[string]*Node{}   // id → hosting leaf
+			var placed []string        // ids currently attached somewhere
+			home := map[string]*Node{} // id → hosting leaf
 			for _, leaf := range leaves {
 				for k := rng.Intn(3); k > 0; k-- {
 					id := fmt.Sprintf("i%d", instID)
@@ -86,7 +89,7 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 				return s, ok
 			}
 
-			agg, err := NewAggregatorParallel(tree, pf, workers)
+			agg, err := NewAggregator(tree, pf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,14 +146,14 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 					}
 				}
 
-				got, err := agg.UpdateParallel(workers)
+				got, err := agg.Update()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if agg.DirtyCount() != 0 {
-					t.Fatalf("trial %d step %d: dirty set not cleared", trial, step)
+				if again, err := agg.Update(); err != nil || again != got {
+					t.Fatalf("trial %d step %d: dirty set not cleared (%v)", trial, step, err)
 				}
-				want, err := tree.AggregateAllParallel(pf, workers)
+				want, err := tree.AggregateAll(pf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -237,47 +240,9 @@ func TestAggregatorMarkDirtyValidation(t *testing.T) {
 	if err := agg.MarkDirty(tree.Leaves()[0], nil); err == nil {
 		t.Fatal("batch with nil target accepted")
 	}
-	if agg.DirtyCount() != 0 {
-		t.Fatalf("failed MarkDirty left %d marks", agg.DirtyCount())
-	}
-}
-
-// TestAggregatorInvalidateTopology: after a structural mutation and
-// InvalidateTopology, Update rebuilds from scratch with a fresh index that
-// covers the new leaf, and MarkDirty accepts the new leaf while stale.
-func TestAggregatorInvalidateTopology(t *testing.T) {
-	tree, pf := smallTree(t)
-	agg, err := NewAggregator(tree, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldLeafCount := len(agg.Snapshot().Leaves())
-
-	// Grow the tree: a new RPP under the first SB.
-	sb := tree.NodesAtLevel(SB)[0]
-	newLeaf := &Node{Name: sb.Name + "/rX", Level: RPP, Budget: 1000, parent: sb}
-	sb.Children = append(sb.Children, newLeaf)
-	agg.InvalidateTopology()
-
-	// While stale, marks validate by parent chain, so the new leaf is legal.
-	if err := agg.MarkDirty(newLeaf); err != nil {
-		t.Fatalf("MarkDirty(new leaf) while stale: %v", err)
-	}
-	got, err := agg.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Leaves()) != oldLeafCount+1 {
-		t.Fatalf("rebuilt index has %d leaves, want %d", len(got.Leaves()), oldLeafCount+1)
-	}
-	want, err := tree.AggregateAll(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameAggs(t, tree, got, want, "post-invalidate rebuild")
-	// The rebuild consumed the dirty set; the next Update is a no-op.
-	if snap, err := agg.Update(); err != nil || snap != got {
-		t.Fatalf("post-rebuild Update not a no-op: %v", err)
+	before := agg.Snapshot()
+	if snap, err := agg.Update(); err != nil || snap != before {
+		t.Fatalf("failed MarkDirty left marks behind: Update was not a no-op (%v)", err)
 	}
 }
 
@@ -320,10 +285,9 @@ func TestAggregatorUpdateErrorKeepsState(t *testing.T) {
 	if agg.Snapshot() != before {
 		t.Fatal("failed Update replaced the snapshot")
 	}
-	if agg.DirtyCount() != 1 {
-		t.Fatalf("failed Update dropped dirty marks: %d left", agg.DirtyCount())
-	}
 
+	// The retry only matches a fresh sweep if the failed Update kept its
+	// dirty mark: a dropped mark would make it a no-op returning before.
 	traces["b"] = timeseries.Zeros(base, time.Minute, 8) // repaired
 	got, err := agg.Update()
 	if err != nil {
@@ -414,7 +378,7 @@ func TestAggregatorConcurrentReads(t *testing.T) {
 		if err := agg.MarkDirty(leaf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := agg.UpdateParallel(4); err != nil {
+		if _, err := agg.Update(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ var (
 	obsDeltaNodesRecombined = obs.Default().Counter("smoothop_powertree_delta_nodes_recombined_total",
 		"Tree nodes recomputed (dirty leaves plus dirty ancestors) by incremental updates.")
 	obsDeltaRebuilds = obs.Default().Counter("smoothop_powertree_delta_rebuilds_total",
-		"Full rebuilds forced through Aggregator.Update by topology invalidation.")
+		"Aggregators built from scratch: one full aggregation each, the cost every later delta update avoids.")
 	obsDeltaSpan = obs.Default().Span("smoothop_powertree_delta_seconds",
 		"Wall time of one incremental Aggregator.Update pass (excluding no-ops).")
 	obsDeltaLastDirty = obs.Default().Gauge("smoothop_powertree_delta_last_dirty_leaves",

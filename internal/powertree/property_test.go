@@ -228,7 +228,7 @@ func TestAggregateAllMatchesPerNodeOracle(t *testing.T) {
 				}
 			})
 			for _, level := range Levels {
-				direct, err := tree.SumOfPeaksParallel(level, pf, workers)
+				direct, err := tree.SumOfPeaks(level, pf)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -93,23 +93,6 @@ func (v ResourceVector) AddInPlace(w ResourceVector) ResourceVector {
 	return v
 }
 
-// SubInPlace subtracts w from v in place, clamping tiny negative residue
-// from float cancellation to exactly 0 so repeated admit/retire cycles
-// cannot drift a dimension below zero.
-func (v ResourceVector) SubInPlace(w ResourceVector) ResourceVector {
-	if len(w) == 0 || v == nil {
-		return v
-	}
-	for k, val := range w {
-		r := v[k] - val
-		if r < 0 {
-			r = 0
-		}
-		v[k] = r
-	}
-	return v
-}
-
 // Validate checks that every dimension is named, finite and non-negative,
 // and that the reserved power dimension is not redeclared.
 func (v ResourceVector) Validate() error {
@@ -138,6 +121,87 @@ func SumCapacities(children []*Node) ResourceVector {
 		sum = sum.AddInPlace(c.Capacities)
 	}
 	return sum
+}
+
+// Usage holds every node's used capacity: the per-dimension sum of the
+// demand vectors of the instances hosted in its subtree (nil where nothing
+// below demands anything beyond power). It is the capacity-dimension
+// counterpart of Aggregates and, like it, a pure function of the tree's
+// placement and the demands — RollUp and Reroll recompute whole nodes, never
+// adjust them, so a retained Usage and a rebuilt one are bit-identical. A
+// nil *Usage reads as all-zero.
+type Usage struct {
+	used map[*Node]ResourceVector
+}
+
+// RollUp sums demand vectors up the whole tree. demand resolves an instance
+// to its (already validated) vector, nil meaning power-only; a nil resolver
+// yields an all-zero Usage. The first resolver error aborts the roll-up.
+func RollUp(root *Node, demand func(id string) (ResourceVector, error)) (*Usage, error) {
+	u := &Usage{used: make(map[*Node]ResourceVector)}
+	if demand == nil {
+		return u, nil
+	}
+	var walk func(n *Node) error
+	walk = func(n *Node) error {
+		for _, c := range n.Children {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return u.roll(n, demand)
+	}
+	if err := walk(root); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// Reroll recomputes each given node and its ancestors after the node's own
+// instance list changed; every other node's vector stays as it was.
+func (u *Usage) Reroll(demand func(id string) (ResourceVector, error), nodes ...*Node) error {
+	for _, n := range nodes {
+		for m := n; m != nil; m = m.Parent() {
+			if err := u.roll(m, demand); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// roll recomputes one node from its own residents in attachment order, then
+// its children's current vectors in child order — the only place demand
+// vectors are summed up the tree, so every consumer sees the same float
+// operation order.
+func (u *Usage) roll(n *Node, demand func(id string) (ResourceVector, error)) error {
+	var sum ResourceVector
+	for _, id := range n.Instances {
+		d, err := demand(id)
+		if err != nil {
+			return err
+		}
+		sum = sum.AddInPlace(d)
+	}
+	for _, c := range n.Children {
+		sum = sum.AddInPlace(u.used[c])
+	}
+	if sum == nil {
+		delete(u.used, n)
+	} else {
+		u.used[n] = sum
+	}
+	return nil
+}
+
+// Of returns the node's used-capacity vector (nil when nothing in the
+// subtree demands anything beyond power). The vector is owned by the Usage
+// and must not be mutated.
+func (u *Usage) Of(n *Node) ResourceVector {
+	if u == nil {
+		return nil
+	}
+	return u.used[n]
 }
 
 // validateCapacities walks the subtree checking the capacity invariants:

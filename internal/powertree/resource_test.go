@@ -3,7 +3,9 @@ package powertree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,13 +48,72 @@ func TestResourceVectorHelpers(t *testing.T) {
 	if v["net"] != 10 {
 		t.Fatal("AddInPlace seeded from nil must clone, not alias")
 	}
+}
 
-	acc.SubInPlace(ResourceVector{"net": 11.0000000001, "space": 1})
-	if acc["net"] != 0 {
-		t.Fatalf("SubInPlace must clamp float residue to 0, got %v", acc["net"])
+// TestUsageRerollMatchesRollUp: after instances move between leaves, a
+// Reroll of the touched leaves must leave every node's used vector equal —
+// bit for bit, with demands that are inexact in binary — to a fresh RollUp,
+// and a resolver error must surface.
+func TestUsageRerollMatchesRollUp(t *testing.T) {
+	tree, err := Build(TopologySpec{Name: "u", SuitesPerDC: 1, MSBsPerSuite: 2, SBsPerMSB: 2, RPPsPerSB: 2, LeafBudget: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if acc["space"] != 3 {
-		t.Fatalf("SubInPlace space = %v", acc["space"])
+	leaves := tree.Leaves()
+	demands := make(map[string]ResourceVector)
+	demand := func(id string) (ResourceVector, error) { return demands[id], nil }
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("i%d", i)
+		if i%4 != 0 {
+			demands[id] = ResourceVector{"gpu": float64(1+i%5) / 3, "net": 0.1 * float64(i)}
+		}
+		if err := leaves[i%len(leaves)].Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	usage, err := RollUp(tree, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 50; step++ {
+		from := leaves[rng.Intn(len(leaves))]
+		to := leaves[rng.Intn(len(leaves))]
+		if len(from.Instances) == 0 {
+			continue
+		}
+		id := from.Instances[rng.Intn(len(from.Instances))]
+		from.Detach(id)
+		if err := to.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := usage.Reroll(demand, from, to); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := RollUp(tree, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Walk(func(n *Node) {
+			if !reflect.DeepEqual(usage.Of(n), fresh.Of(n)) {
+				t.Fatalf("step %d: used at %q = %v, fresh roll-up %v", step, n.Name, usage.Of(n), fresh.Of(n))
+			}
+		})
+	}
+	if got := usage.Of(tree).Get("gpu"); got == 0 {
+		t.Fatal("root used no gpu; the fixture lost its demands")
+	}
+
+	var none *Usage
+	if none.Of(tree) != nil {
+		t.Fatal("a nil Usage must read as all-zero")
+	}
+	if zero, err := RollUp(tree, nil); err != nil || zero.Of(tree) != nil {
+		t.Fatalf("nil resolver: %v, %v", zero.Of(tree), err)
+	}
+	boom := errors.New("boom")
+	if _, err := RollUp(tree, func(string) (ResourceVector, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("resolver error: %v", err)
 	}
 }
 

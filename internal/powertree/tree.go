@@ -352,8 +352,8 @@ func Build(spec TopologySpec) (*Node, error) {
 
 // PowerFn resolves an instance ID to its power trace. Implementations are
 // typically backed by a trace store keyed by instance. A PowerFn must be
-// safe for concurrent calls: SumOfPeaks and LevelPeaks fan per-node
-// aggregation out across workers. Read-only map lookups (workload.SubPowerFn)
+// safe for concurrent calls: AggregateAll fans the per-leaf folds out across
+// workers. Read-only map lookups (workload.SubPowerFn)
 // and lock-guarded stores (tracestore) both qualify.
 type PowerFn func(instanceID string) (timeseries.Series, bool)
 
@@ -433,32 +433,16 @@ func (n *Node) PeakPower(power PowerFn) (float64, error) {
 }
 
 // SumOfPeaks computes Σ over nodes at the given level of each node's peak
-// aggregate power — the paper's fragmentation indicator #1 (§2.2). Per-node
-// aggregation runs with the default worker count (see internal/parallel).
+// aggregate power — the paper's fragmentation indicator #1 (§2.2). The tree
+// is aggregated once bottom-up with the default worker count (leaf folds run
+// concurrently, peaks are summed serially in tree order), so the result is
+// bit-identical to a serial run for any worker count.
 func (n *Node) SumOfPeaks(level Level, power PowerFn) (float64, error) {
-	return n.SumOfPeaksParallel(level, power, 0)
-}
-
-// SumOfPeaksParallel is SumOfPeaks with an explicit worker count (≤ 0 means
-// the package default). The tree is aggregated once bottom-up (leaf folds
-// run concurrently, peaks are summed serially in tree order), so the result
-// is bit-identical to a serial run for any worker count.
-func (n *Node) SumOfPeaksParallel(level Level, power PowerFn, workers int) (float64, error) {
-	agg, err := n.AggregateAllParallel(power, workers)
+	agg, err := n.AggregateAll(power)
 	if err != nil {
 		return 0, err
 	}
 	return agg.SumOfPeaks(level), nil
-}
-
-// Headroom returns budget − peak aggregate power for the node. Negative
-// headroom means the node is over-committed.
-func (n *Node) Headroom(power PowerFn) (float64, error) {
-	p, err := n.PeakPower(power)
-	if err != nil {
-		return 0, err
-	}
-	return n.Budget - p, nil
 }
 
 // BreakerTrip describes a sustained over-budget episode at a node.
@@ -486,16 +470,4 @@ func (n *Node) CheckBreakers(power PowerFn, sustain time.Duration) ([]BreakerTri
 		return nil, err
 	}
 	return agg.CheckBreakers(sustain), nil
-}
-
-// LevelPeaks returns the peak aggregate power of every node at a level,
-// keyed by node name. The tree is aggregated once bottom-up with the default
-// worker count; the result is identical to a serial run for any worker
-// count.
-func (n *Node) LevelPeaks(level Level, power PowerFn) (map[string]float64, error) {
-	agg, err := n.AggregateAll(power)
-	if err != nil {
-		return nil, err
-	}
-	return agg.LevelPeaks(level), nil
 }

@@ -295,9 +295,12 @@ func TestHeadroom(t *testing.T) {
 	traces := map[string]timeseries.Series{
 		"a": timeseries.New(t0, time.Minute, []float64{30, 70, 50}),
 	}
-	h, err := leaf.Headroom(tracePower(traces))
-	if err != nil || h != 30 {
-		t.Fatalf("Headroom = %v, %v", h, err)
+	aggs, err := root.AggregateAll(tracePower(traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := aggs.Headroom(leaf); h != 30 {
+		t.Fatalf("Headroom = %v", h)
 	}
 }
 
@@ -362,10 +365,11 @@ func TestLevelPeaks(t *testing.T) {
 	traces := map[string]timeseries.Series{
 		"a": timeseries.New(t0, time.Minute, []float64{1, 4, 2}),
 	}
-	peaks, err := root.LevelPeaks(RPP, tracePower(traces))
+	aggs, err := root.AggregateAll(tracePower(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
+	peaks := aggs.LevelPeaks(RPP)
 	if len(peaks) != 16 {
 		t.Fatalf("LevelPeaks count = %d", len(peaks))
 	}

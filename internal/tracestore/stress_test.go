@@ -81,14 +81,13 @@ func TestConcurrentWritersAndPipelineReaders(t *testing.T) {
 					s, ok := snap[id]
 					return s, ok
 				})
-				if _, err := tree.SumOfPeaksParallel(powertree.RPP, fn, 4); err != nil {
+				aggs, err := tree.AggregateAllParallel(fn, 4)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := tree.LevelPeaks(powertree.SB, fn); err != nil {
-					t.Error(err)
-					return
-				}
+				_ = aggs.SumOfPeaks(powertree.RPP)
+				_ = aggs.LevelPeaks(powertree.SB)
 				for _, id := range allIDs {
 					if _, err := st.Coverage(id); err != nil {
 						t.Error(err)
