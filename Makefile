@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke bench-e2e bench-e2e-smoke smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
 
 all: check
 
@@ -91,6 +91,14 @@ bench-e2e:
 # fragmentation row fails here.
 bench-e2e-smoke:
 	bash bench/run.sh --workload all --size smoke --trace 2 --seconds 2
+
+# bench-pairs is how a timing claim is measured (choosing-metrics §8): the
+# benchmark run alternately on a parent commit and on this checkout, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=admit_churn_10k METRIC=op_p50_ms
+# prints each side's median and quartiles and the change's win count.
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(METRIC) $(PAIRS)
 
 # smoke drives smoothopd's run() end to end twice — replay, flag validation,
 # and a scrape of GET /metrics asserting deterministic counters.

@@ -1,10 +1,13 @@
 package placement
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/powertree"
+	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
 
@@ -68,6 +71,84 @@ func BenchmarkRemap(b *testing.B) {
 		}
 		b.StartTimer()
 		if _, err := Remap(tr, traces, RemapConfig{MaxSwaps: 8, CandidateNodes: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// churnFixture builds a 640-leaf tree holding residents instances dealt
+// round-robin (their traces cycle through a small distinct set: what is
+// measured scales with the resident count, not with distinct trace memory),
+// and the TraceFn resolving them and one more instance, "arrival".
+func churnFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
+	tb.Helper()
+	tree, err := powertree.Build(powertree.TopologySpec{
+		Name: "c", SuitesPerDC: 4, MSBsPerSuite: 4, SBsPerMSB: 4, RPPsPerSB: 10,
+		LeafBudget: 1e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(640))
+	distinct := make([]timeseries.Series, 97)
+	for i := range distinct {
+		distinct[i] = timeseries.Zeros(t0, 30*time.Minute, 336)
+		for j := range distinct[i].Values {
+			distinct[i].Values[j] = 100 + 200*rng.Float64()
+		}
+	}
+	index := map[string]int{"arrival": 5}
+	leaves := tree.Leaves()
+	for i := 0; i < residents; i++ {
+		id := fmt.Sprintf("r-%05d", i)
+		index[id] = i % len(distinct)
+		if err := leaves[i%len(leaves)].Attach(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree, func(id string) (timeseries.Series, bool) {
+		i, ok := index[id]
+		return distinct[i], ok
+	}
+}
+
+// admitRetire is one steady-state churn pair.
+func admitRetire(tb testing.TB, o *Online) {
+	if _, err := o.Admit(Instance{ID: "arrival"}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := o.Retire("arrival"); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkOnlineAdmit is one admission + retirement under the asynchrony
+// policy at the end-to-end benchmark's shape: 640 leaves, ≈ 10 000 residents,
+// one-week traces at 30-minute step.
+func BenchmarkOnlineAdmit(b *testing.B) {
+	tree, traces := churnFixture(b, 10_000)
+	o, err := NewOnline(tree, traces, PolicyConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admitRetire(b, o)
+	}
+}
+
+// BenchmarkRemapTick is the Remap inside a drift tick at the same shape:
+// every pair of 640 RPPs is a candidate, 24 swaps at most.
+func BenchmarkRemapTick(b *testing.B) {
+	tree, traces := churnFixture(b, 10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := tree.Clone()
+		b.StartTimer()
+		if _, err := Remap(tr, traces, RemapConfig{MaxSwaps: 24}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,10 +33,12 @@ var (
 type OnlineCandidate struct {
 	// Leaf is the candidate host node.
 	Leaf *powertree.Node
-	// Residents are the traces of the instances currently on the leaf, in
-	// attachment order. The slice is shared with the placer's internal
-	// state and must not be mutated.
-	Residents []timeseries.Series
+	// Aggregate is the sum, in attachment order, of the traces of the Count
+	// instances currently on the leaf (the zero Series when it is empty):
+	// what score.DifferentialFromSum scores an arrival against. It is owned
+	// by the placer's ledger and must not be mutated.
+	Aggregate timeseries.Series
+	Count     int
 	// PostPeak is the peak of the leaf's aggregate trace after admitting
 	// the arriving instance.
 	PostPeak float64
@@ -45,7 +47,8 @@ type OnlineCandidate struct {
 	// Residuals are the leaf's post-admission residual fractions
 	// (free/capacity ∈ [0, 1]): power first, then the leaf's declared
 	// capacity dimensions in Dimensions() (sorted) order. A power-only leaf
-	// has exactly one entry.
+	// has exactly one entry. Like the candidate slice itself, it is only
+	// valid until the placer's next Admit.
 	Residuals []float64
 }
 
@@ -91,14 +94,12 @@ type Online struct {
 	// power-only trees.
 	demandOf map[string]powertree.ResourceVector
 	usage    *powertree.Usage
-	// residents holds per-leaf traces parallel to leaf.Instances — what the
-	// policies score an arrival against; residentIDs holds the matching
-	// instance IDs — the placer's own record of who it thinks lives on each
-	// leaf, which Resync diffs against the tree after an external move.
-	residents   map[*powertree.Node][]timeseries.Series
-	residentIDs map[*powertree.Node][]string
-	// leafOf locates every admitted instance's hosting leaf.
+	// leafOf locates every admitted instance's hosting leaf. An entry may
+	// outlive an instance detached behind the placer's back; Leaf checks.
 	leafOf map[string]*powertree.Node
+	// cands and residuals are feasibleLeaves' reused output buffers.
+	cands     []OnlineCandidate
+	residuals []float64
 }
 
 // NewOnline wraps a live (possibly already populated) tree for online
@@ -117,22 +118,23 @@ func NewOnline(tree *powertree.Node, traces TraceFn, cfg PolicyConfig) (*Online,
 		return nil, ErrNoLeaves
 	}
 	o := &Online{
-		tree:        tree,
-		traces:      traces,
-		policy:      policy,
-		demands:     cfg.Demands,
-		demandOf:    make(map[string]powertree.ResourceVector),
-		residents:   make(map[*powertree.Node][]timeseries.Series, len(leaves)),
-		residentIDs: make(map[*powertree.Node][]string, len(leaves)),
-		leafOf:      make(map[string]*powertree.Node),
+		tree:     tree,
+		traces:   traces,
+		policy:   policy,
+		demands:  cfg.Demands,
+		demandOf: make(map[string]powertree.ResourceVector),
+		leafOf:   make(map[string]*powertree.Node),
+	}
+	if o.ledger, err = powertree.NewAggregator(tree, powertree.PowerFn(traces)); err != nil {
+		return nil, err
+	}
+	if err := o.missingTrace(tree); err != nil {
+		return nil, err
 	}
 	for _, leaf := range leaves {
 		if err := o.snapshotLeaf(leaf); err != nil {
 			return nil, err
 		}
-	}
-	if o.ledger, err = powertree.NewAggregator(tree, powertree.PowerFn(traces)); err != nil {
-		return nil, err
 	}
 	if o.usage, err = powertree.RollUp(tree, o.recordedDemand); err != nil {
 		return nil, err
@@ -147,7 +149,7 @@ func (o *Online) Aggregates() *powertree.Aggregates { return o.ledger.Snapshot()
 // Leaf reports which leaf hosts an admitted (or pre-existing) instance.
 func (o *Online) Leaf(id string) (*powertree.Node, bool) {
 	leaf, ok := o.leafOf[id]
-	return leaf, ok
+	return leaf, ok && slices.Contains(leaf.Instances, id)
 }
 
 // Used returns the node's accumulated capacity-dimension demand — the
@@ -189,18 +191,11 @@ func resolveDemand(demands DemandFn, id string, inline powertree.ResourceVector)
 	return d.Clone(), nil
 }
 
-// snapshotLeaf (re)builds one leaf's resident trace and ID records from the
-// tree's current leaf.Instances, re-pointing leafOf at this leaf for each.
+// snapshotLeaf records the leaf's current residents: leafOf is pointed at
+// this leaf for each and unseen ones' demands are resolved. Their traces are
+// the ledger's business (see missingTrace).
 func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
-	trs := make([]timeseries.Series, 0, len(leaf.Instances))
-	ids := make([]string, 0, len(leaf.Instances))
 	for _, id := range leaf.Instances {
-		tr, ok := o.traces(id)
-		if !ok {
-			return fmt.Errorf("%w for resident instance %q", ErrMissingTrace, id)
-		}
-		trs = append(trs, tr)
-		ids = append(ids, id)
 		o.leafOf[id] = leaf
 		// Demands recorded at admission (possibly inline on the Instance)
 		// survive resyncs; only unseen residents consult the DemandFn.
@@ -214,8 +209,19 @@ func (o *Online) snapshotLeaf(leaf *powertree.Node) error {
 			}
 		}
 	}
-	o.residents[leaf] = trs
-	o.residentIDs[leaf] = ids
+	return nil
+}
+
+// missingTrace turns a resident the ledger recorded as untraced under any of
+// the given nodes into an error: the policies read a leaf's aggregate as the
+// sum of exactly len(leaf.Instances) traces.
+func (o *Online) missingTrace(nodes ...*powertree.Node) error {
+	aggs := o.ledger.Snapshot()
+	for _, n := range nodes {
+		if ids := aggs.Missing(n); len(ids) > 0 {
+			return fmt.Errorf("%w for resident instance %q", ErrMissingTrace, ids[0])
+		}
+	}
 	return nil
 }
 
@@ -228,13 +234,16 @@ func (o *Online) refold(leaves ...*powertree.Node) error {
 	if _, err := o.ledger.Update(); err != nil {
 		return err
 	}
+	if err := o.missingTrace(leaves...); err != nil {
+		return err
+	}
 	return o.usage.Reroll(o.recordedDemand, leaves...)
 }
 
 // Resync reconciles the placer's state with the live tree for the given
 // leaves after an external mutation moved instances among them (typically a
 // Remap tick swapping residents between RPPs). Only the named leaves and
-// their root paths are touched: residents are re-snapshotted from
+// their root paths are touched: residents are re-recorded from
 // leaf.Instances and the path aggregates recombined, so a k-leaf resync
 // costs O(k·(instances-per-leaf + depth)·len) instead of a full
 // reconstruction.
@@ -248,17 +257,6 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 	if err := o.ledger.MarkDirty(leaves...); err != nil {
 		return fmt.Errorf("placement: resync target: %w", err)
 	}
-	// Phase 1: forget every instance the placer had recorded on the resynced
-	// leaves. All removals happen before any re-snapshot so an instance
-	// swapped between two resynced leaves is not dropped by a later removal.
-	for _, leaf := range leaves {
-		for _, id := range o.residentIDs[leaf] {
-			if o.leafOf[id] == leaf {
-				delete(o.leafOf, id)
-			}
-		}
-	}
-	// Phase 2: re-snapshot residents from the tree's current placement.
 	for _, leaf := range leaves {
 		if err := o.snapshotLeaf(leaf); err != nil {
 			return err
@@ -308,16 +306,14 @@ func (o *Online) fitsCapacities(n *powertree.Node, demand powertree.ResourceVect
 	return true
 }
 
-// residualFractions builds a candidate leaf's post-admission residual
-// vector: power headroom fraction first, then free/capacity for each
-// declared capacity dimension in sorted order. Zero-capacity dimensions
-// read as residual 0 (saturated).
-func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, demand powertree.ResourceVector) []float64 {
-	res := make([]float64, 1, 1+len(leaf.Capacities))
-	res[0] = headroom / leaf.Budget
-	if len(leaf.Capacities) == 0 {
-		return res
-	}
+// appendResiduals appends a candidate leaf's post-admission residual vector
+// to the placer's flat residuals buffer and returns the appended window:
+// power headroom fraction first, then free/capacity for each declared
+// capacity dimension in sorted order. Zero-capacity dimensions read as
+// residual 0 (saturated).
+func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64, demand powertree.ResourceVector) []float64 {
+	from := len(o.residuals)
+	o.residuals = append(o.residuals, headroom/leaf.Budget)
 	used := o.usage.Of(leaf)
 	for _, dim := range leaf.Capacities.Dimensions() {
 		limit := leaf.Capacities[dim]
@@ -329,19 +325,19 @@ func (o *Online) residualFractions(leaf *powertree.Node, headroom float64, deman
 			}
 			frac = free / limit
 		}
-		res = append(res, frac)
+		o.residuals = append(o.residuals, frac)
 	}
-	return res
+	return o.residuals[from:len(o.residuals):len(o.residuals)]
 }
 
 // feasibleLeaves collects the leaves that can admit tr (and the instance's
 // demand vector, if any) without a breaker violation or capacity overflow
 // anywhere on their root path, pruning whole subtrees at the first interior
 // node that cannot absorb the instance. Candidates come back in tree (leaf)
-// order.
+// order, in buffers the next call overwrites.
 func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceVector) ([]OnlineCandidate, error) {
 	aggs := o.ledger.Snapshot()
-	var cands []OnlineCandidate
+	o.cands, o.residuals = o.cands[:0], o.residuals[:0]
 	var walk func(n *powertree.Node) error
 	walk = func(n *powertree.Node) error {
 		agg, _ := aggs.Trace(n)
@@ -356,12 +352,13 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 			return nil // a declared capacity dimension would overflow
 		}
 		if n.IsLeaf() {
-			cands = append(cands, OnlineCandidate{
+			o.cands = append(o.cands, OnlineCandidate{
 				Leaf:      n,
-				Residents: o.residents[n],
+				Aggregate: agg,
+				Count:     len(n.Instances),
 				PostPeak:  post,
 				Headroom:  n.Budget - post,
-				Residuals: o.residualFractions(n, n.Budget-post, demand),
+				Residuals: o.appendResiduals(n, n.Budget-post, demand),
 			})
 			return nil
 		}
@@ -372,17 +369,14 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 		}
 		return nil
 	}
-	if err := walk(o.tree); err != nil {
-		return nil, err
-	}
-	return cands, nil
+	return o.cands, walk(o.tree)
 }
 
 // Admit implements OnlinePlacer. The instance's trace is resolved through
 // the placer's TraceFn; a missing trace is ErrMissingTrace (callers with a
 // quarantine path substitute a reference trace in their TraceFn instead).
 func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
-	if _, ok := o.leafOf[inst.ID]; ok {
+	if _, ok := o.Leaf(inst.ID); ok {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyAdmitted, inst.ID)
 	}
 	tr, ok := o.traces(inst.ID)
@@ -412,8 +406,6 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if err := leaf.Attach(inst.ID); err != nil {
 		return nil, err
 	}
-	o.residents[leaf] = append(o.residents[leaf], tr)
-	o.residentIDs[leaf] = append(o.residentIDs[leaf], inst.ID)
 	o.leafOf[inst.ID] = leaf
 	if demand != nil {
 		o.demandOf[inst.ID] = demand
@@ -428,24 +420,10 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 // Retire implements OnlinePlacer: it detaches the instance and recombines
 // the ledgers along its leaf's root path only.
 func (o *Online) Retire(id string) (*powertree.Node, error) {
-	leaf, ok := o.leafOf[id]
-	if !ok {
+	leaf, ok := o.Leaf(id)
+	if !ok || !leaf.Detach(id) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
 	}
-	idx := -1
-	for i, rid := range leaf.Instances {
-		if rid == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || !leaf.Detach(id) {
-		return nil, fmt.Errorf("placement: retire bookkeeping failed for %q", id)
-	}
-	// slices.Delete zeroes the vacated tail slot, so the retired trace is not
-	// kept alive by the backing array.
-	o.residents[leaf] = slices.Delete(o.residents[leaf], idx, idx+1)
-	o.residentIDs[leaf] = slices.Delete(o.residentIDs[leaf], idx, idx+1)
 	delete(o.leafOf, id)
 	delete(o.demandOf, id)
 	if err := o.refold(leaf); err != nil {
@@ -493,7 +471,8 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 
 // OnlineAsynchrony is the workload-aware policy: the arrival lands on the
 // feasible leaf whose residents it is most asynchronous with, measured by
-// the differential asynchrony score of §3.6 (score.Differential) — exactly
+// the differential asynchrony score of §3.6 (score.DifferentialFromSum over
+// the leaf's aggregate, which already is the sum of its residents) — exactly
 // the quantity Remap maximizes when it repairs drift, applied at admission
 // time instead. Empty leaves score +Inf (a lone instance cannot overlap
 // with anything); ties break toward the tighter fit, then tree order.
@@ -507,9 +486,9 @@ func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeserie
 	best, bestScore, bestHead := -1, math.Inf(-1), math.Inf(1)
 	for i, c := range cands {
 		s := math.Inf(1)
-		if len(c.Residents) > 0 {
+		if c.Count > 0 {
 			var err error
-			s, err = score.Differential(tr, c.Residents)
+			s, err = score.DifferentialFromSum(tr, c.Aggregate, c.Count)
 			if err != nil {
 				return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
 			}

@@ -116,8 +116,8 @@ func (p OnlineFARB) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Se
 		asyncNorm := 0.0
 		if w.Asynchrony > 0 {
 			asyncNorm = 1 // an empty leaf cannot overlap with anything
-			if len(c.Residents) > 0 {
-				s, err := score.Differential(tr, c.Residents)
+			if c.Count > 0 {
+				s, err := score.DifferentialFromSum(tr, c.Aggregate, c.Count)
 				if err != nil {
 					return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
 				}

@@ -88,14 +88,17 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		return nil, err
 	}
 
-	// Per-node cache of instance IDs, resolved traces and asynchrony score.
-	// Placements only change at the two nodes of an accepted swap, so only
-	// those two entries are ever invalidated; every other node's score is
-	// computed exactly once per Remap instead of once per iteration.
+	// Per-node cache of instance IDs, resolved traces, asynchrony score and
+	// each resident's current differential against the node's others (cur,
+	// filled on first use). Placements only change at the two nodes of an
+	// accepted swap, so only those two entries are ever invalidated; every
+	// other node's scores are computed at most once per Remap.
 	type nodeState struct {
-		ids []string
-		trs []timeseries.Series
-		s   float64
+		ids   []string
+		trs   []timeseries.Series
+		s     float64
+		cur   []float64
+		known []bool
 	}
 	cache := make([]*nodeState, len(nodes))
 	stateOf := func(i int) (*nodeState, error) {
@@ -113,6 +116,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			trs[j] = tr
 		}
 		st := &nodeState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
+		st.cur, st.known = make([]float64, len(ids)), make([]bool, len(ids))
 		if len(trs) >= 2 {
 			s, err := score.Asynchrony(trs...)
 			if err != nil {
@@ -124,22 +128,52 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		return st, nil
 	}
 
-	// differential of a candidate trace against a peer set.
-	diff := func(cand timeseries.Series, peers []timeseries.Series) float64 {
-		if len(peers) == 0 {
+	// diff is the differential of a candidate trace against the sum of n
+	// peers: +Inf with no peers, −Inf when the score is undefined.
+	diff := func(cand, sum timeseries.Series, n int) float64 {
+		if n == 0 {
 			return math.Inf(1)
 		}
-		d, err := score.Differential(cand, peers)
+		d, err := score.DifferentialFromSum(cand, sum, n)
 		if err != nil {
 			return math.Inf(-1)
 		}
 		return d
 	}
+	// others sums a node's traces except trs[skip], in order, into one
+	// scratch buffer reused across calls, so the result is only valid until
+	// the next call. Traces that will not sum yield the zero Series, against
+	// which nothing scores.
+	var scratch []float64
+	others := func(trs []timeseries.Series, skip int) timeseries.Series {
+		var sum timeseries.Series
+		started := false
+		for j, tr := range trs {
+			switch {
+			case j == skip:
+			case !started:
+				scratch = append(scratch[:0], tr.Values...)
+				sum, started = timeseries.Series{Start: tr.Start, Step: tr.Step, Values: scratch}, true
+			case sum.AddInPlace(tr) != nil:
+				return timeseries.Series{}
+			}
+		}
+		return sum
+	}
+	// curOf is resident j's current differential at its node, given the sum
+	// of the node's others; computed once per cached state.
+	curOf := func(st *nodeState, j int, sum timeseries.Series) float64 {
+		if !st.known[j] {
+			st.cur[j], st.known[j] = diff(st.trs[j], sum, len(st.trs)-1), true
+		}
+		return st.cur[j]
+	}
 
 	var swaps []Swap
 	var attempted uint64
 	for len(swaps) < maxSwaps {
-		// 1. Find the most fragmented node.
+		// 1. Find the most fragmented node. This also caches every node's
+		// state, so the steps below read the cache directly.
 		worstIdx, worstScore := -1, math.Inf(1)
 		for i := range nodes {
 			st, err := stateOf(i)
@@ -153,37 +187,25 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		if worstIdx < 0 || math.IsInf(worstScore, 1) {
 			break
 		}
-		worst := nodes[worstIdx]
-		worstState, err := stateOf(worstIdx)
-		if err != nil {
-			return nil, err
-		}
+		worst, worstState := nodes[worstIdx], cache[worstIdx]
 		wIDs, wTraces := worstState.ids, worstState.trs
 		if len(wIDs) < 2 {
 			break
 		}
 
 		// 2. Find the instance with the worst differential score there.
-		peersOf := func(trs []timeseries.Series, skip int) []timeseries.Series {
-			peers := make([]timeseries.Series, 0, len(trs)-1)
-			for j, tr := range trs {
-				if j != skip {
-					peers = append(peers, tr)
-				}
-			}
-			return peers
-		}
 		victim, victimDiff := -1, math.Inf(1)
 		for i := range wIDs {
-			d := diff(wTraces[i], peersOf(wTraces, i))
-			if d < victimDiff {
+			if d := curOf(worstState, i, others(wTraces, i)); d < victimDiff {
 				victimDiff, victim = d, i
 			}
 		}
 		if victim < 0 {
 			break
 		}
-		victimPeers := peersOf(wTraces, victim)
+		// The victim's peers are the same for every partner tried below, so
+		// their sum is taken once, outside the scratch buffer.
+		victimPeers := others(wTraces, victim).Clone()
 
 		// 3. Search partner nodes, best-scoring first, for an improving swap.
 		type scored struct {
@@ -195,11 +217,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			if i == worstIdx {
 				continue
 			}
-			st, err := stateOf(i)
-			if err != nil {
-				return nil, err
-			}
-			order = append(order, scored{i, st.s})
+			order = append(order, scored{i, cache[i].s})
 		}
 		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
 		if cfg.CandidateNodes > 0 && len(order) > cfg.CandidateNodes {
@@ -213,26 +231,27 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 
 		found := false
 		for _, cand := range order {
-			partner := nodes[cand.idx]
-			candState, err := stateOf(cand.idx)
-			if err != nil {
-				return nil, err
-			}
+			partner, candState := nodes[cand.idx], cache[cand.idx]
 			pIDs, pTraces := candState.ids, candState.trs
 			if len(pIDs) < 1 {
 				continue
 			}
 			for j := range pIDs {
 				attempted++
-				pPeers := peersOf(pTraces, j)
-				// Current differentials.
+				// Post-swap differential at the worst node: the partner's
+				// instance joins the victim's peers. A pair that fails here
+				// is rejected whatever the partner side says.
 				curA := victimDiff
-				curB := diff(pTraces[j], pPeers)
-				// Post-swap differentials: victim joins partner's peers,
-				// partner's instance joins worst's peers.
-				newA := diff(pTraces[j], victimPeers)
-				newB := diff(wTraces[victim], pPeers)
-				if newA > curA && newB > curB {
+				newA := diff(pTraces[j], victimPeers, len(wTraces)-1)
+				if !(newA > curA) {
+					continue
+				}
+				// Partner side, current and post-swap (the victim joins the
+				// partner's peers), both against the same leave-one-out sum.
+				pPeers := others(pTraces, j)
+				curB := curOf(candState, j, pPeers)
+				newB := diff(wTraces[victim], pPeers, len(pTraces)-1)
+				if newB > curB {
 					partnerDemand, err := capGuard.demandFor(pIDs[j])
 					if err != nil {
 						return nil, err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,11 +43,26 @@ func TestRemapConfigRejectsNegatives(t *testing.T) {
 	}
 }
 
+// differentialOracle is score.Differential as it stood before the
+// DifferentialFromSum kernel: materialise the peer average, score the pair.
+func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (float64, error) {
+	if len(peers) == 0 {
+		return 0, score.ErrNoTraces
+	}
+	avg, err := timeseries.Mean(peers...)
+	if err != nil {
+		return 0, err
+	}
+	return score.Pairwise(instance, avg)
+}
+
 // remapReference is a test-local copy of Remap as it stood before per-node
-// score caching: every node's trace set and asynchrony score recomputed
-// from scratch on each swap iteration. The equivalence test pins the cached
-// implementation bit-identical to this oracle.
-func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error) {
+// score caching and before scoring from sums: every node's trace set and
+// asynchrony score recomputed from scratch on each swap iteration, and three
+// full differentials — each re-averaging its peers — per tried pair. It also
+// returns the number of pairs tried. The equivalence test pins Remap
+// bit-identical to this oracle.
+func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, uint64, error) {
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps <= 0 {
 		maxSwaps = 32
@@ -56,7 +73,11 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 	}
 	nodes := tree.NodesAtLevel(level)
 	if len(nodes) < 2 {
-		return nil, nil
+		return nil, 0, nil
+	}
+	capGuard, err := newRemapCapacity(tree, cfg.Policy.Demands)
+	if err != nil {
+		return nil, 0, err
 	}
 	nodeTraces := func(n *powertree.Node) ([]string, []timeseries.Series, error) {
 		ids := n.AllInstances()
@@ -84,19 +105,20 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		if len(peers) == 0 {
 			return math.Inf(1)
 		}
-		d, err := score.Differential(cand, peers)
+		d, err := differentialOracle(cand, peers)
 		if err != nil {
 			return math.Inf(-1)
 		}
 		return d
 	}
 	var swaps []Swap
+	var attempted uint64
 	for len(swaps) < maxSwaps {
 		worstIdx, worstScore := -1, math.Inf(1)
 		for i, n := range nodes {
 			s, err := nodeScore(n)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if s < worstScore {
 				worstScore, worstIdx = s, i
@@ -108,7 +130,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		worst := nodes[worstIdx]
 		wIDs, wTraces, err := nodeTraces(worst)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if len(wIDs) < 2 {
 			break
@@ -144,7 +166,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			}
 			s, err := nodeScore(n)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			order = append(order, scored{i, s})
 		}
@@ -152,37 +174,52 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		if cfg.CandidateNodes > 0 && len(order) > cfg.CandidateNodes {
 			order = order[:cfg.CandidateNodes]
 		}
+		victimDemand, err := capGuard.demandFor(wIDs[victim])
+		if err != nil {
+			return nil, 0, err
+		}
 		found := false
 		for _, cand := range order {
 			partner := nodes[cand.idx]
 			pIDs, pTraces, err := nodeTraces(partner)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if len(pIDs) < 1 {
 				continue
 			}
 			for j := range pIDs {
+				attempted++
 				pPeers := peersOf(pTraces, j)
 				curA := victimDiff
 				curB := diff(pTraces[j], pPeers)
 				newA := diff(pTraces[j], victimPeers)
 				newB := diff(wTraces[victim], pPeers)
 				if newA > curA && newB > curB {
+					partnerDemand, err := capGuard.demandFor(pIDs[j])
+					if err != nil {
+						return nil, 0, err
+					}
+					if !capGuard.swapFits(worst, partner, victimDemand, partnerDemand) {
+						continue
+					}
 					if !worst.Detach(wIDs[victim]) || !partner.Detach(pIDs[j]) {
-						return nil, fmt.Errorf("placement: swap bookkeeping failed")
+						return nil, 0, fmt.Errorf("placement: swap bookkeeping failed")
 					}
 					if err := worst.Attach(pIDs[j]); err != nil {
-						return nil, err
+						return nil, 0, err
 					}
 					if err := partner.Attach(wIDs[victim]); err != nil {
-						return nil, err
+						return nil, 0, err
 					}
 					swaps = append(swaps, Swap{
 						InstanceA: wIDs[victim], InstanceB: pIDs[j],
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
+					if err := capGuard.swapped(worst, partner); err != nil {
+						return nil, 0, err
+					}
 					found = true
 					break
 				}
@@ -195,25 +232,38 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			break
 		}
 	}
-	return swaps, nil
+	return swaps, attempted, nil
 }
 
-// TestRemapCachedScoringEquivalence pins the cached-scoring Remap
-// bit-identical to the pre-change recompute-everything implementation:
-// identical swap sequences (instances, nodes and float gains) and identical
-// final placements, across fragmented and already-smooth starting points.
+// TestRemapCachedScoringEquivalence pins Remap bit-identical to the
+// recompute-everything reference: identical swap sequences (instances, nodes
+// and float gain bits), identical final placements and the same number of
+// tried pairs on the attempted counter, across fragmented and already-smooth
+// starting points, with and without a demand model whose tight per-leaf gpu
+// capacities veto some score-improving swaps.
 func TestRemapCachedScoringEquivalence(t *testing.T) {
-	instances, traces, tree := testFixture(t)
+	instances, traces, _ := testFixture(t)
 	starts := map[string]Placer{
 		"oblivious": Oblivious{},
 		"random":    Random{Seed: 4},
 	}
+	rng := rand.New(rand.NewSource(16))
+	gpus := make(map[string]powertree.ResourceVector, len(instances))
+	for _, inst := range instances {
+		gpus[inst.ID] = powertree.ResourceVector{"gpu": float64(1 + rng.Intn(4))}
+	}
+	demands := DemandFn(func(id string) (powertree.ResourceVector, bool) {
+		d, ok := gpus[id]
+		return d, ok
+	})
 	cfgs := []RemapConfig{
 		{},
 		{MaxSwaps: 3},
 		{MaxSwaps: 16, CandidateNodes: 2},
 		{MaxSwaps: 64},
+		{MaxSwaps: 64, Policy: PolicyConfig{Demands: demands}},
 	}
+	vetoed := false
 	for name, placer := range starts {
 		base, err := powertree.Build(powertree.TopologySpec{
 			Name: "t", SuitesPerDC: 2, MSBsPerSuite: 2, SBsPerMSB: 1, RPPsPerSB: 3,
@@ -225,37 +275,53 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		if err := placer.Place(base, instances, traces); err != nil {
 			t.Fatal(err)
 		}
+		// Each leaf may hold one gpu more than it starts with, so a swap that
+		// trades a small demand for a much larger one overflows.
+		for _, leaf := range base.Leaves() {
+			used := 0.0
+			for _, id := range leaf.Instances {
+				used += gpus[id].Get("gpu")
+			}
+			leaf.Capacities = powertree.ResourceVector{"gpu": used + 1}
+		}
+		var unguarded []Swap
 		for _, cfg := range cfgs {
 			cachedTree, refTree := base.Clone(), base.Clone()
+			before := obsSwapsAttempted.Value()
 			got, err := Remap(cachedTree, traces, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := remapReference(refTree, traces, cfg)
+			gotAttempted := obsSwapsAttempted.Value() - before
+			want, wantAttempted, err := remapReference(refTree, traces, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if gotAttempted != wantAttempted {
+				t.Fatalf("%s %+v: %d pairs attempted vs %d reference", name, cfg, gotAttempted, wantAttempted)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%s %+v: %d swaps cached vs %d reference", name, cfg, len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != want[i] {
+				if got[i] != want[i] || math.Float64bits(got[i].GainA) != math.Float64bits(want[i].GainA) ||
+					math.Float64bits(got[i].GainB) != math.Float64bits(want[i].GainB) {
 					t.Fatalf("%s %+v swap %d: cached %+v != reference %+v", name, cfg, i, got[i], want[i])
 				}
 			}
-			gotIDs := cachedTree.AllInstances()
-			wantIDs := refTree.AllInstances()
-			if len(gotIDs) != len(wantIDs) {
+			if !slices.Equal(cachedTree.AllInstances(), refTree.AllInstances()) {
 				t.Fatalf("%s %+v: placements diverged", name, cfg)
 			}
-			for i := range gotIDs {
-				if gotIDs[i] != wantIDs[i] {
-					t.Fatalf("%s %+v: placement slot %d: %q vs %q", name, cfg, i, gotIDs[i], wantIDs[i])
-				}
+			if cfg.Policy.Demands == nil && cfg.MaxSwaps == 64 {
+				unguarded = got
+			} else if cfg.Policy.Demands != nil && !slices.Equal(got, unguarded) {
+				vetoed = true
 			}
 		}
 	}
-	_ = tree
+	if !vetoed {
+		t.Fatal("the demand model never vetoed a swap: the guarded case exercises nothing")
+	}
 }
 
 // TestDealRoundRobinResumesAcrossCalls is the distribution test for the

@@ -1,0 +1,144 @@
+package score
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/timeseries"
+)
+
+// differentialOracle is Differential as it stood before the fused kernel:
+// materialise the peer average with timeseries.Mean, then score the pair. The
+// property test below pins DifferentialFromSum to it bit for bit.
+func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (float64, error) {
+	if len(peers) == 0 {
+		return 0, ErrNoTraces
+	}
+	avg, err := timeseries.Mean(peers...)
+	if err != nil {
+		return 0, fmt.Errorf("score: averaging %d peers: %w", len(peers), err)
+	}
+	return Pairwise(instance, avg)
+}
+
+// errClass maps an error onto the named error callers match with errors.Is.
+func errClass(err error) error {
+	for _, class := range []error{ErrNoTraces, ErrZeroPeak, timeseries.ErrLenMismatch, timeseries.ErrMisaligned} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+func TestDifferentialFromSumMatchesOracle(t *testing.T) {
+	start := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(36))
+	random := func(n int, step time.Duration) timeseries.Series {
+		s := timeseries.Zeros(start, step, n)
+		for i := range s.Values {
+			s.Values[i] = rng.Float64()*300 + 20
+		}
+		return s
+	}
+	check := func(name string, inst timeseries.Series, peers []timeseries.Series) {
+		t.Helper()
+		want, wantErr := differentialOracle(inst, peers)
+		sum, err := timeseries.Sum(peers...)
+		if err != nil {
+			t.Fatalf("%s: summing peers: %v", name, err)
+		}
+		for which, f := range map[string]func() (float64, error){
+			"DifferentialFromSum": func() (float64, error) { return DifferentialFromSum(inst, sum, len(peers)) },
+			"Differential":        func() (float64, error) { return Differential(inst, peers) },
+		} {
+			got, gotErr := f()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %s = %v (%#x), oracle %v (%#x)", name, which, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if errClass(gotErr) != errClass(wantErr) {
+				t.Fatalf("%s: %s error %v, oracle %v", name, which, gotErr, wantErr)
+			}
+		}
+	}
+	for iter := 0; iter < 400; iter++ {
+		n, length := 1+rng.Intn(40), 1+rng.Intn(400)
+		step := 10 * time.Minute
+		peers := make([]timeseries.Series, n)
+		for i := range peers {
+			peers[i] = random(length, step)
+		}
+		inst := random(length, step)
+		name := fmt.Sprintf("iter %d (%d peers × %d)", iter, n, length)
+		check(name, inst, peers)
+
+		withZero := append([]timeseries.Series{}, peers...)
+		withZero[rng.Intn(n)] = timeseries.Zeros(start, step, length)
+		check(name+" zero peer", inst, withZero)
+
+		check(name+" zero-peak instance", timeseries.Zeros(start, step, length), peers)
+		check(name+" negative instance", timeseries.Constant(start, step, length, -3), peers)
+
+		allZero := make([]timeseries.Series, n)
+		for i := range allZero {
+			allZero[i] = timeseries.Zeros(start, step, length)
+		}
+		check(name+" zero-peak sum", inst, allZero)
+
+		// Misaligned instances: the peaks are still checked first, so a
+		// zero-peak side wins over the alignment error.
+		longer, otherStep := random(length+1, step), random(length, time.Hour)
+		check(name+" longer instance", longer, peers)
+		check(name+" other step", otherStep, peers)
+		check(name+" longer instance, zero-peak sum", longer, allZero)
+		check(name+" empty instance", timeseries.Series{Step: step}, peers)
+
+		if _, err := DifferentialFromSum(inst, peers[0], 0); err != ErrNoTraces {
+			t.Fatalf("%s: n = 0: %v, want ErrNoTraces", name, err)
+		}
+	}
+	// Misaligned peers fail in the summing half, before the kernel runs.
+	bad := []timeseries.Series{random(8, time.Hour), random(9, time.Hour)}
+	_, wantErr := differentialOracle(random(8, time.Hour), bad)
+	if _, err := Differential(random(8, time.Hour), bad); errClass(err) != errClass(wantErr) || err == nil {
+		t.Fatalf("misaligned peers: %v, oracle %v", err, wantErr)
+	}
+}
+
+// TestDifferentialFromSumAllocBudget pins the kernel allocation-free: an
+// admission calls it once per candidate leaf.
+func TestDifferentialFromSumAllocBudget(t *testing.T) {
+	traces := benchTraces(17, 1008, 5)
+	inst, peers := traces[0], traces[1:]
+	sum, err := timeseries.Sum(peers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := DifferentialFromSum(inst, sum, len(peers)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("DifferentialFromSum allocs = %v, want 0", n)
+	}
+}
+
+func BenchmarkDifferentialFromSum(b *testing.B) {
+	traces := benchTraces(17, 1008, 5)
+	inst, peers := traces[0], traces[1:]
+	sum, err := timeseries.Sum(peers...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DifferentialFromSum(inst, sum, len(peers)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ package score
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/timeseries"
 )
@@ -104,16 +105,73 @@ func Vectors(instances []timeseries.Series, straces []timeseries.Series) ([][]fl
 //
 // where PA is the averaged aggregate power trace of the node's other
 // instances: (Σ_{j∈S_N, j≠i} PI_j) / |S_N − 1|. peers must contain the
-// traces of the node's instances excluding i.
+// traces of the node's instances excluding i. It sums the peers in argument
+// order and hands the sum to DifferentialFromSum; callers that already hold
+// that sum should call the kernel directly.
 func Differential(instance timeseries.Series, peers []timeseries.Series) (float64, error) {
 	if len(peers) == 0 {
 		return 0, ErrNoTraces
 	}
-	avg, err := timeseries.Mean(peers...)
+	sum, err := timeseries.Sum(peers...)
 	if err != nil {
 		return 0, fmt.Errorf("score: averaging %d peers: %w", len(peers), err)
 	}
-	return Pairwise(instance, avg)
+	return DifferentialFromSum(instance, sum, len(peers))
+}
+
+// DifferentialFromSum is the §3.6 kernel over a precomputed peer sum: sum is
+// Σ_{j≠i} PI_j and n the number of peers in it, so PA[t] = sum[t]·(1/n). It
+// makes one pass over the two traces and allocates nothing — PA is never
+// materialised. Because PA[t] is formed exactly as timeseries.Mean forms it,
+// the result is bit-identical to Differential over the same peers whenever
+// sum was accumulated in the same order (a leaf's aggregate in
+// powertree.Aggregates is: attachment order).
+func DifferentialFromSum(instance, sum timeseries.Series, n int) (float64, error) {
+	if n <= 0 {
+		return 0, ErrNoTraces
+	}
+	k := 1 / float64(n)
+	aligned := instance.Len() == sum.Len() && instance.Step == sum.Step && !instance.Empty()
+	ip, ap, joint := math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	if aligned {
+		sv := sum.Values[:len(instance.Values)]
+		for t, v := range instance.Values {
+			// The conversion forces the rounding Mean's stored product had,
+			// so no platform may fuse it into the add below.
+			pa := float64(sv[t] * k)
+			if v > ip {
+				ip = v
+			}
+			if pa > ap {
+				ap = pa
+			}
+			if s := v + pa; s > joint {
+				joint = s
+			}
+		}
+	} else {
+		// Error path only: the peaks decide which error, in the order the
+		// pairwise score checks them.
+		ip = instance.Peak()
+		ap = sum.Peak() * k
+	}
+	if ip <= 0 {
+		return 0, fmt.Errorf("%w (instance)", ErrZeroPeak)
+	}
+	if ap <= 0 {
+		return 0, fmt.Errorf("%w (peer average)", ErrZeroPeak)
+	}
+	if !aligned {
+		err := timeseries.ErrLenMismatch
+		if instance.Len() == sum.Len() {
+			err = timeseries.ErrMisaligned
+		}
+		return 0, fmt.Errorf("score: instance against peer average: %w", err)
+	}
+	if joint <= 0 {
+		return 0, ErrZeroPeak
+	}
+	return (ip + ap) / joint, nil
 }
 
 // ServiceTraces builds the S-trace (Eq. 5) for each named service: the mean
