@@ -156,13 +156,17 @@ extensions:
 
 fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=10s ./internal/timeseries/
+	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=10s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=10s ./internal/powertree/
+	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracestore/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
 # for CI and pre-commit runs.
 fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=5s ./internal/timeseries/
+	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=5s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
+	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=5s ./internal/tracestore/
 
 clean:
 	rm -rf internal/*/testdata/fuzz .bench_build

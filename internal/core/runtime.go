@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -345,6 +344,7 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 		TopServices:      r.fw.cfg.topServices(),
 		ClustersPerChild: r.fw.cfg.ClustersPerChild,
 		Seed:             r.fw.cfg.Seed,
+		Workers:          r.fw.cfg.Workers,
 	}
 	if err := placer.Place(r.tree, instances, workload.SubPowerFn(avg)); err != nil {
 		return fmt.Errorf("core: bootstrap placement: %w", err)
@@ -429,14 +429,16 @@ func referenceTrace(peers, fleet []timeseries.Series) (timeseries.Series, bool) 
 // workload — genuine power peaks are broad at the store's sampling rates —
 // and is clamped to that neighbour. The filter is the identity on clean
 // traces (no smooth signal doubles in one slot), so scoring clean and
-// faulted telemetry stays comparable.
+// faulted telemetry stays comparable. Neighbours are always read from the
+// input, which is never modified: the values are copied at the first clamp,
+// and a trace with nothing to clamp is returned as is.
 func despike(tr timeseries.Series) timeseries.Series {
 	v := tr.Values
 	if len(v) < 3 {
 		return tr
 	}
-	cleaned := append([]float64(nil), v...)
-	for i := range v {
+	var cleaned []float64
+	for i, x := range v {
 		var m float64
 		switch i {
 		case 0:
@@ -444,11 +446,17 @@ func despike(tr timeseries.Series) timeseries.Series {
 		case len(v) - 1:
 			m = v[len(v)-2]
 		default:
-			m = math.Max(v[i-1], v[i+1])
+			m = max(v[i-1], v[i+1])
 		}
-		if cleaned[i] > 2*m {
+		if x > 2*m {
+			if cleaned == nil {
+				cleaned = append([]float64(nil), v...)
+			}
 			cleaned[i] = m
 		}
+	}
+	if cleaned == nil {
+		return tr
 	}
 	return timeseries.New(tr.Start, tr.Step, cleaned)
 }

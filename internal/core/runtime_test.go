@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,17 +22,24 @@ func runtimeFixture(t *testing.T) (*Runtime, []placement.Instance, *workload.Fle
 // runtimeFixtureWith is runtimeFixture with an explicit runtime config.
 func runtimeFixtureWith(t *testing.T, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
 	t.Helper()
-	cfg, err := workload.StandardDCConfig(workload.DC2, 1)
+	return runtimeFixtureFor(t, Config{TopServices: 8, Seed: 1}, rcfg)
+}
+
+// runtimeFixtureFor is runtimeFixture with explicit framework and runtime
+// configs.
+func runtimeFixtureFor(t *testing.T, cfg Config, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
+	t.Helper()
+	dc, err := workload.StandardDCConfig(workload.DC2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Gen.Step = time.Hour
-	fleet, tree, err := workload.BuildDC(cfg)
+	dc.Gen.Step = time.Hour
+	fleet, tree, err := workload.BuildDC(dc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := tracestore.New(tracestore.Config{Step: time.Hour, Retention: 4 * 7 * 24 * time.Hour})
-	rt, err := NewRuntime(New(Config{TopServices: 8, Seed: 1}), store, tree, rcfg)
+	rt, err := NewRuntime(New(cfg), store, tree, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +89,36 @@ func TestRuntimeBootstrapAndTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = fleet
+}
+
+// TestRuntimeBootstrapWorkersEquivalence: Bootstrap hands the framework's
+// worker count to the batch placer, and the placement it lands on — and the
+// tick after it — are bit-identical at any worker count.
+func TestRuntimeBootstrapWorkersEquivalence(t *testing.T) {
+	var trees [][]byte
+	var reports []*DriftReport
+	for _, w := range []int{1, 8} {
+		rt, instances, _, trainEnd := runtimeFixtureFor(t, Config{TopServices: 8, Seed: 1, Workers: w}, RuntimeConfig{})
+		if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rt.Tree().Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, buf.Bytes())
+		rep, err := rt.Tick(trainEnd.Add(7*24*time.Hour), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	if !bytes.Equal(trees[0], trees[1]) {
+		t.Fatal("bootstrap placement differs between workers 1 and 8")
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Fatalf("tick after bootstrap differs between workers 1 and 8:\n%+v\n%+v", reports[0], reports[1])
+	}
 }
 
 func TestRuntimeConstructionErrors(t *testing.T) {

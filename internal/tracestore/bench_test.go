@@ -32,3 +32,40 @@ func BenchmarkSnapshotDay(b *testing.B) {
 		}
 	}
 }
+
+// benchWeeksStore holds one instance with three weeks of readings at the
+// end-to-end benchmark's shape: 30-minute step, impulse rejection on.
+func benchWeeksStore(b *testing.B) *Store {
+	b.Helper()
+	st := New(Config{Step: 30 * time.Minute, RejectImpulses: true})
+	for i := 0; i < 3*336; i++ {
+		if err := st.Append("bench", t0.Add(time.Duration(i)*30*time.Minute), 200+float64(i%48)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
+}
+
+func BenchmarkSnapshotQualityWeek(b *testing.B) {
+	st := benchWeeksStore(b)
+	end := t0.Add(3 * 7 * 24 * time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.SnapshotQuality("bench", end.Add(-7*24*time.Hour), end); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAveragedITraceQuality(b *testing.B) {
+	st := benchWeeksStore(b)
+	end := t0.Add(3 * 7 * 24 * time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.AveragedITraceQuality("bench", end, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

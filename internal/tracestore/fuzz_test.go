@@ -1,0 +1,79 @@
+package tracestore
+
+import (
+	"bytes"
+	"testing"
+	"time"
+)
+
+// FuzzLoad checks the checkpoint reader against arbitrary bytes: Load never
+// panics, a store it accepts can be read, appended to and saved, and its
+// checkpoint loads back to the same bytes.
+func FuzzLoad(f *testing.F) {
+	valid := New(Config{Step: 30 * time.Minute, Retention: 4 * time.Hour, RejectImpulses: true})
+	for i, w := range []float64{10, 11, 90, 12, 13} {
+		if err := valid.Append("a", t0.Add(time.Duration(2*i)*30*time.Minute), w); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := valid.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Truncated.
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	// A ring starting off the step grid.
+	f.Add([]byte(`{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:30Z","latest":"2016-07-25T00:00:30Z","values":[1,-1,3]}}}`))
+	// A sub-second step on its grid.
+	f.Add([]byte(`{"step_seconds":0.25,"retention_seconds":1,"instances":{"a":{"start":"2016-07-25T00:00:00.75Z","latest":"2016-07-25T00:00:01Z","values":[1,2,-1,4]}}}`))
+	// A ring shorter than the retention.
+	f.Add([]byte(`{"step_seconds":60,"retention_seconds":120,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[]}}}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		step, retention := st.Step(), st.cfg.retention()
+		for _, id := range st.Instances() {
+			st.mu.RLock()
+			start := st.instances[id].start
+			st.mu.RUnlock()
+			// The slot before the ring and the whole ring: neither window
+			// leaves the Duration range, whatever the step.
+			for _, w := range [][2]time.Time{{start.Add(-step), start}, {start, start.Add(retention)}} {
+				if _, _, err := st.SnapshotQuality(id, w[0], w[1]); err != nil {
+					t.Fatalf("read of loaded ring %q: %v", id, err)
+				}
+			}
+			// Writing the origin slot indexes the loaded ring without moving
+			// latest past a time the checkpoint could already hold.
+			if err := st.Append(id, start, 1); err != nil {
+				t.Fatalf("append to loaded ring %q: %v", id, err)
+			}
+		}
+		// Save writes step and retention as float seconds, which round back
+		// to the same nanoseconds only up to float64 precision.
+		if d, _ := checkpointDuration(step.Seconds()); d != step {
+			return
+		}
+		if d, _ := checkpointDuration(retention.Seconds()); d != retention {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := st.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a saved checkpoint: %v", err)
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("checkpoint changed across a round trip:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -116,22 +116,31 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 		s.mu.RUnlock()
 		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
 	}
+	// Window slot i is ring slot base+i: from and every ring start lie on
+	// the step grid (Append truncates, advance/shiftBack move by whole
+	// slots, Load rejects anything else), so one offset maps the window.
+	// A saturated Sub only ever pushes base further outside the ring.
+	base := int(from.Sub(r.start) / step)
 	vals := make([]float64, n)
-	real, lastReal := 0, -1
-	for i := range vals {
-		t := from.Add(time.Duration(i) * step)
-		idx := int(t.Sub(r.start) / step)
-		if idx >= 0 && idx < len(r.values) {
-			vals[i] = r.values[idx]
-		} else {
-			vals[i] = math.NaN()
-		}
-		if !math.IsNaN(vals[i]) {
-			real++
-			lastReal = i
-		}
+	lo, hi := 0, 0 // window slots [lo, hi) overlap the ring
+	if base > -n && base < len(r.values) {
+		lo, hi = max(0, -base), min(n, len(r.values)-base)
+		copy(vals[lo:hi], r.values[base+lo:base+hi])
 	}
 	s.mu.RUnlock()
+	real, lastReal := 0, -1
+	for i, v := range vals[lo:hi] {
+		if !math.IsNaN(v) {
+			real++
+			lastReal = lo + i
+		}
+	}
+	for i := range vals[:lo] {
+		vals[i] = math.NaN()
+	}
+	for i := range vals[hi:] {
+		vals[hi+i] = math.NaN()
+	}
 
 	q := Quality{
 		Coverage:             float64(real) / float64(n),
@@ -191,7 +200,7 @@ func rejectImpulses(vals []float64) {
 		case next < 0:
 			m = vals[prev]
 		default:
-			m = math.Max(vals[prev], vals[next])
+			m = max(vals[prev], vals[next])
 		}
 		if v > 2*m {
 			spiked = append(spiked, i)

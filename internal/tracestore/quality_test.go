@@ -1,10 +1,14 @@
 package tracestore
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/timeseries"
 )
 
 var qEpoch = time.Date(2016, 8, 1, 0, 0, 0, 0, time.UTC)
@@ -306,5 +310,257 @@ func TestRejectImpulses(t *testing.T) {
 	}
 	if tr.Values[2] != 300 {
 		t.Fatalf("default store altered a written reading: %v", tr.Values)
+	}
+}
+
+// snapshotQualityOracle is SnapshotQuality as it read windows before the
+// one-copy read: every slot maps its own timestamp back onto the ring with
+// time arithmetic. It is kept only as the reference the slice copy must
+// reproduce bit for bit.
+func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	step := s.cfg.step()
+	from = from.Truncate(step)
+	n := int(to.Sub(from) / step)
+	if n <= 0 {
+		return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: empty window [%v, %v)", from, to)
+	}
+	window := time.Duration(n) * step
+
+	s.mu.RLock()
+	r := s.instances[id]
+	if r == nil {
+		s.mu.RUnlock()
+		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
+	}
+	vals := make([]float64, n)
+	real, lastReal := 0, -1
+	for i := range vals {
+		t := from.Add(time.Duration(i) * step)
+		idx := int(t.Sub(r.start) / step)
+		if idx >= 0 && idx < len(r.values) {
+			vals[i] = r.values[idx]
+		} else {
+			vals[i] = math.NaN()
+		}
+		if !math.IsNaN(vals[i]) {
+			real++
+			lastReal = i
+		}
+	}
+	s.mu.RUnlock()
+
+	q := Quality{
+		Coverage:             float64(real) / float64(n),
+		InterpolatedFraction: float64(n-real) / float64(n),
+		Staleness:            window,
+	}
+	if lastReal >= 0 {
+		q.Staleness = to.Sub(from.Add(time.Duration(lastReal+1) * step))
+	}
+	q.Grade = q.grade(window)
+	if real == 0 {
+		q.InterpolatedFraction = 0
+		return timeseries.Series{}, q, nil
+	}
+	if s.cfg.RejectImpulses {
+		rejectImpulses(vals)
+	}
+	if err := interpolate(vals); err != nil {
+		return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: instance %q: %w", id, err)
+	}
+	return timeseries.New(from, step, vals), q, nil
+}
+
+// averagedITraceQualityOracle is AveragedITraceQuality over the oracle read.
+func averagedITraceQualityOracle(s *Store, id string, weekEnd time.Time, weeks int) (timeseries.Series, Quality, error) {
+	if weeks < 1 {
+		return timeseries.Series{}, Quality{}, errWeeks
+	}
+	span := time.Duration(weeks) * 7 * 24 * time.Hour
+	tr, q, err := snapshotQualityOracle(s, id, weekEnd.Add(-span), weekEnd)
+	if err != nil || q.Grade == GradeNoData {
+		return timeseries.Series{}, q, err
+	}
+	folded, err := tr.FoldWeeks()
+	if err != nil {
+		return timeseries.Series{}, q, err
+	}
+	return folded, q, nil
+}
+
+// sameRead fails unless two reads agree exactly: the same error (by class
+// and message), the same Quality in all four fields, and the same series
+// down to the bits of every value.
+func sameRead(t *testing.T, label string, got, want timeseries.Series, gotQ, wantQ Quality, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) ||
+		errors.Is(gotErr, ErrUnknownInstance) != errors.Is(wantErr, ErrUnknownInstance) ||
+		errors.Is(gotErr, errWeeks) != errors.Is(wantErr, errWeeks) ||
+		(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: error %v, oracle %v", label, gotErr, wantErr)
+	}
+	if gotQ != wantQ {
+		t.Fatalf("%s: quality %+v, oracle %+v", label, gotQ, wantQ)
+	}
+	if !got.Start.Equal(want.Start) || got.Step != want.Step || len(got.Values) != len(want.Values) {
+		t.Fatalf("%s: series (%v, %v, %d slots), oracle (%v, %v, %d slots)",
+			label, got.Start, got.Step, len(got.Values), want.Start, want.Step, len(want.Values))
+	}
+	for i := range got.Values {
+		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+			t.Fatalf("%s: slot %d = %v, oracle %v", label, i, got.Values[i], want.Values[i])
+		}
+	}
+}
+
+// fillRandomRing drives one instance through a seeded mix of in-order
+// readings with gaps, jumps past the ring's end (advance, sometimes past the
+// whole retention) and late readings (shiftBack, or ErrStale). Values
+// include impulses and both signed zeros; ops bounds how young the ring is.
+func fillRandomRing(t *testing.T, rng *rand.Rand, st *Store, id string, origin time.Time, ops int) {
+	t.Helper()
+	step := st.cfg.step()
+	slots := int(st.cfg.retention() / step)
+	cursor := origin.Add(time.Duration(rng.Int63n(int64(step)))) // off-grid: Append truncates
+	for k := 0; k < ops; k++ {
+		at := cursor
+		switch p := rng.Float64(); {
+		case p < 0.03:
+			at = cursor.Add(time.Duration(slots/2+rng.Intn(2*slots)) * step)
+			cursor = at
+		case p < 0.10:
+			at = cursor.Add(-time.Duration(rng.Intn(slots+slots/2)) * step)
+		default:
+			cursor = cursor.Add(time.Duration(1+rng.Intn(3)) * step)
+		}
+		w := 50 + 100*rng.Float64()
+		switch p := rng.Float64(); {
+		case p < 0.05:
+			w *= 5
+		case p < 0.07:
+			w = 0
+		case p < 0.09:
+			w = math.Copysign(0, -1)
+		}
+		if err := st.Append(id, at, w); err != nil && !errors.Is(err, ErrStale) {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotQualityMatchesSlotOracle pins the one-copy read to the old
+// per-slot loop over seeded random rings — gappy, young, advanced and
+// shifted back — and windows before, straddling the start of, inside,
+// straddling the end of and after each ring, with the impulse filter on and
+// off. AveragedITraceQuality is checked the same way.
+func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 80; trial++ {
+		cfg := Config{
+			Step:           []time.Duration{time.Minute, 30 * time.Minute, time.Hour}[rng.Intn(3)],
+			RejectImpulses: rng.Intn(2) == 0,
+		}
+		cfg.Retention = time.Duration(8+rng.Intn(200)) * cfg.Step
+		if rng.Intn(3) == 0 {
+			cfg.Retention = 3 * 7 * 24 * time.Hour
+			cfg.Step = 30 * time.Minute
+		}
+		st := New(cfg)
+		slots := int(cfg.Retention / cfg.Step)
+		ops := 1 + rng.Intn(3*slots)
+		if rng.Intn(4) == 0 {
+			ops = 1 + rng.Intn(5) // young ring
+		}
+		fillRandomRing(t, rng, st, "a", qEpoch, ops)
+
+		st.mu.RLock()
+		start, length := st.instances["a"].start, len(st.instances["a"].values)
+		st.mu.RUnlock()
+		step := cfg.Step
+		for w := 0; w < 40; w++ {
+			n := 1 + rng.Intn(length+10)
+			if rng.Intn(6) == 0 {
+				n = 1
+			}
+			var fromSlot int
+			switch w % 5 {
+			case 0: // before the ring
+				fromSlot = -n - rng.Intn(length+1)
+			case 1: // straddling its start
+				fromSlot = -rng.Intn(n)
+			case 2: // inside (or covering it, when n > length)
+				fromSlot = rng.Intn(max(1, length-n+1))
+			case 3: // straddling its end
+				fromSlot = length - 1 - rng.Intn(n)
+			case 4: // after it
+				fromSlot = length + rng.Intn(length+1)
+			}
+			from := start.Add(time.Duration(fromSlot) * step)
+			to := from.Add(time.Duration(n) * step)
+			// Off-grid ends exercise the truncation of from and the
+			// floor of the slot count.
+			if rng.Intn(3) == 0 {
+				from = from.Add(time.Duration(rng.Int63n(int64(step))))
+				to = to.Add(time.Duration(rng.Int63n(int64(step))))
+			}
+			if rng.Intn(20) == 0 {
+				to = from // empty window
+			}
+			label := fmt.Sprintf("trial %d window %d [%v, %v)", trial, w, from, to)
+			tr, q, err := st.SnapshotQuality("a", from, to)
+			wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
+			sameRead(t, label, tr, wtr, q, wq, err, werr)
+
+			weekEnd := start.Add(time.Duration(rng.Intn(3*length+1)-length) * step)
+			weeks := rng.Intn(4)
+			label = fmt.Sprintf("trial %d averaged %d weeks to %v", trial, weeks, weekEnd)
+			tr, q, err = st.AveragedITraceQuality("a", weekEnd, weeks)
+			wtr, wq, werr = averagedITraceQualityOracle(st, "a", weekEnd, weeks)
+			sameRead(t, label, tr, wtr, q, wq, err, werr)
+		}
+		tr, q, err := st.SnapshotQuality("ghost", start, start.Add(step))
+		wtr, wq, werr := snapshotQualityOracle(st, "ghost", start, start.Add(step))
+		sameRead(t, "unknown instance", tr, wtr, q, wq, err, werr)
+	}
+}
+
+// TestSnapshotQualityMatchesSlotOracleAtTimeLimits covers windows and rings
+// in year 1 and year 9999, where Time.Sub saturates at the Duration range
+// both inside the per-slot oracle and in the one-offset read.
+func TestSnapshotQualityMatchesSlotOracleAtTimeLimits(t *testing.T) {
+	year1 := time.Time{}.Add(36 * time.Hour)
+	year9999 := time.Date(9999, 6, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(9999))
+	// A daily step keeps a saturated window (≈ 292 years) near 10⁵ slots.
+	cfg := Config{Step: 24 * time.Hour, Retention: 60 * 24 * time.Hour, RejectImpulses: true}
+	st := New(cfg)
+	for id, origin := range map[string]time.Time{"mid": qEpoch, "first": year1, "last": year9999} {
+		fillRandomRing(t, rng, st, id, origin, 90)
+	}
+	day := cfg.Step
+	windows := [][2]time.Time{
+		{year1, year1.Add(10 * day)},
+		{year1, qEpoch},
+		{year1, year9999},
+		{year1.Add(-3 * day), year1.Add(3 * day)},
+		{qEpoch.Add(-10 * day), year9999},
+		{qEpoch.Add(20 * day), qEpoch.Add(40 * day)},
+		{year9999.Add(-5 * day), year9999.Add(30 * day)},
+		{year9999, year9999.Add(day)},
+		{year9999, year1}, // empty
+	}
+	for _, id := range []string{"mid", "first", "last"} {
+		for _, w := range windows {
+			label := fmt.Sprintf("%s [%v, %v)", id, w[0], w[1])
+			tr, q, err := st.SnapshotQuality(id, w[0], w[1])
+			wtr, wq, werr := snapshotQualityOracle(st, id, w[0], w[1])
+			sameRead(t, label, tr, wtr, q, wq, err, werr)
+		}
+		for _, end := range []time.Time{year1.Add(30 * day), qEpoch.Add(30 * day), year9999.Add(30 * day)} {
+			label := fmt.Sprintf("%s averaged to %v", id, end)
+			tr, q, err := st.AveragedITraceQuality(id, end, 2)
+			wtr, wq, werr := averagedITraceQualityOracle(st, id, end, 2)
+			sameRead(t, label, tr, wtr, q, wq, err, werr)
+		}
 	}
 }

@@ -27,6 +27,10 @@ var (
 	ErrUnknownInstance = errors.New("tracestore: unknown instance")
 	ErrStale           = errors.New("tracestore: reading older than retention window")
 	ErrBadReading      = errors.New("tracestore: invalid reading")
+	// ErrBadCheckpoint marks a checkpoint Load refuses: a non-positive step
+	// or retention, an unparsable timestamp, a ring that does not start on
+	// the step grid, or one whose length disagrees with the retention.
+	ErrBadCheckpoint = errors.New("tracestore: bad checkpoint")
 
 	errWeeks = errors.New("tracestore: weeks must be ≥ 1")
 )
@@ -301,6 +305,7 @@ func (s *Store) AveragedITrace(id string, weekEnd time.Time, weeks int) (timeser
 type checkpoint struct {
 	StepSeconds      float64                 `json:"step_seconds"`
 	RetentionSeconds float64                 `json:"retention_seconds"`
+	RejectImpulses   bool                    `json:"reject_impulses,omitempty"`
 	Instances        map[string]instanceDump `json:"instances"`
 }
 
@@ -317,6 +322,7 @@ func (s *Store) Save(w io.Writer) error {
 	cp := checkpoint{
 		StepSeconds:      s.cfg.step().Seconds(),
 		RetentionSeconds: s.cfg.retention().Seconds(),
+		RejectImpulses:   s.cfg.RejectImpulses,
 		Instances:        make(map[string]instanceDump, len(s.instances)),
 	}
 	for id, r := range s.instances {
@@ -329,8 +335,8 @@ func (s *Store) Save(w io.Writer) error {
 			}
 		}
 		cp.Instances[id] = instanceDump{
-			Start:  r.start.UTC().Format(time.RFC3339),
-			Latest: r.latest.UTC().Format(time.RFC3339),
+			Start:  r.start.UTC().Format(time.RFC3339Nano),
+			Latest: r.latest.UTC().Format(time.RFC3339Nano),
 			Values: vals,
 		}
 	}
@@ -343,23 +349,39 @@ func Load(r io.Reader) (*Store, error) {
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
 		return nil, err
 	}
-	st := New(Config{
-		Step:      time.Duration(cp.StepSeconds * float64(time.Second)),
-		Retention: time.Duration(cp.RetentionSeconds * float64(time.Second)),
-	})
+	step, ok := checkpointDuration(cp.StepSeconds)
+	if !ok {
+		return nil, fmt.Errorf("%w: step %v s is not a positive duration", ErrBadCheckpoint, cp.StepSeconds)
+	}
+	retention, ok := checkpointDuration(cp.RetentionSeconds)
+	if !ok || retention < step {
+		return nil, fmt.Errorf("%w: retention %v s is shorter than one step", ErrBadCheckpoint, cp.RetentionSeconds)
+	}
+	st := New(Config{Step: step, Retention: retention, RejectImpulses: cp.RejectImpulses})
+	slots := int(retention / step)
 	// The store is not yet shared, but instances is guarded state: take the
 	// lock so the contract holds on every path.
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, id := range detmap.SortedKeys(cp.Instances) {
 		dump := cp.Instances[id]
+		// RFC3339 parsing accepts the fractional seconds RFC3339Nano writes,
+		// so checkpoints from before sub-second precision still load.
 		start, err := time.Parse(time.RFC3339, dump.Start)
 		if err != nil {
-			return nil, fmt.Errorf("tracestore: bad start for %q: %w", id, err)
+			return nil, fmt.Errorf("%w: bad start for %q: %w", ErrBadCheckpoint, id, err)
 		}
 		latest, err := time.Parse(time.RFC3339, dump.Latest)
 		if err != nil {
-			return nil, fmt.Errorf("tracestore: bad latest for %q: %w", id, err)
+			return nil, fmt.Errorf("%w: bad latest for %q: %w", ErrBadCheckpoint, id, err)
+		}
+		// SnapshotQuality maps a window onto the ring by one slot offset,
+		// which is exact only for a ring that starts on the step grid.
+		if !start.Truncate(step).Equal(start) {
+			return nil, fmt.Errorf("%w: start %v of %q is off the %v step grid", ErrBadCheckpoint, start, id, step)
+		}
+		if len(dump.Values) != slots {
+			return nil, fmt.Errorf("%w: %q holds %d slots, retention needs %d", ErrBadCheckpoint, id, len(dump.Values), slots)
 		}
 		vals := make([]float64, len(dump.Values))
 		count := 0
@@ -374,6 +396,16 @@ func Load(r io.Reader) (*Store, error) {
 		st.instances[id] = &ring{start: start, latest: latest, values: vals, count: count}
 	}
 	return st, nil
+}
+
+// checkpointDuration converts persisted seconds back to a Duration, rounding
+// to the nanosecond; ok is false unless the result is positive and fits.
+func checkpointDuration(seconds float64) (time.Duration, bool) {
+	ns := math.Round(seconds * float64(time.Second))
+	if !(ns > 0 && ns < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 // IngestSeries bulk-loads an existing trace (e.g. from cmd/tracegen output)

@@ -2,7 +2,10 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -290,5 +293,97 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSaveLoadKeepsRejectImpulses: a restored store keeps filtering
+// impulses, so a spiky window reads the same before Save and after Load,
+// and a store with the filter off still writes no reject_impulses field.
+func TestSaveLoadKeepsRejectImpulses(t *testing.T) {
+	st := New(Config{Step: time.Minute, Retention: time.Hour, RejectImpulses: true})
+	for i, w := range []float64{100, 101, 500, 102, 103} {
+		must(t, st.Append("a", t0.Add(time.Duration(i)*time.Minute), w))
+	}
+	before, qb, err := st.SnapshotQuality("a", t0, t0.Add(5*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Values[2] > 110 {
+		t.Fatalf("spike survived before Save: %v", before.Values)
+	}
+	var buf bytes.Buffer
+	must(t, st.Save(&buf))
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, qa, err := back.SnapshotQuality("a", t0, t0.Add(5*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qa != qb || !reflect.DeepEqual(after.Values, before.Values) {
+		t.Fatalf("restored read %v %+v, before Save %v %+v", after.Values, qa, before.Values, qb)
+	}
+
+	plain := New(Config{Step: time.Minute, Retention: time.Hour})
+	must(t, plain.Append("a", t0, 1))
+	buf.Reset()
+	must(t, plain.Save(&buf))
+	if strings.Contains(buf.String(), "reject_impulses") {
+		t.Fatalf("filter-off checkpoint carries the field: %s", buf.String())
+	}
+}
+
+// TestSaveLoadSubSecondStep: start and latest survive the round trip at
+// nanosecond precision, so a sub-second step's ring stays on its grid.
+func TestSaveLoadSubSecondStep(t *testing.T) {
+	step := 250 * time.Millisecond
+	st := New(Config{Step: step, Retention: time.Minute})
+	for i := 0; i < 10; i++ {
+		must(t, st.Append("a", t0.Add(1750*time.Millisecond+time.Duration(i)*step), float64(i)))
+	}
+	var buf bytes.Buffer
+	must(t, st.Save(&buf))
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := t0.Add(1750 * time.Millisecond)
+	want, err := st.Snapshot("a", from, from.Add(10*step))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Snapshot("a", from, from.Add(10*step))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || back.Step() != step {
+		t.Fatalf("restored %v at step %v, saved %v at step %v", got.Values, back.Step(), want.Values, step)
+	}
+}
+
+// TestLoadRejectsBadCheckpoints: Load refuses checkpoints that would break
+// the store's invariants with ErrBadCheckpoint, and still reads checkpoints
+// written with whole-second RFC3339 timestamps.
+func TestLoadRejectsBadCheckpoints(t *testing.T) {
+	ok := `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:01:00Z","values":[1,-1,3]}}}`
+	if _, err := Load(strings.NewReader(ok)); err != nil {
+		t.Fatalf("valid checkpoint: %v", err)
+	}
+	for name, cp := range map[string]string{
+		"zero step":          `{"step_seconds":0,"retention_seconds":180,"instances":{}}`,
+		"negative step":      `{"step_seconds":-60,"retention_seconds":180,"instances":{}}`,
+		"sub-ns step":        `{"step_seconds":1e-12,"retention_seconds":180,"instances":{}}`,
+		"overflowing step":   `{"step_seconds":1e300,"retention_seconds":180,"instances":{}}`,
+		"zero retention":     `{"step_seconds":60,"retention_seconds":0,"instances":{}}`,
+		"retention < step":   `{"step_seconds":60,"retention_seconds":30,"instances":{}}`,
+		"start off the grid": `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:30Z","latest":"2016-07-25T00:01:30Z","values":[1,-1,3]}}}`,
+		"short ring":         `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[1]}}}`,
+		"bad start":          `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"yesterday","latest":"2016-07-25T00:00:00Z","values":[1,2,3]}}}`,
+		"bad latest":         `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"","values":[1,2,3]}}}`,
+	} {
+		if _, err := Load(strings.NewReader(cp)); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
+		}
 	}
 }
