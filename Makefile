@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-json bench-scale bench-scale-short bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
 
 all: check
 
@@ -53,24 +53,6 @@ bench:
 
 bench-parallel:
 	$(GO) test -run=NONE -bench='Parallel|Serial' -benchmem .
-
-# bench-json measures the score/tree/percentile kernels, the full RunAll
-# pipeline and the fleet-size scale axis (full O(fleet) aggregation sweep vs
-# incremental delta tick at 10k/100k/1M instances) in-process and writes
-# ns/op + allocs/op to BENCH_pipeline.json — the perf trajectory future PRs
-# diff against.
-bench-json:
-	$(GO) run ./cmd/benchjson -scale=full -o BENCH_pipeline.json
-
-# bench-scale runs only the fleet-size axis at all three scale points.
-bench-scale:
-	$(GO) run ./cmd/benchjson -scale=full -o BENCH_pipeline.json
-
-# bench-scale-short is the CI-sized axis (10k + 100k only; the 1M fleet is
-# too slow for every push). The artifact is gitignored — CI runs it to keep
-# the delta path honest, the committed trajectory comes from bench-json.
-bench-scale-short:
-	$(GO) run ./cmd/benchjson -scale=short -o BENCH_scale_short.json
 
 # bench-smoke executes every benchmark exactly once so they cannot bit-rot;
 # CI runs this on every push.

@@ -5,7 +5,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/powertree"
 	"repro/internal/score"
 	"repro/internal/timeseries"
 	"repro/internal/workload"
@@ -91,75 +89,6 @@ func TestScoreBasisOldVsNewEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: basis fast path differs from old scoring path", w)
-		}
-	}
-}
-
-// TestPowertreeAggregateOldVsNewEquivalence: the one-pass AggregateAll and
-// everything rerouted through it (SumOfPeaks, LevelPeaks) must be
-// bit-identical to independently recomputed per-node AggregatePower at
-// workers ∈ {1, 8}.
-func TestPowertreeAggregateOldVsNewEquivalence(t *testing.T) {
-	tree, err := powertree.Build(powertree.TopologySpec{
-		Name: "eq", SuitesPerDC: 2, MSBsPerSuite: 2, SBsPerMSB: 2, RPPsPerSB: 2,
-		LeafBudget: 5000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
-	rng := rand.New(rand.NewSource(6))
-	traces := make(map[string]timeseries.Series)
-	for li, leaf := range tree.Leaves() {
-		for k := 0; k < 5; k++ {
-			id := fmt.Sprintf("i%d-%d", li, k)
-			s := timeseries.Zeros(t0, 10*time.Minute, 144)
-			for j := range s.Values {
-				s.Values[j] = 20 + 80*rng.Float64()
-			}
-			traces[id] = s
-			if err := leaf.Attach(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pf := powertree.PowerFn(func(id string) (timeseries.Series, bool) {
-		s, ok := traces[id]
-		return s, ok
-	})
-
-	for _, w := range []int{1, 8} {
-		aggs, err := tree.AggregateAllParallel(pf, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		tree.Walk(func(n *powertree.Node) {
-			want, _, err := n.AggregatePower(pf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := aggs.Trace(n)
-			if !ok || !reflect.DeepEqual(got.Values, want.Values) {
-				t.Fatalf("workers=%d: aggregate differs at %s", w, n.Name)
-			}
-		})
-		for _, level := range powertree.Levels {
-			direct, err := tree.SumOfPeaks(level, pf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if direct != aggs.SumOfPeaks(level) {
-				t.Fatalf("workers=%d: SumOfPeaks(%s) differs", w, level)
-			}
-			peaks := make(map[string]float64)
-			for _, n := range tree.NodesAtLevel(level) {
-				if peaks[n.Name], err = n.PeakPower(pf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !reflect.DeepEqual(peaks, aggs.LevelPeaks(level)) {
-				t.Fatalf("workers=%d: LevelPeaks(%s) differs", w, level)
-			}
 		}
 	}
 }

@@ -78,11 +78,12 @@ func main() {
 	msb := before.NodesAtLevel(powertree.MSB)[0]
 	fmt.Printf("\nchildren of %s (peak / swing):\n", msb.Name)
 	show := func(label string, n *powertree.Node) {
+		aggs, err := n.AggregateAll(testFn)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for i, c := range n.Children {
-			agg, _, err := c.AggregatePower(testFn)
-			if err != nil {
-				log.Fatal(err)
-			}
+			agg, _ := aggs.Trace(c)
 			if agg.Empty() {
 				continue
 			}

@@ -59,11 +59,11 @@ func TestBurstSharingAcrossPlacements(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Tight budgets: the ideal share of the *clean* fleet peak.
-		rootPeak, err := tree.PeakPower(powertree.PowerFn(fleet.PowerFn()))
+		aggs, err := tree.AggregateAll(powertree.PowerFn(fleet.PowerFn()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		perLeaf := 1.1 * rootPeak / float64(len(tree.Leaves()))
+		perLeaf := 1.1 * aggs.Peak(tree) / float64(len(tree.Leaves()))
 		var assign func(n *powertree.Node) float64
 		assign = func(n *powertree.Node) float64 {
 			if n.IsLeaf() {

@@ -161,17 +161,20 @@ func (r TreeReport) CoverageFraction() float64 {
 // EvaluateTree shaves every node at the given level of a placed tree.
 // budgetFraction scales node budgets into shaving thresholds — evaluating
 // against (say) 0.9 of the budget measures how batteries would support
-// under-provisioning, which is how [28] banks its savings.
+// under-provisioning, which is how [28] banks its savings. Each node's
+// subtree is aggregated on its own, so traces misaligned only across two
+// nodes of the level do not fail the evaluation.
 func EvaluateTree(tree *powertree.Node, level powertree.Level, power powertree.PowerFn, autonomyMinutes, budgetFraction float64) (TreeReport, error) {
 	if budgetFraction <= 0 || budgetFraction > 1 {
 		return TreeReport{}, errors.New("esd: budgetFraction must be in (0,1]")
 	}
 	var rep TreeReport
 	for _, nd := range tree.NodesAtLevel(level) {
-		agg, _, err := nd.AggregatePower(power)
+		aggs, err := nd.AggregateAll(power)
 		if err != nil {
 			return TreeReport{}, err
 		}
+		agg, _ := aggs.Trace(nd)
 		if agg.Empty() {
 			continue
 		}

@@ -242,4 +242,32 @@ func TestEvaluateTreeErrors(t *testing.T) {
 	if rep.CoverageFraction() != 1 || len(rep.Results) != 0 {
 		t.Fatalf("empty tree: %+v", rep)
 	}
+
+	// Leaves whose traces differ in length: the SB level cannot combine
+	// them, but each leaf evaluates on its own.
+	two, err := powertree.Build(powertree.TopologySpec{
+		Name: "m", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 2, LeafBudget: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]timeseries.Series{
+		"a": timeseries.New(t0, time.Minute, []float64{10, 20, 30}),
+		"b": timeseries.New(t0, time.Minute, []float64{40, 50}),
+	}
+	for i, id := range []string{"a", "b"} {
+		if err := two.Leaves()[i].Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mis := powertree.PowerFn(func(id string) (timeseries.Series, bool) {
+		s, ok := traces[id]
+		return s, ok
+	})
+	if rep, err := EvaluateTree(two, powertree.RPP, mis, 10, 0.9); err != nil || len(rep.Results) != 2 {
+		t.Fatalf("RPP on misaligned siblings: %+v, %v", rep, err)
+	}
+	if _, err := EvaluateTree(two, powertree.SB, mis, 10, 0.9); err == nil {
+		t.Fatal("SB level must fail on misaligned children")
+	}
 }

@@ -101,15 +101,14 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 	for _, r := range obRep.Results {
 		cmp.ObliviousUncovered += r.UncoveredSteps
 	}
-	// Longest peak on the oblivious placement.
-	for _, nd := range oblivious.NodesAtLevel(powertree.RPP) {
-		agg, _, err := nd.AggregatePower(testFn)
-		if err != nil {
-			return nil, err
-		}
-		if agg.Empty() {
-			continue
-		}
+	// Longest peak on the oblivious placement. setIdealBudgets already
+	// aggregated this whole tree, so one pass cannot fail where it did not.
+	obAggs, err := oblivious.AggregateAll(testFn)
+	if err != nil {
+		return nil, err
+	}
+	for _, nd := range obAggs.NodesAtLevel(powertree.RPP) {
+		agg, _ := obAggs.Trace(nd)
 		if d := esd.PeakDuration(agg, nd.Budget); d > cmp.LongestPeak {
 			cmp.LongestPeak = d
 		}
@@ -128,10 +127,11 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 // of its descendants — the tightest budget a perfectly smooth placement
 // would fit under.
 func setIdealBudgets(tree *powertree.Node, power powertree.PowerFn, multiplier float64) error {
-	rootPeak, err := tree.PeakPower(power)
+	aggs, err := tree.AggregateAll(power)
 	if err != nil {
 		return err
 	}
+	rootPeak := aggs.Peak(tree)
 	leaves := tree.Leaves()
 	if len(leaves) == 0 || rootPeak <= 0 {
 		return fmt.Errorf("experiments: cannot rebudget empty tree")

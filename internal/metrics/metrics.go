@@ -139,10 +139,11 @@ type SlackReport struct {
 // offPeakFraction is the peak fraction below which a reading counts as
 // off-peak (e.g. 0.85).
 func NodeSlack(n *powertree.Node, traces powertree.PowerFn, offPeakFraction float64) (SlackReport, error) {
-	agg, _, err := n.AggregatePower(traces)
+	aggs, err := n.AggregateAll(traces)
 	if err != nil {
 		return SlackReport{}, err
 	}
+	agg, _ := aggs.Trace(n)
 	if agg.Empty() {
 		return SlackReport{}, fmt.Errorf("metrics: node %q hosts no traced instances", n.Name)
 	}
@@ -177,11 +178,11 @@ func HeadroomPct(n *powertree.Node, traces powertree.PowerFn) (float64, error) {
 	if n.Budget <= 0 {
 		return 0, ErrBudget
 	}
-	peak, err := n.PeakPower(traces)
+	aggs, err := n.AggregateAll(traces)
 	if err != nil {
 		return 0, err
 	}
-	return 100 * (n.Budget - peak) / n.Budget, nil
+	return 100 * aggs.Headroom(n) / n.Budget, nil
 }
 
 // ExtraServers estimates how many additional servers of the given peak draw

@@ -19,40 +19,55 @@ type NodeUtilization struct {
 	PeakPct, MeanPct float64
 }
 
-// LevelUtilization computes per-node utilization at one level.
+// LevelUtilization computes per-node utilization at one level. Each node's
+// subtree is aggregated on its own, so traces that are misaligned only
+// across two nodes of the level do not fail it.
 func LevelUtilization(tree *powertree.Node, level powertree.Level, traces powertree.PowerFn) ([]NodeUtilization, error) {
 	var out []NodeUtilization
 	for _, n := range tree.NodesAtLevel(level) {
-		agg, _, err := n.AggregatePower(traces)
+		aggs, err := n.AggregateAll(traces)
 		if err != nil {
 			return nil, err
 		}
-		if agg.Empty() {
-			continue
-		}
-		u := NodeUtilization{
-			Node: n.Name, Level: level,
-			Budget: n.Budget, Peak: agg.Peak(), Mean: agg.MeanValue(),
-		}
-		if n.Budget > 0 {
-			u.PeakPct = 100 * u.Peak / n.Budget
-			u.MeanPct = 100 * u.Mean / n.Budget
-		}
-		out = append(out, u)
+		out = appendUtilization(out, aggs, n)
 	}
 	return out, nil
 }
 
+// appendUtilization appends n's row to out, skipping a node that hosts no
+// traced instances.
+func appendUtilization(out []NodeUtilization, aggs *powertree.Aggregates, n *powertree.Node) []NodeUtilization {
+	agg, _ := aggs.Trace(n)
+	if agg.Empty() {
+		return out
+	}
+	u := NodeUtilization{
+		Node: n.Name, Level: n.Level,
+		Budget: n.Budget, Peak: agg.Peak(), Mean: agg.MeanValue(),
+	}
+	if n.Budget > 0 {
+		u.PeakPct = 100 * u.Peak / n.Budget
+		u.MeanPct = 100 * u.Mean / n.Budget
+	}
+	return append(out, u)
+}
+
 // UtilizationReport renders a per-level utilization table for a placed tree
-// — the operator's view of where budget fragments.
+// — the operator's view of where budget fragments. The table covers the
+// root's own level, so it needs the whole tree to aggregate: one
+// AggregateAll serves every level.
 func UtilizationReport(tree *powertree.Node, traces powertree.PowerFn) (string, error) {
+	aggs, err := tree.AggregateAll(traces)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("power budget utilization by level\n")
 	b.WriteString("  level  nodes   peak util (min/mean/max)   mean util\n")
 	for _, level := range powertree.Levels {
-		rows, err := LevelUtilization(tree, level, traces)
-		if err != nil {
-			return "", err
+		var rows []NodeUtilization
+		for _, n := range aggs.NodesAtLevel(level) {
+			rows = appendUtilization(rows, aggs, n)
 		}
 		if len(rows) == 0 {
 			continue

@@ -129,20 +129,19 @@ func TestWorkloadAwareBeatsOblivious(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := powertree.PowerFn(traces)
-	obliviousSum, err := obliviousTree.SumOfPeaks(powertree.RPP, pf)
+	oAggs, err := obliviousTree.AggregateAll(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smartSum, err := smartTree.SumOfPeaks(powertree.RPP, pf)
+	sAggs, err := smartTree.AggregateAll(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if smartSum >= obliviousSum {
+	if smartSum, obliviousSum := sAggs.SumOfPeaks(powertree.RPP), oAggs.SumOfPeaks(powertree.RPP); smartSum >= obliviousSum {
 		t.Fatalf("workload-aware sum of peaks %v not below oblivious %v", smartSum, obliviousSum)
 	}
 	// Root peak is placement-invariant.
-	oRoot, _ := obliviousTree.PeakPower(pf)
-	sRoot, _ := smartTree.PeakPower(pf)
+	oRoot, sRoot := oAggs.Peak(obliviousTree), sAggs.Peak(smartTree)
 	if diff := oRoot - sRoot; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("root peak changed by placement: %v vs %v", oRoot, sRoot)
 	}

@@ -7,9 +7,10 @@
 // instead folds each leaf's instances once (in parallel, one leaf per index)
 // and then combines child aggregates bottom-up, touching every instance
 // trace exactly once and every node trace a constant number of times:
-// O(instances × len + nodes × len) total. The combine uses the same
-// child-recursive operation order as AggregatePower, so every per-node
-// result is bit-identical to the per-node path for any worker count.
+// O(instances × len + nodes × len) total. The combine is child-recursive —
+// a node's own instance traces in attachment order, then each child's
+// aggregate in child order — so every per-node result is bit-identical to
+// re-summing that node's subtree from scratch, for any worker count.
 //
 // One primitive, combineEntry, computes every entry — a leaf is the case with
 // no children — and also backs the incremental delta path (see
@@ -85,18 +86,17 @@ func foldLeaves(leaves []*Node, power PowerFn, workers int) ([]*aggEntry, error)
 }
 
 // combineEntry computes one node's entry from its own instance traces and
-// its children's current entries (child is never called for a leaf),
-// preserving AggregatePower's child-recursive operation order exactly: own
-// instances in attachment order, then each child's aggregate in child order,
-// first contribution cloned, the rest accumulated in place. Given
+// its children's current entries (child is never called for a leaf) in a
+// fixed child-recursive operation order: own instances in attachment order,
+// then each child's aggregate in child order, first contribution cloned, the
+// rest accumulated in place. Given
 // bit-identical child entries it therefore produces a bit-identical parent
 // entry — the invariant the delta path relies on. It is the only place
 // instance traces are summed into a node trace.
 func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntry, error) {
 	e := &aggEntry{}
 	// Interior nodes hosting instances are invalid (Validate rejects them)
-	// but AggregatePower tolerates them, so mirror its fold: own instances
-	// first, then child aggregates.
+	// but are tolerated here: own instances first, then child aggregates.
 	for _, id := range m.Instances {
 		s, ok := power(id)
 		if !ok {
@@ -144,9 +144,8 @@ func (n *Node) AggregateAll(power PowerFn) (*Aggregates, error) {
 // AggregateAllParallel is AggregateAll with an explicit worker count (≤ 0
 // means the package default). Leaf folds run concurrently, one leaf per
 // index; the bottom-up combine is serial in tree order. Results are
-// bit-identical to AggregatePower on every node for any worker count, and
-// the error returned is the one the lowest-index leaf would have hit in a
-// serial run.
+// bit-identical for any worker count, and the error returned is the one the
+// lowest-index leaf would have hit in a serial run.
 func (n *Node) AggregateAllParallel(power PowerFn, workers int) (*Aggregates, error) {
 	timer := obsAggregateSpan.Start()
 	index := buildTreeIndex(n)
@@ -216,8 +215,8 @@ func (a *Aggregates) Trace(n *Node) (timeseries.Series, bool) {
 }
 
 // Peak returns the peak of the node's aggregate power trace, or 0 when the
-// node was not aggregated or hosts no traced instances — the same convention
-// as Node.PeakPower.
+// node was not aggregated, hosts no traced instances, or its aggregate is
+// zero-length.
 func (a *Aggregates) Peak(n *Node) float64 {
 	if e := a.entries[n]; e != nil {
 		return e.peak
@@ -226,7 +225,8 @@ func (a *Aggregates) Peak(n *Node) float64 {
 }
 
 // Missing returns the instance IDs under the node whose traces were unknown
-// at aggregation time, in pre-order tree order (AggregatePower's order).
+// at aggregation time: the node's own instances in attachment order, then
+// each child's missing list in child order (pre-order tree order).
 func (a *Aggregates) Missing(n *Node) []string {
 	if e := a.entries[n]; e != nil {
 		return e.missing

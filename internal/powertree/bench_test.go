@@ -67,7 +67,7 @@ func BenchmarkPerNodeAggregation(b *testing.B) {
 			if failed != nil {
 				return
 			}
-			if _, _, err := n.AggregatePower(pf); err != nil {
+			if _, _, err := oracleAggregate(n, pf); err != nil {
 				failed = err
 			}
 		})

@@ -9,8 +9,7 @@
 //
 // Determinism contract: clean entries are reused by pointer, dirty leaves
 // and their ancestors are recomputed by combineEntry — the exact operation
-// order AggregateAll and AggregatePower use. A node's
-// entry is a pure function of its subtree's instance traces under that
+// order AggregateAll uses. A node's entry is a pure function of its subtree's instance traces under that
 // order, so reusing a clean child's entry and recomputing a dirty one
 // compose into bit-identical per-node results versus a fresh AggregateAll,
 // at any worker count (pinned by TestAggregatorUpdateMatchesFresh).

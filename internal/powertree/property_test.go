@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,14 +57,14 @@ func TestAggregationLinearityProperty(t *testing.T) {
 			if fail || nd.IsLeaf() {
 				return
 			}
-			parentAgg, _, err := nd.AggregatePower(pf)
+			parentAgg, _, err := oracleAggregate(nd, pf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var sum timeseries.Series
 			started := false
 			for _, c := range nd.Children {
-				childAgg, _, err := c.AggregatePower(pf)
+				childAgg, _, err := oracleAggregate(c, pf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +96,7 @@ func TestAggregationLinearityProperty(t *testing.T) {
 		check(tree)
 
 		// Root peak is placement-invariant: shuffle instances to new leaves.
-		rootPeakBefore, err := tree.PeakPower(pf)
+		rootPeakBefore, err := oraclePeak(tree, pf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestAggregationLinearityProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rootPeakAfter, err := tree.PeakPower(pf)
+		rootPeakAfter, err := oraclePeak(tree, pf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,9 +151,10 @@ func randomTree(rng *rand.Rand) *Node {
 }
 
 // TestAggregateAllMatchesPerNodeOracle: the one-pass AggregateAll must match
-// independently recomputed per-node AggregatePower bit-for-bit — traces,
-// peaks, and missing lists — on randomized trees with varying depth, leaves
-// without instances, and instances without traces, at any worker count.
+// the independently recomputed per-node oracle bit-for-bit — traces, peaks,
+// missing lists, per-level sums and per-level peak maps — on randomized trees
+// with varying depth, leaves without instances, and instances without
+// traces, at any worker count.
 func TestAggregateAllMatchesPerNodeOracle(t *testing.T) {
 	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
 	for trial := 0; trial < 50; trial++ {
@@ -189,7 +191,7 @@ func TestAggregateAllMatchesPerNodeOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			tree.Walk(func(nd *Node) {
-				want, wantMissing, err := nd.AggregatePower(pf)
+				want, wantMissing, err := oracleAggregate(nd, pf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,6 +237,16 @@ func TestAggregateAllMatchesPerNodeOracle(t *testing.T) {
 				if direct != aggs.SumOfPeaks(level) {
 					t.Fatalf("trial %d workers %d: SumOfPeaks(%s) differs: %v vs %v",
 						trial, workers, level, direct, aggs.SumOfPeaks(level))
+				}
+				want := make(map[string]float64)
+				for _, nd := range tree.NodesAtLevel(level) {
+					if want[nd.Name], err = oraclePeak(nd, pf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := aggs.LevelPeaks(level); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d workers %d: LevelPeaks(%s) = %v, oracle %v",
+						trial, workers, level, got, want)
 				}
 			}
 		}

@@ -357,81 +357,6 @@ func Build(spec TopologySpec) (*Node, error) {
 // and lock-guarded stores (tracestore) both qualify.
 type PowerFn func(instanceID string) (timeseries.Series, bool)
 
-// AggregatePower computes the node's aggregate power trace: the element-wise
-// sum of the traces of every instance hosted in its subtree. Instances whose
-// trace is unknown are skipped and reported (in pre-order tree order).
-//
-// The fold is child-recursive: a node's own instance traces are summed in
-// order, then each child's aggregate is added in child order. This is the
-// exact operation order AggregateAll uses when it reuses child aggregates,
-// so the two paths are bit-identical; AggregatePower serves as the
-// independent per-node oracle in the equivalence tests. Callers that need
-// aggregates for many nodes of one tree should use AggregateAll, which
-// computes every node in a single walk instead of re-walking each subtree.
-func (n *Node) AggregatePower(power PowerFn) (timeseries.Series, []string, error) {
-	agg, started, missing, err := n.aggregateRecursive(power, n.Name)
-	if err != nil || !started {
-		return timeseries.Series{}, missing, err
-	}
-	return agg, missing, nil
-}
-
-// aggregateRecursive folds the node's own instance traces in order, then
-// each child's recursively-computed aggregate in child order. root names the
-// node the overall aggregation was requested for (used in errors). The
-// returned trace is freshly allocated and owned by the caller; started
-// distinguishes "no traced instances anywhere" from a genuine (possibly
-// zero-length) aggregate.
-func (n *Node) aggregateRecursive(power PowerFn, root string) (agg timeseries.Series, started bool, missing []string, err error) {
-	for _, id := range n.Instances {
-		s, ok := power(id)
-		if !ok {
-			missing = append(missing, id)
-			continue
-		}
-		if !started {
-			agg = s.Clone()
-			started = true
-			continue
-		}
-		if e := agg.AddInPlace(s); e != nil {
-			return timeseries.Series{}, false, missing, fmt.Errorf("powertree: aggregating %q under %q: %w", id, root, e)
-		}
-	}
-	for _, c := range n.Children {
-		cagg, cstarted, cmissing, cerr := c.aggregateRecursive(power, root)
-		missing = append(missing, cmissing...)
-		if cerr != nil {
-			return timeseries.Series{}, false, missing, cerr
-		}
-		if !cstarted {
-			continue
-		}
-		if !started {
-			agg = cagg
-			started = true
-			continue
-		}
-		if e := agg.AddInPlace(cagg); e != nil {
-			return timeseries.Series{}, false, missing, fmt.Errorf("powertree: combining %q into %q: %w", c.Name, n.Name, e)
-		}
-	}
-	return agg, started, missing, nil
-}
-
-// PeakPower returns the peak of the node's aggregate power trace, or 0 when
-// the subtree hosts no traced instances.
-func (n *Node) PeakPower(power PowerFn) (float64, error) {
-	agg, _, err := n.AggregatePower(power)
-	if err != nil {
-		return 0, err
-	}
-	if agg.Empty() {
-		return 0, nil
-	}
-	return agg.Peak(), nil
-}
-
 // SumOfPeaks computes Σ over nodes at the given level of each node's peak
 // aggregate power — the paper's fragmentation indicator #1 (§2.2). The tree
 // is aggregated once bottom-up with the default worker count (leaf folds run

@@ -2,6 +2,7 @@ package powertree
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,34 +201,36 @@ func TestAggregatePower(t *testing.T) {
 	mustAttach(t, leaves[1], "b")
 	mustAttach(t, leaves[1], "ghost") // no trace
 
-	agg, missing, err := root.AggregatePower(tracePower(traces))
+	aggs, err := root.AggregateAll(tracePower(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 1 || missing[0] != "ghost" {
+	if missing := aggs.Missing(root); len(missing) != 1 || missing[0] != "ghost" {
 		t.Fatalf("missing = %v", missing)
 	}
-	want := []float64{11, 2, 13}
-	for i, v := range agg.Values {
-		if v != want[i] {
-			t.Fatalf("agg = %v", agg.Values)
-		}
+	agg, ok := aggs.Trace(root)
+	if !ok || !reflect.DeepEqual(agg.Values, []float64{11, 2, 13}) {
+		t.Fatalf("agg = %v, %v", agg.Values, ok)
 	}
-	p, err := root.PeakPower(tracePower(traces))
-	if err != nil || p != 13 {
-		t.Fatalf("PeakPower = %v, %v", p, err)
+	if p := aggs.Peak(root); p != 13 {
+		t.Fatalf("Peak = %v", p)
 	}
 }
 
 func TestAggregatePowerEmptySubtree(t *testing.T) {
 	root, _ := Build(smallSpec())
-	agg, missing, err := root.AggregatePower(tracePower(nil))
-	if err != nil || len(missing) != 0 || !agg.Empty() {
-		t.Fatalf("empty subtree: %v %v %v", agg, missing, err)
+	aggs, err := root.AggregateAll(tracePower(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, err := root.PeakPower(tracePower(nil))
-	if err != nil || p != 0 {
-		t.Fatalf("PeakPower of empty = %v, %v", p, err)
+	if agg, ok := aggs.Trace(root); ok || !agg.Empty() {
+		t.Fatalf("empty subtree trace: %v, %v", agg, ok)
+	}
+	if missing := aggs.Missing(root); len(missing) != 0 {
+		t.Fatalf("empty subtree missing = %v", missing)
+	}
+	if p := aggs.Peak(root); p != 0 {
+		t.Fatalf("Peak of empty = %v", p)
 	}
 }
 
@@ -240,7 +243,7 @@ func TestAggregatePowerMismatch(t *testing.T) {
 	}
 	mustAttach(t, leaves[0], "a")
 	mustAttach(t, leaves[0], "b")
-	if _, _, err := root.AggregatePower(tracePower(traces)); err == nil {
+	if _, err := root.AggregateAll(tracePower(traces)); err == nil {
 		t.Fatal("mismatched traces must error")
 	}
 }

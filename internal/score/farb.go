@@ -92,7 +92,7 @@ func (w FARBWeights) Validate() error {
 // l2 are all scale-free. The weights' zero value resolves to the defaults.
 //
 // The kernel is allocation-free: one pass over residuals, no intermediate
-// slices (it is benchmarked in cmd/benchjson as score/farb_composite).
+// slices (BenchmarkFARBComposite reports its allocations).
 func Composite(w FARBWeights, residuals []float64, asyncNorm float64) (float64, error) {
 	if len(residuals) == 0 {
 		return 0, ErrNoResiduals
