@@ -162,50 +162,50 @@ func (c *Controller) Step(read Reader) ([]Throttle, []Event, error) {
 }
 
 // StepWithBudgets is Step with per-node budget overrides for this step
-// only. budget returns the effective budget for a node name (ok=false
-// falls back to the node's own Budget); nil means no overrides. The
-// emergency-degradation path uses it to model an injected breaker trip —
-// the tripped node runs on its backup feed at a fraction of nominal
+// only, read through the overlay (nil means every node's own Budget). The
+// emergency-degradation path and what-if trips use it to model a breaker
+// trip — the tripped node runs on its backup feed at a fraction of nominal
 // capacity, so draws that were fine yesterday now arm its cap and shed —
-// without mutating the shared tree.
-func (c *Controller) StepWithBudgets(read Reader, budget func(node string) (float64, bool)) ([]Throttle, []Event, error) {
+// without writing the tree: a step reads the tree and writes only the
+// controller's own sustain and arm state.
+//
+// A step lays the instances out in one slab (see layout): each subtree's
+// instances are one contiguous range of a pre-order list, so per-instance
+// state and effective draw live in slices indexed by slab position, a
+// node's draw is summed over its range in AllInstances order, and shedding
+// sorts that range's positions. Instance IDs are unique within a tree (the
+// runtime never places one twice), so one position per instance holds what
+// an ID-keyed map would.
+func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay) ([]Throttle, []Event, error) {
 	c.step++
 	var throttles []Throttle
 	var events []Event
 
-	// Effective power per instance, updated as throttles are issued so that
-	// ancestor nodes see the relief from descendant caps.
-	effective := make(map[string]float64)
-	states := make(map[string]InstanceState)
-	for _, id := range c.tree.AllInstances() {
+	// Effective power per slab position, updated as throttles are issued so
+	// that ancestor nodes see the relief from descendant caps.
+	ids, spans := layout(c.tree)
+	states := make([]InstanceState, len(ids))
+	effective := make([]float64, len(ids))
+	for p, id := range ids {
 		st, ok := read(id)
 		if !ok {
 			return nil, nil, fmt.Errorf("capping: no state for instance %q", id)
 		}
-		states[id] = st
-		effective[id] = st.Power
+		states[p] = st
+		effective[p] = st.Power
 	}
 
-	// Bottom-up: order nodes by depth descending (leaves first).
-	nodes := nodesByDepth(c.tree)
-	for _, nd := range nodes {
-		ids := nd.Instances
-		if !nd.IsLeaf() {
-			ids = nd.AllInstances()
-		}
-		if len(ids) == 0 {
+	var order []int
+	for _, sp := range spans {
+		if sp.lo == sp.hi {
 			continue
 		}
+		nd := sp.node
 		var draw float64
-		for _, id := range ids {
-			draw += effective[id]
+		for _, e := range effective[sp.lo:sp.hi] {
+			draw += e
 		}
-		nodeBudget := nd.Budget
-		if budget != nil {
-			if b, ok := budget(nd.Name); ok {
-				nodeBudget = b
-			}
-		}
+		nodeBudget := nd.BudgetUnder(budget)
 		over := draw > nodeBudget
 		if over {
 			c.overCount[nd.Name]++
@@ -231,7 +231,10 @@ func (c *Controller) StepWithBudgets(read Reader, budget func(node string) (floa
 		if need <= 0 {
 			continue
 		}
-		order := append([]string(nil), ids...)
+		order = order[:0]
+		for p := sp.lo; p < sp.hi; p++ {
+			order = append(order, p)
+		}
 		sort.SliceStable(order, func(a, b int) bool {
 			pa, pb := states[order[a]].Priority, states[order[b]].Priority
 			if pa != pb {
@@ -239,12 +242,12 @@ func (c *Controller) StepWithBudgets(read Reader, budget func(node string) (floa
 			}
 			return effective[order[a]] > effective[order[b]]
 		})
-		for _, id := range order {
+		for _, p := range order {
 			if need <= 0 {
 				break
 			}
-			st := states[id]
-			avail := effective[id] - st.MinPower
+			st := states[p]
+			avail := effective[p] - st.MinPower
 			if avail <= 0 {
 				continue
 			}
@@ -252,11 +255,11 @@ func (c *Controller) StepWithBudgets(read Reader, budget func(node string) (floa
 			if shed > need {
 				shed = need
 			}
-			newPower := effective[id] - shed
-			effective[id] = newPower
+			newPower := effective[p] - shed
+			effective[p] = newPower
 			need -= shed
 			throttles = append(throttles, Throttle{
-				InstanceID:  id,
+				InstanceID:  ids[p],
 				Node:        nd.Name,
 				TargetPower: newPower,
 				Shed:        shed,
@@ -322,25 +325,31 @@ func mergeThrottles(ts []Throttle) []Throttle {
 	return out
 }
 
-// nodesByDepth returns the tree's nodes ordered leaves-first.
-func nodesByDepth(root *powertree.Node) []*powertree.Node {
-	type depthNode struct {
-		n     *powertree.Node
-		depth int
-	}
-	var all []depthNode
-	var walk func(n *powertree.Node, d int)
-	walk = func(n *powertree.Node, d int) {
-		all = append(all, depthNode{n, d})
+// span is one node's range of a step's slab: its subtree's instances sit at
+// slab positions [lo, hi).
+type span struct {
+	node   *powertree.Node
+	depth  int
+	lo, hi int
+}
+
+// layout walks the tree once in pre-order, listing each node's own
+// instances before its children's subtrees, so ids is in AllInstances order
+// and every subtree is one contiguous range of it. The spans come back
+// leaves-first — depth descending, tree order within a depth — which is the
+// order a step visits the nodes in.
+func layout(root *powertree.Node) (ids []string, spans []span) {
+	var walk func(n *powertree.Node, depth int)
+	walk = func(n *powertree.Node, depth int) {
+		i := len(spans)
+		spans = append(spans, span{node: n, depth: depth, lo: len(ids)})
+		ids = append(ids, n.Instances...)
 		for _, c := range n.Children {
-			walk(c, d+1)
+			walk(c, depth+1)
 		}
+		spans[i].hi = len(ids)
 	}
 	walk(root, 0)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].depth > all[j].depth })
-	out := make([]*powertree.Node, len(all))
-	for i, dn := range all {
-		out[i] = dn.n
-	}
-	return out
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].depth > spans[j].depth })
+	return ids, spans
 }

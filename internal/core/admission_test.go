@@ -12,7 +12,7 @@ import (
 // admissionFixture bootstraps a runtime on all but the last three instances
 // so tests can admit the held-out ones online. Returns the runtime, the
 // placed instances, the held-out instances, and the training end.
-func admissionFixture(t *testing.T) (*Runtime, []placement.Instance, []placement.Instance, time.Time) {
+func admissionFixture(t testing.TB) (*Runtime, []placement.Instance, []placement.Instance, time.Time) {
 	t.Helper()
 	rt, instances, _, trainEnd := runtimeFixture(t)
 	hold := 3

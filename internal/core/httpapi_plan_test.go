@@ -83,6 +83,7 @@ func TestHTTPPlanErrors(t *testing.T) {
 		{"missing kind", `{}`, "bad_request", http.StatusBadRequest},
 		{"unknown kind", `{"kind":"explode"}`, "bad_request", http.StatusBadRequest},
 		{"bad fraction", `{"kind":"trip_breaker","node":"dc","budget_fraction":2}`, "bad_request", http.StatusBadRequest},
+		{"overflowing duration", `{"kind":"trip_breaker","node":"dc","start":"2016-08-01T00:00:00Z","duration_seconds":1e10}`, "bad_request", http.StatusBadRequest},
 		{"unknown service", `{"kind":"replace_service","service":"no-such"}`, "unknown_service", http.StatusNotFound},
 		{"unknown archetype", `{"kind":"add_instances","archetype":"no-such","count":1}`, "unknown_service", http.StatusNotFound},
 		{"unknown node", `{"kind":"trip_breaker","node":"no/such/node"}`, "unknown_node", http.StatusNotFound},

@@ -613,24 +613,17 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, tv *view
 			factor[tp.Node] = tp.Budget()
 		}
 	}
+	// Tripped nodes run at their backup-feed budgets through one overlay,
+	// read by the breaker check and the capper alike; the tree's budgets are
+	// never written.
+	var override powertree.BudgetOverlay
 	if len(factor) > 0 {
-		rep.BreakerTrips = r.breakersUnder(factor, tv.online.Aggregates())
-		obsBreakerTrips.Add(uint64(len(rep.BreakerTrips)))
-	}
-
-	// Step the capper when budgets are reduced, or when a previous tick left
-	// caps armed and the trip has since cleared (so they can release).
-	if len(factor) == 0 && len(r.emergency) == 0 {
-		return nil
-	}
-	nominal := make(map[string]float64)
-	r.tree.Walk(func(n *powertree.Node) {
-		if _, ok := factor[n.Name]; ok {
-			nominal[n.Name] = n.Budget
-		}
-	})
-	var override func(node string) (float64, bool)
-	if len(factor) > 0 {
+		nominal := make(map[string]float64, len(factor))
+		r.tree.Walk(func(n *powertree.Node) {
+			if _, ok := factor[n.Name]; ok {
+				nominal[n.Name] = n.Budget
+			}
+		})
 		override = func(node string) (float64, bool) {
 			f, ok := factor[node]
 			if !ok {
@@ -638,6 +631,14 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, tv *view
 			}
 			return nominal[node] * f, true
 		}
+		rep.BreakerTrips = tv.online.Aggregates().CheckBreakersWithBudgets(2*r.store.Step(), override)
+		obsBreakerTrips.Add(uint64(len(rep.BreakerTrips)))
+	}
+
+	// Step the capper when budgets are reduced, or when a previous tick left
+	// caps armed and the trip has since cleared (so they can release).
+	if len(factor) == 0 && len(r.emergency) == 0 {
+		return nil
 	}
 	throttles, events, err := r.capper.StepWithBudgets(peakReader(tv.traces), override)
 	if err != nil {
@@ -653,25 +654,6 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, tv *view
 		}
 	}
 	return nil
-}
-
-// breakersUnder re-checks the tree's breakers against the tick's aggregates
-// with tripped nodes scaled to their backup-feed budgets, restoring the
-// nominal budgets afterwards.
-func (r *Runtime) breakersUnder(factor map[string]float64, aggs *powertree.Aggregates) []powertree.BreakerTrip {
-	saved := make(map[string]float64, len(factor))
-	r.tree.Walk(func(n *powertree.Node) {
-		if f, ok := factor[n.Name]; ok {
-			saved[n.Name] = n.Budget
-			n.Budget *= f
-		}
-	})
-	defer r.tree.Walk(func(n *powertree.Node) {
-		if b, ok := saved[n.Name]; ok {
-			n.Budget = b
-		}
-	})
-	return aggs.CheckBreakers(2 * r.store.Step())
 }
 
 // peakReader views a window's traces as capping state: an instance draws

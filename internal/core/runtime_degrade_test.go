@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -255,6 +256,12 @@ func TestTickEscalatesInjectedTripAndReleases(t *testing.T) {
 	if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
 		t.Fatal(err)
 	}
+	budgets := func() map[string]float64 {
+		out := make(map[string]float64)
+		tree.Walk(func(n *powertree.Node) { out[n.Name] = n.Budget })
+		return out
+	}
+	nominal := budgets()
 
 	// First test week overlaps the trip: the leaf's backup feed carries 20%
 	// of nominal budget, the two-instance draw violates it, and the
@@ -268,6 +275,21 @@ func TestTickEscalatesInjectedTripAndReleases(t *testing.T) {
 	}
 	if len(rep.BreakerTrips) == 0 {
 		t.Fatal("no breaker violations at the reduced budget")
+	}
+	// The trip reaches the breaker check through a budget overlay: the live
+	// budgets are untouched, and the trips equal scaling the tree in place
+	// and restoring it, over the same aggregates.
+	if got := budgets(); !reflect.DeepEqual(got, nominal) {
+		t.Fatalf("tick left budgets %v, want %v", got, nominal)
+	}
+	rt.mu.Lock()
+	leaf := tree.Find(tripLeaf)
+	leaf.Budget *= rep.ActiveTrips[0].Budget()
+	want := rt.view.online.Aggregates().CheckBreakers(2 * rt.store.Step())
+	leaf.Budget = nominal[tripLeaf]
+	rt.mu.Unlock()
+	if !reflect.DeepEqual(rep.BreakerTrips, want) {
+		t.Fatalf("BreakerTrips = %+v, mutate-and-restore oracle %+v", rep.BreakerTrips, want)
 	}
 	if len(rep.EmergencyThrottles) == 0 {
 		t.Fatal("no emergency throttles issued")

@@ -14,20 +14,20 @@ import (
 
 // runtimeFixture wires a fleet's generated traces through a store into a
 // Runtime, exactly like a deployment would stream sensor data.
-func runtimeFixture(t *testing.T) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
+func runtimeFixture(t testing.TB) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
 	t.Helper()
 	return runtimeFixtureWith(t, RuntimeConfig{})
 }
 
 // runtimeFixtureWith is runtimeFixture with an explicit runtime config.
-func runtimeFixtureWith(t *testing.T, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
+func runtimeFixtureWith(t testing.TB, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
 	t.Helper()
 	return runtimeFixtureFor(t, Config{TopServices: 8, Seed: 1}, rcfg)
 }
 
 // runtimeFixtureFor is runtimeFixture with explicit framework and runtime
 // configs.
-func runtimeFixtureFor(t *testing.T, cfg Config, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
+func runtimeFixtureFor(t testing.TB, cfg Config, rcfg RuntimeConfig) (*Runtime, []placement.Instance, *workload.Fleet, time.Time) {
 	t.Helper()
 	dc, err := workload.StandardDCConfig(workload.DC2, 1)
 	if err != nil {

@@ -129,8 +129,15 @@ func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) 
 // construction (nothing sits below their breakers); interior levels
 // accumulate the headroom their subtrees cannot deliver.
 func FragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates) ([]FragmentationRow, error) {
+	return FragmentationRatesWithBudgets(tree, aggs, nil)
+}
+
+// FragmentationRatesWithBudgets is FragmentationRatesFrom with each node's
+// budget read through the overlay (nil means nominal budgets), so the rows
+// of a tripped feed come from the same aggregates as the nominal ones.
+func FragmentationRatesWithBudgets(tree *powertree.Node, aggs *powertree.Aggregates, budget powertree.BudgetOverlay) ([]FragmentationRow, error) {
 	rows := strandedRows(tree, powertree.PowerDimension,
-		func(n *powertree.Node) (float64, bool) { return n.Budget, true }, aggs.Peak)
+		func(n *powertree.Node) (float64, bool) { return n.BudgetUnder(budget), true }, aggs.Peak)
 	for _, row := range rows {
 		if row.Capacity <= 0 {
 			return nil, fmt.Errorf("%w: level %s has no capacity", ErrBudget, row.Level)

@@ -5,17 +5,23 @@
 // questions offline; a planning service answers them while the runtime keeps
 // ticking).
 //
-// The isolation contract is copy-on-write. A Snapshot captures the placement
-// once — the power tree's topology, budgets and instance lists are cloned
-// (cheap: names and string slices), while the trace view, whose float64
-// payloads dominate memory, is shared by reference and treated as immutable
-// (every consumer down the stack — placement.Online, powertree aggregation,
-// capping — clones before in-place arithmetic). Each query evaluation then
-// works on a further private clone of the node structure, so one snapshot
-// serves many concurrent planners and no query ever observes another query's
-// mutations, let alone the live runtime's. Planners therefore never block
-// the runtime's Tick or admission path: the only synchronized work is the
-// O(nodes + instances) metadata copy at snapshot time.
+// The isolation contract: a Snapshot captures the placement once — the
+// power tree's topology, budgets and instance lists are cloned (cheap: names
+// and string slices), while the trace view, whose float64 payloads dominate
+// memory, is shared by reference and treated as immutable (every consumer
+// down the stack — placement.Online, powertree aggregation, capping — clones
+// before in-place arithmetic). After NewSnapshot nothing writes the
+// snapshot. Its first query aggregates the snapshot's tree once and keeps
+// the aggregates beside the shared "before" report. A trip_breaker query
+// reads those aggregates and the snapshot's tree under a budget overlay
+// (powertree.BudgetOverlay) — aggregates do not depend on budgets — so it
+// needs no clone and no aggregation. replace_service and add_instances move
+// instances, so each works on a private clone of the node structure and
+// aggregates that. One snapshot therefore serves many concurrent planners,
+// no query ever observes another query's work, let alone the live runtime's,
+// and planners never block the runtime's Tick or admission path: the only
+// synchronized work is the O(nodes + instances) metadata copy at snapshot
+// time.
 //
 // Results are deterministic: instances are re-placed in tree order, policies
 // are seeded, aggregation is bit-identical at any worker count, and every
@@ -27,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -114,6 +121,11 @@ func (q Query) validate() error {
 		}
 		if q.DurationSeconds < 0 {
 			return fmt.Errorf(`%w: "duration_seconds" must not be negative`, ErrBadQuery)
+		}
+		// A time.Duration holds ≈ 292 years; converting anything longer wraps
+		// negative (NaN and +Inf fail this comparison too).
+		if !(q.DurationSeconds*float64(time.Second) < math.MaxInt64) {
+			return fmt.Errorf(`%w: "duration_seconds" must be below %.0f, got %v`, ErrBadQuery, math.MaxInt64/float64(time.Second), q.DurationSeconds)
 		}
 	case "":
 		return fmt.Errorf(`%w: missing "kind"`, ErrBadQuery)
@@ -222,7 +234,8 @@ type Result struct {
 // Snapshot is an immutable, isolated capture of a placement: a private
 // clone of the power tree plus a shared read-only trace view. Snapshots are
 // safe for concurrent Evaluate calls; the first caller to need the "before"
-// report computes it once and every later query on the snapshot reuses it.
+// report computes it — and the aggregates behind it — once, and every later
+// query on the snapshot reuses them.
 type Snapshot struct {
 	tree     *powertree.Node
 	traces   map[string]timeseries.Series
@@ -230,11 +243,24 @@ type Snapshot struct {
 	asOf     time.Time
 	step     time.Duration
 
-	// beforeOnce guards the lazily computed baseline report, shared by
-	// every query on this snapshot (sync.Once publication).
+	// start and end bound the telemetry window, taken from the first placed
+	// instance's trace (every trace in one snapshot shares the window);
+	// haveWindow is false when the tree hosts no traced instance.
+	start, end time.Time
+	haveWindow bool
+
+	// beforeOnce guards the lazily computed baseline — the snapshot tree's
+	// aggregates and the report derived from them — shared by every query
+	// on this snapshot (sync.Once publication).
 	beforeOnce sync.Once
+	aggs       *powertree.Aggregates
 	before     Report
 	beforeErr  error
+
+	// peaksOnce guards each resident's window peak, computed on the first
+	// trip_breaker query so the other kinds never pay for it.
+	peaksOnce sync.Once
+	peaks     map[string]float64
 }
 
 // NewSnapshot captures the given placement. The tree is deep-cloned and the
@@ -251,7 +277,8 @@ func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, serv
 	if step <= 0 {
 		return nil, fmt.Errorf("%w: got %v", ErrBadStep, step)
 	}
-	for _, id := range tree.AllInstances() {
+	ids := tree.AllInstances()
+	for _, id := range ids {
 		if _, ok := traces[id]; !ok {
 			return nil, fmt.Errorf("%w: %q", ErrMissingTrace, id)
 		}
@@ -264,14 +291,20 @@ func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, serv
 	for id, svc := range services {
 		scopy[id] = svc
 	}
-	obsSnapshots.Inc()
-	return &Snapshot{
+	snap := &Snapshot{
 		tree:     tree.Clone(),
 		traces:   tcopy,
 		services: scopy,
 		asOf:     asOf,
 		step:     step,
-	}, nil
+	}
+	if len(ids) > 0 {
+		if tr := traces[ids[0]]; tr.Len() > 0 {
+			snap.start, snap.end, snap.haveWindow = tr.Start, tr.Start.Add(time.Duration(tr.Len())*tr.Step), true
+		}
+	}
+	obsSnapshots.Inc()
+	return snap, nil
 }
 
 // AsOf returns the evaluation time the snapshot was captured at.
@@ -296,14 +329,22 @@ func (s *Snapshot) powerFn(extra map[string]timeseries.Series) powertree.PowerFn
 	}
 }
 
-// report aggregates a (scratch) tree once and summarizes it: Σ leaf peaks,
-// per-level fragmentation, breaker violations at current budgets.
-func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Series, workers int) (Report, error) {
+// report aggregates a tree once and summarizes it at nominal budgets. The
+// aggregates come back too, for the baseline to keep.
+func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Series, workers int) (Report, *powertree.Aggregates, error) {
 	aggs, err := tree.AggregateAllParallel(s.powerFn(extra), workers)
 	if err != nil {
-		return Report{}, fmt.Errorf("plan: aggregating: %w", err)
+		return Report{}, nil, fmt.Errorf("plan: aggregating: %w", err)
 	}
-	rows, err := metrics.FragmentationRatesFrom(tree, aggs)
+	rep, err := s.summarize(tree, aggs, nil)
+	return rep, aggs, err
+}
+
+// summarize derives a Report from a tree's aggregates, reading each node's
+// budget through the overlay (nil means nominal budgets): Σ leaf peaks,
+// per-level fragmentation, breaker violations.
+func (s *Snapshot) summarize(tree *powertree.Node, aggs *powertree.Aggregates, budget powertree.BudgetOverlay) (Report, error) {
+	rows, err := metrics.FragmentationRatesWithBudgets(tree, aggs, budget)
 	if err != nil {
 		return Report{}, fmt.Errorf("plan: fragmentation: %w", err)
 	}
@@ -322,7 +363,7 @@ func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Seri
 			RatePct:         row.RatePct,
 		})
 	}
-	for _, trip := range aggs.CheckBreakers(s.sustain()) {
+	for _, trip := range aggs.CheckBreakersWithBudgets(s.sustain(), budget) {
 		rep.BreakerViolations = append(rep.BreakerViolations, BreakerViolation{
 			Node:              trip.Node,
 			Level:             trip.Level.String(),
@@ -334,17 +375,18 @@ func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Seri
 	return rep, nil
 }
 
-// baseline returns the snapshot's "before" report, computed once and shared
-// by every query on the snapshot.
-func (s *Snapshot) baseline(workers int) (Report, error) {
+// baseline returns the snapshot's "before" report and the aggregates it was
+// derived from, computed once and shared by every query on the snapshot.
+func (s *Snapshot) baseline(workers int) (Report, *powertree.Aggregates, error) {
 	s.beforeOnce.Do(func() {
-		s.before, s.beforeErr = s.report(s.tree, nil, workers)
+		s.before, s.aggs, s.beforeErr = s.report(s.tree, nil, workers)
 	})
-	return s.before, s.beforeErr
+	return s.before, s.aggs, s.beforeErr
 }
 
-// Evaluate answers one query against the snapshot. The evaluation runs
-// entirely on a private clone of the snapshot's tree, checks ctx between
+// Evaluate answers one query against the snapshot. The evaluation never
+// writes the snapshot — trip_breaker reads it under a budget overlay, the
+// other kinds work on a private clone of its tree — checks ctx between
 // incremental placement steps (so a deadline bounds even large queries),
 // and is deterministic: identical (snapshot, query, workers) evaluations
 // produce identical results, and results are additionally bit-identical
@@ -356,7 +398,7 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("plan: evaluating %s: %w", q.Kind, err)
 	}
-	before, err := s.baseline(workers)
+	before, aggs, err := s.baseline(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +409,7 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 	case KindAddInstances:
 		err = s.evalAddInstances(ctx, q, workers, res)
 	case KindTripBreaker:
-		err = s.evalTripBreaker(q, workers, res)
+		err = s.evalTripBreaker(q, aggs, res)
 	}
 	if err != nil {
 		return nil, err
@@ -425,7 +467,7 @@ func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, workers int,
 			res.Moved++
 		}
 	}
-	after, err := s.report(scratch, nil, workers)
+	after, _, err := s.report(scratch, nil, workers)
 	if err != nil {
 		return err
 	}
@@ -456,7 +498,9 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, r
 	if !ok {
 		return fmt.Errorf("%w: archetype %q has no placed instances with aligned traces", ErrUnknownService, q.Archetype)
 	}
-	extra := make(map[string]timeseries.Series, q.Count)
+	// No size hint: count is client input, and the first rejection stops
+	// the admissions long before a large count would be reached.
+	extra := make(map[string]timeseries.Series)
 	online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(extra)), q.policy())
 	if err != nil {
 		return fmt.Errorf("plan: add_instances view: %w", err)
@@ -478,7 +522,7 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, r
 		}
 		res.Admitted++
 	}
-	after, err := s.report(scratch, extra, workers)
+	after, _, err := s.report(scratch, extra, workers)
 	if err != nil {
 		return err
 	}
@@ -488,25 +532,26 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, r
 
 // evalTripBreaker schedules a faults.TripWindow on the named node and
 // reports the breaker and emergency-capping impact of running it at the
-// backup-feed budget over the snapshot's telemetry window.
-func (s *Snapshot) evalTripBreaker(q Query, workers int, res *Result) error {
-	scratch := s.tree.Clone()
-	node := scratch.Find(q.Node)
+// backup-feed budget over the snapshot's telemetry window. It writes
+// nothing: the "after" report re-reads the baseline aggregates under a
+// budget overlay that scales only the tripped node, and the capping step
+// runs on the snapshot's tree under the same overlay.
+func (s *Snapshot) evalTripBreaker(q Query, aggs *powertree.Aggregates, res *Result) error {
+	node := s.tree.Find(q.Node)
 	if node == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, q.Node)
 	}
 	dur := time.Duration(q.DurationSeconds * float64(time.Second))
 	trip := faults.TripWindow{Node: q.Node, Start: q.Start, Duration: dur, BudgetFraction: q.BudgetFraction}
-	start, end, haveWindow := s.window()
 	applied := true
 	tripStart, tripEnd := trip.Start, trip.Start.Add(trip.Duration)
 	if trip.Start.IsZero() {
-		tripStart, tripEnd = start, end
+		tripStart, tripEnd = s.start, s.end
 	} else {
 		if trip.Duration == 0 {
-			tripEnd = end
+			tripEnd = s.end
 		}
-		applied = haveWindow && tripStart.Before(end) && start.Before(tripEnd)
+		applied = s.haveWindow && tripStart.Before(s.end) && s.start.Before(tripEnd)
 	}
 	res.Trip = &TripView{
 		Node:           q.Node,
@@ -515,25 +560,31 @@ func (s *Snapshot) evalTripBreaker(q Query, workers int, res *Result) error {
 		BudgetFraction: trip.Budget(),
 		Applied:        applied,
 	}
-	if applied {
-		node.Budget *= trip.Budget()
+	if !applied {
+		// Nominal budgets everywhere: the baseline is the answer.
+		res.After = res.Before
+		return nil
 	}
-	after, err := s.report(scratch, nil, workers)
+	reduced := node.Budget * trip.Budget()
+	budget := func(name string) (float64, bool) {
+		if name != q.Node {
+			return 0, false
+		}
+		return reduced, true
+	}
+	after, err := s.summarize(s.tree, aggs, budget)
 	if err != nil {
 		return err
 	}
 	res.After = after
-	if !applied {
-		return nil
-	}
 	// Emergency-capping impact: one controller step at the reduced budget,
 	// with every instance drawing its window peak — the same state the
 	// runtime's emergency path feeds the capper.
-	capper, err := capping.New(scratch, capping.Config{SustainSteps: 1})
+	capper, err := capping.New(s.tree, capping.Config{SustainSteps: 1})
 	if err != nil {
 		return fmt.Errorf("plan: trip_breaker capper: %w", err)
 	}
-	throttles, _, err := capper.Step(s.peakReader())
+	throttles, _, err := capper.StepWithBudgets(s.peakReader(), budget)
 	if err != nil {
 		return fmt.Errorf("plan: trip_breaker capping step: %w", err)
 	}
@@ -544,32 +595,26 @@ func (s *Snapshot) evalTripBreaker(q Query, workers int, res *Result) error {
 	return nil
 }
 
-// window returns the snapshot's telemetry window [start, end), taken from
-// the first placed instance's trace (every trace in one snapshot shares the
-// window). ok is false when the tree hosts no instances.
-func (s *Snapshot) window() (start, end time.Time, ok bool) {
-	ids := s.tree.AllInstances()
-	if len(ids) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	tr := s.traces[ids[0]]
-	if tr.Len() == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	return tr.Start, tr.Start.Add(time.Duration(tr.Len()) * tr.Step), true
-}
-
 // peakReader views the snapshot's traces as capping state: each instance
 // draws its window peak and can be throttled to half of it (backend class)
-// — mirroring the runtime's emergency-capping reader.
+// — mirroring the runtime's emergency-capping reader. The peaks are
+// computed once per snapshot, on its first trip_breaker query.
 func (s *Snapshot) peakReader() capping.Reader {
-	traces := s.traces
+	s.peaksOnce.Do(func() {
+		ids := s.tree.AllInstances()
+		s.peaks = make(map[string]float64, len(ids))
+		for _, id := range ids {
+			if tr := s.traces[id]; tr.Len() > 0 {
+				s.peaks[id] = tr.Peak()
+			}
+		}
+	})
+	peaks := s.peaks
 	return func(id string) (capping.InstanceState, bool) {
-		tr, ok := traces[id]
-		if !ok || tr.Len() == 0 {
+		p, ok := peaks[id]
+		if !ok {
 			return capping.InstanceState{}, false
 		}
-		p := tr.Peak()
 		return capping.InstanceState{Power: p, MinPower: 0.5 * p, Priority: capping.PriorityBackend}, true
 	}
 }

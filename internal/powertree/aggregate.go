@@ -267,6 +267,14 @@ func (a *Aggregates) LevelPeaks(level Level) map[string]float64 {
 // where the draw exceeded the node's budget for at least sustain, sorted by
 // node name then start index — the scan behind Node.CheckBreakers (§2.2).
 func (a *Aggregates) CheckBreakers(sustain time.Duration) []BreakerTrip {
+	return a.CheckBreakersWithBudgets(sustain, nil)
+}
+
+// CheckBreakersWithBudgets is CheckBreakers with each node's budget read
+// through the overlay, so a tripped feed can be checked against these
+// aggregates without writing the tree. Aggregates do not depend on budgets:
+// one Aggregates answers every overlay.
+func (a *Aggregates) CheckBreakersWithBudgets(sustain time.Duration, budget BudgetOverlay) []BreakerTrip {
 	var trips []BreakerTrip
 	a.root.Walk(func(m *Node) {
 		e := a.entries[m]
@@ -274,6 +282,7 @@ func (a *Aggregates) CheckBreakers(sustain time.Duration) []BreakerTrip {
 			return
 		}
 		agg := e.trace
+		limit := m.BudgetUnder(budget)
 		start, over := -1, 0.0
 		flush := func(end int) {
 			if start < 0 {
@@ -286,12 +295,12 @@ func (a *Aggregates) CheckBreakers(sustain time.Duration) []BreakerTrip {
 			start, over = -1, 0
 		}
 		for i, v := range agg.Values {
-			if v > m.Budget {
+			if v > limit {
 				if start < 0 {
 					start = i
 				}
-				if v-m.Budget > over {
-					over = v - m.Budget
+				if v-limit > over {
+					over = v - limit
 				}
 			} else {
 				flush(i)

@@ -86,6 +86,24 @@ type Node struct {
 	parent *Node
 }
 
+// BudgetOverlay overrides node budgets for one evaluation without writing
+// the tree: it returns a node's effective budget by name, and ok=false (or a
+// nil overlay) means the node's own Budget. Breaker checks, fragmentation
+// rows and capping steps all take this one shape, so a what-if trip or an
+// injected fault is evaluated against shared state instead of a scaled
+// copy.
+type BudgetOverlay func(node string) (float64, bool)
+
+// BudgetUnder returns the node's budget under the overlay.
+func (n *Node) BudgetUnder(budget BudgetOverlay) float64 {
+	if budget != nil {
+		if b, ok := budget(n.Name); ok {
+			return b
+		}
+	}
+	return n.Budget
+}
+
 // Parent returns the supplying node, or nil at the root.
 func (n *Node) Parent() *Node { return n.parent }
 
