@@ -210,7 +210,7 @@ func (r *Runtime) admissionTrace(id, service string, asOf time.Time, trainWeeks 
 		return timeseries.Series{}, false, fmt.Errorf("core: admission trace for %q: %w", id, err)
 	}
 	r.quality[id] = q
-	if !r.quarantines(q) {
+	if !r.quarantines(tr, q) {
 		return tr, false, nil
 	}
 	var peers, fleet []timeseries.Series

@@ -422,9 +422,11 @@ func anyTrace(m map[string]timeseries.Series) timeseries.Series {
 
 // DriftReport is what the continuous monitor (§3.6) observes.
 type DriftReport struct {
-	// WorstNode is the leaf with the lowest asynchrony score.
+	// WorstNode is the leaf with the lowest asynchrony score; empty when no
+	// leaf hosts two instances, so none can be scored.
 	WorstNode string
-	// WorstScore is its score.
+	// WorstScore is its score, +Inf when WorstNode is empty. The HTTP wire
+	// form omits it then (JSON has no infinity).
 	WorstScore float64
 	// SumOfPeaks is the current leaf-level sum of peaks.
 	SumOfPeaks float64
@@ -467,7 +469,9 @@ func (f *Framework) Adapt(tree *powertree.Node, fresh map[string]timeseries.Seri
 // every capacity dimension the tree declares (see
 // placement.RemapConfig.Policy).
 func adapt(tree *powertree.Node, traces placement.TraceFn, aggs *powertree.Aggregates, scoreFloor float64, maxSwaps int, policy placement.PolicyConfig) (*DriftReport, error) {
-	scores, err := placement.LevelAsynchrony(tree, powertree.RPP, traces)
+	// The leaves' scores take their denominators from aggs, and the same
+	// scores seed the remap: no resident trace is summed again.
+	scores, err := placement.LevelAsynchronyFrom(aggs, powertree.RPP, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +482,7 @@ func adapt(tree *powertree.Node, traces placement.TraceFn, aggs *powertree.Aggre
 		}
 	}
 	if rep.WorstScore < scoreFloor {
-		rep.Swaps, err = placement.Remap(tree, traces, placement.RemapConfig{MaxSwaps: maxSwaps, Policy: policy})
+		rep.Swaps, err = placement.RemapFrom(tree, traces, scores, placement.RemapConfig{MaxSwaps: maxSwaps, Policy: policy})
 		if err != nil {
 			return nil, err
 		}

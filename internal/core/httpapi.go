@@ -493,10 +493,12 @@ type tripView struct {
 	BudgetFraction float64   `json:"budget_fraction"`
 }
 
-// tickView is the wire form of a DriftReport.
+// tickView is the wire form of a DriftReport. worst_score is omitted when
+// worst_node is empty: no leaf could be scored and the report's +Inf has no
+// JSON form.
 type tickView struct {
 	WorstNode          string   `json:"worst_node"`
-	WorstScore         float64  `json:"worst_score"`
+	WorstScore         *float64 `json:"worst_score,omitempty"`
 	SumOfPeaks         float64  `json:"sum_of_peaks"`
 	Swaps              int      `json:"swaps"`
 	SwappedIDs         []string `json:"swapped_ids,omitempty"`
@@ -508,12 +510,15 @@ type tickView struct {
 func newTickView(rep *DriftReport) *tickView {
 	v := &tickView{
 		WorstNode:          rep.WorstNode,
-		WorstScore:         rep.WorstScore,
 		SumOfPeaks:         rep.SumOfPeaks,
 		Swaps:              len(rep.Swaps),
 		Quarantined:        rep.Quarantined,
 		BreakerTrips:       len(rep.BreakerTrips),
 		EmergencyThrottles: len(rep.EmergencyThrottles),
+	}
+	if rep.WorstNode != "" {
+		s := rep.WorstScore
+		v.WorstScore = &s
 	}
 	for _, sw := range rep.Swaps {
 		v.SwappedIDs = append(v.SwappedIDs, sw.InstanceA, sw.InstanceB)

@@ -96,6 +96,84 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestHTTPUnscorableTick: a tick over a tree where no leaf hosts two
+// residents has no worst leaf and a +Inf score. /v1/status and /v1/history
+// must still serve it — omitting worst_score, which JSON cannot encode —
+// while a scored tick keeps the field.
+func TestHTTPUnscorableTick(t *testing.T) {
+	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 3, nil)
+	srv := httptest.NewServer(HTTPHandler(rt))
+	defer srv.Close()
+	get := func(path string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d %s", path, resp.StatusCode, body)
+		}
+		var last map[string]json.RawMessage
+		if path == "/v1/history" {
+			var ticks []map[string]json.RawMessage
+			if err := json.Unmarshal(body, &ticks); err != nil {
+				t.Fatal(err)
+			}
+			last = ticks[len(ticks)-1]
+		} else {
+			var status struct {
+				LastTick map[string]json.RawMessage `json:"last_tick"`
+			}
+			if err := json.Unmarshal(body, &status); err != nil {
+				t.Fatal(err)
+			}
+			last = status.LastTick
+		}
+		return last
+	}
+
+	if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Tick(trainEnd.Add(dWeek), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/status", "/v1/history"} {
+		if _, ok := get(path)["worst_score"]; !ok {
+			t.Fatalf("%s: scored tick lost worst_score", path)
+		}
+	}
+
+	for _, leaf := range rt.Tree().Leaves() {
+		for _, id := range append([]string(nil), leaf.Instances[1:]...) {
+			if _, err := rt.RetireInstance(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rep, err := rt.Tick(trainEnd.Add(dWeek), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WorstNode != "" {
+		t.Fatalf("one resident per leaf, yet worst node %q", rep.WorstNode)
+	}
+	for _, path := range []string{"/v1/status", "/v1/history"} {
+		last := get(path)
+		if _, ok := last["worst_score"]; ok {
+			t.Fatalf("%s: unscorable tick reports worst_score %s", path, last["worst_score"])
+		}
+		if string(last["worst_node"]) != `""` {
+			t.Fatalf("%s: worst_node = %s", path, last["worst_node"])
+		}
+	}
+}
+
 // TestHTTPV1HealthDegradation drives the runtime into a degraded state and
 // checks /v1/health reports it.
 func TestHTTPV1HealthDegradation(t *testing.T) {

@@ -107,7 +107,8 @@ type RuntimeConfig struct {
 	// MinCoverage is the raw-coverage fraction below which an instance is
 	// quarantined and scored from its service's reference trace. 0 means
 	// 0.5 (the tracestore GradePoor threshold); values outside [0, 1) are
-	// rejected with ErrBadMinCoverage.
+	// rejected with ErrBadMinCoverage. An instance whose window has no data,
+	// or never rises above 0 W whatever its coverage, is quarantined too.
 	MinCoverage float64
 	// IngestRetries is how many times a transient store failure
 	// (tracestore.ErrTransient) is retried before Ingest gives up. 0 means
@@ -370,14 +371,15 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	return nil
 }
 
-// quarantines reports whether a trace of this quality is too thin to score
-// its instance from.
-func (r *Runtime) quarantines(q tracestore.Quality) bool {
-	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage
+// quarantines reports whether a trace is unfit to score its instance from:
+// no data, raw coverage below the floor, or a window that never draws power
+// (the asynchrony scores are undefined for a trace whose peak is ≤ 0).
+func (r *Runtime) quarantines(tr timeseries.Series, q tracestore.Quality) bool {
+	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage || tr.Peak() <= 0
 }
 
 // scoringTraces reads one trace per instance through read and grades it.
-// Instances below the quarantine floor are scored from a reference trace
+// Instances the quarantine rule rejects are scored from a reference trace
 // instead: the mean of their service's healthy peers (in ids order), falling
 // back to the fleet-wide mean when the whole service is dark. No healthy
 // trace anywhere is ErrAllQuarantined. what names the caller in errors.
@@ -395,7 +397,7 @@ func (r *Runtime) scoringTraces(what string, ids []string, read func(id string) 
 			return nil, nil, nil, fmt.Errorf("core: %s trace for %q: %w", what, id, err)
 		}
 		quality[id] = q
-		if r.quarantines(q) {
+		if r.quarantines(tr, q) {
 			quarantined = append(quarantined, id)
 			continue
 		}

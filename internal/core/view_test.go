@@ -98,19 +98,24 @@ func TestRuntimeViewAgreesWithScratch(t *testing.T) {
 }
 
 // TestTickAggregatesOnce: a tick sweeps the fleet exactly once — Σ leaf
-// peaks, the gauges and the breaker check all read that one aggregation —
-// whether or not an admission view is live.
+// peaks, the leaves' asynchrony scores, the remap they seed, the gauges and
+// the breaker check all read that one aggregation — whether or not an
+// admission view is live.
 func TestTickAggregatesOnce(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	sweeps := obs.Default().Counter("smoothop_powertree_aggregations_total", "")
 	tick := func(step string, asOf time.Time) {
 		t.Helper()
 		before := sweeps.Value()
-		if _, err := rt.Tick(asOf, 0); err != nil {
+		rep, err := rt.Tick(asOf, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sweeps.Value() - before; got != 1 {
 			t.Fatalf("%s: tick ran %d full aggregations, want exactly 1", step, got)
+		}
+		if rep.WorstNode == "" {
+			t.Fatalf("%s: tick scored no leaf, so the count covers no scoring", step)
 		}
 	}
 	tick("tick after bootstrap", trainEnd.Add(7*24*time.Hour))

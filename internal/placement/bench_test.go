@@ -70,7 +70,7 @@ func BenchmarkRemap(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := Remap(tr, traces, RemapConfig{MaxSwaps: 8, CandidateNodes: 4}); err != nil {
+		if _, err := Remap(tr, traces, RemapConfig{MaxSwaps: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,6 +149,24 @@ func BenchmarkRemapTick(b *testing.B) {
 		tr := tree.Clone()
 		b.StartTimer()
 		if _, err := Remap(tr, traces, RemapConfig{MaxSwaps: 24}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLevelAsynchrony is the drift monitor's leaf scoring at the same
+// shape, over a prebuilt ledger as a tick holds it: one read-only pass over
+// the residents' peaks.
+func BenchmarkLevelAsynchrony(b *testing.B) {
+	tree, traces := churnFixture(b, 10_000)
+	aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LevelAsynchronyFrom(aggs, powertree.RPP, traces); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,8 @@ type Instance struct {
 
 // TraceFn resolves an instance ID to its averaged I-trace. Like
 // powertree.PowerFn, implementations must be safe for concurrent calls:
-// LevelAsynchrony resolves traces from multiple workers.
+// LevelAsynchrony (and so Remap) aggregates over them with AggregateAll,
+// which folds leaves on multiple workers.
 type TraceFn func(id string) (timeseries.Series, bool)
 
 // Placer attaches every instance to a leaf of the tree.

@@ -276,7 +276,7 @@ func TestRemapTerminatesOnGoodPlacement(t *testing.T) {
 	if err := (WorkloadAware{TopServices: 3, Seed: 1}).Place(tree, instances, traces); err != nil {
 		t.Fatal(err)
 	}
-	swaps, err := Remap(tree, traces, RemapConfig{MaxSwaps: 100, CandidateNodes: 4})
+	swaps, err := Remap(tree, traces, RemapConfig{MaxSwaps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package placement
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/powertree"
 	"repro/internal/score"
 	"repro/internal/timeseries"
@@ -25,18 +23,12 @@ type Swap struct {
 	GainA, GainB float64
 }
 
-// RemapConfig tunes incremental remapping (§3.6).
+// RemapConfig tunes incremental remapping (§3.6), which rebalances the leaf
+// (RPP) nodes as the paper does, searching every other leaf for a partner.
 type RemapConfig struct {
 	// MaxSwaps bounds the number of accepted swaps; 0 means 32. Negative is
 	// rejected with ErrBadMaxSwaps.
 	MaxSwaps int
-	// Level is the tier whose nodes are rebalanced; the paper remaps leaf
-	// (RPP) nodes. Defaults to RPP.
-	Level powertree.Level
-	// CandidateNodes bounds how many partner nodes are searched per swap,
-	// starting from the best-scoring nodes; 0 means all. Negative is
-	// rejected with ErrBadCandidateNodes.
-	CandidateNodes int
 	// Policy carries the redesigned policy/capacity options. Remap keeps the
 	// paper's differential-asynchrony objective (§3.6) regardless of Kind;
 	// what it consumes is the demand model: when Policy.Demands is set, a
@@ -46,38 +38,44 @@ type RemapConfig struct {
 	Policy PolicyConfig
 }
 
-// Errors returned for invalid remap configurations, following the
+// ErrBadMaxSwaps rejects a negative RemapConfig.MaxSwaps, following the
 // core.RuntimeConfig pattern: zero means the default, negative is a caller
 // bug and is rejected loudly instead of silently coerced.
-var (
-	ErrBadMaxSwaps       = errors.New("placement: MaxSwaps must not be negative")
-	ErrBadCandidateNodes = errors.New("placement: CandidateNodes must not be negative")
-)
+var ErrBadMaxSwaps = errors.New("placement: MaxSwaps must not be negative")
 
 // Remap incrementally improves an existing placement in response to
-// workload drift. Following §3.6, it repeatedly: finds the node with the
-// lowest asynchrony score at the configured level, finds the instance there
-// with the worst differential asynchrony score, and swaps it with an
-// instance from another node if and only if the swap raises the differential
-// scores at both nodes. It stops when no improving swap exists or MaxSwaps
-// is reached, returning the accepted swaps.
+// workload drift. Following §3.6, it repeatedly: finds the leaf with the
+// lowest asynchrony score, finds the instance there with the worst
+// differential asynchrony score, and swaps it with an instance from another
+// leaf if and only if the swap raises the differential scores at both
+// leaves. It stops when no improving swap exists or MaxSwaps is reached,
+// returning the accepted swaps. It is LevelAsynchrony, then RemapFrom.
 func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error) {
+	var scores map[string]float64
+	var err error
+	// Score only when RemapFrom will read the scores: valid config, ≥ 2 leaves.
+	if cfg.MaxSwaps >= 0 && len(tree.NodesAtLevel(powertree.RPP)) >= 2 {
+		if scores, err = LevelAsynchrony(tree, powertree.RPP, traces); err != nil {
+			return nil, err
+		}
+	}
+	return RemapFrom(tree, traces, scores, cfg)
+}
+
+// RemapFrom is Remap seeded with the leaves' current scores, as
+// LevelAsynchronyFrom returns them from the caller's ledger of tree; a leaf
+// missing from scores has fewer than two residents and reads as +Inf. The
+// two leaves a swap touches are rescored from their traces.
+func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, cfg RemapConfig) ([]Swap, error) {
 	if cfg.MaxSwaps < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, cfg.MaxSwaps)
-	}
-	if cfg.CandidateNodes < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadCandidateNodes, cfg.CandidateNodes)
 	}
 	timer := obsRemapSpan.Start()
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps == 0 {
 		maxSwaps = 32
 	}
-	level := cfg.Level
-	if level == 0 {
-		level = powertree.RPP
-	}
-	nodes := tree.NodesAtLevel(level)
+	nodes := tree.NodesAtLevel(powertree.RPP)
 	if len(nodes) < 2 {
 		obsRemaps.Inc()
 		timer.End()
@@ -91,8 +89,8 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 	// Per-node cache of instance IDs, resolved traces, asynchrony score and
 	// each resident's current differential against the node's others (cur,
 	// filled on first use). Placements only change at the two nodes of an
-	// accepted swap, so only those two entries are ever invalidated; every
-	// other node's scores are computed at most once per Remap.
+	// accepted swap, so only those two entries are ever invalidated, and
+	// marked swapped: scores no longer describes them.
 	type nodeState struct {
 		ids   []string
 		trs   []timeseries.Series
@@ -101,6 +99,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		known []bool
 	}
 	cache := make([]*nodeState, len(nodes))
+	swapped := make([]bool, len(nodes))
 	stateOf := func(i int) (*nodeState, error) {
 		if cache[i] != nil {
 			return cache[i], nil
@@ -117,7 +116,9 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 		}
 		st := &nodeState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
 		st.cur, st.known = make([]float64, len(ids)), make([]bool, len(ids))
-		if len(trs) >= 2 {
+		if s, ok := scores[n.Name]; ok && !swapped[i] {
+			st.s = s
+		} else if swapped[i] && len(trs) >= 2 {
 			s, err := score.Asynchrony(trs...)
 			if err != nil {
 				return nil, err
@@ -220,9 +221,6 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 			order = append(order, scored{i, cache[i].s})
 		}
 		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
-		if cfg.CandidateNodes > 0 && len(order) > cfg.CandidateNodes {
-			order = order[:cfg.CandidateNodes]
-		}
 
 		victimDemand, err := capGuard.demandFor(wIDs[victim])
 		if err != nil {
@@ -282,6 +280,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 					// Only the two nodes touched by the swap changed;
 					// every other cached trace set and score stays valid.
 					cache[worstIdx], cache[cand.idx] = nil, nil
+					swapped[worstIdx], swapped[cand.idx] = true, true
 					found = true
 					break
 				}
@@ -301,46 +300,44 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 	return swaps, nil
 }
 
-// LevelAsynchrony returns the asynchrony score of every node at a level,
-// keyed by node name — the drift monitor of §3.6 watches these (together
-// with sum-of-peaks) to decide when remapping is worthwhile. Nodes are
-// scored concurrently (traces must be safe for concurrent calls, like
-// PowerFn); the result is identical to a serial loop for any worker count.
+// LevelAsynchrony returns the asynchrony score of every node at a level
+// that hosts at least two instances, keyed by node name — the drift monitor
+// of §3.6 watches these (together with sum-of-peaks) to decide when
+// remapping is worthwhile. It is AggregateAll, then LevelAsynchronyFrom.
 func LevelAsynchrony(tree *powertree.Node, level powertree.Level, traces TraceFn) (map[string]float64, error) {
-	nodes := tree.NodesAtLevel(level)
-	type nodeScore struct {
-		name string
-		s    float64
-		ok   bool
-	}
-	scores, err := parallel.Map(context.Background(), len(nodes), 0, func(i int) (nodeScore, error) {
-		n := nodes[i]
-		ids := n.AllInstances()
-		if len(ids) < 2 {
-			return nodeScore{}, nil
-		}
-		trs := make([]timeseries.Series, len(ids))
-		for j, id := range ids {
-			tr, ok := traces(id)
-			if !ok {
-				return nodeScore{}, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
-			}
-			trs[j] = tr
-		}
-		s, err := score.Asynchrony(trs...)
-		if err != nil {
-			return nodeScore{}, fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
-		}
-		return nodeScore{name: n.Name, s: s, ok: true}, nil
-	})
+	aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
 	if err != nil {
 		return nil, err
 	}
+	return LevelAsynchronyFrom(aggs, level, traces)
+}
+
+// LevelAsynchronyFrom scores from the caller's aggs of the tree over the
+// same traces: each denominator is read from aggs, traces supply only the
+// residents' peaks. Leaf scores are bit-identical to score.Asynchrony over
+// the residents (a leaf folds in attachment order, Sum's order); an
+// interior node sums child aggregates, so its last bits may differ.
+func LevelAsynchronyFrom(aggs *powertree.Aggregates, level powertree.Level, traces TraceFn) (map[string]float64, error) {
 	out := make(map[string]float64)
-	for _, ns := range scores {
-		if ns.ok {
-			out[ns.name] = ns.s
+	var trs []timeseries.Series
+	for _, n := range aggs.NodesAtLevel(level) {
+		ids := n.AllInstances()
+		if len(ids) < 2 {
+			continue
 		}
+		trs = trs[:0]
+		for _, id := range ids {
+			tr, ok := traces(id)
+			if !ok {
+				return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
+			}
+			trs = append(trs, tr)
+		}
+		s, err := score.AsynchronyFromSum(aggs.Peak(n), trs...)
+		if err != nil {
+			return nil, fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
+		}
+		out[n.Name] = s
 	}
 	return out, nil
 }

@@ -15,26 +15,22 @@ import (
 )
 
 // TestRemapConfigRejectsNegatives is the regression test for the silent
-// coercion bug: RemapConfig used to treat negative MaxSwaps/CandidateNodes
-// as "use the default" (a <= 0 check), hiding caller bugs. Negatives must
-// now fail loudly with the named errors, matching core.RuntimeConfig.
+// coercion bug: RemapConfig used to treat a negative MaxSwaps as "use the
+// default" (a <= 0 check), hiding caller bugs. It must now fail loudly with
+// the named error, matching core.RuntimeConfig — through Remap and
+// RemapFrom alike, even when the traces could not be scored.
 func TestRemapConfigRejectsNegatives(t *testing.T) {
 	instances, traces, tree := testFixture(t)
 	if err := (Random{Seed: 1}).Place(tree, instances, traces); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		cfg  RemapConfig
-		want error
-	}{
-		{"negative MaxSwaps", RemapConfig{MaxSwaps: -1}, ErrBadMaxSwaps},
-		{"negative CandidateNodes", RemapConfig{CandidateNodes: -5}, ErrBadCandidateNodes},
-		{"both negative", RemapConfig{MaxSwaps: -2, CandidateNodes: -2}, ErrBadMaxSwaps},
-	}
-	for _, tc := range cases {
-		if _, err := Remap(tree.Clone(), traces, tc.cfg); !errors.Is(err, tc.want) {
-			t.Errorf("%s: Remap err = %v, want %v", tc.name, err, tc.want)
+	missing := TraceFn(func(string) (timeseries.Series, bool) { return timeseries.Series{}, false })
+	for _, tf := range []TraceFn{traces, missing} {
+		if _, err := Remap(tree.Clone(), tf, RemapConfig{MaxSwaps: -1}); !errors.Is(err, ErrBadMaxSwaps) {
+			t.Errorf("Remap err = %v, want %v", err, ErrBadMaxSwaps)
+		}
+		if _, err := RemapFrom(tree.Clone(), tf, nil, RemapConfig{MaxSwaps: -2}); !errors.Is(err, ErrBadMaxSwaps) {
+			t.Errorf("RemapFrom err = %v, want %v", err, ErrBadMaxSwaps)
 		}
 	}
 	// Zero still means the default, not zero swaps.
@@ -67,11 +63,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 	if maxSwaps <= 0 {
 		maxSwaps = 32
 	}
-	level := cfg.Level
-	if level == 0 {
-		level = powertree.RPP
-	}
-	nodes := tree.NodesAtLevel(level)
+	nodes := tree.NodesAtLevel(powertree.RPP)
 	if len(nodes) < 2 {
 		return nil, 0, nil
 	}
@@ -171,9 +163,6 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			order = append(order, scored{i, s})
 		}
 		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
-		if cfg.CandidateNodes > 0 && len(order) > cfg.CandidateNodes {
-			order = order[:cfg.CandidateNodes]
-		}
 		victimDemand, err := capGuard.demandFor(wIDs[victim])
 		if err != nil {
 			return nil, 0, err
@@ -235,12 +224,12 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 	return swaps, attempted, nil
 }
 
-// TestRemapCachedScoringEquivalence pins Remap bit-identical to the
-// recompute-everything reference: identical swap sequences (instances, nodes
-// and float gain bits), identical final placements and the same number of
-// tried pairs on the attempted counter, across fragmented and already-smooth
-// starting points, with and without a demand model whose tight per-leaf gpu
-// capacities veto some score-improving swaps.
+// TestRemapCachedScoringEquivalence pins Remap and RemapFrom bit-identical
+// to the recompute-everything reference: identical swap sequences
+// (instances, nodes and float gain bits), identical final placements and the
+// same number of tried pairs on the attempted counter, across fragmented and
+// already-smooth starting points, with and without a demand model whose
+// tight per-leaf gpu capacities veto some score-improving swaps.
 func TestRemapCachedScoringEquivalence(t *testing.T) {
 	instances, traces, _ := testFixture(t)
 	starts := map[string]Placer{
@@ -259,9 +248,27 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 	cfgs := []RemapConfig{
 		{},
 		{MaxSwaps: 3},
-		{MaxSwaps: 16, CandidateNodes: 2},
 		{MaxSwaps: 64},
 		{MaxSwaps: 64, Policy: PolicyConfig{Demands: demands}},
+	}
+	// Remap scores the leaves itself; RemapFrom is seeded from a ledger the
+	// caller built, as the drift monitor does.
+	entries := []struct {
+		name  string
+		remap func(*powertree.Node, RemapConfig) ([]Swap, error)
+	}{
+		{"Remap", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, error) { return Remap(tree, traces, cfg) }},
+		{"RemapFrom", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, error) {
+			aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
+			if err != nil {
+				return nil, err
+			}
+			scores, err := LevelAsynchronyFrom(aggs, powertree.RPP, traces)
+			if err != nil {
+				return nil, err
+			}
+			return RemapFrom(tree, traces, scores, cfg)
+		}},
 	}
 	vetoed := false
 	for name, placer := range starts {
@@ -286,31 +293,33 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		}
 		var unguarded []Swap
 		for _, cfg := range cfgs {
-			cachedTree, refTree := base.Clone(), base.Clone()
-			before := obsSwapsAttempted.Value()
-			got, err := Remap(cachedTree, traces, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAttempted := obsSwapsAttempted.Value() - before
+			refTree := base.Clone()
 			want, wantAttempted, err := remapReference(refTree, traces, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotAttempted != wantAttempted {
-				t.Fatalf("%s %+v: %d pairs attempted vs %d reference", name, cfg, gotAttempted, wantAttempted)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %+v: %d swaps cached vs %d reference", name, cfg, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] || math.Float64bits(got[i].GainA) != math.Float64bits(want[i].GainA) ||
-					math.Float64bits(got[i].GainB) != math.Float64bits(want[i].GainB) {
-					t.Fatalf("%s %+v swap %d: cached %+v != reference %+v", name, cfg, i, got[i], want[i])
+			var got []Swap
+			for _, entry := range entries {
+				cachedTree := base.Clone()
+				before := obsSwapsAttempted.Value()
+				if got, err = entry.remap(cachedTree, cfg); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !slices.Equal(cachedTree.AllInstances(), refTree.AllInstances()) {
-				t.Fatalf("%s %+v: placements diverged", name, cfg)
+				if gotAttempted := obsSwapsAttempted.Value() - before; gotAttempted != wantAttempted {
+					t.Fatalf("%s %s %+v: %d pairs attempted vs %d reference", entry.name, name, cfg, gotAttempted, wantAttempted)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s %s %+v: %d swaps cached vs %d reference", entry.name, name, cfg, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] || math.Float64bits(got[i].GainA) != math.Float64bits(want[i].GainA) ||
+						math.Float64bits(got[i].GainB) != math.Float64bits(want[i].GainB) {
+						t.Fatalf("%s %s %+v swap %d: cached %+v != reference %+v", entry.name, name, cfg, i, got[i], want[i])
+					}
+				}
+				if !slices.Equal(cachedTree.AllInstances(), refTree.AllInstances()) {
+					t.Fatalf("%s %s %+v: placements diverged", entry.name, name, cfg)
+				}
 			}
 			if cfg.Policy.Demands == nil && cfg.MaxSwaps == 64 {
 				unguarded = got

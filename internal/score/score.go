@@ -28,30 +28,54 @@ var (
 // The score is 1.0 when every component peaks simultaneously and approaches
 // |M| as peaks interleave perfectly; higher is better. All traces must have
 // positive peaks (a trace that never draws power carries no signal and
-// would produce a degenerate ratio).
+// would produce a degenerate ratio). It sums the traces in argument order
+// and hands the sum's peak to AsynchronyFromSum; callers that already hold
+// that peak should call the kernel directly.
 func Asynchrony(traces ...timeseries.Series) (float64, error) {
 	if len(traces) == 0 {
 		return 0, ErrNoTraces
 	}
+	sum, err := timeseries.Sum(traces...)
+	if err != nil {
+		// Sum stopped at the first trace misaligned with traces[0]. Report
+		// the first fault in argument order, each trace's peak checked
+		// before its alignment, as one pass over the traces meets them.
+		for i, tr := range traces {
+			if tr.Peak() <= 0 {
+				return 0, fmt.Errorf("%w (index %d)", ErrZeroPeak, i)
+			}
+			if tr.Len() != traces[0].Len() || tr.Step != traces[0].Step {
+				return 0, fmt.Errorf("score: aggregating trace %d: %w", i, err)
+			}
+		}
+		return 0, err
+	}
+	return AsynchronyFromSum(sum.Peak(), traces...)
+}
+
+// AsynchronyFromSum is the Eq. 6 kernel over a precomputed denominator:
+// peakOfSum is peak(Σ_{j∈M} P_j) over the same traces. It reads one peak
+// per trace and allocates nothing. Every trace must have a positive peak —
+// the first that does not is ErrZeroPeak naming its index — and then so
+// must the sum. Given the peak of a sum accumulated in argument order (Sum's
+// order, and a leaf's entry in powertree.Aggregates: attachment order) the
+// result is bit-identical to Asynchrony over the same traces.
+func AsynchronyFromSum(peakOfSum float64, traces ...timeseries.Series) (float64, error) {
+	if len(traces) == 0 {
+		return 0, ErrNoTraces
+	}
 	var sumPeaks float64
-	agg := traces[0].Clone()
 	for i, tr := range traces {
 		p := tr.Peak()
 		if p <= 0 {
 			return 0, fmt.Errorf("%w (index %d)", ErrZeroPeak, i)
 		}
 		sumPeaks += p
-		if i > 0 {
-			if err := agg.AddInPlace(tr); err != nil {
-				return 0, fmt.Errorf("score: aggregating trace %d: %w", i, err)
-			}
-		}
 	}
-	aggPeak := agg.Peak()
-	if aggPeak <= 0 {
+	if peakOfSum <= 0 {
 		return 0, ErrZeroPeak
 	}
-	return sumPeaks / aggPeak, nil
+	return sumPeaks / peakOfSum, nil
 }
 
 // Pairwise computes the asynchrony score between two traces (Eq. 7).
