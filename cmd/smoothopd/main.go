@@ -404,7 +404,7 @@ func run(o options) error {
 			return err
 		}
 		handler := core.HTTPHandlerWithPlanner(rt, planner, time.Now, obs.Default())
-		routes := "GET /v1/{health,status,tree,history,metrics}, POST /v1/{instances,plan} + deprecated legacy aliases"
+		routes := "GET /v1/{health,status,tree,history,metrics,fragmentation}, POST /v1/{instances,plan}, DELETE /v1/instances/{id}"
 		if o.pprof {
 			mux := http.NewServeMux()
 			mux.Handle("/", handler)
@@ -414,7 +414,7 @@ func run(o options) error {
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			handler = mux
-			routes += " /debug/pprof/"
+			routes += ", GET /debug/pprof/"
 		}
 		fmt.Fprintf(out, "\nserving status API on %s (%s)\n", o.listen, routes)
 		return listenAndServe(o.listen, handler)

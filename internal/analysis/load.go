@@ -40,9 +40,6 @@ var (
 	importerMu     sync.Mutex
 )
 
-// Fset returns the FileSet all loaded packages share.
-func Fset() *token.FileSet { return sharedFset }
-
 // stdlibImport resolves an import from $GOROOT source. The source importer
 // caches internally but is not safe for concurrent use, so calls are
 // serialized; loading itself is sequential anyway (packages are checked in

@@ -2,9 +2,12 @@ package analysis_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -29,17 +32,31 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// TestRepoIsClean is the acceptance gate: the full analyzer suite must pass
-// over the repository's own source. It loads every package the same way
-// cmd/smoothoplint does.
-func TestRepoIsClean(t *testing.T) {
-	pkgs, err := analysis.Load(moduleRoot(t), "./...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+var (
+	repoOnce sync.Once
+	repoPkgs []*analysis.Package
+	repoErr  error
+)
+
+// loadRepo loads every package of the module the same way cmd/smoothoplint
+// does, once per test binary: the self-clean tests share the result.
+func loadRepo(t *testing.T) []*analysis.Package {
+	t.Helper()
+	root := moduleRoot(t)
+	repoOnce.Do(func() { repoPkgs, repoErr = analysis.Load(root, "./...") })
+	if repoErr != nil {
+		t.Fatalf("Load: %v", repoErr)
 	}
-	if len(pkgs) == 0 {
+	if len(repoPkgs) == 0 {
 		t.Fatal("Load returned no packages")
 	}
+	return repoPkgs
+}
+
+// TestRepoIsClean is the acceptance gate: the full analyzer suite must pass
+// over the repository's own source.
+func TestRepoIsClean(t *testing.T) {
+	pkgs := loadRepo(t)
 	diags := analysis.Analyze(pkgs, analysis.All())
 	for _, d := range diags {
 		t.Errorf("%s", d)
@@ -74,10 +91,7 @@ func TestByNameRejectsDuplicates(t *testing.T) {
 // the analysis package and the lint CLI must themselves be in the analyzed
 // set, so the linter is held to its own contracts.
 func TestRepoPackageSetIncludesLinter(t *testing.T) {
-	pkgs, err := analysis.Load(moduleRoot(t), "./...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	pkgs := loadRepo(t)
 	want := map[string]bool{
 		"repro/internal/analysis": false,
 		"repro/cmd/smoothoplint":  false,
@@ -110,4 +124,116 @@ func TestIsPipelinePackage(t *testing.T) {
 			t.Errorf("IsPipelinePackage(%q) = %v, want %v", path, got, want)
 		}
 	}
+}
+
+// keptUncalled lists the exported package-level identifiers under
+// repro/internal/ that no non-test code references but that stay, each with
+// the reason it stays. Everything else without a caller is deleted.
+var keptUncalled = map[string]string{
+	"repro/internal/placement.Verify":    "test oracle shared by the placement and core tests: the tree hosts exactly the given instances, each once",
+	"repro/internal/score.Vector":        "test oracle: the one-shot I-to-S vector that Basis.Vector and Vectors must match",
+	"repro/internal/timeseries.Constant": "test fixture shared by the timeseries, score, sim and workload tests",
+	"repro/internal/timeseries.ReadCSV":  "round-trip oracle for WriteCSV, which tracegen and smoothop write",
+	"repro/internal/forecast.Evaluate":   "judges the live NextWeek in the forecast-beats-average test",
+	"repro/internal/tracestore.Load":     "reads what the public TraceStore.Save writes; model-based differential testing rebuilds a runtime from it",
+	"repro/internal/analysis.LoadSource": "the analyzer fixture loader: every analyzer test type-checks its fixture through it",
+}
+
+// TestInternalAPIHasCallers keeps uncalled internal API deleted: every
+// exported package-level func, type and var under repro/internal/ must be
+// referenced from non-test code somewhere in the module (an internal package
+// has no callers outside it), or be listed in keptUncalled with a reason. A
+// reference from inside the identifier's own declaration — a recursive call,
+// a type named in its own methods — does not count. Methods are not checked:
+// interfaces call them without naming them, and the methods of every type
+// the root facade re-exports or hands out (Series, TraceStore, PowerNode and
+// its Aggregates, Runtime and its plan.Snapshot, sim.Result, Fleet, Profile)
+// are the module's public API.
+func TestInternalAPIHasCallers(t *testing.T) {
+	pkgs := loadRepo(t)
+	used := make(map[types.Object]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				self := declaredBy(pkg, decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if obj := pkg.Info.Uses[id]; obj != nil && !self[obj] {
+						used[obj] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "repro/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			switch obj.(type) {
+			case *types.Func, *types.TypeName, *types.Var:
+			default:
+				continue
+			}
+			if !obj.Exported() {
+				continue
+			}
+			key := pkg.Path + "." + name
+			_, kept := keptUncalled[key]
+			seen[key] = true
+			switch {
+			case used[obj] && kept:
+				t.Errorf("%s is referenced from non-test code now: drop it from keptUncalled", key)
+			case !used[obj] && !kept:
+				t.Errorf("%s: exported %s has no reference from non-test code: delete it, or add it to keptUncalled with the reason it stays",
+					pkg.Fset.Position(obj.Pos()), key)
+			}
+		}
+	}
+	for key := range keptUncalled {
+		if !seen[key] {
+			t.Errorf("keptUncalled names %s, which no longer exists", key)
+		}
+	}
+}
+
+// declaredBy returns the package-level objects decl declares; a method
+// declaration belongs to its receiver's base type.
+func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
+	self := make(map[types.Object]bool)
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			self[pkg.Info.Defs[d.Name]] = true
+			break
+		}
+		if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+			recv := fn.Type().(*types.Signature).Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			if named, ok := recv.(*types.Named); ok {
+				self[named.Obj()] = true
+			}
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				self[pkg.Info.Defs[s.Name]] = true
+			case *ast.ValueSpec:
+				for _, name := range s.Names {
+					self[pkg.Info.Defs[name]] = true
+				}
+			}
+		}
+	}
+	return self
 }

@@ -291,21 +291,6 @@ func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay
 	return merged, events, nil
 }
 
-// EffectivePower applies a set of throttles to raw instance powers and
-// returns the resulting per-instance draw — a helper for callers and tests.
-func EffectivePower(raw map[string]float64, throttles []Throttle) map[string]float64 {
-	out := make(map[string]float64, len(raw))
-	for id, p := range raw {
-		out[id] = p
-	}
-	for _, t := range throttles {
-		if cur, ok := out[t.InstanceID]; ok && t.TargetPower < cur {
-			out[t.InstanceID] = t.TargetPower
-		}
-	}
-	return out
-}
-
 // mergeThrottles keeps the lowest target per instance.
 func mergeThrottles(ts []Throttle) []Throttle {
 	best := make(map[string]int)

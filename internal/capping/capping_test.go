@@ -7,6 +7,21 @@ import (
 	"repro/internal/powertree"
 )
 
+// effectivePower applies a set of throttles to raw instance powers and
+// returns the resulting per-instance draw.
+func effectivePower(raw map[string]float64, throttles []Throttle) map[string]float64 {
+	out := make(map[string]float64, len(raw))
+	for id, p := range raw {
+		out[id] = p
+	}
+	for _, t := range throttles {
+		if cur, ok := out[t.InstanceID]; ok && t.TargetPower < cur {
+			out[t.InstanceID] = t.TargetPower
+		}
+	}
+	return out
+}
+
 // buildTree makes a 2-leaf tree with the given leaf budget and attaches the
 // instances.
 func buildTree(t *testing.T, leafBudget float64, perLeaf [][]string) *powertree.Node {
@@ -95,7 +110,7 @@ func TestCapArmsAndShedsBatchFirst(t *testing.T) {
 		}
 	}
 	// Post-throttle draw ≤ cap target.
-	eff := EffectivePower(map[string]float64{"lc": 60, "batch": 50, "backend": 30}, throttles)
+	eff := effectivePower(map[string]float64{"lc": 60, "batch": 50, "backend": 30}, throttles)
 	var total float64
 	for _, p := range eff {
 		total += p
@@ -296,7 +311,7 @@ func TestCappingSafetyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eff := EffectivePower(raw, throttles)
+		eff := effectivePower(raw, throttles)
 		for name, p := range eff {
 			if p < states[name].MinPower-1e-9 {
 				t.Fatalf("trial %d: instance %s below floor: %v < %v", trial, name, p, states[name].MinPower)

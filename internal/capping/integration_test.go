@@ -10,6 +10,21 @@ import (
 	"repro/internal/workload"
 )
 
+// injectBurst returns a copy of the trace with draw multiplied by
+// (1+magnitude) over [at, at+duration) — a traffic burst (e.g. a neighbour
+// datacenter failing over, §3.3).
+func injectBurst(tr timeseries.Series, at time.Time, duration time.Duration, magnitude float64) timeseries.Series {
+	out := tr.Clone()
+	factor := 1 + magnitude
+	end := at.Add(duration)
+	for i := range out.Values {
+		if ts := out.TimeAt(i); !ts.Before(at) && ts.Before(end) {
+			out.Values[i] *= factor
+		}
+	}
+	return out
+}
+
 // TestBurstSharingAcrossPlacements verifies §3.2's safety argument with the
 // capping runtime in the loop: when a traffic burst hits the latency-
 // critical tier, the oblivious placement concentrates the surge on the few
@@ -34,10 +49,7 @@ func TestBurstSharingAcrossPlacements(t *testing.T) {
 	for _, inst := range fleet.Instances {
 		tr := inst.Trace
 		if inst.Class == workload.LatencyCritical {
-			tr, err = workload.InjectBurst(tr, burstAt, 4*time.Hour, 0.6)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr = injectBurst(tr, burstAt, 4*time.Hour, 0.6)
 		}
 		traces[inst.ID] = tr
 	}

@@ -24,17 +24,6 @@ func BenchmarkBalancedKMeans(b *testing.B) {
 	}
 }
 
-func BenchmarkSilhouette(b *testing.B) {
-	points, labels := blobs(4, 50, 6, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Silhouette(points, labels, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTSNE(b *testing.B) {
 	points, _ := blobs(3, 30, 8, 4)
 	b.ReportAllocs()

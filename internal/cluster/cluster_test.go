@@ -232,36 +232,6 @@ func TestBalancedSizesProperty(t *testing.T) {
 	}
 }
 
-func TestSilhouette(t *testing.T) {
-	points, labels := blobs(2, 20, 2, 21)
-	good, err := Silhouette(points, labels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good < 0.7 {
-		t.Fatalf("silhouette of separable blobs = %v, want high", good)
-	}
-	// Random labels should score much worse.
-	rng := rand.New(rand.NewSource(5))
-	bad := make([]int, len(points))
-	for i := range bad {
-		bad[i] = rng.Intn(2)
-	}
-	worse, err := Silhouette(points, bad, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worse >= good {
-		t.Fatalf("random labels silhouette %v >= true %v", worse, good)
-	}
-	if _, err := Silhouette(nil, nil, 2); err != ErrNoPoints {
-		t.Fatalf("empty: %v", err)
-	}
-	if _, err := Silhouette(points, labels[:3], 2); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-}
-
 func TestTSNESeparatesBlobs(t *testing.T) {
 	points, labels := blobs(2, 15, 5, 31)
 	emb, err := TSNE(points, TSNEConfig{Perplexity: 8, Iterations: 300, Seed: 3})

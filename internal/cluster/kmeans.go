@@ -2,14 +2,13 @@
 // placement step relies on: k-means with k-means++ seeding (§3.5 applies
 // k-means to instances embedded in asynchrony-score space), a balanced
 // variant producing equal-size clusters ("Each of these clusters have the
-// same number of instances"), quality scores, and an exact t-SNE for the
-// Fig. 8 style two-dimensional projection.
+// same number of instances"), and an exact t-SNE for the Fig. 8 style
+// two-dimensional projection.
 package cluster
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -382,53 +381,4 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 		res.Inertia += sqDist(p, res.Centroids[res.Assign[i]])
 	}
 	return res, nil
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering, a
-// standard quality score in [−1, 1]. Clusters of size 1 contribute 0.
-// O(n²); intended for diagnostics and tests, not hot paths.
-func Silhouette(points [][]float64, assign []int, k int) (float64, error) {
-	if len(points) == 0 {
-		return 0, ErrNoPoints
-	}
-	if len(assign) != len(points) {
-		return 0, fmt.Errorf("cluster: assign length %d != points %d", len(assign), len(points))
-	}
-	n := len(points)
-	var total float64
-	for i := 0; i < n; i++ {
-		// Mean distance to own cluster (a) and nearest other cluster (b).
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			d := math.Sqrt(sqDist(points[i], points[j]))
-			sums[assign[j]] += d
-			counts[assign[j]]++
-		}
-		own := assign[i]
-		if counts[own] == 0 {
-			continue // singleton cluster contributes 0
-		}
-		a := sums[own] / float64(counts[own])
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || counts[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(counts[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-		}
-	}
-	return total / float64(n), nil
 }

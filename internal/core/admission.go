@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/placement"
@@ -112,12 +113,14 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 	}
 	tr, quarantined, err := r.admissionTrace(id, service, asOf, trainWeeks)
 	if err != nil {
+		delete(r.quality, id)
 		return "", err
 	}
 	v.traces[id] = tr
 	leaf, err := v.online.Admit(placement.Instance{ID: id, Service: service, Demands: req.Demands})
 	if err != nil {
 		delete(v.traces, id)
+		delete(r.quality, id)
 		if errors.Is(err, placement.ErrNoCapacity) {
 			obsRuntimeAdmissionRejects.Inc()
 		}
@@ -153,6 +156,13 @@ func (r *Runtime) RetireInstance(id string) (string, error) {
 	delete(r.view.traces, id)
 	delete(r.view.filled, id)
 	delete(r.demands, id)
+	delete(r.services, id)
+	delete(r.quality, id)
+	if i := slices.Index(r.quarantined, id); i >= 0 {
+		// A fresh slice: the latest DriftReport.Quarantined shares the old one.
+		r.quarantined = slices.Concat(r.quarantined[:i], r.quarantined[i+1:])
+		obsQuarantined.Set(float64(len(r.quarantined)))
+	}
 	obsRuntimeRetirements.Inc()
 	r.viewChanged()
 	return leaf.Name, nil

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,8 +20,8 @@ import (
 	"repro/internal/powertree"
 )
 
-// HTTPHandler exposes a runtime's state over HTTP for dashboards and
-// debugging. The API is versioned under /v1/:
+// HTTPHandlerWithPlanner exposes a runtime's state over HTTP for
+// dashboards and debugging. The API is versioned under /v1/:
 //
 //	GET    /v1/health          — liveness plus degradation state: ok|degraded,
 //	                             quarantined instances, active trip windows,
@@ -40,7 +41,8 @@ import (
 //	                             "as_of" (RFC 3339), "train_weeks", and
 //	                             "demands" (a {dimension: amount} resource
 //	                             vector checked against node capacities)
-//	DELETE /v1/instances/{id}  — retire a placed instance
+//	DELETE /v1/instances/{id}  — retire a placed instance; {id} is one
+//	                             path segment, escaped ("a%2Fb" for "a/b")
 //	POST   /v1/plan            — evaluate a what-if query (plan.Query) on a
 //	                             snapshot of the current placement; kinds:
 //	                             replace_service, add_instances, trip_breaker
@@ -58,40 +60,12 @@ import (
 // the runtime's serialized admission path. Ingestion and ticking stay with
 // the owner.
 //
-// The status timestamp comes from the injected clock; HTTPHandler is the
-// serving wrapper that pins it to the wall clock, which keeps the
-// deterministic pipeline free of ambient time reads while tests pass a
-// fixed clock through HTTPHandlerWithClock.
-func HTTPHandler(rt *Runtime) http.Handler {
-	return HTTPHandlerWithClock(rt, time.Now) //lint:allow nondeterminism serving boundary: wall clock is the point
-}
-
-// HTTPHandlerWithClock is HTTPHandler with an explicit time source. Metrics
-// (request/error counters and the /v1/metrics exposition) come from the
-// process-global obs registry.
-func HTTPHandlerWithClock(rt *Runtime, now func() time.Time) http.Handler {
-	return HTTPHandlerWithObs(rt, now, obs.Default())
-}
-
-// HTTPHandlerWithObs is HTTPHandlerWithClock with an explicit metrics
-// registry: /v1/metrics serves reg, and the API's own request/error counters
-// register there. Tests use a fresh registry per handler to keep the
-// exposition independent of other activity in the process. The planning
-// service behind /v1/plan runs with default limits; use
-// HTTPHandlerWithPlanner to tune them.
-func HTTPHandlerWithObs(rt *Runtime, now func() time.Time, reg *obs.Registry) http.Handler {
-	// The zero config is always valid and rt.PlanSnapshot is non-nil, so
-	// construction cannot fail here.
-	planner, err := plan.NewService(rt.PlanSnapshot, plan.Config{})
-	if err != nil {
-		panic(err)
-	}
-	return HTTPHandlerWithPlanner(rt, planner, now, reg)
-}
-
-// HTTPHandlerWithPlanner is HTTPHandlerWithObs with an explicit planning
-// service (the daemon builds one from its -plan-max-inflight and
-// -plan-deadline flags; tests pin tiny limits to exercise shedding).
+// now stamps /v1/health and /v1/status, which keeps the deterministic
+// pipeline free of ambient time reads: the daemon passes the wall clock,
+// tests a fixed one. /v1/metrics serves reg, and the API's own request/error
+// counters register there. planner answers /v1/plan (the daemon builds it
+// from its -plan-max-inflight and -plan-deadline flags; tests pin tiny
+// limits to exercise shedding).
 func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.Time, reg *obs.Registry) http.Handler {
 	api := &httpAPI{
 		rt:      rt,
@@ -259,8 +233,11 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 	}
 
 	retire := func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/v1/instances/")
-		if id == "" || strings.Contains(id, "/") {
+		// The id is one escaped path segment, so an admitted "a/b" retires
+		// at /v1/instances/a%2Fb.
+		seg := strings.TrimPrefix(r.URL.EscapedPath(), "/v1/instances/")
+		id, err := url.PathUnescape(seg)
+		if err != nil || id == "" || strings.Contains(seg, "/") {
 			api.writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 			return
 		}

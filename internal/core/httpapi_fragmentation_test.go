@@ -38,7 +38,7 @@ func multiFragFixture(t *testing.T) (*httptest.Server, []heldOut, int, time.Time
 	rt, _, held, trainEnd := admissionFixture(t)
 	capacitateTree(rt.tree, powertree.ResourceVector{"gpu": 4})
 	clock := func() time.Time { return trainEnd }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	t.Cleanup(srv.Close)
 	outs := make([]heldOut, len(held))
 	for i, inst := range held {
@@ -151,7 +151,7 @@ func TestHTTPFragmentationPowerOnly(t *testing.T) {
 func TestHTTPFragmentationNotPlaced(t *testing.T) {
 	rt, _, _, trainEnd := runtimeFixture(t)
 	clock := func() time.Time { return trainEnd }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	t.Cleanup(srv.Close)
 	resp, err := srv.Client().Get(srv.URL + "/v1/fragmentation")
 	if err != nil {

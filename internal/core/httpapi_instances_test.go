@@ -3,14 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/placement"
+	"repro/internal/powertree"
 )
 
 // heldOut is one instance the fixture kept out of Bootstrap for tests to
@@ -26,7 +30,7 @@ func instancesFixture(t *testing.T) (*httptest.Server, *obs.Registry, []heldOut,
 	rt, _, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd }
 	reg := obs.NewWithClock(clock)
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, reg))
+	srv := httptest.NewServer(testHandler(t, rt, clock, reg))
 	t.Cleanup(srv.Close)
 	outs := make([]heldOut, len(held))
 	for i, inst := range held {
@@ -193,7 +197,7 @@ func TestHTTPInstancesAdmitRetire(t *testing.T) {
 func TestHTTPInstancesSkewedWallClock(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd.Add(10 * 365 * 24 * time.Hour) }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	t.Cleanup(srv.Close)
 
 	body, _ := json.Marshal(map[string]string{"id": held[0].ID, "service": held[0].Service})
@@ -251,5 +255,122 @@ func TestHTTPInstancesReplayDeterminism(t *testing.T) {
 	}
 	if promA != promB {
 		t.Fatalf("registry expositions diverged:\n--- A\n%s\n--- B\n%s", promA, promB)
+	}
+}
+
+// TestHTTPInstancesEscapedIDRoundTrip: whatever id POST admits, DELETE
+// retires at its escaped path segment — including an id containing "/".
+func TestHTTPInstancesEscapedIDRoundTrip(t *testing.T) {
+	srv, _, held, _ := instancesFixture(t)
+	client := srv.Client()
+	base := srv.URL + "/v1/instances"
+	ids := []string{"a/b", "rack 7/slot%3"}
+	for _, id := range ids {
+		body, _ := json.Marshal(map[string]string{"id": id, "service": held[0].Service})
+		resp := postJSON(t, client, base, string(body))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST %q = %d, want 201", id, resp.StatusCode)
+		}
+	}
+	// Unescaped, the id's "/" splits it into two segments: not a route.
+	resp := doDelete(t, client, base+"/a/b")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE unescaped a/b = %d, want 404", resp.StatusCode)
+	}
+	for _, id := range ids {
+		resp := doDelete(t, client, base+"/"+url.PathEscape(id))
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("DELETE %q = %d, want 200", url.PathEscape(id), resp.StatusCode)
+		}
+		var gone instanceView
+		if err := json.NewDecoder(resp.Body).Decode(&gone); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if gone.ID != id || gone.Leaf == "" {
+			t.Fatalf("retire view = %+v, want id %q", gone, id)
+		}
+	}
+}
+
+// TestHTTPRetireClearsQuarantine admits an instance the store has never
+// heard of (so it is quarantined onto a reference trace) and retires it:
+// /v1/health, the quarantine gauge and InstanceQuality must forget it at
+// once, not at the next tick. A rejected admission leaves no quality entry.
+func TestHTTPRetireClearsQuarantine(t *testing.T) {
+	rt, placed, _, trainEnd := admissionFixture(t)
+	clock := func() time.Time { return trainEnd }
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
+	t.Cleanup(srv.Close)
+	client := srv.Client()
+	health := func() (status string, quarantined []string) {
+		t.Helper()
+		resp, err := client.Get(srv.URL + "/v1/health")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var view struct {
+			Status      string   `json:"status"`
+			Quarantined []string `json:"quarantined"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
+		return view.Status, view.Quarantined
+	}
+	if status, q := health(); status != "ok" || len(q) != 0 {
+		t.Fatalf("fixture health = %q %v, want ok with nothing quarantined", status, q)
+	}
+
+	const ghost = "ghost-0001"
+	body, _ := json.Marshal(map[string]string{"id": ghost, "service": placed[0].Service})
+	resp := postJSON(t, client, srv.URL+"/v1/instances", string(body))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST %s = %d, want 201", ghost, resp.StatusCode)
+	}
+	if status, q := health(); status != "degraded" || len(q) != 1 || q[0] != ghost {
+		t.Fatalf("after admission health = %q %v, want degraded with [%s]", status, q, ghost)
+	}
+	if got := obsQuarantined.Value(); got != 1 {
+		t.Fatalf("quarantine gauge after admission = %v, want 1", got)
+	}
+	if _, ok := rt.InstanceQuality(ghost); !ok {
+		t.Fatal("admitted instance has no quality entry")
+	}
+
+	resp = doDelete(t, client, srv.URL+"/v1/instances/"+ghost)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s = %d, want 200", ghost, resp.StatusCode)
+	}
+	if status, q := health(); status != "ok" || len(q) != 0 {
+		t.Fatalf("after retirement health = %q %v, want ok with nothing quarantined", status, q)
+	}
+	if got := obsQuarantined.Value(); got != 0 {
+		t.Fatalf("quarantine gauge after retirement = %v, want 0", got)
+	}
+	if q, ok := rt.InstanceQuality(ghost); ok {
+		t.Fatalf("retired instance still has quality %+v", q)
+	}
+	rt.mu.Lock()
+	_, kept := rt.services[ghost]
+	rt.mu.Unlock()
+	if kept {
+		t.Fatal("retired instance is still in the runtime's service map")
+	}
+
+	// A rejected admission leaves nothing behind either.
+	rt.Tree().Walk(func(n *powertree.Node) { n.Budget = 1 })
+	const starved = "ghost-0002"
+	if _, err := rt.AdmitInstance(starved, placed[0].Service, trainEnd, 2); !errors.Is(err, placement.ErrNoCapacity) {
+		t.Fatalf("admit into starved tree: %v, want ErrNoCapacity", err)
+	}
+	if q, ok := rt.InstanceQuality(starved); ok {
+		t.Fatalf("rejected admission left quality %+v", q)
 	}
 }

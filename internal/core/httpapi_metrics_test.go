@@ -18,7 +18,7 @@ func metricsFixture(t *testing.T) (*httptest.Server, *obs.Registry) {
 	rt, _, _, _ := runtimeFixture(t)
 	clock := func() time.Time { return time.Date(2016, 8, 8, 0, 0, 0, 0, time.UTC) }
 	reg := obs.NewWithClock(clock)
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, reg))
+	srv := httptest.NewServer(testHandler(t, rt, clock, reg))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }

@@ -19,7 +19,7 @@ import (
 func FuzzPlanDecoder(f *testing.F) {
 	rt, placed, _, trainEnd := admissionFixture(f)
 	clock := func() time.Time { return trainEnd }
-	h := HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock))
+	h := testHandler(f, rt, clock, obs.NewWithClock(clock))
 	leaf, root, svc := rt.Tree().Leaves()[0].Name, rt.Tree().Name, placed[0].Service
 	inWindow := trainEnd.Add(-24 * time.Hour).Format(time.RFC3339)
 	for _, seed := range []string{

@@ -114,7 +114,7 @@ func TestHTTPPlanErrors(t *testing.T) {
 func TestHTTPPlanNotPlaced(t *testing.T) {
 	rt, _, _, trainEnd := runtimeFixture(t)
 	clock := func() time.Time { return trainEnd }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	t.Cleanup(srv.Close)
 
 	resp := postJSON(t, srv.Client(), srv.URL+"/v1/plan", `{"kind":"replace_service","service":"x"}`)

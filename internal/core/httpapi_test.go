@@ -9,13 +9,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/plan"
 	"repro/internal/powertree"
 )
 
+// testHandler serves rt's HTTP API with a default-limit planning service.
+func testHandler(t testing.TB, rt *Runtime, now func() time.Time, reg *obs.Registry) http.Handler {
+	t.Helper()
+	planner, err := plan.NewService(rt.PlanSnapshot, plan.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return HTTPHandlerWithPlanner(rt, planner, now, reg)
+}
+
 func TestHTTPHandler(t *testing.T) {
 	rt, instances, _, trainEnd := runtimeFixture(t)
-	srv := httptest.NewServer(HTTPHandler(rt))
+	srv := httptest.NewServer(testHandler(t, rt, time.Now, obs.Default()))
 	defer srv.Close()
 
 	get := func(path string) (*http.Response, string) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestHTTPV1RoutesAndLegacyAliases checks the versioned API contract: every
@@ -102,7 +104,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 // while a scored tick keeps the field.
 func TestHTTPUnscorableTick(t *testing.T) {
 	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 3, nil)
-	srv := httptest.NewServer(HTTPHandler(rt))
+	srv := httptest.NewServer(testHandler(t, rt, time.Now, obs.Default()))
 	defer srv.Close()
 	get := func(path string) map[string]json.RawMessage {
 		t.Helper()
@@ -179,7 +181,7 @@ func TestHTTPUnscorableTick(t *testing.T) {
 func TestHTTPV1HealthDegradation(t *testing.T) {
 	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 3, map[string]bool{"d": true})
 	clock := func() time.Time { return time.Date(2016, 8, 22, 0, 0, 0, 0, time.UTC) }
-	srv := httptest.NewServer(HTTPHandlerWithClock(rt, clock))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.Default()))
 	defer srv.Close()
 
 	getHealth := func() (status string, quarantined []string) {

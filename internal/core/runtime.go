@@ -276,7 +276,9 @@ func (r *Runtime) History() []*DriftReport {
 }
 
 // Quarantined returns the instances the latest Bootstrap or Tick scored
-// from reference traces instead of their own telemetry, sorted.
+// from reference traces instead of their own telemetry, in scoring order,
+// followed by those admitted on reference traces since, in admission order.
+// A retired instance leaves the list.
 func (r *Runtime) Quarantined() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -35,7 +35,7 @@ func TestRuntimeViewAgreesWithScratch(t *testing.T) {
 		}
 	}
 	clock := func() time.Time { return trainEnd }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	defer srv.Close()
 
 	check := func(step string) {
@@ -219,7 +219,7 @@ func TestAdmitReferenceUsesCurrentResidents(t *testing.T) {
 func TestHTTPReadsRaceChurn(t *testing.T) {
 	rt, _, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd }
-	srv := httptest.NewServer(HTTPHandlerWithObs(rt, clock, obs.NewWithClock(clock)))
+	srv := httptest.NewServer(testHandler(t, rt, clock, obs.NewWithClock(clock)))
 	defer srv.Close()
 
 	stop := make(chan struct{})

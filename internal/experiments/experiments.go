@@ -107,11 +107,6 @@ func Run(name workload.DCName, opt Options) (*DCRun, error) {
 	return run, nil
 }
 
-// RunAll executes the pipeline for all three datacenters, side by side.
-func RunAll(opt Options) ([]*DCRun, error) {
-	return RunSome(workload.AllDCs, opt)
-}
-
 // RunSome executes the pipeline for the named datacenters, side by side.
 // A failure in any datacenter aborts the whole batch with an error naming
 // the datacenter and pipeline stage (never a silent partial result).

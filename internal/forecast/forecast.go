@@ -16,7 +16,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/detmap"
 	"repro/internal/timeseries"
 )
 
@@ -94,19 +93,6 @@ func NextWeek(history timeseries.Series, cfg Config) (timeseries.Series, error) 
 
 	start := history.Start.Add(time.Duration(weeks*weekLen) * history.Step)
 	return timeseries.New(start, history.Step, values), nil
-}
-
-// NextWeekAll forecasts every trace in a table.
-func NextWeekAll(history map[string]timeseries.Series, cfg Config) (map[string]timeseries.Series, error) {
-	out := make(map[string]timeseries.Series, len(history))
-	for _, id := range detmap.SortedKeys(history) {
-		f, err := NextWeek(history[id], cfg)
-		if err != nil {
-			return nil, fmt.Errorf("forecast: instance %q: %w", id, err)
-		}
-		out[id] = f
-	}
-	return out, nil
 }
 
 // Accuracy reports forecast error against an actual week.

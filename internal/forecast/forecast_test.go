@@ -177,19 +177,3 @@ func TestForecastBeatsAverageOnSyntheticFleet(t *testing.T) {
 		t.Fatalf("forecast MAPE %v materially worse than average %v", fcMAPE, avgMAPE)
 	}
 }
-
-func TestNextWeekAll(t *testing.T) {
-	week := []float64{1, 2, 3, 4, 5, 6, 7}
-	table := map[string]timeseries.Series{
-		"a": weeksOf(week, 1, 1),
-		"b": weeksOf(week, 2, 2),
-	}
-	out, err := NextWeekAll(table, Config{})
-	if err != nil || len(out) != 2 {
-		t.Fatalf("NextWeekAll: %v %v", out, err)
-	}
-	bad := map[string]timeseries.Series{"x": weeksOf(week, 1)}
-	if _, err := NextWeekAll(bad, Config{}); err == nil {
-		t.Fatal("short history must propagate")
-	}
-}

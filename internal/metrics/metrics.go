@@ -1,7 +1,7 @@
 // Package metrics implements the paper's power-utilization metrics (§2.2):
-// power slack and energy slack (Eq. 1 and 2), sum of peaks, per-level peak
-// reduction, and the report structures the evaluation section's figures are
-// generated from.
+// power slack (Eq. 1; Eq. 2's energy slack is that series' Energy), sum of
+// peaks, per-level peak reduction, and the report structures the evaluation
+// section's figures are generated from.
 package metrics
 
 import (
@@ -30,16 +30,6 @@ func PowerSlack(power timeseries.Series, budget float64) (timeseries.Series, err
 		out.Values[i] = budget - v
 	}
 	return out, nil
-}
-
-// EnergySlack integrates power slack over the series (Eq. 2), in
-// value-hours. Lower means the budget is better utilized.
-func EnergySlack(power timeseries.Series, budget float64) (float64, error) {
-	slack, err := PowerSlack(power, budget)
-	if err != nil {
-		return 0, err
-	}
-	return slack.Energy(), nil
 }
 
 // AverageSlack returns the time-average of the power slack.
@@ -116,73 +106,6 @@ func PeakReduction(before, after *powertree.Node, traces powertree.PowerFn) ([]L
 		out = append(out, LevelPeakReport{Level: level, Before: b, After: a, ReductionPct: 100 * Reduction(b, a)})
 	}
 	return out, nil
-}
-
-// SlackReport aggregates the slack metrics of one power node over a window
-// (Fig. 14's bars are reductions between two SlackReports).
-type SlackReport struct {
-	// Node is the power node's name.
-	Node string
-	// Budget is the node's power budget.
-	Budget float64
-	// AvgSlack is the time-average power slack.
-	AvgSlack float64
-	// OffPeakAvgSlack is the average slack during off-peak readings.
-	OffPeakAvgSlack float64
-	// EnergySlack is the integral of slack over the window (value-hours).
-	EnergySlack float64
-	// UtilizationPct is 100 × mean power / budget.
-	UtilizationPct float64
-}
-
-// NodeSlack computes the slack report of one node's aggregate trace.
-// offPeakFraction is the peak fraction below which a reading counts as
-// off-peak (e.g. 0.85).
-func NodeSlack(n *powertree.Node, traces powertree.PowerFn, offPeakFraction float64) (SlackReport, error) {
-	aggs, err := n.AggregateAll(traces)
-	if err != nil {
-		return SlackReport{}, err
-	}
-	agg, _ := aggs.Trace(n)
-	if agg.Empty() {
-		return SlackReport{}, fmt.Errorf("metrics: node %q hosts no traced instances", n.Name)
-	}
-	avg, err := AverageSlack(agg, n.Budget)
-	if err != nil {
-		return SlackReport{}, err
-	}
-	es, err := EnergySlack(agg, n.Budget)
-	if err != nil {
-		return SlackReport{}, err
-	}
-	off, err := OffPeakSlack(agg, n.Budget, offPeakFraction)
-	if err != nil {
-		// A flat trace can have no off-peak readings; fall back to average.
-		off = avg
-	}
-	return SlackReport{
-		Node:            n.Name,
-		Budget:          n.Budget,
-		AvgSlack:        avg,
-		OffPeakAvgSlack: off,
-		EnergySlack:     es,
-		UtilizationPct:  100 * agg.MeanValue() / n.Budget,
-	}, nil
-}
-
-// HeadroomPct returns the peak headroom of a node as a percentage of its
-// budget: 100 × (budget − peak)/budget. This is the quantity that converts
-// directly into extra hostable servers (§5.2.1: "these reductions translate
-// to the proportion of extra servers allowed to be housed").
-func HeadroomPct(n *powertree.Node, traces powertree.PowerFn) (float64, error) {
-	if n.Budget <= 0 {
-		return 0, ErrBudget
-	}
-	aggs, err := n.AggregateAll(traces)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * aggs.Headroom(n) / n.Budget, nil
 }
 
 // ExtraServers estimates how many additional servers of the given peak draw

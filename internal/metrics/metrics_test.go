@@ -42,11 +42,11 @@ func TestEnergyAndAverageSlack(t *testing.T) {
 		vals[i] = 60
 	}
 	s := timeseries.New(t0, time.Minute, vals)
-	es, err := EnergySlack(s, 100)
+	slack, err := PowerSlack(s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(es-40) > 1e-9 {
+	if es := slack.Energy(); math.Abs(es-40) > 1e-9 {
 		t.Fatalf("energy slack = %v", es)
 	}
 	avg, err := AverageSlack(s, 100)
@@ -101,10 +101,7 @@ func TestSlackConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		es, err := EnergySlack(s, budget)
-		if err != nil {
-			return false
-		}
+		es := slack.Energy()
 		wantES := budget*s.Step.Hours()*float64(s.Len()) - s.Energy()
 		return math.Abs(es-wantES) < 1e-9
 	}
@@ -161,31 +158,6 @@ func TestPeakReductionReport(t *testing.T) {
 	}
 	if rpp.ReductionPct <= 0 {
 		t.Fatalf("RPP peak reduction should be positive: %+v", rpp)
-	}
-}
-
-func TestNodeSlackAndHeadroom(t *testing.T) {
-	tree, pf := buildPlaced(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
-	rep, err := NodeSlack(tree, pf, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AvgSlack <= 0 || rep.EnergySlack <= 0 {
-		t.Fatalf("slack report: %+v", rep)
-	}
-	if rep.UtilizationPct <= 0 || rep.UtilizationPct >= 100 {
-		t.Fatalf("utilization: %+v", rep)
-	}
-	h, err := HeadroomPct(tree, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h <= 0 || h >= 100 {
-		t.Fatalf("headroom pct = %v", h)
-	}
-	empty := &powertree.Node{Name: "e", Budget: 100}
-	if _, err := NodeSlack(empty, pf, 0.9); err == nil {
-		t.Fatal("node without instances must error")
 	}
 }
 

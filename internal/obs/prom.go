@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -56,20 +55,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// Handler serves the registry in the Prometheus text format on GET; any
-// other method gets 405 with an Allow header.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", ContentType)
-		_ = r.WriteProm(w)
-	})
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -61,20 +61,3 @@ func BenchmarkBasisVectorInto(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMatrix24(b *testing.B) {
-	traces := benchTraces(24, 1008, 3)
-	names := make([]string, len(traces))
-	table := make(map[string]timeseries.Series, len(traces))
-	for i, tr := range traces {
-		names[i] = string(rune('a' + i))
-		table[names[i]] = tr
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewMatrix(names, table); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

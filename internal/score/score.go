@@ -217,23 +217,3 @@ func ServiceTraces(services []string, instancesByService map[string][]timeseries
 	}
 	return out, nil
 }
-
-// PeakOverlap reports the fraction of time the two traces are simultaneously
-// within frac of their respective peaks — a diagnostic for *why* a pair
-// scores poorly.
-func PeakOverlap(a, b timeseries.Series, frac float64) (float64, error) {
-	if a.Len() != b.Len() || a.Len() == 0 {
-		return 0, ErrNoTraces
-	}
-	pa, pb := a.Peak(), b.Peak()
-	if pa <= 0 || pb <= 0 {
-		return 0, ErrZeroPeak
-	}
-	overlap := 0
-	for i := range a.Values {
-		if a.Values[i] >= frac*pa && b.Values[i] >= frac*pb {
-			overlap++
-		}
-	}
-	return float64(overlap) / float64(a.Len()), nil
-}

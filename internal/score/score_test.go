@@ -276,21 +276,3 @@ func TestServiceTraces(t *testing.T) {
 		t.Fatal("missing service must error")
 	}
 }
-
-func TestPeakOverlap(t *testing.T) {
-	a := mk(10, 10, 0, 0)
-	b := mk(10, 0, 10, 0)
-	ov, err := PeakOverlap(a, b, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ov-0.25) > 1e-12 {
-		t.Fatalf("overlap = %v, want 0.25", ov)
-	}
-	if _, err := PeakOverlap(a, mk(1), 0.9); err != ErrNoTraces {
-		t.Fatalf("length mismatch: %v", err)
-	}
-	if _, err := PeakOverlap(mk(0, 0), mk(1, 1), 0.9); err == nil {
-		t.Fatal("zero peak must error")
-	}
-}

@@ -139,24 +139,3 @@ func SmoothOperator(tree *powertree.Node, traces powertree.PowerFn, cfg Config) 
 	}
 	return out, nil
 }
-
-// InstanceCDF summarises one instance's power distribution at the standard
-// percentiles — the "power profile c_i" of the baseline, exposed for
-// diagnostics and tests.
-type InstanceCDF struct {
-	ID          string
-	Percentiles map[float64]float64
-}
-
-// BuildCDF computes an instance's power profile at the given percentiles.
-func BuildCDF(id string, trace timeseries.Series, percentiles []float64) (InstanceCDF, error) {
-	if trace.Empty() {
-		return InstanceCDF{}, timeseries.ErrEmpty
-	}
-	vals := trace.Percentiles(percentiles...)
-	m := make(map[float64]float64, len(percentiles))
-	for i, p := range percentiles {
-		m[p] = vals[i]
-	}
-	return InstanceCDF{ID: id, Percentiles: m}, nil
-}

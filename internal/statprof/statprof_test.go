@@ -157,17 +157,3 @@ func TestStatProfErrors(t *testing.T) {
 		t.Fatalf("bad config: %v", err)
 	}
 }
-
-func TestBuildCDF(t *testing.T) {
-	tr := timeseries.New(t0, time.Minute, []float64{1, 2, 3, 4, 5})
-	cdf, err := BuildCDF("x", tr, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdf.Percentiles[0] != 1 || cdf.Percentiles[50] != 3 || cdf.Percentiles[100] != 5 {
-		t.Fatalf("CDF = %+v", cdf)
-	}
-	if _, err := BuildCDF("x", timeseries.Series{}, []float64{50}); err == nil {
-		t.Fatal("empty trace must error")
-	}
-}

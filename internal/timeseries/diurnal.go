@@ -95,13 +95,3 @@ func circularHour(sinSum, cosSum float64) float64 {
 	}
 	return h
 }
-
-// HourDistance returns the circular distance between two hours-of-day, in
-// [0, 12].
-func HourDistance(a, b float64) float64 {
-	d := math.Mod(math.Abs(a-b), 24)
-	if d > 12 {
-		d = 24 - d
-	}
-	return d
-}

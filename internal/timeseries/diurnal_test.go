@@ -18,6 +18,16 @@ func sineDay(days int, step time.Duration, peakHour float64) Series {
 	return s
 }
 
+// hourDistance returns the circular distance between two hours-of-day, in
+// [0, 12].
+func hourDistance(a, b float64) float64 {
+	d := math.Mod(math.Abs(a-b), 24)
+	if d > 12 {
+		d = 24 - d
+	}
+	return d
+}
+
 func TestDiurnalStats(t *testing.T) {
 	s := sineDay(3, 30*time.Minute, 15)
 	stats, err := s.Diurnal()
@@ -27,10 +37,10 @@ func TestDiurnalStats(t *testing.T) {
 	if stats.Days != 3 {
 		t.Fatalf("days = %d", stats.Days)
 	}
-	if HourDistance(stats.PeakHour, 15) > 0.75 {
+	if hourDistance(stats.PeakHour, 15) > 0.75 {
 		t.Fatalf("peak hour = %v, want ≈15", stats.PeakHour)
 	}
-	if HourDistance(stats.TroughHour, 3) > 0.75 {
+	if hourDistance(stats.TroughHour, 3) > 0.75 {
 		t.Fatalf("trough hour = %v, want ≈3", stats.TroughHour)
 	}
 	// Swing: (150−50)/150 ≈ 0.667.
@@ -61,7 +71,7 @@ func TestDiurnalMidnightPeakWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if HourDistance(stats.PeakHour, 23.5) > 1 {
+	if hourDistance(stats.PeakHour, 23.5) > 1 {
 		t.Fatalf("wrapped peak hour = %v", stats.PeakHour)
 	}
 }
@@ -82,8 +92,8 @@ func TestHourDistance(t *testing.T) {
 		{0, 0, 0}, {1, 23, 2}, {12, 0, 12}, {15, 3, 12}, {14, 16, 2}, {23.5, 0.5, 1},
 	}
 	for _, c := range cases {
-		if got := HourDistance(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("HourDistance(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := hourDistance(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("hourDistance(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
