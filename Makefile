@@ -141,6 +141,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=10s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=10s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracestore/
+	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=10s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=10s ./internal/core/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
@@ -150,6 +151,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=5s ./internal/timeseries/
 	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
 	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=5s ./internal/tracestore/
+	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=5s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=5s ./internal/core/
 
 clean:

@@ -24,6 +24,20 @@ func BenchmarkBalancedKMeans(b *testing.B) {
 	}
 }
 
+// BenchmarkBalancedKMeansBootstrap runs Bootstrap's shape: ≈ 625 instance
+// score vectors of dimension 8 dealt into k = 80 clusters, where refine's
+// per-point preference sort over k centroids dominates.
+func BenchmarkBalancedKMeansBootstrap(b *testing.B) {
+	points := uniformPoints(625, 8, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BalancedKMeans(points, Config{K: 80, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTSNE(b *testing.B) {
 	points, _ := blobs(3, 30, 8, 4)
 	b.ReportAllocs()

@@ -314,17 +314,19 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 			margin float64
 		}
 		cands := make([]cand, n)
+		// dist[c] is the point's squared distance to centroid c, computed
+		// once per point and pass, never inside the comparator.
+		dist, order := make([]float64, k), make([]int, n*k)
 		for i, p := range points {
-			prefs := make([]int, k)
+			prefs := order[i*k : (i+1)*k]
 			for c := range prefs {
 				prefs[c] = c
+				dist[c] = sqDist(p, res.Centroids[c])
 			}
-			sort.Slice(prefs, func(a, b int) bool {
-				return sqDist(p, res.Centroids[prefs[a]]) < sqDist(p, res.Centroids[prefs[b]])
-			})
+			sort.Slice(prefs, func(a, b int) bool { return dist[prefs[a]] < dist[prefs[b]] })
 			margin := 0.0
 			if k > 1 {
-				margin = sqDist(p, res.Centroids[prefs[1]]) - sqDist(p, res.Centroids[prefs[0]])
+				margin = dist[prefs[1]] - dist[prefs[0]]
 			}
 			cands[i] = cand{point: i, prefs: prefs, margin: margin}
 		}

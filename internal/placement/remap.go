@@ -86,15 +86,17 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 		return nil, err
 	}
 
-	// Per-node cache of instance IDs, resolved traces, asynchrony score and
-	// each resident's current differential against the node's others (cur,
-	// filled on first use). Placements only change at the two nodes of an
-	// accepted swap, so only those two entries are ever invalidated, and
-	// marked swapped: scores no longer describes them.
+	// Per-node cache of instance IDs, resolved traces, asynchrony score and,
+	// per resident, the sum of the node's other traces (peers) and its
+	// current differential against them (cur), filled together on first use.
+	// Placements only change at the two nodes of an accepted swap, so only
+	// those two entries are ever invalidated, and marked swapped: scores no
+	// longer describes them.
 	type nodeState struct {
 		ids   []string
 		trs   []timeseries.Series
 		s     float64
+		peers []timeseries.Series
 		cur   []float64
 		known []bool
 	}
@@ -115,7 +117,7 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 			trs[j] = tr
 		}
 		st := &nodeState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
-		st.cur, st.known = make([]float64, len(ids)), make([]bool, len(ids))
+		st.peers, st.cur, st.known = make([]timeseries.Series, len(ids)), make([]float64, len(ids)), make([]bool, len(ids))
 		if s, ok := scores[n.Name]; ok && !swapped[i] {
 			st.s = s
 		} else if swapped[i] && len(trs) >= 2 {
@@ -141,33 +143,14 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 		}
 		return d
 	}
-	// others sums a node's traces except trs[skip], in order, into one
-	// scratch buffer reused across calls, so the result is only valid until
-	// the next call. Traces that will not sum yield the zero Series, against
-	// which nothing scores.
-	var scratch []float64
-	others := func(trs []timeseries.Series, skip int) timeseries.Series {
-		var sum timeseries.Series
-		started := false
-		for j, tr := range trs {
-			switch {
-			case j == skip:
-			case !started:
-				scratch = append(scratch[:0], tr.Values...)
-				sum, started = timeseries.Series{Start: tr.Start, Step: tr.Step, Values: scratch}, true
-			case sum.AddInPlace(tr) != nil:
-				return timeseries.Series{}
-			}
-		}
-		return sum
-	}
-	// curOf is resident j's current differential at its node, given the sum
-	// of the node's others; computed once per cached state.
-	curOf := func(st *nodeState, j int, sum timeseries.Series) float64 {
+	// resident returns resident j's peers sum and current differential at
+	// its node, computed once per cached state.
+	resident := func(st *nodeState, j int) (timeseries.Series, float64) {
 		if !st.known[j] {
-			st.cur[j], st.known[j] = diff(st.trs[j], sum, len(st.trs)-1), true
+			st.peers[j] = leaveOneOut(st.trs, j)
+			st.cur[j], st.known[j] = diff(st.trs[j], st.peers[j], len(st.trs)-1), true
 		}
-		return st.cur[j]
+		return st.peers[j], st.cur[j]
 	}
 
 	var swaps []Swap
@@ -197,16 +180,14 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 		// 2. Find the instance with the worst differential score there.
 		victim, victimDiff := -1, math.Inf(1)
 		for i := range wIDs {
-			if d := curOf(worstState, i, others(wTraces, i)); d < victimDiff {
+			if _, d := resident(worstState, i); d < victimDiff {
 				victimDiff, victim = d, i
 			}
 		}
 		if victim < 0 {
 			break
 		}
-		// The victim's peers are the same for every partner tried below, so
-		// their sum is taken once, outside the scratch buffer.
-		victimPeers := others(wTraces, victim).Clone()
+		victimPeers, _ := resident(worstState, victim)
 
 		// 3. Search partner nodes, best-scoring first, for an improving swap.
 		type scored struct {
@@ -246,8 +227,7 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 				}
 				// Partner side, current and post-swap (the victim joins the
 				// partner's peers), both against the same leave-one-out sum.
-				pPeers := others(pTraces, j)
-				curB := curOf(candState, j, pPeers)
+				pPeers, curB := resident(candState, j)
 				newB := diff(wTraces[victim], pPeers, len(pTraces)-1)
 				if newB > curB {
 					partnerDemand, err := capGuard.demandFor(pIDs[j])
@@ -298,6 +278,24 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 	obsSwapsApplied.Add(uint64(len(swaps)))
 	timer.End()
 	return swaps, nil
+}
+
+// leaveOneOut sums trs except trs[skip], in order, into a buffer of its own.
+// Traces that will not sum yield the zero Series, against which nothing
+// scores.
+func leaveOneOut(trs []timeseries.Series, skip int) timeseries.Series {
+	var sum timeseries.Series
+	started := false
+	for j, tr := range trs {
+		switch {
+		case j == skip:
+		case !started:
+			sum, started = timeseries.Series{Start: tr.Start, Step: tr.Step, Values: append([]float64(nil), tr.Values...)}, true
+		case sum.AddInPlace(tr) != nil:
+			return timeseries.Series{}
+		}
+	}
+	return sum
 }
 
 // LevelAsynchrony returns the asynchrony score of every node at a level

@@ -17,6 +17,24 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendSteadyState appends to a full ring, so every reading opens
+// a new slot and drops the oldest one.
+func BenchmarkAppendSteadyState(b *testing.B) {
+	st := New(Config{Step: time.Minute, Retention: 24 * time.Hour})
+	for i := 0; i < 1440; i++ {
+		if err := st.Append("bench", t0.Add(time.Duration(i)*time.Minute), float64(i%300)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Append("bench", t0.Add(time.Duration(1440+i)*time.Minute), float64(i%300)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSnapshotDay(b *testing.B) {
 	st := New(Config{Step: time.Minute, Retention: 24 * time.Hour})
 	for i := 0; i < 1440; i++ {

@@ -155,11 +155,16 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 		q.InterpolatedFraction = 0 // nothing to interpolate from
 		return timeseries.Series{}, q, nil
 	}
+	rejected := 0
 	if s.cfg.RejectImpulses {
-		rejectImpulses(vals)
+		rejected = rejectImpulses(vals)
 	}
-	if err := interpolate(vals); err != nil {
-		return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: instance %q: %w", id, err)
+	// A window with a reading in every slot and none rejected has no gap, so
+	// interpolate would leave it as it is.
+	if real < n || rejected > 0 {
+		if err := interpolate(vals); err != nil {
+			return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: instance %q: %w", id, err)
+		}
 	}
 	return timeseries.New(from, step, vals), q, nil
 }
@@ -172,8 +177,9 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 // across the whole gap as a broad synthetic peak no post-repair filter can
 // tell from real load. Rejected readings still count as raw coverage (the
 // sensor did report; the value was bogus). Identity on clean traces: no
-// smooth power signal doubles in one slot.
-func rejectImpulses(vals []float64) {
+// smooth power signal doubles in one slot. It returns how many readings it
+// rejected.
+func rejectImpulses(vals []float64) int {
 	prev := -1 // index of the previous real sample
 	next := -1 // index of the nearest real sample after i, found lazily
 	spiked := make([]int, 0, 4)
@@ -210,6 +216,7 @@ func rejectImpulses(vals []float64) {
 	for _, i := range spiked {
 		vals[i] = math.NaN()
 	}
+	return len(spiked)
 }
 
 // AveragedITraceQuality is AveragedITrace tagged with the quality of the

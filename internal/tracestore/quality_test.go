@@ -445,6 +445,19 @@ func fillRandomRing(t *testing.T, rng *rand.Rand, st *Store, id string, origin t
 		if err := st.Append(id, at, w); err != nil && !errors.Is(err, ErrStale) {
 			t.Fatal(err)
 		}
+		// advance and shiftBack keep the count of readings in place.
+		st.mu.RLock()
+		r, real := st.instances[id], 0
+		for _, v := range r.values {
+			if !math.IsNaN(v) {
+				real++
+			}
+		}
+		count := r.count
+		st.mu.RUnlock()
+		if count != real {
+			t.Fatalf("after reading %d the ring counts %d readings, holds %d", k, count, real)
+		}
 	}
 }
 
@@ -522,6 +535,64 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 		wtr, wq, werr := snapshotQualityOracle(st, "ghost", start, start.Add(step))
 		sameRead(t, "unknown instance", tr, wtr, q, wq, err, werr)
 	}
+
+	// Gap-free windows, which skip gap repair unless the impulse filter
+	// rejects a reading: clean, and spiked at the first, last or an interior
+	// slot, or at several at once, with the filter on and off.
+	for _, reject := range []bool{false, true} {
+		st := New(Config{Step: time.Minute, Retention: 64 * time.Minute, RejectImpulses: reject})
+		for i := 0; i < 64; i++ {
+			must(t, st.Append("a", qEpoch.Add(time.Duration(i)*time.Minute), 100+float64(i%7)))
+		}
+		for _, spikes := range [][]int{nil, {0}, {63}, {30}, {0, 30, 63}, {31, 32}} {
+			for _, i := range spikes {
+				must(t, st.Append("a", qEpoch.Add(time.Duration(i)*time.Minute), 1000))
+			}
+			for _, w := range [][2]int{{0, 64}, {0, 31}, {30, 64}, {30, 31}, {29, 32}, {31, 33}} {
+				from, to := qEpoch.Add(time.Duration(w[0])*time.Minute), qEpoch.Add(time.Duration(w[1])*time.Minute)
+				label := fmt.Sprintf("gap-free reject=%v spikes %v window %v", reject, spikes, w)
+				tr, q, err := st.SnapshotQuality("a", from, to)
+				wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
+				sameRead(t, label, tr, wtr, q, wq, err, werr)
+				if q.Coverage != 1 {
+					t.Fatalf("%s: coverage %v, want a gap-free window", label, q.Coverage)
+				}
+			}
+			for _, i := range spikes {
+				must(t, st.Append("a", qEpoch.Add(time.Duration(i)*time.Minute), 100+float64(i%7)))
+			}
+		}
+	}
+}
+
+// FuzzSnapshotQuality drives a seeded random ring, as fillRandomRing builds
+// them, and one window chosen by the fuzzer against the per-slot oracle,
+// with the impulse filter on and off.
+func FuzzSnapshotQuality(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(0), uint8(16), false, int16(0), uint16(16), int64(0))
+	f.Add(int64(2), uint16(300), uint8(1), uint8(200), true, int16(-5), uint16(60), int64(0))
+	f.Add(int64(3), uint16(3), uint8(2), uint8(8), true, int16(2), uint16(4), int64(1e9))
+	f.Add(int64(4), uint16(500), uint8(1), uint8(48), true, int16(40), uint16(48), int64(7))
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16, stepIdx, slots uint8, reject bool, fromSlot int16, n uint16, offset int64) {
+		step := []time.Duration{time.Minute, 30 * time.Minute, time.Hour}[int(stepIdx)%3]
+		st := New(Config{Step: step, Retention: time.Duration(1+int(slots)) * step, RejectImpulses: reject})
+		fillRandomRing(t, rand.New(rand.NewSource(seed)), st, "a", qEpoch, 1+int(ops)%2000)
+		st.mu.RLock()
+		start := st.instances["a"].start
+		st.mu.RUnlock()
+		// Off-grid window ends exercise the truncation of from and the floor
+		// of the slot count.
+		off := time.Duration(offset % int64(step))
+		if off < 0 {
+			off = -off
+		}
+		from := start.Add(time.Duration(fromSlot)*step + off)
+		to := from.Add(time.Duration(int(n)%1000) * step)
+		label := fmt.Sprintf("window [%v, %v)", from, to)
+		tr, q, err := st.SnapshotQuality("a", from, to)
+		wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
+		sameRead(t, label, tr, wtr, q, wq, err, werr)
+	})
 }
 
 // TestSnapshotQualityMatchesSlotOracleAtTimeLimits covers windows and rings

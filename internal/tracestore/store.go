@@ -109,8 +109,9 @@ func (s *Store) Instances() []string {
 }
 
 // Append ingests one power reading. Readings within the same slot overwrite
-// (sensors occasionally double-report); readings older than the retention
-// window are rejected with ErrStale; non-finite or negative powers are
+// (sensors occasionally double-report); a reading at or before the newest
+// reading minus the retention window is rejected with ErrStale, so a late
+// reading never evicts newer ones; non-finite or negative powers are
 // rejected with ErrBadReading. Newly seen instances are registered
 // implicitly.
 func (s *Store) Append(id string, at time.Time, watts float64) error {
@@ -132,16 +133,18 @@ func (s *Store) Append(id string, at time.Time, watts float64) error {
 	switch {
 	case idx < 0:
 		// Older than the ring's origin: accept only if still within the
-		// retention window by shifting the origin back.
+		// retention window that ends at the newest reading, by shifting the
+		// origin back. The slots this drops off the end are then all later
+		// than the newest reading, so empty.
 		back := -idx
-		if back >= slots {
+		if back >= slots || !at.After(r.latest.Add(-time.Duration(slots)*step)) {
 			return ErrStale
 		}
-		r.shiftBack(back, slots, step)
+		r.shiftBack(back, step)
 		idx = 0
 	case idx >= slots:
 		// Advance the window, discarding the oldest slots.
-		r.advance(idx-slots+1, step, slots)
+		r.advance(idx-slots+1, step)
 		idx = slots - 1
 	}
 	if math.IsNaN(r.values[idx]) {
@@ -156,47 +159,49 @@ func (s *Store) Append(id string, at time.Time, watts float64) error {
 
 func nanSlice(n int) []float64 {
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.NaN()
-	}
+	fillNaN(v)
 	return v
 }
 
-// shiftBack moves the origin back by n slots, truncating the newest slots
-// if needed to keep the ring size fixed.
-func (r *ring) shiftBack(n, slots int, step time.Duration) {
-	nv := nanSlice(slots)
-	for i := 0; i < slots-n; i++ {
-		nv[i+n] = r.values[i]
+func fillNaN(v []float64) {
+	for i := range v {
+		v[i] = math.NaN()
 	}
-	r.recount(nv)
-	r.values = nv
+}
+
+// shiftBack moves the origin back by n < len(values) slots, in place: the n
+// newest slots are dropped and n empty ones open at the start.
+func (r *ring) shiftBack(n int, step time.Duration) {
+	slots := len(r.values)
+	r.drop(r.values[slots-n:])
+	copy(r.values[n:], r.values[:slots-n])
+	fillNaN(r.values[:n])
 	r.start = r.start.Add(-time.Duration(n) * step)
 }
 
-// advance moves the window forward by n slots.
-func (r *ring) advance(n int, step time.Duration, slots int) {
+// advance moves the window forward by n slots, in place: the n oldest slots
+// are dropped and n empty ones open at the end.
+func (r *ring) advance(n int, step time.Duration) {
+	slots := len(r.values)
+	r.start = r.start.Add(time.Duration(n) * step)
 	if n >= slots {
-		r.values = nanSlice(slots)
+		fillNaN(r.values)
 		r.count = 0
-		r.start = r.start.Add(time.Duration(n) * step)
 		return
 	}
-	nv := nanSlice(slots)
-	copy(nv, r.values[n:])
-	r.recount(nv)
-	r.values = nv
-	r.start = r.start.Add(time.Duration(n) * step)
+	r.drop(r.values[:n])
+	copy(r.values, r.values[n:])
+	fillNaN(r.values[slots-n:])
 }
 
-func (r *ring) recount(values []float64) {
-	c := 0
+// drop takes the readings in values, slots about to leave the ring, out of
+// the count.
+func (r *ring) drop(values []float64) {
 	for _, v := range values {
 		if !math.IsNaN(v) {
-			c++
+			r.count--
 		}
 	}
-	r.count = c
 }
 
 // Coverage returns the fraction of retained slots holding a reading for an

@@ -149,6 +149,89 @@ func TestOutOfOrderWithinRetention(t *testing.T) {
 	}
 }
 
+// TestLateReadingKeepsNewest pins the retention rule to the newest reading,
+// not to the ring's origin: a reading a full retention older than the
+// newest is stale, and a late reading never evicts newer telemetry.
+func TestLateReadingKeepsNewest(t *testing.T) {
+	st := New(Config{Step: time.Hour, Retention: 24 * time.Hour})
+	for i := 0; i < 24; i++ {
+		must(t, st.Append("a", t0.Add(time.Duration(i)*time.Hour), float64(100+i)))
+	}
+	latest := t0.Add(23 * time.Hour)
+	for _, late := range []time.Duration{-5 * time.Hour, -time.Hour} {
+		if err := st.Append("a", t0.Add(late), 1); !errors.Is(err, ErrStale) {
+			t.Fatalf("reading at t0%v: err %v, want ErrStale", late, err)
+		}
+	}
+	tr, q, err := st.SnapshotQuality("a", latest.Add(-5*time.Hour), latest.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{118, 119, 120, 121, 122, 123}; !reflect.DeepEqual(tr.Values, want) {
+		t.Fatalf("last 6 h = %v, want %v", tr.Values, want)
+	}
+	if q.Coverage != 1 || q.Grade != GradeGood {
+		t.Fatalf("last 6 h quality %+v, want full coverage and GradeGood", q)
+	}
+	// The oldest retained slot still takes a correction.
+	must(t, st.Append("a", t0, 7))
+
+	// On a young ring a reading before the origin but within the retention
+	// that ends at the newest reading is accepted, and one a full retention
+	// older is not.
+	young := New(Config{Step: time.Hour, Retention: 24 * time.Hour})
+	must(t, young.Append("b", t0.Add(10*time.Hour), 10))
+	must(t, young.Append("b", t0.Add(-13*time.Hour), 3))
+	if err := young.Append("b", t0.Add(-14*time.Hour), 2); !errors.Is(err, ErrStale) {
+		t.Fatalf("reading a retention before the newest: err %v, want ErrStale", err)
+	}
+	tr, err = young.Snapshot("b", t0.Add(-13*time.Hour), t0.Add(11*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Values[0] != 3 || tr.Values[23] != 10 {
+		t.Fatalf("young ring lost a reading: %v", tr.Values)
+	}
+}
+
+// TestAppendSteadyStateInPlace pins ingest into a full ring: each new slot
+// shifts the ring in place without allocating, drops exactly the readings
+// that fall out of it from the count, and keeps every retained reading.
+func TestAppendSteadyStateInPlace(t *testing.T) {
+	st := New(Config{Step: time.Minute, Retention: 10 * time.Minute})
+	for i := 0; i < 10; i++ {
+		if i != 3 { // one gap, which must leave the count when it is dropped
+			must(t, st.Append("a", t0.Add(time.Duration(i)*time.Minute), float64(i)))
+		}
+	}
+	next := 10
+	if allocs := testing.AllocsPerRun(20, func() {
+		must(t, st.Append("a", t0.Add(time.Duration(next)*time.Minute), float64(next)))
+		next++
+	}); allocs != 0 {
+		t.Fatalf("steady-state Append allocates %v times per reading", allocs)
+	}
+	// A jump of three slots drops three readings and opens two gaps.
+	must(t, st.Append("a", t0.Add(time.Duration(next+2)*time.Minute), float64(next+2)))
+	st.mu.RLock()
+	r := st.instances["a"]
+	count, start, vals := r.count, r.start, append([]float64(nil), r.values...)
+	st.mu.RUnlock()
+	if want := t0.Add(time.Duration(next-7) * time.Minute); !start.Equal(want) || count != 8 {
+		t.Fatalf("ring starts %v holding %d readings, want %v and 8", start, count, want)
+	}
+	for i, v := range vals {
+		slot := next - 7 + i
+		if slot == next || slot == next+1 {
+			if !math.IsNaN(v) {
+				t.Fatalf("slot %d = %v, want a gap", slot, v)
+			}
+		} else if v != float64(slot) {
+			t.Fatalf("slot %d = %v, want %d", slot, v, slot)
+		}
+	}
+}
+
 func TestAveragedITrace(t *testing.T) {
 	st := New(Config{Step: time.Hour, Retention: 3 * 7 * 24 * time.Hour})
 	// Two weeks: first all 2s, second all 4s → folded = 3s.
