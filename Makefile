@@ -143,6 +143,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=10s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=10s ./internal/core/
+	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=10s ./internal/core/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
 # for CI and pre-commit runs.
@@ -153,6 +154,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=5s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=5s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=5s ./internal/core/
+	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=5s ./internal/core/
 
 clean:
 	rm -rf internal/*/testdata/fuzz .bench_build

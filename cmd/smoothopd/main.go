@@ -219,8 +219,10 @@ func replay(o options, faulted bool, label string) (*core.Runtime, error) {
 	store := tracestore.New(tracestore.Config{
 		Step:      o.step,
 		Retention: time.Duration(o.weeks+1) * 7 * 24 * time.Hour,
-		// Sensor spikes must not become interpolation endpoints; identity
-		// on clean telemetry, so both soak replays are conditioned alike.
+		// The pipeline's only impulse filter: sensor spikes must not
+		// become interpolation endpoints, and the runtime scores what the
+		// store returns. Identity on clean telemetry, so both soak replays
+		// are conditioned alike.
 		RejectImpulses: true,
 	})
 	start := fleet.Instances[0].Trace.Start

@@ -19,7 +19,11 @@ func Example_degradedTelemetry() {
 	if err != nil {
 		panic(err)
 	}
-	store := repro.NewTraceStore(repro.TraceStoreConfig{Step: time.Hour, Retention: 4 * 7 * 24 * time.Hour})
+	// Spiking sensors are filtered in the store, before gap repair; the
+	// runtime scores what the store returns.
+	store := repro.NewTraceStore(repro.TraceStoreConfig{
+		Step: time.Hour, Retention: 4 * 7 * 24 * time.Hour, RejectImpulses: true,
+	})
 	injector, err := repro.NewFaultInjector(repro.LightFaults(42), time.Hour, tree)
 	if err != nil {
 		panic(err)

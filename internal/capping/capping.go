@@ -63,6 +63,15 @@ type InstanceState struct {
 // Reader supplies the controller with the current state of an instance.
 type Reader func(instanceID string) (InstanceState, bool)
 
+// PeakState is the capping state of an instance known only by its power
+// trace over a window: it draws the window's peak, can be throttled to half
+// of it, and sheds as backend class (traces carry no workload class). The
+// runtime's emergency path and the planner's trip_breaker query both read
+// instances this way.
+func PeakState(peak float64) InstanceState {
+	return InstanceState{Power: peak, MinPower: 0.5 * peak, Priority: PriorityBackend}
+}
+
 // Config tunes the controller.
 type Config struct {
 	// SustainSteps is how many consecutive over-cap observations arm a cap

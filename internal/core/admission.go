@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/placement"
 	"repro/internal/powertree"
-	"repro/internal/timeseries"
-	"repro/internal/tracestore"
 )
 
 // Online admission: the runtime's arrival-stream path. Bootstrap places a
@@ -33,7 +31,8 @@ type AdmitRequest struct {
 	// the latest Bootstrap/Tick time (the stored telemetry's clock, not the
 	// wall clock).
 	AsOf time.Time
-	// TrainWeeks is the averaging window; < 1 means the framework default.
+	// TrainWeeks is the averaging window; < 1 means the framework default,
+	// and a window longer than the store's retention is ErrTrainWeeks.
 	TrainWeeks int
 	// Demands optionally declares the instance's non-power resource demand
 	// vector; it is validated, enforced against every capacity dimension the
@@ -100,9 +99,9 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 	if asOf.IsZero() {
 		asOf = r.evalAsOf
 	}
-	trainWeeks := req.TrainWeeks
-	if trainWeeks < 1 {
-		trainWeeks = r.fw.cfg.trainWeeks()
+	trainWeeks, err := r.trainingWeeks(req.TrainWeeks)
+	if err != nil {
+		return "", err
 	}
 	if err := r.ensureView(asOf, trainWeeks); err != nil {
 		return "", err
@@ -111,26 +110,33 @@ func (r *Runtime) Admit(req AdmitRequest) (string, error) {
 	if _, ok := v.online.Leaf(id); ok {
 		return "", fmt.Errorf("%w: %q", placement.ErrAlreadyAdmitted, id)
 	}
-	tr, quarantined, err := r.admissionTrace(id, service, asOf, trainWeeks)
-	if err != nil {
-		delete(r.quality, id)
-		return "", err
+	// The arrival is read and graded like every resident. A quarantined
+	// arrival is scored from the view's healthy residents in tree order,
+	// never from instances that have since retired.
+	r.services[id] = service
+	traces, quality, quarantined, err := r.readTraces("admission", []string{id}, r.trainingRead(asOf, trainWeeks))
+	if err == nil && len(quarantined) > 0 {
+		err = r.fillReferences("admission", quarantined, traces, r.tree.AllInstances(), v.traces, v.filled)
 	}
-	v.traces[id] = tr
-	leaf, err := v.online.Admit(placement.Instance{ID: id, Service: service, Demands: req.Demands})
+	var leaf *powertree.Node
+	if err == nil {
+		r.quality[id] = quality[id]
+		v.traces[id] = traces[id]
+		leaf, err = v.online.Admit(placement.Instance{ID: id, Service: service, Demands: req.Demands})
+	}
 	if err != nil {
 		delete(v.traces, id)
 		delete(r.quality, id)
+		delete(r.services, id)
 		if errors.Is(err, placement.ErrNoCapacity) {
 			obsRuntimeAdmissionRejects.Inc()
 		}
 		return "", err
 	}
-	r.services[id] = service
 	if len(req.Demands) > 0 {
 		r.demands[id] = req.Demands.Clone()
 	}
-	if quarantined {
+	if len(quarantined) > 0 {
 		v.filled[id] = true
 		r.quarantined = append(r.quarantined, id)
 		obsQuarantined.Set(float64(len(r.quarantined)))
@@ -179,9 +185,7 @@ func (r *Runtime) ensureView(asOf time.Time, trainWeeks int) error {
 	if r.view.weeks == trainWeeks && r.view.asOf.Equal(asOf) {
 		return nil
 	}
-	traces, _, quarantined, err := r.scoringTraces("admission view", r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
-		return r.residentTrace(id, asOf, trainWeeks)
-	})
+	traces, _, quarantined, err := r.scoringTraces("admission view", r.tree.AllInstances(), r.trainingRead(asOf, trainWeeks))
 	if err != nil {
 		return err
 	}
@@ -191,52 +195,4 @@ func (r *Runtime) ensureView(asOf time.Time, trainWeeks int) error {
 	}
 	r.setView(v)
 	return nil
-}
-
-// residentTrace reads one resident's averaged I-trace and grade, treating a
-// never-reported instance (e.g. a whole-window dropout) as an empty window
-// rather than an error.
-func (r *Runtime) residentTrace(id string, asOf time.Time, trainWeeks int) (timeseries.Series, tracestore.Quality, error) {
-	tr, q, err := r.store.AveragedITraceQuality(id, asOf, trainWeeks)
-	if errors.Is(err, tracestore.ErrUnknownInstance) {
-		return timeseries.Series{}, tracestore.Quality{Grade: tracestore.GradeNoData}, nil
-	}
-	if err != nil {
-		return timeseries.Series{}, tracestore.Quality{}, err
-	}
-	return tr, q, nil
-}
-
-// admissionTrace resolves the arriving instance's scoring trace: its own
-// averaged I-trace when healthy, otherwise a reference trace computed from
-// the view's current healthy residents in tree order (same service first,
-// then the whole fleet) — never from instances that have since retired. The
-// boolean reports whether the fallback fired.
-//
-// smoothop:locked mu
-func (r *Runtime) admissionTrace(id, service string, asOf time.Time, trainWeeks int) (timeseries.Series, bool, error) {
-	tr, q, err := r.residentTrace(id, asOf, trainWeeks)
-	if err != nil {
-		return timeseries.Series{}, false, fmt.Errorf("core: admission trace for %q: %w", id, err)
-	}
-	r.quality[id] = q
-	if !r.quarantines(tr, q) {
-		return tr, false, nil
-	}
-	var peers, fleet []timeseries.Series
-	for _, rid := range r.tree.AllInstances() {
-		if r.view.filled[rid] {
-			continue
-		}
-		fleet = append(fleet, r.view.traces[rid])
-		if r.services[rid] == service {
-			peers = append(peers, r.view.traces[rid])
-		}
-	}
-	ref, ok := referenceTrace(peers, fleet)
-	if !ok {
-		return timeseries.Series{}, false, ErrAllQuarantined
-	}
-	obsFallbackTraces.Inc()
-	return ref, true, nil
 }

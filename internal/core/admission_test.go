@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/placement"
 	"repro/internal/powertree"
+	"repro/internal/tracestore"
 )
 
 // admissionFixture bootstraps a runtime on all but the last three instances
@@ -136,6 +139,57 @@ func TestAdmitQuarantineFallback(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("ghost-0001 not quarantined: %v", rt.Quarantined())
+	}
+
+	// The next tick reads the arrival like any resident: still no data, so
+	// quarantined and scored from a reference, not a failed tick.
+	rep, err := rt.Tick(trainEnd.Add(7*24*time.Hour), 0)
+	if err != nil {
+		t.Fatalf("tick after admitting an unreported instance: %v", err)
+	}
+	if !slices.Contains(rep.Quarantined, "ghost-0001") {
+		t.Fatalf("tick Quarantined = %v, want ghost-0001 in it", rep.Quarantined)
+	}
+	if q, ok := rt.InstanceQuality("ghost-0001"); !ok || q.Grade != tracestore.GradeNoData {
+		t.Fatalf("tick quality for ghost-0001 = %+v, %v", q, ok)
+	}
+}
+
+// TestTrainWeeksBoundedByRetention: a training window longer than the
+// store keeps is refused with ErrTrainWeeks before any read — the view is
+// not rebuilt — at admission and at bootstrap alike. A window exactly as
+// long as the retention is still served.
+func TestTrainWeeksBoundedByRetention(t *testing.T) {
+	rt, _, held, trainEnd := admissionFixture(t)
+	rt.mu.Lock()
+	before := rt.view
+	rt.mu.Unlock()
+	for _, weeks := range []int{5, 1000, 15000, math.MaxInt} {
+		_, err := rt.Admit(AdmitRequest{ID: held[0].ID, Service: held[0].Service, AsOf: trainEnd, TrainWeeks: weeks})
+		if !errors.Is(err, ErrTrainWeeks) {
+			t.Fatalf("train_weeks %d: %v, want ErrTrainWeeks", weeks, err)
+		}
+	}
+	rt.mu.Lock()
+	after := rt.view
+	rt.mu.Unlock()
+	if after != before {
+		t.Fatal("a refused training window rebuilt the view")
+	}
+	if _, ok := rt.InstanceQuality(held[0].ID); ok {
+		t.Fatal("a refused training window left a quality entry")
+	}
+	// The fixture's store keeps 4 weeks.
+	if _, err := rt.Admit(AdmitRequest{ID: held[0].ID, Service: held[0].Service, AsOf: trainEnd, TrainWeeks: 4}); err != nil {
+		t.Fatalf("train_weeks 4 over a 4-week retention: %v", err)
+	}
+
+	fresh, instances, _, _ := runtimeFixture(t)
+	if err := fresh.Bootstrap(instances, trainEnd, 5); !errors.Is(err, ErrTrainWeeks) {
+		t.Fatalf("bootstrap over 5 weeks: %v, want ErrTrainWeeks", err)
+	}
+	if fresh.Placed() || fresh.Tree().InstanceCount() != 0 {
+		t.Fatal("a refused bootstrap placed instances")
 	}
 }
 

@@ -40,9 +40,12 @@ import (
 //	                             body {"id","service"} plus optional
 //	                             "as_of" (RFC 3339), "train_weeks", and
 //	                             "demands" (a {dimension: amount} resource
-//	                             vector checked against node capacities)
+//	                             vector checked against node capacities);
+//	                             "train_weeks" may not exceed the store's
+//	                             retention
 //	DELETE /v1/instances/{id}  — retire a placed instance; {id} is one
-//	                             path segment, escaped ("a%2Fb" for "a/b")
+//	                             path segment, escaped ("a%2Fb" for "a/b",
+//	                             "%2E" for ".")
 //	POST   /v1/plan            — evaluate a what-if query (plan.Query) on a
 //	                             snapshot of the current placement; kinds:
 //	                             replace_service, add_instances, trip_breaker
@@ -362,9 +365,15 @@ func (a *httpAPI) writeAdmissionError(w http.ResponseWriter, err error) {
 		a.writeError(w, http.StatusConflict, "no_capacity", err.Error())
 	case errors.Is(err, placement.ErrUnknownInstance):
 		a.writeError(w, http.StatusNotFound, "unknown_instance", err.Error())
-	case errors.Is(err, powertree.ErrBadDimension), errors.Is(err, powertree.ErrReservedPower):
-		// A malformed demand vector is the caller's input, not server state.
+	case errors.Is(err, powertree.ErrBadDimension), errors.Is(err, powertree.ErrReservedPower),
+		errors.Is(err, ErrTrainWeeks):
+		// A malformed demand vector or an over-long training window is the
+		// caller's input, not server state.
 		a.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	case errors.Is(err, ErrAllQuarantined):
+		// No healthy trace in the requested window (e.g. an "as_of" far from
+		// the stored telemetry): a conflict with the data, not a server bug.
+		a.writeError(w, http.StatusConflict, "all_quarantined", err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// A deadline or disconnect is the caller's (or the limiter's) doing,
 		// not a server bug — 503, not the 500 this used to fall through to.

@@ -106,6 +106,8 @@ func TestHTTPInstancesBadPayloads(t *testing.T) {
 		{"missing service", `{"id":"x"}`, "bad_request", http.StatusBadRequest},
 		{"bad as_of", `{"id":"x","service":"y","as_of":"yesterday"}`, "bad_request", http.StatusBadRequest},
 		{"negative train_weeks", `{"id":"x","service":"y","train_weeks":-1}`, "bad_request", http.StatusBadRequest},
+		{"train_weeks past retention", `{"id":"x","service":"y","train_weeks":15000}`, "bad_request", http.StatusBadRequest},
+		{"as_of far from telemetry", `{"id":"x","service":"y","as_of":"2200-01-01T00:00:00Z"}`, "all_quarantined", http.StatusConflict},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, client, url, tc.body)

@@ -141,6 +141,7 @@ var (
 	ErrBadMinCoverage = errors.New("core: MinCoverage must be in [0, 1)")
 	ErrBadRetries     = errors.New("core: ingest retry settings must not be negative")
 	ErrAllQuarantined = errors.New("core: every instance quarantined — no healthy trace to reference")
+	ErrTrainWeeks     = errors.New("core: training window exceeds the store's retention")
 )
 
 // NewRuntime assembles a runtime around a framework, a telemetry store and
@@ -321,8 +322,9 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	if r.placed {
 		return ErrAlreadyPlaced
 	}
-	if trainWeeks < 1 {
-		trainWeeks = r.fw.cfg.trainWeeks()
+	trainWeeks, err := r.trainingWeeks(trainWeeks)
+	if err != nil {
+		return err
 	}
 	ids := make([]string, len(instances))
 	for i, inst := range instances {
@@ -337,9 +339,7 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 			r.demands[inst.ID] = inst.Demands.Clone()
 		}
 	}
-	avg, quality, quarantined, err := r.scoringTraces("bootstrap", ids, func(id string) (timeseries.Series, tracestore.Quality, error) {
-		return r.residentTrace(id, asOf, trainWeeks)
-	})
+	avg, quality, quarantined, err := r.scoringTraces("bootstrap", ids, r.trainingRead(asOf, trainWeeks))
 	if err != nil {
 		return err
 	}
@@ -373,6 +373,32 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	return nil
 }
 
+// trainingWeeks resolves a requested training window: < 1 means the
+// framework default, and a window longer than the store's retention is
+// ErrTrainWeeks. The store holds nothing that old, and reading such a
+// window would still allocate every slot of every resident's trace.
+func (r *Runtime) trainingWeeks(weeks int) (int, error) {
+	if weeks < 1 {
+		weeks = r.fw.cfg.trainWeeks()
+	}
+	if retained := int(r.store.Retention() / (7 * 24 * time.Hour)); weeks > retained {
+		return 0, fmt.Errorf("%w: %d weeks, the store keeps %v", ErrTrainWeeks, weeks, r.store.Retention())
+	}
+	return weeks, nil
+}
+
+// traceRead is one of the store's graded reads bound to a window:
+// SnapshotQuality over a tick window, or AveragedITraceQuality over a
+// training window (trainingRead).
+type traceRead func(id string) (timeseries.Series, tracestore.Quality, error)
+
+// trainingRead reads averaged I-traces over trainWeeks weeks ending at asOf.
+func (r *Runtime) trainingRead(asOf time.Time, trainWeeks int) traceRead {
+	return func(id string) (timeseries.Series, tracestore.Quality, error) {
+		return r.store.AveragedITraceQuality(id, asOf, trainWeeks)
+	}
+}
+
 // quarantines reports whether a trace is unfit to score its instance from:
 // no data, raw coverage below the floor, or a window that never draws power
 // (the asynchrony scores are undefined for a trace whose peak is ≤ 0).
@@ -380,21 +406,22 @@ func (r *Runtime) quarantines(tr timeseries.Series, q tracestore.Quality) bool {
 	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage || tr.Peak() <= 0
 }
 
-// scoringTraces reads one trace per instance through read and grades it.
-// Instances the quarantine rule rejects are scored from a reference trace
-// instead: the mean of their service's healthy peers (in ids order), falling
-// back to the fleet-wide mean when the whole service is dark. No healthy
-// trace anywhere is ErrAllQuarantined. what names the caller in errors.
-//
-// smoothop:locked mu
-func (r *Runtime) scoringTraces(what string, ids []string, read func(id string) (timeseries.Series, tracestore.Quality, error)) (map[string]timeseries.Series, map[string]tracestore.Quality, []string, error) {
+// readTraces is the runtime's one way from telemetry to scoring traces. It
+// reads each instance's trace through read, as the store returns it, and
+// grades it; an instance the store has never seen grades no-data, like one
+// whose window is empty. traces holds the traces fit to score from, and
+// quarantined lists, in ids order, the instances the quarantine rule
+// rejects, which the caller scores from reference traces (fillReferences).
+// what names the caller in errors.
+func (r *Runtime) readTraces(what string, ids []string, read traceRead) (map[string]timeseries.Series, map[string]tracestore.Quality, []string, error) {
 	traces := make(map[string]timeseries.Series, len(ids))
 	quality := make(map[string]tracestore.Quality, len(ids))
 	var quarantined []string
-	byService := make(map[string][]timeseries.Series)
-	var healthy []timeseries.Series
 	for _, id := range ids {
 		tr, q, err := read(id)
+		if errors.Is(err, tracestore.ErrUnknownInstance) {
+			tr, q, err = timeseries.Series{}, tracestore.Quality{Grade: tracestore.GradeNoData}, nil
+		}
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("core: %s trace for %q: %w", what, id, err)
 		}
@@ -404,65 +431,57 @@ func (r *Runtime) scoringTraces(what string, ids []string, read func(id string) 
 			continue
 		}
 		traces[id] = tr
-		byService[r.services[id]] = append(byService[r.services[id]], tr)
-		healthy = append(healthy, tr)
-	}
-	for _, id := range quarantined {
-		ref, ok := referenceTrace(byService[r.services[id]], healthy)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("core: %s: %w", what, ErrAllQuarantined)
-		}
-		traces[id] = ref
-		obsFallbackTraces.Inc()
 	}
 	return traces, quality, quarantined, nil
 }
 
-// referenceTrace stands in for an instance whose own telemetry cannot be
-// trusted: the mean of its healthy same-service peers, or of the whole
-// healthy fleet when it has none.
-func referenceTrace(peers, fleet []timeseries.Series) (timeseries.Series, bool) {
-	if ref, ok := meanSeries(peers); ok {
-		return ref, true
+// scoringTraces is readTraces over a batch that is its own reference
+// population: each quarantined instance is scored from the batch's healthy
+// traces, in ids order.
+//
+// smoothop:locked mu
+func (r *Runtime) scoringTraces(what string, ids []string, read traceRead) (map[string]timeseries.Series, map[string]tracestore.Quality, []string, error) {
+	traces, quality, quarantined, err := r.readTraces(what, ids, read)
+	if err == nil && len(quarantined) > 0 {
+		err = r.fillReferences(what, quarantined, traces, ids, traces, nil)
 	}
-	return meanSeries(fleet)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return traces, quality, quarantined, nil
 }
 
-// despike rejects single-slot impulses from a materialised trace: a sample
-// more than twice the larger of its two neighbours is a sensor glitch, not
-// workload — genuine power peaks are broad at the store's sampling rates —
-// and is clamped to that neighbour. The filter is the identity on clean
-// traces (no smooth signal doubles in one slot), so scoring clean and
-// faulted telemetry stays comparable. Neighbours are always read from the
-// input, which is never modified: the values are copied at the first clamp,
-// and a trace with nothing to clamp is returned as is.
-func despike(tr timeseries.Series) timeseries.Series {
-	v := tr.Values
-	if len(v) < 3 {
-		return tr
-	}
-	var cleaned []float64
-	for i, x := range v {
-		var m float64
-		switch i {
-		case 0:
-			m = v[1]
-		case len(v) - 1:
-			m = v[len(v)-2]
-		default:
-			m = max(v[i-1], v[i+1])
+// fillReferences is the one reference-trace rule. Each quarantined
+// instance is scored from a population — ids in order, their traces, and
+// the ids to skip as unhealthy — by the mean of its service's healthy
+// traces there, or of all of them when its service has none. The
+// population's order is the summation order. An empty population is
+// ErrAllQuarantined. The reference traces go into traces.
+//
+// smoothop:locked mu
+func (r *Runtime) fillReferences(what string, quarantined []string, traces map[string]timeseries.Series, ids []string, pop map[string]timeseries.Series, skip map[string]bool) error {
+	byService := make(map[string][]timeseries.Series)
+	var fleet []timeseries.Series
+	for _, id := range ids {
+		tr, ok := pop[id]
+		if !ok || skip[id] {
+			continue
 		}
-		if x > 2*m {
-			if cleaned == nil {
-				cleaned = append([]float64(nil), v...)
-			}
-			cleaned[i] = m
+		byService[r.services[id]] = append(byService[r.services[id]], tr)
+		fleet = append(fleet, tr)
+	}
+	for _, id := range quarantined {
+		ref, ok := meanSeries(byService[r.services[id]])
+		if !ok {
+			ref, ok = meanSeries(fleet)
 		}
+		if !ok {
+			return fmt.Errorf("core: %s: %w", what, ErrAllQuarantined)
+		}
+		traces[id] = ref
+		obsFallbackTraces.Inc()
 	}
-	if cleaned == nil {
-		return tr
-	}
-	return timeseries.New(tr.Start, tr.Step, cleaned)
+	return nil
 }
 
 // meanSeries folds same-shaped traces into their pointwise mean.
@@ -507,8 +526,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	}
 	from := asOf.Add(-window)
 	fresh, quality, quarantined, err := r.scoringTraces("tick", r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
-		tr, q, err := r.store.SnapshotQuality(id, from, asOf)
-		return despike(tr), q, err
+		return r.store.SnapshotQuality(id, from, asOf)
 	})
 	if err != nil {
 		return nil, err
@@ -660,16 +678,13 @@ func (r *Runtime) emergencyStep(rep *DriftReport, from, asOf time.Time, tv *view
 	return nil
 }
 
-// peakReader views a window's traces as capping state: an instance draws
-// its window peak and can be throttled to half of it; everything is
-// backend-class (the runtime has no workload-class channel yet).
+// peakReader views a window's traces as capping state (capping.PeakState).
 func peakReader(fresh map[string]timeseries.Series) capping.Reader {
 	return func(id string) (capping.InstanceState, bool) {
 		tr, ok := fresh[id]
 		if !ok || tr.Len() == 0 {
 			return capping.InstanceState{}, false
 		}
-		p := tr.Peak()
-		return capping.InstanceState{Power: p, MinPower: 0.5 * p, Priority: capping.PriorityBackend}, true
+		return capping.PeakState(tr.Peak()), true
 	}
 }

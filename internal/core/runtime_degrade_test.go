@@ -133,7 +133,7 @@ func TestTickQuarantineAndFallback(t *testing.T) {
 }
 
 func TestBootstrapQuarantinesUnknownInstance(t *testing.T) {
-	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 2, nil)
+	rt, instances, trainEnd := degradeFixture(t, RuntimeConfig{}, 500, 3, nil)
 	// A placed instance the store has never heard of: quarantined at
 	// bootstrap, placed from its service's reference trace.
 	instances = append(instances, placement.Instance{ID: "ghost", Service: "web"})
@@ -146,6 +146,43 @@ func TestBootstrapQuarantinesUnknownInstance(t *testing.T) {
 	}
 	if err := placement.Verify(rt.Tree(), instances); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every later tick reads it the same way: quarantined, graded no-data,
+	// and scored from the mean of its service's tick-window traces.
+	rep, err := rt.Tick(trainEnd.Add(dWeek), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != "ghost" {
+		t.Fatalf("tick Quarantined = %v, want [ghost]", rep.Quarantined)
+	}
+	if q, ok := rt.InstanceQuality("ghost"); !ok || q.Grade != tracestore.GradeNoData {
+		t.Fatalf("tick quality for ghost = %+v, %v", q, ok)
+	}
+	var want []float64
+	for _, id := range []string{"a", "b"} {
+		tr, err := rt.store.Snapshot(id, trainEnd, trainEnd.Add(dWeek))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = make([]float64, tr.Len())
+		}
+		for i, v := range tr.Values {
+			want[i] += v / 2
+		}
+	}
+	rt.mu.Lock()
+	ref := rt.view.traces["ghost"]
+	rt.mu.Unlock()
+	if len(ref.Values) != len(want) {
+		t.Fatalf("ghost scored from %d slots, want %d", len(ref.Values), len(want))
+	}
+	for i := range want {
+		if math.Abs(ref.Values[i]-want[i]) > 1e-9 {
+			t.Fatalf("ghost slot %d = %v, want the web mean %v", i, ref.Values[i], want[i])
+		}
 	}
 }
 

@@ -595,9 +595,8 @@ func (s *Snapshot) evalTripBreaker(q Query, aggs *powertree.Aggregates, res *Res
 	return nil
 }
 
-// peakReader views the snapshot's traces as capping state: each instance
-// draws its window peak and can be throttled to half of it (backend class)
-// — mirroring the runtime's emergency-capping reader. The peaks are
+// peakReader views the snapshot's traces as capping state
+// (capping.PeakState), as the runtime's emergency path does. The peaks are
 // computed once per snapshot, on its first trip_breaker query.
 func (s *Snapshot) peakReader() capping.Reader {
 	s.peaksOnce.Do(func() {
@@ -615,7 +614,7 @@ func (s *Snapshot) peakReader() capping.Reader {
 		if !ok {
 			return capping.InstanceState{}, false
 		}
-		return capping.InstanceState{Power: p, MinPower: 0.5 * p, Priority: capping.PriorityBackend}, true
+		return capping.PeakState(p), true
 	}
 }
 

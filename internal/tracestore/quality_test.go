@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -313,6 +314,69 @@ func TestRejectImpulses(t *testing.T) {
 	}
 }
 
+// impulseAt returns the first slot of a read that exceeds twice the larger
+// of its neighbours (its one neighbour at an edge), or -1. A store with
+// RejectImpulses on must never leave one: it is exactly what a second,
+// post-repair impulse filter would clamp, so none is needed.
+func impulseAt(vals []float64) int {
+	if len(vals) < 2 {
+		return -1
+	}
+	for i, v := range vals {
+		var m float64
+		switch i {
+		case 0:
+			m = vals[1]
+		case len(vals) - 1:
+			m = vals[i-1]
+		default:
+			m = max(vals[i-1], vals[i+1])
+		}
+		if v > 2*m {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRejectImpulsesLeavesNoImpulse pins the reads that meet impulseAt's
+// bound with equality: a reading v kept beside a one-slot gap that repair
+// bridges to a 0 W reading, which leaves v/2 next to v. In the first ring
+// the gap is a dropout and v's other neighbour is v/2; in the second the
+// gap is a rejected spike and v's other neighbour is 0 W. With the filter
+// off the spike stays, and impulseAt finds it.
+func TestRejectImpulsesLeavesNoImpulse(t *testing.T) {
+	cases := []struct {
+		name    string
+		reject  bool
+		written []float64 // NaN: no reading in that slot
+		want    []float64
+		impulse int
+	}{
+		{"dropout to 0 W", true, []float64{50, 100, math.NaN(), 0}, []float64{50, 100, 50, 0}, -1},
+		{"rejected spike to 0 W", true, []float64{0, 8, 1000, 0}, []float64{0, 8, 4, 0}, -1},
+		{"spike kept with the filter off", false, []float64{0, 8, 1000, 0}, []float64{0, 8, 1000, 0}, 2},
+	}
+	for _, tc := range cases {
+		st := New(Config{Step: time.Minute, RejectImpulses: tc.reject})
+		for i, w := range tc.written {
+			if !math.IsNaN(w) {
+				must(t, st.Append("a", t0.Add(time.Duration(i)*time.Minute), w))
+			}
+		}
+		tr, _, err := st.SnapshotQuality("a", t0, t0.Add(time.Duration(len(tc.written))*time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tr.Values, tc.want) {
+			t.Fatalf("%s: read %v, want %v", tc.name, tr.Values, tc.want)
+		}
+		if got := impulseAt(tr.Values); got != tc.impulse {
+			t.Fatalf("%s: impulse at slot %d, want %d", tc.name, got, tc.impulse)
+		}
+	}
+}
+
 // snapshotQualityOracle is SnapshotQuality as it read windows before the
 // one-copy read: every slot maps its own timestamp back onto the ring with
 // time arithmetic. It is kept only as the reference the slice copy must
@@ -523,6 +587,9 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 			tr, q, err := st.SnapshotQuality("a", from, to)
 			wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
 			sameRead(t, label, tr, wtr, q, wq, err, werr)
+			if i := impulseAt(tr.Values); cfg.RejectImpulses && i >= 0 {
+				t.Fatalf("%s: impulse left at slot %d: %v", label, i, tr.Values)
+			}
 
 			weekEnd := start.Add(time.Duration(rng.Intn(3*length+1)-length) * step)
 			weeks := rng.Intn(4)
@@ -567,7 +634,8 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 
 // FuzzSnapshotQuality drives a seeded random ring, as fillRandomRing builds
 // them, and one window chosen by the fuzzer against the per-slot oracle,
-// with the impulse filter on and off.
+// with the impulse filter on and off. With the filter on, the read must
+// leave no impulse (impulseAt).
 func FuzzSnapshotQuality(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0), uint8(16), false, int16(0), uint16(16), int64(0))
 	f.Add(int64(2), uint16(300), uint8(1), uint8(200), true, int16(-5), uint16(60), int64(0))
@@ -592,6 +660,9 @@ func FuzzSnapshotQuality(f *testing.F) {
 		tr, q, err := st.SnapshotQuality("a", from, to)
 		wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
 		sameRead(t, label, tr, wtr, q, wq, err, werr)
+		if i := impulseAt(tr.Values); reject && i >= 0 {
+			t.Fatalf("%s: impulse left at slot %d: %v", label, i, tr.Values)
+		}
 	})
 }
 

@@ -47,11 +47,14 @@ type Config struct {
 	// (the paper's 2 training + 1 test).
 	Retention time.Duration
 	// RejectImpulses drops single-sample glitches (a reading more than
-	// twice the larger of its nearest real neighbours) from materialised
-	// windows before gap repair, so a spiking sensor on the edge of a
-	// dropout gap is not smeared across the gap as a synthetic peak.
-	// Off by default: the plain store contract is exact recovery of every
-	// written reading; turn this on for stores fed by untrusted sensors.
+	// twice the larger of its nearest real neighbours) from every
+	// materialised window before gap repair, so a spiking sensor on the
+	// edge of a dropout gap is not smeared across the gap as a synthetic
+	// peak. It is the pipeline's only impulse filter: no read leaves a slot
+	// above twice the larger of its neighbours, and core.Runtime scores
+	// what the store returns as is. Off by default: the plain store
+	// contract is exact recovery of every written reading; turn this on
+	// for stores fed by untrusted sensors.
 	RejectImpulses bool
 }
 
@@ -95,6 +98,9 @@ func New(cfg Config) *Store {
 
 // Step returns the store's bucketing interval.
 func (s *Store) Step() time.Duration { return s.cfg.step() }
+
+// Retention returns how much history the store keeps per instance.
+func (s *Store) Retention() time.Duration { return s.cfg.retention() }
 
 // Instances returns the known instance IDs, sorted.
 func (s *Store) Instances() []string {
