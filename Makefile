@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short loc clean
 
 all: check
 
@@ -155,6 +155,11 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=5s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=5s ./internal/core/
 	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=5s ./internal/core/
+
+# loc counts the non-test Go lines under internal/ and cmd/, the figure a
+# simplification is measured by.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	rm -rf internal/*/testdata/fuzz .bench_build

@@ -69,7 +69,7 @@ func TestAdaptMatchesOracle(t *testing.T) {
 		for _, workers := range []string{"1", "8"} {
 			t.Setenv(parallel.EnvWorkers, workers)
 			gotTree, wantTree := pr.BaselineTree.Clone(), pr.BaselineTree.Clone()
-			gotAggs, err := gotTree.AggregateAll(powertree.PowerFn(traces))
+			o, err := placement.NewOnline(gotTree, traces, placement.PolicyConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestAdaptMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := adapt(gotTree, traces, gotAggs, 1.5, 16, placement.PolicyConfig{})
+			got, err := adapt(o, traces, 1.5, 16)
 			if err != nil {
 				t.Fatal(err)
 			}

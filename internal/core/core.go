@@ -453,24 +453,24 @@ type DriftReport struct {
 // asynchrony score below which a node is considered fragmented (1.0 disables
 // remapping only for perfectly synchronous nodes; the paper leaves the
 // trigger operational — 1.2–1.5 works well in practice).
+// Every resident of tree needs a trace in fresh.
 func (f *Framework) Adapt(tree *powertree.Node, fresh map[string]timeseries.Series, scoreFloor float64, maxSwaps int) (*DriftReport, error) {
 	traces := workload.SubPowerFn(fresh)
-	aggs, err := tree.AggregateAll(traces)
+	o, err := placement.NewOnline(tree, traces, placement.PolicyConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return adapt(tree, traces, aggs, scoreFloor, maxSwaps, placement.PolicyConfig{})
+	return adapt(o, traces, scoreFloor, maxSwaps)
 }
 
-// adapt is the drift monitor behind Adapt and Runtime.Tick. aggs is the
-// caller's aggregation of tree over traces (Σ leaf peaks is read from it,
-// before any swap); policy threads the placement options through to the
-// remapping step: when policy.Demands is set, swaps additionally respect
-// every capacity dimension the tree declares (see
-// placement.RemapConfig.Policy).
-func adapt(tree *powertree.Node, traces placement.TraceFn, aggs *powertree.Aggregates, scoreFloor float64, maxSwaps int, policy placement.PolicyConfig) (*DriftReport, error) {
-	// The leaves' scores take their denominators from aggs, and the same
-	// scores seed the remap: no resident trace is summed again.
+// adapt is the drift monitor behind Adapt and Runtime.Tick, run through the
+// placer o over traces (the TraceFn o was built with). Σ leaf peaks and the
+// leaves' scores are read from o's ledger before any swap, and the same
+// scores seed the remap, so no resident trace is summed again; the remap
+// moves instances through o (placement.Online.Remap), whose recorded
+// demands veto swaps that would overflow a capacity dimension.
+func adapt(o *placement.Online, traces placement.TraceFn, scoreFloor float64, maxSwaps int) (*DriftReport, error) {
+	aggs := o.Aggregates()
 	scores, err := placement.LevelAsynchronyFrom(aggs, powertree.RPP, traces)
 	if err != nil {
 		return nil, err
@@ -482,7 +482,7 @@ func adapt(tree *powertree.Node, traces placement.TraceFn, aggs *powertree.Aggre
 		}
 	}
 	if rep.WorstScore < scoreFloor {
-		rep.Swaps, err = placement.RemapFrom(tree, traces, scores, placement.RemapConfig{MaxSwaps: maxSwaps, Policy: policy})
+		rep.Swaps, err = o.Remap(scores, maxSwaps)
 		if err != nil {
 			return nil, err
 		}

@@ -329,16 +329,31 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	ids := make([]string, len(instances))
 	for i, inst := range instances {
 		ids[i] = inst.ID
+		if err := inst.Demands.Validate(); err != nil {
+			return fmt.Errorf("core: bootstrap demands for %q: %w", inst.ID, err)
+		}
+	}
+	// Demands enter the runtime's ledger here; the batch placer itself is
+	// power-only, so capacity dimensions bind at admission and remap time. A
+	// failure past this point takes back what this call wrote, leaving the
+	// ledger and the tree as NewRuntime requires them. The maps are mutated
+	// in place: placementCfg's closure captures r.demands.
+	for _, inst := range instances {
 		r.services[inst.ID] = inst.Service
-		// Demands enter the runtime's ledger here; the batch placer itself is
-		// power-only, so capacity dimensions bind at admission and remap time.
 		if len(inst.Demands) > 0 {
-			if err := inst.Demands.Validate(); err != nil {
-				return fmt.Errorf("core: bootstrap demands for %q: %w", inst.ID, err)
-			}
 			r.demands[inst.ID] = inst.Demands.Clone()
 		}
 	}
+	defer func() {
+		if r.placed {
+			return
+		}
+		for _, id := range ids {
+			delete(r.services, id)
+			delete(r.demands, id)
+		}
+		r.tree.ClearInstances()
+	}()
 	avg, quality, quarantined, err := r.scoringTraces("bootstrap", ids, r.trainingRead(asOf, trainWeeks))
 	if err != nil {
 		return err
@@ -354,7 +369,6 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	}
 	v, err := r.newView(avg, quarantined, asOf, 0)
 	if err != nil {
-		r.tree.ClearInstances() // leave the tree as NewRuntime requires it
 		return fmt.Errorf("core: bootstrap: %w", err)
 	}
 	r.quality = quality
@@ -532,13 +546,14 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 		return nil, err
 	}
 	// The tick's one full aggregation: a view over the fresh window. Σ leaf
-	// peaks and the trip-window breaker check read its ledger, and it
-	// becomes the runtime's view unless an admission view is live.
+	// peaks and the trip-window breaker check read its ledger, the remap
+	// moves instances through its placer, and it becomes the runtime's view
+	// unless an admission view is live.
 	tv, err := r.newView(fresh, quarantined, asOf, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: tick: %w", err)
 	}
-	rep, err := adapt(r.tree, workload.SubPowerFn(fresh), tv.online.Aggregates(), r.scoreFloor, r.maxSwaps, r.placementCfg())
+	rep, err := adapt(tv.online, workload.SubPowerFn(fresh), r.scoreFloor, r.maxSwaps)
 	if err != nil {
 		return nil, err
 	}
@@ -547,11 +562,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	r.quarantined = quarantined
 	obsQuarantined.Set(float64(len(quarantined)))
 	r.evalAsOf = asOf
-	moved := r.swappedLeaves(rep.Swaps)
-	if err := resync(tv, moved); err != nil {
-		return nil, fmt.Errorf("core: tick: %w", err)
-	}
-	r.adoptTick(tv, moved)
+	r.adoptTick(tv, r.swappedLeaves(rep.Swaps))
 
 	if err := r.emergencyStep(rep, from, asOf, tv); err != nil {
 		return nil, err
@@ -581,15 +592,6 @@ func (r *Runtime) swappedLeaves(swaps []placement.Swap) []*powertree.Node {
 	return leaves
 }
 
-// resync has a view's placer re-read the leaves a remap moved instances
-// between (their traces are already in the view — swaps move residents).
-func resync(v *view, moved []*powertree.Node) error {
-	if len(moved) == 0 {
-		return nil
-	}
-	return v.online.Resync(moved...)
-}
-
 // adoptTick settles which view the runtime holds after a tick. A live
 // admission view stays: its traces ARE its window's telemetry, so it only
 // has to absorb the remap's swaps, after which retirements and explicitly
@@ -603,12 +605,13 @@ func (r *Runtime) adoptTick(tv *view, moved []*powertree.Node) {
 		r.setView(tv)
 		return
 	}
-	if err := resync(r.view, moved); err != nil {
-		obsOnlineDrops.Inc()
-		r.setView(tv)
-		return
-	}
 	if len(moved) > 0 {
+		// The swaps moved residents, whose traces the view already holds.
+		if err := r.view.online.Resync(moved...); err != nil {
+			obsOnlineDrops.Inc()
+			r.setView(tv)
+			return
+		}
 		obsOnlineResyncs.Inc()
 	}
 	r.viewChanged()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -164,5 +165,32 @@ func TestRuntimeBootstrapMissingHistory(t *testing.T) {
 	err = rt.Bootstrap([]placement.Instance{{ID: "ghost", Service: "x"}}, asOf, 2)
 	if err == nil {
 		t.Fatal("bootstrap without telemetry must error")
+	}
+}
+
+// TestFailedBootstrapLeavesNoDemands: a Bootstrap that fails leaves the
+// runtime's demand ledger as it found it. The batch's second demand is
+// invalid, so the call fails; a retry without demands must then see no gpu
+// in use, where the first instance's {gpu: 4} used to stay on record and
+// bind admission, remap and the gpu fragmentation rows.
+func TestFailedBootstrapLeavesNoDemands(t *testing.T) {
+	rt, instances, _, trainEnd := runtimeFixture(t)
+	capacitateTree(rt.tree, powertree.ResourceVector{"gpu": 4})
+	bad := append([]placement.Instance(nil), instances...)
+	bad[0].Demands = powertree.ResourceVector{"gpu": 4}
+	bad[1].Demands = powertree.ResourceVector{"gpu": -1}
+	if err := rt.Bootstrap(bad, trainEnd, 2); !errors.Is(err, powertree.ErrBadDimension) {
+		t.Fatalf("bootstrap with a negative demand: %v, want %v", err, powertree.ErrBadDimension)
+	}
+	if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if len(rt.demands) != 0 {
+		t.Fatalf("demand ledger after a demand-free bootstrap: %v", rt.demands)
+	}
+	if used := rt.view.online.Used(rt.tree); used != nil {
+		t.Fatalf("used capacity after a demand-free bootstrap: %v", used)
 	}
 }

@@ -100,13 +100,22 @@ func TestRuntimeViewAgreesWithScratch(t *testing.T) {
 // TestTickAggregatesOnce: a tick sweeps the fleet exactly once — Σ leaf
 // peaks, the leaves' asynchrony scores, the remap they seed, the gauges and
 // the breaker check all read that one aggregation — whether or not an
-// admission view is live.
+// admission view is live. The remap moves instances through the tick's own
+// placer, so the only Online.Resync a tick runs is a live admission view
+// absorbing the swaps.
 func TestTickAggregatesOnce(t *testing.T) {
-	rt, _, held, trainEnd := admissionFixture(t)
+	// A score floor no leaf reaches makes every tick remap, and one swap
+	// per tick leaves the second tick a swap to make.
+	rt, instances, _, trainEnd := runtimeFixtureWith(t, RuntimeConfig{ScoreFloor: 10, MaxSwapsPerTick: 1})
+	placed, held := instances[:len(instances)-3], instances[len(instances)-3:]
+	if err := rt.Bootstrap(placed, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
 	sweeps := obs.Default().Counter("smoothop_powertree_aggregations_total", "")
-	tick := func(step string, asOf time.Time) {
+	resyncs := obs.Default().Counter("smoothop_placement_resyncs_total", "")
+	tick := func(step string, asOf time.Time, wantResyncs uint64) {
 		t.Helper()
-		before := sweeps.Value()
+		before, resyncsBefore := sweeps.Value(), resyncs.Value()
 		rep, err := rt.Tick(asOf, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -117,12 +126,18 @@ func TestTickAggregatesOnce(t *testing.T) {
 		if rep.WorstNode == "" {
 			t.Fatalf("%s: tick scored no leaf, so the count covers no scoring", step)
 		}
+		if len(rep.Swaps) == 0 {
+			t.Fatalf("%s: tick applied no swap, so the resync count covers nothing", step)
+		}
+		if got := resyncs.Value() - resyncsBefore; got != wantResyncs {
+			t.Fatalf("%s: tick ran %d placer resyncs, want %d", step, got, wantResyncs)
+		}
 	}
-	tick("tick after bootstrap", trainEnd.Add(7*24*time.Hour))
+	tick("tick after bootstrap", trainEnd.Add(7*24*time.Hour), 0)
 	if _, err := rt.AdmitInstance(held[0].ID, held[0].Service, trainEnd, 2); err != nil {
 		t.Fatal(err)
 	}
-	tick("tick with an admission view live", trainEnd.Add(7*24*time.Hour))
+	tick("tick with an admission view live", trainEnd.Add(7*24*time.Hour), 1)
 }
 
 // TestRetiredInstancesLeaveNoTrace: admit/retire cycles must not accumulate

@@ -223,11 +223,8 @@ func StrandedNodeCount(tree *powertree.Node, traces powertree.PowerFn, demands f
 			if aggs.Peak(m)+probePower > m.Budget {
 				return false
 			}
-			for _, dim := range probeDemand.Dimensions() {
-				limit, ok := m.Capacities[dim]
-				if ok && usage.Of(m).Get(dim)+probeDemand[dim] > limit {
-					return false
-				}
+			if !usage.Fits(m, probeDemand, nil) {
+				return false
 			}
 		}
 		return true

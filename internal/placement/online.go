@@ -52,10 +52,10 @@ type OnlineCandidate struct {
 	Residuals []float64
 }
 
-// OnlinePolicy picks which feasible leaf hosts an arriving instance.
+// Policy picks which feasible leaf hosts an arriving instance.
 // Implementations must be deterministic given their configuration and the
 // sequence of Choose calls.
-type OnlinePolicy interface {
+type Policy interface {
 	// Name identifies the policy in reports and experiment tables.
 	Name() string
 	// Choose returns the index of the winning candidate. cands is never
@@ -75,17 +75,17 @@ type OnlinePlacer interface {
 }
 
 // Online is the concrete OnlinePlacer. It records the tree's residents at
-// construction and keeps two ledgers current through every Admit, Retire and
-// Resync: a powertree.Aggregator holding each node's aggregate power trace
-// and a powertree.Usage holding each node's used capacity. Both recompute
-// whole nodes from their parts (dirty leaves and their root paths only), so
-// the placer's state is a pure function of (tree, traces, demands): a placer
-// that has lived through any admit/retire/resync history is bit-identical to
-// one freshly built over the same tree.
+// construction and keeps two ledgers current through every Admit, Retire,
+// Remap and Resync: a powertree.Aggregator holding each node's aggregate
+// power trace and a powertree.Usage holding each node's used capacity. Both
+// recompute whole nodes from their parts (dirty leaves and their root paths
+// only), so the placer's state is a pure function of (tree, traces,
+// demands): a placer that has lived through any admit/retire/remap/resync
+// history is bit-identical to one freshly built over the same tree.
 type Online struct {
 	tree    *powertree.Node
 	traces  TraceFn
-	policy  OnlinePolicy
+	policy  Policy
 	demands DemandFn
 
 	ledger *powertree.Aggregator
@@ -241,9 +241,9 @@ func (o *Online) refold(leaves ...*powertree.Node) error {
 }
 
 // Resync reconciles the placer's state with the live tree for the given
-// leaves after an external mutation moved instances among them (typically a
-// Remap tick swapping residents between RPPs). Only the named leaves and
-// their root paths are touched: residents are re-recorded from
+// leaves after an external mutation moved instances among them (typically
+// another placer's Remap swapping residents between RPPs). Only the named
+// leaves and their root paths are touched: residents are re-recorded from
 // leaf.Instances and the path aggregates recombined, so a k-leaf resync
 // costs O(k·(instances-per-leaf + depth)·len) instead of a full
 // reconstruction.
@@ -288,24 +288,6 @@ func peakWith(agg, tr timeseries.Series) (float64, error) {
 	return peak, nil
 }
 
-// fitsCapacities reports whether admitting demand keeps every capacity
-// dimension the node declares within bounds. Dimensions the node does not
-// declare are unconstrained there (partial declarations are allowed), and a
-// nil demand always fits.
-func (o *Online) fitsCapacities(n *powertree.Node, demand powertree.ResourceVector) bool {
-	if len(demand) == 0 || len(n.Capacities) == 0 {
-		return true
-	}
-	used := o.usage.Of(n)
-	for _, dim := range demand.Dimensions() {
-		limit, ok := n.Capacities[dim]
-		if ok && used.Get(dim)+demand[dim] > limit {
-			return false
-		}
-	}
-	return true
-}
-
 // appendResiduals appends a candidate leaf's post-admission residual vector
 // to the placer's flat residuals buffer and returns the appended window:
 // power headroom fraction first, then free/capacity for each declared
@@ -321,7 +303,7 @@ func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64, demand 
 		if limit > 0 {
 			free := limit - used.Get(dim) - demand.Get(dim)
 			if free < 0 {
-				free = 0 // float residue; fitsCapacities already gated
+				free = 0 // float residue; Usage.Fits already gated
 			}
 			frac = free / limit
 		}
@@ -348,7 +330,7 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 		if post > n.Budget {
 			return nil // this node's breaker would trip; nothing below fits
 		}
-		if !o.fitsCapacities(n, demand) {
+		if !o.usage.Fits(n, demand, nil) {
 			return nil // a declared capacity dimension would overflow
 		}
 		if n.IsLeaf() {
@@ -442,10 +424,10 @@ type OnlineRandom struct {
 	rng *rand.Rand
 }
 
-// Name implements OnlinePolicy.
+// Name implements Policy.
 func (p *OnlineRandom) Name() string { return "random" }
 
-// Choose implements OnlinePolicy.
+// Choose implements Policy.
 func (p *OnlineRandom) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Series) (int, error) {
 	return p.rng.Intn(len(cands)), nil
 }
@@ -455,10 +437,10 @@ func (p *OnlineRandom) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.
 // order. This is the classic best-fit bin-packing baseline.
 type OnlineBestFit struct{}
 
-// Name implements OnlinePolicy.
+// Name implements Policy.
 func (OnlineBestFit) Name() string { return "best-fit" }
 
-// Choose implements OnlinePolicy.
+// Choose implements Policy.
 func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Series) (int, error) {
 	best, bestHead := 0, math.Inf(1)
 	for i, c := range cands {
@@ -478,10 +460,10 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 // with anything); ties break toward the tighter fit, then tree order.
 type OnlineAsynchrony struct{}
 
-// Name implements OnlinePolicy.
+// Name implements Policy.
 func (OnlineAsynchrony) Name() string { return "asynchrony" }
 
-// Choose implements OnlinePolicy.
+// Choose implements Policy.
 func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Series) (int, error) {
 	best, bestScore, bestHead := -1, math.Inf(-1), math.Inf(1)
 	for i, c := range cands {

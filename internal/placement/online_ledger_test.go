@@ -70,7 +70,7 @@ func referenceChoose(traces TraceFn, farb *score.FARBWeights, cands []OnlineCand
 // checkedPolicy runs the real policy and the reference side by side and
 // records the first disagreement.
 type checkedPolicy struct {
-	OnlinePolicy
+	Policy
 	traces   TraceFn
 	farb     *score.FARBWeights
 	choices  int
@@ -78,7 +78,7 @@ type checkedPolicy struct {
 }
 
 func (p *checkedPolicy) Choose(cands []OnlineCandidate, inst Instance, tr timeseries.Series) (int, error) {
-	got, err := p.OnlinePolicy.Choose(cands, inst, tr)
+	got, err := p.Policy.Choose(cands, inst, tr)
 	if err != nil {
 		return 0, err
 	}
@@ -110,11 +110,11 @@ func TestOnlineLedgerScoringPicksSameLeaf(t *testing.T) {
 			for _, inst := range instances {
 				gpus[inst.ID] = powertree.ResourceVector{"gpu": float64(rng.Intn(5))}
 			}
-			var real OnlinePolicy = OnlineAsynchrony{}
+			var real Policy = OnlineAsynchrony{}
 			if weights != nil {
 				real = OnlineFARB{Weights: *weights}
 			}
-			policy := &checkedPolicy{OnlinePolicy: real, traces: traces, farb: weights}
+			policy := &checkedPolicy{Policy: real, traces: traces, farb: weights}
 			o, err := NewOnline(tree, traces, PolicyConfig{Custom: policy, Demands: func(id string) (powertree.ResourceVector, bool) {
 				d, ok := gpus[id]
 				return d, ok

@@ -15,8 +15,8 @@ import (
 // onlinePolicies returns a fresh instance of every online policy (random
 // policies carry a decision stream, so tests must not share them between
 // runs).
-func onlinePolicies() []OnlinePolicy {
-	return []OnlinePolicy{&OnlineRandom{rng: newRand(7)}, OnlineBestFit{}, OnlineAsynchrony{}}
+func onlinePolicies() []Policy {
+	return []Policy{&OnlineRandom{rng: newRand(7)}, OnlineBestFit{}, OnlineAsynchrony{}}
 }
 
 func TestOnlineAdmitsWholeFleet(t *testing.T) {
@@ -161,10 +161,10 @@ func TestOnlineMissingTrace(t *testing.T) {
 }
 
 func TestOnlineDeterministicReplay(t *testing.T) {
-	for _, mk := range []func() OnlinePolicy{
-		func() OnlinePolicy { return &OnlineRandom{rng: newRand(11)} },
-		func() OnlinePolicy { return OnlineBestFit{} },
-		func() OnlinePolicy { return OnlineAsynchrony{} },
+	for _, mk := range []func() Policy{
+		func() Policy { return &OnlineRandom{rng: newRand(11)} },
+		func() Policy { return OnlineBestFit{} },
+		func() Policy { return OnlineAsynchrony{} },
 	} {
 		run := func() map[string]string {
 			instances, traces, tree := testFixture(t)

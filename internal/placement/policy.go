@@ -16,12 +16,6 @@ import (
 // (kind, seed, FARB weights, optional demand resolver) and hand it to
 // NewOnline; custom implementations plug in through the Custom field.
 
-// Policy picks which feasible leaf hosts an arriving instance — the
-// redesigned name for OnlinePolicy (kept as an alias for compatibility).
-// Implementations must be deterministic given their configuration and the
-// sequence of Choose calls.
-type Policy = OnlinePolicy
-
 // DemandFn resolves an instance ID to its multi-resource demand vector.
 // Returning ok=false (or a nil vector) means the instance demands nothing
 // beyond power. Like TraceFn, implementations must be safe for concurrent

@@ -29,12 +29,12 @@ type RemapConfig struct {
 	// MaxSwaps bounds the number of accepted swaps; 0 means 32. Negative is
 	// rejected with ErrBadMaxSwaps.
 	MaxSwaps int
-	// Policy carries the redesigned policy/capacity options. Remap keeps the
-	// paper's differential-asynchrony objective (§3.6) regardless of Kind;
-	// what it consumes is the demand model: when Policy.Demands is set, a
-	// swap is accepted only if both affected subtrees stay within every
-	// capacity dimension they declare after the exchange. The zero value
-	// (no demand resolver) is bit-identical to the power-only path.
+	// Policy supplies the demand model of the placer Remap builds; the
+	// objective stays the paper's differential asynchrony (§3.6) whatever
+	// Kind says. With Policy.Demands set, a swap is accepted only if both
+	// affected subtrees stay within every capacity dimension they declare
+	// after the exchange (powertree.Usage.Fits). The zero value is the
+	// power-only path.
 	Policy PolicyConfig
 }
 
@@ -44,47 +44,53 @@ type RemapConfig struct {
 var ErrBadMaxSwaps = errors.New("placement: MaxSwaps must not be negative")
 
 // Remap incrementally improves an existing placement in response to
-// workload drift. Following §3.6, it repeatedly: finds the leaf with the
-// lowest asynchrony score, finds the instance there with the worst
-// differential asynchrony score, and swaps it with an instance from another
-// leaf if and only if the swap raises the differential scores at both
-// leaves. It stops when no improving swap exists or MaxSwaps is reached,
-// returning the accepted swaps. It is LevelAsynchrony, then RemapFrom.
+// workload drift (§3.6): it builds a placer over the tree (NewOnline, with
+// cfg.Policy's demand model), scores the leaves from its ledger
+// (LevelAsynchronyFrom) and runs Online.Remap.
 func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error) {
-	var scores map[string]float64
-	var err error
-	// Score only when RemapFrom will read the scores: valid config, ≥ 2 leaves.
-	if cfg.MaxSwaps >= 0 && len(tree.NodesAtLevel(powertree.RPP)) >= 2 {
-		if scores, err = LevelAsynchrony(tree, powertree.RPP, traces); err != nil {
-			return nil, err
-		}
-	}
-	return RemapFrom(tree, traces, scores, cfg)
-}
-
-// RemapFrom is Remap seeded with the leaves' current scores, as
-// LevelAsynchronyFrom returns them from the caller's ledger of tree; a leaf
-// missing from scores has fewer than two residents and reads as +Inf. The
-// two leaves a swap touches are rescored from their traces.
-func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, cfg RemapConfig) ([]Swap, error) {
 	if cfg.MaxSwaps < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, cfg.MaxSwaps)
 	}
-	timer := obsRemapSpan.Start()
-	maxSwaps := cfg.MaxSwaps
-	if maxSwaps == 0 {
-		maxSwaps = 32
-	}
-	nodes := tree.NodesAtLevel(powertree.RPP)
-	if len(nodes) < 2 {
-		obsRemaps.Inc()
-		timer.End()
+	if len(tree.NodesAtLevel(powertree.RPP)) < 2 {
 		return nil, nil
 	}
-	capGuard, err := newRemapCapacity(tree, cfg.Policy.Demands)
+	o, err := NewOnline(tree, traces, PolicyConfig{Demands: cfg.Policy.Demands})
 	if err != nil {
 		return nil, err
 	}
+	scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
+	if err != nil {
+		return nil, err
+	}
+	return o.Remap(scores, cfg.MaxSwaps)
+}
+
+// Remap is the §3.6 repair run on the placer's tree. It repeatedly finds
+// the leaf with the lowest asynchrony score, finds the instance there with
+// the worst differential asynchrony score, and swaps it with an instance
+// from another leaf if and only if the swap raises the differential scores
+// at both leaves and keeps every capacity dimension on both root paths
+// within bounds (the placer's recorded demands against its usage ledger).
+// It stops when no improving swap exists or maxSwaps (0 means 32; negative
+// is ErrBadMaxSwaps) swaps were accepted, and returns them.
+//
+// scores seeds the leaves' current scores, as LevelAsynchronyFrom returns
+// them from the placer's Aggregates; a leaf missing from scores has fewer
+// than two residents and reads as +Inf. The two leaves of an accepted swap
+// are rescored from their residents' traces. The usage ledger is rerolled
+// after each swap, since later swaps are checked against it; the aggregate
+// ledger refolds every leaf the swaps touched once, before Remap returns
+// (one fold per swap would rebuild the ledger's snapshot each time). Either
+// way the placer's ledgers describe the repaired tree on return.
+func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) {
+	if maxSwaps < 0 {
+		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, maxSwaps)
+	}
+	timer := obsRemapSpan.Start()
+	if maxSwaps == 0 {
+		maxSwaps = 32
+	}
+	nodes := o.tree.NodesAtLevel(powertree.RPP)
 
 	// Per-node cache of instance IDs, resolved traces, asynchrony score and,
 	// per resident, the sum of the node's other traces (peers) and its
@@ -110,7 +116,7 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 		ids := n.AllInstances()
 		trs := make([]timeseries.Series, len(ids))
 		for j, id := range ids {
-			tr, ok := traces(id)
+			tr, ok := o.traces(id)
 			if !ok {
 				return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
 			}
@@ -154,6 +160,7 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 	}
 
 	var swaps []Swap
+	var moved []*powertree.Node
 	var attempted uint64
 	for len(swaps) < maxSwaps {
 		// 1. Find the most fragmented node. This also caches every node's
@@ -203,11 +210,6 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 		}
 		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
 
-		victimDemand, err := capGuard.demandFor(wIDs[victim])
-		if err != nil {
-			return nil, err
-		}
-
 		found := false
 		for _, cand := range order {
 			partner, candState := nodes[cand.idx], cache[cand.idx]
@@ -230,11 +232,7 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 				pPeers, curB := resident(candState, j)
 				newB := diff(wTraces[victim], pPeers, len(pTraces)-1)
 				if newB > curB {
-					partnerDemand, err := capGuard.demandFor(pIDs[j])
-					if err != nil {
-						return nil, err
-					}
-					if !capGuard.swapFits(worst, partner, victimDemand, partnerDemand) {
+					if !o.swapFits(worst, partner, o.demandOf[wIDs[victim]], o.demandOf[pIDs[j]]) {
 						continue // score improves but a capacity dimension would overflow
 					}
 					// Accept: "swap it ... if and only if that swap makes the
@@ -249,14 +247,16 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 					if err := partner.Attach(wIDs[victim]); err != nil {
 						return nil, err
 					}
+					o.leafOf[wIDs[victim]], o.leafOf[pIDs[j]] = partner, worst
+					if err := o.usage.Reroll(o.recordedDemand, worst, partner); err != nil {
+						return nil, err
+					}
+					moved = append(moved, worst, partner)
 					swaps = append(swaps, Swap{
 						InstanceA: wIDs[victim], InstanceB: pIDs[j],
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
-					if err := capGuard.swapped(worst, partner); err != nil {
-						return nil, err
-					}
 					// Only the two nodes touched by the swap changed;
 					// every other cached trace set and score stays valid.
 					cache[worstIdx], cache[cand.idx] = nil, nil
@@ -273,11 +273,43 @@ func RemapFrom(tree *powertree.Node, traces TraceFn, scores map[string]float64, 
 			break
 		}
 	}
+	if len(moved) > 0 {
+		if err := o.refold(moved...); err != nil {
+			return nil, err
+		}
+	}
 	obsRemaps.Inc()
 	obsSwapsAttempted.Add(attempted)
 	obsSwapsApplied.Add(uint64(len(swaps)))
 	timer.End()
 	return swaps, nil
+}
+
+// swapFits reports whether exchanging an instance with demand da (leaving
+// leaf a for b) against one with demand db (leaving b for a) keeps every
+// capacity dimension within bounds on both root paths. Ancestors both
+// leaves share see no net change and are skipped.
+func (o *Online) swapFits(a, b *powertree.Node, da, db powertree.ResourceVector) bool {
+	if len(da) == 0 && len(db) == 0 {
+		return true
+	}
+	onA := make(map[*powertree.Node]bool)
+	for n := a; n != nil; n = n.Parent() {
+		onA[n] = true
+	}
+	shared := b
+	for !onA[shared] {
+		shared = shared.Parent()
+	}
+	pathFits := func(n *powertree.Node, in, out powertree.ResourceVector) bool {
+		for ; n != shared; n = n.Parent() {
+			if !o.usage.Fits(n, in, out) {
+				return false
+			}
+		}
+		return true
+	}
+	return pathFits(a, db, da) && pathFits(b, da, db)
 }
 
 // leaveOneOut sums trs except trs[skip], in order, into a buffer of its own.

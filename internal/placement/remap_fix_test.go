@@ -3,6 +3,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -17,8 +18,8 @@ import (
 // TestRemapConfigRejectsNegatives is the regression test for the silent
 // coercion bug: RemapConfig used to treat a negative MaxSwaps as "use the
 // default" (a <= 0 check), hiding caller bugs. It must now fail loudly with
-// the named error, matching core.RuntimeConfig — through Remap and
-// RemapFrom alike, even when the traces could not be scored.
+// the named error, matching core.RuntimeConfig — through Remap (even when
+// the traces could not be scored) and Online.Remap alike.
 func TestRemapConfigRejectsNegatives(t *testing.T) {
 	instances, traces, tree := testFixture(t)
 	if err := (Random{Seed: 1}).Place(tree, instances, traces); err != nil {
@@ -29,9 +30,13 @@ func TestRemapConfigRejectsNegatives(t *testing.T) {
 		if _, err := Remap(tree.Clone(), tf, RemapConfig{MaxSwaps: -1}); !errors.Is(err, ErrBadMaxSwaps) {
 			t.Errorf("Remap err = %v, want %v", err, ErrBadMaxSwaps)
 		}
-		if _, err := RemapFrom(tree.Clone(), tf, nil, RemapConfig{MaxSwaps: -2}); !errors.Is(err, ErrBadMaxSwaps) {
-			t.Errorf("RemapFrom err = %v, want %v", err, ErrBadMaxSwaps)
-		}
+	}
+	o, err := NewOnline(tree.Clone(), traces, PolicyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Remap(nil, -2); !errors.Is(err, ErrBadMaxSwaps) {
+		t.Errorf("Online.Remap err = %v, want %v", err, ErrBadMaxSwaps)
 	}
 	// Zero still means the default, not zero swaps.
 	if _, err := Remap(tree.Clone(), traces, RemapConfig{}); err != nil {
@@ -55,9 +60,10 @@ func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (
 // remapReference is a test-local copy of Remap as it stood before per-node
 // score caching and before scoring from sums: every node's trace set and
 // asynchrony score recomputed from scratch on each swap iteration, and three
-// full differentials — each re-averaging its peers — per tried pair. It also
-// returns the number of pairs tried. The equivalence test pins Remap
-// bit-identical to this oracle.
+// full differentials — each re-averaging its peers — per tried pair. A swap's
+// capacity check applies it to a clone and sums every node's subtree demands
+// from scratch. It also returns the number of pairs tried. The equivalence
+// test pins Remap bit-identical to this oracle.
 func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, uint64, error) {
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps <= 0 {
@@ -67,9 +73,39 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 	if len(nodes) < 2 {
 		return nil, 0, nil
 	}
-	capGuard, err := newRemapCapacity(tree, cfg.Policy.Demands)
-	if err != nil {
-		return nil, 0, err
+	// fits applies the swap of ia (on a) and ib (on b) to a clone of the tree
+	// and checks each node's summed subtree demand against every capacity it
+	// declares.
+	fits := func(a, b *powertree.Node, ia, ib string) (bool, error) {
+		if cfg.Policy.Demands == nil {
+			return true, nil
+		}
+		clone := tree.Clone()
+		ca, cb := clone.Find(a.Name), clone.Find(b.Name)
+		if !ca.Detach(ia) || !cb.Detach(ib) {
+			return false, fmt.Errorf("reference: swap bookkeeping failed")
+		}
+		if err := ca.Attach(ib); err != nil {
+			return false, err
+		}
+		if err := cb.Attach(ia); err != nil {
+			return false, err
+		}
+		ok := true
+		clone.Walk(func(n *powertree.Node) {
+			for _, dim := range n.Capacities.Dimensions() {
+				sum := 0.0
+				for _, id := range n.AllInstances() {
+					if d, found := cfg.Policy.Demands(id); found {
+						sum += d[dim]
+					}
+				}
+				if sum > n.Capacities[dim] {
+					ok = false
+				}
+			}
+		})
+		return ok, nil
 	}
 	nodeTraces := func(n *powertree.Node) ([]string, []timeseries.Series, error) {
 		ids := n.AllInstances()
@@ -163,10 +199,6 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			order = append(order, scored{i, s})
 		}
 		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
-		victimDemand, err := capGuard.demandFor(wIDs[victim])
-		if err != nil {
-			return nil, 0, err
-		}
 		found := false
 		for _, cand := range order {
 			partner := nodes[cand.idx]
@@ -185,11 +217,11 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 				newA := diff(pTraces[j], victimPeers)
 				newB := diff(wTraces[victim], pPeers)
 				if newA > curA && newB > curB {
-					partnerDemand, err := capGuard.demandFor(pIDs[j])
+					ok, err := fits(worst, partner, wIDs[victim], pIDs[j])
 					if err != nil {
 						return nil, 0, err
 					}
-					if !capGuard.swapFits(worst, partner, victimDemand, partnerDemand) {
+					if !ok {
 						continue
 					}
 					if !worst.Detach(wIDs[victim]) || !partner.Detach(pIDs[j]) {
@@ -206,9 +238,6 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
-					if err := capGuard.swapped(worst, partner); err != nil {
-						return nil, 0, err
-					}
 					found = true
 					break
 				}
@@ -224,12 +253,15 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 	return swaps, attempted, nil
 }
 
-// TestRemapCachedScoringEquivalence pins Remap and RemapFrom bit-identical
+// TestRemapCachedScoringEquivalence pins Remap and Online.Remap bit-identical
 // to the recompute-everything reference: identical swap sequences
 // (instances, nodes and float gain bits), identical final placements and the
 // same number of tried pairs on the attempted counter, across fragmented and
 // already-smooth starting points, with and without a demand model whose
-// tight per-leaf gpu capacities veto some score-improving swaps.
+// tight per-leaf gpu capacities veto some score-improving swaps. After
+// Online.Remap the placer must also be current: every node's aggregate peak
+// bits and used vector, and every swapped instance's leaf, equal those of a
+// placer built fresh over the repaired tree.
 func TestRemapCachedScoringEquivalence(t *testing.T) {
 	instances, traces, _ := testFixture(t)
 	starts := map[string]Placer{
@@ -251,23 +283,28 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		{MaxSwaps: 64},
 		{MaxSwaps: 64, Policy: PolicyConfig{Demands: demands}},
 	}
-	// Remap scores the leaves itself; RemapFrom is seeded from a ledger the
-	// caller built, as the drift monitor does.
+	// Remap builds its own placer; Online.Remap runs on one the caller
+	// built and is seeded from that placer's Aggregates, as the drift
+	// monitor does, and returns the placer for the currency check.
 	entries := []struct {
 		name  string
-		remap func(*powertree.Node, RemapConfig) ([]Swap, error)
+		remap func(*powertree.Node, RemapConfig) ([]Swap, *Online, error)
 	}{
-		{"Remap", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, error) { return Remap(tree, traces, cfg) }},
-		{"RemapFrom", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, error) {
-			aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
+		{"Remap", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, *Online, error) {
+			swaps, err := Remap(tree, traces, cfg)
+			return swaps, nil, err
+		}},
+		{"Online.Remap", func(tree *powertree.Node, cfg RemapConfig) ([]Swap, *Online, error) {
+			o, err := NewOnline(tree, traces, PolicyConfig{Demands: cfg.Policy.Demands})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			scores, err := LevelAsynchronyFrom(aggs, powertree.RPP, traces)
+			scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return RemapFrom(tree, traces, scores, cfg)
+			swaps, err := o.Remap(scores, cfg.MaxSwaps)
+			return swaps, o, err
 		}},
 	}
 	vetoed := false
@@ -302,7 +339,8 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 			for _, entry := range entries {
 				cachedTree := base.Clone()
 				before := obsSwapsAttempted.Value()
-				if got, err = entry.remap(cachedTree, cfg); err != nil {
+				var o *Online
+				if got, o, err = entry.remap(cachedTree, cfg); err != nil {
 					t.Fatal(err)
 				}
 				if gotAttempted := obsSwapsAttempted.Value() - before; gotAttempted != wantAttempted {
@@ -320,6 +358,9 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 				if !slices.Equal(cachedTree.AllInstances(), refTree.AllInstances()) {
 					t.Fatalf("%s %s %+v: placements diverged", entry.name, name, cfg)
 				}
+				if o != nil {
+					checkPlacerCurrent(t, o, cachedTree, traces, cfg.Policy.Demands, got)
+				}
 			}
 			if cfg.Policy.Demands == nil && cfg.MaxSwaps == 64 {
 				unguarded = got
@@ -330,6 +371,35 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 	}
 	if !vetoed {
 		t.Fatal("the demand model never vetoed a swap: the guarded case exercises nothing")
+	}
+}
+
+// checkPlacerCurrent fails unless o, after a remap applied swaps to tree,
+// agrees with a placer built fresh over tree: every node's aggregate peak
+// bits and used vector, and the leaf of every swapped instance.
+func checkPlacerCurrent(t *testing.T, o *Online, tree *powertree.Node, traces TraceFn, demands DemandFn, swaps []Swap) {
+	t.Helper()
+	fresh, err := NewOnline(tree, traces, PolicyConfig{Demands: demands})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := o.Aggregates(), fresh.Aggregates()
+	tree.Walk(func(n *powertree.Node) {
+		if math.Float64bits(got.Peak(n)) != math.Float64bits(want.Peak(n)) {
+			t.Errorf("node %q: placer peak %v, fresh %v", n.Name, got.Peak(n), want.Peak(n))
+		}
+		if !maps.Equal(o.Used(n), fresh.Used(n)) {
+			t.Errorf("node %q: placer used %v, fresh %v", n.Name, o.Used(n), fresh.Used(n))
+		}
+	})
+	for _, sw := range swaps {
+		for _, id := range [2]string{sw.InstanceA, sw.InstanceB} {
+			gotLeaf, gotOK := o.Leaf(id)
+			wantLeaf, wantOK := fresh.Leaf(id)
+			if gotLeaf != wantLeaf || gotOK != wantOK {
+				t.Errorf("instance %q: placer leaf %v (%v), fresh %v (%v)", id, gotLeaf, gotOK, wantLeaf, wantOK)
+			}
+		}
 	}
 }
 
@@ -379,5 +449,93 @@ func TestDealRoundRobinResumesAcrossCalls(t *testing.T) {
 			counts[i] = len(leaf.Instances)
 		}
 		t.Fatalf("repeated deals unbalanced: %v", counts)
+	}
+}
+
+// TestOnlineRemapHonoursInlineDemands: a demand that arrived inline on the
+// Instance, with no DemandFn behind the placer, binds Online.Remap like any
+// recorded demand. The instance the unguarded repair moves first is
+// re-admitted with a gpu demand that only its own leaf can hold; with the
+// other leaves' gpu capacity at 1 the repair still moves it, at 0 every
+// such swap overflows and must be vetoed.
+func TestOnlineRemapHonoursInlineDemands(t *testing.T) {
+	instances, traces, base := testFixture(t)
+	if err := (Oblivious{}).Place(base, instances, traces); err != nil {
+		t.Fatal(err)
+	}
+	first, err := Remap(base.Clone(), traces, RemapConfig{MaxSwaps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("the unguarded repair swaps nothing: the fixture exercises nothing")
+	}
+	moved, home := first[0].InstanceA, first[0].NodeA
+	service := ""
+	for _, inst := range instances {
+		if inst.ID == moved {
+			service = inst.Service
+		}
+	}
+	gpu := powertree.ResourceVector{"gpu": 1}
+	run := func(otherGPUs float64) ([]Swap, *Online, *powertree.Node) {
+		t.Helper()
+		tree := base.Clone()
+		if !tree.Find(home).Detach(moved) {
+			t.Fatalf("%q not on %q", moved, home)
+		}
+		// Only the home leaf has a gpu while the instance is admitted.
+		for _, leaf := range tree.Leaves() {
+			leaf.Capacities = powertree.ResourceVector{"gpu": 0}
+		}
+		tree.Find(home).Capacities = gpu.Clone()
+		o, err := NewOnline(tree, traces, PolicyConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, err := o.Admit(Instance{ID: moved, Service: service, Demands: gpu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaf.Name != home {
+			t.Fatalf("admitted onto %q, want %q", leaf.Name, home)
+		}
+		for _, leaf := range tree.Leaves() {
+			if leaf.Name != home {
+				leaf.Capacities = powertree.ResourceVector{"gpu": otherGPUs}
+			}
+		}
+		scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swaps, err := o.Remap(scores, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return swaps, o, tree
+	}
+	movesIt := func(swaps []Swap) bool {
+		for _, sw := range swaps {
+			if sw.InstanceA == moved || sw.InstanceB == moved {
+				return true
+			}
+		}
+		return false
+	}
+	if swaps, _, _ := run(1); !movesIt(swaps) {
+		t.Fatalf("with room elsewhere the repair never moves %q: the veto below tests nothing", moved)
+	}
+	swaps, o, tree := run(0)
+	if movesIt(swaps) {
+		t.Fatalf("the repair moved %q onto a leaf with no gpu: %+v", moved, swaps)
+	}
+	if leaf, ok := o.Leaf(moved); !ok || leaf.Name != home {
+		t.Fatalf("%q left %q", moved, home)
+	}
+	for _, leaf := range tree.Leaves() {
+		if used := o.Used(leaf).Get("gpu"); used > leaf.Capacities["gpu"] {
+			t.Fatalf("leaf %q holds %v gpu over its capacity %v", leaf.Name, used, leaf.Capacities["gpu"])
+		}
 	}
 }

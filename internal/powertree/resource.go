@@ -204,6 +204,26 @@ func (u *Usage) Of(n *Node) ResourceVector {
 	return u.used[n]
 }
 
+// Fits reports whether node n stays within every capacity dimension it
+// declares once a demand of out leaves its subtree and one of in arrives:
+// used − out + in ≤ capacity in each dimension in names. Dimensions n does
+// not declare are unconstrained there (partial declarations are allowed),
+// and a nil in always fits. This is the one capacity-fit rule: admission
+// passes out = nil, a remap swap passes the departing instance's demand.
+func (u *Usage) Fits(n *Node, in, out ResourceVector) bool {
+	if len(in) == 0 || len(n.Capacities) == 0 {
+		return true
+	}
+	used := u.Of(n)
+	for _, dim := range in.Dimensions() {
+		limit, ok := n.Capacities[dim]
+		if ok && used.Get(dim)-out.Get(dim)+in.Get(dim) > limit {
+			return false
+		}
+	}
+	return true
+}
+
 // validateCapacities walks the subtree checking the capacity invariants:
 // every vector is well-formed and, wherever parent and child both declare a
 // dimension, the child's capacity does not exceed the parent's (mirroring
