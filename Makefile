@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short loc clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs experiments-diff smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short loc clean
 
 all: check
 
@@ -81,6 +81,15 @@ bench-e2e-smoke:
 PAIRS ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(METRIC) $(PAIRS)
+
+# experiments-diff is the "results unchanged" oracle for the offline
+# studies: `experiments -all` built from a parent commit and from this
+# checkout, at default flags and at -scale 2 -step 30m -seed 2 with CSVs,
+# must print identical bytes, e.g.
+#   make experiments-diff PARENT=HEAD~1
+# It needs a parent ref, so it stays out of check.
+experiments-diff:
+	bash scripts/experiments-diff.sh $(PARENT)
 
 # smoke drives smoothopd's run() end to end twice — replay, flag validation,
 # and a scrape of GET /metrics asserting deterministic counters.

@@ -55,8 +55,8 @@ func main() {
 	}
 }
 
-// parseDCs turns the -dc flag into a validated datacenter subset. An empty
-// flag selects every datacenter.
+// parseDCs turns the -dc flag into a validated datacenter subset, each
+// datacenter at most once. An empty flag selects every datacenter.
 func parseDCs(s string) ([]workload.DCName, error) {
 	if s == "" {
 		return workload.AllDCs, nil
@@ -69,6 +69,9 @@ func parseDCs(s string) ([]workload.DCName, error) {
 		}
 		if !containsDC(workload.AllDCs, name) {
 			return nil, fmt.Errorf("unknown datacenter %q (valid: DC1, DC2, DC3)", name)
+		}
+		if containsDC(dcs, name) {
+			return nil, fmt.Errorf("datacenter %q listed twice", name)
 		}
 		dcs = append(dcs, name)
 	}
@@ -239,7 +242,7 @@ func run(opt experiments.Options, dcs []workload.DCName, fig, table int, all, ab
 		fmt.Println(experiments.FormatAblation("averaged vs forecast traces ("+string(dc)+")", fc))
 	}
 	if all || extensions {
-		for _, dc := range workload.AllDCs {
+		for _, dc := range dcs {
 			cmp, err := experiments.ExtensionESD(dc, opt, 10, 1.02)
 			if err != nil {
 				return err

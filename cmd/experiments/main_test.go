@@ -26,6 +26,16 @@ func TestRunFailingConfigIsNamedError(t *testing.T) {
 	}
 }
 
+// TestRunExtensionsHonourDCFlag asks for the extension studies on a
+// datacenter the workload package cannot instantiate: the UPS study must
+// run on the selected subset, so run fails naming it.
+func TestRunExtensionsHonourDCFlag(t *testing.T) {
+	err := run(fastOpt(), []workload.DCName{"DC9"}, 0, 0, false, false, true, false, false, "")
+	if err == nil || !strings.Contains(err.Error(), "DC9") {
+		t.Fatalf("extensions with -dc DC9: err = %v", err)
+	}
+}
+
 // TestRunFig9RequiresDC3 pins the guard that replaced the old positional
 // runs[2] indexing: asking for fig 9 without DC3 in the subset must fail
 // up front with an error naming the missing datacenter.
@@ -56,6 +66,9 @@ func TestParseDCs(t *testing.T) {
 	}
 	if _, err := parseDCs("DC1,DC9"); err == nil || !strings.Contains(err.Error(), "DC9") {
 		t.Fatalf("parseDCs with unknown DC: err = %v", err)
+	}
+	if _, err := parseDCs("DC1,DC1"); err == nil || !strings.Contains(err.Error(), "DC1") {
+		t.Fatalf("parseDCs with a repeated DC: err = %v", err)
 	}
 	if _, err := parseDCs(" , "); err == nil {
 		t.Fatal("parseDCs with only separators returned nil error")

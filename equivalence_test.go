@@ -115,24 +115,41 @@ func TestKMeansRestartsEquivalence(t *testing.T) {
 	}
 }
 
+// TestExperimentsSweepEquivalence runs each experiment whose variants fan
+// out over workers — rebuilt DCs per sweep point, or one shared fleet and
+// Optimize result per ablation or extension — and pins its rows.
 func TestExperimentsSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep; skipped in -short")
 	}
-	mixes := []float64{0, 0.5}
-	var want []experiments.SensitivityRow
-	for _, w := range workerCounts() {
-		opt := experiments.Options{Scale: 1, Step: time.Hour, Seed: 1, TopServices: 8, Workers: w}
-		got, err := experiments.SweepBaselineMix(workload.DC3, opt, mixes)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sweep rows differ from serial run: got %+v want %+v", w, got, want)
+	dc := workload.DC3
+	for _, c := range []struct {
+		name string
+		run  func(experiments.Options) (any, error)
+	}{
+		{"SweepBaselineMix", func(o experiments.Options) (any, error) {
+			return experiments.SweepBaselineMix(dc, o, []float64{0, 0.5})
+		}},
+		{"AblationEmbedding", func(o experiments.Options) (any, error) { return experiments.AblationEmbedding(dc, o) }},
+		{"AblationTrainWeeks", func(o experiments.Options) (any, error) { return experiments.AblationTrainWeeks(dc, o) }},
+		{"AblationRemap", func(o experiments.Options) (any, error) { return experiments.AblationRemap(dc, o, 16) }},
+		{"ExtensionESD", func(o experiments.Options) (any, error) { return experiments.ExtensionESD(dc, o, 10, 1.02) }},
+		{"ExtensionCapping", func(o experiments.Options) (any, error) { return experiments.ExtensionCapping(dc, o, 1.02) }},
+	} {
+		var want any
+		for _, w := range workerCounts() {
+			opt := experiments.Options{Scale: 1, Step: time.Hour, Seed: 1, TopServices: 8, Workers: w}
+			got, err := c.run(opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, w, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: rows differ from serial run: got %+v want %+v", c.name, w, got, want)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/statprof"
 	"repro/internal/workload"
@@ -27,29 +26,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg, err := fleet.AveragedITraces(2)
+	res, err := repro.New(repro.Config{
+		TopServices: 8,
+		Seed:        1,
+		Baseline:    repro.ObliviousBaseline(cfg.BaselineMix),
+	}).Optimize(fleet, tree)
 	if err != nil {
 		log.Fatal(err)
 	}
-	test, err := fleet.SplitWeeks(2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	instances := make([]placement.Instance, len(fleet.Instances))
-	for i, inst := range fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	baseline := tree.Clone()
-	if err := (placement.Oblivious{MixFraction: cfg.BaselineMix}).Place(baseline, instances, trainFn); err != nil {
-		log.Fatal(err)
-	}
-	optimized := tree.Clone()
-	if err := (placement.WorkloadAware{TopServices: 8, Seed: 1}).Place(optimized, instances, trainFn); err != nil {
-		log.Fatal(err)
-	}
+	baseline, optimized := res.BaselineTree, res.OptimizedTree
+	testFn := powertree.PowerFn(workload.SubPowerFn(res.TestTraces))
 
 	// Normalizer: StatProf(0,0) at each level.
 	norm, err := statprof.StatProf(baseline, testFn, statprof.Config{})

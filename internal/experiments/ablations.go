@@ -3,14 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
-	"repro/internal/forecast"
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/powertree"
-	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
 
@@ -24,80 +24,98 @@ type AblationRow struct {
 	RPPReductionPct float64
 }
 
-// variantSpec names one placer variant for runVariants.
-type variantSpec struct {
-	label  string
-	placer placement.WorkloadAware
-	weeks  int
+// variant is one ablation row. tweak adjusts the paper's framework config
+// and runs Optimize under it; a variant without one reads the paper's own
+// Optimize result. place, when set, builds a placement core.Config cannot
+// express, scored against that result's baseline.
+type variant struct {
+	label string
+	tweak func(*core.Config)
+	place func(run *DCRun, res *core.PlacementResult) (*powertree.Node, error)
 }
 
-// runVariants evaluates placer variants side by side, in input order.
-func runVariants(name workload.DCName, opt Options, specs []variantSpec) ([]AblationRow, error) {
-	return parallel.Map(context.Background(), len(specs), opt.Workers, func(i int) (AblationRow, error) {
-		return runVariant(name, opt, specs[i].label, specs[i].placer, specs[i].weeks)
+// runVariants evaluates ablation variants side by side on one fleet, in
+// input order.
+func runVariants(name workload.DCName, opt Options, variants []variant) ([]AblationRow, error) {
+	opt = opt.withDefaults()
+	run, err := Setup(name, opt)
+	if err != nil {
+		return nil, err
+	}
+	if slices.ContainsFunc(variants, func(v variant) bool { return v.tweak == nil }) {
+		if run.Placement, err = optimize(run, opt, nil); err != nil {
+			return nil, err
+		}
+	}
+	return parallel.Map(context.Background(), len(variants), opt.Workers, func(i int) (AblationRow, error) {
+		v := variants[i]
+		res := run.Placement
+		if v.tweak != nil {
+			var err error
+			if res, err = optimize(run, opt, v.tweak); err != nil {
+				return AblationRow{}, err
+			}
+		}
+		row := AblationRow{Variant: v.label, RPPReductionPct: res.RPPReductionPct}
+		if v.place == nil {
+			return row, nil
+		}
+		tree, err := v.place(run, res)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		row.RPPReductionPct, err = reduction(res, tree)
+		return row, err
 	})
 }
 
-// runVariant evaluates one placer variant on a fresh DC instance.
-func runVariant(name workload.DCName, opt Options, variant string, placer placement.WorkloadAware, trainWeeks int) (AblationRow, error) {
-	opt = opt.withDefaults()
-	if placer.Workers == 0 {
-		placer.Workers = opt.Workers
-	}
-	run, err := Setup(name, opt)
+// reduction scores a tree placed outside Optimize against the result's
+// baseline on its test week, by the rule Optimize applies.
+func reduction(res *core.PlacementResult, tree *powertree.Node) (float64, error) {
+	after, err := tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(res.TestTraces)))
 	if err != nil {
-		return AblationRow{}, err
+		return 0, err
 	}
-	// core.Optimize always uses the standard placer; for ablations we drive
-	// the pipeline pieces directly with the variant placer.
-	avg, err := run.Fleet.AveragedITraces(maxInt(trainWeeks, 1))
-	if err != nil {
-		return AblationRow{}, err
+	var before float64
+	for _, r := range res.PeakReports {
+		if r.Level == powertree.RPP {
+			before = r.Before
+		}
 	}
-	test, err := run.Fleet.SplitWeeks(maxInt(trainWeeks, 1))
-	if err != nil {
-		return AblationRow{}, err
-	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	baseTree := run.Tree.Clone()
-	if err := (placement.Oblivious{MixFraction: run.Config.BaselineMix}).Place(baseTree, instances, trainFn); err != nil {
-		return AblationRow{}, err
-	}
-	optTree := run.Tree.Clone()
-	if err := placer.Place(optTree, instances, trainFn); err != nil {
-		return AblationRow{}, err
-	}
-	before, err := baseTree.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	after, err := optTree.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{Variant: variant, RPPReductionPct: 100 * (before - after) / before}, nil
+	return 100 * metrics.Reduction(before, after), nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// placedBy places the fleet on a fresh clone of its tree with p, trained on
+// the averaged I-traces Optimize used.
+func placedBy(p placement.WorkloadAware, opt Options) func(*DCRun, *core.PlacementResult) (*powertree.Node, error) {
+	p.Workers = opt.Workers
+	return func(run *DCRun, res *core.PlacementResult) (*powertree.Node, error) {
+		tree := run.Tree.Clone()
+		return tree, p.Place(tree, instances(run.Fleet), trainFn(res))
 	}
-	return b
+}
+
+// instances lists the fleet as placement input, in generation order.
+func instances(fleet *workload.Fleet) []placement.Instance {
+	out := make([]placement.Instance, len(fleet.Instances))
+	for i, inst := range fleet.Instances {
+		out[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
+	}
+	return out
+}
+
+// trainFn looks up the averaged I-traces a placement result trained on.
+func trainFn(res *core.PlacementResult) placement.TraceFn {
+	return placement.TraceFn(workload.SubPowerFn(res.AveragedITraces))
 }
 
 // AblationEmbedding compares the paper's I-to-S embedding against the
 // I-to-I pairwise embedding §3.4 argues against.
 func AblationEmbedding(name workload.DCName, opt Options) ([]AblationRow, error) {
 	opt = opt.withDefaults()
-	return runVariants(name, opt, []variantSpec{
-		{"I-to-S (paper)", placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}, 2},
-		{"I-to-I sample=32", placement.WorkloadAware{Seed: opt.Seed, IToI: true, IToISample: 32}, 2},
+	return runVariants(name, opt, []variant{
+		{label: "I-to-S (paper)"},
+		{label: "I-to-I sample=32", place: placedBy(placement.WorkloadAware{Seed: opt.Seed, IToI: true, IToISample: 32}, opt)},
 	})
 }
 
@@ -105,103 +123,59 @@ func AblationEmbedding(name workload.DCName, opt Options) ([]AblationRow, error)
 // k-means in the placement step.
 func AblationClustering(name workload.DCName, opt Options) ([]AblationRow, error) {
 	opt = opt.withDefaults()
-	return runVariants(name, opt, []variantSpec{
-		{"balanced k-means (paper)", placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}, 2},
-		{"plain k-means", placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, PlainKMeans: true}, 2},
+	return runVariants(name, opt, []variant{
+		{label: "balanced k-means (paper)"},
+		{label: "plain k-means", place: placedBy(placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, PlainKMeans: true}, opt)},
 	})
 }
 
 // AblationBasisSize sweeps |B|, the number of S-trace bases.
 func AblationBasisSize(name workload.DCName, opt Options, sizes []int) ([]AblationRow, error) {
-	opt = opt.withDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{2, 4, 8, 12}
 	}
-	specs := make([]variantSpec, len(sizes))
+	variants := make([]variant, len(sizes))
 	for i, b := range sizes {
-		specs[i] = variantSpec{fmt.Sprintf("|B|=%d", b), placement.WorkloadAware{TopServices: b, Seed: opt.Seed}, 2}
+		variants[i] = variant{label: fmt.Sprintf("|B|=%d", b), tweak: func(c *core.Config) { c.TopServices = b }}
 	}
-	return runVariants(name, opt, specs)
+	return runVariants(name, opt, variants)
 }
 
 // AblationBasisScope compares per-subtree S-trace extraction (paper)
 // against a single global basis.
 func AblationBasisScope(name workload.DCName, opt Options) ([]AblationRow, error) {
 	opt = opt.withDefaults()
-	return runVariants(name, opt, []variantSpec{
-		{"per-subtree basis (paper)", placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}, 2},
-		{"global basis", placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, GlobalBasis: true}, 2},
+	return runVariants(name, opt, []variant{
+		{label: "per-subtree basis (paper)"},
+		{label: "global basis", place: placedBy(placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, GlobalBasis: true}, opt)},
 	})
 }
 
 // AblationTrainWeeks compares single-week training against the paper's
 // multi-week averaged I-traces (the §3.3 overfitting guard).
 func AblationTrainWeeks(name workload.DCName, opt Options) ([]AblationRow, error) {
-	opt = opt.withDefaults()
-	specs := make([]variantSpec, 0, 2)
+	var variants []variant
 	for _, weeks := range []int{1, 2} {
-		specs = append(specs, variantSpec{fmt.Sprintf("train=%dwk", weeks),
-			placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}, weeks})
+		variants = append(variants, variant{label: fmt.Sprintf("train=%dwk", weeks), tweak: func(c *core.Config) { c.TrainWeeks = weeks }})
 	}
-	return runVariants(name, opt, specs)
+	return runVariants(name, opt, variants)
 }
 
 // AblationRemap measures how far swap-based remapping alone (on the
 // oblivious placement) closes the gap to the full placement.
 func AblationRemap(name workload.DCName, opt Options, maxSwaps int) ([]AblationRow, error) {
-	opt = opt.withDefaults()
 	if maxSwaps <= 0 {
 		maxSwaps = 64
 	}
-	run, err := Setup(name, opt)
-	if err != nil {
-		return nil, err
+	remapOnly := func(_ *DCRun, res *core.PlacementResult) (*powertree.Node, error) {
+		tree := res.BaselineTree.Clone()
+		_, err := placement.Remap(tree, trainFn(res), placement.RemapConfig{MaxSwaps: maxSwaps})
+		return tree, err
 	}
-	avg, err := run.Fleet.AveragedITraces(2)
-	if err != nil {
-		return nil, err
-	}
-	test, err := run.Fleet.SplitWeeks(2)
-	if err != nil {
-		return nil, err
-	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	base := run.Tree.Clone()
-	if err := (placement.Oblivious{MixFraction: run.Config.BaselineMix}).Place(base, instances, trainFn); err != nil {
-		return nil, err
-	}
-	before, err := base.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return nil, err
-	}
-
-	remapped := base.Clone()
-	if _, err := placement.Remap(remapped, trainFn, placement.RemapConfig{MaxSwaps: maxSwaps}); err != nil {
-		return nil, err
-	}
-	afterRemap, err := remapped.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return nil, err
-	}
-
-	full := run.Tree.Clone()
-	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}).Place(full, instances, trainFn); err != nil {
-		return nil, err
-	}
-	afterFull, err := full.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return nil, err
-	}
-	return []AblationRow{
-		{Variant: fmt.Sprintf("remap-only (%d swaps)", maxSwaps), RPPReductionPct: 100 * (before - afterRemap) / before},
-		{Variant: "full placement (paper)", RPPReductionPct: 100 * (before - afterFull) / before},
-	}, nil
+	return runVariants(name, opt, []variant{
+		{label: fmt.Sprintf("remap-only (%d swaps)", maxSwaps), place: remapOnly},
+		{label: "full placement (paper)"},
+	})
 }
 
 // FormatAblation renders ablation rows.
@@ -219,61 +193,8 @@ func FormatAblation(title string, rows []AblationRow) string {
 // "proactive planning" knob. Both placements are evaluated on the held-out
 // week.
 func AblationForecast(name workload.DCName, opt Options) ([]AblationRow, error) {
-	opt = opt.withDefaults()
-	run, err := Setup(name, opt)
-	if err != nil {
-		return nil, err
-	}
-	avg, err := run.Fleet.AveragedITraces(2)
-	if err != nil {
-		return nil, err
-	}
-	weekLen := int(7 * 24 * time.Hour / run.Config.Gen.Step)
-	fc := make(map[string]timeseries.Series, len(run.Fleet.Instances))
-	for _, inst := range run.Fleet.Instances {
-		f, err := forecast.NextWeek(inst.Trace.Slice(0, 2*weekLen), forecast.Config{Alpha: 0.5, TrendDamping: 0.5})
-		if err != nil {
-			return nil, err
-		}
-		fc[inst.ID] = f
-	}
-	test, err := run.Fleet.SplitWeeks(2)
-	if err != nil {
-		return nil, err
-	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	base := run.Tree.Clone()
-	if err := (placement.Oblivious{MixFraction: run.Config.BaselineMix}).Place(base, instances, placement.TraceFn(workload.SubPowerFn(avg))); err != nil {
-		return nil, err
-	}
-	before, err := base.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []AblationRow
-	for _, v := range []struct {
-		label  string
-		traces map[string]timeseries.Series
-	}{
-		{"averaged I-traces (paper)", avg},
-		{"forecast traces", fc},
-	} {
-		tree := run.Tree.Clone()
-		placer := placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}
-		if err := placer.Place(tree, instances, placement.TraceFn(workload.SubPowerFn(v.traces))); err != nil {
-			return nil, err
-		}
-		after, err := tree.SumOfPeaks(powertree.RPP, testFn)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Variant: v.label, RPPReductionPct: 100 * (before - after) / before})
-	}
-	return rows, nil
+	return runVariants(name, opt, []variant{
+		{label: "averaged I-traces (paper)"},
+		{label: "forecast traces", tweak: func(c *core.Config) { c.PlaceOnForecast = true }},
+	})
 }

@@ -70,12 +70,21 @@ type DCRun struct {
 
 // Setup instantiates one datacenter without running the pipeline.
 func Setup(name workload.DCName, opt Options) (*DCRun, error) {
+	return setup(name, opt, nil)
+}
+
+// setup instantiates one datacenter, with mutate (when non-nil) applied to
+// its standard config before the fleet is built.
+func setup(name workload.DCName, opt Options, mutate func(*workload.DCConfig)) (*DCRun, error) {
 	opt = opt.withDefaults()
 	cfg, err := workload.StandardDCConfig(name, opt.Scale)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Gen.Step = opt.Step
+	if mutate != nil {
+		mutate(&cfg)
+	}
 	fleet, tree, err := workload.BuildDC(cfg)
 	if err != nil {
 		return nil, err
@@ -83,24 +92,43 @@ func Setup(name workload.DCName, opt Options) (*DCRun, error) {
 	return &DCRun{Name: name, Config: cfg, Fleet: fleet, Tree: tree}, nil
 }
 
-// Run executes the full pipeline (placement + reshaping) for one DC.
-func Run(name workload.DCName, opt Options) (*DCRun, error) {
+// config is the framework configuration every study of the run's
+// datacenter starts from: the paper's placer against the DC's own
+// oblivious baseline.
+func config(run *DCRun, opt Options) core.Config {
 	opt = opt.withDefaults()
-	run, err := Setup(name, opt)
-	if err != nil {
-		return nil, err
-	}
-	fw := core.New(core.Config{
+	return core.Config{
 		TopServices: opt.TopServices,
 		Seed:        opt.Seed,
 		Baseline:    placement.Oblivious{MixFraction: run.Config.BaselineMix},
 		Workers:     opt.Workers,
-	})
-	run.Placement, err = fw.Optimize(run.Fleet, run.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s placement: %w", name, err)
 	}
-	run.Reshape, err = fw.Reshape(run.Fleet, run.Placement)
+}
+
+// optimize runs the paper's evaluation protocol (§5.1) on the run's fleet
+// and tree under config(run, opt), with tweak (when non-nil) applied.
+func optimize(run *DCRun, opt Options, tweak func(*core.Config)) (*core.PlacementResult, error) {
+	cfg := config(run, opt)
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	res, err := core.New(cfg).Optimize(run.Fleet, run.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s placement: %w", run.Name, err)
+	}
+	return res, nil
+}
+
+// Run executes the full pipeline (placement + reshaping) for one DC.
+func Run(name workload.DCName, opt Options) (*DCRun, error) {
+	run, err := Setup(name, opt)
+	if err != nil {
+		return nil, err
+	}
+	if run.Placement, err = optimize(run, opt, nil); err != nil {
+		return nil, err
+	}
+	run.Reshape, err = core.New(config(run, opt)).Reshape(run.Fleet, run.Placement)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s reshape: %w", name, err)
 	}

@@ -354,6 +354,41 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestAblationPaperRowsMatchOptimize pins every ablation's paper row to the
+// Fig. 10 pipeline bit for bit: each is the same Optimize run, not a copy
+// of it. The config is one where a differently ordered reduction formula
+// moves the last bit.
+func TestAblationPaperRowsMatchOptimize(t *testing.T) {
+	opt := Options{Scale: 2, Step: 30 * time.Minute, Seed: 2}
+	run, err := Run(workload.DC3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run.Placement.RPPReductionPct
+	for _, c := range []struct {
+		ablation func() ([]AblationRow, error)
+		row      int
+	}{
+		{func() ([]AblationRow, error) { return AblationEmbedding(workload.DC3, opt) }, 0},
+		{func() ([]AblationRow, error) { return AblationClustering(workload.DC3, opt) }, 0},
+		{func() ([]AblationRow, error) { return AblationBasisScope(workload.DC3, opt) }, 0},
+		{func() ([]AblationRow, error) {
+			return AblationBasisSize(workload.DC3, opt, []int{opt.withDefaults().TopServices})
+		}, 0},
+		{func() ([]AblationRow, error) { return AblationTrainWeeks(workload.DC3, opt) }, 1},
+		{func() ([]AblationRow, error) { return AblationRemap(workload.DC3, opt, 0) }, 1},
+		{func() ([]AblationRow, error) { return AblationForecast(workload.DC3, opt) }, 0},
+	} {
+		rows, err := c.ablation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows[c.row]; got.RPPReductionPct != want {
+			t.Errorf("%s: %.17g, Optimize gives %.17g", got.Variant, got.RPPReductionPct, want)
+		}
+	}
+}
+
 func TestRunRejectsUnknownDC(t *testing.T) {
 	if _, err := Run("DC9", fastOpt()); err == nil {
 		t.Fatal("unknown DC must error")

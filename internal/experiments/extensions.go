@@ -8,7 +8,6 @@ import (
 	"repro/internal/capping"
 	"repro/internal/detmap"
 	"repro/internal/esd"
-	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/workload"
 )
@@ -55,35 +54,19 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 	if err != nil {
 		return nil, err
 	}
-	avg, err := run.Fleet.AveragedITraces(2)
+	res, err := optimize(run, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	test, err := run.Fleet.SplitWeeks(2)
-	if err != nil {
-		return nil, err
-	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	oblivious := run.Tree.Clone()
-	if err := (placement.Oblivious{MixFraction: run.Config.BaselineMix}).Place(oblivious, instances, trainFn); err != nil {
-		return nil, err
-	}
-	smart := run.Tree.Clone()
-	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed}).Place(smart, instances, trainFn); err != nil {
-		return nil, err
-	}
+	testFn := powertree.PowerFn(workload.SubPowerFn(res.TestTraces))
+	oblivious, smart := res.BaselineTree, res.OptimizedTree
 
 	// Tight per-leaf budgets: the ideal smooth share of the fleet peak.
-	if err := setIdealBudgets(oblivious, testFn, budgetMultiplier); err != nil {
+	obAggs, err := setIdealBudgets(oblivious, testFn, budgetMultiplier)
+	if err != nil {
 		return nil, err
 	}
-	if err := setIdealBudgets(smart, testFn, budgetMultiplier); err != nil {
+	if _, err := setIdealBudgets(smart, testFn, budgetMultiplier); err != nil {
 		return nil, err
 	}
 
@@ -101,12 +84,7 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 	for _, r := range obRep.Results {
 		cmp.ObliviousUncovered += r.UncoveredSteps
 	}
-	// Longest peak on the oblivious placement. setIdealBudgets already
-	// aggregated this whole tree, so one pass cannot fail where it did not.
-	obAggs, err := oblivious.AggregateAll(testFn)
-	if err != nil {
-		return nil, err
-	}
+	// Longest peak on the oblivious placement, against the budgets just set.
 	for _, nd := range obAggs.NodesAtLevel(powertree.RPP) {
 		agg, _ := obAggs.Trace(nd)
 		if d := esd.PeakDuration(agg, nd.Budget); d > cmp.LongestPeak {
@@ -125,33 +103,19 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 // setIdealBudgets rebudgets a placed tree so every leaf gets the same
 // multiplier × (fleet peak / leaf count) share and every ancestor the sum
 // of its descendants — the tightest budget a perfectly smooth placement
-// would fit under.
-func setIdealBudgets(tree *powertree.Node, power powertree.PowerFn, multiplier float64) error {
+// would fit under. It returns the tree's aggregates, which budgets do not
+// change.
+func setIdealBudgets(tree *powertree.Node, power powertree.PowerFn, multiplier float64) (*powertree.Aggregates, error) {
 	aggs, err := tree.AggregateAll(power)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rootPeak := aggs.Peak(tree)
-	leaves := tree.Leaves()
-	if len(leaves) == 0 || rootPeak <= 0 {
-		return fmt.Errorf("experiments: cannot rebudget empty tree")
+	if len(tree.Leaves()) == 0 || rootPeak <= 0 {
+		return nil, fmt.Errorf("experiments: cannot rebudget empty tree")
 	}
-	perLeaf := multiplier * rootPeak / float64(len(leaves))
-	var assign func(n *powertree.Node) float64
-	assign = func(n *powertree.Node) float64 {
-		if n.IsLeaf() {
-			n.Budget = perLeaf
-			return perLeaf
-		}
-		var sum float64
-		for _, c := range n.Children {
-			sum += assign(c)
-		}
-		n.Budget = sum
-		return sum
-	}
-	assign(tree)
-	return nil
+	tightenBudgets(tree, multiplier*rootPeak)
+	return aggs, nil
 }
 
 // FormatESD renders the comparison.
@@ -193,29 +157,16 @@ func ExtensionCapping(name workload.DCName, opt Options, budgetMultiplier float6
 	if err != nil {
 		return nil, err
 	}
-	avg, err := run.Fleet.AveragedITraces(2)
+	res, err := optimize(run, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	test, err := run.Fleet.SplitWeeks(2)
-	if err != nil {
-		return nil, err
-	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-
+	test := res.TestTraces
 	testFn := powertree.PowerFn(workload.SubPowerFn(test))
 	study := &CappingStudy{DC: name, BudgetMultiplier: budgetMultiplier}
-	eval := func(placer placement.Placer) (int, float64, error) {
-		tree := run.Tree.Clone()
-		if err := placer.Place(tree, instances, trainFn); err != nil {
-			return 0, 0, err
-		}
+	eval := func(tree *powertree.Node) (int, float64, error) {
 		// Tighten budgets to the ideal smooth share.
-		if err := setIdealBudgets(tree, testFn, budgetMultiplier); err != nil {
+		if _, err := setIdealBudgets(tree, testFn, budgetMultiplier); err != nil {
 			return 0, 0, err
 		}
 		ctrl, err := capping.New(tree, capping.Config{SustainSteps: 2})
@@ -258,11 +209,11 @@ func ExtensionCapping(name workload.DCName, opt Options, budgetMultiplier float6
 		return throttleCount, lcShed, nil
 	}
 
-	study.ObliviousThrottles, study.ObliviousLCShedW, err = eval(placement.Oblivious{MixFraction: run.Config.BaselineMix})
+	study.ObliviousThrottles, study.ObliviousLCShedW, err = eval(res.BaselineTree)
 	if err != nil {
 		return nil, err
 	}
-	study.SmartThrottles, study.SmartLCShedW, err = eval(placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed})
+	study.SmartThrottles, study.SmartLCShedW, err = eval(res.OptimizedTree)
 	if err != nil {
 		return nil, err
 	}

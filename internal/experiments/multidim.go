@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -128,26 +127,9 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	avg, err := run.Fleet.AveragedITraces(2)
+	order, traceFn, capacity, err := arrivals(run, opt)
 	if err != nil {
 		return nil, err
-	}
-	traceFn := placement.TraceFn(workload.SubPowerFn(avg))
-
-	order := run.Fleet.IDs()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	var capacity float64
-	for _, id := range order {
-		tr, ok := traceFn(id)
-		if !ok {
-			return nil, fmt.Errorf("experiments: no averaged trace for %q", id)
-		}
-		capacity += tr.Peak()
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("experiments: %s fleet offers no load", name)
 	}
 
 	leaves := len(run.Tree.Leaves())
@@ -199,10 +181,7 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 				row.Admitted++
 			}
 		}
-		row.SumLeafPeaks, err = tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(traceFn))
-		if err != nil {
-			return MultiDimRow{}, err
-		}
+		row.SumLeafPeaks = o.Aggregates().SumOfPeaks(powertree.RPP)
 		// The probe is a half-demand arrival: it fits any leaf hosting at
 		// most one gpu user, so the only leaves it exposes as stranded are
 		// the gpu-overcommitted ones — plenty of power headroom, no gpu.

@@ -80,6 +80,32 @@ func tightenBudgets(tree *powertree.Node, capacity float64) {
 	set(tree)
 }
 
+// arrivals is the online sweeps' workload: the fleet's instance IDs shuffled
+// by the experiment seed — one arrival stream shared by every policy — the
+// averaged I-traces as their power, and the capacity they need in total
+// (the sum of their peaks).
+func arrivals(run *DCRun, opt Options) (order []string, traceFn placement.TraceFn, capacity float64, err error) {
+	avg, err := run.Fleet.AveragedITraces(2)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	traceFn = placement.TraceFn(workload.SubPowerFn(avg))
+	order = run.Fleet.IDs()
+	rng := rand.New(rand.NewSource(opt.Seed))
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, id := range order {
+		tr, ok := traceFn(id)
+		if !ok {
+			return nil, nil, 0, fmt.Errorf("experiments: no averaged trace for %q", id)
+		}
+		capacity += tr.Peak()
+	}
+	if capacity <= 0 {
+		return nil, nil, 0, fmt.Errorf("experiments: %s fleet offers no load", run.Name)
+	}
+	return order, traceFn, capacity, nil
+}
+
 // FragSweep replays one shuffled arrival stream of the datacenter's fleet
 // under each online policy and reports the power-fragmentation rate at every
 // arrived-load threshold in loads (percent of capacity; nil means 10–100 in
@@ -99,28 +125,9 @@ func FragSweep(name workload.DCName, opt Options, loads []int) ([]FragRow, error
 	if err != nil {
 		return nil, err
 	}
-	avg, err := run.Fleet.AveragedITraces(2)
+	order, traceFn, capacity, err := arrivals(run, opt)
 	if err != nil {
 		return nil, err
-	}
-	traceFn := placement.TraceFn(workload.SubPowerFn(avg))
-
-	// One arrival stream shared by every policy: the fleet order shuffled
-	// by the experiment seed.
-	order := run.Fleet.IDs()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	var capacity float64
-	for _, id := range order {
-		tr, ok := traceFn(id)
-		if !ok {
-			return nil, fmt.Errorf("experiments: no averaged trace for %q", id)
-		}
-		capacity += tr.Peak()
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("experiments: %s fleet offers no load", name)
 	}
 
 	perPolicy, err := parallel.Map(context.Background(), len(FragPolicies), opt.Workers, func(pi int) ([]FragRow, error) {

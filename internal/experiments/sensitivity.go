@@ -20,55 +20,20 @@ type SensitivityRow struct {
 	RPPReductionPct float64
 }
 
-// sweepOnce builds a DC variant with the given mutation and measures the
-// leaf-level reduction of the workload-aware placement over the DC's
-// oblivious baseline.
-func sweepOnce(name workload.DCName, opt Options, mutate func(*workload.DCConfig)) (float64, error) {
-	opt = opt.withDefaults()
-	cfg, err := workload.StandardDCConfig(name, opt.Scale)
-	if err != nil {
-		return 0, err
-	}
-	cfg.Gen.Step = opt.Step
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	fleet, tree, err := workload.BuildDC(cfg)
-	if err != nil {
-		return 0, err
-	}
-	avg, err := fleet.AveragedITraces(2)
-	if err != nil {
-		return 0, err
-	}
-	test, err := fleet.SplitWeeks(2)
-	if err != nil {
-		return 0, err
-	}
-	instances := make([]placement.Instance, len(fleet.Instances))
-	for i, inst := range fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
-	trainFn := placement.TraceFn(workload.SubPowerFn(avg))
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-
-	base := tree.Clone()
-	if err := (placement.Oblivious{MixFraction: cfg.BaselineMix}).Place(base, instances, trainFn); err != nil {
-		return 0, err
-	}
-	opt2 := tree.Clone()
-	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, Workers: opt.Workers}).Place(opt2, instances, trainFn); err != nil {
-		return 0, err
-	}
-	before, err := base.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return 0, err
-	}
-	after, err := opt2.SumOfPeaks(powertree.RPP, testFn)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (before - after) / before, nil
+// sweep rebuilds the datacenter once per parameter value, with set applied
+// to its config, and measures the paper's leaf-level reduction on each.
+func sweep(name workload.DCName, opt Options, params []float64, set func(*workload.DCConfig, float64)) ([]SensitivityRow, error) {
+	return parallel.Map(context.Background(), len(params), opt.Workers, func(i int) (SensitivityRow, error) {
+		run, err := setup(name, opt, func(c *workload.DCConfig) { set(c, params[i]) })
+		if err != nil {
+			return SensitivityRow{}, err
+		}
+		res, err := optimize(run, opt, nil)
+		if err != nil {
+			return SensitivityRow{}, err
+		}
+		return SensitivityRow{Param: params[i], RPPReductionPct: res.RPPReductionPct}, nil
+	})
 }
 
 // SweepHeterogeneity varies per-instance phase jitter — the driver behind
@@ -78,14 +43,7 @@ func SweepHeterogeneity(name workload.DCName, opt Options, jitterHours []float64
 	if len(jitterHours) == 0 {
 		jitterHours = []float64{0.25, 1, 2, 3.5}
 	}
-	return parallel.Map(context.Background(), len(jitterHours), opt.Workers, func(i int) (SensitivityRow, error) {
-		j := jitterHours[i]
-		red, err := sweepOnce(name, opt, func(c *workload.DCConfig) { c.Gen.PhaseJitterHours = j })
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		return SensitivityRow{Param: j, RPPReductionPct: red}, nil
-	})
+	return sweep(name, opt, jitterHours, func(c *workload.DCConfig, j float64) { c.Gen.PhaseJitterHours = j })
 }
 
 // SweepBaselineMix varies how balanced the historical placement is — the
@@ -95,14 +53,7 @@ func SweepBaselineMix(name workload.DCName, opt Options, mixes []float64) ([]Sen
 	if len(mixes) == 0 {
 		mixes = []float64{0, 0.25, 0.5, 0.75}
 	}
-	return parallel.Map(context.Background(), len(mixes), opt.Workers, func(i int) (SensitivityRow, error) {
-		m := mixes[i]
-		red, err := sweepOnce(name, opt, func(c *workload.DCConfig) { c.BaselineMix = m })
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		return SensitivityRow{Param: m, RPPReductionPct: red}, nil
-	})
+	return sweep(name, opt, mixes, func(c *workload.DCConfig, m float64) { c.BaselineMix = m })
 }
 
 // FormatSensitivity renders a sweep.
@@ -182,15 +133,11 @@ func ExtensionRouting(name workload.DCName, opt Options, feeds int) (*RoutingCom
 	if err != nil {
 		return nil, err
 	}
-	instances := make([]placement.Instance, len(run.Fleet.Instances))
-	for i, inst := range run.Fleet.Instances {
-		instances[i] = placement.Instance{ID: inst.ID, Service: inst.Service}
-	}
 	avg, err := run.Fleet.AveragedITraces(2)
 	if err != nil {
 		return nil, err
 	}
-	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, Workers: opt.Workers}).Place(tree, instances, placement.TraceFn(workload.SubPowerFn(avg))); err != nil {
+	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, Workers: opt.Workers}).Place(tree, instances(run.Fleet), placement.TraceFn(workload.SubPowerFn(avg))); err != nil {
 		return nil, err
 	}
 	placedSum, err := tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(test)))
