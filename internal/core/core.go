@@ -115,6 +115,17 @@ type Framework struct {
 // New returns a framework with the given configuration.
 func New(cfg Config) *Framework { return &Framework{cfg: cfg} }
 
+// placer is the §3.5 workload-aware placer: Optimize and Runtime.Bootstrap
+// both place with it.
+func (f *Framework) placer() placement.WorkloadAware {
+	return placement.WorkloadAware{
+		TopServices:      f.cfg.topServices(),
+		ClustersPerChild: f.cfg.ClustersPerChild,
+		Seed:             f.cfg.Seed,
+		Workers:          f.cfg.Workers,
+	}
+}
+
 // ErrFleetTooShort is returned when the fleet's traces don't cover training
 // plus one test week.
 var ErrFleetTooShort = errors.New("core: fleet traces shorter than train+test window")
@@ -178,13 +189,7 @@ func (f *Framework) Optimize(fleet *workload.Fleet, tree *powertree.Node) (*Plac
 		placeFn = placement.TraceFn(workload.SubPowerFn(fc))
 	}
 	optTree := tree.Clone()
-	placer := placement.WorkloadAware{
-		TopServices:      f.cfg.topServices(),
-		ClustersPerChild: f.cfg.ClustersPerChild,
-		Seed:             f.cfg.Seed,
-		Workers:          f.cfg.Workers,
-	}
-	if err := placer.Place(optTree, instances, placeFn); err != nil {
+	if err := f.placer().Place(optTree, instances, placeFn); err != nil {
 		return nil, fmt.Errorf("core: workload-aware placement: %w", err)
 	}
 

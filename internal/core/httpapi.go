@@ -35,7 +35,8 @@ import (
 //	GET    /v1/fragmentation   — per-level stranded-headroom rows: power
 //	                             first, then one row per (level, capacity
 //	                             dimension) wherever the tree declares
-//	                             non-power capacities
+//	                             non-power capacities; "overcommitted"
+//	                             counts the row's nodes used past capacity
 //	POST   /v1/instances       — admit one instance via online placement;
 //	                             body {"id","service"} plus optional
 //	                             "as_of" (RFC 3339), "train_weeks", and
@@ -166,13 +167,14 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 		views := make([]fragRowView, len(rows))
 		for i, row := range rows {
 			views[i] = fragRowView{
-				Level:      row.Level.String(),
-				Dimension:  row.Dimension,
-				Capacity:   row.Capacity,
-				Headroom:   row.Headroom,
-				Admissible: row.Admissible,
-				Stranded:   row.StrandedWatts,
-				RatePct:    row.RatePct,
+				Level:         row.Level.String(),
+				Dimension:     row.Dimension,
+				Capacity:      row.Capacity,
+				Headroom:      row.Headroom,
+				Overcommitted: row.Overcommitted,
+				Admissible:    row.Admissible,
+				Stranded:      row.StrandedWatts,
+				RatePct:       row.RatePct,
 			}
 		}
 		api.writeJSON(w, views)
@@ -411,13 +413,14 @@ func (a *httpAPI) writePlanError(w http.ResponseWriter, err error) {
 // dimension) pair, units following the dimension (watts for "power", the
 // declared unit otherwise).
 type fragRowView struct {
-	Level      string  `json:"level"`
-	Dimension  string  `json:"dimension"`
-	Capacity   float64 `json:"capacity"`
-	Headroom   float64 `json:"headroom"`
-	Admissible float64 `json:"admissible"`
-	Stranded   float64 `json:"stranded"`
-	RatePct    float64 `json:"rate_pct"`
+	Level         string  `json:"level"`
+	Dimension     string  `json:"dimension"`
+	Capacity      float64 `json:"capacity"`
+	Headroom      float64 `json:"headroom"`
+	Overcommitted int     `json:"overcommitted"`
+	Admissible    float64 `json:"admissible"`
+	Stranded      float64 `json:"stranded"`
+	RatePct       float64 `json:"rate_pct"`
 }
 
 // instanceView is the wire form of an admission or retirement outcome.

@@ -32,8 +32,8 @@ func capacitateTree(tree *powertree.Node, leafCaps powertree.ResourceVector) {
 
 // multiFragFixture serves a bootstrapped runtime whose tree declares a "gpu"
 // capacity of 4 per leaf. Returns the server, held-out instances, the leaf
-// count and the training end.
-func multiFragFixture(t *testing.T) (*httptest.Server, []heldOut, int, time.Time) {
+// count and the runtime.
+func multiFragFixture(t *testing.T) (*httptest.Server, []heldOut, int, *Runtime) {
 	t.Helper()
 	rt, _, held, trainEnd := admissionFixture(t)
 	capacitateTree(rt.tree, powertree.ResourceVector{"gpu": 4})
@@ -44,7 +44,7 @@ func multiFragFixture(t *testing.T) (*httptest.Server, []heldOut, int, time.Time
 	for i, inst := range held {
 		outs[i] = heldOut{ID: inst.ID, Service: inst.Service}
 	}
-	return srv, outs, len(rt.tree.Leaves()), trainEnd
+	return srv, outs, len(rt.tree.Leaves()), rt
 }
 
 func getFragRows(t *testing.T, client *http.Client, url string) []fragRowView {
@@ -67,21 +67,22 @@ func getFragRows(t *testing.T, client *http.Client, url string) []fragRowView {
 }
 
 func TestHTTPFragmentationMultiDim(t *testing.T) {
-	srv, held, leaves, _ := multiFragFixture(t)
+	srv, held, leaves, rt := multiFragFixture(t)
 	client := srv.Client()
 
 	rows := getFragRows(t, client, srv.URL)
 	if len(rows) == 0 || rows[0].Dimension != powertree.PowerDimension {
 		t.Fatalf("rows must lead with power: %+v", rows)
 	}
-	dcGpu := func(rows []fragRowView) (fragRowView, bool) {
+	gpuRow := func(rows []fragRowView, level string) (fragRowView, bool) {
 		for _, row := range rows {
-			if row.Level == "DC" && row.Dimension == "gpu" {
+			if row.Level == level && row.Dimension == "gpu" {
 				return row, true
 			}
 		}
 		return fragRowView{}, false
 	}
+	dcGpu := func(rows []fragRowView) (fragRowView, bool) { return gpuRow(rows, "DC") }
 	row, ok := dcGpu(rows)
 	if !ok {
 		t.Fatalf("no DC gpu row in %+v", rows)
@@ -102,6 +103,10 @@ func TestHTTPFragmentationMultiDim(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("POST with demands = %d, want 201 (body %s)", resp.StatusCode, raw)
 	}
+	var admitted instanceView
+	if err := json.NewDecoder(resp.Body).Decode(&admitted); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	row, ok = dcGpu(getFragRows(t, client, srv.URL))
 	if !ok {
@@ -109,6 +114,36 @@ func TestHTTPFragmentationMultiDim(t *testing.T) {
 	}
 	if row.Headroom != want-1 {
 		t.Fatalf("DC gpu headroom after admission = %v, want %v", row.Headroom, want-1)
+	}
+
+	// The hosting leaf's gpu capacity redeclared around its one gpu in use:
+	// at 4 the RPP row counts no node, below 1 it counts the leaf as
+	// overcommitted and clamps its headroom to 0.
+	var host *powertree.Node
+	rt.tree.Walk(func(n *powertree.Node) {
+		if n.Name == admitted.Leaf {
+			host = n
+		}
+	})
+	if host == nil {
+		t.Fatalf("admitted onto unknown leaf %q", admitted.Leaf)
+	}
+	for _, tc := range []struct {
+		capacity, headroom float64
+		overcommitted      int
+	}{
+		{capacity: 4, headroom: want - 1},
+		{capacity: 0.5, headroom: want - 4, overcommitted: 1},
+		{capacity: 4, headroom: want - 1},
+	} {
+		rt.mu.Lock()
+		host.Capacities["gpu"] = tc.capacity
+		rt.mu.Unlock()
+		row, ok := gpuRow(getFragRows(t, client, srv.URL), "RPP")
+		if !ok || row.Headroom != tc.headroom || row.Overcommitted != tc.overcommitted {
+			t.Fatalf("host gpu capacity %v: RPP gpu row = %+v, want headroom %v, overcommitted %d",
+				tc.capacity, row, tc.headroom, tc.overcommitted)
+		}
 	}
 
 	// Retiring the instance returns the gpu.

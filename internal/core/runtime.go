@@ -315,7 +315,9 @@ func (r *Runtime) EmergencyNodes() []string {
 // asOf and places the given instances workload-aware. It can only run once.
 // Instances whose history is missing or below the quarantine floor are
 // placed using their service's reference trace (the mean of healthy peers)
-// rather than failing the whole placement.
+// rather than failing the whole placement. A placement that leaves a node
+// over a declared capacity is refused with placement.ErrNoCapacity, and the
+// runtime stays unplaced.
 func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trainWeeks int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -333,11 +335,12 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 			return fmt.Errorf("core: bootstrap demands for %q: %w", inst.ID, err)
 		}
 	}
-	// Demands enter the runtime's ledger here; the batch placer itself is
-	// power-only, so capacity dimensions bind at admission and remap time. A
-	// failure past this point takes back what this call wrote, leaving the
-	// ledger and the tree as NewRuntime requires them. The maps are mutated
-	// in place: placementCfg's closure captures r.demands.
+	// Demands enter the runtime's ledger here. The placer spreads by power
+	// alone, so a placement that leaves any node over a declared capacity is
+	// refused with ErrNoCapacity. That failure, like any past this point,
+	// takes back what this call wrote, leaving the ledger and the tree as
+	// NewRuntime requires them. The maps are mutated in place:
+	// placementCfg's closure captures r.demands.
 	for _, inst := range instances {
 		r.services[inst.ID] = inst.Service
 		if len(inst.Demands) > 0 {
@@ -358,18 +361,26 @@ func (r *Runtime) Bootstrap(instances []placement.Instance, asOf time.Time, trai
 	if err != nil {
 		return err
 	}
-	placer := placement.WorkloadAware{
-		TopServices:      r.fw.cfg.topServices(),
-		ClustersPerChild: r.fw.cfg.ClustersPerChild,
-		Seed:             r.fw.cfg.Seed,
-		Workers:          r.fw.cfg.Workers,
-	}
-	if err := placer.Place(r.tree, instances, workload.SubPowerFn(avg)); err != nil {
+	if err := r.fw.placer().Place(r.tree, instances, workload.SubPowerFn(avg)); err != nil {
 		return fmt.Errorf("core: bootstrap placement: %w", err)
 	}
 	v, err := r.newView(avg, quarantined, asOf, 0)
 	if err != nil {
 		return fmt.Errorf("core: bootstrap: %w", err)
+	}
+	var over error
+	r.tree.Walk(func(n *powertree.Node) {
+		if over != nil {
+			return
+		}
+		used := v.online.Used(n)
+		if dim, ok := used.Over(n.Capacities); ok {
+			over = fmt.Errorf("core: bootstrap placement overcommits %q: %s %v used of %v: %w",
+				n.Name, dim, used.Get(dim), n.Capacities[dim], placement.ErrNoCapacity)
+		}
+	})
+	if over != nil {
+		return over
 	}
 	r.quality = quality
 	r.quarantined = quarantined

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +194,71 @@ func TestFailedBootstrapLeavesNoDemands(t *testing.T) {
 	}
 	if used := rt.view.online.Used(rt.tree); used != nil {
 		t.Fatalf("used capacity after a demand-free bootstrap: %v", used)
+	}
+}
+
+// TestBootstrapRefusesOvercommit: the power-only placer is blind to gpu, so
+// with every second instance demanding a whole leaf's gpu it stacks them.
+// Bootstrap must refuse that placement with ErrNoCapacity naming a node and
+// the dimension, and leave the runtime as NewRuntime made it, so a retry
+// without demands succeeds.
+func TestBootstrapRefusesOvercommit(t *testing.T) {
+	rt, instances, _, trainEnd := runtimeFixture(t)
+	capacitateTree(rt.tree, powertree.ResourceVector{"gpu": 4})
+	gpu := append([]placement.Instance(nil), instances...)
+	for i := 1; i < len(gpu); i += 2 {
+		gpu[i].Demands = powertree.ResourceVector{"gpu": 4}
+	}
+	err := rt.Bootstrap(gpu, trainEnd, 2)
+	if !errors.Is(err, placement.ErrNoCapacity) || !strings.Contains(err.Error(), "gpu") {
+		t.Fatalf("overcommitting bootstrap: %v, want %v naming gpu", err, placement.ErrNoCapacity)
+	}
+	named := false
+	rt.tree.Walk(func(n *powertree.Node) { named = named || strings.Contains(err.Error(), strconv.Quote(n.Name)) })
+	if !named {
+		t.Fatalf("refusal names no node: %v", err)
+	}
+	if rt.Placed() || rt.tree.InstanceCount() != 0 || len(rt.Quarantined()) != 0 {
+		t.Fatalf("refused bootstrap left placed=%v, %d instances, quarantined %v",
+			rt.Placed(), rt.tree.InstanceCount(), rt.Quarantined())
+	}
+	if _, ok := rt.InstanceQuality(gpu[0].ID); ok {
+		t.Fatal("refused bootstrap recorded trace quality")
+	}
+	rt.mu.Lock()
+	demands := len(rt.demands)
+	rt.mu.Unlock()
+	if demands != 0 {
+		t.Fatalf("refused bootstrap left %d demands on record", demands)
+	}
+	if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+		t.Fatalf("demand-free retry: %v", err)
+	}
+}
+
+// TestBootstrapEqualsOptimize: the runtime bootstraps with the offline
+// pipeline's placer, so on the same fleet and training weeks its tree and
+// Optimize's are byte-identical at any worker count.
+func TestBootstrapEqualsOptimize(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		cfg := Config{TopServices: 8, Seed: 1, Workers: workers}
+		rt, instances, fleet, trainEnd := runtimeFixtureFor(t, cfg, RuntimeConfig{})
+		res, err := New(cfg).Optimize(fleet, rt.Tree())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := rt.Tree().Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.OptimizedTree.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("workers %d: Bootstrap's tree differs from Optimize's", workers)
+		}
 	}
 }

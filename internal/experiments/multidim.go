@@ -52,7 +52,8 @@ type MultiDimRow struct {
 	// (metrics.StrandedNodeCount at the RPP level).
 	StrandedNodes int
 	// GpuOverfull counts leaves whose attached gpu demand exceeds their gpu
-	// capacity — only a demand-oblivious policy can produce these.
+	// capacity (the RPP gpu fragmentation row's Overcommitted) — only a
+	// demand-oblivious policy can produce these.
 	GpuOverfull int
 }
 
@@ -190,13 +191,13 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 		if err != nil {
 			return MultiDimRow{}, err
 		}
-		for _, leaf := range tree.Leaves() {
-			var used float64
-			for _, id := range leaf.Instances {
-				used += demands[id].Get("gpu")
-			}
-			if used > leaf.Capacities.Get("gpu") {
-				row.GpuOverfull++
+		rows, err := metrics.MultiFragmentationRates(tree, powertree.PowerFn(traceFn), demandFn)
+		if err != nil {
+			return MultiDimRow{}, err
+		}
+		for _, r := range rows {
+			if r.Level == powertree.RPP && r.Dimension == "gpu" {
+				row.GpuOverfull = r.Overcommitted
 			}
 		}
 		return row, nil

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/placement"
 	"repro/internal/powerrouting"
 	"repro/internal/powertree"
 	"repro/internal/workload"
@@ -95,10 +95,20 @@ func ExtensionRouting(name workload.DCName, opt Options, feeds int) (*RoutingCom
 	if err != nil {
 		return nil, err
 	}
-	test, err := run.Fleet.SplitWeeks(2)
+	// Workload-aware static assignment: the paper's pipeline on a one-level
+	// "tree" of `feeds` leaves.
+	feedsTree, err := powertree.Build(powertree.TopologySpec{
+		Name: "feeds", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: feeds,
+		LeafBudget: 1e12,
+	})
 	if err != nil {
 		return nil, err
 	}
+	res, err := core.New(config(run, opt)).Optimize(run.Fleet, feedsTree)
+	if err != nil {
+		return nil, err
+	}
+	test := res.TestTraces
 	// Fragmented wiring: instances of the same service share a feed
 	// (round-robin over services), cords pair each feed with the next one.
 	services := run.Fleet.Services()
@@ -124,23 +134,7 @@ func ExtensionRouting(name workload.DCName, opt Options, feeds int) (*RoutingCom
 	if err != nil {
 		return nil, err
 	}
-	// Workload-aware static assignment: reuse the placement machinery with
-	// a one-level "tree" of `feeds` leaves.
-	tree, err := powertree.Build(powertree.TopologySpec{
-		Name: "feeds", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: feeds,
-		LeafBudget: 1e12,
-	})
-	if err != nil {
-		return nil, err
-	}
-	avg, err := run.Fleet.AveragedITraces(2)
-	if err != nil {
-		return nil, err
-	}
-	if err := (placement.WorkloadAware{TopServices: opt.TopServices, Seed: opt.Seed, Workers: opt.Workers}).Place(tree, instances(run.Fleet), placement.TraceFn(workload.SubPowerFn(avg))); err != nil {
-		return nil, err
-	}
-	placedSum, err := tree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(test)))
+	placedSum, err := res.OptimizedTree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(test)))
 	if err != nil {
 		return nil, err
 	}

@@ -57,6 +57,9 @@ type FragmentationRow struct {
 	// Headroom is Σ max(0, budget − peak): the watts the level advertises
 	// as free.
 	Headroom float64
+	// Overcommitted counts the level's nodes whose use exceeds their
+	// capacity: the nodes Headroom clamps to 0.
+	Overcommitted int
 	// Admissible is Σ admissible(n): the watts new load can actually reach
 	// through the level without tripping a breaker below it.
 	Admissible float64
@@ -71,7 +74,8 @@ type FragmentationRow struct {
 // pass. limit reports a node's declared capacity in the dimension (false =
 // undeclared, unconstrained) and used what its subtree currently draws.
 // Levels where no node declares the dimension are skipped; rows come back in
-// root-to-leaf level order, each summing its nodes in tree order.
+// root-to-leaf level order, each summing its nodes in tree order. A node
+// using more than its capacity adds 0 headroom and counts as overcommitted.
 func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) (float64, bool), used func(*powertree.Node) float64) []FragmentationRow {
 	rows := make(map[powertree.Level]*FragmentationRow)
 	// build returns admissible(n): +Inf means the subtree imposes no
@@ -89,18 +93,19 @@ func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) 
 		if !declared {
 			return below
 		}
-		head := capacity - used(n)
-		if head < 0 {
-			head = 0
-		}
-		adm := head
-		if below < adm {
-			adm = below
-		}
 		row := rows[n.Level]
 		if row == nil {
 			row = &FragmentationRow{Level: n.Level, Dimension: dim}
 			rows[n.Level] = row
+		}
+		head := capacity - used(n)
+		if head < 0 {
+			head = 0
+			row.Overcommitted++
+		}
+		adm := head
+		if below < adm {
+			adm = below
 		}
 		row.Capacity += capacity
 		row.Headroom += head

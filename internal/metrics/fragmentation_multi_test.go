@@ -52,53 +52,83 @@ func TestMultiFragmentationRates(t *testing.T) {
 		"a": {"net": 8},
 		"b": {"net": 8},
 	}
-	tree := multiFragTree(t, 200)
-	leaves := tree.Leaves()
-	// Both net-heavy instances on the two leaves of SB 0: its 20 net is 16
-	// used; SB 1's 20 net is untouched.
-	if err := leaves[0].Attach("a"); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		leafBudget float64
+		leafOfB    int
+		// overcommitted and headroom pin rows by "level/dimension"; a row
+		// missing from overcommitted must count 0.
+		overcommitted map[string]int
+		headroom      map[string]float64
+	}{
+		// Both net-heavy instances on the two leaves of SB 0: its 20 net is
+		// 16 used; SB 1's 20 net is untouched.
+		{name: "spread", leafBudget: 200, leafOfB: 1},
+		// Both on leaf 0: 16 net on a 10-net leaf and a 100 W peak on an
+		// 80 W budget. The leaf counts once on each RPP row and adds 0
+		// headroom there: 30 is the other leaves' net, 240 their 3 × 80 W.
+		{
+			name: "overcommitted", leafBudget: 80, leafOfB: 0,
+			overcommitted: map[string]int{"RPP/net": 1, "RPP/power": 1},
+			headroom:      map[string]float64{"RPP/net": 30, "RPP/power": 240},
+		},
 	}
-	if err := leaves[1].Attach("b"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := MultiFragmentationRates(tree, fragLookup(traces), demandTable(demands))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		tree := multiFragTree(t, tc.leafBudget)
+		leaves := tree.Leaves()
+		if err := leaves[0].Attach("a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaves[tc.leafOfB].Attach("b"); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := MultiFragmentationRates(tree, fragLookup(traces), demandTable(demands))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Power rows come first and match the single-dimension report exactly.
-	powerRows := powerOnlyRows(t, tree, traces)
-	for i, want := range powerRows {
-		if rows[i] != want {
-			t.Fatalf("power row %d = %+v, want %+v", i, rows[i], want)
+		// Power rows come first and match the single-dimension report exactly.
+		powerRows := powerOnlyRows(t, tree, traces)
+		for i, want := range powerRows {
+			if rows[i] != want {
+				t.Fatalf("%s: power row %d = %+v, want %+v", tc.name, i, rows[i], want)
+			}
+			if rows[i].Dimension != powertree.PowerDimension {
+				t.Fatalf("%s: power row %d dimension = %q", tc.name, i, rows[i].Dimension)
+			}
 		}
-		if rows[i].Dimension != powertree.PowerDimension {
-			t.Fatalf("power row %d dimension = %q", i, rows[i].Dimension)
-		}
-	}
 
-	byKey := make(map[string]FragmentationRow)
-	for _, row := range rows[len(powerRows):] {
-		byKey[row.Level.String()+"/"+row.Dimension] = row
-		if row.Dimension == powertree.PowerDimension {
-			t.Fatalf("dimension rows must not repeat power: %+v", row)
+		byKey := make(map[string]FragmentationRow)
+		for i, row := range rows {
+			key := row.Level.String() + "/" + row.Dimension
+			byKey[key] = row
+			if i >= len(powerRows) && row.Dimension == powertree.PowerDimension {
+				t.Fatalf("%s: dimension rows must not repeat power: %+v", tc.name, row)
+			}
+			if row.Overcommitted != tc.overcommitted[key] {
+				t.Fatalf("%s: %s overcommitted = %d, want %d", tc.name, key, row.Overcommitted, tc.overcommitted[key])
+			}
 		}
-	}
-	// net at the DC root: capacity 40, used 16 → headroom 24. Admissible is
-	// also 24 (each leaf's free net is reachable: 2+2+10+10), so nothing is
-	// stranded at any level for net.
-	root := byKey["DC/net"]
-	if root.Capacity != 40 || root.Headroom != 24 || root.StrandedWatts != 0 {
-		t.Fatalf("dc/net row = %+v", root)
-	}
-	// space is untouched everywhere: headroom = capacity, stranded 0.
-	if row := byKey["DC/space"]; row.Headroom != 16 || row.StrandedWatts != 0 {
-		t.Fatalf("dc/space row = %+v", row)
-	}
-	// Dimension order is ascending: net rows before space rows.
-	if rows[len(powerRows)].Dimension != "net" {
-		t.Fatalf("first dimension row = %+v, want net", rows[len(powerRows)])
+		for key, want := range tc.headroom {
+			if got := byKey[key].Headroom; got != want {
+				t.Fatalf("%s: %s headroom = %v, want %v", tc.name, key, got, want)
+			}
+		}
+		// net at the DC root: capacity 40, used 16 → headroom 24. Admissible
+		// is also 24 (the free net is reachable through every SB), so
+		// nothing is stranded at any level for net.
+		root := byKey["DC/net"]
+		if root.Capacity != 40 || root.Headroom != 24 || root.StrandedWatts != 0 {
+			t.Fatalf("%s: dc/net row = %+v", tc.name, root)
+		}
+		// space is untouched everywhere: headroom = capacity, stranded 0.
+		if row := byKey["DC/space"]; row.Headroom != 16 || row.StrandedWatts != 0 {
+			t.Fatalf("%s: dc/space row = %+v", tc.name, row)
+		}
+		// Dimension order is ascending: net rows before space rows.
+		if rows[len(powerRows)].Dimension != "net" {
+			t.Fatalf("%s: first dimension row = %+v, want net", tc.name, rows[len(powerRows)])
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ var (
 	obsAdmissions = obs.Default().Counter("smoothop_placement_admissions_total",
 		"Instances admitted by online placement.")
 	obsAdmissionRejects = obs.Default().Counter("smoothop_placement_admission_rejections_total",
-		"Online admissions rejected because no leaf could host without a breaker violation.")
+		"Online admissions rejected because no leaf could host without a breaker violation or a declared capacity overflow.")
 	obsRetirements = obs.Default().Counter("smoothop_placement_retirements_total",
 		"Instances retired by online placement.")
 	obsResyncs = obs.Default().Counter("smoothop_placement_resyncs_total",

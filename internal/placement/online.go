@@ -24,7 +24,7 @@ import (
 
 // Errors returned by online placement.
 var (
-	ErrNoCapacity      = errors.New("placement: no leaf can admit the instance without a breaker violation")
+	ErrNoCapacity      = errors.New("placement: no leaf can admit the instance without a breaker violation or a declared capacity overflow")
 	ErrAlreadyAdmitted = errors.New("placement: instance already admitted")
 	ErrUnknownInstance = errors.New("placement: instance not admitted")
 )
@@ -357,6 +357,8 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 // Admit implements OnlinePlacer. The instance's trace is resolved through
 // the placer's TraceFn; a missing trace is ErrMissingTrace (callers with a
 // quarantine path substitute a reference trace in their TraceFn instead).
+// An instance no leaf can host without tripping a breaker or overflowing a
+// declared capacity dimension on its root path is ErrNoCapacity.
 func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if _, ok := o.Leaf(inst.ID); ok {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyAdmitted, inst.ID)

@@ -23,6 +23,12 @@ func FuzzLoadTree(f *testing.F) {
 	f.Add(`{"name":"x","level":0,"budget":1}`)
 	f.Add(`{`)
 	f.Add(`{"name":"x","level":0,"budget":-1}`)
+	// Capacity vectors the loader must refuse: a negative amount, the
+	// reserved power key, and a child declaring more than its parent. JSON
+	// has no NaN or ±Inf, so the codec cannot carry those amounts at all.
+	f.Add(`{"name":"x","level":0,"budget":1,"capacities":{"gpu":-1}}`)
+	f.Add(`{"name":"x","level":0,"budget":1,"capacities":{"power":1}}`)
+	f.Add(`{"name":"x","level":0,"budget":2,"capacities":{"gpu":1},"children":[{"name":"y","level":1,"budget":1,"capacities":{"gpu":2}}]}`)
 	f.Fuzz(func(t *testing.T, input string) {
 		tree, err := LoadTree(strings.NewReader(input))
 		if err != nil {

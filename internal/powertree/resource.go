@@ -224,6 +224,22 @@ func (u *Usage) Fits(n *Node, in, out ResourceVector) bool {
 	return true
 }
 
+// Over reports the first dimension, in ascending order, in which the used
+// vector v exceeds capacity: used > capacity, Fits' comparison with nothing
+// arriving or leaving. Dimensions capacity does not declare are
+// unconstrained, so a nil capacity is never over.
+func (v ResourceVector) Over(capacity ResourceVector) (dim string, over bool) {
+	if len(v) == 0 {
+		return "", false
+	}
+	for _, d := range capacity.Dimensions() {
+		if v.Get(d) > capacity[d] {
+			return d, true
+		}
+	}
+	return "", false
+}
+
 // validateCapacities walks the subtree checking the capacity invariants:
 // every vector is well-formed and, wherever parent and child both declare a
 // dimension, the child's capacity does not exceed the parent's (mirroring
