@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=10s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=10s ./internal/core/
 	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=10s ./internal/core/
+	$(GO) test -run=XXX -fuzz=FuzzOnlineAdmitMatchesExhaustive -fuzztime=10s ./internal/placement/
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
 # for CI and pre-commit runs.
@@ -164,6 +165,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=5s ./internal/tracestore/
 	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=5s ./internal/core/
 	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=5s ./internal/core/
+	$(GO) test -run=XXX -fuzz=FuzzOnlineAdmitMatchesExhaustive -fuzztime=5s ./internal/placement/
 
 # loc counts the non-test Go lines under internal/ and cmd/, the figure a
 # simplification is measured by.

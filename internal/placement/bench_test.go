@@ -126,16 +126,70 @@ func admitRetire(tb testing.TB, o *Online) {
 // policy at the end-to-end benchmark's shape: 640 leaves, ≈ 10 000 residents,
 // one-week traces at 30-minute step.
 func BenchmarkOnlineAdmit(b *testing.B) {
-	tree, traces := churnFixture(b, 10_000)
+	benchAdmit(b, churnFixture)
+}
+
+func benchAdmit(b *testing.B, fixture func(testing.TB, int) (*powertree.Node, TraceFn)) {
+	tree, traces := fixture(b, 10_000)
 	o, err := NewOnline(tree, traces, PolicyConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := obsTracePasses.Value()
 	for i := 0; i < b.N; i++ {
 		admitRetire(b, o)
 	}
+	b.ReportMetric(float64(obsTracePasses.Value()-before)/float64(b.N), "passes/op")
+}
+
+// diurnalFixture is churnFixture's 640-leaf shape with residents drawn from
+// a workload DC2 fleet (one week at 30-minute step, 400 instances cycled)
+// instead of i.i.d. noise, and "arrival" one more of that fleet's traces:
+// diurnal traces whose peaks cluster, the case the admission bounds prune.
+func diurnalFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
+	tb.Helper()
+	cfg, err := workload.StandardDCConfig(workload.DC2, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Gen.Step, cfg.Gen.Weeks = 30*time.Minute, 1
+	fleet, err := workload.Generate(cfg.Gen, workload.StandardProfiles())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := powertree.Build(powertree.TopologySpec{
+		Name: "c", SuitesPerDC: 4, MSBsPerSuite: 4, SBsPerMSB: 4, RPPsPerSB: 10,
+		LeafBudget: 1e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	power := fleet.PowerFn()
+	ids := fleet.IDs()
+	source := map[string]string{"arrival": ids[5]}
+	leaves := tree.Leaves()
+	for i := 0; i < residents; i++ {
+		id := fmt.Sprintf("r-%05d", i)
+		source[id] = ids[i%len(ids)]
+		if err := leaves[i%len(leaves)].Attach(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree, func(id string) (timeseries.Series, bool) {
+		src, ok := source[id]
+		if !ok {
+			return timeseries.Series{}, false
+		}
+		return power(src)
+	}
+}
+
+// BenchmarkOnlineAdmitDiurnal is BenchmarkOnlineAdmit over diurnalFixture.
+// Both report passes/op, the trace passes per admission.
+func BenchmarkOnlineAdmitDiurnal(b *testing.B) {
+	benchAdmit(b, diurnalFixture)
 }
 
 // BenchmarkRemapTick is the Remap inside a drift tick at the same shape:

@@ -25,6 +25,8 @@ var (
 		"Instances admitted by online placement.")
 	obsAdmissionRejects = obs.Default().Counter("smoothop_placement_admission_rejections_total",
 		"Online admissions rejected because no leaf could host without a breaker violation or a declared capacity overflow.")
+	obsTracePasses = obs.Default().Counter("smoothop_placement_admission_trace_passes_total",
+		"Passes over a node's aggregate trace made by online admissions: feasibility, differential and on-demand headroom passes.")
 	obsRetirements = obs.Default().Counter("smoothop_placement_retirements_total",
 		"Instances retired by online placement.")
 	obsResyncs = obs.Default().Counter("smoothop_placement_resyncs_total",

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -29,7 +30,14 @@ var (
 	ErrUnknownInstance = errors.New("placement: instance not admitted")
 )
 
-// OnlineCandidate is one feasible leaf offered to an online policy.
+// OnlineCandidate is one feasible leaf offered to an online policy. The
+// placer builds candidates, and they are valid only until its next Admit.
+// A candidate carries what the ledger already holds for free (the leaf's
+// aggregate, its peak and the peak's slot); the numbers that take a pass
+// over the aggregate (PostPeak, Headroom, Residuals) are computed on first
+// use and remembered, so a policy pays only for what it reads. Call them
+// on the slice element (cands[i].Headroom()), not on a copy, for the memo
+// to stick.
 type OnlineCandidate struct {
 	// Leaf is the candidate host node.
 	Leaf *powertree.Node
@@ -39,17 +47,50 @@ type OnlineCandidate struct {
 	// by the placer's ledger and must not be mutated.
 	Aggregate timeseries.Series
 	Count     int
-	// PostPeak is the peak of the leaf's aggregate trace after admitting
-	// the arriving instance.
-	PostPeak float64
-	// Headroom is Leaf.Budget − PostPeak (≥ 0 for a feasible candidate).
-	Headroom float64
-	// Residuals are the leaf's post-admission residual fractions
-	// (free/capacity ∈ [0, 1]): power first, then the leaf's declared
-	// capacity dimensions in Dimensions() (sorted) order. A power-only leaf
-	// has exactly one entry. Like the candidate slice itself, it is only
-	// valid until the placer's next Admit.
-	Residuals []float64
+
+	// peak and slot are the ledger's Peak and PeakSlot of Aggregate.
+	peak float64
+	slot int
+	// post is PostPeak once postKnown; residuals is Residuals once non-nil.
+	post      float64
+	postKnown bool
+	residuals []float64
+	// o is the placer whose admission built the candidate.
+	o *Online
+}
+
+// PostPeak returns the peak of the leaf's aggregate trace after admitting
+// the arriving instance.
+func (c *OnlineCandidate) PostPeak() float64 {
+	if !c.postKnown {
+		c.post, c.postKnown = c.o.peakWith(c.Aggregate), true
+	}
+	return c.post
+}
+
+// Headroom returns Leaf.Budget − PostPeak (≥ 0 for a feasible candidate).
+func (c *OnlineCandidate) Headroom() float64 { return c.Leaf.Budget - c.PostPeak() }
+
+// Residuals returns the leaf's post-admission residual fractions
+// (free/capacity ∈ [0, 1]): power first, then the leaf's declared capacity
+// dimensions in Dimensions() (sorted) order. A power-only leaf has exactly
+// one entry. The slice is owned by the placer and must not be mutated.
+func (c *OnlineCandidate) Residuals() []float64 {
+	if c.residuals == nil {
+		c.residuals = c.o.appendResiduals(c.Leaf, c.Headroom())
+	}
+	return c.residuals
+}
+
+// differential is the §3.6 differential score of the arrival tr against
+// the residents of an occupied candidate: one pass over its aggregate.
+func (c *OnlineCandidate) differential(tr timeseries.Series) (float64, error) {
+	c.o.passes++
+	s, err := score.DifferentialFromSum(tr, c.Aggregate, c.Count)
+	if err != nil {
+		return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
+	}
+	return s, nil
 }
 
 // Policy picks which feasible leaf hosts an arriving instance.
@@ -97,9 +138,21 @@ type Online struct {
 	// leafOf locates every admitted instance's hosting leaf. An entry may
 	// outlive an instance detached behind the placer's back; Leaf checks.
 	leafOf map[string]*powertree.Node
-	// cands and residuals are feasibleLeaves' reused output buffers.
+	// The admission in progress: the arrival's trace, its Peak and
+	// PeakIndex, its resolved demand, and the passes over node aggregates
+	// made for it so far (feasibility, differential and on-demand headroom).
+	arrival     timeseries.Series
+	arrivalPeak float64
+	arrivalSlot int
+	demand      powertree.ResourceVector
+	passes      uint64
+	// cands and residuals are feasibleLeaves' reused output buffers; bounds,
+	// scores and order are OnlineAsynchrony.Choose's.
 	cands     []OnlineCandidate
 	residuals []float64
+	bounds    []float64
+	scores    []float64
+	order     []int
 }
 
 // NewOnline wraps a live (possibly already populated) tree for online
@@ -270,22 +323,21 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 	return nil
 }
 
-// peakWith returns the peak of agg + tr without materializing the sum.
-func peakWith(agg, tr timeseries.Series) (float64, error) {
+// peakWith returns the peak of agg + the arrival without materializing the
+// sum: a pass over agg, counted, unless agg is empty. The caller has checked
+// that a non-empty agg is aligned with the arrival.
+func (o *Online) peakWith(agg timeseries.Series) float64 {
 	if agg.Empty() {
-		return tr.Peak(), nil
+		return o.arrivalPeak
 	}
-	if agg.Len() != tr.Len() || !agg.Start.Equal(tr.Start) || agg.Step != tr.Step {
-		return 0, fmt.Errorf("placement: arriving trace misaligned with aggregate (%d@%v vs %d@%v)",
-			tr.Len(), tr.Step, agg.Len(), agg.Step)
-	}
+	o.passes++
 	peak := math.Inf(-1)
 	for i, v := range agg.Values {
-		if s := v + tr.Values[i]; s > peak {
+		if s := v + o.arrival.Values[i]; s > peak {
 			peak = s
 		}
 	}
-	return peak, nil
+	return peak
 }
 
 // appendResiduals appends a candidate leaf's post-admission residual vector
@@ -293,7 +345,7 @@ func peakWith(agg, tr timeseries.Series) (float64, error) {
 // power headroom fraction first, then free/capacity for each declared
 // capacity dimension in sorted order. Zero-capacity dimensions read as
 // residual 0 (saturated).
-func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64, demand powertree.ResourceVector) []float64 {
+func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64) []float64 {
 	from := len(o.residuals)
 	o.residuals = append(o.residuals, headroom/leaf.Budget)
 	used := o.usage.Of(leaf)
@@ -301,7 +353,7 @@ func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64, demand 
 		limit := leaf.Capacities[dim]
 		frac := 0.0
 		if limit > 0 {
-			free := limit - used.Get(dim) - demand.Get(dim)
+			free := limit - used.Get(dim) - o.demand.Get(dim)
 			if free < 0 {
 				free = 0 // float residue; Usage.Fits already gated
 			}
@@ -312,25 +364,33 @@ func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64, demand 
 	return o.residuals[from:len(o.residuals):len(o.residuals)]
 }
 
-// feasibleLeaves collects the leaves that can admit tr (and the instance's
+// feasibleLeaves collects the leaves that can admit the arrival (and its
 // demand vector, if any) without a breaker violation or capacity overflow
 // anywhere on their root path, pruning whole subtrees at the first interior
-// node that cannot absorb the instance. Candidates come back in tree (leaf)
-// order, in buffers the next call overwrites.
-func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceVector) ([]OnlineCandidate, error) {
+// node that cannot absorb the instance. A node whose ledger peak plus the
+// arrival's peak is within budget is feasible without a pass: every reading
+// of the sum is at most that sum of peaks, because float addition rounds
+// monotonically. Only where that bound fails does peakWith decide.
+// Candidates come back in tree (leaf) order, in buffers the next call
+// overwrites.
+func (o *Online) feasibleLeaves() ([]OnlineCandidate, error) {
 	aggs := o.ledger.Snapshot()
+	tr := o.arrival
 	o.cands, o.residuals = o.cands[:0], o.residuals[:0]
 	var walk func(n *powertree.Node) error
 	walk = func(n *powertree.Node) error {
 		agg, _ := aggs.Trace(n)
-		post, err := peakWith(agg, tr)
-		if err != nil {
-			return err
+		if !agg.Empty() && (agg.Len() != tr.Len() || !agg.Start.Equal(tr.Start) || agg.Step != tr.Step) {
+			return fmt.Errorf("placement: arriving trace misaligned with aggregate (%d@%v vs %d@%v)",
+				tr.Len(), tr.Step, agg.Len(), agg.Step)
 		}
-		if post > n.Budget {
-			return nil // this node's breaker would trip; nothing below fits
+		post, postKnown := 0.0, false
+		if !(aggs.Peak(n)+o.arrivalPeak <= n.Budget) {
+			if post, postKnown = o.peakWith(agg), true; post > n.Budget {
+				return nil // this node's breaker would trip; nothing below fits
+			}
 		}
-		if !o.usage.Fits(n, demand, nil) {
+		if !o.usage.Fits(n, o.demand, nil) {
 			return nil // a declared capacity dimension would overflow
 		}
 		if n.IsLeaf() {
@@ -338,9 +398,11 @@ func (o *Online) feasibleLeaves(tr timeseries.Series, demand powertree.ResourceV
 				Leaf:      n,
 				Aggregate: agg,
 				Count:     len(n.Instances),
-				PostPeak:  post,
-				Headroom:  n.Budget - post,
-				Residuals: o.appendResiduals(n, n.Budget-post, demand),
+				peak:      aggs.Peak(n),
+				slot:      aggs.PeakSlot(n),
+				post:      post,
+				postKnown: postKnown,
+				o:         o,
 			})
 			return nil
 		}
@@ -371,7 +433,13 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands, err := o.feasibleLeaves(tr, demand)
+	o.arrival, o.arrivalPeak, o.arrivalSlot = tr, tr.Peak(), tr.PeakIndex()
+	o.demand, o.passes = demand, 0
+	defer func() {
+		obsTracePasses.Add(o.passes)
+		o.arrival = timeseries.Series{} // the placer holds no instance's trace
+	}()
+	cands, err := o.feasibleLeaves()
 	if err != nil {
 		return nil, err
 	}
@@ -445,9 +513,9 @@ func (OnlineBestFit) Name() string { return "best-fit" }
 // Choose implements Policy.
 func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Series) (int, error) {
 	best, bestHead := 0, math.Inf(1)
-	for i, c := range cands {
-		if c.Headroom < bestHead {
-			best, bestHead = i, c.Headroom
+	for i := range cands {
+		if h := cands[i].Headroom(); h < bestHead {
+			best, bestHead = i, h
 		}
 	}
 	return best, nil
@@ -460,6 +528,19 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 // the quantity Remap maximizes when it repairs drift, applied at admission
 // time instead. Empty leaves score +Inf (a lone instance cannot overlap
 // with anything); ties break toward the tighter fit, then tree order.
+//
+// Choose scores only the candidates that can win. With ip and sa the
+// arrival's peak and its slot, and ap = Peak·(1/n) the peer average's peak
+// at the aggregate's peak slot sg, the score (ip + ap) / joint has the
+// upper bound (ip + ap) / max(tr[sg] + ap, ip + agg[sa]·(1/n)): both
+// denominator terms are terms of the kernel's joint maximum, rounded as the
+// kernel rounds them, so the bound is ≥ the score bit for bit. Candidates
+// are scored in descending bound (tree order among equal bounds) until a
+// bound falls below the best score so far; nothing skipped can win or tie.
+// A candidate with no defined bound (an empty leaf, a peak ≤ 0, a
+// denominator ≤ 0) gets +Inf: it is always scored, ahead of every finite
+// bound and in tree order, so an error comes back from the same candidate
+// as under exhaustive scoring.
 type OnlineAsynchrony struct{}
 
 // Name implements Policy.
@@ -467,19 +548,61 @@ func (OnlineAsynchrony) Name() string { return "asynchrony" }
 
 // Choose implements Policy.
 func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Series) (int, error) {
-	best, bestScore, bestHead := -1, math.Inf(-1), math.Inf(1)
-	for i, c := range cands {
+	o := cands[0].o
+	o.bounds, o.scores, o.order = o.bounds[:0], o.scores[:0], o.order[:0]
+	for i := range cands {
+		o.bounds = append(o.bounds, asynchronyBound(&cands[i], tr, o.arrivalPeak, o.arrivalSlot))
+		o.scores = append(o.scores, math.NaN()) // unscored: never wins or ties
+		o.order = append(o.order, i)
+	}
+	slices.SortFunc(o.order, func(i, j int) int {
+		if c := cmp.Compare(o.bounds[j], o.bounds[i]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	incumbent := math.Inf(-1)
+	for _, i := range o.order {
+		if o.bounds[i] < incumbent {
+			break
+		}
 		s := math.Inf(1)
-		if c.Count > 0 {
+		if cands[i].Count > 0 {
 			var err error
-			s, err = score.DifferentialFromSum(tr, c.Aggregate, c.Count)
-			if err != nil {
-				return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
+			if s, err = cands[i].differential(tr); err != nil {
+				return 0, err
 			}
 		}
-		if s > bestScore || (s == bestScore && c.Headroom < bestHead) {
-			best, bestScore, bestHead = i, s, c.Headroom
+		if o.scores[i] = s; s > incumbent {
+			incumbent = s
+		}
+	}
+	// The exhaustive tree-order rule, over the scored candidates (a score
+	// is never −Inf, so a tie always has an incumbent).
+	best, bestScore := -1, math.Inf(-1)
+	for i, s := range o.scores {
+		if s > bestScore || (s == bestScore && cands[i].Headroom() < cands[best].Headroom()) {
+			best, bestScore = i, s
 		}
 	}
 	return best, nil
+}
+
+// asynchronyBound is the upper bound OnlineAsynchrony.Choose prunes with
+// (see there), from O(1) reads: ip and sa are the arrival's peak and slot.
+// It is +Inf where no bound is defined.
+func asynchronyBound(c *OnlineCandidate, tr timeseries.Series, ip float64, sa int) float64 {
+	if c.Count == 0 || c.slot < 0 || sa < 0 || !(ip > 0) {
+		return math.Inf(1)
+	}
+	k := 1 / float64(c.Count)
+	ap := float64(c.peak * k) // the kernel's peer-average peak: rounding is monotone
+	joint := tr.Values[c.slot] + ap
+	if other := ip + float64(c.Aggregate.Values[sa]*k); other > joint {
+		joint = other
+	}
+	if b := (ip + ap) / joint; ap > 0 && joint > 0 && !math.IsNaN(b) {
+		return b
+	}
+	return math.Inf(1)
 }

@@ -19,15 +19,15 @@ import (
 // per-resident scoring it replaced.
 
 // residentScoring is the test-only reference for the asynchrony term: it
-// re-derives a candidate's peers from leaf.Instances and the TraceFn and
-// scores the arrival against them the old way (differentialOracle). ok is
-// false on an empty leaf.
-func residentScoring(traces TraceFn, c OnlineCandidate, tr timeseries.Series) (s float64, ok bool, err error) {
-	if len(c.Leaf.Instances) == 0 {
+// re-derives a leaf's peers from leaf.Instances and the TraceFn and scores
+// the arrival against them the old way (differentialOracle). ok is false on
+// an empty leaf.
+func residentScoring(traces TraceFn, leaf *powertree.Node, tr timeseries.Series) (s float64, ok bool, err error) {
+	if len(leaf.Instances) == 0 {
 		return 0, false, nil
 	}
-	peers := make([]timeseries.Series, len(c.Leaf.Instances))
-	for i, id := range c.Leaf.Instances {
+	peers := make([]timeseries.Series, len(leaf.Instances))
+	for i, id := range leaf.Instances {
 		if peers[i], ok = traces(id); !ok {
 			return 0, false, fmt.Errorf("%w for resident %q", ErrMissingTrace, id)
 		}
@@ -36,32 +36,78 @@ func residentScoring(traces TraceFn, c OnlineCandidate, tr timeseries.Series) (s
 	return s, true, err
 }
 
-// referenceChoose is OnlineAsynchrony.Choose (farb == nil) or
-// OnlineFARB.Choose as they stood when candidates carried resident traces.
-func referenceChoose(traces TraceFn, farb *score.FARBWeights, cands []OnlineCandidate, tr timeseries.Series) (int, error) {
+// refCandidate is one feasible leaf as referenceChoose sees it: its
+// post-admission headroom and residual vector, known up front.
+type refCandidate struct {
+	leaf      *powertree.Node
+	headroom  float64
+	residuals []float64
+}
+
+// refCandidates reads the placer's candidates through their accessors.
+func refCandidates(cands []OnlineCandidate) []refCandidate {
+	out := make([]refCandidate, len(cands))
+	for i := range cands {
+		out[i] = refCandidate{leaf: cands[i].Leaf, headroom: cands[i].Headroom(), residuals: cands[i].Residuals()}
+	}
+	return out
+}
+
+// refPolicy names the built-in policy referenceChoose re-implements: farb
+// holds PolicyFARB's weights and rng PolicyRandom's decision stream.
+type refPolicy struct {
+	kind PolicyKind
+	farb score.FARBWeights
+	rng  *rand.Rand
+}
+
+// referenceChoose is each built-in policy's Choose as it stood before
+// candidates were scored lazily: every candidate, in tree order, each
+// occupied one scored by differential (occupied is false on an empty
+// leaf).
+func referenceChoose(p refPolicy, cands []refCandidate, differential func(*powertree.Node) (s float64, occupied bool, err error)) (int, error) {
+	switch p.kind {
+	case PolicyRandom:
+		return p.rng.Intn(len(cands)), nil
+	case PolicyBestFit:
+		best, bestHead := 0, math.Inf(1)
+		for i, c := range cands {
+			if c.headroom < bestHead {
+				best, bestHead = i, c.headroom
+			}
+		}
+		return best, nil
+	}
+	w := p.farb.OrDefault()
 	best, bestScore, bestHead := -1, math.Inf(-1), math.Inf(1)
 	for i, c := range cands {
-		d, occupied, err := residentScoring(traces, c, tr)
-		if err != nil {
-			return 0, err
+		d, occupied := 0.0, false
+		if p.kind != PolicyFARB || w.Asynchrony > 0 {
+			var err error
+			if d, occupied, err = differential(c.leaf); err != nil {
+				return 0, err
+			}
 		}
-		s := math.Inf(1)
+		s := math.Inf(1) // an empty leaf cannot overlap with anything
 		if occupied {
 			s = d
 		}
-		if farb != nil {
-			asyncNorm := 1.0
-			if occupied {
-				asyncNorm = d - 1
+		if p.kind == PolicyFARB {
+			asyncNorm := 0.0
+			if w.Asynchrony > 0 {
+				asyncNorm = 1
+				if occupied {
+					asyncNorm = d - 1
+				}
 			}
-			cost, err := score.Composite(*farb, c.Residuals, asyncNorm)
+			cost, err := score.Composite(w, c.residuals, asyncNorm)
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("composite for %q: %w", c.leaf.Name, err)
 			}
 			s = -cost // lower cost wins
 		}
-		if s > bestScore || (s == bestScore && c.Headroom < bestHead) {
-			best, bestScore, bestHead = i, s, c.Headroom
+		if s > bestScore || (s == bestScore && c.headroom < bestHead) {
+			best, bestScore, bestHead = i, s, c.headroom
 		}
 	}
 	return best, nil
@@ -72,7 +118,7 @@ func referenceChoose(traces TraceFn, farb *score.FARBWeights, cands []OnlineCand
 type checkedPolicy struct {
 	Policy
 	traces   TraceFn
-	farb     *score.FARBWeights
+	ref      refPolicy
 	choices  int
 	mismatch string
 }
@@ -82,7 +128,9 @@ func (p *checkedPolicy) Choose(cands []OnlineCandidate, inst Instance, tr timese
 	if err != nil {
 		return 0, err
 	}
-	want, err := referenceChoose(p.traces, p.farb, cands, tr)
+	want, err := referenceChoose(p.ref, refCandidates(cands), func(leaf *powertree.Node) (float64, bool, error) {
+		return residentScoring(p.traces, leaf, tr)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -111,10 +159,12 @@ func TestOnlineLedgerScoringPicksSameLeaf(t *testing.T) {
 				gpus[inst.ID] = powertree.ResourceVector{"gpu": float64(rng.Intn(5))}
 			}
 			var real Policy = OnlineAsynchrony{}
+			ref := refPolicy{kind: PolicyAsynchrony}
 			if weights != nil {
 				real = OnlineFARB{Weights: *weights}
+				ref = refPolicy{kind: PolicyFARB, farb: *weights}
 			}
-			policy := &checkedPolicy{Policy: real, traces: traces, farb: weights}
+			policy := &checkedPolicy{Policy: real, traces: traces, ref: ref}
 			o, err := NewOnline(tree, traces, PolicyConfig{Custom: policy, Demands: func(id string) (powertree.ResourceVector, bool) {
 				d, ok := gpus[id]
 				return d, ok

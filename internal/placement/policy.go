@@ -106,26 +106,27 @@ func (OnlineFARB) Name() string { return "farb" }
 func (p OnlineFARB) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Series) (int, error) {
 	w := p.Weights.OrDefault()
 	best, bestCost, bestHead := -1, math.Inf(1), math.Inf(1)
-	for i, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		asyncNorm := 0.0
 		if w.Asynchrony > 0 {
 			asyncNorm = 1 // an empty leaf cannot overlap with anything
 			if c.Count > 0 {
-				s, err := score.DifferentialFromSum(tr, c.Aggregate, c.Count)
+				s, err := c.differential(tr)
 				if err != nil {
-					return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
+					return 0, err
 				}
 				// Differential is a two-trace asynchrony score in [1, 2];
 				// shift to [0, 1].
 				asyncNorm = s - 1
 			}
 		}
-		cost, err := score.Composite(w, c.Residuals, asyncNorm)
+		cost, err := score.Composite(w, c.Residuals(), asyncNorm)
 		if err != nil {
 			return 0, fmt.Errorf("composite for %q: %w", c.Leaf.Name, err)
 		}
-		if cost < bestCost || (cost == bestCost && c.Headroom < bestHead) {
-			best, bestCost, bestHead = i, cost, c.Headroom
+		if cost < bestCost || (cost == bestCost && c.Headroom() < bestHead) {
+			best, bestCost, bestHead = i, cost, c.Headroom()
 		}
 	}
 	return best, nil

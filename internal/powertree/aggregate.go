@@ -21,6 +21,7 @@ package powertree
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -30,8 +31,11 @@ import (
 
 // aggEntry is one node's share of an Aggregates result.
 type aggEntry struct {
-	trace   timeseries.Series
-	peak    float64
+	trace timeseries.Series
+	peak  float64
+	// slot is the index of the first reading equal to peak (-1 when the
+	// trace is empty or has no maximum), found by the loop that finds peak.
+	slot    int
 	started bool
 	missing []string
 }
@@ -94,7 +98,7 @@ func foldLeaves(leaves []*Node, power PowerFn, workers int) ([]*aggEntry, error)
 // entry — the invariant the delta path relies on. It is the only place
 // instance traces are summed into a node trace.
 func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntry, error) {
-	e := &aggEntry{}
+	e := &aggEntry{slot: -1}
 	// Interior nodes hosting instances are invalid (Validate rejects them)
 	// but are tolerated here: own instances first, then child aggregates.
 	for _, id := range m.Instances {
@@ -129,8 +133,15 @@ func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntr
 			return nil, fmt.Errorf("powertree: combining %q into %q: %w", c.Name, m.Name, err)
 		}
 	}
-	if e.started {
-		e.peak = e.trace.Peak()
+	if e.started && !e.trace.Empty() {
+		// One loop for both: the comparisons of Series.Peak, so the peak is
+		// bit-identical to it and slot is Series.PeakIndex.
+		e.peak = math.Inf(-1)
+		for i, v := range e.trace.Values {
+			if v > e.peak {
+				e.peak, e.slot = v, i
+			}
+		}
 	}
 	return e, nil
 }
@@ -222,6 +233,17 @@ func (a *Aggregates) Peak(n *Node) float64 {
 		return e.peak
 	}
 	return 0
+}
+
+// PeakSlot returns the index of the first reading of the node's aggregate
+// power trace equal to Peak — Series.PeakIndex, kept beside the peak so
+// readers get both in O(1) — or -1 when Peak has no slot (the node was not
+// aggregated, its aggregate is empty, or no reading is a maximum).
+func (a *Aggregates) PeakSlot(n *Node) int {
+	if e := a.entries[n]; e != nil {
+		return e.slot
+	}
+	return -1
 }
 
 // Missing returns the instance IDs under the node whose traces were unknown

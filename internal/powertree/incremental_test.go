@@ -3,6 +3,7 @@ package powertree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -34,6 +35,10 @@ func requireSameAggs(t *testing.T, tree *Node, got, want *Aggregates, ctx string
 		if got.Peak(nd) != want.Peak(nd) {
 			t.Fatalf("%s: peak differs at %s: %v vs %v", ctx, nd.Name, got.Peak(nd), want.Peak(nd))
 		}
+		if got.PeakSlot(nd) != want.PeakSlot(nd) || got.PeakSlot(nd) != gs.PeakIndex() {
+			t.Fatalf("%s: peak slot differs at %s: %d vs %d (PeakIndex %d)",
+				ctx, nd.Name, got.PeakSlot(nd), want.PeakSlot(nd), gs.PeakIndex())
+		}
 		gm, wm := got.Missing(nd), want.Missing(nd)
 		if len(gm) != len(wm) {
 			t.Fatalf("%s: missing count differs at %s: %v vs %v", ctx, nd.Name, gm, wm)
@@ -49,7 +54,10 @@ func requireSameAggs(t *testing.T, tree *Node, got, want *Aggregates, ctx string
 // TestAggregatorUpdateMatchesFresh: after any sequence of admit / retire /
 // swap / trace-change events with the touched leaves marked dirty, Update
 // must be bit-identical to a fresh AggregateAll over the same tree and
-// traces — the tentpole determinism contract — at workers 1 and 8.
+// traces — the tentpole determinism contract — at workers 1 and 8. That
+// includes every node's peak slot, which must also be the first maximum of
+// the node's trace; odd trials draw readings on a coarse grid so aggregates
+// reach their peak at several slots.
 func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
 	for _, workers := range []int{1, 8} {
@@ -64,6 +72,9 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 				s := timeseries.Zeros(base, time.Minute, n)
 				for j := range s.Values {
 					s.Values[j] = rng.Float64() * 100
+					if trial%2 == 1 {
+						s.Values[j] = math.Floor(s.Values[j] / 25)
+					}
 				}
 				return s
 			}
