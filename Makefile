@@ -145,27 +145,35 @@ ablations:
 extensions:
 	$(GO) run ./cmd/experiments -extensions
 
+# FUZZ_TARGETS lists every fuzz target as package-dir:FuzzName; both fuzz
+# runs below walk it, and a test in internal/analysis fails when a
+# func FuzzX(*testing.F) anywhere in the module is missing from it.
+FUZZ_TARGETS = \
+	internal/timeseries:FuzzReadCSV \
+	internal/timeseries:FuzzSeriesJSON \
+	internal/powertree:FuzzLoadTree \
+	internal/tracestore:FuzzLoad \
+	internal/tracestore:FuzzSnapshotQuality \
+	internal/core:FuzzPlanDecoder \
+	internal/core:FuzzAdmitDecoder \
+	internal/placement:FuzzOnlineAdmitMatchesExhaustive
+
+# run_fuzz runs every FUZZ_TARGETS entry for $(1), each -fuzz pattern
+# anchored so one target never matches another by prefix.
+define run_fuzz
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t for $(1)"; \
+		$(GO) test -run=XXX -fuzz="^$${t#*:}\$$" -fuzztime=$(1) ./$${t%%:*}/; \
+	done
+endef
+
 fuzz:
-	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=10s ./internal/timeseries/
-	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=10s ./internal/timeseries/
-	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=10s ./internal/powertree/
-	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=10s ./internal/tracestore/
-	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=10s ./internal/tracestore/
-	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=10s ./internal/core/
-	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=10s ./internal/core/
-	$(GO) test -run=XXX -fuzz=FuzzOnlineAdmitMatchesExhaustive -fuzztime=10s ./internal/placement/
+	$(call run_fuzz,10s)
 
 # fuzz-short is a bounded smoke pass over every fuzz target, cheap enough
 # for CI and pre-commit runs.
 fuzz-short:
-	$(GO) test -run=XXX -fuzz=FuzzReadCSV -fuzztime=5s ./internal/timeseries/
-	$(GO) test -run=XXX -fuzz=FuzzSeriesJSON -fuzztime=5s ./internal/timeseries/
-	$(GO) test -run=XXX -fuzz=FuzzLoadTree -fuzztime=5s ./internal/powertree/
-	$(GO) test -run=XXX -fuzz='^FuzzLoad$$' -fuzztime=5s ./internal/tracestore/
-	$(GO) test -run=XXX -fuzz=FuzzSnapshotQuality -fuzztime=5s ./internal/tracestore/
-	$(GO) test -run=XXX -fuzz=FuzzPlanDecoder -fuzztime=5s ./internal/core/
-	$(GO) test -run=XXX -fuzz=FuzzAdmitDecoder -fuzztime=5s ./internal/core/
-	$(GO) test -run=XXX -fuzz=FuzzOnlineAdmitMatchesExhaustive -fuzztime=5s ./internal/placement/
+	$(call run_fuzz,5s)
 
 # loc counts the non-test Go lines under internal/ and cmd/, the figure a
 # simplification is measured by.

@@ -3,9 +3,11 @@ package analysis_test
 import (
 	"errors"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -236,4 +238,139 @@ func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
 		}
 	}
 	return self
+}
+
+// keptUnset lists the exported option fields under repro/internal/ that
+// non-test code reads but never sets and that stay, each with the reason it
+// stays. Every other such field is a switch no program moves: fold it into a
+// constant beside its one use.
+var keptUnset = map[string]string{
+	"repro/internal/core.Config.ClustersPerChild":  "the paper's h/q (§3.5): the perturbation the h/q sensitivity gate must catch",
+	"repro/internal/placement.PolicyConfig.Custom": "the seam through which the online, ledger and policy tests substitute instrumented policies",
+}
+
+// TestOptionsHaveSetters keeps unset options deleted: every exported,
+// non-embedded field of an exported struct under repro/internal/ that
+// non-test code reads must also be written by non-test code, or be listed in
+// keptUnset with a reason. A read is a field selector that is not a write
+// target. A write is a key in a keyed composite literal, an unkeyed literal
+// of the struct, the target of an assignment or ++/--, or the operand of &.
+// Fields with a json tag are exempt: decoders write them.
+func TestOptionsHaveSetters(t *testing.T) {
+	pkgs := loadRepo(t)
+	read := make(map[*types.Var]bool)
+	written := make(map[*types.Var]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			targets := writeTargets(f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					sel := pkg.Info.Selections[n]
+					if sel == nil || sel.Kind() != types.FieldVal {
+						break
+					}
+					field := sel.Obj().(*types.Var).Origin()
+					if targets[n] {
+						written[field] = true
+					} else {
+						read[field] = true
+					}
+				case *ast.CompositeLit:
+					st, ok := pkg.Info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							written[st.Field(i).Origin()] = true
+						}
+						break
+					}
+					for _, elt := range n.Elts {
+						key, _ := elt.(*ast.KeyValueExpr).Key.(*ast.Ident)
+						if field, ok := pkg.Info.Uses[key].(*types.Var); ok {
+							written[field.Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "repro/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				field := st.Field(i)
+				if !field.Exported() || field.Embedded() {
+					continue
+				}
+				if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); decoded {
+					continue
+				}
+				key := pkg.Path + "." + name + "." + field.Name()
+				_, kept := keptUnset[key]
+				seen[key] = true
+				unset := read[field] && !written[field]
+				switch {
+				case kept && !unset:
+					t.Errorf("%s is no longer read-but-unset: drop it from keptUnset", key)
+				case unset && !kept:
+					t.Errorf("%s: option %s is read but never set by non-test code: fold it into a constant, or add it to keptUnset with the reason it stays",
+						pkg.Fset.Position(field.Pos()), key)
+				}
+			}
+		}
+	}
+	for key := range keptUnset {
+		if !seen[key] {
+			t.Errorf("keptUnset names %s, which no longer exists", key)
+		}
+	}
+}
+
+// writeTargets returns the expressions f writes to: assignment and range
+// targets, ++/-- operands and the operands of &, each with any parentheses
+// stripped.
+func writeTargets(f *ast.File) map[ast.Expr]bool {
+	targets := make(map[ast.Expr]bool)
+	mark := func(e ast.Expr) {
+		if e != nil {
+			targets[ast.Unparen(e)] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(lhs)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				mark(n.Key)
+				mark(n.Value)
+			}
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X)
+			}
+		}
+		return true
+	})
+	return targets
 }

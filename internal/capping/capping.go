@@ -77,33 +77,22 @@ type Config struct {
 	// SustainSteps is how many consecutive over-cap observations arm a cap
 	// (breakers tolerate brief excursions). 0 means 1 (immediate).
 	SustainSteps int
-	// ReleaseFraction releases an armed cap once draw falls below this
-	// fraction of the node's cap. 0 means 0.95.
-	ReleaseFraction float64
-	// CapFraction is the target draw as a fraction of a node's budget when
-	// shedding; shedding aims below the budget to create margin. 0 means 0.98.
-	CapFraction float64
 }
+
+const (
+	// releaseFraction releases an armed cap once draw falls below this
+	// fraction of the node's cap.
+	releaseFraction = 0.95
+	// capFraction is the target draw as a fraction of a node's budget when
+	// shedding; shedding aims below the budget to create margin.
+	capFraction = 0.98
+)
 
 func (c Config) sustain() int {
 	if c.SustainSteps <= 0 {
 		return 1
 	}
 	return c.SustainSteps
-}
-
-func (c Config) release() float64 {
-	if c.ReleaseFraction <= 0 || c.ReleaseFraction >= 1 {
-		return 0.95
-	}
-	return c.ReleaseFraction
-}
-
-func (c Config) capTarget() float64 {
-	if c.CapFraction <= 0 || c.CapFraction > 1 {
-		return 0.98
-	}
-	return c.CapFraction
 }
 
 // Throttle is one shedding directive issued by the controller.
@@ -226,7 +215,7 @@ func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay
 		case !c.armed[nd.Name] && over && c.overCount[nd.Name] >= c.cfg.sustain():
 			c.armed[nd.Name] = true
 			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: true})
-		case c.armed[nd.Name] && draw < nodeBudget*c.cfg.release():
+		case c.armed[nd.Name] && draw < nodeBudget*releaseFraction:
 			c.armed[nd.Name] = false
 			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: false})
 		}
@@ -235,7 +224,7 @@ func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay
 		}
 
 		// Shed down to the cap target, batch first, largest draw first.
-		target := nodeBudget * c.cfg.capTarget()
+		target := nodeBudget * capFraction
 		need := draw - target
 		if need <= 0 {
 			continue

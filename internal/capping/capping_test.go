@@ -189,7 +189,7 @@ func TestSustainWindow(t *testing.T) {
 
 func TestReleaseHysteresis(t *testing.T) {
 	tree := buildTree(t, 100, [][]string{{"a"}})
-	ctrl, err := New(tree, Config{ReleaseFraction: 0.9})
+	ctrl, err := New(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestReleaseHysteresis(t *testing.T) {
 	if !ctrl.Armed(tree.Leaves()[0].Name) {
 		t.Fatal("cap should be armed")
 	}
-	// Draw at 95: under budget but above the 90 release line → stays armed.
-	mid := map[string]InstanceState{"a": {Power: 95, MinPower: 10, Priority: PriorityBatch}}
+	// Draw at 96: under budget but above the 95 release line → stays armed.
+	mid := map[string]InstanceState{"a": {Power: 96, MinPower: 10, Priority: PriorityBatch}}
 	if _, _, err := ctrl.Step(reader(mid)); err != nil {
 		t.Fatal(err)
 	}

@@ -68,14 +68,14 @@ func (c *mapController) stepWithBudgets(read Reader, budget func(node string) (f
 		case !c.armed[nd.Name] && over && c.overCount[nd.Name] >= c.cfg.sustain():
 			c.armed[nd.Name] = true
 			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: true})
-		case c.armed[nd.Name] && draw < nodeBudget*c.cfg.release():
+		case c.armed[nd.Name] && draw < nodeBudget*releaseFraction:
 			c.armed[nd.Name] = false
 			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: false})
 		}
 		if !c.armed[nd.Name] {
 			continue
 		}
-		need := draw - nodeBudget*c.cfg.capTarget()
+		need := draw - nodeBudget*capFraction
 		if need <= 0 {
 			continue
 		}
@@ -177,11 +177,7 @@ func TestSlabStepMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 200; trial++ {
 		tree, nodes := randomCapTree(rng)
-		cfg := Config{
-			SustainSteps:    rng.Intn(3),
-			ReleaseFraction: []float64{0, 0.8, 0.95}[rng.Intn(3)],
-			CapFraction:     []float64{0, 0.9}[rng.Intn(2)],
-		}
+		cfg := Config{SustainSteps: rng.Intn(3)}
 		slab, err := New(tree, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -52,8 +52,6 @@ func (r *Result) Members(c int) []int {
 type Config struct {
 	// K is the number of clusters.
 	K int
-	// MaxIters bounds Lloyd iterations; 0 means 100.
-	MaxIters int
 	// Restarts runs the whole algorithm multiple times and keeps the best
 	// inertia; 0 means 1 run. Restarts are independent (each gets its own
 	// rng derived from Seed and the restart index) and run concurrently.
@@ -151,10 +149,6 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	if err := validate(points, cfg.K); err != nil {
 		return nil, err
 	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
-	}
 	restarts := cfg.Restarts
 	if restarts <= 0 {
 		restarts = 1
@@ -166,7 +160,7 @@ func KMeans(points [][]float64, cfg Config) (*Result, error) {
 	results := make([]*Result, restarts)
 	if err := parallel.ForEach(context.Background(), restarts, cfg.Workers, func(r int) error {
 		rng := rand.New(rand.NewSource(restartSeed(cfg.Seed, r)))
-		results[r] = lloyd(points, cfg.K, maxIters, rng)
+		results[r] = lloyd(points, cfg.K, rng)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -199,7 +193,10 @@ func restartSeed(seed int64, r int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-func lloyd(points [][]float64, k, maxIters int, rng *rand.Rand) *Result {
+// maxIters bounds Lloyd iterations.
+const maxIters = 100
+
+func lloyd(points [][]float64, k int, rng *rand.Rand) *Result {
 	dim := len(points[0])
 	centroids := seedPlusPlus(points, k, rng)
 	assign := make([]int, len(points))

@@ -13,8 +13,6 @@ type TSNEConfig struct {
 	Perplexity float64
 	// Iterations of gradient descent; 0 means 500.
 	Iterations int
-	// LearningRate of gradient descent; 0 means 100.
-	LearningRate float64
 	// Seed makes the embedding deterministic.
 	Seed int64
 }
@@ -47,10 +45,7 @@ func TSNE(points [][]float64, cfg TSNEConfig) ([][2]float64, error) {
 	if iters <= 0 {
 		iters = 500
 	}
-	lr := cfg.LearningRate
-	if lr <= 0 {
-		lr = 100
-	}
+	const lr = 100 // learning rate of gradient descent
 
 	// Pairwise squared distances in the input space.
 	d2 := make([][]float64, n)

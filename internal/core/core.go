@@ -39,16 +39,9 @@ type Config struct {
 	TrainWeeks int
 	// Seed fixes all randomized stages.
 	Seed int64
-	// OffPeakFraction classifies readings below this fraction of peak as
-	// off-peak for slack reporting. 0 means 0.85.
-	OffPeakFraction float64
 	// Baseline is the placement being displaced; nil means the oblivious
 	// service-grouped production baseline.
 	Baseline placement.Placer
-	// Lconv overrides the learned conversion threshold; 0 means learn it.
-	Lconv float64
-	// QoSKnee is the per-server load where QoS degrades. 0 means 0.9.
-	QoSKnee float64
 	// Latency, when non-zero, attaches a queueing latency model to reshape
 	// evaluation: ReshapeResult gains per-strategy latency reports, and the
 	// QoS knee is derived from the latency SLA when one is set.
@@ -79,19 +72,14 @@ func (c Config) trainWeeks() int {
 	return c.TrainWeeks
 }
 
-func (c Config) offPeak() float64 {
-	if c.OffPeakFraction <= 0 {
-		return 0.85
-	}
-	return c.OffPeakFraction
-}
+// offPeakFraction classifies readings below this fraction of peak as
+// off-peak for slack reporting.
+const offPeakFraction = 0.85
 
+// qosKnee is the per-server load where QoS degrades: 0.9, or, when a latency
+// model is configured, the highest utilization whose p99 proxy still meets
+// its SLA.
 func (c Config) qosKnee() float64 {
-	if c.QoSKnee > 0 {
-		return c.QoSKnee
-	}
-	// Derive the knee from the latency SLA when a model is configured:
-	// the highest utilization whose p99 proxy still meets the budget.
 	if c.Latency.ServiceTimeMs > 0 && c.Latency.SLAms > 0 {
 		if rho := c.Latency.MaxUtilization(); rho > 0 {
 			return rho
@@ -180,7 +168,7 @@ func (f *Framework) Optimize(fleet *workload.Fleet, tree *powertree.Node) (*Plac
 		weekLen := len(anyTrace(avg).Values)
 		fc := make(map[string]timeseries.Series, len(fleet.Instances))
 		for _, inst := range fleet.Instances {
-			pred, err := forecast.NextWeek(inst.Trace.Slice(0, trainWeeks*weekLen), forecast.Config{Alpha: 0.5, TrendDamping: 0.5})
+			pred, err := forecast.NextWeek(inst.Trace.Slice(0, trainWeeks*weekLen))
 			if err != nil {
 				return nil, fmt.Errorf("core: forecasting %q: %w", inst.ID, err)
 			}
@@ -293,16 +281,12 @@ func (f *Framework) Reshape(fleet *workload.Fleet, pr *PlacementResult) (*Reshap
 	testLoad := workload.LoadTrace(prof, anyTest.Start, anyTest.Step, steps, f.cfg.Seed+2)
 
 	qosKnee := f.cfg.qosKnee()
-	lconv := f.cfg.Lconv
-	if lconv == 0 {
-		// Per-server load in training: activity × guarded level (the fleet is
-		// sized so that peak activity = guarded load).
-		perServer := trainLoad.Scale(qosKnee * 0.95)
-		var err error
-		lconv, err = reshape.LearnThreshold(perServer, qosKnee, 0.02)
-		if err != nil {
-			return nil, err
-		}
+	// Per-server load in training: activity × guarded level (the fleet is
+	// sized so that peak activity = guarded load).
+	perServer := trainLoad.Scale(qosKnee * 0.95)
+	lconv, err := reshape.LearnThreshold(perServer, qosKnee, 0.02)
+	if err != nil {
+		return nil, err
 	}
 
 	lcModel := sim.ServerModel{Idle: prof.IdlePower, Peak: prof.PeakPower}
@@ -381,8 +365,8 @@ func (f *Framework) Reshape(fleet *workload.Fleet, pr *PlacementResult) (*Reshap
 		return nil, err
 	}
 	res.AvgSlackReductionPct = 100 * metrics.Reduction(baseAvg, tbAvg)
-	baseOff, errB := metrics.OffPeakSlack(baseline.Power, res.SlackBudget, f.cfg.offPeak())
-	tbOff, errT := metrics.OffPeakSlack(tb.Power, res.SlackBudget, f.cfg.offPeak())
+	baseOff, errB := metrics.OffPeakSlack(baseline.Power, res.SlackBudget, offPeakFraction)
+	tbOff, errT := metrics.OffPeakSlack(tb.Power, res.SlackBudget, offPeakFraction)
 	if errB == nil && errT == nil {
 		res.OffPeakSlackReductionPct = 100 * metrics.Reduction(baseOff, tbOff)
 	}

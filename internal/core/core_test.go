@@ -194,14 +194,14 @@ func TestAdaptRemapsDriftedPlacement(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
-	if c.topServices() != 10 || c.trainWeeks() != 2 || c.offPeak() != 0.85 || c.qosKnee() != 0.9 {
+	if c.topServices() != 10 || c.trainWeeks() != 2 || c.qosKnee() != 0.9 {
 		t.Fatal("defaults broken")
 	}
 	if _, ok := c.baseline().(placement.Oblivious); !ok {
 		t.Fatal("default baseline must be oblivious")
 	}
-	c2 := Config{TopServices: 5, TrainWeeks: 1, OffPeakFraction: 0.7, QoSKnee: 0.8, Baseline: placement.Random{}}
-	if c2.topServices() != 5 || c2.trainWeeks() != 1 || c2.offPeak() != 0.7 || c2.qosKnee() != 0.8 {
+	c2 := Config{TopServices: 5, TrainWeeks: 1, Baseline: placement.Random{}}
+	if c2.topServices() != 5 || c2.trainWeeks() != 1 {
 		t.Fatal("overrides broken")
 	}
 	if _, ok := c2.baseline().(placement.Random); !ok {
@@ -241,11 +241,6 @@ func TestQoSKneeFromLatencySLA(t *testing.T) {
 	c := Config{Latency: sim.LatencyModel{ServiceTimeMs: 2, SLAms: 92}}
 	if got := c.qosKnee(); got < 0.89 || got > 0.91 {
 		t.Fatalf("derived knee = %v, want ≈0.9", got)
-	}
-	// Explicit knee wins over derivation.
-	c2 := Config{QoSKnee: 0.8, Latency: sim.LatencyModel{ServiceTimeMs: 2, SLAms: 92}}
-	if c2.qosKnee() != 0.8 {
-		t.Fatal("explicit knee must win")
 	}
 	// Impossible SLA falls back to the default knee.
 	c3 := Config{Latency: sim.LatencyModel{ServiceTimeMs: 50, SLAms: 10}}
@@ -293,12 +288,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
-func TestReshapeLconvOverride(t *testing.T) {
+func TestReshapeLconvBinds(t *testing.T) {
 	fleet, tree, dcCfg := testDC(t, workload.DC3)
 	fw := New(Config{
 		TopServices: 8, Seed: 1,
 		Baseline: placement.Oblivious{MixFraction: dcCfg.BaselineMix},
-		Lconv:    0.7,
 	})
 	pr, err := fw.Optimize(fleet, tree)
 	if err != nil {
@@ -308,11 +302,11 @@ func TestReshapeLconvOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Lconv != 0.7 {
-		t.Fatalf("Lconv override ignored: %v", rr.Lconv)
+	if rr.Lconv <= 0 || rr.Lconv > 0.9 {
+		t.Fatalf("learned Lconv %v outside (0, QoS knee 0.9]", rr.Lconv)
 	}
 	// The guarded threshold binds: per-server load stays at or below it.
-	if peak := rr.ThrottleBoost.PerLCServerLoad.Peak(); peak > 0.7+1e-6 {
-		t.Fatalf("per-server load %v above overridden Lconv", peak)
+	if peak := rr.ThrottleBoost.PerLCServerLoad.Peak(); peak > rr.Lconv+1e-6 {
+		t.Fatalf("per-server load %v above learned Lconv %v", peak, rr.Lconv)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/plan"
 )
@@ -255,9 +256,11 @@ func encodePlanBody(t *testing.T, v any) string {
 // /v1/plan queries race Tick and AdmitInstance on the live runtime, while the
 // planner serves a snapshot frozen before the churn. Every HTTP response must
 // be byte-identical to a serial oracle evaluation of the same query on that
-// frozen snapshot (computed at workers=1; the service runs at workers=8, so
-// this also pins worker-count independence). Run with -race.
+// frozen snapshot (computed at workers=1; the service runs at the default
+// worker count, set to 8 here, so this also pins worker-count independence).
+// Run with -race.
 func TestHTTPPlanFrozenSnapshotRace(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "8")
 	rt, placed, held, trainEnd := admissionFixture(t)
 	clock := func() time.Time { return trainEnd }
 	snap, err := rt.PlanSnapshot()
@@ -265,7 +268,7 @@ func TestHTTPPlanFrozenSnapshotRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner, err := plan.NewService(func() (*plan.Snapshot, error) { return snap, nil },
-		plan.Config{MaxInFlight: 64, Deadline: time.Minute, Workers: 8})
+		plan.Config{MaxInFlight: 64, Deadline: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

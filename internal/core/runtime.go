@@ -24,11 +24,11 @@ import (
 //
 // The runtime degrades gracefully instead of failing when telemetry turns
 // bad: traces are graded (tracestore.Quality), instances whose raw coverage
-// falls below the quarantine floor are scored from a service-level reference
-// trace instead of their own repaired trace, transient store errors are
-// retried with bounded backoff, and breaker violations during injected trip
-// windows escalate into an emergency capping throttle that releases when the
-// trip clears.
+// falls below the quarantine floor (minCoverage) are scored from a
+// service-level reference trace instead of their own repaired trace,
+// transient store errors are retried up to ingestRetries times, and breaker
+// violations during injected trip windows escalate into an emergency capping
+// throttle that releases when the trip clears.
 type Runtime struct {
 	fw    *Framework
 	store *tracestore.Store
@@ -38,12 +38,6 @@ type Runtime struct {
 	// below it; maxSwaps bounds each repair.
 	scoreFloor float64
 	maxSwaps   int
-	// minCoverage is the quarantine floor on raw trace coverage.
-	minCoverage float64
-	// retries bounds ingest retries on transient store errors; backoff is
-	// the first retry's wait (doubling each attempt).
-	retries int
-	backoff time.Duration
 
 	// faults, when set, perturbs every reading on its way into the store.
 	faults *faults.Injector
@@ -54,8 +48,6 @@ type Runtime struct {
 	// capper is the emergency throttle runtime; created at Bootstrap when
 	// fault injection is configured.
 	capper *capping.Controller
-	// sleep is injectable so tests don't wait out real backoff.
-	sleep func(time.Duration)
 
 	// mu guards every field that changes after construction: the HTTP layer
 	// calls the admission entry points and the read accessors from request
@@ -104,20 +96,6 @@ type RuntimeConfig struct {
 	// MaxSwapsPerTick bounds each incremental repair. 0 means 32; negative
 	// is rejected with ErrBadMaxSwaps.
 	MaxSwapsPerTick int
-	// MinCoverage is the raw-coverage fraction below which an instance is
-	// quarantined and scored from its service's reference trace. 0 means
-	// 0.5 (the tracestore GradePoor threshold); values outside [0, 1) are
-	// rejected with ErrBadMinCoverage. An instance whose window has no data,
-	// or never rises above 0 W whatever its coverage, is quarantined too.
-	MinCoverage float64
-	// IngestRetries is how many times a transient store failure
-	// (tracestore.ErrTransient) is retried before Ingest gives up. 0 means
-	// 3; negative is rejected with ErrBadRetries.
-	IngestRetries int
-	// RetryBackoff is the wait before the first ingest retry, doubling each
-	// attempt. 0 means no wait (right for the in-memory store); negative is
-	// rejected with ErrBadRetries.
-	RetryBackoff time.Duration
 	// Faults, when non-nil, injects telemetry and infrastructure faults
 	// into the runtime: readings pass through the injector on Ingest, and
 	// its trip windows drive the emergency capping path at Tick.
@@ -138,10 +116,20 @@ var (
 	ErrAlreadyPlaced  = errors.New("core: runtime already bootstrapped")
 	ErrBadScoreFloor  = errors.New("core: ScoreFloor must not be negative")
 	ErrBadMaxSwaps    = errors.New("core: MaxSwapsPerTick must not be negative")
-	ErrBadMinCoverage = errors.New("core: MinCoverage must be in [0, 1)")
-	ErrBadRetries     = errors.New("core: ingest retry settings must not be negative")
 	ErrAllQuarantined = errors.New("core: every instance quarantined — no healthy trace to reference")
 	ErrTrainWeeks     = errors.New("core: training window exceeds the store's retention")
+)
+
+const (
+	// minCoverage is the raw-coverage fraction below which an instance is
+	// quarantined and scored from its service's reference trace: the
+	// tracestore GradePoor threshold. An instance whose window has no data,
+	// or never rises above 0 W whatever its coverage, is quarantined too.
+	minCoverage = 0.5
+	// ingestRetries is how many times a transient store failure
+	// (tracestore.ErrTransient) is retried, without waiting, before Ingest
+	// gives up.
+	ingestRetries = 3
 )
 
 // NewRuntime assembles a runtime around a framework, a telemetry store and
@@ -159,15 +147,6 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 	if cfg.MaxSwapsPerTick < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, cfg.MaxSwapsPerTick)
 	}
-	if cfg.MinCoverage < 0 || cfg.MinCoverage >= 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrBadMinCoverage, cfg.MinCoverage)
-	}
-	if cfg.IngestRetries < 0 {
-		return nil, fmt.Errorf("%w: IngestRetries %d", ErrBadRetries, cfg.IngestRetries)
-	}
-	if cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("%w: RetryBackoff %v", ErrBadRetries, cfg.RetryBackoff)
-	}
 	if _, err := placement.NewPolicy(cfg.Placement); err != nil {
 		return nil, fmt.Errorf("core: placement policy: %w", err)
 	}
@@ -179,21 +158,11 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 	if swaps == 0 {
 		swaps = 32
 	}
-	minCov := cfg.MinCoverage
-	if minCov == 0 {
-		minCov = 0.5
-	}
-	retries := cfg.IngestRetries
-	if retries == 0 {
-		retries = 3
-	}
 	return &Runtime{
 		fw: fw, store: store, tree: tree,
 		scoreFloor: floor, maxSwaps: swaps,
-		minCoverage: minCov, retries: retries, backoff: cfg.RetryBackoff,
 		faults:    cfg.Faults,
 		placeCfg:  cfg.Placement,
-		sleep:     time.Sleep,
 		services:  make(map[string]string),
 		demands:   make(map[string]powertree.ResourceVector),
 		quality:   make(map[string]tracestore.Quality),
@@ -204,8 +173,8 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 // Ingest forwards one power reading into the store. With fault injection
 // configured the reading first passes through the injector — it may be
 // dropped, corrupted, skewed or delayed — and whatever the injector delivers
-// is appended. Transient store failures are retried up to the configured
-// bound with doubling backoff before surfacing.
+// is appended. Transient store failures are retried up to ingestRetries
+// times before surfacing.
 func (r *Runtime) Ingest(id string, at time.Time, watts float64) error {
 	if r.faults == nil {
 		return r.appendWithRetry(id, at, watts)
@@ -234,21 +203,16 @@ func (r *Runtime) FlushFaults() error {
 }
 
 func (r *Runtime) appendWithRetry(id string, at time.Time, watts float64) error {
-	wait := r.backoff
 	for attempt := 0; ; attempt++ {
 		err := r.storeAppend(id, at, watts, attempt)
 		if err == nil {
 			obsIngestSamples.Inc()
 			return nil
 		}
-		if !errors.Is(err, tracestore.ErrTransient) || attempt >= r.retries {
+		if !errors.Is(err, tracestore.ErrTransient) || attempt >= ingestRetries {
 			return err
 		}
 		obsIngestRetries.Inc()
-		if wait > 0 {
-			r.sleep(wait)
-			wait *= 2
-		}
 	}
 }
 
@@ -428,7 +392,7 @@ func (r *Runtime) trainingRead(asOf time.Time, trainWeeks int) traceRead {
 // no data, raw coverage below the floor, or a window that never draws power
 // (the asynchrony scores are undefined for a trace whose peak is ≤ 0).
 func (r *Runtime) quarantines(tr timeseries.Series, q tracestore.Quality) bool {
-	return q.Grade == tracestore.GradeNoData || q.Coverage < r.minCoverage || tr.Peak() <= 0
+	return q.Grade == tracestore.GradeNoData || q.Coverage < minCoverage || tr.Peak() <= 0
 }
 
 // readTraces is the runtime's one way from telemetry to scoring traces. It

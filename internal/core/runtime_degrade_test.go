@@ -36,12 +36,8 @@ func TestRuntimeConfigValidation(t *testing.T) {
 	}{
 		{"negative score floor", RuntimeConfig{ScoreFloor: -0.1}, ErrBadScoreFloor},
 		{"negative max swaps", RuntimeConfig{MaxSwapsPerTick: -1}, ErrBadMaxSwaps},
-		{"negative min coverage", RuntimeConfig{MinCoverage: -0.2}, ErrBadMinCoverage},
-		{"min coverage one", RuntimeConfig{MinCoverage: 1}, ErrBadMinCoverage},
-		{"negative retries", RuntimeConfig{IngestRetries: -2}, ErrBadRetries},
-		{"negative backoff", RuntimeConfig{RetryBackoff: -time.Second}, ErrBadRetries},
 		{"all defaults", RuntimeConfig{}, nil},
-		{"explicit values", RuntimeConfig{ScoreFloor: 1.5, MaxSwapsPerTick: 8, MinCoverage: 0.7, IngestRetries: 5, RetryBackoff: time.Millisecond}, nil},
+		{"explicit values", RuntimeConfig{ScoreFloor: 1.5, MaxSwapsPerTick: 8}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,7 +51,7 @@ func TestRuntimeConfigValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rt.scoreFloor <= 0 || rt.maxSwaps <= 0 || rt.minCoverage <= 0 || rt.retries <= 0 {
+			if rt.scoreFloor <= 0 || rt.maxSwaps <= 0 {
 				t.Fatalf("defaults not applied: %+v", rt)
 			}
 		})
@@ -198,27 +194,19 @@ func TestIngestRetriesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := tracestore.New(tracestore.Config{Step: time.Hour})
-	rt, err := NewRuntime(New(Config{}), store, tree, RuntimeConfig{
-		Faults: inj, RetryBackoff: time.Millisecond,
-	})
+	rt, err := NewRuntime(New(Config{}), store, tree, RuntimeConfig{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slept []time.Duration
-	rt.sleep = func(d time.Duration) { slept = append(slept, d) }
 
 	// Every first append fails transiently; the bounded retry must land the
-	// reading anyway, backing off between attempts.
+	// reading anyway.
+	before := obsIngestRetries.Value()
 	if err := rt.Ingest("a", dEpoch, 100); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) == 0 {
-		t.Fatal("no backoff sleeps despite transient failures")
-	}
-	for i := 1; i < len(slept); i++ {
-		if slept[i] != 2*slept[i-1] {
-			t.Fatalf("backoff not doubling: %v", slept)
-		}
+	if got := obsIngestRetries.Value() - before; got == 0 || got > ingestRetries {
+		t.Fatalf("%d ingest retries for one transiently failing append, want 1..%d", got, ingestRetries)
 	}
 	if _, err := store.Snapshot("a", dEpoch, dEpoch.Add(time.Hour)); err != nil {
 		t.Fatalf("reading never landed: %v", err)
@@ -227,17 +215,16 @@ func TestIngestRetriesTransientErrors(t *testing.T) {
 	// Non-transient errors surface immediately, without retrying. (Checked
 	// on a fault-free runtime so no injected transient precedes the store's
 	// own rejection.)
-	plain, err := NewRuntime(New(Config{}), tracestore.New(tracestore.Config{Step: time.Hour}), budTree(t), RuntimeConfig{RetryBackoff: time.Millisecond})
+	plain, err := NewRuntime(New(Config{}), tracestore.New(tracestore.Config{Step: time.Hour}), budTree(t), RuntimeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slept = nil
-	plain.sleep = func(d time.Duration) { slept = append(slept, d) }
+	before = obsIngestRetries.Value()
 	if err := plain.Ingest("a", dEpoch, -5); !errors.Is(err, tracestore.ErrBadReading) {
 		t.Fatalf("bad reading error = %v", err)
 	}
-	if len(slept) != 0 {
-		t.Fatalf("retried a permanent error: %v", slept)
+	if got := obsIngestRetries.Value() - before; got != 0 {
+		t.Fatalf("retried a permanent error %v times", got)
 	}
 }
 
@@ -358,7 +345,7 @@ func TestFlushFaultsDrainsReorderBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.New(faults.Profile{Seed: 11, ReorderFraction: 1, ReorderDelaySlots: 6}, time.Hour, tree)
+	inj, err := faults.New(faults.Profile{Seed: 11, ReorderFraction: 1}, time.Hour, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +359,8 @@ func TestFlushFaultsDrainsReorderBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// All four readings are held back by the reorder buffer; Flush must land
-	// them so the end-of-replay window is complete.
+	// Every reading is reordered, so the buffer still holds the late ones;
+	// Flush must land them so the end-of-replay window is complete.
 	if err := rt.FlushFaults(); err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func ExtensionRouting(name workload.DCName, opt Options, feeds int) (*RoutingCom
 	if err != nil {
 		return nil, err
 	}
-	asg, err := powerrouting.Route(servers, powerrouting.Config{Feeds: feeds, StepsPerEpoch: 6, Seed: opt.Seed})
+	asg, err := powerrouting.Route(servers, powerrouting.Config{Feeds: feeds, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}

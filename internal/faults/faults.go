@@ -51,13 +51,13 @@ type TripWindow struct {
 	// Duration is how long the trip lasts.
 	Duration time.Duration
 	// BudgetFraction is the fraction of the node's budget still available
-	// while tripped. 0 means 0.5.
+	// while tripped, in [0, 1]. 0 means 0.5.
 	BudgetFraction float64
 }
 
 // Budget returns the tripped node's effective budget fraction.
 func (t TripWindow) Budget() float64 {
-	if t.BudgetFraction <= 0 || t.BudgetFraction > 1 {
+	if t.BudgetFraction == 0 {
 		return 0.5
 	}
 	return t.BudgetFraction
@@ -70,9 +70,9 @@ func (t TripWindow) overlaps(from, to time.Time) bool {
 }
 
 // Profile describes a deterministic fault scenario. All rates are
-// per-reading probabilities in [0, 1]; burst lengths are in store slots.
-// The zero Profile injects nothing. A profile is fixed once the injector
-// is built — replays depend on it never changing mid-run.
+// per-reading probabilities in [0, 1]; burst lengths are fixed in store
+// slots. The zero Profile injects nothing. A profile is fixed once the
+// injector is built — replays depend on it never changing mid-run.
 //
 // smoothop:immutable
 type Profile struct {
@@ -80,33 +80,26 @@ type Profile struct {
 	Seed int64
 
 	// DropoutRate is the expected fraction of readings lost to dropout
-	// windows; losses arrive in bursts of DropoutBurst consecutive slots
-	// (0 means 8), modelling a scraper losing a sensor for minutes, not
-	// i.i.d. single samples.
-	DropoutRate  float64
-	DropoutBurst int
+	// windows; losses arrive in bursts of dropoutBurst consecutive slots,
+	// modelling a scraper losing a sensor for minutes, not i.i.d. single
+	// samples.
+	DropoutRate float64
 
 	// StuckRate is the expected fraction of readings latched to the last
-	// delivered value (a wedged sensor), in bursts of StuckBurst slots
-	// (0 means 16).
-	StuckRate  float64
-	StuckBurst int
+	// delivered value (a wedged sensor), in bursts of stuckBurst slots.
+	StuckRate float64
 
-	// SpikeRate is the fraction of readings multiplied by SpikeFactor
-	// (0 means 3) — electrical noise and double-counted scrapes.
-	SpikeRate   float64
-	SpikeFactor float64
+	// SpikeRate is the fraction of readings multiplied by spikeFactor —
+	// electrical noise and double-counted scrapes.
+	SpikeRate float64
 
-	// SkewFraction of instances report through a clock with a constant
-	// offset, uniform in (0, MaxSkew] truncated to whole slots (0 means
-	// one slot). Skew is per-instance and stable across the replay.
+	// SkewFraction of instances report through a clock running one slot
+	// ahead. Skew is per-instance and stable across the replay.
 	SkewFraction float64
-	MaxSkew      time.Duration
 
-	// ReorderFraction of readings are held back 1..ReorderDelaySlots slots
-	// (0 means 4) and delivered late, out of order.
-	ReorderFraction   float64
-	ReorderDelaySlots int
+	// ReorderFraction of readings are held back 1..reorderDelaySlots slots
+	// and delivered late, out of order.
+	ReorderFraction float64
 
 	// TransientRate is the fraction of store appends that fail with a
 	// retryable error (tracestore.ErrTransient) before succeeding —
@@ -115,9 +108,8 @@ type Profile struct {
 
 	// LeafOutageRate is the expected fraction of readings lost to
 	// whole-leaf outages (every instance under one RPP goes dark
-	// together), in bursts of LeafOutageBurst slots (0 means 32).
-	LeafOutageRate  float64
-	LeafOutageBurst int
+	// together), in bursts of leafOutageBurst slots.
+	LeafOutageRate float64
 
 	// ActiveFrom/ActiveFor bound when the profile injects. A zero
 	// ActiveFrom means from the first reading; a zero ActiveFor means
@@ -132,11 +124,19 @@ type Profile struct {
 // Named validation errors.
 var (
 	ErrBadRate  = errors.New("faults: rates must be in [0, 1]")
-	ErrBadBurst = errors.New("faults: burst lengths must be ≥ 0 slots")
 	ErrNeedTree = errors.New("faults: leaf outages need a power tree")
-	ErrBadTrip  = errors.New("faults: trip windows need a node and a positive duration")
+	ErrBadTrip  = errors.New("faults: trip windows need a node, a positive duration and a budget fraction in [0, 1]")
 	ErrBadStep  = errors.New("faults: step must be positive")
 	ErrBadSpan  = errors.New("faults: ActiveFor needs ActiveFrom")
+)
+
+// Fault shapes, in store slots unless noted.
+const (
+	dropoutBurst      = 8
+	stuckBurst        = 16
+	spikeFactor       = 3 // multiplier on a spiked reading
+	reorderDelaySlots = 4
+	leafOutageBurst   = 32
 )
 
 // Validate checks the profile.
@@ -146,55 +146,15 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("%w, got %g", ErrBadRate, r)
 		}
 	}
-	for _, b := range []int{p.DropoutBurst, p.StuckBurst, p.ReorderDelaySlots, p.LeafOutageBurst} {
-		if b < 0 {
-			return fmt.Errorf("%w, got %d", ErrBadBurst, b)
-		}
-	}
 	if p.ActiveFor > 0 && p.ActiveFrom.IsZero() {
 		return ErrBadSpan
 	}
 	for _, t := range p.Trips {
-		if t.Node == "" || t.Duration <= 0 {
+		if t.Node == "" || t.Duration <= 0 || !(t.BudgetFraction >= 0 && t.BudgetFraction <= 1) {
 			return fmt.Errorf("%w: %+v", ErrBadTrip, t)
 		}
 	}
 	return nil
-}
-
-func (p Profile) dropoutBurst() int {
-	if p.DropoutBurst == 0 {
-		return 8
-	}
-	return p.DropoutBurst
-}
-
-func (p Profile) stuckBurst() int {
-	if p.StuckBurst == 0 {
-		return 16
-	}
-	return p.StuckBurst
-}
-
-func (p Profile) spikeFactor() float64 {
-	if p.SpikeFactor <= 0 {
-		return 3
-	}
-	return p.SpikeFactor
-}
-
-func (p Profile) reorderDelay() int {
-	if p.ReorderDelaySlots == 0 {
-		return 4
-	}
-	return p.ReorderDelaySlots
-}
-
-func (p Profile) leafOutageBurst() int {
-	if p.LeafOutageBurst == 0 {
-		return 32
-	}
-	return p.LeafOutageBurst
 }
 
 // Light returns a mild production-like scenario: ~3% bursty dropout, a few
@@ -309,7 +269,7 @@ const (
 	kindStuck
 	kindSpike
 	kindSkew
-	kindSkewAmount
+	kindSkewAmount // retired with the skew size; kept so later kinds keep their hash streams
 	kindReorder
 	kindReorderDelay
 	kindTransient
@@ -373,9 +333,8 @@ func (f *Injector) burstHit(kind int, key string, slot int64, rate float64, burs
 	return f.chance(kind, key, block) < rate
 }
 
-// Skew returns the instance's constant clock offset (zero for unskewed
-// instances): whole slots, uniform in [1, MaxSkew/step], stable per
-// instance.
+// Skew returns the instance's constant clock offset, stable per instance:
+// one slot for a skewed instance, zero otherwise.
 func (f *Injector) Skew(id string) time.Duration {
 	if f.p.SkewFraction <= 0 {
 		return 0
@@ -383,12 +342,7 @@ func (f *Injector) Skew(id string) time.Duration {
 	if f.chance(kindSkew, id, 0) >= f.p.SkewFraction {
 		return 0
 	}
-	maxSlots := int64(f.p.MaxSkew / f.step)
-	if maxSlots < 1 {
-		maxSlots = 1
-	}
-	n := 1 + int64(f.hash(kindSkewAmount, id, 0)%uint64(maxSlots))
-	return time.Duration(n) * f.step
+	return f.step
 }
 
 // Feed passes one reading through the injector and returns the deliveries
@@ -401,19 +355,19 @@ func (f *Injector) Feed(id string, at time.Time, watts float64) []Reading {
 	slot := f.slotOf(at)
 	if f.active(at) {
 		switch {
-		case f.leafOf != nil && f.burstHit(kindLeafOutage, f.leafOf[id], slot, f.p.LeafOutageRate, f.p.leafOutageBurst()):
+		case f.leafOf != nil && f.burstHit(kindLeafOutage, f.leafOf[id], slot, f.p.LeafOutageRate, leafOutageBurst):
 			obsLeafOutageDrops.Inc()
-		case f.burstHit(kindDropout, id, slot, f.p.DropoutRate, f.p.dropoutBurst()):
+		case f.burstHit(kindDropout, id, slot, f.p.DropoutRate, dropoutBurst):
 			obsDropped.Inc()
 		default:
-			if f.burstHit(kindStuck, id, slot, f.p.StuckRate, f.p.stuckBurst()) {
+			if f.burstHit(kindStuck, id, slot, f.p.StuckRate, stuckBurst) {
 				if last, ok := f.lastGood[id]; ok {
 					watts = last
 					obsStuck.Inc()
 				}
 			} else {
 				if f.chance(kindSpike, id, slot) < f.p.SpikeRate {
-					watts *= f.p.spikeFactor()
+					watts *= spikeFactor
 					obsSpiked.Inc()
 				}
 				f.lastGood[id] = watts
@@ -424,7 +378,7 @@ func (f *Injector) Feed(id string, at time.Time, watts float64) []Reading {
 			}
 			r := Reading{ID: id, At: at, Watts: watts}
 			if f.p.ReorderFraction > 0 && f.chance(kindReorder, id, slot) < f.p.ReorderFraction {
-				delay := 1 + int64(f.hash(kindReorderDelay, id, slot)%uint64(f.p.reorderDelay()))
+				delay := 1 + int64(f.hash(kindReorderDelay, id, slot)%reorderDelaySlots)
 				f.pending[id] = append(f.pending[id], pendingReading{release: slot + delay, r: r})
 				obsReordered.Inc()
 			} else {
@@ -480,8 +434,8 @@ func (f *Injector) Flush() []Reading {
 
 // TransientAppendFailure reports whether the store append for (id, at)
 // fails retryably on the given attempt (0 = first try). Flaky appends fail
-// one or two attempts and then succeed, so a bounded-backoff retry loop
-// always lands the reading.
+// one or two attempts and then succeed, so a bounded retry loop always
+// lands the reading.
 func (f *Injector) TransientAppendFailure(id string, at time.Time, attempt int) bool {
 	if f.p.TransientRate <= 0 || !f.active(at) {
 		return false

@@ -70,9 +70,11 @@ func TestValidate(t *testing.T) {
 	}{
 		{"negative rate", Profile{DropoutRate: -0.1}, ErrBadRate},
 		{"rate over one", Profile{SpikeRate: 1.5}, ErrBadRate},
-		{"negative burst", Profile{DropoutBurst: -1}, ErrBadBurst},
 		{"trip without node", Profile{Trips: []TripWindow{{Duration: time.Hour}}}, ErrBadTrip},
 		{"trip without duration", Profile{Trips: []TripWindow{{Node: "dc"}}}, ErrBadTrip},
+		{"trip fraction over one", Profile{Trips: []TripWindow{{Node: "dc", Duration: time.Hour, BudgetFraction: 1.5}}}, ErrBadTrip},
+		{"negative trip fraction", Profile{Trips: []TripWindow{{Node: "dc", Duration: time.Hour, BudgetFraction: -0.2}}}, ErrBadTrip},
+		{"NaN trip fraction", Profile{Trips: []TripWindow{{Node: "dc", Duration: time.Hour, BudgetFraction: math.NaN()}}}, ErrBadTrip},
 		{"active-for without from", Profile{ActiveFor: time.Hour}, ErrBadSpan},
 	}
 	for _, tc := range cases {
@@ -124,7 +126,7 @@ func TestDropoutRateAndDeterminism(t *testing.T) {
 func TestFeedOrderIndependence(t *testing.T) {
 	// Decisions are keyed on (seed, id, slot), so interleaving instances
 	// differently must not change what each instance's stream sees.
-	p := Profile{Seed: 3, DropoutRate: 0.2, SpikeRate: 0.05, SkewFraction: 0.5, MaxSkew: 5 * time.Minute}
+	p := Profile{Seed: 3, DropoutRate: 0.2, SpikeRate: 0.05, SkewFraction: 0.5}
 	a, _ := New(p, time.Minute, nil)
 	byID := feedAll(a, []string{"a", "b"}, 500)
 
@@ -145,7 +147,7 @@ func TestFeedOrderIndependence(t *testing.T) {
 }
 
 func TestStuckLatchesLastValue(t *testing.T) {
-	inj, err := New(Profile{Seed: 1, StuckRate: 0.5, StuckBurst: 4}, time.Minute, nil)
+	inj, err := New(Profile{Seed: 1, StuckRate: 0.5}, time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +170,13 @@ func TestStuckLatchesLastValue(t *testing.T) {
 }
 
 func TestSpikesAndSkew(t *testing.T) {
-	inj, err := New(Profile{Seed: 2, SpikeRate: 0.1, SpikeFactor: 4, SkewFraction: 1, MaxSkew: 3 * time.Minute}, time.Minute, nil)
+	inj, err := New(Profile{Seed: 2, SpikeRate: 0.1, SkewFraction: 1}, time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skew := inj.Skew("a")
-	if skew <= 0 || skew > 3*time.Minute || skew%time.Minute != 0 {
-		t.Fatalf("skew = %v, want whole minutes in (0, 3m]", skew)
+	if skew != time.Minute {
+		t.Fatalf("skew = %v, want one slot (1m)", skew)
 	}
 	spikes := 0
 	for s := 0; s < 1000; s++ {
@@ -184,8 +186,8 @@ func TestSpikesAndSkew(t *testing.T) {
 				t.Fatalf("slot %d delivered at %v, want constant skew %v", s, r.At, skew)
 			}
 			if r.Watts != 100 {
-				if r.Watts != 400 {
-					t.Fatalf("spiked value %v, want 400", r.Watts)
+				if r.Watts != 300 {
+					t.Fatalf("spiked value %v, want 300", r.Watts)
 				}
 				spikes++
 			}
@@ -197,7 +199,7 @@ func TestSpikesAndSkew(t *testing.T) {
 }
 
 func TestReorderDeliversOutOfOrderAndFlushes(t *testing.T) {
-	inj, err := New(Profile{Seed: 5, ReorderFraction: 0.3, ReorderDelaySlots: 5}, time.Minute, nil)
+	inj, err := New(Profile{Seed: 5, ReorderFraction: 0.3}, time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestReorderDeliversOutOfOrderAndFlushes(t *testing.T) {
 
 func TestLeafOutageDropsWholeLeafTogether(t *testing.T) {
 	tree := testTree(t)
-	inj, err := New(Profile{Seed: 9, LeafOutageRate: 0.2, LeafOutageBurst: 8}, time.Minute, tree)
+	inj, err := New(Profile{Seed: 9, LeafOutageRate: 0.2}, time.Minute, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

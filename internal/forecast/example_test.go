@@ -8,8 +8,8 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Forecasting a trending fleet: seasonal naive plus the week-over-week
-// level trend.
+// Forecasting a trending fleet: an even blend of the two weeks plus half
+// the week-over-week level trend.
 func ExampleNextWeek() {
 	start := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
 	// Two weeks at one reading per day; the second week runs 7 W hotter.
@@ -19,13 +19,13 @@ func ExampleNextWeek() {
 	}
 	history := timeseries.New(start, 24*time.Hour, vals)
 
-	fc, err := forecast.NextWeek(history, forecast.Config{Alpha: 1, TrendDamping: 1})
+	fc, err := forecast.NextWeek(history)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("Monday forecast: %.0f\n", fc.Values[0])
 	fmt.Printf("Wednesday forecast: %.0f\n", fc.Values[2])
 	// Output:
-	// Monday forecast: 114
-	// Wednesday forecast: 134
+	// Monday forecast: 107
+	// Wednesday forecast: 127
 }

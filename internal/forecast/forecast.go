@@ -19,36 +19,22 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Config tunes the forecaster.
-type Config struct {
-	// Alpha is the EWMA weight on the most recent week (0 = plain mean of
-	// history, 1 = seasonal naive). 0 defaults to 0.6.
-	Alpha float64
-	// TrendDamping scales the extrapolated week-over-week level trend
-	// (0 disables trend, 1 applies it fully). Negative is invalid.
-	TrendDamping float64
-}
-
-func (c Config) alpha() float64 {
-	if c.Alpha == 0 {
-		return 0.6
-	}
-	return c.Alpha
-}
-
-// Errors returned by the forecaster.
-var (
-	ErrTooShort  = errors.New("forecast: history must cover ≥2 whole weeks")
-	ErrBadConfig = errors.New("forecast: invalid configuration")
+const (
+	// alpha is the EWMA weight on the most recent week (0 would be the
+	// plain mean of history, 1 seasonal naive).
+	alpha = 0.5
+	// trendDamping scales the extrapolated week-over-week level trend
+	// (0 would disable the trend, 1 apply it fully).
+	trendDamping = 0.5
 )
+
+// ErrTooShort rejects a history shorter than two whole weeks.
+var ErrTooShort = errors.New("forecast: history must cover ≥2 whole weeks")
 
 // NextWeek forecasts the week following the history. The history must span
 // at least two whole weeks at its native step; a trailing partial week is
 // ignored. The returned series starts where the last whole week ended.
-func NextWeek(history timeseries.Series, cfg Config) (timeseries.Series, error) {
-	if cfg.Alpha < 0 || cfg.Alpha > 1 || cfg.TrendDamping < 0 || cfg.TrendDamping > 1 {
-		return timeseries.Series{}, ErrBadConfig
-	}
+func NextWeek(history timeseries.Series) (timeseries.Series, error) {
 	if history.Step <= 0 {
 		return timeseries.Series{}, timeseries.ErrStepInvalid
 	}
@@ -57,8 +43,6 @@ func NextWeek(history timeseries.Series, cfg Config) (timeseries.Series, error) 
 	if weekLen == 0 || weeks < 2 {
 		return timeseries.Series{}, fmt.Errorf("%w (have %d readings, week is %d)", ErrTooShort, history.Len(), weekLen)
 	}
-	alpha := cfg.alpha()
-
 	// EWMA over time-of-week slots, oldest week first so the newest week
 	// carries weight alpha.
 	values := make([]float64, weekLen)
@@ -75,20 +59,18 @@ func NextWeek(history timeseries.Series, cfg Config) (timeseries.Series, error) 
 	}
 
 	// Week-over-week level trend (mean of successive differences), damped.
-	if cfg.TrendDamping > 0 && len(levels) >= 2 {
-		var trend float64
-		for i := 1; i < len(levels); i++ {
-			trend += levels[i] - levels[i-1]
+	var trend float64
+	for i := 1; i < len(levels); i++ {
+		trend += levels[i] - levels[i-1]
+	}
+	trend /= float64(len(levels) - 1)
+	shift := trendDamping * trend
+	for i := range values {
+		v := values[i] + shift
+		if v < 0 {
+			v = 0
 		}
-		trend /= float64(len(levels) - 1)
-		shift := cfg.TrendDamping * trend
-		for i := range values {
-			v := values[i] + shift
-			if v < 0 {
-				v = 0
-			}
-			values[i] = v
-		}
+		values[i] = v
 	}
 
 	start := history.Start.Add(time.Duration(weeks*weekLen) * history.Step)

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -26,14 +27,14 @@ func weeksOf(weekVals []float64, scales ...float64) timeseries.Series {
 func TestNextWeekStationary(t *testing.T) {
 	week := []float64{10, 20, 30, 20, 10, 5, 15}
 	hist := weeksOf(week, 1, 1, 1)
-	fc, err := NextWeek(hist, Config{})
+	fc, err := NextWeek(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fc.Len() != len(week) {
 		t.Fatalf("forecast len = %d", fc.Len())
 	}
-	// Identical weeks: the forecast is that week, whatever the alpha.
+	// Identical weeks: the forecast is that week, with no trend to add.
 	for i, v := range fc.Values {
 		if math.Abs(v-week[i]) > 1e-9 {
 			t.Fatalf("stationary forecast at %d = %v, want %v", i, v, week[i])
@@ -48,57 +49,47 @@ func TestNextWeekStationary(t *testing.T) {
 func TestNextWeekEWMAWeight(t *testing.T) {
 	week := []float64{10, 10, 10, 10, 10, 10, 10}
 	hist := weeksOf(week, 1, 2) // latest week doubled
-	fc, err := NextWeek(hist, Config{Alpha: 0.6})
+	fc, err := NextWeek(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EWMA: 0.4·10 + 0.6·20 = 16.
-	if math.Abs(fc.Values[0]-16) > 1e-9 {
-		t.Fatalf("EWMA = %v, want 16", fc.Values[0])
-	}
-	naive, err := NextWeek(hist, Config{Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(naive.Values[0]-20) > 1e-9 {
-		t.Fatalf("seasonal naive = %v, want 20", naive.Values[0])
+	// EWMA 0.5·10 + 0.5·20 = 15, plus the damped trend 0.5·10 = 5.
+	if math.Abs(fc.Values[0]-20) > 1e-9 {
+		t.Fatalf("forecast = %v, want 20", fc.Values[0])
 	}
 }
 
 func TestNextWeekTrend(t *testing.T) {
 	week := []float64{10, 10, 10, 10, 10, 10, 10}
 	hist := weeksOf(week, 1, 1.5, 2) // +5/week level trend
-	fc, err := NextWeek(hist, Config{Alpha: 1, TrendDamping: 1})
+	fc, err := NextWeek(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seasonal naive 20 + trend 5 = 25.
-	if math.Abs(fc.Values[0]-25) > 1e-9 {
-		t.Fatalf("trended forecast = %v, want 25", fc.Values[0])
+	// EWMA ((10·0.5 + 15·0.5)·0.5 + 20·0.5) = 16.25, plus the damped trend
+	// 0.5·5 = 2.5.
+	if math.Abs(fc.Values[0]-18.75) > 1e-9 {
+		t.Fatalf("trended forecast = %v, want 18.75", fc.Values[0])
 	}
-	damped, err := NextWeek(hist, Config{Alpha: 1, TrendDamping: 0.5})
+	// A falling level never forecasts negative power: the level drops from
+	// 10 to 0, so every slot shifts by −5 and the idle slots clamp at 0.
+	burst := timeseries.New(t0, 24*time.Hour, []float64{70, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	falling, err := NextWeek(burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(damped.Values[0]-22.5) > 1e-9 {
-		t.Fatalf("damped forecast = %v, want 22.5", damped.Values[0])
+	if falling.Values[0] != 30 || falling.Values[1] != 0 {
+		t.Fatalf("falling forecast = %v, want 35−5 = 30 then 0", falling.Values[:2])
 	}
 }
 
 func TestNextWeekErrors(t *testing.T) {
 	week := []float64{1, 2, 3, 4, 5, 6, 7}
 	short := weeksOf(week, 1)
-	if _, err := NextWeek(short, Config{}); err == nil {
-		t.Fatal("one week must be too short")
+	if _, err := NextWeek(short); !errors.Is(err, ErrTooShort) {
+		t.Fatalf("one week: %v, want ErrTooShort", err)
 	}
-	hist := weeksOf(week, 1, 1)
-	if _, err := NextWeek(hist, Config{Alpha: 2}); err != ErrBadConfig {
-		t.Fatalf("alpha 2: %v", err)
-	}
-	if _, err := NextWeek(hist, Config{TrendDamping: -1}); err != ErrBadConfig {
-		t.Fatalf("negative damping: %v", err)
-	}
-	if _, err := NextWeek(timeseries.Series{}, Config{}); err == nil {
+	if _, err := NextWeek(timeseries.Series{}); err == nil {
 		t.Fatal("empty history must error")
 	}
 }
@@ -152,7 +143,7 @@ func TestForecastBeatsAverageOnSyntheticFleet(t *testing.T) {
 	n := 0
 	for _, inst := range fleet.Instances {
 		hist := inst.Trace.Slice(0, 2*weekLen)
-		fc, err := NextWeek(hist, Config{Alpha: 0.5})
+		fc, err := NextWeek(hist)
 		if err != nil {
 			t.Fatal(err)
 		}

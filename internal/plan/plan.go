@@ -329,17 +329,6 @@ func (s *Snapshot) powerFn(extra map[string]timeseries.Series) powertree.PowerFn
 	}
 }
 
-// report aggregates a tree once and summarizes it at nominal budgets. The
-// aggregates come back too, for the baseline to keep.
-func (s *Snapshot) report(tree *powertree.Node, extra map[string]timeseries.Series, workers int) (Report, *powertree.Aggregates, error) {
-	aggs, err := tree.AggregateAllParallel(s.powerFn(extra), workers)
-	if err != nil {
-		return Report{}, nil, fmt.Errorf("plan: aggregating: %w", err)
-	}
-	rep, err := s.summarize(tree, aggs, nil)
-	return rep, aggs, err
-}
-
 // summarize derives a Report from a tree's aggregates, reading each node's
 // budget through the overlay (nil means nominal budgets): Σ leaf peaks,
 // per-level fragmentation, breaker violations.
@@ -379,7 +368,13 @@ func (s *Snapshot) summarize(tree *powertree.Node, aggs *powertree.Aggregates, b
 // derived from, computed once and shared by every query on the snapshot.
 func (s *Snapshot) baseline(workers int) (Report, *powertree.Aggregates, error) {
 	s.beforeOnce.Do(func() {
-		s.before, s.aggs, s.beforeErr = s.report(s.tree, nil, workers)
+		aggs, err := s.tree.AggregateAllParallel(s.powerFn(nil), workers)
+		if err != nil {
+			s.beforeErr = fmt.Errorf("plan: aggregating: %w", err)
+			return
+		}
+		s.aggs = aggs
+		s.before, s.beforeErr = s.summarize(s.tree, aggs, nil)
 	})
 	return s.before, s.aggs, s.beforeErr
 }
@@ -405,9 +400,9 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 	res := &Result{Kind: q.Kind, AsOf: s.asOf, Before: before}
 	switch q.Kind {
 	case KindReplaceService:
-		err = s.evalReplaceService(ctx, q, workers, res)
+		err = s.evalReplaceService(ctx, q, res)
 	case KindAddInstances:
-		err = s.evalAddInstances(ctx, q, workers, res)
+		err = s.evalAddInstances(ctx, q, res)
 	case KindTripBreaker:
 		err = s.evalTripBreaker(q, aggs, res)
 	}
@@ -419,8 +414,10 @@ func (s *Snapshot) Evaluate(ctx context.Context, q Query, workers int) (*Result,
 
 // evalReplaceService detaches every instance of the service from a scratch
 // clone and re-admits them one at a time through placement.Online with the
-// query's policy, in tree order of the original placement.
-func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, workers int, res *Result) error {
+// query's policy, in tree order of the original placement. The "after"
+// report reads the placer's own aggregates, which match a fresh
+// aggregation of the scratch tree bit for bit.
+func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, res *Result) error {
 	scratch := s.tree.Clone()
 	var ids []string
 	for _, id := range scratch.AllInstances() {
@@ -467,12 +464,8 @@ func (s *Snapshot) evalReplaceService(ctx context.Context, q Query, workers int,
 			res.Moved++
 		}
 	}
-	after, _, err := s.report(scratch, nil, workers)
-	if err != nil {
-		return err
-	}
-	res.After = after
-	return nil
+	res.After, err = s.summarize(scratch, online.Aggregates(), nil)
+	return err
 }
 
 // syntheticID names the i-th synthetic instance of an add_instances query.
@@ -485,8 +478,9 @@ func syntheticID(archetype string, i int) string {
 // evalAddInstances admits Count synthetic instances of the archetype
 // service, each drawing the mean trace of the archetype's current
 // residents, until capacity runs out. Since every synthetic instance draws
-// the same trace, the first ErrNoCapacity decides all that follow.
-func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, res *Result) error {
+// the same trace, the first ErrNoCapacity decides all that follow. Like
+// replace_service, the "after" report reads the placer's aggregates.
+func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, res *Result) error {
 	scratch := s.tree.Clone()
 	var peers []timeseries.Series
 	for _, id := range scratch.AllInstances() {
@@ -522,12 +516,8 @@ func (s *Snapshot) evalAddInstances(ctx context.Context, q Query, workers int, r
 		}
 		res.Admitted++
 	}
-	after, _, err := s.report(scratch, extra, workers)
-	if err != nil {
-		return err
-	}
-	res.After = after
-	return nil
+	res.After, err = s.summarize(scratch, online.Aggregates(), nil)
+	return err
 }
 
 // evalTripBreaker schedules a faults.TripWindow on the named node and

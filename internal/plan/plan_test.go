@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/timeseries"
 )
@@ -374,5 +375,107 @@ func TestNewServiceValidation(t *testing.T) {
 	}
 	if _, err := NewService(fn, Config{Deadline: -time.Second}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative deadline: %v", err)
+	}
+}
+
+// freshReport aggregates a tree from scratch and summarizes it at nominal
+// budgets: the reference every "after" report must match.
+func freshReport(t *testing.T, s *Snapshot, tree *powertree.Node, extra map[string]timeseries.Series, workers int) Report {
+	t.Helper()
+	aggs, err := tree.AggregateAllParallel(s.powerFn(extra), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.summarize(tree, aggs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// placedAfterOracle re-runs a replace_service or add_instances query on a
+// scratch clone — the same detaches and the same admissions, in the same
+// order — and reports the resulting tree aggregated from scratch.
+func placedAfterOracle(t *testing.T, s *Snapshot, q Query, workers int) Report {
+	t.Helper()
+	scratch := s.tree.Clone()
+	extra := make(map[string]timeseries.Series)
+	newOnline := func() *placement.Online {
+		online, err := placement.NewOnline(scratch, placement.TraceFn(s.powerFn(extra)), q.policy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return online
+	}
+	switch q.Kind {
+	case KindReplaceService:
+		leafOf := scratch.InstanceLeaves()
+		var ids []string
+		for _, id := range scratch.AllInstances() {
+			if s.services[id] == q.Service {
+				ids = append(ids, id)
+			}
+		}
+		for _, id := range ids {
+			scratch.Find(leafOf[id]).Detach(id)
+		}
+		online := newOnline()
+		for _, id := range ids {
+			if _, err := online.Admit(placement.Instance{ID: id, Service: q.Service}); err != nil && !errors.Is(err, placement.ErrNoCapacity) {
+				t.Fatal(err)
+			}
+		}
+	case KindAddInstances:
+		var peers []timeseries.Series
+		for _, id := range scratch.AllInstances() {
+			if s.services[id] == q.Archetype {
+				peers = append(peers, s.traces[id])
+			}
+		}
+		tr, _ := meanOf(peers)
+		online := newOnline()
+		for i := 0; i < q.Count; i++ {
+			id := syntheticID(q.Archetype, i)
+			extra[id] = tr
+			if _, err := online.Admit(placement.Instance{ID: id, Service: q.Archetype}); err != nil {
+				delete(extra, id)
+				break
+			}
+		}
+	default:
+		t.Fatalf("no placement oracle for %s", q.Kind)
+	}
+	return freshReport(t, s, scratch, extra, workers)
+}
+
+// TestPlacedAfterMatchesFreshAggregation pins the "after" reports of the
+// two placing query kinds, which read the placer's incrementally maintained
+// aggregates, against a re-run of the query whose scratch tree is
+// aggregated from scratch — at workers 1 and 8, with one add_instances
+// query stopping at a capacity rejection.
+func TestPlacedAfterMatchesFreshAggregation(t *testing.T) {
+	queries := []Query{
+		{Kind: KindReplaceService, Service: "web"},
+		{Kind: KindReplaceService, Service: "db", Policy: "best-fit"},
+		{Kind: KindAddInstances, Archetype: "db", Count: 3},
+		{Kind: KindAddInstances, Archetype: "batch", Count: 500},
+	}
+	rejected := false
+	for _, workers := range []int{1, 8} {
+		snap := snapFixture(t)
+		for _, q := range queries {
+			res, err := snap.Evaluate(context.Background(), q, workers)
+			if err != nil {
+				t.Fatalf("workers %d, %+v: %v", workers, q, err)
+			}
+			rejected = rejected || res.Rejected > 0
+			want := placedAfterOracle(t, snap, q, workers)
+			if a, b := mustJSON(t, res.After), mustJSON(t, want); a != b {
+				t.Fatalf("workers %d, %+v: after report diverged from a fresh aggregation:\n--- placer\n%s\n--- fresh\n%s", workers, q, a, b)
+			}
+		}
+	}
+	if !rejected {
+		t.Fatal("no add_instances query hit a capacity rejection")
 	}
 }

@@ -25,10 +25,6 @@ type Config struct {
 	// Deadline bounds one evaluation; a query still running at the deadline
 	// fails with context.DeadlineExceeded. 0 means 2s.
 	Deadline time.Duration
-	// Workers is the aggregation worker count (≤ 0 means the
-	// internal/parallel default, i.e. SMOOTHOP_WORKERS or GOMAXPROCS).
-	// Results are bit-identical at any setting.
-	Workers int
 }
 
 // Service evaluates what-if queries with bounded concurrency and bounded
@@ -36,7 +32,6 @@ type Config struct {
 type Service struct {
 	snapshot SnapshotFn
 	deadline time.Duration
-	workers  int
 	gate     *gate
 }
 
@@ -74,7 +69,6 @@ func NewService(snapshot SnapshotFn, cfg Config) (*Service, error) {
 	return &Service{
 		snapshot: snapshot,
 		deadline: deadline,
-		workers:  cfg.Workers,
 		gate:     newGate(maxInFlight, maxInFlight/2),
 	}, nil
 }
@@ -115,7 +109,7 @@ func (s *Service) Evaluate(ctx context.Context, q Query) (*Result, error) {
 		obsQueryErrors.Inc()
 		return nil, fmt.Errorf("plan: capturing snapshot: %w", err)
 	}
-	res, err := snap.Evaluate(ctx, q, s.workers)
+	res, err := snap.Evaluate(ctx, q, 0)
 	if err != nil {
 		obsQueryErrors.Inc()
 		return nil, err

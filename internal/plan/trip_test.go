@@ -60,15 +60,11 @@ func tripFixture(t *testing.T) *Snapshot {
 // fresh baseline, then a scratch clone with the tripped node's budget
 // scaled in place, the clone re-aggregated from scratch, and one capping
 // step on the clone with every peak recomputed.
-func tripOracle(s *Snapshot, q Query, workers int) (*Result, error) {
+func tripOracle(t *testing.T, s *Snapshot, q Query, workers int) (*Result, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	before, _, err := s.report(s.tree, nil, workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: q.Kind, AsOf: s.asOf, Before: before}
+	res := &Result{Kind: q.Kind, AsOf: s.asOf, Before: freshReport(t, s, s.tree, nil, workers)}
 	scratch := s.tree.Clone()
 	node := scratch.Find(q.Node)
 	if node == nil {
@@ -96,8 +92,8 @@ func tripOracle(s *Snapshot, q Query, workers int) (*Result, error) {
 	if applied {
 		node.Budget *= trip.Budget()
 	}
-	if res.After, _, err = s.report(scratch, nil, workers); err != nil || !applied {
-		return res, err
+	if res.After = freshReport(t, s, scratch, nil, workers); !applied {
+		return res, nil
 	}
 	capper, err := capping.New(scratch, capping.Config{SustainSteps: 1})
 	if err != nil {
@@ -151,7 +147,7 @@ func TestTripBreakerMatchesCloneOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := tripOracle(snap, q, workers)
+					want, err := tripOracle(t, snap, q, workers)
 					if err != nil {
 						t.Fatal(err)
 					}

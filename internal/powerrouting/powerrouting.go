@@ -66,14 +66,17 @@ func (a Assignment) SumOfFeedPeaks() float64 {
 type Config struct {
 	// Feeds is the number of power feeds.
 	Feeds int
-	// StepsPerEpoch is how many trace steps one routing epoch spans
-	// (re-routing is not instantaneous; epochs model that). 0 means 6.
-	StepsPerEpoch int
-	// Passes is the number of local-improvement sweeps per epoch. 0 means 3.
-	Passes int
 	// Seed orders the improvement sweeps deterministically.
 	Seed int64
 }
+
+const (
+	// stepsPerEpoch is how many trace steps one routing epoch spans
+	// (re-routing is not instantaneous; epochs model that).
+	stepsPerEpoch = 6
+	// passes is the number of local-improvement sweeps per epoch.
+	passes = 3
+)
 
 // Route computes a per-epoch feed assignment minimizing the sum of weekly
 // feed peaks with a local-search heuristic. Each epoch starts from the
@@ -96,14 +99,6 @@ func Route(servers []Server, cfg Config) (*Assignment, error) {
 		if s.Trace.Len() != n {
 			return nil, fmt.Errorf("powerrouting: server %q trace length %d != %d", s.ID, s.Trace.Len(), n)
 		}
-	}
-	stepsPerEpoch := cfg.StepsPerEpoch
-	if stepsPerEpoch <= 0 {
-		stepsPerEpoch = 6
-	}
-	passes := cfg.Passes
-	if passes <= 0 {
-		passes = 3
 	}
 	epochs := (n + stepsPerEpoch - 1) / stepsPerEpoch
 

@@ -53,7 +53,7 @@ func TestRouteBalancesAntiPhasePair(t *testing.T) {
 	if static[0] != 10 || static[1] != 0 {
 		t.Fatalf("static peaks: %v", static)
 	}
-	asg, err := Route(servers, Config{Feeds: 2, StepsPerEpoch: 4, Seed: 1})
+	asg, err := Route(servers, Config{Feeds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRouteReducesSynchronousHotFeed(t *testing.T) {
 	if static[0] != 20 {
 		t.Fatalf("static hot feed: %v", static)
 	}
-	asg, err := Route(servers, Config{Feeds: 2, StepsPerEpoch: 4, Seed: 1})
+	asg, err := Route(servers, Config{Feeds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestRouteReducesSynchronousHotFeed(t *testing.T) {
 }
 
 func TestRouteEpochGranularity(t *testing.T) {
-	servers := []Server{{ID: "a", FeedA: 0, FeedB: 1, Trace: mk(1, 2, 3, 4, 5)}}
-	asg, err := Route(servers, Config{Feeds: 2, StepsPerEpoch: 2, Seed: 1})
+	servers := []Server{{ID: "a", FeedA: 0, FeedB: 1, Trace: mk(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)}}
+	asg, err := Route(servers, Config{Feeds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asg.Epochs != 3 { // ceil(5/2)
-		t.Fatalf("epochs = %d", asg.Epochs)
+	if asg.Epochs != 3 || asg.StepsPerEpoch != 6 { // ceil(13/6)
+		t.Fatalf("epochs = %d of %d steps", asg.Epochs, asg.StepsPerEpoch)
 	}
 	for _, c := range asg.Choice {
 		if len(c) != 1 {
@@ -161,7 +161,7 @@ func TestRoutingVsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := Route(servers, Config{Feeds: 2, StepsPerEpoch: 6, Seed: 1})
+	asg, err := Route(servers, Config{Feeds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (p StaticLC) Decide(sim.State) sim.Action {
 // Conversion is the history-based server conversion policy (§4.2).
 //
 // Phases: when the average load over the original LC servers is below
-// Lconv·(1−Hysteresis) the datacenter is in Batch-heavy Phase and the
+// Lconv·(1−hysteresis) the datacenter is in Batch-heavy Phase and the
 // conversion pool runs Batch; when the average approaches Lconv the pool
 // converts to LC (LC-heavy Phase). Conversion granularity is per-server:
 // only as many servers convert as are needed to pull the per-server load
@@ -82,10 +82,26 @@ type Conversion struct {
 	Pool int
 	// Lconv is the learned conversion threshold.
 	Lconv float64
-	// Hysteresis keeps servers on Batch duty until load reaches
-	// Lconv·(1−Hysteresis); it avoids mode flapping. 0 means 0.05.
-	Hysteresis float64
 }
+
+// The reshaping operating points. They are float64 variables rather than
+// constants so that expressions such as 1 − throttleFreq round as float64
+// arithmetic, not as exact constant arithmetic.
+var (
+	// hysteresis keeps servers on Batch duty until load reaches
+	// Lconv·(1−hysteresis); it avoids mode flapping.
+	hysteresis = 0.05
+	// throttleFreq is ThrottleBoost's Batch frequency during LC-heavy Phase.
+	throttleFreq = 0.7
+	// boostFreq is ThrottleBoost's Batch frequency while repaying deficit.
+	boostFreq = 1.15
+	// repayFactor is how much boosted work is performed per unit of
+	// throttled work: 1 would repay exactly; 2 over-repays, which is what
+	// yields the paper's small *positive* extra Batch throughput
+	// (1.2–2.4%, §5.2.2) — the queue always holds work, so boosting past
+	// the deficit converts leftover off-peak budget into extra batch work.
+	repayFactor = 2.0
+)
 
 // Name implements sim.Policy.
 func (Conversion) Name() string { return "conversion" }
@@ -109,11 +125,7 @@ func neededLC(offered, lconv float64, nlc, pool int) int {
 
 // Decide implements sim.Policy.
 func (p Conversion) Decide(s sim.State) sim.Action {
-	hys := p.Hysteresis
-	if hys == 0 {
-		hys = 0.05
-	}
-	target := p.Lconv * (1 - hys)
+	target := p.Lconv * (1 - hysteresis)
 	loadOverOriginal := s.OfferedLoad / float64(p.NLC)
 	if loadOverOriginal < target {
 		// Batch-heavy Phase: all conversion servers do Batch work.
@@ -144,18 +156,6 @@ type ThrottleBoost struct {
 	Pool, ExtraPool int
 	// Lconv is the learned conversion threshold.
 	Lconv float64
-	// Hysteresis as in Conversion. 0 means 0.05.
-	Hysteresis float64
-	// ThrottleFreq is the Batch frequency during LC-heavy Phase; 0 means 0.7.
-	ThrottleFreq float64
-	// BoostFreq is the Batch frequency while repaying deficit; 0 means 1.15.
-	BoostFreq float64
-	// RepayFactor is how much boosted work is performed per unit of
-	// throttled work: 1 repays exactly; the default 2 over-repays, which is
-	// what yields the paper's small *positive* extra Batch throughput
-	// (1.2–2.4%, §5.2.2) — the queue always holds work, so boosting past
-	// the deficit converts leftover off-peak budget into extra batch work.
-	RepayFactor float64
 
 	// deficit is the batch work (nominal server-steps) lost to throttling
 	// and not yet repaid by boosting.
@@ -167,30 +167,18 @@ func (*ThrottleBoost) Name() string { return "throttle-boost" }
 
 // Decide implements sim.Policy.
 func (p *ThrottleBoost) Decide(s sim.State) sim.Action {
-	hys := p.Hysteresis
-	if hys == 0 {
-		hys = 0.05
-	}
-	throttle := p.ThrottleFreq
-	if throttle == 0 {
-		throttle = 0.7
-	}
-	boost := p.BoostFreq
-	if boost == 0 {
-		boost = 1.15
-	}
 	// The augmented trigger watches the load over the original servers plus
 	// the base conversion pool (§4.2: "we monitor the load of the original
 	// set of LC servers and of the LC servers in e_conv").
-	target := p.Lconv * (1 - hys)
+	target := p.Lconv * (1 - hysteresis)
 	loadOverExtended := s.OfferedLoad / float64(p.NLC+p.Pool)
 	if loadOverExtended < target {
 		// Batch-heavy Phase: boost only while there is throttled work to
 		// repay.
 		freq := 1.0
 		if p.deficit > 0 {
-			freq = boost
-			p.deficit -= float64(p.NBatch) * (boost - 1)
+			freq = boostFreq
+			p.deficit -= float64(p.NBatch) * (boostFreq - 1)
 		}
 		return sim.Action{
 			ConvLC:    neededLC(s.OfferedLoad, target, p.NLC, p.Pool),
@@ -198,17 +186,13 @@ func (p *ThrottleBoost) Decide(s sim.State) sim.Action {
 		}
 	}
 	// LC-heavy Phase: throttle Batch first, then draft the extra pool.
-	repay := p.RepayFactor
-	if repay == 0 {
-		repay = 2
-	}
-	p.deficit += float64(p.NBatch) * (1 - throttle) * repay
+	p.deficit += float64(p.NBatch) * (1 - throttleFreq) * repayFactor
 	base := neededLC(s.OfferedLoad, target, p.NLC, p.Pool)
 	extra := 0
 	if base == p.Pool {
 		extra = neededLC(s.OfferedLoad, target, p.NLC+p.Pool, p.ExtraPool)
 	}
-	return sim.Action{ConvLC: base, ThrottleConvLC: extra, BatchFreq: throttle}
+	return sim.Action{ConvLC: base, ThrottleConvLC: extra, BatchFreq: throttleFreq}
 }
 
 // Interface checks.

@@ -82,13 +82,13 @@ func TestConversionPhases(t *testing.T) {
 }
 
 func TestConversionHysteresis(t *testing.T) {
-	p := Conversion{NLC: 100, Pool: 10, Lconv: 0.8, Hysteresis: 0.1}
-	// Load between Lconv·0.9 and Lconv stays converted (LC-heavy).
-	act := p.Decide(sim.State{OfferedLoad: 75})
+	p := Conversion{NLC: 100, Pool: 10, Lconv: 0.8}
+	// Load between Lconv·0.95 and Lconv stays converted (LC-heavy).
+	act := p.Decide(sim.State{OfferedLoad: 78})
 	if act.ConvLC == 0 {
 		t.Fatal("load inside hysteresis band should convert")
 	}
-	act = p.Decide(sim.State{OfferedLoad: 70})
+	act = p.Decide(sim.State{OfferedLoad: 75})
 	if act.ConvLC != 0 {
 		t.Fatal("load below band should not convert")
 	}

@@ -12,16 +12,13 @@ import (
 //
 //	R(ρ) = S / (1 − ρ)
 //
-// and a tail amplification factor for the p99 proxy. The knee behaviour the
+// and a tail amplification factor (tailFactor) for the p99 proxy. The knee behaviour the
 // paper's guarded threshold protects against ("the load level of each
 // server when LC achieves satisfactory QoS", §4.2) emerges naturally: the
 // curve is flat below ~0.7 and explodes near saturation.
 type LatencyModel struct {
 	// ServiceTimeMs is the zero-load service time S.
 	ServiceTimeMs float64
-	// TailFactor multiplies mean latency into a p99 proxy (ln(100) ≈ 4.6
-	// for exponential service times). 0 means 4.6.
-	TailFactor float64
 	// SLAms is the p99 budget; utilizations whose p99 proxy exceeds it
 	// violate the SLA. 0 disables SLA accounting.
 	SLAms float64
@@ -32,18 +29,15 @@ func (m LatencyModel) Validate() error {
 	if m.ServiceTimeMs <= 0 {
 		return fmt.Errorf("%w: service time must be positive", ErrModel)
 	}
-	if m.TailFactor < 0 || m.SLAms < 0 {
-		return fmt.Errorf("%w: negative latency parameters", ErrModel)
+	if m.SLAms < 0 {
+		return fmt.Errorf("%w: negative SLA", ErrModel)
 	}
 	return nil
 }
 
-func (m LatencyModel) tail() float64 {
-	if m.TailFactor == 0 {
-		return 4.6
-	}
-	return m.TailFactor
-}
+// tailFactor multiplies mean latency into a p99 proxy: ln(100) ≈ 4.6 for
+// exponential service times.
+const tailFactor = 4.6
 
 // Mean returns the mean response time at utilization ρ (clamped just below
 // saturation so the curve stays finite).
@@ -60,7 +54,7 @@ func (m LatencyModel) Mean(rho float64) float64 {
 
 // P99 returns the p99 latency proxy at utilization ρ.
 func (m LatencyModel) P99(rho float64) float64 {
-	return m.Mean(rho) * m.tail()
+	return m.Mean(rho) * tailFactor
 }
 
 // MeetsSLA reports whether the p99 proxy at ρ fits the SLA. Models without
@@ -80,7 +74,7 @@ func (m LatencyModel) MaxUtilization() float64 {
 		return 1
 	}
 	// S·tail/(1−ρ) ≤ SLA  ⇒  ρ ≤ 1 − S·tail/SLA.
-	rho := 1 - m.ServiceTimeMs*m.tail()/m.SLAms
+	rho := 1 - m.ServiceTimeMs*tailFactor/m.SLAms
 	if rho < 0 {
 		return 0
 	}

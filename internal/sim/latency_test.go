@@ -11,7 +11,6 @@ func TestLatencyModelValidate(t *testing.T) {
 	}
 	for _, bad := range []LatencyModel{
 		{ServiceTimeMs: 0},
-		{ServiceTimeMs: 1, TailFactor: -1},
 		{ServiceTimeMs: 1, SLAms: -1},
 	} {
 		if err := bad.Validate(); err == nil {

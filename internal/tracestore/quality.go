@@ -11,8 +11,8 @@ import (
 // ErrTransient marks a retryable store failure: the reading was not
 // recorded but re-appending it may succeed. The in-memory store never
 // fails this way itself, but fault injection (internal/faults) and remote
-// store backends surface it, and core.Runtime retries ingest with bounded
-// backoff on errors.Is(err, ErrTransient).
+// store backends surface it, and core.Runtime retries ingest a bounded
+// number of times on errors.Is(err, ErrTransient).
 var ErrTransient = fmt.Errorf("tracestore: transient store failure")
 
 // Grade classifies how trustworthy a materialised trace is, from the

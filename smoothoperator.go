@@ -109,7 +109,10 @@ type (
 	// Runtime operates SmoothOperator as a continuously-running service:
 	// telemetry ingestion, bootstrap placement, periodic drift repair.
 	Runtime = core.Runtime
-	// RuntimeConfig tunes the runtime's drift monitor.
+	// RuntimeConfig tunes the runtime's drift monitor (score floor, swaps
+	// per tick), its fault injection and its placement policy; the
+	// quarantine floor (coverage 0.5) and the ingest retry bound (three
+	// retries of a transient store failure) are fixed.
 	RuntimeConfig = core.RuntimeConfig
 	// TraceStore collects streaming per-instance power readings.
 	TraceStore = tracestore.Store
@@ -170,8 +173,6 @@ var (
 	ErrBadScoreFloor = core.ErrBadScoreFloor
 	// ErrBadMaxSwaps rejects a negative RuntimeConfig.MaxSwapsPerTick.
 	ErrBadMaxSwaps = core.ErrBadMaxSwaps
-	// ErrBadMinCoverage rejects a RuntimeConfig.MinCoverage outside [0, 1).
-	ErrBadMinCoverage = core.ErrBadMinCoverage
 	// ErrAllQuarantined means no instance had a healthy trace to reference.
 	ErrAllQuarantined = core.ErrAllQuarantined
 	// ErrTransient marks a retryable trace-store failure.
