@@ -71,21 +71,26 @@ type FragmentationRow struct {
 }
 
 // strandedRows computes one dimension's per-level rows in a single bottom-up
-// pass. limit reports a node's declared capacity in the dimension (false =
-// undeclared, unconstrained) and used what its subtree currently draws.
-// Levels where no node declares the dimension are skipped; rows come back in
-// root-to-leaf level order, each summing its nodes in tree order. A node
-// using more than its capacity adds 0 headroom and counts as overcommitted.
-func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) (float64, bool), used func(*powertree.Node) float64) []FragmentationRow {
-	rows := make(map[powertree.Level]*FragmentationRow)
-	// build returns admissible(n): +Inf means the subtree imposes no
-	// constraint (no declarations at or below n).
-	var build func(n *powertree.Node) float64
-	build = func(n *powertree.Node) float64 {
+// pass over the subtree at position root of the aggregation's pre-order
+// layout. limit reports a node's declared capacity in the dimension (false =
+// undeclared, unconstrained) and used what the subtree at a position
+// currently draws. Levels where no node declares the dimension are skipped;
+// rows come back in root-to-leaf level order, each summing its nodes in tree
+// order. A node using more than its capacity adds 0 headroom and counts as
+// overcommitted.
+func strandedRows(aggs *powertree.Aggregates, root int, dim string, limit func(*powertree.Node) (float64, bool), used func(p int) float64) []FragmentationRow {
+	nodes := aggs.Nodes()
+	var rows [powertree.RPP + 1]FragmentationRow
+	var seen [powertree.RPP + 1]bool
+	// build returns admissible(p): +Inf means the subtree imposes no
+	// constraint (no declarations at or below p).
+	var build func(p int) float64
+	build = func(p int) float64 {
+		n, end := nodes[p], aggs.SubtreeEnd(p)
 		below := math.Inf(1)
-		if !n.IsLeaf() {
+		if end > p+1 {
 			below = 0
-			for _, c := range n.Children {
+			for c := p + 1; c < end; c = aggs.SubtreeEnd(c) {
 				below += build(c)
 			}
 		}
@@ -93,46 +98,58 @@ func strandedRows(tree *powertree.Node, dim string, limit func(*powertree.Node) 
 		if !declared {
 			return below
 		}
-		row := rows[n.Level]
-		if row == nil {
-			row = &FragmentationRow{Level: n.Level, Dimension: dim}
-			rows[n.Level] = row
-		}
-		head := capacity - used(n)
+		head, over := capacity-used(p), 0
 		if head < 0 {
-			head = 0
-			row.Overcommitted++
+			head, over = 0, 1
 		}
 		adm := head
 		if below < adm {
 			adm = below
 		}
+		if n.Level < 0 || int(n.Level) >= len(rows) {
+			return adm // a level no row reports
+		}
+		row := &rows[n.Level]
+		if !seen[n.Level] {
+			*row = FragmentationRow{Level: n.Level, Dimension: dim}
+			seen[n.Level] = true
+		}
+		row.Overcommitted += over
 		row.Capacity += capacity
 		row.Headroom += head
 		row.Admissible += adm
 		return adm
 	}
-	build(tree)
+	build(root)
 
 	out := make([]FragmentationRow, 0, len(rows))
-	for _, level := range powertree.Levels {
-		row := rows[level]
-		if row == nil {
+	for level := range rows {
+		if !seen[level] {
 			continue
 		}
+		row := rows[level]
 		row.StrandedWatts = row.Headroom - row.Admissible
 		if row.Capacity > 0 {
 			row.RatePct = 100 * row.StrandedWatts / row.Capacity
 		}
-		out = append(out, *row)
+		out = append(out, row)
 	}
 	return out
 }
 
+// rootOf returns the tree's position in the aggregation, or an error when
+// the aggregation does not hold it.
+func rootOf(tree *powertree.Node, aggs *powertree.Aggregates) (int, error) {
+	if p := aggs.Position(tree); p >= 0 {
+		return p, nil
+	}
+	return 0, fmt.Errorf("metrics: node %q is not part of the aggregated tree", tree.Name)
+}
+
 // FragmentationRatesFrom computes the power-fragmentation rate of every
-// level of the tree from an aggregation snapshot. Leaves have rate 0 by
-// construction (nothing sits below their breakers); interior levels
-// accumulate the headroom their subtrees cannot deliver.
+// level of the tree from an aggregation snapshot that holds the tree.
+// Leaves have rate 0 by construction (nothing sits below their breakers);
+// interior levels accumulate the headroom their subtrees cannot deliver.
 func FragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates) ([]FragmentationRow, error) {
 	return FragmentationRatesWithBudgets(tree, aggs, nil)
 }
@@ -141,8 +158,12 @@ func FragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates) ([
 // budget read through the overlay (nil means nominal budgets), so the rows
 // of a tripped feed come from the same aggregates as the nominal ones.
 func FragmentationRatesWithBudgets(tree *powertree.Node, aggs *powertree.Aggregates, budget powertree.BudgetOverlay) ([]FragmentationRow, error) {
-	rows := strandedRows(tree, powertree.PowerDimension,
-		func(n *powertree.Node) (float64, bool) { return n.BudgetUnder(budget), true }, aggs.Peak)
+	root, err := rootOf(tree, aggs)
+	if err != nil {
+		return nil, err
+	}
+	rows := strandedRows(aggs, root, powertree.PowerDimension,
+		func(n *powertree.Node) (float64, bool) { return n.BudgetUnder(budget), true }, aggs.PeakAt)
 	for _, row := range rows {
 		if row.Capacity <= 0 {
 			return nil, fmt.Errorf("%w: level %s has no capacity", ErrBudget, row.Level)
@@ -169,22 +190,24 @@ func MultiFragmentationRates(tree *powertree.Node, traces powertree.PowerFn, dem
 }
 
 // MultiFragmentationRatesFrom is MultiFragmentationRates over state the
-// caller already holds: an aggregation snapshot and each node's used
-// capacity (powertree.Usage.Of, or a placer's ledger).
+// caller already holds: an aggregation snapshot that holds the tree and
+// each node's used capacity (powertree.Usage.Of, or a placer's ledger).
 func MultiFragmentationRatesFrom(tree *powertree.Node, aggs *powertree.Aggregates, used func(*powertree.Node) powertree.ResourceVector) ([]FragmentationRow, error) {
 	rows, err := FragmentationRatesFrom(tree, aggs)
 	if err != nil {
 		return nil, err
 	}
+	root, _ := rootOf(tree, aggs) // FragmentationRatesFrom found it
 	// Every capacity dimension declared anywhere in the tree, ascending.
 	var declared powertree.ResourceVector
 	tree.Walk(func(n *powertree.Node) {
 		declared = declared.AddInPlace(n.Capacities)
 	})
+	nodes := aggs.Nodes()
 	for _, dim := range declared.Dimensions() {
-		rows = append(rows, strandedRows(tree, dim,
+		rows = append(rows, strandedRows(aggs, root, dim,
 			func(n *powertree.Node) (float64, bool) { c, ok := n.Capacities[dim]; return c, ok },
-			func(n *powertree.Node) float64 { return used(n).Get(dim) })...)
+			func(p int) float64 { return used(nodes[p]).Get(dim) })...)
 	}
 	return rows, nil
 }

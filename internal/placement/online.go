@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -370,50 +369,48 @@ func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64) []float
 // node that cannot absorb the instance. A node whose ledger peak plus the
 // arrival's peak is within budget is feasible without a pass: every reading
 // of the sum is at most that sum of peaks, because float addition rounds
-// monotonically. Only where that bound fails does peakWith decide.
-// Candidates come back in tree (leaf) order, in buffers the next call
-// overwrites.
+// monotonically. Only where that bound fails does peakWith decide. The walk
+// is the ledger's pre-order by position, and a pruned subtree is skipped by
+// jumping to its end. Candidates come back in tree (leaf) order, in buffers
+// the next call overwrites.
 func (o *Online) feasibleLeaves() ([]OnlineCandidate, error) {
 	aggs := o.ledger.Snapshot()
 	tr := o.arrival
 	o.cands, o.residuals = o.cands[:0], o.residuals[:0]
-	var walk func(n *powertree.Node) error
-	walk = func(n *powertree.Node) error {
-		agg, _ := aggs.Trace(n)
+	nodes := aggs.Nodes()
+	for p := 0; p < len(nodes); {
+		n, end := nodes[p], aggs.SubtreeEnd(p)
+		agg, _ := aggs.TraceAt(p)
 		if !agg.Empty() && (agg.Len() != tr.Len() || !agg.Start.Equal(tr.Start) || agg.Step != tr.Step) {
-			return fmt.Errorf("placement: arriving trace misaligned with aggregate (%d@%v vs %d@%v)",
+			return nil, fmt.Errorf("placement: arriving trace misaligned with aggregate (%d@%v vs %d@%v)",
 				tr.Len(), tr.Step, agg.Len(), agg.Step)
 		}
 		post, postKnown := 0.0, false
-		if !(aggs.Peak(n)+o.arrivalPeak <= n.Budget) {
+		if !(aggs.PeakAt(p)+o.arrivalPeak <= n.Budget) {
 			if post, postKnown = o.peakWith(agg), true; post > n.Budget {
-				return nil // this node's breaker would trip; nothing below fits
+				p = end // this node's breaker would trip; nothing below fits
+				continue
 			}
 		}
 		if !o.usage.Fits(n, o.demand, nil) {
-			return nil // a declared capacity dimension would overflow
+			p = end // a declared capacity dimension would overflow
+			continue
 		}
-		if n.IsLeaf() {
+		if end == p+1 {
 			o.cands = append(o.cands, OnlineCandidate{
 				Leaf:      n,
 				Aggregate: agg,
 				Count:     len(n.Instances),
-				peak:      aggs.Peak(n),
-				slot:      aggs.PeakSlot(n),
+				peak:      aggs.PeakAt(p),
+				slot:      aggs.PeakSlotAt(p),
 				post:      post,
 				postKnown: postKnown,
 				o:         o,
 			})
-			return nil
 		}
-		for _, c := range n.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
+		p++
 	}
-	return o.cands, walk(o.tree)
+	return o.cands, nil
 }
 
 // Admit implements OnlinePlacer. The instance's trace is resolved through
@@ -535,12 +532,12 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 // upper bound (ip + ap) / max(tr[sg] + ap, ip + agg[sa]·(1/n)): both
 // denominator terms are terms of the kernel's joint maximum, rounded as the
 // kernel rounds them, so the bound is ≥ the score bit for bit. Candidates
-// are scored in descending bound (tree order among equal bounds) until a
-// bound falls below the best score so far; nothing skipped can win or tie.
-// A candidate with no defined bound (an empty leaf, a peak ≤ 0, a
-// denominator ≤ 0) gets +Inf: it is always scored, ahead of every finite
-// bound and in tree order, so an error comes back from the same candidate
-// as under exhaustive scoring.
+// are popped off a max-heap in descending bound (tree order among equal
+// bounds) and scored until a bound falls below the best score so far;
+// nothing left on the heap can win or tie. A candidate with no defined
+// bound (an empty leaf, a peak ≤ 0, a denominator ≤ 0) gets +Inf: it is
+// always scored, ahead of every finite bound and in tree order, so an error
+// comes back from the same candidate as under exhaustive scoring.
 type OnlineAsynchrony struct{}
 
 // Name implements Policy.
@@ -555,17 +552,11 @@ func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeserie
 		o.scores = append(o.scores, math.NaN()) // unscored: never wins or ties
 		o.order = append(o.order, i)
 	}
-	slices.SortFunc(o.order, func(i, j int) int {
-		if c := cmp.Compare(o.bounds[j], o.bounds[i]); c != 0 {
-			return c
-		}
-		return cmp.Compare(i, j)
-	})
+	h := boundHeap{bounds: o.bounds, order: o.order}
+	h.init()
 	incumbent := math.Inf(-1)
-	for _, i := range o.order {
-		if o.bounds[i] < incumbent {
-			break
-		}
+	for len(h.order) > 0 && !(o.bounds[h.order[0]] < incumbent) {
+		i := h.pop()
 		s := math.Inf(1)
 		if cands[i].Count > 0 {
 			var err error
@@ -586,6 +577,54 @@ func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeserie
 		}
 	}
 	return best, nil
+}
+
+// boundHeap is a binary max-heap of candidate indices in order, keyed by
+// descending bound and then ascending index: a total order (bounds are
+// never NaN), so it pops candidates in exactly the order a sort under the
+// same comparison lists them.
+type boundHeap struct {
+	bounds []float64
+	order  []int
+}
+
+// before reports whether candidate i pops before candidate j.
+func (h *boundHeap) before(i, j int) bool {
+	return h.bounds[i] > h.bounds[j] || (h.bounds[i] == h.bounds[j] && i < j)
+}
+
+// init heapifies order in O(n).
+func (h *boundHeap) init() {
+	for k := len(h.order)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+}
+
+// pop removes and returns the first candidate.
+func (h *boundHeap) pop() int {
+	top, last := h.order[0], len(h.order)-1
+	h.order[0] = h.order[last]
+	h.order = h.order[:last]
+	h.down(0)
+	return top
+}
+
+// down sifts the entry at k down to its place.
+func (h *boundHeap) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h.order) {
+			return
+		}
+		if r := c + 1; r < len(h.order) && h.before(h.order[r], h.order[c]) {
+			c = r
+		}
+		if !h.before(h.order[c], h.order[k]) {
+			return
+		}
+		h.order[k], h.order[c] = h.order[c], h.order[k]
+		k = c
+	}
 }
 
 // asynchronyBound is the upper bound OnlineAsynchrony.Choose prunes with

@@ -1,10 +1,12 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,12 +113,53 @@ func TestOnlineAdmitTracePasses(t *testing.T) {
 	}
 }
 
+// sortedVisit is the set of candidates OnlineAsynchrony.Choose scored when
+// it sorted them: every candidate's bound, a slices.SortFunc under (bound
+// descending, index ascending), and differentials in that order until a
+// bound falls below the best score so far or a differential fails. It
+// returns the scored indices, ascending.
+func sortedVisit(cands []OnlineCandidate, tr timeseries.Series) []int {
+	bounds := make([]float64, len(cands))
+	order := make([]int, len(cands))
+	for i := range cands {
+		bounds[i] = asynchronyBound(&cands[i], tr, tr.Peak(), tr.PeakIndex())
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(bounds[j], bounds[i]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	var scored []int
+	incumbent := math.Inf(-1)
+	for _, i := range order {
+		if bounds[i] < incumbent {
+			break
+		}
+		s := math.Inf(1)
+		if cands[i].Count > 0 {
+			var err error
+			if s, err = score.DifferentialFromSum(tr, cands[i].Aggregate, cands[i].Count); err != nil {
+				break
+			}
+		}
+		scored = append(scored, i)
+		incumbent = max(incumbent, s)
+	}
+	slices.Sort(scored)
+	return scored
+}
+
 // FuzzOnlineAdmitMatchesExhaustive builds a small random tree, populates it
 // from a pool of short traces on a coarse grid (zero and negative slots;
 // repeated traces, so exact score ties; empty leaves; budgets near the
 // aggregates' peaks), and then admits and retires a stream of arrivals
 // under every built-in policy. At each admission the placer must pick the
-// leaf, or return the error text, that exhaustiveAdmit does.
+// leaf, or return the error text, that exhaustiveAdmit does. Wherever the
+// asynchrony policy chose, it must have scored exactly the candidates
+// sortedVisit scores: its heap pops them in the sort's order. (The other
+// policies score every candidate or none.)
 func FuzzOnlineAdmitMatchesExhaustive(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed*37), uint8(seed*11))
@@ -165,6 +208,18 @@ func FuzzOnlineAdmitMatchesExhaustive(f *testing.F) {
 				if gotErr != wantErr || gotLeaf != wantLeaf {
 					t.Fatalf("%s step %d admitting %q: placer %v %q, exhaustive %v %q\n%s",
 						name, step, id, leafName(gotLeaf), gotErr, leafName(wantLeaf), wantErr, tree)
+				}
+				if _, ok := o.policy.(OnlineAsynchrony); ok && (err == nil || strings.Contains(gotErr, "choosing for")) {
+					var scored []int
+					for i, s := range o.scores {
+						if !math.IsNaN(s) {
+							scored = append(scored, i)
+						}
+					}
+					if want := sortedVisit(o.cands, traces.m[id]); !slices.Equal(scored, want) {
+						t.Fatalf("%s step %d admitting %q: scored %d candidates %v, the sorted order scores %d %v",
+							name, step, id, len(scored), scored, len(want), want)
+					}
 				}
 				if err == nil {
 					admitted = append(admitted, id)

@@ -13,9 +13,9 @@
 // re-summing that node's subtree from scratch, for any worker count.
 //
 // One primitive, combineEntry, computes every entry — a leaf is the case with
-// no children — and also backs the incremental delta path (see
-// incremental.go), which re-runs it only on dirty leaves and their root
-// paths.
+// no children — and one loop, treeIndex.recombine, drives it for both the
+// full sweep (every position) and the incremental delta path (see
+// incremental.go: only dirty leaves and their root paths).
 package powertree
 
 import (
@@ -40,64 +40,132 @@ type aggEntry struct {
 	missing []string
 }
 
-// treeIndex caches the tree walks every Aggregates consumer repeats —
-// Leaves() for the fold fan-out and NodesAtLevel() for the per-level
-// statistics. One walk at aggregation time replaces a fresh allocation and
-// re-walk per call. The index describes topology only (node identity and
-// levels), so it stays valid across instance churn and trace changes.
+// treeIndex is the aggregated tree's layout, recorded by one walk: every
+// node's pre-order position, each subtree's extent, and the per-level and
+// leaf lists every Aggregates consumer repeats. In pre-order a subtree is
+// the contiguous run of positions [p, end[p]), its first child sits at p+1
+// and each next sibling at the previous one's end, and every child follows
+// its parent — so descending position is a bottom-up order. The index
+// describes topology only, so it stays valid across instance churn and
+// trace changes.
 type treeIndex struct {
+	nodes []*Node
+	// pos is nodes inverted; end[p] is one past the last position of p's
+	// subtree and parent[p] is the parent's position (-1 at the root, even
+	// when the aggregation is rooted at an interior node).
+	pos    map[*Node]int
+	end    []int
+	parent []int
+	// leafPos lists the leaves' positions in tree order.
+	leafPos []int
 	leaves  []*Node
 	byLevel map[Level][]*Node
-	leafSet map[*Node]bool
 }
 
-// buildTreeIndex walks the subtree once and records leaves and per-level
-// node lists in tree order.
+// buildTreeIndex walks the subtree once to size the layout and once to
+// record it.
 func buildTreeIndex(root *Node) *treeIndex {
-	ix := &treeIndex{
-		byLevel: make(map[Level][]*Node),
-		leafSet: make(map[*Node]bool),
-	}
+	nodes, leaves := 0, 0
 	root.Walk(func(m *Node) {
-		ix.byLevel[m.Level] = append(ix.byLevel[m.Level], m)
+		nodes++
 		if m.IsLeaf() {
-			ix.leaves = append(ix.leaves, m)
-			ix.leafSet[m] = true
+			leaves++
 		}
 	})
+	ix := &treeIndex{
+		nodes:   make([]*Node, 0, nodes),
+		pos:     make(map[*Node]int, nodes),
+		end:     make([]int, 0, nodes),
+		parent:  make([]int, 0, nodes),
+		leafPos: make([]int, 0, leaves),
+		leaves:  make([]*Node, 0, leaves),
+		byLevel: make(map[Level][]*Node),
+	}
+	var walk func(m *Node, parent int)
+	walk = func(m *Node, parent int) {
+		p := len(ix.nodes)
+		ix.nodes = append(ix.nodes, m)
+		ix.pos[m] = p
+		ix.end = append(ix.end, 0)
+		ix.parent = append(ix.parent, parent)
+		ix.byLevel[m.Level] = append(ix.byLevel[m.Level], m)
+		if m.IsLeaf() {
+			ix.leafPos = append(ix.leafPos, p)
+			ix.leaves = append(ix.leaves, m)
+		}
+		for _, c := range m.Children {
+			walk(c, p)
+		}
+		ix.end[p] = len(ix.nodes)
+	}
+	walk(root, -1)
 	return ix
+}
+
+// recombine is the one combine loop behind AggregateAllParallel and
+// Aggregator.Update. It re-folds the leaves at positions leaves (ascending,
+// concurrently, one leaf per index; workers ≤ 0 means the package default)
+// and then recombines every interior position in queue (ascending; the
+// leaves plus all their ancestors; nil means every position) deepest first,
+// by descending position, so each child's entry is final before its parent
+// reads it. Results are written into entries in place. The error returned
+// is the one a serial run would hit first: the lowest-position leaf's, else
+// the highest-position interior node's.
+func (ix *treeIndex) recombine(entries []*aggEntry, leaves, queue []int, power PowerFn, workers int) error {
+	folds, err := parallel.Map(context.Background(), len(leaves), workers, func(i int) (*aggEntry, error) {
+		return combineEntry(ix.nodes[leaves[i]], power, nil, nil, 0)
+	})
+	if err != nil {
+		return err
+	}
+	for i, p := range leaves {
+		entries[p] = folds[i]
+	}
+	n := len(queue)
+	if queue == nil {
+		n = len(ix.nodes)
+	}
+	for i := n - 1; i >= 0; i-- {
+		p := i
+		if queue != nil {
+			p = queue[i]
+		}
+		if ix.end[p] == p+1 {
+			continue // a leaf, folded above
+		}
+		e, err := combineEntry(ix.nodes[p], power, entries, ix.end, p)
+		if err != nil {
+			return err
+		}
+		entries[p] = e
+	}
+	return nil
 }
 
 // Aggregates holds the aggregate power trace of every node in a tree,
 // computed by one bottom-up pass (AggregateAll) or carried forward
-// incrementally (Aggregator.Update). An Aggregates is a snapshot of the tree
-// and traces at computation time; it is immutable and safe for concurrent
+// incrementally (Aggregator.Update). The entries form one slab in the
+// tree's pre-order, so a reader holding a position (Nodes, SubtreeEnd and
+// the *At accessors) reads a node's entry by index; the *Node accessors
+// look the position up first. An Aggregates is a snapshot of the tree and
+// traces at computation time; it is immutable and safe for concurrent
 // reads.
 type Aggregates struct {
 	root    *Node
-	entries map[*Node]*aggEntry
+	entries []*aggEntry
 	index   *treeIndex
 }
 
-// foldLeaves folds each leaf concurrently, one leaf per index (workers ≤ 0
-// means the package default). Each fold touches only per-index state, so the
-// result is bit-identical to a serial loop and the error returned is the one
-// the lowest-index leaf would have hit serially.
-func foldLeaves(leaves []*Node, power PowerFn, workers int) ([]*aggEntry, error) {
-	return parallel.Map(context.Background(), len(leaves), workers, func(i int) (*aggEntry, error) {
-		return combineEntry(leaves[i], power, nil)
-	})
-}
-
-// combineEntry computes one node's entry from its own instance traces and
-// its children's current entries (child is never called for a leaf) in a
-// fixed child-recursive operation order: own instances in attachment order,
-// then each child's aggregate in child order, first contribution cloned, the
-// rest accumulated in place. Given
-// bit-identical child entries it therefore produces a bit-identical parent
-// entry — the invariant the delta path relies on. It is the only place
-// instance traces are summed into a node trace.
-func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntry, error) {
+// combineEntry computes the entry of node m at position p from its own
+// instance traces and its children's entries, read from entries at the
+// child positions end yields (a leaf reads none, so a fold passes nil), in
+// a fixed child-recursive operation order: own instances in attachment
+// order, then each child's aggregate in child order, first contribution
+// cloned, the rest accumulated in place. Given bit-identical child entries
+// it therefore produces a bit-identical parent entry — the invariant the
+// delta path relies on. It is the only place instance traces are summed
+// into a node trace.
+func combineEntry(m *Node, power PowerFn, entries []*aggEntry, end []int, p int) (*aggEntry, error) {
 	e := &aggEntry{slot: -1}
 	// Interior nodes hosting instances are invalid (Validate rejects them)
 	// but are tolerated here: own instances first, then child aggregates.
@@ -116,8 +184,10 @@ func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntr
 			return nil, fmt.Errorf("powertree: aggregating %q under %q: %w", id, m.Name, err)
 		}
 	}
-	for _, c := range m.Children {
-		ce := child(c)
+	c := p + 1
+	for _, child := range m.Children {
+		ce := entries[c]
+		c = end[c]
 		e.missing = append(e.missing, ce.missing...)
 		if !ce.started {
 			continue
@@ -130,7 +200,7 @@ func combineEntry(m *Node, power PowerFn, child func(*Node) *aggEntry) (*aggEntr
 			continue
 		}
 		if err := e.trace.AddInPlace(ce.trace); err != nil {
-			return nil, fmt.Errorf("powertree: combining %q into %q: %w", c.Name, m.Name, err)
+			return nil, fmt.Errorf("powertree: combining %q into %q: %w", child.Name, m.Name, err)
 		}
 	}
 	if e.started && !e.trace.Empty() {
@@ -154,41 +224,14 @@ func (n *Node) AggregateAll(power PowerFn) (*Aggregates, error) {
 
 // AggregateAllParallel is AggregateAll with an explicit worker count (≤ 0
 // means the package default). Leaf folds run concurrently, one leaf per
-// index; the bottom-up combine is serial in tree order. Results are
-// bit-identical for any worker count, and the error returned is the one the
-// lowest-index leaf would have hit in a serial run.
+// index; the bottom-up combine is serial, deepest position first. Results
+// are bit-identical for any worker count, and the error returned is the one
+// the lowest-index leaf would have hit in a serial run.
 func (n *Node) AggregateAllParallel(power PowerFn, workers int) (*Aggregates, error) {
 	timer := obsAggregateSpan.Start()
 	index := buildTreeIndex(n)
-	folds, err := foldLeaves(index.leaves, power, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	a := &Aggregates{root: n, entries: make(map[*Node]*aggEntry), index: index}
-	// build visits nodes in pre-order, so leaves are consumed in index.leaves
-	// order and the counter stays aligned with folds.
-	leafIdx := 0
-	var build func(m *Node) error
-	build = func(m *Node) error {
-		if m.IsLeaf() {
-			a.entries[m] = folds[leafIdx]
-			leafIdx++
-			return nil
-		}
-		for _, c := range m.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		e, err := combineEntry(m, power, func(c *Node) *aggEntry { return a.entries[c] })
-		if err != nil {
-			return err
-		}
-		a.entries[m] = e
-		return nil
-	}
-	if err := build(n); err != nil {
+	a := &Aggregates{root: n, entries: make([]*aggEntry, len(index.nodes)), index: index}
+	if err := index.recombine(a.entries, index.leafPos, nil, power, workers); err != nil {
 		return nil, err
 	}
 	// Counted after the leaf fan-out and serial combine complete, so the
@@ -213,44 +256,84 @@ func (a *Aggregates) Leaves() []*Node { return a.index.leaves }
 // snapshot and must not be mutated.
 func (a *Aggregates) NodesAtLevel(l Level) []*Node { return a.index.byLevel[l] }
 
-// Trace returns the node's aggregate power trace. ok is false when the node
-// was not part of the aggregated tree or hosts no traced instances. The
-// returned series is owned by the Aggregates and must not be mutated; Clone
-// it before in-place arithmetic.
-func (a *Aggregates) Trace(n *Node) (timeseries.Series, bool) {
-	e := a.entries[n]
+// Nodes returns the aggregated tree's nodes in pre-order: a node's index
+// in the slice is its position, the argument of the *At accessors. The
+// slice is shared with the snapshot and must not be mutated.
+func (a *Aggregates) Nodes() []*Node { return a.index.nodes }
+
+// SubtreeEnd returns one past the last position of the subtree at position
+// p: the subtree is positions [p, SubtreeEnd(p)), so a pre-order walk skips
+// it by jumping there, and a node is a leaf iff SubtreeEnd(p) == p+1.
+func (a *Aggregates) SubtreeEnd(p int) int { return a.index.end[p] }
+
+// Position returns the node's position, or -1 when the node is not part of
+// the aggregated tree.
+func (a *Aggregates) Position(n *Node) int {
+	if p, ok := a.index.pos[n]; ok {
+		return p
+	}
+	return -1
+}
+
+// at returns the entry at position p, or nil for p = -1.
+func (a *Aggregates) at(p int) *aggEntry {
+	if p < 0 {
+		return nil
+	}
+	return a.entries[p]
+}
+
+// TraceAt returns the aggregate power trace at position p. ok is false
+// when the node hosts no traced instances (or p is -1). The returned series
+// is owned by the Aggregates and must not be mutated; Clone it before
+// in-place arithmetic.
+func (a *Aggregates) TraceAt(p int) (timeseries.Series, bool) {
+	e := a.at(p)
 	if e == nil || !e.started {
 		return timeseries.Series{}, false
 	}
 	return e.trace, true
 }
 
-// Peak returns the peak of the node's aggregate power trace, or 0 when the
-// node was not aggregated, hosts no traced instances, or its aggregate is
-// zero-length.
-func (a *Aggregates) Peak(n *Node) float64 {
-	if e := a.entries[n]; e != nil {
+// PeakAt returns the peak of the aggregate power trace at position p, or 0
+// when the node hosts no traced instances, its aggregate is zero-length,
+// or p is -1.
+func (a *Aggregates) PeakAt(p int) float64 {
+	if e := a.at(p); e != nil {
 		return e.peak
 	}
 	return 0
 }
 
-// PeakSlot returns the index of the first reading of the node's aggregate
-// power trace equal to Peak — Series.PeakIndex, kept beside the peak so
-// readers get both in O(1) — or -1 when Peak has no slot (the node was not
-// aggregated, its aggregate is empty, or no reading is a maximum).
-func (a *Aggregates) PeakSlot(n *Node) int {
-	if e := a.entries[n]; e != nil {
+// PeakSlotAt returns the index of the first reading of the aggregate power
+// trace at position p equal to PeakAt — Series.PeakIndex, kept beside the
+// peak so readers get both in O(1) — or -1 when the peak has no slot (the
+// aggregate is empty, no reading is a maximum, or p is -1).
+func (a *Aggregates) PeakSlotAt(p int) int {
+	if e := a.at(p); e != nil {
 		return e.slot
 	}
 	return -1
 }
 
+// Trace is TraceAt at the node's position: ok is also false for a node
+// outside the aggregated tree.
+func (a *Aggregates) Trace(n *Node) (timeseries.Series, bool) { return a.TraceAt(a.Position(n)) }
+
+// Peak is PeakAt at the node's position: 0 for a node outside the
+// aggregated tree.
+func (a *Aggregates) Peak(n *Node) float64 { return a.PeakAt(a.Position(n)) }
+
+// PeakSlot is PeakSlotAt at the node's position: -1 for a node outside the
+// aggregated tree.
+func (a *Aggregates) PeakSlot(n *Node) int { return a.PeakSlotAt(a.Position(n)) }
+
 // Missing returns the instance IDs under the node whose traces were unknown
 // at aggregation time: the node's own instances in attachment order, then
-// each child's missing list in child order (pre-order tree order).
+// each child's missing list in child order (pre-order tree order). It is
+// nil for a node outside the aggregated tree.
 func (a *Aggregates) Missing(n *Node) []string {
-	if e := a.entries[n]; e != nil {
+	if e := a.at(a.Position(n)); e != nil {
 		return e.missing
 	}
 	return nil
@@ -268,8 +351,10 @@ func (a *Aggregates) Headroom(n *Node) float64 {
 // Node.SumOfPeaks bit-for-bit.
 func (a *Aggregates) SumOfPeaks(level Level) float64 {
 	var total float64
-	for _, m := range a.index.byLevel[level] {
-		total += a.Peak(m)
+	for p, m := range a.index.nodes {
+		if m.Level == level {
+			total += a.entries[p].peak
+		}
 	}
 	return total
 }
@@ -298,13 +383,16 @@ func (a *Aggregates) CheckBreakers(sustain time.Duration) []BreakerTrip {
 // one Aggregates answers every overlay.
 func (a *Aggregates) CheckBreakersWithBudgets(sustain time.Duration, budget BudgetOverlay) []BreakerTrip {
 	var trips []BreakerTrip
-	a.root.Walk(func(m *Node) {
-		e := a.entries[m]
-		if e == nil || !e.started || e.trace.Empty() {
-			return
+	for p, m := range a.index.nodes {
+		e := a.entries[p]
+		if !e.started || e.trace.Empty() {
+			continue
+		}
+		limit := m.BudgetUnder(budget)
+		if !(e.peak > limit) {
+			continue // no reading exceeds the peak
 		}
 		agg := e.trace
-		limit := m.BudgetUnder(budget)
 		start, over := -1, 0.0
 		flush := func(end int) {
 			if start < 0 {
@@ -329,7 +417,7 @@ func (a *Aggregates) CheckBreakersWithBudgets(sustain time.Duration, budget Budg
 			}
 		}
 		flush(len(agg.Values))
-	})
+	}
 	sort.Slice(trips, func(i, j int) bool {
 		if trips[i].Node != trips[j].Node {
 			return trips[i].Node < trips[j].Node

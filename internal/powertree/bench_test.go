@@ -120,6 +120,65 @@ func BenchmarkAggregatorDeltaTick(b *testing.B) {
 	}
 }
 
+// churnShape builds a 4×4×4×rpps tree (rpps = 10 is the end-to-end
+// benchmark's 640 leaves) holding residents instances dealt round-robin,
+// their one-week traces at 30-minute step cycling through 97 distinct
+// series.
+func churnShape(tb testing.TB, rpps, residents int) (*Node, PowerFn) {
+	tb.Helper()
+	tree, err := Build(TopologySpec{
+		Name: "c", SuitesPerDC: 4, MSBsPerSuite: 4, SBsPerMSB: 4, RPPsPerSB: rpps,
+		LeafBudget: 1e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(640))
+	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
+	distinct := make([]timeseries.Series, 97)
+	for i := range distinct {
+		distinct[i] = timeseries.Zeros(base, 30*time.Minute, 336)
+		for j := range distinct[i].Values {
+			distinct[i].Values[j] = 100 + 200*rng.Float64()
+		}
+	}
+	index := make(map[string]int, residents)
+	leaves := tree.Leaves()
+	for i := 0; i < residents; i++ {
+		id := fmt.Sprintf("r-%05d", i)
+		index[id] = i % len(distinct)
+		if err := leaves[i%len(leaves)].Attach(id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree, func(id string) (timeseries.Series, bool) {
+		i, ok := index[id]
+		return distinct[i], ok
+	}
+}
+
+// BenchmarkAggregatorUpdate: one dirty leaf out of 640 holding ≈ 16
+// residents each — an admission's ledger update at the end-to-end
+// benchmark's shape.
+func BenchmarkAggregatorUpdate(b *testing.B) {
+	tree, pf := churnShape(b, 10, 10_000)
+	agg, err := NewAggregator(tree, pf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leaf := tree.Leaves()[317]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := agg.MarkDirty(leaf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := agg.Update(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCachedLevelWalk: NodesAtLevel through the snapshot's cached index
 // — the regression guard for the walk cache (compare BenchmarkUncachedLevelWalk).
 func BenchmarkCachedLevelWalk(b *testing.B) {

@@ -3,16 +3,20 @@
 // A full AggregateAll touches every instance trace and every node, which is
 // the wall at million-instance scale when a tick changes only a handful of
 // leaves (an admission, a retirement, a remap swap). The Aggregator keeps
-// the last Aggregates snapshot and a dirty set of leaves; Update re-folds
-// only the dirty leaves (fanned out via internal/parallel) and re-combines
-// only their root paths, reusing the cached entries of every clean subtree.
+// the last Aggregates snapshot and the positions of the dirty leaves; Update
+// copies the snapshot's pre-order entry slab (a pointer slice), re-folds only
+// the dirty leaves (fanned out via internal/parallel) and re-combines only
+// their root paths, deepest first, through the loop AggregateAll runs over
+// every position. Its cost is that copy plus O((leaf residents + path) ·
+// len) float work, whatever the size of the clean rest of the tree.
 //
 // Determinism contract: clean entries are reused by pointer, dirty leaves
 // and their ancestors are recomputed by combineEntry — the exact operation
-// order AggregateAll uses. A node's entry is a pure function of its subtree's instance traces under that
-// order, so reusing a clean child's entry and recomputing a dirty one
-// compose into bit-identical per-node results versus a fresh AggregateAll,
-// at any worker count (pinned by TestAggregatorUpdateMatchesFresh).
+// order AggregateAll uses. A node's entry is a pure function of its
+// subtree's instance traces under that order, so reusing a clean child's
+// entry and recomputing a dirty one compose into bit-identical per-node
+// results versus a fresh AggregateAll, at any worker count (pinned by
+// TestAggregatorUpdateMatchesFresh).
 //
 // Staleness contract: the dirty set must cover every leaf whose instance
 // set or traces changed since the last Update. A trace change the caller
@@ -24,6 +28,7 @@ package powertree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -41,7 +46,9 @@ var (
 // Construct with NewAggregator, mark changed leaves with MarkDirty, and call
 // Update to fold the changes in. Snapshot returns the current immutable
 // Aggregates, safe to read concurrently with a running Update (readers see
-// either the old or the new snapshot, never a partial one).
+// either the old or the new snapshot, never a partial one). Every snapshot
+// shares the first one's tree layout; an Update writes a new copy of the
+// entry slab at the dirty leaves' root paths only.
 //
 // An Aggregator is safe for concurrent use. The tree and PowerFn it wraps
 // are not owned by it: callers must order their own tree/trace mutations
@@ -55,9 +62,13 @@ type Aggregator struct {
 	mu sync.RWMutex
 	// snap is the current snapshot; Update swaps it wholesale.
 	snap *Aggregates //smoothop:guardedby mu
-	// dirty is the set of leaves whose instances or traces changed since
-	// snap was computed.
-	dirty map[*Node]bool //smoothop:guardedby mu
+	// dirty lists, once each and unordered, the positions of the leaves
+	// whose instances or traces changed since snap was computed; marked
+	// flags them by position.
+	dirty  []int  //smoothop:guardedby mu
+	marked []bool //smoothop:guardedby mu
+	// queue is Update's reused buffer of the positions it recombines.
+	queue []int //smoothop:guardedby mu
 }
 
 // NewAggregator runs one full AggregateAll pass over the tree, with the
@@ -69,10 +80,10 @@ func NewAggregator(tree *Node, power PowerFn) (*Aggregator, error) {
 	}
 	obsDeltaRebuilds.Inc()
 	return &Aggregator{
-		tree:  tree,
-		power: power,
-		snap:  snap,
-		dirty: make(map[*Node]bool),
+		tree:   tree,
+		power:  power,
+		snap:   snap,
+		marked: make([]bool, len(snap.entries)),
 	}, nil
 }
 
@@ -99,7 +110,10 @@ func (g *Aggregator) MarkDirty(leaves ...*Node) error {
 		}
 	}
 	for _, leaf := range leaves {
-		g.dirty[leaf] = true
+		if p := g.snap.Position(leaf); !g.marked[p] {
+			g.marked[p] = true
+			g.dirty = append(g.dirty, p)
+		}
 	}
 	return nil
 }
@@ -114,7 +128,7 @@ func (g *Aggregator) checkLeaf(leaf *Node) error {
 	if !leaf.IsLeaf() {
 		return fmt.Errorf("%w: %q (%s)", ErrNotALeaf, leaf.Name, leaf.Level)
 	}
-	if !g.snap.index.leafSet[leaf] {
+	if g.snap.Position(leaf) < 0 {
 		return fmt.Errorf("%w: %q", ErrForeignLeaf, leaf.Name)
 	}
 	return nil
@@ -124,7 +138,7 @@ func (g *Aggregator) checkLeaf(leaf *Node) error {
 // With no pending marks it returns the current snapshot unchanged (a no-op:
 // no folds, no new allocations). Dirty-leaf re-folds fan out one leaf per
 // index with the default worker count; dirty ancestors are re-combined
-// serially in tree order. Every per-node result is bit-identical to a fresh
+// serially, deepest first. Every per-node result is bit-identical to a fresh
 // AggregateAll over the same tree and traces, for any worker count. On error
 // the snapshot and dirty set are left unchanged, so the Update can be
 // retried.
@@ -139,78 +153,49 @@ func (g *Aggregator) Update() (*Aggregates, error) {
 
 	timer := obsDeltaSpan.Start()
 	old := g.snap
-	// Collect the dirty leaves in tree order from the cached index — the
-	// dirty map itself is never ranged over, so worker fan-out and fold
-	// order stay deterministic.
-	dirtyLeaves := make([]*Node, 0, len(g.dirty))
-	for _, leaf := range old.index.leaves {
-		if g.dirty[leaf] {
-			dirtyLeaves = append(dirtyLeaves, leaf)
-		}
-	}
+	ix := old.index
+	// Tree order, so the fold fan-out and its first error are deterministic.
+	slices.Sort(g.dirty)
 
-	folds, err := foldLeaves(dirtyLeaves, g.power, 0)
-	if err != nil {
+	// A node must be recombined iff a leaf under it is dirty: exactly the
+	// dirty leaves plus their ancestors. Each leaf's parent walk stops at the
+	// first ancestor already queued, which is one at or before the previous
+	// dirty leaf: a subtree is a contiguous run of positions, so an ancestor
+	// of this leaf holds the previous one iff it does not come after it.
+	queue, prev := g.queue[:0], -1
+	for _, p := range g.dirty {
+		queue = append(queue, p)
+		for q := ix.parent[p]; q > prev; q = ix.parent[q] {
+			queue = append(queue, q)
+		}
+		prev = p
+	}
+	slices.Sort(queue)
+	g.queue = queue
+
+	// Clean entries are shared with the old snapshot by pointer: entries are
+	// immutable after construction, so sharing is safe for readers of both.
+	entries := slices.Clone(old.entries)
+	if err := ix.recombine(entries, g.dirty, queue, g.power, 0); err != nil {
 		// Keep the dirty set: the caller can fix the traces and retry.
 		return nil, err
 	}
 
-	// A node must be recombined iff any leaf under it is dirty: exactly the
-	// dirty leaves plus their ancestors. Walk each leaf's parent chain,
-	// stopping at the first ancestor already marked (its own chain above is
-	// already covered).
-	needs := make(map[*Node]bool, 2*len(dirtyLeaves))
-	for _, leaf := range dirtyLeaves {
-		for m := leaf; m != nil && !needs[m]; m = m.Parent() {
-			needs[m] = true
-		}
-	}
-
-	entries := make(map[*Node]*aggEntry, len(old.entries))
-	leafIdx := 0
-	var build func(m *Node) error
-	build = func(m *Node) error {
-		if !needs[m] {
-			// Clean subtree: share the old entries wholesale. Entries are
-			// immutable after construction, so sharing is safe for readers
-			// of both snapshots.
-			m.Walk(func(c *Node) { entries[c] = old.entries[c] })
-			return nil
-		}
-		if m.IsLeaf() {
-			// build visits dirty leaves in pre-order = tree order, the order
-			// dirtyLeaves (and so folds) was collected in.
-			entries[m] = folds[leafIdx]
-			leafIdx++
-			return nil
-		}
-		for _, c := range m.Children {
-			if err := build(c); err != nil {
-				return err
-			}
-		}
-		e, err := combineEntry(m, g.power, func(c *Node) *aggEntry { return entries[c] })
-		if err != nil {
-			return err
-		}
-		entries[m] = e
-		return nil
-	}
-	if err := build(g.tree); err != nil {
-		return nil, err
-	}
-
-	snap := &Aggregates{root: g.tree, entries: entries, index: old.index}
+	snap := &Aggregates{root: g.tree, entries: entries, index: ix}
 	g.snap = snap
-	g.dirty = make(map[*Node]bool)
+	for _, p := range g.dirty {
+		g.marked[p] = false
+	}
+	dirtyLeaves := len(g.dirty)
+	g.dirty = g.dirty[:0]
 
 	// Counted after the fan-out and serial recombine complete, outside any
 	// parallel closure, so totals are replay-deterministic at any worker
 	// count.
 	obsDeltaUpdates.Inc()
-	obsDeltaDirtyLeaves.Add(uint64(len(dirtyLeaves)))
-	obsDeltaNodesRecombined.Add(uint64(len(needs)))
-	obsDeltaLastDirty.Set(float64(len(dirtyLeaves)))
+	obsDeltaDirtyLeaves.Add(uint64(dirtyLeaves))
+	obsDeltaNodesRecombined.Add(uint64(len(queue)))
+	obsDeltaLastDirty.Set(float64(dirtyLeaves))
 	timer.End()
 	return snap, nil
 }

@@ -51,13 +51,81 @@ func requireSameAggs(t *testing.T, tree *Node, got, want *Aggregates, ctx string
 	})
 }
 
+// requirePositional fails unless aggs lays out root's subtree in pre-order
+// with each subtree's extent, and at every position the positional reads
+// equal the *Node reads of that position's node bit for bit.
+func requirePositional(t *testing.T, root *Node, aggs *Aggregates, ctx string) {
+	t.Helper()
+	var walk []*Node
+	root.Walk(func(n *Node) { walk = append(walk, n) })
+	nodes := aggs.Nodes()
+	if len(nodes) != len(walk) {
+		t.Fatalf("%s: %d positions, %d nodes under %s", ctx, len(nodes), len(walk), root.Name)
+	}
+	for p, n := range nodes {
+		if n != walk[p] {
+			t.Fatalf("%s: position %d holds %s, pre-order has %s", ctx, p, n.Name, walk[p].Name)
+		}
+		if got := aggs.Position(n); got != p {
+			t.Fatalf("%s: Position(%s) = %d, want %d", ctx, n.Name, got, p)
+		}
+		size := 0
+		n.Walk(func(*Node) { size++ })
+		if got := aggs.SubtreeEnd(p); got != p+size {
+			t.Fatalf("%s: SubtreeEnd(%d) = %d, want %d", ctx, p, got, p+size)
+		}
+		ps, pok := aggs.TraceAt(p)
+		ns, nok := aggs.Trace(n)
+		if pok != nok || len(ps.Values) != len(ns.Values) || !ps.Start.Equal(ns.Start) || ps.Step != ns.Step {
+			t.Fatalf("%s: TraceAt(%d) and Trace(%s) differ in shape", ctx, p, n.Name)
+		}
+		for i := range ps.Values {
+			if math.Float64bits(ps.Values[i]) != math.Float64bits(ns.Values[i]) {
+				t.Fatalf("%s: TraceAt(%d)[%d] and Trace(%s)[%d] differ", ctx, p, i, n.Name, i)
+			}
+		}
+		if math.Float64bits(aggs.PeakAt(p)) != math.Float64bits(aggs.Peak(n)) {
+			t.Fatalf("%s: PeakAt(%d) = %v, Peak(%s) = %v", ctx, p, aggs.PeakAt(p), n.Name, aggs.Peak(n))
+		}
+		if aggs.PeakSlotAt(p) != aggs.PeakSlot(n) {
+			t.Fatalf("%s: PeakSlotAt(%d) = %d, PeakSlot(%s) = %d", ctx, p, aggs.PeakSlotAt(p), n.Name, aggs.PeakSlot(n))
+		}
+	}
+}
+
+// requireForeign fails unless n reads as outside the aggregation: Position
+// -1, Peak 0, PeakSlot -1, Trace false and Missing nil.
+func requireForeign(t *testing.T, aggs *Aggregates, n *Node, ctx string) {
+	t.Helper()
+	_, ok := aggs.Trace(n)
+	if aggs.Position(n) != -1 || aggs.Peak(n) != 0 || aggs.PeakSlot(n) != -1 || ok || aggs.Missing(n) != nil {
+		t.Fatalf("%s: foreign node %s reads position %d, peak %v, slot %d, trace %v, missing %v",
+			ctx, n.Name, aggs.Position(n), aggs.Peak(n), aggs.PeakSlot(n), ok, aggs.Missing(n))
+	}
+}
+
+// within reports whether n lies in the subtree rooted at root.
+func within(n, root *Node) bool {
+	for ; n != nil; n = n.Parent() {
+		if n == root {
+			return true
+		}
+	}
+	return false
+}
+
 // TestAggregatorUpdateMatchesFresh: after any sequence of admit / retire /
 // swap / trace-change events with the touched leaves marked dirty, Update
 // must be bit-identical to a fresh AggregateAll over the same tree and
 // traces — the tentpole determinism contract — at workers 1 and 8. That
 // includes every node's peak slot, which must also be the first maximum of
 // the node's trace; odd trials draw readings on a coarse grid so aggregates
-// reach their peak at several slots.
+// reach their peak at several slots. Both snapshots' positional reads must
+// equal their *Node reads at every position. A second aggregator rooted at
+// an interior node (as esd aggregates subtrees) takes the marks inside its
+// subtree, refuses the rest with ErrForeignLeaf and its own root with
+// ErrNotALeaf, matches both a fresh sweep of the subtree and the whole
+// tree's entries, and reads every node outside it as foreign.
 func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
 	for _, workers := range []int{1, 8} {
@@ -104,6 +172,37 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sub := tree // the interior root: a random interior non-root node when there is one
+			var interior []*Node
+			tree.Walk(func(n *Node) {
+				if n != tree && !n.IsLeaf() {
+					interior = append(interior, n)
+				}
+			})
+			if len(interior) > 0 {
+				sub = interior[rng.Intn(len(interior))]
+			}
+			subAgg, err := NewAggregator(sub, pf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := subAgg.MarkDirty(sub); !errors.Is(err, ErrNotALeaf) {
+				t.Fatalf("trial %d: marking the interior root %s: got %v, want ErrNotALeaf", trial, sub.Name, err)
+			}
+			mark := func(touched ...*Node) {
+				if err := agg.MarkDirty(touched...); err != nil {
+					t.Fatal(err)
+				}
+				for _, leaf := range touched {
+					err := subAgg.MarkDirty(leaf)
+					if within(leaf, sub) && err != nil {
+						t.Fatal(err)
+					}
+					if !within(leaf, sub) && !errors.Is(err, ErrForeignLeaf) {
+						t.Fatalf("trial %d: marking %s outside %s: got %v, want ErrForeignLeaf", trial, leaf.Name, sub.Name, err)
+					}
+				}
+			}
 
 			for step := 0; step < 8; step++ {
 				// Apply a random batch of churn events, marking each touched
@@ -122,9 +221,7 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 						}
 						placed = append(placed, id)
 						home[id] = leaf
-						if err := agg.MarkDirty(leaf); err != nil {
-							t.Fatal(err)
-						}
+						mark(leaf)
 					case k == 1 && len(placed) > 0: // retire
 						i := rng.Intn(len(placed))
 						id := placed[i]
@@ -134,9 +231,7 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 						}
 						placed = append(placed[:i], placed[i+1:]...)
 						delete(home, id)
-						if err := agg.MarkDirty(leaf); err != nil {
-							t.Fatal(err)
-						}
+						mark(leaf)
 					case k == 2 && len(placed) > 0: // swap to another leaf
 						id := placed[rng.Intn(len(placed))]
 						from, to := home[id], leaves[rng.Intn(len(leaves))]
@@ -145,15 +240,11 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 							t.Fatal(err)
 						}
 						home[id] = to
-						if err := agg.MarkDirty(from, to); err != nil {
-							t.Fatal(err)
-						}
+						mark(from, to)
 					case k == 3 && len(placed) > 0: // trace change in place
 						id := placed[rng.Intn(len(placed))]
 						traces[id] = newTrace()
-						if err := agg.MarkDirty(home[id]); err != nil {
-							t.Fatal(err)
-						}
+						mark(home[id])
 					}
 				}
 
@@ -168,10 +259,60 @@ func TestAggregatorUpdateMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameAggs(t, tree, got, want,
-					fmt.Sprintf("workers %d trial %d step %d", workers, trial, step))
+				ctx := fmt.Sprintf("workers %d trial %d step %d", workers, trial, step)
+				requireSameAggs(t, tree, got, want, ctx)
+				requirePositional(t, tree, got, ctx)
+				requirePositional(t, tree, want, ctx)
+
+				subGot, err := subAgg.Update()
+				if err != nil {
+					t.Fatal(err)
+				}
+				subWant, err := sub.AggregateAll(pf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subCtx := ctx + " rooted at " + sub.Name
+				requireSameAggs(t, sub, subGot, subWant, subCtx)
+				requireSameAggs(t, sub, subGot, got, subCtx)
+				requirePositional(t, sub, subGot, subCtx)
+				tree.Walk(func(n *Node) {
+					if !within(n, sub) {
+						requireForeign(t, subGot, n, subCtx)
+					}
+				})
+				requireForeign(t, got, &Node{Name: "elsewhere"}, ctx)
 			}
 		}
+	}
+}
+
+// TestAggregatorUpdateAllocsFlat: a one-leaf MarkDirty + Update allocates
+// the same number of times on 64 leaves as on 640 — the copied entry slab is
+// one allocation whatever its length, and the leaf's root path is as long
+// in both trees — so no per-update cost grows with the clean rest of the
+// tree.
+func TestAggregatorUpdateAllocsFlat(t *testing.T) {
+	allocs := func(rpps int) float64 {
+		tree, pf := churnShape(t, rpps, 16*64*rpps)
+		agg, err := NewAggregator(tree, pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := tree.Leaves()[5]
+		return testing.AllocsPerRun(50, func() {
+			if err := agg.MarkDirty(leaf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := agg.Update(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1), allocs(10)
+	t.Logf("allocations per one-leaf update: %v at 64 leaves, %v at 640", small, large)
+	if small != large {
+		t.Fatalf("one-leaf update allocates %v times at 64 leaves but %v at 640", small, large)
 	}
 }
 
