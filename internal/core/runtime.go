@@ -376,15 +376,23 @@ func (r *Runtime) trainingWeeks(weeks int) (int, error) {
 	return weeks, nil
 }
 
-// traceRead is one of the store's graded reads bound to a window:
-// SnapshotQuality over a tick window, or AveragedITraceQuality over a
-// training window (trainingRead).
-type traceRead func(id string) (timeseries.Series, tracestore.Quality, error)
+// traceRead is one of the store's graded batch reads bound to a window and
+// the framework's worker count: SnapshotQualityBatch over a tick window
+// (tickRead), or AveragedITraceQualityBatch over a training window
+// (trainingRead).
+type traceRead func(ids []string, visit func(i int, tr timeseries.Series, q tracestore.Quality)) (int, error)
+
+// tickRead reads the raw window [from, asOf).
+func (r *Runtime) tickRead(from, asOf time.Time) traceRead {
+	return func(ids []string, visit func(int, timeseries.Series, tracestore.Quality)) (int, error) {
+		return r.store.SnapshotQualityBatch(ids, from, asOf, r.fw.cfg.Workers, visit)
+	}
+}
 
 // trainingRead reads averaged I-traces over trainWeeks weeks ending at asOf.
 func (r *Runtime) trainingRead(asOf time.Time, trainWeeks int) traceRead {
-	return func(id string) (timeseries.Series, tracestore.Quality, error) {
-		return r.store.AveragedITraceQuality(id, asOf, trainWeeks)
+	return func(ids []string, visit func(int, timeseries.Series, tracestore.Quality)) (int, error) {
+		return r.store.AveragedITraceQualityBatch(ids, asOf, trainWeeks, r.fw.cfg.Workers, visit)
 	}
 }
 
@@ -396,30 +404,34 @@ func (r *Runtime) quarantines(tr timeseries.Series, q tracestore.Quality) bool {
 }
 
 // readTraces is the runtime's one way from telemetry to scoring traces. It
-// reads each instance's trace through read, as the store returns it, and
-// grades it; an instance the store has never seen grades no-data, like one
-// whose window is empty. traces holds the traces fit to score from, and
-// quarantined lists, in ids order, the instances the quarantine rule
-// rejects, which the caller scores from reference traces (fillReferences).
-// what names the caller in errors.
+// reads every instance's trace through read in one batch, as the store
+// returns it, and grades it; an instance the store has never seen grades
+// no-data, like one whose window is empty. The store's workers also apply
+// the quarantine rule, each to the traces it read; the maps and the list
+// are then assembled in ids order, so the result does not depend on the
+// worker count. traces holds the traces fit to score from, and quarantined
+// lists, in ids order, the instances the quarantine rule rejects, which the
+// caller scores from reference traces (fillReferences). what names the
+// caller in errors, which name the first failing instance in ids order.
 func (r *Runtime) readTraces(what string, ids []string, read traceRead) (map[string]timeseries.Series, map[string]tracestore.Quality, []string, error) {
+	trs := make([]timeseries.Series, len(ids))
+	qs := make([]tracestore.Quality, len(ids))
+	rejected := make([]bool, len(ids))
+	if i, err := read(ids, func(i int, tr timeseries.Series, q tracestore.Quality) {
+		trs[i], qs[i], rejected[i] = tr, q, r.quarantines(tr, q)
+	}); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: %s trace for %q: %w", what, ids[i], err)
+	}
 	traces := make(map[string]timeseries.Series, len(ids))
 	quality := make(map[string]tracestore.Quality, len(ids))
 	var quarantined []string
-	for _, id := range ids {
-		tr, q, err := read(id)
-		if errors.Is(err, tracestore.ErrUnknownInstance) {
-			tr, q, err = timeseries.Series{}, tracestore.Quality{Grade: tracestore.GradeNoData}, nil
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: %s trace for %q: %w", what, id, err)
-		}
-		quality[id] = q
-		if r.quarantines(tr, q) {
+	for i, id := range ids {
+		quality[id] = qs[i]
+		if rejected[i] {
 			quarantined = append(quarantined, id)
 			continue
 		}
-		traces[id] = tr
+		traces[id] = trs[i]
 	}
 	return traces, quality, quarantined, nil
 }
@@ -514,9 +526,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 		window = 7 * 24 * time.Hour
 	}
 	from := asOf.Add(-window)
-	fresh, quality, quarantined, err := r.scoringTraces("tick", r.tree.AllInstances(), func(id string) (timeseries.Series, tracestore.Quality, error) {
-		return r.store.SnapshotQuality(id, from, asOf)
-	})
+	fresh, quality, quarantined, err := r.scoringTraces("tick", r.tree.AllInstances(), r.tickRead(from, asOf))
 	if err != nil {
 		return nil, err
 	}

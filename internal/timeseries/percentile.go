@@ -64,14 +64,11 @@ func (c *PercentileCalc) load(s Series) {
 	sort.Float64s(c.buf)
 }
 
-// Scratch pools for the cross-cutting statistics kernels. Pooled buffers are
+// Scratch pool for the cross-cutting statistics kernels. Pooled buffers are
 // pure scratch: every cell is written before it is read (callers zero
 // accumulators explicitly), so reuse never leaks state between calls and
 // results stay bit-identical.
-var (
-	scratchF64Pool = sync.Pool{New: func() any { return new([]float64) }}
-	scratchIntPool = sync.Pool{New: func() any { return new([]int) }}
-)
+var scratchF64Pool = sync.Pool{New: func() any { return new([]float64) }}
 
 func getScratchF64(n int) *[]float64 {
 	p := scratchF64Pool.Get().(*[]float64)
@@ -83,14 +80,3 @@ func getScratchF64(n int) *[]float64 {
 }
 
 func putScratchF64(p *[]float64) { scratchF64Pool.Put(p) }
-
-func getScratchInt(n int) *[]int {
-	p := scratchIntPool.Get().(*[]int)
-	if cap(*p) < n {
-		*p = make([]int, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchInt(p *[]int) { scratchIntPool.Put(p) }

@@ -110,9 +110,9 @@ func TestPercentileCalcAllocBudget(t *testing.T) {
 	}
 }
 
-// TestScratchPoolsKernelsStayIdentical: CrossSectionBands and FoldWeeks use
-// pooled scratch; repeated calls (reusing dirty buffers) must reproduce the
-// first call's output bit-for-bit.
+// TestScratchPoolsKernelsStayIdentical: CrossSectionBands uses pooled
+// scratch and FoldWeeksInto a caller's buffer; repeated calls (reusing dirty
+// buffers) must reproduce the first call's output bit-for-bit.
 func TestScratchPoolsKernelsStayIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pop := make([]Series, 9)
@@ -147,9 +147,16 @@ func TestScratchPoolsKernelsStayIdentical(t *testing.T) {
 				}
 			}
 		}
-		againFold, err := folded.FoldWeeks()
+		dirty := make([]float64, 3, MinutesPerWeek+rep)
+		for i := range dirty[:cap(dirty)] {
+			dirty[:cap(dirty)][i] = rng.Float64()
+		}
+		againFold, err := folded.FoldWeeksInto(dirty)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if &againFold.Values[0] != &dirty[0] {
+			t.Fatalf("rep %d: FoldWeeksInto did not write into a buffer that holds a week", rep)
 		}
 		for i := range firstFold.Values {
 			if againFold.Values[i] != firstFold.Values[i] {

@@ -446,7 +446,12 @@ func (s Series) Resample(newStep time.Duration) (Series, error) {
 // time-of-week-aligned series (Eq. 4). The series must cover at least one
 // whole week at its native step; a trailing partial week is included in the
 // average of the slots it covers.
-func (s Series) FoldWeeks() (Series, error) {
+func (s Series) FoldWeeks() (Series, error) { return s.FoldWeeksInto(nil) }
+
+// FoldWeeksInto is FoldWeeks writing the folded week into dst's backing
+// array when its capacity holds one week of slots (a new array otherwise).
+// dst must not overlap the series' values.
+func (s Series) FoldWeeksInto(dst []float64) (Series, error) {
 	if s.Step <= 0 {
 		return Series{}, ErrStepInvalid
 	}
@@ -454,25 +459,25 @@ func (s Series) FoldWeeks() (Series, error) {
 	if weekLen == 0 || len(s.Values) < weekLen {
 		return Series{}, fmt.Errorf("timeseries: FoldWeeks needs ≥1 week of data (%d < %d readings)", len(s.Values), weekLen)
 	}
-	sumsBuf := getScratchF64(weekLen)
-	defer putScratchF64(sumsBuf)
-	sums := *sumsBuf
-	countsBuf := getScratchInt(weekLen)
-	defer putScratchInt(countsBuf)
-	counts := *countsBuf
-	for i := range sums {
-		sums[i], counts[i] = 0, 0
+	if cap(dst) < weekLen {
+		dst = make([]float64, weekLen)
 	}
+	sums := dst[:weekLen]
+	clear(sums)
 	for i, v := range s.Values {
-		slot := i % weekLen
-		sums[slot] += v
-		counts[slot]++
+		sums[i%weekLen] += v
 	}
-	out := Zeros(s.Start, s.Step, weekLen)
+	// Slot i of the week is covered once per whole week, and once more when
+	// the trailing partial week reaches it.
+	whole, partial := len(s.Values)/weekLen, len(s.Values)%weekLen
 	for i := range sums {
-		out.Values[i] = sums[i] / float64(counts[i])
+		n := whole
+		if i < partial {
+			n++
+		}
+		sums[i] /= float64(n)
 	}
-	return out, nil
+	return Series{Start: s.Start, Step: s.Step, Values: sums}, nil
 }
 
 // NormalizeTo returns the series scaled so its peak equals the given value.

@@ -264,6 +264,41 @@ func TestFoldWeeksPartialTail(t *testing.T) {
 	}
 }
 
+// TestFoldWeeksMatchesCountingFold pins FoldWeeks to the fold that counts
+// each slot's contributions as it sums them, bit for bit, over whole and
+// partial trailing weeks and signed zeros.
+func TestFoldWeeksMatchesCountingFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	weekLen := 7 * 24
+	for _, n := range []int{weekLen, weekLen + 1, 2*weekLen - 1, 2 * weekLen, 3*weekLen + 17} {
+		vals := make([]float64, n)
+		for i := range vals {
+			switch rng.Intn(10) {
+			case 0:
+				vals[i] = math.Copysign(0, -1)
+			case 1:
+				vals[i] = 0
+			default:
+				vals[i] = rng.Float64() * 300
+			}
+		}
+		sums, counts := make([]float64, weekLen), make([]int, weekLen)
+		for i, v := range vals {
+			sums[i%weekLen] += v
+			counts[i%weekLen]++
+		}
+		folded, err := New(t0, time.Hour, vals).FoldWeeks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sums {
+			if want := sums[i] / float64(counts[i]); math.Float64bits(folded.Values[i]) != math.Float64bits(want) {
+				t.Fatalf("%d readings: slot %d = %v, want %v", n, i, folded.Values[i], want)
+			}
+		}
+	}
+}
+
 func TestNormalizeTo(t *testing.T) {
 	s := mk(1, 2, 4)
 	n := s.NormalizeTo(1)

@@ -1,37 +1,60 @@
 package tracestore
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/timeseries"
 )
 
+// appendRetentions are the ring sizes the Append benchmarks run at: one day
+// and the store's default retention, both at the paper's 1-minute step.
+var appendRetentions = []struct {
+	name      string
+	retention time.Duration
+}{
+	{"1440_slots", 24 * time.Hour},
+	{"default_retention", 0},
+}
+
 func BenchmarkAppend(b *testing.B) {
-	st := New(Config{Step: time.Minute, Retention: 24 * time.Hour})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := t0.Add(time.Duration(i%1440) * time.Minute)
-		if err := st.Append("bench", at, float64(i%300)); err != nil {
-			b.Fatal(err)
-		}
+	for _, rc := range appendRetentions {
+		b.Run(rc.name, func(b *testing.B) {
+			st := New(Config{Step: time.Minute, Retention: rc.retention})
+			slots := int(st.Retention() / time.Minute)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := t0.Add(time.Duration(i%slots) * time.Minute)
+				if err := st.Append("bench", at, float64(i%300)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkAppendSteadyState appends to a full ring, so every reading opens
 // a new slot and drops the oldest one.
 func BenchmarkAppendSteadyState(b *testing.B) {
-	st := New(Config{Step: time.Minute, Retention: 24 * time.Hour})
-	for i := 0; i < 1440; i++ {
-		if err := st.Append("bench", t0.Add(time.Duration(i)*time.Minute), float64(i%300)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Append("bench", t0.Add(time.Duration(1440+i)*time.Minute), float64(i%300)); err != nil {
-			b.Fatal(err)
-		}
+	for _, rc := range appendRetentions {
+		b.Run(rc.name, func(b *testing.B) {
+			st := New(Config{Step: time.Minute, Retention: rc.retention})
+			slots := int(st.Retention() / time.Minute)
+			for i := 0; i < slots; i++ {
+				if err := st.Append("bench", t0.Add(time.Duration(i)*time.Minute), float64(i%300)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Append("bench", t0.Add(time.Duration(slots+i)*time.Minute), float64(i%300)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -86,4 +109,43 @@ func BenchmarkAveragedITraceQuality(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotQualityBatch reads 2,000 one-week windows at the
+// end-to-end benchmark's shape as one batch, at the default worker count and
+// at one worker, against 2,000 SnapshotQuality calls.
+func BenchmarkSnapshotQualityBatch(b *testing.B) {
+	st := New(Config{Step: 30 * time.Minute, RejectImpulses: true})
+	ids := make([]string, 2000)
+	for k := range ids {
+		ids[k] = fmt.Sprintf("i%04d", k)
+		for i := 0; i < 3*336; i++ {
+			if err := st.Append(ids[k], t0.Add(time.Duration(i)*30*time.Minute), 200+float64((i+k)%48)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	end := t0.Add(3 * 7 * 24 * time.Hour)
+	from := end.Add(-7 * 24 * time.Hour)
+	visit := func(int, timeseries.Series, Quality) {}
+	for _, workers := range []int{0, 1} {
+		b.Run(fmt.Sprintf("batch_workers_%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.SnapshotQualityBatch(ids, from, end, workers, visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("single_reads", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, id := range ids {
+				if _, _, err := st.SnapshotQuality(id, from, end); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

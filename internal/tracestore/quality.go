@@ -1,10 +1,13 @@
 package tracestore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/timeseries"
 )
 
@@ -102,53 +105,193 @@ func (q Quality) grade(window time.Duration) Grade {
 // An unknown instance is still an error — the caller asked about an
 // instance the store has never heard of.
 func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	w, err := s.snapshotWindow(from, to)
+	if err != nil {
+		return timeseries.Series{}, Quality{}, err
+	}
+	return s.readOne(id, w)
+}
+
+// AveragedITraceQuality is AveragedITrace tagged with the quality of the
+// raw readings over the folded span. Like SnapshotQuality it reports an
+// empty span as GradeNoData instead of an error.
+func (s *Store) AveragedITraceQuality(id string, weekEnd time.Time, weeks int) (timeseries.Series, Quality, error) {
+	w, err := s.trainingWindow(weekEnd, weeks)
+	if err != nil {
+		return timeseries.Series{}, Quality{}, err
+	}
+	return s.readOne(id, w)
+}
+
+// SnapshotQualityBatch is SnapshotQuality for every id over one window,
+// read under one read lock into one slab on at most workers goroutines
+// (parallel.Workers resolves 0). It calls visit(i, trace, quality) for each
+// index from the goroutine that read it, still under the read lock, so
+// visit must confine its writes to index i and must not call the store;
+// the traces share the slab. An unknown id grades no-data instead of
+// failing. Any other failure stops the batch: it returns the lowest failing
+// index and that index's SnapshotQuality error.
+func (s *Store) SnapshotQualityBatch(ids []string, from, to time.Time, workers int, visit func(i int, tr timeseries.Series, q Quality)) (int, error) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	w, err := s.snapshotWindow(from, to)
+	if err != nil {
+		return 0, err
+	}
+	return s.readBatch(ids, w, workers, visit)
+}
+
+// AveragedITraceQualityBatch is AveragedITraceQuality for every id, read
+// like SnapshotQualityBatch.
+func (s *Store) AveragedITraceQualityBatch(ids []string, weekEnd time.Time, weeks, workers int, visit func(i int, tr timeseries.Series, q Quality)) (int, error) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	w, err := s.trainingWindow(weekEnd, weeks)
+	if err != nil {
+		return 0, err
+	}
+	return s.readBatch(ids, w, workers, visit)
+}
+
+// window is a read's span on the step grid: n slots from from, the grid
+// slot at or before the requested start. A training window is folded onto
+// one week after repair.
+type window struct {
+	from, to time.Time
+	n        int
+	fold     bool
+}
+
+func (s *Store) snapshotWindow(from, to time.Time) (window, error) {
 	step := s.cfg.step()
 	from = from.Truncate(step)
 	n := int(to.Sub(from) / step)
 	if n <= 0 {
-		return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: empty window [%v, %v)", from, to)
+		return window{}, fmt.Errorf("tracestore: empty window [%v, %v)", from, to)
 	}
-	window := time.Duration(n) * step
+	return window{from: from, to: to, n: n}, nil
+}
 
+func (s *Store) trainingWindow(weekEnd time.Time, weeks int) (window, error) {
+	if weeks < 1 {
+		return window{}, errWeeks
+	}
+	span := time.Duration(weeks) * 7 * 24 * time.Hour
+	w, err := s.snapshotWindow(weekEnd.Add(-span), weekEnd)
+	w.fold = true
+	return w, err
+}
+
+// slots is the length of the trace a read of w returns: the window's, or
+// one week's when it is folded.
+func (w window) slots(step time.Duration) int {
+	if !w.fold {
+		return w.n
+	}
+	return int(7 * 24 * time.Hour / step)
+}
+
+// readOne is the batch of one: the read kernel under the read lock, with
+// its own buffers and no goroutine.
+func (s *Store) readOne(id string, w window) (timeseries.Series, Quality, error) {
+	var raw []float64
+	if w.fold {
+		raw = make([]float64, w.n)
+	}
 	s.mu.RLock()
-	r := s.instances[id]
+	defer s.mu.RUnlock()
+	return s.read(s.instances[id], id, w, raw, make([]float64, w.slots(s.cfg.step())))
+}
+
+// readBatch resolves every id's ring under one read lock and runs the read
+// kernel over them on contiguous runs of indices, one run per worker, each
+// with its own raw-window scratch. Every trace is written into one slab.
+func (s *Store) readBatch(ids []string, w window, workers int, visit func(int, timeseries.Series, Quality)) (int, error) {
+	k := w.slots(s.cfg.step())
+	slab := make([]float64, len(ids)*k)
+	rings := make([]*ring, len(ids))
+	runs := min(parallel.Workers(workers), len(ids))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, id := range ids {
+		rings[i] = s.instances[id]
+	}
+	err := parallel.ForEach(context.Background(), runs, runs, func(run int) error {
+		var raw []float64
+		if w.fold {
+			raw = make([]float64, w.n)
+		}
+		for i := run * len(ids) / runs; i < (run+1)*len(ids)/runs; i++ {
+			tr, q, err := s.read(rings[i], ids[i], w, raw, slab[i*k:(i+1)*k:(i+1)*k])
+			if errors.Is(err, ErrUnknownInstance) {
+				tr, q, err = timeseries.Series{}, Quality{Grade: GradeNoData}, nil
+			}
+			if err != nil {
+				return batchError{i, err}
+			}
+			visit(i, tr, q)
+		}
+		return nil
+	})
+	if err != nil {
+		be := err.(batchError)
+		return be.index, be.err
+	}
+	return 0, nil
+}
+
+// batchError carries a batch read's failing index out of parallel.ForEach,
+// which returns the error of the lowest failing run, whose first failure is
+// the batch's lowest failing index.
+type batchError struct {
+	index int
+	err   error
+}
+
+func (e batchError) Error() string { return e.err.Error() }
+
+// read is the one read kernel: it copies r's slots over w and counts the
+// readings, grades the window, rejects impulses, repairs gaps and, for a
+// training window, folds the repaired window onto one week. The trace is
+// written into dst (w.slots long); a training read repairs its raw window
+// in raw (w.n long) first. The caller holds s.mu for reading.
+func (s *Store) read(r *ring, id string, w window, raw, dst []float64) (timeseries.Series, Quality, error) {
 	if r == nil {
-		s.mu.RUnlock()
 		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
+	}
+	step := s.cfg.step()
+	vals := dst
+	if w.fold {
+		vals = raw
 	}
 	// Window slot i is ring slot base+i: from and every ring start lie on
 	// the step grid (Append truncates, advance/shiftBack move by whole
 	// slots, Load rejects anything else), so one offset maps the window.
 	// A saturated Sub only ever pushes base further outside the ring.
-	base := int(from.Sub(r.start) / step)
-	vals := make([]float64, n)
+	n := w.n
+	base := int(w.from.Sub(r.start) / step)
 	lo, hi := 0, 0 // window slots [lo, hi) overlap the ring
+	real, lastReal := 0, -1
 	if base > -n && base < len(r.values) {
 		lo, hi = max(0, -base), min(n, len(r.values)-base)
-		copy(vals[lo:hi], r.values[base+lo:base+hi])
-	}
-	s.mu.RUnlock()
-	real, lastReal := 0, -1
-	for i, v := range vals[lo:hi] {
-		if !math.IsNaN(v) {
-			real++
-			lastReal = lo + i
+		var last int
+		if real, last = r.copyCount(vals[lo:hi], base+lo, base+hi); last >= 0 {
+			lastReal = lo + last
 		}
 	}
-	for i := range vals[:lo] {
-		vals[i] = math.NaN()
-	}
-	for i := range vals[hi:] {
-		vals[hi+i] = math.NaN()
-	}
+	fillNaN(vals[:lo])
+	fillNaN(vals[hi:])
 
+	window := time.Duration(n) * step
 	q := Quality{
 		Coverage:             float64(real) / float64(n),
 		InterpolatedFraction: float64(n-real) / float64(n),
 		Staleness:            window,
 	}
 	if lastReal >= 0 {
-		q.Staleness = to.Sub(from.Add(time.Duration(lastReal+1) * step))
+		q.Staleness = w.to.Sub(w.from.Add(time.Duration(lastReal+1) * step))
 	}
 	q.Grade = q.grade(window)
 	if real == 0 {
@@ -156,7 +299,11 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 		return timeseries.Series{}, q, nil
 	}
 	rejected := 0
-	if s.cfg.RejectImpulses {
+	switch {
+	case !s.cfg.RejectImpulses:
+	case real == n:
+		rejected = rejectImpulsesGapFree(vals)
+	default:
 		rejected = rejectImpulses(vals)
 	}
 	// A window with a reading in every slot and none rejected has no gap, so
@@ -166,7 +313,15 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 			return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: instance %q: %w", id, err)
 		}
 	}
-	return timeseries.New(from, step, vals), q, nil
+	tr := timeseries.New(w.from, step, vals)
+	if !w.fold {
+		return tr, q, nil
+	}
+	folded, err := tr.FoldWeeksInto(dst)
+	if err != nil {
+		return timeseries.Series{}, q, err
+	}
+	return folded, q, nil
 }
 
 // rejectImpulses drops single-sample glitches from the raw window before
@@ -219,21 +374,33 @@ func rejectImpulses(vals []float64) int {
 	return len(spiked)
 }
 
-// AveragedITraceQuality is AveragedITrace tagged with the quality of the
-// raw readings over the folded span. Like SnapshotQuality it reports an
-// empty span as GradeNoData instead of an error.
-func (s *Store) AveragedITraceQuality(id string, weekEnd time.Time, weeks int) (timeseries.Series, Quality, error) {
-	if weeks < 1 {
-		return timeseries.Series{}, Quality{}, errWeeks
+// rejectImpulsesGapFree is rejectImpulses on a window with a reading in
+// every slot, whose nearest real neighbours are the adjacent slots. Like
+// the general scan it judges every reading against its neighbours as read,
+// before any rejection, so the two agree in values and count. With no NaN
+// about, v > 2·max(a, b) is v > 2a && v > 2b.
+func rejectImpulsesGapFree(vals []float64) int {
+	n := len(vals)
+	if n < 2 {
+		return 0 // the only reading in the window
 	}
-	span := time.Duration(weeks) * 7 * 24 * time.Hour
-	tr, q, err := s.SnapshotQuality(id, weekEnd.Add(-span), weekEnd)
-	if err != nil || q.Grade == GradeNoData {
-		return timeseries.Series{}, q, err
+	rejected := 0
+	prev := vals[0] // vals[i-1] as read
+	if vals[0] > 2*vals[1] {
+		vals[0] = math.NaN()
+		rejected++
 	}
-	folded, err := tr.FoldWeeks()
-	if err != nil {
-		return timeseries.Series{}, q, err
+	for i := 1; i < n-1; i++ {
+		v := vals[i]
+		if v > 2*prev && v > 2*vals[i+1] {
+			vals[i] = math.NaN()
+			rejected++
+		}
+		prev = v
 	}
-	return folded, q, nil
+	if vals[n-1] > 2*prev {
+		vals[n-1] = math.NaN()
+		rejected++
+	}
+	return rejected
 }

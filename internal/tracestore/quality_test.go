@@ -402,7 +402,7 @@ func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.
 		t := from.Add(time.Duration(i) * step)
 		idx := int(t.Sub(r.start) / step)
 		if idx >= 0 && idx < len(r.values) {
-			vals[i] = r.values[idx]
+			vals[i] = r.values[r.pos(idx)]
 		} else {
 			vals[i] = math.NaN()
 		}
@@ -635,16 +635,24 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 // FuzzSnapshotQuality drives a seeded random ring, as fillRandomRing builds
 // them, and one window chosen by the fuzzer against the per-slot oracle,
 // with the impulse filter on and off. With the filter on, the read must
-// leave no impulse (impulseAt).
+// leave no impulse (impulseAt). The same window is then read as a batch of
+// that ring, a gap-free ring over the same span, a second random ring and an
+// unknown id, which must agree with the single reads and the oracle bit for
+// bit (checkBatchReads).
 func FuzzSnapshotQuality(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0), uint8(16), false, int16(0), uint16(16), int64(0))
 	f.Add(int64(2), uint16(300), uint8(1), uint8(200), true, int16(-5), uint16(60), int64(0))
 	f.Add(int64(3), uint16(3), uint8(2), uint8(8), true, int16(2), uint16(4), int64(1e9))
 	f.Add(int64(4), uint16(500), uint8(1), uint8(48), true, int16(40), uint16(48), int64(7))
+	f.Add(int64(5), uint16(900), uint8(1), uint8(255), true, int16(0), uint16(256), int64(0))
+	f.Add(int64(6), uint16(900), uint8(2), uint8(200), true, int16(10), uint16(168), int64(0))
+	// A gap-free window ending on an impulse.
+	f.Add(int64(55), uint16(329), uint8(0x14), uint8('j'), true, int16(43), uint16(60), int64(38))
 	f.Fuzz(func(t *testing.T, seed int64, ops uint16, stepIdx, slots uint8, reject bool, fromSlot int16, n uint16, offset int64) {
 		step := []time.Duration{time.Minute, 30 * time.Minute, time.Hour}[int(stepIdx)%3]
 		st := New(Config{Step: step, Retention: time.Duration(1+int(slots)) * step, RejectImpulses: reject})
-		fillRandomRing(t, rand.New(rand.NewSource(seed)), st, "a", qEpoch, 1+int(ops)%2000)
+		rng := rand.New(rand.NewSource(seed))
+		fillRandomRing(t, rng, st, "a", qEpoch, 1+int(ops)%2000)
 		st.mu.RLock()
 		start := st.instances["a"].start
 		st.mu.RUnlock()
@@ -663,6 +671,11 @@ func FuzzSnapshotQuality(f *testing.F) {
 		if i := impulseAt(tr.Values); reject && i >= 0 {
 			t.Fatalf("%s: impulse left at slot %d: %v", label, i, tr.Values)
 		}
+
+		fillGapFreeRing(t, rng, st, "gap-free", start, 1+int(slots))
+		fillRandomRing(t, rng, st, "b", start, 1+int(ops)%700)
+		ids := []string{"a", "gap-free", "ghost", "b"}
+		checkBatchReads(t, label, st, ids, from, to, 1+int(n)%2, 1+int(uint64(seed)%4))
 	})
 }
 

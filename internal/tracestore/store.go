@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,13 +81,16 @@ type Store struct {
 	instances map[string]*ring //smoothop:guardedby mu
 }
 
-// ring is a per-instance circular buffer of slot values.
+// ring is a per-instance circular buffer of slot values. Slot i, the
+// reading for start+i*step, lives at values[(head+i) mod len(values)], so
+// opening a new slot moves head instead of the values.
 type ring struct {
-	// start is the timestamp of slot[head].
-	start time.Time
-	// values[i] is the reading for slot start+i*step; NaN marks a gap.
+	// start is the timestamp of slot 0, the oldest.
+	start  time.Time
+	head   int
 	values []float64
-	// filled is the number of slots ever written (bounds reads on young rings).
+	// latest is the newest reading's time; count is the number of slots
+	// holding a reading (NaN marks a gap).
 	latest time.Time
 	count  int
 }
@@ -153,10 +157,11 @@ func (s *Store) Append(id string, at time.Time, watts float64) error {
 		r.advance(idx-slots+1, step)
 		idx = slots - 1
 	}
-	if math.IsNaN(r.values[idx]) {
+	p := &r.values[r.pos(idx)]
+	if math.IsNaN(*p) {
 		r.count++
 	}
-	r.values[idx] = watts
+	*p = watts
 	if at.After(r.latest) {
 		r.latest = at
 	}
@@ -175,39 +180,79 @@ func fillNaN(v []float64) {
 	}
 }
 
-// shiftBack moves the origin back by n < len(values) slots, in place: the n
-// newest slots are dropped and n empty ones open at the start.
+// pos is the index in values of slot i, 0 ≤ i < len(values).
+func (r *ring) pos(i int) int {
+	p := r.head + i
+	if p >= len(r.values) {
+		p -= len(r.values)
+	}
+	return p
+}
+
+// span returns the storage of slots [lo, hi), 0 ≤ lo ≤ hi ≤ len(values),
+// as at most two runs in slot order.
+func (r *ring) span(lo, hi int) (a, b []float64) {
+	n := len(r.values)
+	lo, hi = r.head+lo, r.head+hi
+	switch {
+	case lo >= n:
+		return r.values[lo-n : hi-n], nil
+	case hi <= n:
+		return r.values[lo:hi], nil
+	default:
+		return r.values[lo:], r.values[:hi-n]
+	}
+}
+
+// copyCount copies slots [lo, hi) into dst (hi-lo long) and returns how many hold a
+// reading and the index in dst of the last one (-1 when none).
+func (r *ring) copyCount(dst []float64, lo, hi int) (real, last int) {
+	a, b := r.span(lo, hi)
+	k := copy(dst, a)
+	copy(dst[k:], b)
+	for _, v := range dst {
+		if !math.IsNaN(v) {
+			real++
+		}
+	}
+	last = len(dst) - 1
+	for last >= 0 && math.IsNaN(dst[last]) {
+		last--
+	}
+	return real, last
+}
+
+// empty empties slots [lo, hi), taking their readings out of the count.
+func (r *ring) empty(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if p := &r.values[r.pos(i)]; !math.IsNaN(*p) {
+			r.count--
+			*p = math.NaN()
+		}
+	}
+}
+
+// shiftBack moves the origin back by n < len(values) slots: the n newest
+// slots are emptied and become the n oldest.
 func (r *ring) shiftBack(n int, step time.Duration) {
 	slots := len(r.values)
-	r.drop(r.values[slots-n:])
-	copy(r.values[n:], r.values[:slots-n])
-	fillNaN(r.values[:n])
+	r.empty(slots-n, slots)
+	r.head = r.pos(slots - n)
 	r.start = r.start.Add(-time.Duration(n) * step)
 }
 
-// advance moves the window forward by n slots, in place: the n oldest slots
-// are dropped and n empty ones open at the end.
+// advance moves the window forward by n slots: the n oldest slots are
+// emptied and become the n newest.
 func (r *ring) advance(n int, step time.Duration) {
 	slots := len(r.values)
 	r.start = r.start.Add(time.Duration(n) * step)
 	if n >= slots {
 		fillNaN(r.values)
-		r.count = 0
+		r.head, r.count = 0, 0
 		return
 	}
-	r.drop(r.values[:n])
-	copy(r.values, r.values[n:])
-	fillNaN(r.values[slots-n:])
-}
-
-// drop takes the readings in values, slots about to leave the ring, out of
-// the count.
-func (r *ring) drop(values []float64) {
-	for _, v := range values {
-		if !math.IsNaN(v) {
-			r.count--
-		}
-	}
+	r.empty(0, n)
+	r.head = r.pos(n)
 }
 
 // Coverage returns the fraction of retained slots holding a reading for an
@@ -241,19 +286,6 @@ func (s *Store) Snapshot(id string, from, to time.Time) (timeseries.Series, erro
 		return timeseries.Series{}, fmt.Errorf("tracestore: instance %q: no readings in window", id)
 	}
 	return tr, nil
-}
-
-// SnapshotAll materialises every instance over the window.
-func (s *Store) SnapshotAll(from, to time.Time) (map[string]timeseries.Series, error) {
-	out := make(map[string]timeseries.Series)
-	for _, id := range s.Instances() {
-		tr, err := s.Snapshot(id, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = tr
-	}
-	return out, nil
 }
 
 // interpolate repairs NaN gaps in place.
@@ -337,12 +369,11 @@ func (s *Store) Save(w io.Writer) error {
 		Instances:        make(map[string]instanceDump, len(s.instances)),
 	}
 	for id, r := range s.instances {
-		vals := make([]float64, len(r.values))
-		for i, v := range r.values {
+		a, b := r.span(0, len(r.values))
+		vals := slices.Concat(a, b)
+		for i, v := range vals {
 			if math.IsNaN(v) {
 				vals[i] = -1
-			} else {
-				vals[i] = v
 			}
 		}
 		cp.Instances[id] = instanceDump{

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
 
@@ -195,8 +197,8 @@ func TestLateReadingKeepsNewest(t *testing.T) {
 }
 
 // TestAppendSteadyStateInPlace pins ingest into a full ring: each new slot
-// shifts the ring in place without allocating, drops exactly the readings
-// that fall out of it from the count, and keeps every retained reading.
+// opens in place without allocating, drops exactly the readings that fall
+// out of it from the count, and keeps every retained reading.
 func TestAppendSteadyStateInPlace(t *testing.T) {
 	st := New(Config{Step: time.Minute, Retention: 10 * time.Minute})
 	for i := 0; i < 10; i++ {
@@ -215,7 +217,7 @@ func TestAppendSteadyStateInPlace(t *testing.T) {
 	must(t, st.Append("a", t0.Add(time.Duration(next+2)*time.Minute), float64(next+2)))
 	st.mu.RLock()
 	r := st.instances["a"]
-	count, start, vals := r.count, r.start, append([]float64(nil), r.values...)
+	count, start, vals := r.count, r.start, r.slotValues()
 	st.mu.RUnlock()
 	if want := t0.Add(time.Duration(next-7) * time.Minute); !start.Equal(want) || count != 8 {
 		t.Fatalf("ring starts %v holding %d readings, want %v and 8", start, count, want)
@@ -309,12 +311,15 @@ func TestIngestSeriesAndPipelineIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := st.SnapshotAll(t0, t0.Add(7*24*time.Hour))
-	if err != nil {
+	ids := st.Instances()
+	all := make([]timeseries.Series, len(ids))
+	if _, err := st.SnapshotQualityBatch(ids, t0, t0.Add(7*24*time.Hour), 0, func(i int, tr timeseries.Series, _ Quality) {
+		all[i] = tr
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, inst := range fleet.Instances {
-		got := all[inst.ID]
+		got := all[slices.Index(ids, inst.ID)]
 		if got.Len() != inst.Trace.Len() {
 			t.Fatalf("%s: len %d vs %d", inst.ID, got.Len(), inst.Trace.Len())
 		}
@@ -352,13 +357,44 @@ func TestConcurrentAppendAndSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSnapshotAllPropagatesErrors(t *testing.T) {
-	st := New(Config{Step: time.Minute})
-	must(t, st.Append("a", t0, 1))
-	must(t, st.Append("b", t0.Add(2*time.Hour), 1))
-	// Window covers a's readings but not b's.
-	if _, err := st.SnapshotAll(t0, t0.Add(time.Minute)); err == nil {
-		t.Fatal("instance with no readings in window must fail SnapshotAll")
+// TestSnapshotQualityBatchErrors pins the batch read's error rule at any
+// worker count: an unknown instance grades no-data, a window error fails
+// index 0, and a per-instance failure comes back from the lowest failing
+// index with the single read's text.
+func TestSnapshotQualityBatchErrors(t *testing.T) {
+	// A two-week step leaves no whole week to fold, so every instance with a
+	// reading in the training window fails the fold; one without grades
+	// no-data.
+	st := New(Config{Step: 14 * 24 * time.Hour, Retention: 8 * 7 * 24 * time.Hour})
+	end := t0.Add(8 * 7 * 24 * time.Hour)
+	must(t, st.Append("dark", t0, 1))
+	for _, id := range []string{"b", "c"} {
+		must(t, st.Append(id, end.Add(-2*7*24*time.Hour), 1))
+	}
+	_, _, want := st.AveragedITraceQuality("b", end, 4)
+	if want == nil {
+		t.Fatal("the fold of a two-week step must fail")
+	}
+	ids := []string{"ghost", "dark", "c", "b"}
+	for _, workers := range []int{1, 2, 8} {
+		got := make([]Quality, len(ids))
+		i, err := st.AveragedITraceQualityBatch(ids, end, 4, workers, func(i int, _ timeseries.Series, q Quality) { got[i] = q })
+		if i != 2 || err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers %d: failure at %d: %v, want at 2: %v", workers, i, err, want)
+		}
+		if got[0] != (Quality{Grade: GradeNoData}) || got[1].Grade != GradeNoData {
+			t.Fatalf("workers %d: qualities %+v, want no-data for the unknown and the dark instance", workers, got[:2])
+		}
+		if _, err := st.SnapshotQualityBatch(ids, end, end, workers, func(int, timeseries.Series, Quality) {}); err == nil ||
+			!strings.Contains(err.Error(), "empty window") {
+			t.Fatalf("workers %d: empty window: %v", workers, err)
+		}
+		if _, err := st.AveragedITraceQualityBatch(ids, end, 0, workers, func(int, timeseries.Series, Quality) {}); !errors.Is(err, errWeeks) {
+			t.Fatalf("workers %d: zero weeks: %v", workers, err)
+		}
+	}
+	if i, err := st.SnapshotQualityBatch(nil, end, end, 1, nil); i != 0 || err != nil {
+		t.Fatalf("empty batch: %d %v", i, err)
 	}
 }
 
@@ -469,4 +505,10 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
 		}
 	}
+}
+
+// slotValues returns a copy of the ring's slots in time order.
+func (r *ring) slotValues() []float64 {
+	a, b := r.span(0, len(r.values))
+	return slices.Concat(a, b)
 }

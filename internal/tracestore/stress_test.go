@@ -72,10 +72,17 @@ func TestConcurrentWritersAndPipelineReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				snap, err := st.SnapshotAll(t0, t0.Add(30*time.Minute))
-				if err != nil {
+				ids := st.Instances()
+				traces := make([]timeseries.Series, len(ids))
+				if _, err := st.SnapshotQualityBatch(ids, t0, t0.Add(30*time.Minute), 4, func(i int, tr timeseries.Series, _ Quality) {
+					traces[i] = tr
+				}); err != nil {
 					t.Error(err)
 					return
+				}
+				snap := make(map[string]timeseries.Series, len(ids))
+				for i, id := range ids {
+					snap[id] = traces[i]
 				}
 				fn := powertree.PowerFn(func(id string) (timeseries.Series, bool) {
 					s, ok := snap[id]
