@@ -106,11 +106,11 @@ func run(dc string, scale int, step time.Duration, seed int64, topB, workers int
 	fmt.Printf("  workload-aware: mean %.3f  min %.3f\n", meanOf(pr.OptimizedLeafScores), minOf(pr.OptimizedLeafScores))
 
 	testFn := powertree.PowerFn(workload.SubPowerFn(pr.TestTraces))
-	extra, err := metrics.ExtraServers(pr.OptimizedTree, testFn, 310)
+	extra, err := metrics.ExtraServers(pr.OptimizedAggs, 310)
 	if err != nil {
 		return err
 	}
-	extraBase, err := metrics.ExtraServers(pr.BaselineTree, testFn, 310)
+	extraBase, err := metrics.ExtraServers(pr.BaselineAggs, 310)
 	if err != nil {
 		return err
 	}

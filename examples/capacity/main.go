@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, optimized := res.BaselineTree, res.OptimizedTree
+	baseline := res.BaselineTree
 	testFn := powertree.PowerFn(workload.SubPowerFn(res.TestTraces))
 
 	// Normalizer: StatProf(0,0) at each level.
@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		so, err := statprof.SmoothOperator(optimized, testFn, c)
+		so, err := statprof.SmoothOperator(res.OptimizedAggs, c)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,33 +55,31 @@ func main() {
 	}
 
 	fmt.Printf("placement study — %s, %d instances\n\n", cfg.Name, len(instances))
+	// One aggregation of each placed tree over the test week serves every
+	// report below.
 	var trees []*powertree.Node
+	var ledgers []*powertree.Aggregates
 	for _, p := range placers {
 		tr := tree.Clone()
 		if err := p.placer.Place(tr, instances, trainFn); err != nil {
 			log.Fatal(err)
 		}
-		trees = append(trees, tr)
-		sum, err := tr.SumOfPeaks(powertree.RPP, testFn)
+		aggs, err := tr.AggregateAll(testFn)
 		if err != nil {
 			log.Fatal(err)
 		}
-		extra, err := metrics.ExtraServers(tr, testFn, 310)
+		trees, ledgers = append(trees, tr), append(ledgers, aggs)
+		extra, err := metrics.ExtraServers(aggs, 310)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-24s sum of leaf peaks %10.0f  extra 310W servers %d\n", p.name, sum, extra)
+		fmt.Printf("  %-24s sum of leaf peaks %10.0f  extra 310W servers %d\n", p.name, aggs.SumOfPeaks(powertree.RPP), extra)
 	}
 
 	// Fig. 9 style: children of the first MSB before/after.
-	before, after := trees[0], trees[2]
-	msb := before.NodesAtLevel(powertree.MSB)[0]
+	msb := trees[0].NodesAtLevel(powertree.MSB)[0]
 	fmt.Printf("\nchildren of %s (peak / swing):\n", msb.Name)
-	show := func(label string, n *powertree.Node) {
-		aggs, err := n.AggregateAll(testFn)
-		if err != nil {
-			log.Fatal(err)
-		}
+	show := func(label string, n *powertree.Node, aggs *powertree.Aggregates) {
 		for i, c := range n.Children {
 			agg, _ := aggs.Trace(c)
 			if agg.Empty() {
@@ -97,16 +95,12 @@ func main() {
 				label, i+1, agg.Peak(), swing)
 		}
 	}
-	show("oblivious", msb)
-	show("smoothop", after.Find(msb.Name))
+	show("oblivious", msb, ledgers[0])
+	show("smoothop", trees[2].Find(msb.Name), ledgers[2])
 
 	// Per-level reduction (Fig. 10 for this DC).
-	reports, err := metrics.PeakReduction(before, after, testFn)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\npeak reduction vs oblivious:")
-	for _, rep := range reports {
+	for _, rep := range metrics.PeakReduction(ledgers[0], ledgers[2]) {
 		fmt.Printf("  %-6s %6.2f%%\n", rep.Level, rep.ReductionPct)
 	}
 }

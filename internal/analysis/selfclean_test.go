@@ -129,24 +129,28 @@ func TestIsPipelinePackage(t *testing.T) {
 }
 
 // keptUncalled lists the exported package-level identifiers under
-// repro/internal/ that no non-test code references but that stay, each with
-// the reason it stays. Everything else without a caller is deleted.
+// repro/internal/ that no non-test code outside repro/bench/ references but
+// that stay, each with the reason it stays. Everything else without a
+// caller is deleted.
 var keptUncalled = map[string]string{
-	"repro/internal/placement.Verify":    "test oracle shared by the placement and core tests: the tree hosts exactly the given instances, each once",
-	"repro/internal/score.Vector":        "test oracle: the one-shot I-to-S vector that Basis.Vector and Vectors must match",
-	"repro/internal/timeseries.Constant": "test fixture shared by the timeseries, score, sim and workload tests",
-	"repro/internal/timeseries.ReadCSV":  "round-trip oracle for WriteCSV, which tracegen and smoothop write",
-	"repro/internal/forecast.Evaluate":   "judges the live NextWeek in the forecast-beats-average test",
-	"repro/internal/tracestore.Load":     "reads what the public TraceStore.Save writes; model-based differential testing rebuilds a runtime from it",
-	"repro/internal/analysis.LoadSource": "the analyzer fixture loader: every analyzer test type-checks its fixture through it",
+	"repro/internal/placement.Verify":                "test oracle shared by the placement and core tests: the tree hosts exactly the given instances, each once",
+	"repro/internal/score.Vector":                    "test oracle: the one-shot I-to-S vector that Basis.Vector and Vectors must match",
+	"repro/internal/timeseries.Constant":             "test fixture shared by the timeseries, score, sim and workload tests",
+	"repro/internal/timeseries.ReadCSV":              "round-trip oracle for WriteCSV, which tracegen and smoothop write",
+	"repro/internal/forecast.Evaluate":               "judges the live NextWeek in the forecast-beats-average test",
+	"repro/internal/tracestore.Load":                 "reads what the public TraceStore.Save writes; model-based differential testing rebuilds a runtime from it",
+	"repro/internal/analysis.LoadSource":             "the analyzer fixture loader: every analyzer test type-checks its fixture through it",
+	"repro/internal/score.Differential":              "only bench/ calls it (the admission layer's scoring cost); deleting it or giving it a program caller waits for a benchmark change",
+	"repro/internal/metrics.MultiFragmentationRates": "only bench/ calls it (its fragmentation oracle); deleting it or giving it a program caller waits for a benchmark change",
 }
 
 // TestInternalAPIHasCallers keeps uncalled internal API deleted: every
 // exported package-level func, type and var under repro/internal/ must be
-// referenced from non-test code somewhere in the module (an internal package
-// has no callers outside it), or be listed in keptUncalled with a reason. A
-// reference from inside the identifier's own declaration — a recursive call,
-// a type named in its own methods — does not count. Methods are not checked:
+// referenced from non-test code somewhere in the module outside repro/bench/
+// (an internal package has no callers outside it), or be listed in
+// keptUncalled with a reason. A reference from inside the identifier's own
+// declaration — a recursive call, a type named in its own methods — does
+// not count. Methods are not checked:
 // interfaces call them without naming them, and the methods of every type
 // the root facade re-exports or hands out (Series, TraceStore, PowerNode and
 // its Aggregates, Runtime and its plan.Snapshot, sim.Result, Fleet, Profile)
@@ -155,6 +159,9 @@ func TestInternalAPIHasCallers(t *testing.T) {
 	pkgs := loadRepo(t)
 	used := make(map[types.Object]bool)
 	for _, pkg := range pkgs {
+		if isBench(pkg) {
+			continue
+		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				self := declaredBy(pkg, decl)
@@ -206,6 +213,14 @@ func TestInternalAPIHasCallers(t *testing.T) {
 	}
 }
 
+// isBench reports whether pkg belongs to the benchmark harness under
+// repro/bench/. Its calls and writes do not count as the program's: the
+// benchmark drives the program's layers to time them, so code only it
+// reaches has no program caller.
+func isBench(pkg *analysis.Package) bool {
+	return strings.HasPrefix(pkg.Path, "repro/bench/")
+}
+
 // declaredBy returns the package-level objects decl declares; a method
 // declaration belongs to its receiver's base type.
 func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
@@ -241,26 +256,32 @@ func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
 }
 
 // keptUnset lists the exported option fields under repro/internal/ that
-// non-test code reads but never sets and that stay, each with the reason it
-// stays. Every other such field is a switch no program moves: fold it into a
+// non-test code reads but never sets outside repro/bench/ and that stay,
+// each with the reason it stays. Every other such field is a switch no program moves: fold it into a
 // constant beside its one use.
 var keptUnset = map[string]string{
 	"repro/internal/core.Config.ClustersPerChild":  "the paper's h/q (§3.5): the perturbation the h/q sensitivity gate must catch",
 	"repro/internal/placement.PolicyConfig.Custom": "the seam through which the online, ledger and policy tests substitute instrumented policies",
+	"repro/internal/placement.RemapConfig.Policy":  "only bench/ sets it (the remap layer under a workload's policy); deleting it or giving it a program setter waits for a benchmark change",
+	"repro/internal/core.RuntimeConfig.Placement":  "only bench/ sets it (each workload's admission policy); deleting it or giving it a program setter waits for a benchmark change",
 }
 
 // TestOptionsHaveSetters keeps unset options deleted: every exported,
 // non-embedded field of an exported struct under repro/internal/ that
-// non-test code reads must also be written by non-test code, or be listed in
-// keptUnset with a reason. A read is a field selector that is not a write
-// target. A write is a key in a keyed composite literal, an unkeyed literal
-// of the struct, the target of an assignment or ++/--, or the operand of &.
-// Fields with a json tag are exempt: decoders write them.
+// non-test code reads must also be written by non-test code outside
+// repro/bench/, or be listed in keptUnset with a reason. A read is a field
+// selector that is not a write target. A write is a key in a keyed
+// composite literal, an unkeyed literal of the struct, the target of an
+// assignment or ++/--, or the operand of &. Fields with a json tag are
+// exempt: decoders write them.
 func TestOptionsHaveSetters(t *testing.T) {
 	pkgs := loadRepo(t)
 	read := make(map[*types.Var]bool)
 	written := make(map[*types.Var]bool)
 	for _, pkg := range pkgs {
+		if isBench(pkg) {
+			continue
+		}
 		for _, f := range pkg.Files {
 			targets := writeTargets(f)
 			ast.Inspect(f, func(n ast.Node) bool {

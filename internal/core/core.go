@@ -126,6 +126,10 @@ type PlacementResult struct {
 	// TestTraces is the held-out test-week trace per instance; all reports
 	// are computed against it.
 	TestTraces map[string]timeseries.Series
+	// BaselineAggs and OptimizedAggs aggregate BaselineTree and
+	// OptimizedTree over TestTraces: every report on the two placements
+	// reads these instead of aggregating the trees again.
+	BaselineAggs, OptimizedAggs *powertree.Aggregates
 	// AveragedITraces is the training embedding input (Eq. 4).
 	AveragedITraces map[string]timeseries.Series
 	// PeakReports is the per-level peak reduction (Fig. 10).
@@ -181,28 +185,34 @@ func (f *Framework) Optimize(fleet *workload.Fleet, tree *powertree.Node) (*Plac
 		return nil, fmt.Errorf("core: workload-aware placement: %w", err)
 	}
 
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
-	reports, err := metrics.PeakReduction(baseTree, optTree, testFn)
+	testFn := workload.SubPowerFn(test)
+	baseAggs, err := baseTree.AggregateAllParallel(testFn, f.cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: aggregating baseline tree: %w", err)
+	}
+	optAggs, err := optTree.AggregateAllParallel(testFn, f.cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregating optimized tree: %w", err)
 	}
 	res := &PlacementResult{
 		BaselineTree:    baseTree,
 		OptimizedTree:   optTree,
 		TestTraces:      test,
+		BaselineAggs:    baseAggs,
+		OptimizedAggs:   optAggs,
 		AveragedITraces: avg,
-		PeakReports:     reports,
+		PeakReports:     metrics.PeakReduction(baseAggs, optAggs),
 	}
-	for _, r := range reports {
+	for _, r := range res.PeakReports {
 		if r.Level == powertree.RPP {
 			res.RPPReductionPct = r.ReductionPct
 		}
 	}
-	res.BaselineLeafScores, err = placement.LevelAsynchrony(baseTree, powertree.RPP, placement.TraceFn(workload.SubPowerFn(test)))
+	res.BaselineLeafScores, err = placement.LevelAsynchronyFrom(baseAggs, powertree.RPP, testFn)
 	if err != nil {
 		return nil, err
 	}
-	res.OptimizedLeafScores, err = placement.LevelAsynchrony(optTree, powertree.RPP, placement.TraceFn(workload.SubPowerFn(test)))
+	res.OptimizedLeafScores, err = placement.LevelAsynchronyFrom(optAggs, powertree.RPP, testFn)
 	if err != nil {
 		return nil, err
 	}

@@ -23,12 +23,12 @@ import (
 // incrementally when drift appears.
 //
 // The runtime degrades gracefully instead of failing when telemetry turns
-// bad: traces are graded (tracestore.Quality), instances whose raw coverage
-// falls below the quarantine floor (minCoverage) are scored from a
-// service-level reference trace instead of their own repaired trace,
-// transient store errors are retried up to ingestRetries times, and breaker
-// violations during injected trip windows escalate into an emergency capping
-// throttle that releases when the trip clears.
+// bad: traces are graded (tracestore.Quality), instances graded poor or
+// no-data are scored from a service-level reference trace instead of their
+// own repaired trace, transient store errors are retried up to
+// ingestRetries times, and breaker violations during injected trip windows
+// escalate into an emergency capping throttle that releases when the trip
+// clears.
 type Runtime struct {
 	fw    *Framework
 	store *tracestore.Store
@@ -121,11 +121,6 @@ var (
 )
 
 const (
-	// minCoverage is the raw-coverage fraction below which an instance is
-	// quarantined and scored from its service's reference trace: the
-	// tracestore GradePoor threshold. An instance whose window has no data,
-	// or never rises above 0 W whatever its coverage, is quarantined too.
-	minCoverage = 0.5
 	// ingestRetries is how many times a transient store failure
 	// (tracestore.ErrTransient) is retried, without waiting, before Ingest
 	// gives up.
@@ -397,10 +392,11 @@ func (r *Runtime) trainingRead(asOf time.Time, trainWeeks int) traceRead {
 }
 
 // quarantines reports whether a trace is unfit to score its instance from:
-// no data, raw coverage below the floor, or a window that never draws power
-// (the asynchrony scores are undefined for a trace whose peak is ≤ 0).
+// graded poor or no-data (raw coverage below half the window), or a window
+// that never draws power (the asynchrony scores are undefined for a trace
+// whose peak is ≤ 0).
 func (r *Runtime) quarantines(tr timeseries.Series, q tracestore.Quality) bool {
-	return q.Grade == tracestore.GradeNoData || q.Coverage < minCoverage || tr.Peak() <= 0
+	return q.Grade >= tracestore.GradePoor || tr.Peak() <= 0
 }
 
 // readTraces is the runtime's one way from telemetry to scoring traces. It

@@ -62,11 +62,11 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 	oblivious, smart := res.BaselineTree, res.OptimizedTree
 
 	// Tight per-leaf budgets: the ideal smooth share of the fleet peak.
-	obAggs, err := setIdealBudgets(oblivious, testFn, budgetMultiplier)
-	if err != nil {
+	obAggs := res.BaselineAggs
+	if err := setIdealBudgets(oblivious, obAggs, budgetMultiplier); err != nil {
 		return nil, err
 	}
-	if _, err := setIdealBudgets(smart, testFn, budgetMultiplier); err != nil {
+	if err := setIdealBudgets(smart, res.OptimizedAggs, budgetMultiplier); err != nil {
 		return nil, err
 	}
 
@@ -103,19 +103,15 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 // setIdealBudgets rebudgets a placed tree so every leaf gets the same
 // multiplier × (fleet peak / leaf count) share and every ancestor the sum
 // of its descendants — the tightest budget a perfectly smooth placement
-// would fit under. It returns the tree's aggregates, which budgets do not
+// would fit under. aggs is the tree's aggregation, which budgets do not
 // change.
-func setIdealBudgets(tree *powertree.Node, power powertree.PowerFn, multiplier float64) (*powertree.Aggregates, error) {
-	aggs, err := tree.AggregateAll(power)
-	if err != nil {
-		return nil, err
-	}
+func setIdealBudgets(tree *powertree.Node, aggs *powertree.Aggregates, multiplier float64) error {
 	rootPeak := aggs.Peak(tree)
 	if len(tree.Leaves()) == 0 || rootPeak <= 0 {
-		return nil, fmt.Errorf("experiments: cannot rebudget empty tree")
+		return fmt.Errorf("experiments: cannot rebudget empty tree")
 	}
 	tightenBudgets(tree, multiplier*rootPeak)
-	return aggs, nil
+	return nil
 }
 
 // FormatESD renders the comparison.
@@ -162,11 +158,10 @@ func ExtensionCapping(name workload.DCName, opt Options, budgetMultiplier float6
 		return nil, err
 	}
 	test := res.TestTraces
-	testFn := powertree.PowerFn(workload.SubPowerFn(test))
 	study := &CappingStudy{DC: name, BudgetMultiplier: budgetMultiplier}
-	eval := func(tree *powertree.Node) (int, float64, error) {
+	eval := func(tree *powertree.Node, aggs *powertree.Aggregates) (int, float64, error) {
 		// Tighten budgets to the ideal smooth share.
-		if _, err := setIdealBudgets(tree, testFn, budgetMultiplier); err != nil {
+		if err := setIdealBudgets(tree, aggs, budgetMultiplier); err != nil {
 			return 0, 0, err
 		}
 		ctrl, err := capping.New(tree, capping.Config{SustainSteps: 2})
@@ -209,11 +204,11 @@ func ExtensionCapping(name workload.DCName, opt Options, budgetMultiplier float6
 		return throttleCount, lcShed, nil
 	}
 
-	study.ObliviousThrottles, study.ObliviousLCShedW, err = eval(res.BaselineTree)
+	study.ObliviousThrottles, study.ObliviousLCShedW, err = eval(res.BaselineTree, res.BaselineAggs)
 	if err != nil {
 		return nil, err
 	}
-	study.SmartThrottles, study.SmartLCShedW, err = eval(res.OptimizedTree)
+	study.SmartThrottles, study.SmartLCShedW, err = eval(res.OptimizedTree, res.OptimizedAggs)
 	if err != nil {
 		return nil, err
 	}

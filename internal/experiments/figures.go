@@ -31,26 +31,15 @@ func Fig9(run *DCRun) (*Fig9Result, error) {
 	if run.Placement == nil {
 		return nil, fmt.Errorf("experiments: run has no placement result")
 	}
-	testFn := powertree.PowerFn(workload.SubPowerFn(run.Placement.TestTraces))
 	beforeNode := run.Placement.BaselineTree.NodesAtLevel(powertree.MSB)[0]
 	afterNode := run.Placement.OptimizedTree.Find(beforeNode.Name)
 	if afterNode == nil {
 		return nil, fmt.Errorf("experiments: node %q missing from optimized tree", beforeNode.Name)
 	}
 	res := &Fig9Result{Node: beforeNode.Name}
-	// One bottom-up pass per placement covers the MSB parent and all its SB
-	// children instead of re-aggregating each subtree separately.
-	afterAggs, err := afterNode.AggregateAll(testFn)
-	if err != nil {
-		return nil, err
-	}
-	parent, ok := afterAggs.Trace(afterNode)
-	if ok {
+	beforeAggs, afterAggs := run.Placement.BaselineAggs, run.Placement.OptimizedAggs
+	if parent, ok := afterAggs.Trace(afterNode); ok {
 		res.Parent = parent
-	}
-	beforeAggs, err := beforeNode.AggregateAll(testFn)
-	if err != nil {
-		return nil, err
 	}
 	collect := func(n *powertree.Node, aggs *powertree.Aggregates) ([]timeseries.Series, float64) {
 		var out []timeseries.Series
@@ -182,7 +171,7 @@ func Fig11(runs []*DCRun) ([]Fig11Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			so, err := statprof.SmoothOperator(run.Placement.OptimizedTree, testFn, cfg)
+			so, err := statprof.SmoothOperator(run.Placement.OptimizedAggs, cfg)
 			if err != nil {
 				return nil, err
 			}

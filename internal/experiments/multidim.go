@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -99,23 +98,6 @@ func multiDimDemands(ids []string, traces placement.TraceFn, users int) map[stri
 	return demands
 }
 
-// setLeafCapacities gives every leaf the same capacity vector and re-derives
-// interior capacities as the per-dimension sum of the children.
-func setLeafCapacities(tree *powertree.Node, caps powertree.ResourceVector) {
-	var derive func(n *powertree.Node)
-	derive = func(n *powertree.Node) {
-		if n.IsLeaf() {
-			n.Capacities = caps.Clone()
-			return
-		}
-		for _, c := range n.Children {
-			derive(c)
-		}
-		n.Capacities = powertree.SumCapacities(n.Children)
-	}
-	derive(tree)
-}
-
 // MultiDimSweep replays one shuffled arrival stream of the datacenter's
 // fleet — each instance carrying a synthetic gpu demand — under the
 // power-only asynchrony policy and under the capacity-aware FARB composite,
@@ -124,7 +106,9 @@ func setLeafCapacities(tree *powertree.Node, caps powertree.ResourceVector) {
 // opt.Workers.
 func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 	opt = opt.withDefaults()
-	run, err := Setup(name, opt)
+	run, err := setup(name, opt, func(cfg *workload.DCConfig) {
+		cfg.Topology.LeafCapacities = powertree.ResourceVector{"gpu": gpuPerLeaf}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -162,36 +146,25 @@ func MultiDimSweep(name workload.DCName, opt Options) ([]MultiDimRow, error) {
 		policy := MultiDimPolicies[pi]
 		tree := run.Tree.Clone()
 		tightenBudgets(tree, capacity*powerSlack)
-		setLeafCapacities(tree, powertree.ResourceVector{"gpu": gpuPerLeaf})
 		o, err := placement.NewOnline(tree, traceFn, configs[policy])
 		if err != nil {
 			return MultiDimRow{}, err
 		}
-		row := MultiDimRow{Policy: policy}
-		for _, id := range order {
-			inst, ok := run.Fleet.Instance(id)
-			if !ok {
-				return MultiDimRow{}, fmt.Errorf("experiments: fleet lost instance %q", id)
-			}
-			if _, err := o.Admit(placement.Instance{ID: inst.ID, Service: inst.Service}); err != nil {
-				if !errors.Is(err, placement.ErrNoCapacity) {
-					return MultiDimRow{}, err
-				}
-				row.Rejected++
-			} else {
-				row.Admitted++
-			}
-		}
-		row.SumLeafPeaks = o.Aggregates().SumOfPeaks(powertree.RPP)
-		// The probe is a half-demand arrival: it fits any leaf hosting at
-		// most one gpu user, so the only leaves it exposes as stranded are
-		// the gpu-overcommitted ones — plenty of power headroom, no gpu.
-		row.StrandedNodes, err = metrics.StrandedNodeCount(tree, powertree.PowerFn(traceFn), demandFn,
-			powertree.RPP, 0, powertree.ResourceVector{"gpu": gpuProbe})
+		t, err := admitStream(run, o, order, nil)
 		if err != nil {
 			return MultiDimRow{}, err
 		}
-		rows, err := metrics.MultiFragmentationRates(tree, powertree.PowerFn(traceFn), demandFn)
+		usage, err := powertree.RollUp(tree, func(id string) (powertree.ResourceVector, error) { return demands[id], nil })
+		if err != nil {
+			return MultiDimRow{}, err
+		}
+		aggs := o.Aggregates()
+		row := MultiDimRow{Policy: policy, Admitted: t.admitted, Rejected: t.rejected, SumLeafPeaks: aggs.SumOfPeaks(powertree.RPP)}
+		// The probe is a half-demand arrival: it fits any leaf hosting at
+		// most one gpu user, so the only leaves it exposes as stranded are
+		// the gpu-overcommitted ones — plenty of power headroom, no gpu.
+		row.StrandedNodes = metrics.StrandedNodeCount(aggs, usage, powertree.RPP, 0, powertree.ResourceVector{"gpu": gpuProbe})
+		rows, err := metrics.MultiFragmentationRatesFrom(tree, aggs, usage.Of)
 		if err != nil {
 			return MultiDimRow{}, err
 		}

@@ -48,16 +48,6 @@ type FragRow struct {
 	SBFragPct float64
 }
 
-// fragPolicy maps a named online policy onto the redesigned PolicyConfig;
-// the placer instantiates a fresh policy (and decision stream) per pass.
-func fragPolicy(name string, seed int64) (placement.PolicyConfig, error) {
-	switch placement.PolicyKind(name) {
-	case placement.PolicyRandom, placement.PolicyBestFit, placement.PolicyAsynchrony, placement.PolicyFARB:
-		return placement.PolicyConfig{Kind: placement.PolicyKind(name), Seed: seed}, nil
-	}
-	return placement.PolicyConfig{}, fmt.Errorf("experiments: unknown online policy %q", name)
-}
-
 // tightenBudgets rewrites the tree's breaker budgets so each leaf holds an
 // equal share of the target capacity and every interior budget is the exact
 // sum of its children (the sizing the fragmentation metric's stranded-watts
@@ -106,6 +96,37 @@ func arrivals(run *DCRun, opt Options) (order []string, traceFn placement.TraceF
 	return order, traceFn, capacity, nil
 }
 
+// tally counts a replayed stream's arrivals by admission outcome.
+type tally struct{ admitted, rejected int }
+
+// admitStream replays an arrival stream through o in order: each arrival is
+// admitted as its fleet instance, an ErrNoCapacity refusal counts as a
+// rejection, and any other error ends the replay. after, when non-nil, sees
+// each arrival with the tally so far and ends the replay by returning true.
+func admitStream(run *DCRun, o *placement.Online, order []string, after func(id string, t tally) (bool, error)) (tally, error) {
+	var t tally
+	for _, id := range order {
+		inst, ok := run.Fleet.Instance(id)
+		if !ok {
+			return t, fmt.Errorf("experiments: fleet lost instance %q", id)
+		}
+		switch _, err := o.Admit(placement.Instance{ID: inst.ID, Service: inst.Service}); {
+		case err == nil:
+			t.admitted++
+		case errors.Is(err, placement.ErrNoCapacity):
+			t.rejected++
+		default:
+			return t, err
+		}
+		if after != nil {
+			if stop, err := after(id, t); stop || err != nil {
+				return t, err
+			}
+		}
+	}
+	return t, nil
+}
+
 // FragSweep replays one shuffled arrival stream of the datacenter's fleet
 // under each online policy and reports the power-fragmentation rate at every
 // arrived-load threshold in loads (percent of capacity; nil means 10–100 in
@@ -131,30 +152,25 @@ func FragSweep(name workload.DCName, opt Options, loads []int) ([]FragRow, error
 	}
 
 	perPolicy, err := parallel.Map(context.Background(), len(FragPolicies), opt.Workers, func(pi int) ([]FragRow, error) {
-		policy, err := fragPolicy(FragPolicies[pi], opt.Seed)
-		if err != nil {
-			return nil, err
-		}
 		tree := run.Tree.Clone()
 		tightenBudgets(tree, capacity)
-		o, err := placement.NewOnline(tree, traceFn, policy)
+		o, err := placement.NewOnline(tree, traceFn, placement.PolicyConfig{Kind: placement.PolicyKind(FragPolicies[pi]), Seed: opt.Seed})
 		if err != nil {
 			return nil, err
 		}
 		var (
-			rows               []FragRow
-			arrived            float64
-			admitted, rejected int
-			next               int
+			rows    []FragRow
+			arrived float64
+			next    int
 		)
-		sample := func(pct int) error {
+		sample := func(pct int, t tally) error {
 			fr, err := metrics.FragmentationRatesFrom(tree, o.Aggregates())
 			if err != nil {
 				return err
 			}
 			row := FragRow{
 				Policy: FragPolicies[pi], LoadPct: pct, ArrivedW: arrived,
-				Admitted: admitted, Rejected: rejected,
+				Admitted: t.admitted, Rejected: t.rejected,
 			}
 			for _, r := range fr {
 				switch r.Level {
@@ -167,36 +183,24 @@ func FragSweep(name workload.DCName, opt Options, loads []int) ([]FragRow, error
 			rows = append(rows, row)
 			return nil
 		}
-		for _, id := range order {
-			if next >= len(loads) {
-				break
-			}
-			inst, ok := run.Fleet.Instance(id)
-			if !ok {
-				return nil, fmt.Errorf("experiments: fleet lost instance %q", id)
-			}
+		final, err := admitStream(run, o, order, func(id string, t tally) (bool, error) {
 			tr, _ := traceFn(id)
 			arrived += tr.Peak()
-			if _, err := o.Admit(placement.Instance{ID: inst.ID, Service: inst.Service}); err != nil {
-				if !errors.Is(err, placement.ErrNoCapacity) {
-					return nil, err
+			for ; next < len(loads) && arrived >= float64(loads[next])/100*capacity; next++ {
+				if err := sample(loads[next], t); err != nil {
+					return true, err
 				}
-				rejected++
-			} else {
-				admitted++
 			}
-			for next < len(loads) && arrived >= float64(loads[next])/100*capacity {
-				if err := sample(loads[next]); err != nil {
-					return nil, err
-				}
-				next++
-			}
+			return next == len(loads), nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Float folding of the shuffled stream can land a hair under the
 		// final threshold; the stream is exhausted, so the remaining
 		// thresholds see the final state.
 		for ; next < len(loads); next++ {
-			if err := sample(loads[next]); err != nil {
+			if err := sample(loads[next], final); err != nil {
 				return nil, err
 			}
 		}

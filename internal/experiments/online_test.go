@@ -85,9 +85,6 @@ func TestFragSweepValidation(t *testing.T) {
 	if _, err := FragSweep("DC9", fastOpt(), nil); err == nil {
 		t.Fatal("unknown DC must error")
 	}
-	if _, err := fragPolicy("worst-fit", 1); err == nil {
-		t.Fatal("unknown policy must error")
-	}
 }
 
 // TestFormatFragSweep pins the rendering contract: one block per policy in

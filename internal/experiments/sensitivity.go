@@ -134,11 +134,7 @@ func ExtensionRouting(name workload.DCName, opt Options, feeds int) (*RoutingCom
 	if err != nil {
 		return nil, err
 	}
-	placedSum, err := res.OptimizedTree.SumOfPeaks(powertree.RPP, powertree.PowerFn(workload.SubPowerFn(test)))
-	if err != nil {
-		return nil, err
-	}
-	cmp := &RoutingComparison{DC: name, Feeds: feeds, RoutedSum: asg.SumOfFeedPeaks(), PlacedSum: placedSum}
+	cmp := &RoutingComparison{DC: name, Feeds: feeds, RoutedSum: asg.SumOfFeedPeaks(), PlacedSum: res.OptimizedAggs.SumOfPeaks(powertree.RPP)}
 	for _, p := range static {
 		cmp.StaticSum += p
 	}

@@ -235,17 +235,10 @@ func rollUp(tree *powertree.Node, demands func(id string) (powertree.ResourceVec
 // one dimension (power included) yet cannot admit one probe instance of the
 // given demand because some other dimension (or an ancestor) is exhausted.
 // It is the node-granularity companion to the rate rows — the quantity the
-// multi-dimension experiment drives down — computed against a probe of
-// probePower watts and probeDemand (nil means power-only probing).
-func StrandedNodeCount(tree *powertree.Node, traces powertree.PowerFn, demands func(id string) (powertree.ResourceVector, bool), level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) (int, error) {
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
-		return 0, fmt.Errorf("metrics: aggregating for stranded nodes: %w", err)
-	}
-	usage, err := rollUp(tree, demands)
-	if err != nil {
-		return 0, err
-	}
+// multi-dimension experiment drives down — computed from the tree's
+// aggregation and used capacities against a probe of probePower watts and
+// probeDemand (nil means power-only probing).
+func StrandedNodeCount(aggs *powertree.Aggregates, usage *powertree.Usage, level powertree.Level, probePower float64, probeDemand powertree.ResourceVector) int {
 	fits := func(n *powertree.Node) bool {
 		for m := n; m != nil; m = m.Parent() {
 			if aggs.Peak(m)+probePower > m.Budget {
@@ -269,5 +262,5 @@ func StrandedNodeCount(tree *powertree.Node, traces powertree.PowerFn, demands f
 			count++
 		}
 	}
-	return count, nil
+	return count
 }

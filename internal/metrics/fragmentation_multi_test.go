@@ -229,20 +229,20 @@ func TestStrandedNodeCount(t *testing.T) {
 	}
 	// Probe: a modest instance needing 1 net. Leaves 0 and 1 have plenty of
 	// power headroom but zero free net → stranded. Leaves 2 and 3 admit it.
-	n, err := StrandedNodeCount(tree, fragLookup(traces), demandTable(demands),
-		powertree.RPP, 5, powertree.ResourceVector{"net": 1})
+	aggs, err := tree.AggregateAll(fragLookup(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
+	usage, err := rollUp(tree, demandTable(demands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := StrandedNodeCount(aggs, usage, powertree.RPP, 5, powertree.ResourceVector{"net": 1})
 	if n != 2 {
 		t.Fatalf("stranded leaves = %d, want 2", n)
 	}
 	// A power-only probe sees no stranding (all leaves have power headroom).
-	n, err = StrandedNodeCount(tree, fragLookup(traces), demandTable(demands),
-		powertree.RPP, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n = StrandedNodeCount(aggs, usage, powertree.RPP, 5, nil)
 	if n != 0 {
 		t.Fatalf("power-only stranded leaves = %d, want 0", n)
 	}

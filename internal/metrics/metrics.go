@@ -86,39 +86,27 @@ type LevelPeakReport struct {
 	ReductionPct float64
 }
 
-// PeakReduction computes the per-level peak reduction between a baseline
-// tree and an optimized tree hosting the same instances. Both trees are
-// evaluated with the same trace lookup (typically the held-out test week).
-func PeakReduction(before, after *powertree.Node, traces powertree.PowerFn) ([]LevelPeakReport, error) {
-	// One bottom-up aggregation per tree serves all five levels.
-	bAggs, err := before.AggregateAll(traces)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: aggregating before tree: %w", err)
-	}
-	aAggs, err := after.AggregateAll(traces)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: aggregating after tree: %w", err)
-	}
+// PeakReduction computes the per-level peak reduction between the
+// aggregations of a baseline tree and an optimized tree hosting the same
+// instances, both over the same traces (typically the held-out test week).
+// One aggregation per tree serves all five levels.
+func PeakReduction(before, after *powertree.Aggregates) []LevelPeakReport {
 	out := make([]LevelPeakReport, 0, len(powertree.Levels))
 	for _, level := range powertree.Levels {
-		b := bAggs.SumOfPeaks(level)
-		a := aAggs.SumOfPeaks(level)
+		b := before.SumOfPeaks(level)
+		a := after.SumOfPeaks(level)
 		out = append(out, LevelPeakReport{Level: level, Before: b, After: a, ReductionPct: 100 * Reduction(b, a)})
 	}
-	return out, nil
+	return out
 }
 
 // ExtraServers estimates how many additional servers of the given peak draw
-// fit into the headroom unlocked at the most constrained leaf nodes: for
-// each leaf, floor(headroom/serverPeak), summed. Leaves already over budget
-// contribute zero.
-func ExtraServers(tree *powertree.Node, traces powertree.PowerFn, serverPeak float64) (int, error) {
+// fit into the headroom unlocked at the most constrained leaf nodes of an
+// aggregated tree: for each leaf, floor(headroom/serverPeak), summed.
+// Leaves already over budget contribute zero.
+func ExtraServers(aggs *powertree.Aggregates, serverPeak float64) (int, error) {
 	if serverPeak <= 0 {
 		return 0, fmt.Errorf("metrics: server peak must be positive")
-	}
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
-		return 0, err
 	}
 	total := 0
 	for _, leaf := range aggs.Leaves() {

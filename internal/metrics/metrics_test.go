@@ -137,13 +137,20 @@ func buildPlaced(t *testing.T, placer placement.Placer) (*powertree.Node, powert
 	return tree, powertree.PowerFn(fleet.PowerFn())
 }
 
-func TestPeakReductionReport(t *testing.T) {
-	before, pf := buildPlaced(t, placement.Oblivious{})
-	after, _ := buildPlaced(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
-	reports, err := PeakReduction(before, after, pf)
+// aggregate is the tree's aggregation over pf, the ledger the reports read.
+func aggregate(t *testing.T, tree *powertree.Node, pf powertree.PowerFn) *powertree.Aggregates {
+	t.Helper()
+	aggs, err := tree.AggregateAll(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return aggs
+}
+
+func TestPeakReductionReport(t *testing.T) {
+	before, pf := buildPlaced(t, placement.Oblivious{})
+	after, _ := buildPlaced(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
+	reports := PeakReduction(aggregate(t, before, pf), aggregate(t, after, pf))
 	if len(reports) != len(powertree.Levels) {
 		t.Fatalf("levels = %d", len(reports))
 	}
@@ -163,19 +170,20 @@ func TestPeakReductionReport(t *testing.T) {
 
 func TestExtraServers(t *testing.T) {
 	tree, pf := buildPlaced(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
-	n, err := ExtraServers(tree, pf, 310)
+	aggs := aggregate(t, tree, pf)
+	n, err := ExtraServers(aggs, 310)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatalf("extra servers = %d, want positive on an under-committed tree", n)
 	}
-	if _, err := ExtraServers(tree, pf, 0); err == nil {
+	if _, err := ExtraServers(aggs, 0); err == nil {
 		t.Fatal("zero server peak must error")
 	}
 	// Defragmentation unlocks more servers than the oblivious placement.
 	bad, pfBad := buildPlaced(t, placement.Oblivious{})
-	nBad, err := ExtraServers(bad, pfBad, 310)
+	nBad, err := ExtraServers(aggregate(t, bad, pfBad), 310)
 	if err != nil {
 		t.Fatal(err)
 	}

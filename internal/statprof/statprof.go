@@ -109,19 +109,14 @@ func StatProf(tree *powertree.Node, traces powertree.PowerFn, cfg Config) ([]Req
 	return out, nil
 }
 
-// SmoothOperator computes SmoOp(u, δ)'s required budget at every level: each
-// node needs the (100−u)-th percentile of its aggregate power trace, divided
-// by (1+δ). With u=δ=0 this is the peak-of-aggregate requirement that
-// workload-aware placement minimises.
-func SmoothOperator(tree *powertree.Node, traces powertree.PowerFn, cfg Config) ([]RequiredBudget, error) {
+// SmoothOperator computes SmoOp(u, δ)'s required budget at every level of
+// an aggregated tree: each node needs the (100−u)-th percentile of its
+// aggregate power trace, divided by (1+δ). With u=δ=0 this is the
+// peak-of-aggregate requirement that workload-aware placement minimises.
+// The per-level loops only take percentiles, sharing one kernel buffer and
+// the snapshot's cached level walks.
+func SmoothOperator(aggs *powertree.Aggregates, cfg Config) ([]RequiredBudget, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	// One bottom-up pass computes every node's aggregate; the per-level
-	// loops then only take percentiles, sharing one kernel buffer and the
-	// snapshot's cached level walks.
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
 		return nil, err
 	}
 	var calc timeseries.PercentileCalc

@@ -93,7 +93,7 @@ func TestStatProfBasics(t *testing.T) {
 
 func TestSmoothOperatorRequirement(t *testing.T) {
 	tree, pf := fixture(t)
-	smoop, err := SmoothOperator(tree, pf, Config{})
+	smoop, err := SmoothOperator(aggregate(t, tree, pf), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,12 @@ func TestSmoothOperatorRequirement(t *testing.T) {
 
 func TestSmoothOperatorUnderProvisionMonotone(t *testing.T) {
 	tree, pf := fixture(t)
-	r0, err := SmoothOperator(tree, pf, Config{})
+	aggs := aggregate(t, tree, pf)
+	r0, err := SmoothOperator(aggs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r10, err := SmoothOperator(tree, pf, Config{UnderProvision: 10, Overbook: 0.1})
+	r10, err := SmoothOperator(aggs, Config{UnderProvision: 10, Overbook: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,18 @@ func TestStatProfErrors(t *testing.T) {
 	if _, err := StatProf(tree, nil, Config{UnderProvision: -1}); err != ErrBadConfig {
 		t.Fatalf("bad config: %v", err)
 	}
-	if _, err := SmoothOperator(tree, nil, Config{Overbook: -1}); err != ErrBadConfig {
+	if _, err := SmoothOperator(nil, Config{Overbook: -1}); err != ErrBadConfig {
 		t.Fatalf("bad config: %v", err)
 	}
+}
+
+// aggregate is the tree's aggregation over pf, the ledger SmoothOperator
+// reads.
+func aggregate(t *testing.T, tree *powertree.Node, pf powertree.PowerFn) *powertree.Aggregates {
+	t.Helper()
+	aggs, err := tree.AggregateAll(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aggs
 }

@@ -2,13 +2,17 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 // FuzzLoad checks the checkpoint reader against arbitrary bytes: Load never
-// panics, a store it accepts can be read, appended to and saved, and its
-// checkpoint loads back to the same bytes.
+// panics, a store it accepts can be read, appended to (a late reading never
+// evicts a held one) and saved, and its checkpoint loads back to the same
+// bytes.
 func FuzzLoad(f *testing.F) {
 	valid := New(Config{Step: 30 * time.Minute, Retention: 4 * time.Hour, RejectImpulses: true})
 	for i, w := range []float64{10, 11, 90, 12, 13} {
@@ -26,9 +30,12 @@ func FuzzLoad(f *testing.F) {
 	// A ring starting off the step grid.
 	f.Add([]byte(`{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:30Z","latest":"2016-07-25T00:00:30Z","values":[1,-1,3]}}}`))
 	// A sub-second step on its grid.
-	f.Add([]byte(`{"step_seconds":0.25,"retention_seconds":1,"instances":{"a":{"start":"2016-07-25T00:00:00.75Z","latest":"2016-07-25T00:00:01Z","values":[1,2,-1,4]}}}`))
+	f.Add([]byte(`{"step_seconds":0.25,"retention_seconds":1,"instances":{"a":{"start":"2016-07-25T00:00:00.75Z","latest":"2016-07-25T00:00:01.5Z","values":[1,2,-1,4]}}}`))
 	// A ring shorter than the retention.
 	f.Add([]byte(`{"step_seconds":60,"retention_seconds":120,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[]}}}`))
+	// A reading newer than latest, which Load refuses: Append would shift
+	// the origin back over it.
+	f.Add([]byte(`{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[2,-1,-1,-1,7]}}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
@@ -45,6 +52,24 @@ func FuzzLoad(f *testing.F) {
 			for _, w := range [][2]time.Time{{start.Add(-step), start}, {start, start.Add(retention)}} {
 				if _, _, err := st.SnapshotQuality(id, w[0], w[1]); err != nil {
 					t.Fatalf("read of loaded ring %q: %v", id, err)
+				}
+			}
+			// A reading before the origin either is stale or shifts the
+			// origin back without evicting any reading the ring held.
+			for _, back := range []int{1, max(1, int(retention/step)-1)} {
+				held := heldReadings(st, id)
+				at := start.Add(-time.Duration(back) * step)
+				if err := st.Append(id, at, 1); err != nil {
+					if !errors.Is(err, ErrStale) {
+						t.Fatalf("append %d slots before loaded ring %q: %v", back, id, err)
+					}
+					continue
+				}
+				got := heldReadings(st, id)
+				for _, h := range held {
+					if !slices.ContainsFunc(got, func(g reading) bool { return g.at.Equal(h.at) && g.watts == h.watts }) {
+						t.Fatalf("append %d slots before loaded ring %q evicted %v W at %v", back, id, h.watts, h.at)
+					}
 				}
 			}
 			// Writing the origin slot indexes the loaded ring without moving
@@ -76,4 +101,24 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("checkpoint changed across a round trip:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// reading is one held slot: its time and its watts.
+type reading struct {
+	at    time.Time
+	watts float64
+}
+
+// heldReadings lists the readings an instance's ring holds, in time order.
+func heldReadings(st *Store, id string) []reading {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	r := st.instances[id]
+	var out []reading
+	for i, v := range r.slotValues() {
+		if !math.IsNaN(v) {
+			out = append(out, reading{r.start.Add(time.Duration(i) * st.Step()), v})
+		}
+	}
+	return out
 }

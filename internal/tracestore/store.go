@@ -30,7 +30,8 @@ var (
 	ErrBadReading      = errors.New("tracestore: invalid reading")
 	// ErrBadCheckpoint marks a checkpoint Load refuses: a non-positive step
 	// or retention, an unparsable timestamp, a ring that does not start on
-	// the step grid, or one whose length disagrees with the retention.
+	// the step grid, one whose length disagrees with the retention, or one
+	// holding a reading in a slot after its latest reading's.
 	ErrBadCheckpoint = errors.New("tracestore: bad checkpoint")
 
 	errWeeks = errors.New("tracestore: weeks must be ≥ 1")
@@ -425,15 +426,24 @@ func Load(r io.Reader) (*Store, error) {
 		if len(dump.Values) != slots {
 			return nil, fmt.Errorf("%w: %q holds %d slots, retention needs %d", ErrBadCheckpoint, id, len(dump.Values), slots)
 		}
+		// Append trusts latest to bound the readings: shifting the origin
+		// back empties the newest slots, which must all be later than latest.
+		lastSlot := -1
+		if !latest.Before(start) {
+			lastSlot = int(latest.Sub(start) / step)
+		}
 		vals := make([]float64, len(dump.Values))
 		count := 0
 		for i, v := range dump.Values {
 			if v < 0 {
 				vals[i] = math.NaN()
-			} else {
-				vals[i] = v
-				count++
+				continue
 			}
+			if i > lastSlot {
+				return nil, fmt.Errorf("%w: %q holds a reading in slot %d, after latest %v", ErrBadCheckpoint, id, i, latest)
+			}
+			vals[i] = v
+			count++
 		}
 		st.instances[id] = &ring{start: start, latest: latest, values: vals, count: count}
 	}

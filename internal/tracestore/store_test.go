@@ -482,10 +482,11 @@ func TestSaveLoadSubSecondStep(t *testing.T) {
 }
 
 // TestLoadRejectsBadCheckpoints: Load refuses checkpoints that would break
-// the store's invariants with ErrBadCheckpoint, and still reads checkpoints
-// written with whole-second RFC3339 timestamps.
+// the store's invariants with ErrBadCheckpoint (among them a reading newer
+// than the ring's latest), and still reads checkpoints written with
+// whole-second RFC3339 timestamps.
 func TestLoadRejectsBadCheckpoints(t *testing.T) {
-	ok := `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:01:00Z","values":[1,-1,3]}}}`
+	ok := `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:02:00Z","values":[1,-1,3]}}}`
 	if _, err := Load(strings.NewReader(ok)); err != nil {
 		t.Fatalf("valid checkpoint: %v", err)
 	}
@@ -500,6 +501,10 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 		"short ring":         `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[1]}}}`,
 		"bad start":          `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"yesterday","latest":"2016-07-25T00:00:00Z","values":[1,2,3]}}}`,
 		"bad latest":         `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"","values":[1,2,3]}}}`,
+		// Append would take 00:00:00 as the newest reading, accept one at
+		// 23:57 the day before and evict the 7 W reading at 00:04.
+		"reading after latest": `{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[2,-1,-1,-1,7]}}}`,
+		"latest before start":  `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-24T23:59:00Z","values":[1,-1,-1]}}}`,
 	} {
 		if _, err := Load(strings.NewReader(cp)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
