@@ -156,7 +156,8 @@ FUZZ_TARGETS = \
 	internal/tracestore:FuzzSnapshotQuality \
 	internal/core:FuzzPlanDecoder \
 	internal/core:FuzzAdmitDecoder \
-	internal/placement:FuzzOnlineAdmitMatchesExhaustive
+	internal/placement:FuzzOnlineAdmitMatchesExhaustive \
+	internal/placement:FuzzRemapMatchesReference
 
 # run_fuzz runs every FUZZ_TARGETS entry for $(1), each -fuzz pattern
 # anchored so one target never matches another by prefix.

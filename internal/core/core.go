@@ -208,11 +208,11 @@ func (f *Framework) Optimize(fleet *workload.Fleet, tree *powertree.Node) (*Plac
 			res.RPPReductionPct = r.ReductionPct
 		}
 	}
-	res.BaselineLeafScores, err = placement.LevelAsynchronyFrom(baseAggs, powertree.RPP, testFn)
+	res.BaselineLeafScores, err = placement.LevelAsynchronyFrom(baseAggs, powertree.RPP, testFn, f.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	res.OptimizedLeafScores, err = placement.LevelAsynchronyFrom(optAggs, powertree.RPP, testFn)
+	res.OptimizedLeafScores, err = placement.LevelAsynchronyFrom(optAggs, powertree.RPP, testFn, f.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -459,18 +459,19 @@ func (f *Framework) Adapt(tree *powertree.Node, fresh map[string]timeseries.Seri
 	if err != nil {
 		return nil, err
 	}
-	return adapt(o, traces, scoreFloor, maxSwaps)
+	return adapt(o, traces, scoreFloor, maxSwaps, f.cfg.Workers)
 }
 
 // adapt is the drift monitor behind Adapt and Runtime.Tick, run through the
 // placer o over traces (the TraceFn o was built with). Σ leaf peaks and the
 // leaves' scores are read from o's ledger before any swap, and the same
-// scores seed the remap, so no resident trace is summed again; the remap
-// moves instances through o (placement.Online.Remap), whose recorded
-// demands veto swaps that would overflow a capacity dimension.
-func adapt(o *placement.Online, traces placement.TraceFn, scoreFloor float64, maxSwaps int) (*DriftReport, error) {
+// scores seed the remap, so no resident trace is summed again; the leaves
+// are scored on workers goroutines, as the tick's read is. The remap moves
+// instances through o (placement.Online.Remap), whose recorded demands veto
+// swaps that would overflow a capacity dimension.
+func adapt(o *placement.Online, traces placement.TraceFn, scoreFloor float64, maxSwaps, workers int) (*DriftReport, error) {
 	aggs := o.Aggregates()
-	scores, err := placement.LevelAsynchronyFrom(aggs, powertree.RPP, traces)
+	scores, err := placement.LevelAsynchronyFrom(aggs, powertree.RPP, traces, workers)
 	if err != nil {
 		return nil, err
 	}

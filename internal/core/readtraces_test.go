@@ -100,7 +100,9 @@ func reportBits(rep *DriftReport) string {
 // TestReadTracesWorkersEquivalence pins Bootstrap, the admission view, the
 // arrival's own read and Tick to the same traces, grades, quarantine lists
 // and placements at one and at eight workers, on degraded telemetry and with
-// a resident the store has never seen.
+// a resident the store has never seen. The tick's drift report (worst leaf
+// score, Σ leaf peaks, every swap's gain bits) and tree bytes must match
+// too, so its parallel leaf scoring is checked against the serial one.
 func TestReadTracesWorkersEquivalence(t *testing.T) {
 	var runs [][]string
 	for _, workers := range []int{1, 8} {
@@ -131,6 +133,9 @@ func TestReadTracesWorkersEquivalence(t *testing.T) {
 		}
 		if len(rep.Quarantined) == 0 {
 			t.Fatal("the tick quarantined nothing: the fixture no longer degrades telemetry")
+		}
+		if len(rep.Swaps) == 0 {
+			t.Fatal("the tick swapped nothing: its leaf scoring and remap go unchecked")
 		}
 		states = append(states, reportBits(rep), runtimeState(t, rt, ids))
 		if leaf, err = rt.AdmitInstance(late[1].ID, late[1].Service, time.Time{}, 2); err != nil {

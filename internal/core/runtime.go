@@ -534,7 +534,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: tick: %w", err)
 	}
-	rep, err := adapt(tv.online, workload.SubPowerFn(fresh), r.scoreFloor, r.maxSwaps)
+	rep, err := adapt(tv.online, workload.SubPowerFn(fresh), r.scoreFloor, r.maxSwaps, r.fw.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

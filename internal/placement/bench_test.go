@@ -195,9 +195,21 @@ func BenchmarkOnlineAdmitDiurnal(b *testing.B) {
 // BenchmarkRemapTick is the Remap inside a drift tick at the same shape:
 // every pair of 640 RPPs is a candidate, 24 swaps at most.
 func BenchmarkRemapTick(b *testing.B) {
-	tree, traces := churnFixture(b, 10_000)
+	benchRemapTick(b, churnFixture)
+}
+
+// BenchmarkRemapTickDiurnal is BenchmarkRemapTick over diurnalFixture.
+// Both report pairs-scored/op, the pairs the bounds left to an exact
+// differential, beside pairs-attempted/op.
+func BenchmarkRemapTickDiurnal(b *testing.B) {
+	benchRemapTick(b, diurnalFixture)
+}
+
+func benchRemapTick(b *testing.B, fixture func(testing.TB, int) (*powertree.Node, TraceFn)) {
+	tree, traces := fixture(b, 10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
+	attempted, scored := obsSwapsAttempted.Value(), obsPairsScored.Value()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tr := tree.Clone()
@@ -206,6 +218,8 @@ func BenchmarkRemapTick(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(obsSwapsAttempted.Value()-attempted)/float64(b.N), "pairs-attempted/op")
+	b.ReportMetric(float64(obsPairsScored.Value()-scored)/float64(b.N), "pairs-scored/op")
 }
 
 // BenchmarkLevelAsynchrony is the drift monitor's leaf scoring at the same
@@ -220,7 +234,7 @@ func BenchmarkLevelAsynchrony(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LevelAsynchronyFrom(aggs, powertree.RPP, traces); err != nil {
+		if _, err := LevelAsynchronyFrom(aggs, powertree.RPP, traces, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

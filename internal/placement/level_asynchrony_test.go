@@ -77,7 +77,7 @@ func TestLevelAsynchronyFromMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := LevelAsynchronyFrom(aggs, level, f.traces)
+				got, err := LevelAsynchronyFrom(aggs, level, f.traces, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,23 +110,25 @@ func TestLevelAsynchronyFromMatchesOracle(t *testing.T) {
 }
 
 // TestLevelAsynchronyFromErrors: a resident without a trace and a resident
-// that never draws power fail the ledger path with the oracle's error.
+// that never draws power fail the ledger path with the oracle's error — the
+// first failing leaf's, at one worker and at eight, when two leaves fail.
 func TestLevelAsynchronyFromErrors(t *testing.T) {
 	instances, traces, tree := testFixture(t)
 	if err := (Random{Seed: 2}).Place(tree, instances, traces); err != nil {
 		t.Fatal(err)
 	}
-	victim := tree.Leaves()[1].Instances[1]
+	leaves := tree.Leaves()
+	victims := map[string]bool{leaves[1].Instances[1]: true, leaves[len(leaves)-1].Instances[0]: true}
 	broken := map[string]TraceFn{
 		"missing": func(id string) (timeseries.Series, bool) {
-			if id == victim {
+			if victims[id] {
 				return timeseries.Series{}, false
 			}
 			return traces(id)
 		},
 		"zero peak": func(id string) (timeseries.Series, bool) {
 			tr, ok := traces(id)
-			if id == victim {
+			if victims[id] {
 				return timeseries.Zeros(tr.Start, tr.Step, tr.Len()), ok
 			}
 			return tr, ok
@@ -139,9 +141,11 @@ func TestLevelAsynchronyFromErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, want := levelAsynchronyOracle(tree, powertree.RPP, tf)
-		_, got := LevelAsynchronyFrom(aggs, powertree.RPP, tf)
-		if !errors.Is(got, wantClass[name]) || got == nil || want == nil || got.Error() != want.Error() {
-			t.Fatalf("%s: error %v, oracle %v", name, got, want)
+		for _, workers := range []int{1, 8} {
+			_, got := LevelAsynchronyFrom(aggs, powertree.RPP, tf, workers)
+			if !errors.Is(got, wantClass[name]) || got == nil || want == nil || got.Error() != want.Error() {
+				t.Fatalf("%s workers %d: error %v, oracle %v", name, workers, got, want)
+			}
 		}
 	}
 }

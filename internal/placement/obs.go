@@ -10,6 +10,8 @@ var (
 		"Completed Remap invocations.")
 	obsSwapsAttempted = obs.Default().Counter("smoothop_placement_swaps_attempted_total",
 		"Candidate swap pairs evaluated by Remap.")
+	obsPairsScored = obs.Default().Counter("smoothop_placement_swap_pairs_scored_total",
+		"Candidate swap pairs Remap scored with an exact differential: those its upper bounds could not reject.")
 	obsSwapsApplied = obs.Default().Counter("smoothop_placement_swaps_applied_total",
 		"Swaps accepted and applied by Remap.")
 	obsRemapSpan = obs.Default().Span("smoothop_placement_remap_seconds",

@@ -1,12 +1,15 @@
 package placement
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/powertree"
 	"repro/internal/score"
 	"repro/internal/timeseries"
@@ -58,7 +61,7 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 	if err != nil {
 		return nil, err
 	}
-	scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
+	scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +79,8 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 //
 // scores seeds the leaves' current scores, as LevelAsynchronyFrom returns
 // them from the placer's Aggregates; a leaf missing from scores has fewer
-// than two residents and reads as +Inf. The two leaves of an accepted swap
+// than two residents and reads as +Inf. Partners are tried by score
+// descending, then leaf index ascending. The two leaves of an accepted swap
 // are rescored from their residents' traces. The usage ledger is rerolled
 // after each swap, since later swaps are checked against it; the aggregate
 // ledger refolds every leaf the swaps touched once, before Remap returns
@@ -92,23 +96,12 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 	}
 	nodes := o.tree.NodesAtLevel(powertree.RPP)
 
-	// Per-node cache of instance IDs, resolved traces, asynchrony score and,
-	// per resident, the sum of the node's other traces (peers) and its
-	// current differential against them (cur), filled together on first use.
-	// Placements only change at the two nodes of an accepted swap, so only
-	// those two entries are ever invalidated, and marked swapped: scores no
-	// longer describes them.
-	type nodeState struct {
-		ids   []string
-		trs   []timeseries.Series
-		s     float64
-		peers []timeseries.Series
-		cur   []float64
-		known []bool
-	}
-	cache := make([]*nodeState, len(nodes))
+	// Per-leaf cache, filled on first use. Placements only change at the two
+	// leaves of an accepted swap, so only those two entries are ever
+	// invalidated, and marked swapped: scores no longer describes them.
+	cache := make([]*leafState, len(nodes))
 	swapped := make([]bool, len(nodes))
-	stateOf := func(i int) (*nodeState, error) {
+	stateOf := func(i int) (*leafState, error) {
 		if cache[i] != nil {
 			return cache[i], nil
 		}
@@ -122,8 +115,7 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 			}
 			trs[j] = tr
 		}
-		st := &nodeState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
-		st.peers, st.cur, st.known = make([]timeseries.Series, len(ids)), make([]float64, len(ids)), make([]bool, len(ids))
+		st := &leafState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
 		if s, ok := scores[n.Name]; ok && !swapped[i] {
 			st.s = s
 		} else if swapped[i] && len(trs) >= 2 {
@@ -136,35 +128,28 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 		cache[i] = st
 		return st, nil
 	}
-
-	// diff is the differential of a candidate trace against the sum of n
-	// peers: +Inf with no peers, −Inf when the score is undefined.
-	diff := func(cand, sum timeseries.Series, n int) float64 {
-		if n == 0 {
-			return math.Inf(1)
+	// byScore orders leaves as the partner search tries them.
+	byScore := func(a, b int) int {
+		switch sa, sb := cache[a].s, cache[b].s; {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
 		}
-		d, err := score.DifferentialFromSum(cand, sum, n)
-		if err != nil {
-			return math.Inf(-1)
-		}
-		return d
-	}
-	// resident returns resident j's peers sum and current differential at
-	// its node, computed once per cached state.
-	resident := func(st *nodeState, j int) (timeseries.Series, float64) {
-		if !st.known[j] {
-			st.peers[j] = leaveOneOut(st.trs, j)
-			st.cur[j], st.known[j] = diff(st.trs[j], st.peers[j], len(st.trs)-1), true
-		}
-		return st.peers[j], st.cur[j]
+		return cmp.Compare(a, b)
 	}
 
 	var swaps []Swap
 	var moved []*powertree.Node
-	var attempted uint64
+	var attempted, scored uint64
+	// order is every leaf in partner order, kept across iterations: an
+	// accepted swap takes its two leaves out (pending) and the next
+	// iteration inserts them at their new scores.
+	var order, pending []int
 	for len(swaps) < maxSwaps {
-		// 1. Find the most fragmented node. This also caches every node's
-		// state, so the steps below read the cache directly.
+		// 1. Find the most fragmented leaf. This also caches every leaf's
+		// state (rescoring the two a swap touched), so the steps below read
+		// the cache directly.
 		worstIdx, worstScore := -1, math.Inf(1)
 		for i := range nodes {
 			st, err := stateOf(i)
@@ -175,6 +160,18 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 				worstScore, worstIdx = st.s, i
 			}
 		}
+		if order == nil {
+			order = make([]int, len(nodes))
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortFunc(order, byScore)
+		}
+		for _, i := range pending {
+			at, _ := slices.BinarySearchFunc(order, i, byScore)
+			order = slices.Insert(order, at, i)
+		}
+		pending = pending[:0]
 		if worstIdx < 0 || math.IsInf(worstScore, 1) {
 			break
 		}
@@ -183,87 +180,91 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 		if len(wIDs) < 2 {
 			break
 		}
+		worstState.prepare()
 
 		// 2. Find the instance with the worst differential score there.
 		victim, victimDiff := -1, math.Inf(1)
-		for i := range wIDs {
-			if _, d := resident(worstState, i); d < victimDiff {
+		for i, d := range worstState.cur {
+			if d < victimDiff {
 				victimDiff, victim = d, i
 			}
 		}
 		if victim < 0 {
 			break
 		}
-		victimPeers, _ := resident(worstState, victim)
+		vTrace, vPeak := wTraces[victim], worstState.peak[victim]
+		vPeers, vPeersPeak := worstState.peers[victim], worstState.peersPeak[victim]
+		nA := len(wTraces) - 1
 
-		// 3. Search partner nodes, best-scoring first, for an improving swap.
-		type scored struct {
-			idx int
-			s   float64
-		}
-		order := make([]scored, 0, len(nodes))
-		for i := range nodes {
-			if i == worstIdx {
+		// 3. Search partner leaves, best-scoring first, for an improving swap.
+		found := false
+		for _, ci := range order {
+			if ci == worstIdx {
 				continue
 			}
-			order = append(order, scored{i, cache[i].s})
-		}
-		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
-
-		found := false
-		for _, cand := range order {
-			partner, candState := nodes[cand.idx], cache[cand.idx]
+			partner, candState := nodes[ci], cache[ci]
 			pIDs, pTraces := candState.ids, candState.trs
 			if len(pIDs) < 1 {
 				continue
 			}
+			candState.prepare()
+			nB := len(pTraces) - 1
 			for j := range pIDs {
 				attempted++
-				// Post-swap differential at the worst node: the partner's
-				// instance joins the victim's peers. A pair that fails here
-				// is rejected whatever the partner side says.
-				curA := victimDiff
-				newA := diff(pTraces[j], victimPeers, len(wTraces)-1)
+				// The worst leaf's differential after the swap (the partner's
+				// instance joins the victim's peers) and the partner leaf's
+				// (the victim joins the partner instance's peers) must both
+				// rise. Each side's upper bound rejects most pairs from O(1)
+				// reads; the rest are scored exactly.
+				curA, curB := victimDiff, candState.cur[j]
+				if !(diffBound(pTraces[j], candState.peak[j], vPeers, vPeersPeak, nA) > curA) ||
+					!(diffBound(vTrace, vPeak, candState.peers[j], candState.peersPeak[j], nB) > curB) {
+					continue
+				}
+				scored++
+				newA := differential(pTraces[j], vPeers, nA)
 				if !(newA > curA) {
 					continue
 				}
-				// Partner side, current and post-swap (the victim joins the
-				// partner's peers), both against the same leave-one-out sum.
-				pPeers, curB := resident(candState, j)
-				newB := diff(wTraces[victim], pPeers, len(pTraces)-1)
-				if newB > curB {
-					if !o.swapFits(worst, partner, o.demandOf[wIDs[victim]], o.demandOf[pIDs[j]]) {
-						continue // score improves but a capacity dimension would overflow
-					}
-					// Accept: "swap it ... if and only if that swap makes the
-					// differential asynchrony scores higher at both of the
-					// two power nodes involved."
-					if !worst.Detach(wIDs[victim]) || !partner.Detach(pIDs[j]) {
-						return nil, fmt.Errorf("placement: swap bookkeeping failed")
-					}
-					if err := worst.Attach(pIDs[j]); err != nil {
-						return nil, err
-					}
-					if err := partner.Attach(wIDs[victim]); err != nil {
-						return nil, err
-					}
-					o.leafOf[wIDs[victim]], o.leafOf[pIDs[j]] = partner, worst
-					if err := o.usage.Reroll(o.recordedDemand, worst, partner); err != nil {
-						return nil, err
-					}
-					moved = append(moved, worst, partner)
-					swaps = append(swaps, Swap{
-						InstanceA: wIDs[victim], InstanceB: pIDs[j],
-						NodeA: worst.Name, NodeB: partner.Name,
-						GainA: newA - curA, GainB: newB - curB,
-					})
-					// Only the two nodes touched by the swap changed;
-					// every other cached trace set and score stays valid.
-					cache[worstIdx], cache[cand.idx] = nil, nil
-					swapped[worstIdx], swapped[cand.idx] = true, true
-					found = true
-					break
+				newB := differential(vTrace, candState.peers[j], nB)
+				if !(newB > curB) {
+					continue
 				}
+				if !o.swapFits(worst, partner, o.demandOf[wIDs[victim]], o.demandOf[pIDs[j]]) {
+					continue // score improves but a capacity dimension would overflow
+				}
+				// Accept: "swap it ... if and only if that swap makes the
+				// differential asynchrony scores higher at both of the
+				// two power nodes involved."
+				if !worst.Detach(wIDs[victim]) || !partner.Detach(pIDs[j]) {
+					return nil, fmt.Errorf("placement: swap bookkeeping failed")
+				}
+				if err := worst.Attach(pIDs[j]); err != nil {
+					return nil, err
+				}
+				if err := partner.Attach(wIDs[victim]); err != nil {
+					return nil, err
+				}
+				o.leafOf[wIDs[victim]], o.leafOf[pIDs[j]] = partner, worst
+				if err := o.usage.Reroll(o.recordedDemand, worst, partner); err != nil {
+					return nil, err
+				}
+				moved = append(moved, worst, partner)
+				swaps = append(swaps, Swap{
+					InstanceA: wIDs[victim], InstanceB: pIDs[j],
+					NodeA: worst.Name, NodeB: partner.Name,
+					GainA: newA - curA, GainB: newB - curB,
+				})
+				// Only the two leaves touched by the swap changed; every
+				// other cached state and its place in order stay valid.
+				for _, i := range [2]int{worstIdx, ci} {
+					at := slices.Index(order, i)
+					order = slices.Delete(order, at, at+1)
+					cache[i], swapped[i] = nil, true
+				}
+				pending = append(pending, worstIdx, ci)
+				found = true
+				break
 			}
 			if found {
 				break
@@ -280,9 +281,113 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 	}
 	obsRemaps.Inc()
 	obsSwapsAttempted.Add(attempted)
+	obsPairsScored.Add(scored)
 	obsSwapsApplied.Add(uint64(len(swaps)))
 	timer.End()
 	return swaps, nil
+}
+
+// leafState is a leaf's cached view for the swap search: its residents' IDs
+// and traces and its asynchrony score, then, once prepare has run, per
+// resident j its trace's peak slot, the sum of its peers (the leaf's other
+// residents, in attachment order), that sum's peak slot, and j's current
+// differential against it.
+type leafState struct {
+	ids []string
+	trs []timeseries.Series
+	s   float64
+
+	prepared  bool
+	peak      []int
+	peers     []timeseries.Series
+	peersPeak []int
+	cur       []float64
+}
+
+// prepare fills the per-resident state in one pass. Peer sums add the same
+// traces in the same order as Sum over the peers, so they hold the same
+// bits: the sum for resident j ≥ 1 starts from a copy of the running prefix
+// t0+…+t(j−1) and adds t(j+1), … in order. A sum that will not form (the
+// traces are misaligned) is the zero Series, against which nothing scores.
+// The sums share one backing array when the traces are as long as t0.
+func (st *leafState) prepare() {
+	if st.prepared {
+		return
+	}
+	st.prepared = true
+	m := len(st.trs)
+	st.peak, st.peers, st.peersPeak, st.cur = make([]int, m), make([]timeseries.Series, m), make([]int, m), make([]float64, m)
+	n := 0
+	if m > 0 {
+		n = st.trs[0].Len()
+	}
+	buf := make([]float64, m*n)
+	var prefix timeseries.Series
+	prefixOK := true
+	for j, tr := range st.trs {
+		dst := buf[j*n : j*n : (j+1)*n]
+		switch {
+		case j == 0 && m > 1:
+			st.peers[j] = sumOnto(dst, st.trs[1], st.trs[2:])
+		case j > 0 && prefixOK:
+			st.peers[j] = sumOnto(dst, prefix, st.trs[j+1:])
+		}
+		if j == 0 {
+			prefix = tr.Clone()
+		} else if prefixOK && prefix.AddInPlace(tr) != nil {
+			prefixOK = false
+		}
+		st.peak[j], st.peersPeak[j] = tr.PeakIndex(), st.peers[j].PeakIndex()
+		st.cur[j] = differential(tr, st.peers[j], m-1)
+	}
+}
+
+// sumOnto adds rest, in order, onto a copy of first appended to dst; the
+// zero Series if a trace is misaligned with first.
+func sumOnto(dst []float64, first timeseries.Series, rest []timeseries.Series) timeseries.Series {
+	sum := timeseries.Series{Start: first.Start, Step: first.Step, Values: append(dst, first.Values...)}
+	for _, tr := range rest {
+		if sum.AddInPlace(tr) != nil {
+			return timeseries.Series{}
+		}
+	}
+	return sum
+}
+
+// differential is the differential of a candidate trace against the sum of
+// n peers: +Inf with no peers, −Inf when the score is undefined.
+func differential(cand, sum timeseries.Series, n int) float64 {
+	if n == 0 {
+		return math.Inf(1)
+	}
+	d, err := score.DifferentialFromSum(cand, sum, n)
+	if err != nil {
+		return math.Inf(-1)
+	}
+	return d
+}
+
+// diffBound is an upper bound on differential(c, sum, n) from O(1) reads,
+// given the peak slots ci of c and si of sum (PeakIndex's). With k = 1/n,
+// ip = c[ci] and ap = sum[si]·k, the kernel returns (ip+ap)/joint, where
+// joint is the largest c[t] + sum[t]·k; c[si] + ap and ip + sum[ci]·k are
+// two of the values that maximum compares, bit for bit, and rounding is
+// monotone, so dividing by the larger of them bounds the result from above.
+// The bound is +Inf wherever it is undefined (n = 0, misaligned or empty
+// series, a non-positive peak or denominator, NaN), so it never rejects a
+// pair the kernel would score.
+func diffBound(c timeseries.Series, ci int, sum timeseries.Series, si int, n int) float64 {
+	if n <= 0 || ci < 0 || si < 0 || c.Len() != sum.Len() || c.Step != sum.Step {
+		return math.Inf(1)
+	}
+	k := 1 / float64(n)
+	ip, ap := c.Values[ci], float64(sum.Values[si]*k)
+	floor := max(c.Values[si]+ap, ip+float64(sum.Values[ci]*k)) // ≤ joint
+	b := (ip + ap) / floor
+	if !(ip > 0 && ap > 0 && floor > 0) || math.IsNaN(b) {
+		return math.Inf(1)
+	}
+	return b
 }
 
 // swapFits reports whether exchanging an instance with demand da (leaving
@@ -312,62 +417,66 @@ func (o *Online) swapFits(a, b *powertree.Node, da, db powertree.ResourceVector)
 	return pathFits(a, db, da) && pathFits(b, da, db)
 }
 
-// leaveOneOut sums trs except trs[skip], in order, into a buffer of its own.
-// Traces that will not sum yield the zero Series, against which nothing
-// scores.
-func leaveOneOut(trs []timeseries.Series, skip int) timeseries.Series {
-	var sum timeseries.Series
-	started := false
-	for j, tr := range trs {
-		switch {
-		case j == skip:
-		case !started:
-			sum, started = timeseries.Series{Start: tr.Start, Step: tr.Step, Values: append([]float64(nil), tr.Values...)}, true
-		case sum.AddInPlace(tr) != nil:
-			return timeseries.Series{}
-		}
-	}
-	return sum
-}
-
 // LevelAsynchrony returns the asynchrony score of every node at a level
 // that hosts at least two instances, keyed by node name — the drift monitor
 // of §3.6 watches these (together with sum-of-peaks) to decide when
-// remapping is worthwhile. It is AggregateAll, then LevelAsynchronyFrom.
+// remapping is worthwhile. It is AggregateAll, then a serial
+// LevelAsynchronyFrom.
 func LevelAsynchrony(tree *powertree.Node, level powertree.Level, traces TraceFn) (map[string]float64, error) {
 	aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
 	if err != nil {
 		return nil, err
 	}
-	return LevelAsynchronyFrom(aggs, level, traces)
+	return LevelAsynchronyFrom(aggs, level, traces, 1)
 }
 
 // LevelAsynchronyFrom scores from the caller's aggs of the tree over the
 // same traces: each denominator is read from aggs, traces supply only the
 // residents' peaks. Leaf scores are bit-identical to score.Asynchrony over
 // the residents (a leaf folds in attachment order, Sum's order); an
-// interior node sums child aggregates, so its last bits may differ.
-func LevelAsynchronyFrom(aggs *powertree.Aggregates, level powertree.Level, traces TraceFn) (map[string]float64, error) {
-	out := make(map[string]float64)
-	var trs []timeseries.Series
-	for _, n := range aggs.NodesAtLevel(level) {
-		ids := n.AllInstances()
-		if len(ids) < 2 {
-			continue
-		}
-		trs = trs[:0]
-		for _, id := range ids {
-			tr, ok := traces(id)
-			if !ok {
-				return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
+// interior node sums child aggregates, so its last bits may differ. The
+// nodes are scored on contiguous runs, one per worker (internal/parallel;
+// traces must be safe for concurrent use), so the result and the error —
+// the first failing node's in level order — are the same at any worker
+// count.
+func LevelAsynchronyFrom(aggs *powertree.Aggregates, level powertree.Level, traces TraceFn, workers int) (map[string]float64, error) {
+	nodes := aggs.NodesAtLevel(level)
+	scores := make([]float64, len(nodes))
+	hosts := make([]bool, len(nodes))
+	runs := min(parallel.Workers(workers), len(nodes))
+	err := parallel.ForEach(context.Background(), runs, runs, func(run int) error {
+		lo, hi := run*len(nodes)/runs, (run+1)*len(nodes)/runs
+		part, hosted := scores[lo:hi], hosts[lo:hi]
+		var trs []timeseries.Series
+		for i, n := range nodes[lo:hi] {
+			ids := n.AllInstances()
+			if len(ids) < 2 {
+				continue
 			}
-			trs = append(trs, tr)
+			trs = trs[:0]
+			for _, id := range ids {
+				tr, ok := traces(id)
+				if !ok {
+					return fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
+				}
+				trs = append(trs, tr)
+			}
+			s, err := score.AsynchronyFromSum(aggs.Peak(n), trs...)
+			if err != nil {
+				return fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
+			}
+			part[i], hosted[i] = s, true
 		}
-		s, err := score.AsynchronyFromSum(aggs.Peak(n), trs...)
-		if err != nil {
-			return nil, fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64)
+	for i, n := range nodes {
+		if hosts[i] {
+			out[n.Name] = scores[i]
 		}
-		out[n.Name] = s
 	}
 	return out, nil
 }

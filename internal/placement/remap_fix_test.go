@@ -62,16 +62,24 @@ func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (
 // asynchrony score recomputed from scratch on each swap iteration, and three
 // full differentials — each re-averaging its peers — per tried pair. A swap's
 // capacity check applies it to a clone and sums every node's subtree demands
-// from scratch. It also returns the number of pairs tried. The equivalence
-// test pins Remap bit-identical to this oracle.
-func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, uint64, error) {
+// from scratch. Partners are tried by score descending, ties by leaf index
+// ascending. It returns the number of pairs tried and the number of them
+// whose two diffBound values both exceed the current differentials (the
+// pairs Remap must score exactly), and fails if a bound lies below the
+// differential it bounds. The equivalence tests pin Remap bit-identical to
+// this oracle.
+//
+// seed, when non-nil, stands for Online.Remap's scores argument: a leaf not
+// yet swapped reads its score there (+Inf if absent) instead of from its
+// traces, so leaves whose traces cannot be scored may take part.
+func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed map[string]float64) (swaps []Swap, attempted, scored uint64, err error) {
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps <= 0 {
 		maxSwaps = 32
 	}
 	nodes := tree.NodesAtLevel(powertree.RPP)
 	if len(nodes) < 2 {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	// fits applies the swap of ia (on a) and ib (on b) to a clone of the tree
 	// and checks each node's summed subtree demand against every capacity it
@@ -119,15 +127,30 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		}
 		return ids, out, nil
 	}
+	swapped := make(map[*powertree.Node]bool)
 	nodeScore := func(n *powertree.Node) (float64, error) {
 		_, trs, err := nodeTraces(n)
 		if err != nil {
 			return 0, err
 		}
+		if seed != nil && !swapped[n] {
+			if s, ok := seed[n.Name]; ok {
+				return s, nil
+			}
+			return math.Inf(1), nil
+		}
 		if len(trs) < 2 {
 			return math.Inf(1), nil
 		}
 		return score.Asynchrony(trs...)
+	}
+	// bound is diffBound over a freshly summed peer set.
+	bound := func(cand timeseries.Series, peers []timeseries.Series) float64 {
+		sum, err := timeseries.Sum(peers...)
+		if err != nil {
+			sum = timeseries.Series{}
+		}
+		return diffBound(cand, cand.PeakIndex(), sum, sum.PeakIndex(), len(peers))
 	}
 	diff := func(cand timeseries.Series, peers []timeseries.Series) float64 {
 		if len(peers) == 0 {
@@ -139,14 +162,12 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		}
 		return d
 	}
-	var swaps []Swap
-	var attempted uint64
 	for len(swaps) < maxSwaps {
 		worstIdx, worstScore := -1, math.Inf(1)
 		for i, n := range nodes {
 			s, err := nodeScore(n)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			if s < worstScore {
 				worstScore, worstIdx = s, i
@@ -158,7 +179,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 		worst := nodes[worstIdx]
 		wIDs, wTraces, err := nodeTraces(worst)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if len(wIDs) < 2 {
 			break
@@ -183,28 +204,34 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			break
 		}
 		victimPeers := peersOf(wTraces, victim)
-		type scored struct {
+		type leafScore struct {
 			idx int
 			s   float64
 		}
-		order := make([]scored, 0, len(nodes))
+		order := make([]leafScore, 0, len(nodes))
 		for i, n := range nodes {
 			if i == worstIdx {
 				continue
 			}
 			s, err := nodeScore(n)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
-			order = append(order, scored{i, s})
+			order = append(order, leafScore{i, s})
 		}
-		sort.Slice(order, func(a, b int) bool { return order[a].s > order[b].s })
+		// Partners by score descending, ties by leaf index ascending.
+		sort.Slice(order, func(a, b int) bool {
+			if order[a].s != order[b].s {
+				return order[a].s > order[b].s
+			}
+			return order[a].idx < order[b].idx
+		})
 		found := false
 		for _, cand := range order {
 			partner := nodes[cand.idx]
 			pIDs, pTraces, err := nodeTraces(partner)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			if len(pIDs) < 1 {
 				continue
@@ -216,28 +243,36 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 				curB := diff(pTraces[j], pPeers)
 				newA := diff(pTraces[j], victimPeers)
 				newB := diff(wTraces[victim], pPeers)
+				boundA, boundB := bound(pTraces[j], victimPeers), bound(wTraces[victim], pPeers)
+				if newA > boundA || newB > boundB {
+					return nil, 0, 0, fmt.Errorf("reference: bounds %v, %v below differentials %v, %v", boundA, boundB, newA, newB)
+				}
+				if boundA > curA && boundB > curB {
+					scored++
+				}
 				if newA > curA && newB > curB {
 					ok, err := fits(worst, partner, wIDs[victim], pIDs[j])
 					if err != nil {
-						return nil, 0, err
+						return nil, 0, 0, err
 					}
 					if !ok {
 						continue
 					}
 					if !worst.Detach(wIDs[victim]) || !partner.Detach(pIDs[j]) {
-						return nil, 0, fmt.Errorf("placement: swap bookkeeping failed")
+						return nil, 0, 0, fmt.Errorf("placement: swap bookkeeping failed")
 					}
 					if err := worst.Attach(pIDs[j]); err != nil {
-						return nil, 0, err
+						return nil, 0, 0, err
 					}
 					if err := partner.Attach(wIDs[victim]); err != nil {
-						return nil, 0, err
+						return nil, 0, 0, err
 					}
 					swaps = append(swaps, Swap{
 						InstanceA: wIDs[victim], InstanceB: pIDs[j],
 						NodeA: worst.Name, NodeB: partner.Name,
 						GainA: newA - curA, GainB: newB - curB,
 					})
+					swapped[worst], swapped[partner] = true, true
 					found = true
 					break
 				}
@@ -250,13 +285,13 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Sw
 			break
 		}
 	}
-	return swaps, attempted, nil
+	return swaps, attempted, scored, nil
 }
 
 // TestRemapCachedScoringEquivalence pins Remap and Online.Remap bit-identical
 // to the recompute-everything reference: identical swap sequences
 // (instances, nodes and float gain bits), identical final placements and the
-// same number of tried pairs on the attempted counter, across fragmented and
+// same numbers of tried and exactly scored pairs on the counters, across fragmented and
 // already-smooth starting points, with and without a demand model whose
 // tight per-leaf gpu capacities veto some score-improving swaps. After
 // Online.Remap the placer must also be current: every node's aggregate peak
@@ -299,7 +334,7 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
+			scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -331,20 +366,23 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		var unguarded []Swap
 		for _, cfg := range cfgs {
 			refTree := base.Clone()
-			want, wantAttempted, err := remapReference(refTree, traces, cfg)
+			want, wantAttempted, wantScored, err := remapReference(refTree, traces, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []Swap
 			for _, entry := range entries {
 				cachedTree := base.Clone()
-				before := obsSwapsAttempted.Value()
+				attempted, scored := obsSwapsAttempted.Value(), obsPairsScored.Value()
 				var o *Online
 				if got, o, err = entry.remap(cachedTree, cfg); err != nil {
 					t.Fatal(err)
 				}
-				if gotAttempted := obsSwapsAttempted.Value() - before; gotAttempted != wantAttempted {
+				if gotAttempted := obsSwapsAttempted.Value() - attempted; gotAttempted != wantAttempted {
 					t.Fatalf("%s %s %+v: %d pairs attempted vs %d reference", entry.name, name, cfg, gotAttempted, wantAttempted)
+				}
+				if gotScored := obsPairsScored.Value() - scored; gotScored != wantScored {
+					t.Fatalf("%s %s %+v: %d pairs scored vs %d reference", entry.name, name, cfg, gotScored, wantScored)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s %s %+v: %d swaps cached vs %d reference", entry.name, name, cfg, len(got), len(want))
@@ -505,7 +543,7 @@ func TestOnlineRemapHonoursInlineDemands(t *testing.T) {
 				leaf.Capacities = powertree.ResourceVector{"gpu": otherGPUs}
 			}
 		}
-		scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces)
+		scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

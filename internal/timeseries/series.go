@@ -156,8 +156,9 @@ func (s *Series) AddInPlace(o Series) error {
 	if err := s.alignedWith(o); err != nil {
 		return err
 	}
+	sv := s.Values[:len(o.Values)] // one bounds check for the loop
 	for i, v := range o.Values {
-		s.Values[i] += v
+		sv[i] += v
 	}
 	return nil
 }

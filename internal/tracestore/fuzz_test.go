@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzLoad checks the checkpoint reader against arbitrary bytes: Load never
-// panics, a store it accepts can be read, appended to (a late reading never
-// evicts a held one) and saved, and its checkpoint loads back to the same
-// bytes.
+// panics, and a store it accepts reports each ring's coverage as a fraction
+// in [0, 1], no less than its readings over all its slots, can be read,
+// appended to (a late reading never evicts a held one) and saved, and its
+// checkpoint loads back to the same bytes.
 func FuzzLoad(f *testing.F) {
 	valid := New(Config{Step: 30 * time.Minute, Retention: 4 * time.Hour, RejectImpulses: true})
 	for i, w := range []float64{10, 11, 90, 12, 13} {
@@ -36,6 +37,9 @@ func FuzzLoad(f *testing.F) {
 	// A reading newer than latest, which Load refuses: Append would shift
 	// the origin back over it.
 	f.Add([]byte(`{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[2,-1,-1,-1,7]}}}`))
+	// A latest reading a year past the ring's last slot, which Load refuses:
+	// Coverage would read 2 readings over a year of slots.
+	f.Add([]byte(`{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2017-07-25T00:00:00Z","values":[2,-1,7,-1,-1]}}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
@@ -43,7 +47,14 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		step, retention := st.Step(), st.cfg.retention()
+		slots := float64(retention / step)
 		for _, id := range st.Instances() {
+			// Coverage counts the readings over the span up to latest, which
+			// lies inside the ring: at least the readings over every slot.
+			held := float64(len(heldReadings(st, id)))
+			if c, err := st.Coverage(id); err != nil || !(c >= 0 && c <= 1) || c < held/slots {
+				t.Fatalf("coverage of loaded ring %q = %v, %v; want a fraction in [%v, 1]", id, c, err, held/slots)
+			}
 			st.mu.RLock()
 			start := st.instances[id].start
 			st.mu.RUnlock()

@@ -30,8 +30,9 @@ var (
 	ErrBadReading      = errors.New("tracestore: invalid reading")
 	// ErrBadCheckpoint marks a checkpoint Load refuses: a non-positive step
 	// or retention, an unparsable timestamp, a ring that does not start on
-	// the step grid, one whose length disagrees with the retention, or one
-	// holding a reading in a slot after its latest reading's.
+	// the step grid, one whose length disagrees with the retention, one
+	// whose latest reading lies past its last slot, or one holding a
+	// reading in a slot after its latest reading's.
 	ErrBadCheckpoint = errors.New("tracestore: bad checkpoint")
 
 	errWeeks = errors.New("tracestore: weeks must be ≥ 1")
@@ -425,6 +426,11 @@ func Load(r io.Reader) (*Store, error) {
 		}
 		if len(dump.Values) != slots {
 			return nil, fmt.Errorf("%w: %q holds %d slots, retention needs %d", ErrBadCheckpoint, id, len(dump.Values), slots)
+		}
+		// The newest reading lies in the ring, as Save writes it; Coverage
+		// divides by the span from start to latest.
+		if !latest.Before(start.Add(time.Duration(slots) * step)) {
+			return nil, fmt.Errorf("%w: latest %v of %q is past its last slot", ErrBadCheckpoint, latest, id)
 		}
 		// Append trusts latest to bound the readings: shifting the origin
 		// back empties the newest slots, which must all be later than latest.

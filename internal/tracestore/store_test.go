@@ -504,6 +504,8 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 		// Append would take 00:00:00 as the newest reading, accept one at
 		// 23:57 the day before and evict the 7 W reading at 00:04.
 		"reading after latest": `{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:00Z","values":[2,-1,-1,-1,7]}}}`,
+		// Coverage would divide two readings by a year of slots.
+		"latest past the ring": `{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2017-07-25T00:00:00Z","values":[2,-1,7,-1,-1]}}}`,
 		"latest before start":  `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-24T23:59:00Z","values":[1,-1,-1]}}}`,
 	} {
 		if _, err := Load(strings.NewReader(cp)); !errors.Is(err, ErrBadCheckpoint) {
