@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,6 +213,61 @@ func TestInternalAPIHasCallers(t *testing.T) {
 			t.Errorf("keptUncalled names %s, which no longer exists", key)
 		}
 	}
+}
+
+// TestDocsNameRealCode: every backquoted Go identifier in DESIGN.md and
+// README.md that starts with the name of one of the module's packages
+// (pkg.Name, pkg.Type.Method, pkg.Type.Field, …) names something that
+// exists: Name in that package's scope, each later part a field or method
+// of what the part before it names. Text after the dotted chain (call
+// arguments, a slice) is ignored, and so is a chain whose first part is no
+// package name (a variable, a file name).
+func TestDocsNameRealCode(t *testing.T) {
+	byName := make(map[string][]*types.Package)
+	for _, pkg := range loadRepo(t) {
+		byName[pkg.Types.Name()] = append(byName[pkg.Types.Name()], pkg.Types)
+	}
+	chain := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)+)[^`]*`")
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(filepath.Join(moduleRoot(t), doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range chain.FindAllStringSubmatch(line, -1) {
+				parts := strings.Split(m[1], ".")
+				pkgs, ok := byName[parts[0]]
+				if !ok {
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(pkgs, func(p *types.Package) bool { return resolves(p, parts[1:]) }) {
+					t.Errorf("%s:%d: `%s` names nothing in package %s", doc, i+1, m[1], parts[0])
+				}
+			}
+		}
+	}
+	t.Logf("%d package-qualified identifiers checked", checked)
+	if checked == 0 {
+		t.Fatal("no package-qualified identifier found in the docs: the pattern matches nothing")
+	}
+}
+
+// resolves reports whether names is a chain of a package-scope object of
+// pkg and then fields or methods, each of what the name before it denotes.
+func resolves(pkg *types.Package, names []string) bool {
+	obj := pkg.Scope().Lookup(names[0])
+	for _, name := range names[1:] {
+		if obj == nil {
+			return false
+		}
+		if _, ok := obj.(*types.Func); ok {
+			return false
+		}
+		obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, pkg, name)
+	}
+	return obj != nil
 }
 
 // isBench reports whether pkg belongs to the benchmark harness under

@@ -77,7 +77,7 @@ func TestAdaptMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := adapt(o, traces, 1.5, 16, 0)
+			got, err := adapt(o, 1.5, 16, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

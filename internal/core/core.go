@@ -454,38 +454,24 @@ type DriftReport struct {
 // trigger operational — 1.2–1.5 works well in practice).
 // Every resident of tree needs a trace in fresh.
 func (f *Framework) Adapt(tree *powertree.Node, fresh map[string]timeseries.Series, scoreFloor float64, maxSwaps int) (*DriftReport, error) {
-	traces := workload.SubPowerFn(fresh)
-	o, err := placement.NewOnline(tree, traces, placement.PolicyConfig{})
+	o, err := placement.NewOnline(tree, workload.SubPowerFn(fresh), placement.PolicyConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return adapt(o, traces, scoreFloor, maxSwaps, f.cfg.Workers)
+	return adapt(o, scoreFloor, maxSwaps, f.cfg.Workers)
 }
 
 // adapt is the drift monitor behind Adapt and Runtime.Tick, run through the
-// placer o over traces (the TraceFn o was built with). Σ leaf peaks and the
-// leaves' scores are read from o's ledger before any swap, and the same
-// scores seed the remap, so no resident trace is summed again; the leaves
-// are scored on workers goroutines, as the tick's read is. The remap moves
-// instances through o (placement.Online.Remap), whose recorded demands veto
-// swaps that would overflow a capacity dimension.
-func adapt(o *placement.Online, traces placement.TraceFn, scoreFloor float64, maxSwaps, workers int) (*DriftReport, error) {
-	aggs := o.Aggregates()
-	scores, err := placement.LevelAsynchronyFrom(aggs, powertree.RPP, traces, workers)
-	if err != nil {
+// placer o: Σ leaf peaks is read from o's ledger before any swap, and
+// placement.Online.Remap scores the leaves from the same ledger on workers
+// goroutines, as the tick's read is, and remaps when the worst is below
+// scoreFloor. The remap moves instances through o, whose recorded demands
+// veto swaps that would overflow a capacity dimension.
+func adapt(o *placement.Online, scoreFloor float64, maxSwaps, workers int) (*DriftReport, error) {
+	rep := &DriftReport{SumOfPeaks: o.Aggregates().SumOfPeaks(powertree.RPP)}
+	var err error
+	if rep.WorstNode, rep.WorstScore, rep.Swaps, err = o.Remap(scoreFloor, workers, maxSwaps); err != nil {
 		return nil, err
-	}
-	rep := &DriftReport{WorstScore: math.Inf(1), SumOfPeaks: aggs.SumOfPeaks(powertree.RPP)}
-	for _, node := range detmap.SortedKeys(scores) {
-		if s := scores[node]; s < rep.WorstScore {
-			rep.WorstScore, rep.WorstNode = s, node
-		}
-	}
-	if rep.WorstScore < scoreFloor {
-		rep.Swaps, err = o.Remap(scores, maxSwaps)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return rep, nil
 }

@@ -167,19 +167,34 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 
 // Ingest forwards one power reading into the store. With fault injection
 // configured the reading first passes through the injector — it may be
-// dropped, corrupted, skewed or delayed — and whatever the injector delivers
-// is appended. Transient store failures are retried up to ingestRetries
-// times before surfacing.
+// dropped, corrupted, skewed or delayed, or lost with the leaf the current
+// placement hosts the instance on — and whatever the injector delivers is
+// appended. Transient store failures are retried up to ingestRetries times
+// before surfacing.
 func (r *Runtime) Ingest(id string, at time.Time, watts float64) error {
 	if r.faults == nil {
 		return r.appendWithRetry(id, at, watts)
 	}
-	for _, rd := range r.faults.Feed(id, at, watts) {
+	for _, rd := range r.faults.Feed(id, r.leafName(id), at, watts) {
 		if err := r.appendWithRetry(rd.ID, rd.At, rd.Watts); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// leafName names the leaf hosting id in the current placement: "" before
+// Bootstrap and for an instance not placed.
+func (r *Runtime) leafName(id string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.view == nil {
+		return ""
+	}
+	if leaf, ok := r.view.online.Leaf(id); ok {
+		return leaf.Name
+	}
+	return ""
 }
 
 // FlushFaults drains the injector's reorder buffer into the store — call it
@@ -534,7 +549,7 @@ func (r *Runtime) Tick(asOf time.Time, window time.Duration) (*DriftReport, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: tick: %w", err)
 	}
-	rep, err := adapt(tv.online, workload.SubPowerFn(fresh), r.scoreFloor, r.maxSwaps, r.fw.cfg.Workers)
+	rep, err := adapt(tv.online, r.scoreFloor, r.maxSwaps, r.fw.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/powertree"
 	"repro/internal/tracestore"
@@ -370,5 +372,119 @@ func TestFlushFaultsDrainsReorderBuffer(t *testing.T) {
 	}
 	if q.Coverage != 1 {
 		t.Fatalf("coverage after flush = %v, want 1", q.Coverage)
+	}
+}
+
+// TestLeafOutageFollowsPlacement: an injector built, as a daemon builds it,
+// on the runtime's tree while that tree is still empty must still key each
+// whole-leaf outage on the leaf the instance is placed on once Bootstrap
+// has placed it. After Bootstrap a reading is lost to an outage exactly
+// when its own leaf's outage fires (read from a reference injector), and
+// some slot loses one leaf but not another: the outage is no fleet-wide
+// blackout. Ingest then runs while admissions move the placement under it.
+func TestLeafOutageFollowsPlacement(t *testing.T) {
+	tree, err := powertree.Build(powertree.TopologySpec{
+		Name: "o", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 4, LeafBudget: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainEnd := dEpoch.Add(2 * dWeek)
+	profile := faults.Profile{Seed: 5, LeafOutageRate: 0.3}.Activated(trainEnd, 0)
+	inj, err := faults.New(profile, time.Hour, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := tracestore.New(tracestore.Config{Step: time.Hour, Retention: 4 * dWeek})
+	rt, err := NewRuntime(New(Config{TopServices: 2, Seed: 1}), store, tree, RuntimeConfig{Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instances []placement.Instance
+	for i := 0; i < 8; i++ {
+		instances = append(instances, placement.Instance{ID: fmt.Sprintf("i%d", i), Service: fmt.Sprintf("s%d", i%2)})
+	}
+	watts := func(i, s int) float64 { return 80 + 40*math.Sin(2*math.Pi*float64(s%24)/24+float64(i)) }
+	arrival := placement.Instance{ID: "x", Service: "s0"} // history only: admitted below
+	for s := 0; s < 2*168; s++ {
+		for i, inst := range append(instances, arrival) {
+			if err := rt.Ingest(inst.ID, dEpoch.Add(time.Duration(s)*time.Hour), watts(i, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	leafOf := tree.InstanceLeaves()
+	drops := obs.Default().Counter("smoothop_faults_leaf_outage_drops_total", "")
+	type reading struct {
+		id   string
+		slot int
+	}
+	lost := make(map[reading]bool)
+	for s := 2 * 168; s < 3*168; s++ {
+		for i, inst := range instances {
+			before := drops.Value()
+			if err := rt.Ingest(inst.ID, dEpoch.Add(time.Duration(s)*time.Hour), watts(i, s)); err != nil {
+				t.Fatal(err)
+			}
+			lost[reading{inst.ID, s}] = drops.Value() != before
+		}
+	}
+	ref, err := faults.New(profile, time.Hour, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := make(map[string]bool)
+	for _, leaf := range leafOf {
+		hosts[leaf] = true
+	}
+	outages, apart := 0, 0
+	for s := 2 * 168; s < 3*168; s++ {
+		at := dEpoch.Add(time.Duration(s) * time.Hour)
+		dark := make(map[string]bool)
+		for _, inst := range instances {
+			leaf := leafOf[inst.ID]
+			fired := len(ref.Feed("probe", leaf, at, 1)) == 0
+			if lost[reading{inst.ID, s}] != fired {
+				t.Fatalf("slot %d: %s on %s lost %v, its leaf's outage fired %v", s, inst.ID, leaf, !fired, fired)
+			}
+			if fired {
+				outages++
+				dark[leaf] = true
+			}
+		}
+		if len(dark) > 0 && len(dark) < len(hosts) {
+			apart++
+		}
+	}
+	if outages == 0 || apart == 0 {
+		t.Fatalf("%d readings lost to leaf outages, %d slots losing some leaves only: want both", outages, apart)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for k := 0; k < 20; k++ {
+			if _, err := rt.AdmitInstance(arrival.ID, arrival.Service, trainEnd, 2); err != nil {
+				done <- err
+				return
+			}
+			if _, err := rt.RetireInstance(arrival.ID); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for s := 3 * 168; s < 3*168+48; s++ {
+		for i, inst := range instances {
+			if err := rt.Ingest(inst.ID, dEpoch.Add(time.Duration(s)*time.Hour), watts(i, s)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

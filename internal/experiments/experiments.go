@@ -319,7 +319,7 @@ func Fig8(opt Options, k int) ([]Fig8Point, error) {
 	for i, inst := range insts {
 		series[i] = avg[inst.ID]
 	}
-	points, err := score.Vectors(series, basis)
+	points, err := score.VectorsParallel(series, basis, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -108,7 +108,8 @@ type Profile struct {
 
 	// LeafOutageRate is the expected fraction of readings lost to
 	// whole-leaf outages (every instance under one RPP goes dark
-	// together), in bursts of leafOutageBurst slots.
+	// together), in bursts of leafOutageBurst slots. Feed's caller names
+	// each reading's leaf; an instance on no leaf is never in an outage.
 	LeafOutageRate float64
 
 	// ActiveFrom/ActiveFor bound when the profile injects. A zero
@@ -215,8 +216,6 @@ type Injector struct {
 	p    Profile
 	step time.Duration
 
-	// leafOf maps instance → hosting leaf name, for whole-leaf outages.
-	leafOf map[string]string
 	// lastGood latches the last non-stuck value delivered per instance.
 	lastGood map[string]float64
 	// pending is the per-instance reorder buffer, kept sorted by release
@@ -231,8 +230,8 @@ type pendingReading struct {
 }
 
 // New returns an injector for the profile over telemetry bucketed at step.
-// tree supplies leaf membership for whole-leaf outages and trip targets;
-// it may be nil when the profile uses neither.
+// tree is the power tree whose leaves go dark in whole-leaf outages and
+// whose nodes trips name; it may be nil when the profile uses neither.
 func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -245,9 +244,6 @@ func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error)
 		step:     step,
 		lastGood: make(map[string]float64),
 		pending:  make(map[string][]pendingReading),
-	}
-	if tree != nil {
-		inj.leafOf = tree.InstanceLeaves()
 	}
 	if p.LeafOutageRate > 0 && tree == nil {
 		return nil, ErrNeedTree
@@ -345,17 +341,17 @@ func (f *Injector) Skew(id string) time.Duration {
 	return f.step
 }
 
-// Feed passes one reading through the injector and returns the deliveries
-// due now: the (possibly transformed) reading itself unless it was dropped
-// or delayed, followed by any previously delayed readings of the same
-// instance whose release slot has arrived — those arrive out of order by
-// construction.
-func (f *Injector) Feed(id string, at time.Time, watts float64) []Reading {
+// Feed passes one reading of the instance hosted on leaf ("" when it is on
+// none) through the injector and returns the deliveries due now: the
+// (possibly transformed) reading itself unless it was dropped or delayed,
+// followed by any previously delayed readings of the same instance whose
+// release slot has arrived — those arrive out of order by construction.
+func (f *Injector) Feed(id, leaf string, at time.Time, watts float64) []Reading {
 	var out []Reading
 	slot := f.slotOf(at)
 	if f.active(at) {
 		switch {
-		case f.leafOf != nil && f.burstHit(kindLeafOutage, f.leafOf[id], slot, f.p.LeafOutageRate, leafOutageBurst):
+		case leaf != "" && f.burstHit(kindLeafOutage, leaf, slot, f.p.LeafOutageRate, leafOutageBurst):
 			obsLeafOutageDrops.Inc()
 		case f.burstHit(kindDropout, id, slot, f.p.DropoutRate, dropoutBurst):
 			obsDropped.Inc()

@@ -36,7 +36,7 @@ func feedAll(inj *Injector, ids []string, n int) map[string][]Reading {
 	for s := 0; s < n; s++ {
 		at := epoch.Add(time.Duration(s) * time.Minute)
 		for _, id := range ids {
-			out[id] = append(out[id], inj.Feed(id, at, 100)...)
+			out[id] = append(out[id], inj.Feed(id, "", at, 100)...)
 		}
 	}
 	for _, r := range inj.Flush() {
@@ -135,7 +135,7 @@ func TestFeedOrderIndependence(t *testing.T) {
 	for _, id := range []string{"b", "a"} { // reversed interleave, per-slot
 		for s := 0; s < 500; s++ {
 			at := epoch.Add(time.Duration(s) * time.Minute)
-			other[id] = append(other[id], b.Feed(id, at, 100)...)
+			other[id] = append(other[id], b.Feed(id, "", at, 100)...)
 		}
 	}
 	for _, r := range b.Flush() {
@@ -155,7 +155,7 @@ func TestStuckLatchesLastValue(t *testing.T) {
 	for s := 0; s < 2000; s++ {
 		at := epoch.Add(time.Duration(s) * time.Minute)
 		v := 100 + float64(s) // strictly increasing, so a repeat means latching
-		for _, r := range inj.Feed("a", at, v) {
+		for _, r := range inj.Feed("a", "", at, v) {
 			if r.Watts != v {
 				latched++
 				if r.Watts >= v {
@@ -181,7 +181,7 @@ func TestSpikesAndSkew(t *testing.T) {
 	spikes := 0
 	for s := 0; s < 1000; s++ {
 		at := epoch.Add(time.Duration(s) * time.Minute)
-		for _, r := range inj.Feed("a", at, 100) {
+		for _, r := range inj.Feed("a", "", at, 100) {
 			if !r.At.Equal(at.Add(skew)) {
 				t.Fatalf("slot %d delivered at %v, want constant skew %v", s, r.At, skew)
 			}
@@ -205,7 +205,7 @@ func TestReorderDeliversOutOfOrderAndFlushes(t *testing.T) {
 	}
 	var got []Reading
 	for s := 0; s < 300; s++ {
-		got = append(got, inj.Feed("a", epoch.Add(time.Duration(s)*time.Minute), float64(s))...)
+		got = append(got, inj.Feed("a", "", epoch.Add(time.Duration(s)*time.Minute), float64(s))...)
 	}
 	flushed := inj.Flush()
 	outOfOrder := 0
@@ -232,6 +232,7 @@ func TestLeafOutageDropsWholeLeafTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a and c share a leaf; b and d share the other.
+	leafOf := tree.InstanceLeaves()
 	delivered := make(map[string]map[int]bool)
 	for _, id := range []string{"a", "b", "c", "d"} {
 		delivered[id] = make(map[int]bool)
@@ -239,12 +240,12 @@ func TestLeafOutageDropsWholeLeafTogether(t *testing.T) {
 	for s := 0; s < 1000; s++ {
 		at := epoch.Add(time.Duration(s) * time.Minute)
 		for _, id := range []string{"a", "b", "c", "d"} {
-			for range inj.Feed(id, at, 100) {
+			for range inj.Feed(id, leafOf[id], at, 100) {
 				delivered[id][s] = true
 			}
 		}
 	}
-	dropsA := 0
+	dropsA, apart := 0, 0
 	for s := 0; s < 1000; s++ {
 		if delivered["a"][s] != delivered["c"][s] {
 			t.Fatalf("slot %d: co-leaf instances a and c disagree", s)
@@ -255,9 +256,12 @@ func TestLeafOutageDropsWholeLeafTogether(t *testing.T) {
 		if !delivered["a"][s] {
 			dropsA++
 		}
+		if delivered["a"][s] != delivered["b"][s] {
+			apart++
+		}
 	}
-	if dropsA == 0 {
-		t.Fatal("no leaf outages fired")
+	if dropsA == 0 || apart == 0 {
+		t.Fatalf("%d slots of leaf outage, %d of them on one leaf only: want both", dropsA, apart)
 	}
 }
 
@@ -269,7 +273,7 @@ func TestActiveWindowBounds(t *testing.T) {
 	}
 	for s := 0; s < 300; s++ {
 		at := epoch.Add(time.Duration(s) * time.Minute)
-		n := len(inj.Feed("a", at, 100))
+		n := len(inj.Feed("a", "", at, 100))
 		inWindow := s >= 100 && s < 150
 		if inWindow && n != 0 {
 			t.Fatalf("slot %d inside fault window delivered", s)

@@ -3,11 +3,12 @@ package placement
 import "repro/internal/obs"
 
 // Remap metrics (see DESIGN.md "Observability"). The swap search is serial,
-// so the counters are exact; they are recorded once per completed Remap so
-// a failed remap contributes nothing.
+// so the counters are exact; they are recorded once per completed search
+// (a Remap whose worst leaf scores below its floor), so a failed remap, or
+// one that only scored the leaves, contributes nothing.
 var (
 	obsRemaps = obs.Default().Counter("smoothop_placement_remaps_total",
-		"Completed Remap invocations.")
+		"Completed Remap swap searches.")
 	obsSwapsAttempted = obs.Default().Counter("smoothop_placement_swaps_attempted_total",
 		"Candidate swap pairs evaluated by Remap.")
 	obsPairsScored = obs.Default().Counter("smoothop_placement_swap_pairs_scored_total",
@@ -15,7 +16,7 @@ var (
 	obsSwapsApplied = obs.Default().Counter("smoothop_placement_swaps_applied_total",
 		"Swaps accepted and applied by Remap.")
 	obsRemapSpan = obs.Default().Span("smoothop_placement_remap_seconds",
-		"Wall time of one Remap invocation.")
+		"Wall time of one Remap swap search.")
 )
 
 // Online placement metrics. Admissions and retirements are counted once per

@@ -32,7 +32,7 @@ var (
 // OnlineCandidate is one feasible leaf offered to an online policy. The
 // placer builds candidates, and they are valid only until its next Admit.
 // A candidate carries what the ledger already holds for free (the leaf's
-// aggregate, its peak and the peak's slot); the numbers that take a pass
+// aggregate and its peak's slot); the numbers that take a pass
 // over the aggregate (PostPeak, Headroom, Residuals) are computed on first
 // use and remembered, so a policy pays only for what it reads. Call them
 // on the slice element (cands[i].Headroom()), not on a copy, for the memo
@@ -47,8 +47,7 @@ type OnlineCandidate struct {
 	Aggregate timeseries.Series
 	Count     int
 
-	// peak and slot are the ledger's Peak and PeakSlot of Aggregate.
-	peak float64
+	// slot is the ledger's PeakSlot of Aggregate.
 	slot int
 	// post is PostPeak once postKnown; residuals is Residuals once non-nil.
 	post      float64
@@ -401,7 +400,6 @@ func (o *Online) feasibleLeaves() ([]OnlineCandidate, error) {
 				Leaf:      n,
 				Aggregate: agg,
 				Count:     len(n.Instances),
-				peak:      aggs.PeakAt(p),
 				slot:      aggs.PeakSlotAt(p),
 				post:      post,
 				postKnown: postKnown,
@@ -526,18 +524,15 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 // time instead. Empty leaves score +Inf (a lone instance cannot overlap
 // with anything); ties break toward the tighter fit, then tree order.
 //
-// Choose scores only the candidates that can win. With ip and sa the
-// arrival's peak and its slot, and ap = Peak·(1/n) the peer average's peak
-// at the aggregate's peak slot sg, the score (ip + ap) / joint has the
-// upper bound (ip + ap) / max(tr[sg] + ap, ip + agg[sa]·(1/n)): both
-// denominator terms are terms of the kernel's joint maximum, rounded as the
-// kernel rounds them, so the bound is ≥ the score bit for bit. Candidates
-// are popped off a max-heap in descending bound (tree order among equal
-// bounds) and scored until a bound falls below the best score so far;
-// nothing left on the heap can win or tie. A candidate with no defined
-// bound (an empty leaf, a peak ≤ 0, a denominator ≤ 0) gets +Inf: it is
-// always scored, ahead of every finite bound and in tree order, so an error
-// comes back from the same candidate as under exhaustive scoring.
+// Choose scores only the candidates that can win. Each gets the O(1) upper
+// bound score.DifferentialBound from the arrival's and the aggregate's peak
+// slots. Candidates are popped off a max-heap in descending bound (tree
+// order among equal bounds) and scored until a bound falls below the best
+// score so far; nothing left on the heap can win or tie. A candidate with
+// no defined bound (an empty leaf, a peak ≤ 0, a denominator ≤ 0) gets
+// +Inf: it is always scored, ahead of every finite bound and in tree order,
+// so an error comes back from the same candidate as under exhaustive
+// scoring.
 type OnlineAsynchrony struct{}
 
 // Name implements Policy.
@@ -548,7 +543,8 @@ func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeserie
 	o := cands[0].o
 	o.bounds, o.scores, o.order = o.bounds[:0], o.scores[:0], o.order[:0]
 	for i := range cands {
-		o.bounds = append(o.bounds, asynchronyBound(&cands[i], tr, o.arrivalPeak, o.arrivalSlot))
+		c := &cands[i]
+		o.bounds = append(o.bounds, score.DifferentialBound(&tr, o.arrivalSlot, &c.Aggregate, c.slot, c.Count))
 		o.scores = append(o.scores, math.NaN()) // unscored: never wins or ties
 		o.order = append(o.order, i)
 	}
@@ -625,23 +621,4 @@ func (h *boundHeap) down(k int) {
 		h.order[k], h.order[c] = h.order[c], h.order[k]
 		k = c
 	}
-}
-
-// asynchronyBound is the upper bound OnlineAsynchrony.Choose prunes with
-// (see there), from O(1) reads: ip and sa are the arrival's peak and slot.
-// It is +Inf where no bound is defined.
-func asynchronyBound(c *OnlineCandidate, tr timeseries.Series, ip float64, sa int) float64 {
-	if c.Count == 0 || c.slot < 0 || sa < 0 || !(ip > 0) {
-		return math.Inf(1)
-	}
-	k := 1 / float64(c.Count)
-	ap := float64(c.peak * k) // the kernel's peer-average peak: rounding is monotone
-	joint := tr.Values[c.slot] + ap
-	if other := ip + float64(c.Aggregate.Values[sa]*k); other > joint {
-		joint = other
-	}
-	if b := (ip + ap) / joint; ap > 0 && joint > 0 && !math.IsNaN(b) {
-		return b
-	}
-	return math.Inf(1)
 }

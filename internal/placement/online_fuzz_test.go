@@ -122,7 +122,7 @@ func sortedVisit(cands []OnlineCandidate, tr timeseries.Series) []int {
 	bounds := make([]float64, len(cands))
 	order := make([]int, len(cands))
 	for i := range cands {
-		bounds[i] = asynchronyBound(&cands[i], tr, tr.Peak(), tr.PeakIndex())
+		bounds[i] = score.DifferentialBound(&tr, tr.PeakIndex(), &cands[i].Aggregate, cands[i].slot, cands[i].Count)
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int {

@@ -48,8 +48,8 @@ var ErrBadMaxSwaps = errors.New("placement: MaxSwaps must not be negative")
 
 // Remap incrementally improves an existing placement in response to
 // workload drift (§3.6): it builds a placer over the tree (NewOnline, with
-// cfg.Policy's demand model), scores the leaves from its ledger
-// (LevelAsynchronyFrom) and runs Online.Remap.
+// cfg.Policy's demand model) and runs Online.Remap with no score floor, on
+// one worker.
 func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error) {
 	if cfg.MaxSwaps < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, cfg.MaxSwaps)
@@ -61,73 +61,68 @@ func Remap(tree *powertree.Node, traces TraceFn, cfg RemapConfig) ([]Swap, error
 	if err != nil {
 		return nil, err
 	}
-	scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 1)
-	if err != nil {
-		return nil, err
-	}
-	return o.Remap(scores, cfg.MaxSwaps)
+	_, _, swaps, err := o.Remap(math.Inf(1), 1, cfg.MaxSwaps)
+	return swaps, err
 }
 
-// Remap is the §3.6 repair run on the placer's tree. It repeatedly finds
-// the leaf with the lowest asynchrony score, finds the instance there with
-// the worst differential asynchrony score, and swaps it with an instance
-// from another leaf if and only if the swap raises the differential scores
-// at both leaves and keeps every capacity dimension on both root paths
-// within bounds (the placer's recorded demands against its usage ledger).
-// It stops when no improving swap exists or maxSwaps (0 means 32; negative
-// is ErrBadMaxSwaps) swaps were accepted, and returns them.
+// Remap is the §3.6 drift monitor and repair, run on the placer's tree. It
+// scores every leaf (RPP) from the placer's ledger, as LevelAsynchronyFrom
+// does and on as many workers, and returns the worst leaf's name and score
+// from before any swap (the lowest name among equal scores; "" and +Inf
+// when no leaf hosts two instances). If that score is below floor it
+// repairs: it repeatedly finds the leaf with the lowest score (the lowest
+// leaf index among equal scores), finds the instance there with the worst
+// differential asynchrony score, and swaps it with an instance from another
+// leaf if and only if the swap raises the differential scores at both
+// leaves and keeps every capacity dimension on both root paths within
+// bounds (the placer's recorded demands against its usage ledger). It stops
+// when no improving swap exists or maxSwaps (0 means 32; negative is
+// ErrBadMaxSwaps) swaps were accepted, and returns them.
 //
-// scores seeds the leaves' current scores, as LevelAsynchronyFrom returns
-// them from the placer's Aggregates; a leaf missing from scores has fewer
-// than two residents and reads as +Inf. Partners are tried by score
-// descending, then leaf index ascending. The two leaves of an accepted swap
-// are rescored from their residents' traces. The usage ledger is rerolled
-// after each swap, since later swaps are checked against it; the aggregate
-// ledger refolds every leaf the swaps touched once, before Remap returns
-// (one fold per swap would rebuild the ledger's snapshot each time). Either
-// way the placer's ledgers describe the repaired tree on return.
-func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) {
+// Partners are tried by score descending, then leaf index ascending. The
+// two leaves of an accepted swap are rescored from their residents' traces.
+// The usage ledger is rerolled after each swap, since later swaps are
+// checked against it; the aggregate ledger refolds every leaf the swaps
+// touched once, before Remap returns (one fold per swap would rebuild the
+// ledger's snapshot each time). Either way the placer's ledgers describe
+// the repaired tree on return.
+func (o *Online) Remap(floor float64, workers, maxSwaps int) (worst string, worstScore float64, swaps []Swap, err error) {
 	if maxSwaps < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, maxSwaps)
+		return "", 0, nil, fmt.Errorf("%w: got %d", ErrBadMaxSwaps, maxSwaps)
 	}
-	timer := obsRemapSpan.Start()
 	if maxSwaps == 0 {
 		maxSwaps = 32
 	}
-	nodes := o.tree.NodesAtLevel(powertree.RPP)
-
-	// Per-leaf cache, filled on first use. Placements only change at the two
-	// leaves of an accepted swap, so only those two entries are ever
-	// invalidated, and marked swapped: scores no longer describes them.
+	aggs := o.ledger.Snapshot()
+	nodes := aggs.NodesAtLevel(powertree.RPP)
 	cache := make([]*leafState, len(nodes))
-	swapped := make([]bool, len(nodes))
-	stateOf := func(i int) (*leafState, error) {
-		if cache[i] != nil {
-			return cache[i], nil
+	if err := inRuns(len(nodes), workers, func(lo, hi int) (err error) {
+		for i := lo; i < hi && err == nil; i++ {
+			cache[i], err = newLeafState(nodes[i], aggs, o.traces)
 		}
-		n := nodes[i]
-		ids := n.AllInstances()
-		trs := make([]timeseries.Series, len(ids))
-		for j, id := range ids {
-			tr, ok := o.traces(id)
-			if !ok {
-				return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
-			}
-			trs[j] = tr
-		}
-		st := &leafState{ids: ids, trs: trs, s: math.Inf(1)} // < 2 residents: nothing to defragment
-		if s, ok := scores[n.Name]; ok && !swapped[i] {
-			st.s = s
-		} else if swapped[i] && len(trs) >= 2 {
-			s, err := score.Asynchrony(trs...)
-			if err != nil {
-				return nil, err
-			}
-			st.s = s
-		}
-		cache[i] = st
-		return st, nil
+		return err
+	}); err != nil {
+		return "", 0, nil, err
 	}
+	worstScore = math.Inf(1)
+	for i, st := range cache {
+		if st.s < worstScore || (st.s == worstScore && worst != "" && nodes[i].Name < worst) {
+			worst, worstScore = nodes[i].Name, st.s
+		}
+	}
+	if !(worstScore < floor) {
+		return worst, worstScore, nil, nil
+	}
+	if swaps, err = o.repair(nodes, cache, maxSwaps); err != nil {
+		return "", 0, nil, err
+	}
+	return worst, worstScore, swaps, nil
+}
+
+// repair is Remap's swap search over the leaves nodes, whose current
+// states cache holds; it alone moves the remap counters and span.
+func (o *Online) repair(nodes []*powertree.Node, cache []*leafState, maxSwaps int) ([]Swap, error) {
+	timer := obsRemapSpan.Start()
 	// byScore orders leaves as the partner search tries them.
 	byScore := func(a, b int) int {
 		switch sa, sb := cache[a].s, cache[b].s; {
@@ -138,41 +133,27 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 		}
 		return cmp.Compare(a, b)
 	}
+	// order is every leaf in partner order, kept across iterations: an
+	// accepted swap takes its two leaves out and puts them back at their
+	// new scores.
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, byScore)
 
 	var swaps []Swap
 	var moved []*powertree.Node
 	var attempted, scored uint64
-	// order is every leaf in partner order, kept across iterations: an
-	// accepted swap takes its two leaves out (pending) and the next
-	// iteration inserts them at their new scores.
-	var order, pending []int
 	for len(swaps) < maxSwaps {
-		// 1. Find the most fragmented leaf. This also caches every leaf's
-		// state (rescoring the two a swap touched), so the steps below read
-		// the cache directly.
+		// 1. Find the most fragmented leaf.
 		worstIdx, worstScore := -1, math.Inf(1)
-		for i := range nodes {
-			st, err := stateOf(i)
-			if err != nil {
-				return nil, err
-			}
+		for i, st := range cache {
 			if st.s < worstScore {
 				worstScore, worstIdx = st.s, i
 			}
 		}
-		if order == nil {
-			order = make([]int, len(nodes))
-			for i := range order {
-				order[i] = i
-			}
-			slices.SortFunc(order, byScore)
-		}
-		for _, i := range pending {
-			at, _ := slices.BinarySearchFunc(order, i, byScore)
-			order = slices.Insert(order, at, i)
-		}
-		pending = pending[:0]
-		if worstIdx < 0 || math.IsInf(worstScore, 1) {
+		if worstIdx < 0 {
 			break
 		}
 		worst, worstState := nodes[worstIdx], cache[worstIdx]
@@ -217,8 +198,8 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 				// rise. Each side's upper bound rejects most pairs from O(1)
 				// reads; the rest are scored exactly.
 				curA, curB := victimDiff, candState.cur[j]
-				if !(diffBound(pTraces[j], candState.peak[j], vPeers, vPeersPeak, nA) > curA) ||
-					!(diffBound(vTrace, vPeak, candState.peers[j], candState.peersPeak[j], nB) > curB) {
+				if !(score.DifferentialBound(&pTraces[j], candState.peak[j], &vPeers, vPeersPeak, nA) > curA) ||
+					!(score.DifferentialBound(&vTrace, vPeak, &candState.peers[j], candState.peersPeak[j], nB) > curB) {
 					continue
 				}
 				scored++
@@ -255,14 +236,21 @@ func (o *Online) Remap(scores map[string]float64, maxSwaps int) ([]Swap, error) 
 					NodeA: worst.Name, NodeB: partner.Name,
 					GainA: newA - curA, GainB: newB - curB,
 				})
-				// Only the two leaves touched by the swap changed; every
-				// other cached state and its place in order stay valid.
+				// Only the two leaves touched by the swap changed: they are
+				// rescored and put back in order; every other cached state
+				// and its place in order stay valid.
 				for _, i := range [2]int{worstIdx, ci} {
 					at := slices.Index(order, i)
 					order = slices.Delete(order, at, at+1)
-					cache[i], swapped[i] = nil, true
+					var err error
+					if cache[i], err = newLeafState(nodes[i], nil, o.traces); err != nil {
+						return nil, err
+					}
 				}
-				pending = append(pending, worstIdx, ci)
+				for _, i := range [2]int{worstIdx, ci} {
+					at, _ := slices.BinarySearchFunc(order, i, byScore)
+					order = slices.Insert(order, at, i)
+				}
 				found = true
 				break
 			}
@@ -367,29 +355,6 @@ func differential(cand, sum timeseries.Series, n int) float64 {
 	return d
 }
 
-// diffBound is an upper bound on differential(c, sum, n) from O(1) reads,
-// given the peak slots ci of c and si of sum (PeakIndex's). With k = 1/n,
-// ip = c[ci] and ap = sum[si]·k, the kernel returns (ip+ap)/joint, where
-// joint is the largest c[t] + sum[t]·k; c[si] + ap and ip + sum[ci]·k are
-// two of the values that maximum compares, bit for bit, and rounding is
-// monotone, so dividing by the larger of them bounds the result from above.
-// The bound is +Inf wherever it is undefined (n = 0, misaligned or empty
-// series, a non-positive peak or denominator, NaN), so it never rejects a
-// pair the kernel would score.
-func diffBound(c timeseries.Series, ci int, sum timeseries.Series, si int, n int) float64 {
-	if n <= 0 || ci < 0 || si < 0 || c.Len() != sum.Len() || c.Step != sum.Step {
-		return math.Inf(1)
-	}
-	k := 1 / float64(n)
-	ip, ap := c.Values[ci], float64(sum.Values[si]*k)
-	floor := max(c.Values[si]+ap, ip+float64(sum.Values[ci]*k)) // ≤ joint
-	b := (ip + ap) / floor
-	if !(ip > 0 && ap > 0 && floor > 0) || math.IsNaN(b) {
-		return math.Inf(1)
-	}
-	return b
-}
-
 // swapFits reports whether exchanging an instance with demand da (leaving
 // leaf a for b) against one with demand db (leaving b for a) keeps every
 // capacity dimension within bounds on both root paths. Ancestors both
@@ -432,40 +397,26 @@ func LevelAsynchrony(tree *powertree.Node, level powertree.Level, traces TraceFn
 
 // LevelAsynchronyFrom scores from the caller's aggs of the tree over the
 // same traces: each denominator is read from aggs, traces supply only the
-// residents' peaks. Leaf scores are bit-identical to score.Asynchrony over
-// the residents (a leaf folds in attachment order, Sum's order); an
-// interior node sums child aggregates, so its last bits may differ. The
-// nodes are scored on contiguous runs, one per worker (internal/parallel;
-// traces must be safe for concurrent use), so the result and the error —
-// the first failing node's in level order — are the same at any worker
-// count.
+// residents' peaks (newLeafState). Leaf scores are bit-identical to
+// score.Asynchrony over the residents (a leaf folds in attachment order,
+// Sum's order); an interior node sums child aggregates, so its last bits
+// may differ. The nodes are scored in runs (inRuns; traces must be safe for
+// concurrent use), so the result and the error — the first failing node's
+// in level order — are the same at any worker count.
 func LevelAsynchronyFrom(aggs *powertree.Aggregates, level powertree.Level, traces TraceFn, workers int) (map[string]float64, error) {
 	nodes := aggs.NodesAtLevel(level)
 	scores := make([]float64, len(nodes))
 	hosts := make([]bool, len(nodes))
-	runs := min(parallel.Workers(workers), len(nodes))
-	err := parallel.ForEach(context.Background(), runs, runs, func(run int) error {
-		lo, hi := run*len(nodes)/runs, (run+1)*len(nodes)/runs
-		part, hosted := scores[lo:hi], hosts[lo:hi]
-		var trs []timeseries.Series
-		for i, n := range nodes[lo:hi] {
-			ids := n.AllInstances()
-			if len(ids) < 2 {
+	err := inRuns(len(nodes), workers, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if nodes[i].InstanceCount() < 2 {
 				continue
 			}
-			trs = trs[:0]
-			for _, id := range ids {
-				tr, ok := traces(id)
-				if !ok {
-					return fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
-				}
-				trs = append(trs, tr)
-			}
-			s, err := score.AsynchronyFromSum(aggs.Peak(n), trs...)
+			st, err := newLeafState(nodes[i], aggs, traces)
 			if err != nil {
-				return fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
+				return err
 			}
-			part[i], hosted[i] = s, true
+			scores[i], hosts[i] = st.s, true
 		}
 		return nil
 	})
@@ -479,4 +430,45 @@ func LevelAsynchronyFrom(aggs *powertree.Aggregates, level powertree.Level, trac
 		}
 	}
 	return out, nil
+}
+
+// inRuns calls run(lo, hi) on contiguous runs of [0, n), one per worker
+// (internal/parallel). Each run writes only its own indices and the error
+// is the lowest failing run's, so a run-split loop that stops at its first
+// failure behaves as a serial one at any worker count.
+func inRuns(n, workers int, run func(lo, hi int) error) error {
+	runs := min(parallel.Workers(workers), n)
+	return parallel.ForEach(context.Background(), runs, runs, func(r int) error {
+		return run(r*n/runs, (r+1)*n/runs)
+	})
+}
+
+// newLeafState resolves the traces of n's residents and scores n: against
+// the peak of its aggregate in aggs (score.AsynchronyFromSum, bit-identical
+// to score.Asynchrony at a leaf) or, with aggs nil because the residents
+// changed since, against their own sum. Fewer than two residents score
+// +Inf.
+func newLeafState(n *powertree.Node, aggs *powertree.Aggregates, traces TraceFn) (*leafState, error) {
+	st := &leafState{ids: n.AllInstances(), s: math.Inf(1)}
+	st.trs = make([]timeseries.Series, len(st.ids))
+	for j, id := range st.ids {
+		tr, ok := traces(id)
+		if !ok {
+			return nil, fmt.Errorf("%w for instance %q", ErrMissingTrace, id)
+		}
+		st.trs[j] = tr
+	}
+	if len(st.trs) < 2 {
+		return st, nil
+	}
+	var err error
+	if aggs == nil {
+		st.s, err = score.Asynchrony(st.trs...)
+	} else {
+		st.s, err = score.AsynchronyFromSum(aggs.Peak(n), st.trs...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("placement: scoring node %q: %w", n.Name, err)
+	}
+	return st, nil
 }

@@ -35,7 +35,7 @@ func TestRemapConfigRejectsNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Remap(nil, -2); !errors.Is(err, ErrBadMaxSwaps) {
+	if _, _, _, err := o.Remap(math.Inf(1), 1, -2); !errors.Is(err, ErrBadMaxSwaps) {
 		t.Errorf("Online.Remap err = %v, want %v", err, ErrBadMaxSwaps)
 	}
 	// Zero still means the default, not zero swaps.
@@ -64,15 +64,16 @@ func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (
 // capacity check applies it to a clone and sums every node's subtree demands
 // from scratch. Partners are tried by score descending, ties by leaf index
 // ascending. It returns the number of pairs tried and the number of them
-// whose two diffBound values both exceed the current differentials (the
-// pairs Remap must score exactly), and fails if a bound lies below the
-// differential it bounds. The equivalence tests pin Remap bit-identical to
-// this oracle.
+// whose two score.DifferentialBound values both exceed the current
+// differentials (the pairs Remap must score exactly), and fails if a bound
+// lies below the differential it bounds. The equivalence tests pin Remap
+// bit-identical to this oracle.
 //
-// seed, when non-nil, stands for Online.Remap's scores argument: a leaf not
-// yet swapped reads its score there (+Inf if absent) instead of from its
-// traces, so leaves whose traces cannot be scored may take part.
-func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed map[string]float64) (swaps []Swap, attempted, scored uint64, err error) {
+// built resolves the traces the placer's ledger summed when it was built.
+// A leaf not yet swapped is scored against the peak of their sum, as
+// Online.Remap scores it from the ledger, so a TraceFn that changed after
+// the placer was built (the fuzz target's misaligned traces) scores alike.
+func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig) (swaps []Swap, attempted, scored uint64, err error) {
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps <= 0 {
 		maxSwaps = 32
@@ -115,7 +116,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed 
 		})
 		return ok, nil
 	}
-	nodeTraces := func(n *powertree.Node) ([]string, []timeseries.Series, error) {
+	nodeTraces := func(n *powertree.Node, traces TraceFn) ([]string, []timeseries.Series, error) {
 		ids := n.AllInstances()
 		out := make([]timeseries.Series, len(ids))
 		for i, id := range ids {
@@ -129,28 +130,33 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed 
 	}
 	swapped := make(map[*powertree.Node]bool)
 	nodeScore := func(n *powertree.Node) (float64, error) {
-		_, trs, err := nodeTraces(n)
+		_, trs, err := nodeTraces(n, traces)
 		if err != nil {
 			return 0, err
-		}
-		if seed != nil && !swapped[n] {
-			if s, ok := seed[n.Name]; ok {
-				return s, nil
-			}
-			return math.Inf(1), nil
 		}
 		if len(trs) < 2 {
 			return math.Inf(1), nil
 		}
-		return score.Asynchrony(trs...)
+		if swapped[n] {
+			return score.Asynchrony(trs...)
+		}
+		_, was, err := nodeTraces(n, built)
+		if err != nil {
+			return 0, err
+		}
+		sum, err := timeseries.Sum(was...)
+		if err != nil {
+			return 0, err
+		}
+		return score.AsynchronyFromSum(sum.Peak(), trs...)
 	}
-	// bound is diffBound over a freshly summed peer set.
+	// bound is score.DifferentialBound over a freshly summed peer set.
 	bound := func(cand timeseries.Series, peers []timeseries.Series) float64 {
 		sum, err := timeseries.Sum(peers...)
 		if err != nil {
 			sum = timeseries.Series{}
 		}
-		return diffBound(cand, cand.PeakIndex(), sum, sum.PeakIndex(), len(peers))
+		return score.DifferentialBound(&cand, cand.PeakIndex(), &sum, sum.PeakIndex(), len(peers))
 	}
 	diff := func(cand timeseries.Series, peers []timeseries.Series) float64 {
 		if len(peers) == 0 {
@@ -177,7 +183,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed 
 			break
 		}
 		worst := nodes[worstIdx]
-		wIDs, wTraces, err := nodeTraces(worst)
+		wIDs, wTraces, err := nodeTraces(worst, traces)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -229,7 +235,7 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed 
 		found := false
 		for _, cand := range order {
 			partner := nodes[cand.idx]
-			pIDs, pTraces, err := nodeTraces(partner)
+			pIDs, pTraces, err := nodeTraces(partner, traces)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -285,6 +291,27 @@ func remapReference(tree *powertree.Node, traces TraceFn, cfg RemapConfig, seed 
 			break
 		}
 	}
+	// The placer's ledger refolds the leaves the swaps touched once, from
+	// their final residents' traces: one no longer shaped as the ledger was
+	// built fails it.
+	for _, n := range nodes {
+		if !swapped[n] {
+			continue
+		}
+		_, trs, err := nodeTraces(n, traces)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		_, was, err := nodeTraces(n, built)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		for i := range trs {
+			if trs[i].Len() != was[i].Len() || trs[i].Step != was[i].Step {
+				return nil, 0, 0, fmt.Errorf("reference: %q cannot refold: %w", n.Name, timeseries.ErrLenMismatch)
+			}
+		}
+	}
 	return swaps, attempted, scored, nil
 }
 
@@ -319,8 +346,8 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		{MaxSwaps: 64, Policy: PolicyConfig{Demands: demands}},
 	}
 	// Remap builds its own placer; Online.Remap runs on one the caller
-	// built and is seeded from that placer's Aggregates, as the drift
-	// monitor does, and returns the placer for the currency check.
+	// built, as the drift monitor does, at the default worker count, and
+	// returns the placer for the currency check.
 	entries := []struct {
 		name  string
 		remap func(*powertree.Node, RemapConfig) ([]Swap, *Online, error)
@@ -334,11 +361,7 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			swaps, err := o.Remap(scores, cfg.MaxSwaps)
+			_, _, swaps, err := o.Remap(math.Inf(1), 0, cfg.MaxSwaps)
 			return swaps, o, err
 		}},
 	}
@@ -366,7 +389,7 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		var unguarded []Swap
 		for _, cfg := range cfgs {
 			refTree := base.Clone()
-			want, wantAttempted, wantScored, err := remapReference(refTree, traces, cfg, nil)
+			want, wantAttempted, wantScored, err := remapReference(refTree, traces, traces, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -543,11 +566,7 @@ func TestOnlineRemapHonoursInlineDemands(t *testing.T) {
 				leaf.Capacities = powertree.ResourceVector{"gpu": otherGPUs}
 			}
 		}
-		scores, err := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		swaps, err := o.Remap(scores, 0)
+		_, _, swaps, err := o.Remap(math.Inf(1), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

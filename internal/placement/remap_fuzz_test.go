@@ -2,14 +2,15 @@ package placement
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/detmap"
 	"repro/internal/powertree"
-	"repro/internal/score"
 	"repro/internal/timeseries"
 )
 
@@ -113,17 +114,23 @@ func remapFuzzFleet(t *testing.T, seed int64, mix uint8, tight bool) (*powertree
 	return tree, traces, demands, misalign
 }
 
-// FuzzRemapMatchesReference runs Online.Remap on remapFuzzFleet trees and
-// requires remapReference's swaps (instances, leaves and gain bits), final
-// placement, tried-pair count and exactly-scored-pair count; the reference
-// also fails if a pair's bound lies below its differential. Leaves are
-// seeded with the scores score.Asynchrony gives their traces, a leaf it
-// cannot score left out (+Inf), so zero-peak and misaligned residents take
-// part in the search.
+// FuzzRemapMatchesReference runs Online.Remap, on 1–4 workers, on
+// remapFuzzFleet trees and requires remapReference's swaps (instances,
+// leaves and gain bits), final placement, tried-pair count and
+// exactly-scored-pair count; the reference also fails if a pair's bound
+// lies below its differential. Remap scores the leaves itself: it must fail
+// wherever LevelAsynchronyFrom over the placer's Aggregates fails (a
+// zero-peak resident sharing its leaf), as the reference does, and
+// otherwise report LevelAsynchronyFrom's lowest score, at the lowest leaf
+// name among ties, as the worst leaf. Zero-peak residents alone on their
+// leaf and misaligned residents take part in the search.
 func FuzzRemapMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(seed%8), seed%3 == 0, uint8(seed*5))
 	}
+	// A misaligned resident leaves the worst leaf, and the ledger's refold
+	// of its new leaf fails.
+	f.Add(int64(44), uint8(0x14), false, uint8(0x16))
 	f.Fuzz(func(t *testing.T, seed int64, mix uint8, tight bool, maxSwaps uint8) {
 		cfg := RemapConfig{MaxSwaps: int(maxSwaps % 40)}
 		tree, traces, demands, misalign := remapFuzzFleet(t, seed, mix, tight)
@@ -132,29 +139,31 @@ func FuzzRemapMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		builtTraces := maps.Clone(traces.m)
+		built := TraceFn(func(id string) (timeseries.Series, bool) {
+			s, ok := builtTraces[id]
+			return s, ok
+		})
 		misalign()
-		scores := make(map[string]float64)
-		for _, leaf := range tree.Leaves() {
-			if len(leaf.Instances) < 2 {
-				continue
-			}
-			trs := make([]timeseries.Series, len(leaf.Instances))
-			for i, id := range leaf.Instances {
-				trs[i] = traces.m[id]
-			}
-			if s, err := score.Asynchrony(trs...); err == nil {
-				scores[leaf.Name] = s
-			}
-		}
+		scores, scoreErr := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces.fn, 1)
 		refTree := tree.Clone()
-		want, wantAttempted, wantScored, wantErr := remapReference(refTree, traces.fn, cfg, scores)
+		want, wantAttempted, wantScored, wantErr := remapReference(refTree, built, traces.fn, cfg)
 		attempted, scored := obsSwapsAttempted.Value(), obsPairsScored.Value()
-		got, err := o.Remap(scores, cfg.MaxSwaps)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("Remap err %v, reference err %v", err, wantErr)
+		worst, worstScore, got, err := o.Remap(math.Inf(1), 1+int(mix>>3)%4, cfg.MaxSwaps)
+		if (err == nil) != (wantErr == nil) || (scoreErr != nil && err == nil) {
+			t.Fatalf("Remap err %v, reference err %v, LevelAsynchronyFrom err %v", err, wantErr, scoreErr)
 		}
 		if err != nil {
 			return
+		}
+		wantWorst, wantWorstScore := "", math.Inf(1)
+		for _, name := range detmap.SortedKeys(scores) {
+			if s := scores[name]; s < wantWorstScore {
+				wantWorst, wantWorstScore = name, s
+			}
+		}
+		if worst != wantWorst || math.Float64bits(worstScore) != math.Float64bits(wantWorstScore) {
+			t.Fatalf("worst leaf %q at %v, LevelAsynchronyFrom's %q at %v", worst, worstScore, wantWorst, wantWorstScore)
 		}
 		if n := obsSwapsAttempted.Value() - attempted; n != wantAttempted {
 			t.Fatalf("%d pairs attempted, reference %d", n, wantAttempted)
@@ -184,7 +193,7 @@ func FuzzRemapMatchesReference(f *testing.F) {
 func TestRemapScoresFewPairs(t *testing.T) {
 	tree, traces := diurnalFixture(t, 10_000)
 	cfg := RemapConfig{MaxSwaps: 24}
-	want, wantAttempted, wantScored, err := remapReference(tree.Clone(), traces, cfg, nil)
+	want, wantAttempted, wantScored, err := remapReference(tree.Clone(), traces, traces, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Basis: the precomputed S-trace scoring basis behind Vector/Vectors.
+// Basis: the precomputed S-trace scoring basis behind Vector/VectorsParallel.
 //
 // Scoring an instance against the basis (§3.4) used to re-validate every
 // S-trace, re-compute every S-trace peak, and clone two week-long series per
@@ -124,8 +124,11 @@ func pairwiseNormalized(instance, st timeseries.Series, ip, stPeak float64) (flo
 	return (ip + np) / ap, nil
 }
 
-// VectorsParallel is Vectors with an explicit worker count (≤ 0 means the
-// package default). The basis is validated and peak-computed once, every
+// VectorsParallel computes the score vector of every instance in order, all
+// against the same basis: the embedding fed to k-means in the placement
+// step. Scoring is O(instances × |B| × trace-length) and runs on workers
+// goroutines (≤ 0 means the package default; see internal/parallel). The
+// basis is validated and peak-computed once, every
 // vector is written at its instance index into one flat backing array, and
 // the per-instance work runs through the fused kernel — zero per-instance
 // basis allocations. The result is bit-identical to a serial run of the

@@ -1,6 +1,7 @@
 package score
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -141,4 +142,69 @@ func BenchmarkDifferentialFromSum(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzDifferentialBound checks that DifferentialBound is never below
+// DifferentialFromSum wherever the kernel returns a value, and never NaN.
+// Each byte of cv and sv is one reading: a special value (NaN, ±Inf, ±0,
+// the largest and smallest magnitudes) or a multiple of 1/2 in [-4, 120).
+// With raw set, each eight bytes are a reading's bits instead. shape can
+// stretch sum by a slot, change its step, shift its start or negate n.
+func FuzzDifferentialBound(f *testing.F) {
+	f.Add([]byte{100, 120, 90}, []byte{100, 120, 90}, 1, uint8(0), false)   // peaks in one slot: the bound is exact
+	f.Add([]byte{40, 120, 60}, []byte{120, 40, 60, 80}, 3, uint8(0), false) // peaks apart
+	f.Add([]byte{60, 70, 80, 90}, []byte{90, 80, 70, 60}, 2, uint8(0), false)
+	f.Add([]byte{0, 120, 1, 90}, []byte{120, 2, 90, 3}, 2, uint8(0), false) // NaN and ±Inf readings
+	f.Add([]byte{10, 20, 30}, []byte{5, 6, 7}, 4, uint8(0), false)          // zero and negative readings
+	f.Add([]byte{100, 120}, []byte{100, 120}, 0, uint8(0), false)           // n = 0
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, uint8(1), false)           // lengths differ
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, uint8(2), false)           // steps differ
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, uint8(4), false)           // starts differ
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, []byte{1, 0, 0, 0, 0, 0, 0, 0}, 1, uint8(0), true)
+	f.Fuzz(func(t *testing.T, cv, sv []byte, n int, shape uint8, raw bool) {
+		start := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
+		series := func(b []byte, start time.Time, step time.Duration, extra int) timeseries.Series {
+			s := timeseries.Series{Start: start, Step: step}
+			if raw {
+				for ; len(b) >= 8; b = b[8:] {
+					s.Values = append(s.Values, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+				}
+			} else {
+				specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+				for _, x := range b {
+					if int(x) < len(specials) {
+						s.Values = append(s.Values, specials[x])
+					} else {
+						s.Values = append(s.Values, float64(int(x)-8)/2-4)
+					}
+				}
+			}
+			for ; extra > 0; extra-- {
+				s.Values = append(s.Values, 1)
+			}
+			return s
+		}
+		c := series(cv, start, time.Minute, 0)
+		sumStep, sumStart, extra := time.Minute, start, 0
+		if shape&1 != 0 {
+			extra = 1
+		}
+		if shape&2 != 0 {
+			sumStep = time.Hour
+		}
+		if shape&4 != 0 {
+			sumStart = start.Add(time.Minute)
+		}
+		sum := series(sv, sumStart, sumStep, extra)
+		if shape&8 != 0 {
+			n = -n
+		}
+		b := DifferentialBound(&c, c.PeakIndex(), &sum, sum.PeakIndex(), n)
+		if math.IsNaN(b) {
+			t.Fatalf("bound is NaN for %v against %v / %d", c.Values, sum.Values, n)
+		}
+		if d, err := DifferentialFromSum(c, sum, n); err == nil && b < d {
+			t.Fatalf("bound %v below differential %v for %v against %v / %d", b, d, c.Values, sum.Values, n)
+		}
+	})
 }

@@ -92,8 +92,9 @@ func Pairwise(a, b timeseries.Series) (float64, error) {
 // orders of magnitude larger.
 //
 // Vector is a thin wrapper over Basis; callers scoring many instances
-// against the same basis should build the Basis once (or use Vectors, which
-// does) so the S-traces are validated and peak-computed a single time.
+// against the same basis should build the Basis once (or use
+// VectorsParallel, which does) so the S-traces are validated and
+// peak-computed a single time.
 func Vector(instance timeseries.Series, straces []timeseries.Series) ([]float64, error) {
 	if len(straces) == 0 {
 		return nil, ErrNoTraces
@@ -111,15 +112,6 @@ func Vector(instance timeseries.Series, straces []timeseries.Series) ([]float64,
 		return nil, err
 	}
 	return v, nil
-}
-
-// Vectors computes the score vector of every instance in order. All
-// instances are scored against the same basis, yielding the embedding fed
-// to k-means in the placement step. Scoring is O(instances × |B| ×
-// trace-length) and embarrassingly parallel across instances; Vectors runs
-// with the default worker count (see internal/parallel).
-func Vectors(instances []timeseries.Series, straces []timeseries.Series) ([][]float64, error) {
-	return VectorsParallel(instances, straces, 0)
 }
 
 // Differential computes the differential asynchrony score of an instance
@@ -196,6 +188,34 @@ func DifferentialFromSum(instance, sum timeseries.Series, n int) (float64, error
 		return 0, ErrZeroPeak
 	}
 	return (ip + ap) / joint, nil
+}
+
+// DifferentialBound is an upper bound on DifferentialFromSum(c, sum, n) from
+// O(1) reads, given cSlot and sumSlot, the PeakIndex of c and of sum. With
+// k = 1/n, ip = c[cSlot] and ap = float64(sum[sumSlot]·k) are the kernel's
+// own peaks (rounding is monotone), and the kernel divides ip + ap by joint,
+// the largest c[t] + float64(sum[t]·k). c[sumSlot] + ap and
+// ip + float64(sum[cSlot]·k) are two of the values that maximum compares,
+// bit for bit, so dividing by the larger of them bounds the result from
+// above. The bound is +Inf wherever it is undefined (n ≤ 0, misaligned or
+// empty series, a slot out of range, a non-positive peak or denominator,
+// NaN), so a caller that prunes on it never skips a value the kernel would
+// return. The series are passed by pointer: callers bound every candidate
+// of an admission and every tried remap pair, and copying two Series per
+// call cost as much as the bound itself.
+func DifferentialBound(c *timeseries.Series, cSlot int, sum *timeseries.Series, sumSlot int, n int) float64 {
+	if n <= 0 || c.Len() != sum.Len() || c.Step != sum.Step ||
+		uint(cSlot) >= uint(c.Len()) || uint(sumSlot) >= uint(sum.Len()) {
+		return math.Inf(1)
+	}
+	k := 1 / float64(n)
+	ip, ap := c.Values[cSlot], float64(sum.Values[sumSlot]*k)
+	floor := max(c.Values[sumSlot]+ap, ip+float64(sum.Values[cSlot]*k)) // ≤ joint
+	b := (ip + ap) / floor
+	if !(ip > 0 && ap > 0 && floor > 0) || math.IsNaN(b) {
+		return math.Inf(1)
+	}
+	return b
 }
 
 // ServiceTraces builds the S-trace (Eq. 5) for each named service: the mean

@@ -164,10 +164,10 @@ func TestVectorRejectsZeroPeakSTrace(t *testing.T) {
 	if !strings.Contains(err.Error(), "S-trace 1") {
 		t.Fatalf("error must name the offending S-trace index: %v", err)
 	}
-	// The same failure through Vectors additionally names the instance.
-	_, err = Vectors([]timeseries.Series{inst}, basis)
+	// The same failure through VectorsParallel additionally names the instance.
+	_, err = VectorsParallel([]timeseries.Series{inst}, basis, 0)
 	if !errors.Is(err, ErrZeroPeak) || !strings.Contains(err.Error(), "instance 0") {
-		t.Fatalf("Vectors err = %v, want wrapped ErrZeroPeak naming instance 0", err)
+		t.Fatalf("VectorsParallel err = %v, want wrapped ErrZeroPeak naming instance 0", err)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestVectorsParallelLowestIndexError(t *testing.T) {
 func TestVectors(t *testing.T) {
 	insts := []timeseries.Series{mk(1, 0), mk(0, 1)}
 	basis := []timeseries.Series{mk(1, 0), mk(0, 1)}
-	vs, err := Vectors(insts, basis)
+	vs, err := VectorsParallel(insts, basis, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestVectors(t *testing.T) {
 		t.Fatalf("vs[0] = %v", vs[0])
 	}
 	bad := []timeseries.Series{mk(1, 0), mk(0, 0)}
-	if _, err := Vectors(bad, basis); err == nil {
+	if _, err := VectorsParallel(bad, basis, 0); err == nil {
 		t.Fatal("bad instance must error")
 	}
 }
