@@ -154,6 +154,7 @@ FUZZ_TARGETS = \
 	internal/powertree:FuzzLoadTree \
 	internal/tracestore:FuzzLoad \
 	internal/tracestore:FuzzSnapshotQuality \
+	internal/tracestore:FuzzAppendRunMatchesAppend \
 	internal/score:FuzzDifferentialBound \
 	internal/core:FuzzPlanDecoder \
 	internal/core:FuzzAdmitDecoder \

@@ -243,17 +243,14 @@ func replay(o options, faulted bool, label string) (*core.Runtime, error) {
 		return nil, err
 	}
 
+	// The traces are sampled at the store's step, so each instance's
+	// readings in a window are one run.
 	ingestWindow := func(from, to time.Time) error {
 		for _, inst := range fleet.Instances {
 			tr := inst.Trace
-			for i := 0; i < tr.Len(); i++ {
-				at := tr.TimeAt(i)
-				if at.Before(from) || !at.Before(to) {
-					continue
-				}
-				if err := rt.Ingest(inst.ID, at, tr.Values[i]); err != nil {
-					return err
-				}
+			lo, hi := tr.Within(from, to)
+			if err := rt.IngestRun(inst.ID, tr.TimeAt(lo), tr.Values[lo:hi]); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -74,18 +74,14 @@ func main() {
 }
 
 // streamWindow replays the generated traces into the runtime as if sensors
-// were reporting live.
+// were reporting live, each instance's readings in the window as one run
+// (the traces are sampled at the store's step).
 func streamWindow(rt *repro.Runtime, fleet *workload.Fleet, from, to time.Time) {
 	for _, inst := range fleet.Instances {
 		tr := inst.Trace
-		for i := 0; i < tr.Len(); i++ {
-			at := tr.TimeAt(i)
-			if at.Before(from) || !at.Before(to) {
-				continue
-			}
-			if err := rt.Ingest(inst.ID, at, tr.Values[i]); err != nil {
-				log.Fatal(err)
-			}
+		lo, hi := tr.Within(from, to)
+		if err := rt.IngestRun(inst.ID, tr.TimeAt(lo), tr.Values[lo:hi]); err != nil {
+			log.Fatal(err)
 		}
 	}
 }

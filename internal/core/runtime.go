@@ -165,19 +165,34 @@ func NewRuntime(fw *Framework, store *tracestore.Store, tree *powertree.Node, cf
 	}, nil
 }
 
-// Ingest forwards one power reading into the store. With fault injection
-// configured the reading first passes through the injector — it may be
-// dropped, corrupted, skewed or delayed, or lost with the leaf the current
-// placement hosts the instance on — and whatever the injector delivers is
-// appended. Transient store failures are retried up to ingestRetries times
-// before surfacing.
+// Ingest forwards one power reading into the store: IngestRun's run of
+// one.
 func (r *Runtime) Ingest(id string, at time.Time, watts float64) error {
+	return r.IngestRun(id, at, []float64{watts})
+}
+
+// IngestRun forwards one instance's readings at consecutive store slots,
+// values[i] at start + i·step, into the store. Without fault injection the
+// run goes to the store whole (tracestore.Store.AppendRun: all or nothing).
+// With it, each reading first passes through the injector — it may be
+// dropped, corrupted, skewed or delayed, or lost with the leaf the current
+// placement hosts the instance on when the run starts — and whatever the
+// injector delivers is appended, transient store failures retried up to
+// ingestRetries times before surfacing.
+func (r *Runtime) IngestRun(id string, start time.Time, values []float64) error {
 	if r.faults == nil {
-		return r.appendWithRetry(id, at, watts)
-	}
-	for _, rd := range r.faults.Feed(id, r.leafName(id), at, watts) {
-		if err := r.appendWithRetry(rd.ID, rd.At, rd.Watts); err != nil {
+		if err := r.store.AppendRun(id, start, values); err != nil {
 			return err
+		}
+		obsIngestSamples.Add(uint64(len(values)))
+		return nil
+	}
+	leaf, step := r.leafName(id), r.store.Step()
+	for i, watts := range values {
+		for _, rd := range r.faults.Feed(id, leaf, start.Add(time.Duration(i)*step), watts) {
+			if err := r.appendWithRetry(rd.ID, rd.At, rd.Watts); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -212,10 +227,14 @@ func (r *Runtime) FlushFaults() error {
 	return nil
 }
 
+// appendWithRetry appends one reading the injector delivered, retrying the
+// transient store failures the injector injects.
 func (r *Runtime) appendWithRetry(id string, at time.Time, watts float64) error {
 	for attempt := 0; ; attempt++ {
-		err := r.storeAppend(id, at, watts, attempt)
-		if err == nil {
+		var err error
+		if r.faults.TransientAppendFailure(id, at, attempt) {
+			err = fmt.Errorf("core: ingesting %q at %v: %w", id, at, tracestore.ErrTransient)
+		} else if err = r.store.Append(id, at, watts); err == nil {
 			obsIngestSamples.Inc()
 			return nil
 		}
@@ -224,13 +243,6 @@ func (r *Runtime) appendWithRetry(id string, at time.Time, watts float64) error 
 		}
 		obsIngestRetries.Inc()
 	}
-}
-
-func (r *Runtime) storeAppend(id string, at time.Time, watts float64, attempt int) error {
-	if r.faults != nil && r.faults.TransientAppendFailure(id, at, attempt) {
-		return fmt.Errorf("core: ingesting %q at %v: %w", id, at, tracestore.ErrTransient)
-	}
-	return r.store.Append(id, at, watts)
 }
 
 // Tree exposes the current (placed) tree for inspection.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -486,5 +487,80 @@ func TestLeafOutageFollowsPlacement(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIngestRunMatchesIngest: a week fed one instance-day run at a time
+// leaves the store byte for byte as the same readings fed one by one
+// through Ingest, with no injector and with a heavy one, frequent leaf
+// outages included, after Bootstrap has placed the instances.
+func TestIngestRunMatchesIngest(t *testing.T) {
+	trainEnd := dEpoch.Add(2 * dWeek)
+	watts := func(i, s int) float64 { return 80 + 40*math.Sin(2*math.Pi*float64(s%24)/24+float64(i)) }
+	var instances []placement.Instance
+	for i := 0; i < 8; i++ {
+		instances = append(instances, placement.Instance{ID: fmt.Sprintf("i%d", i), Service: fmt.Sprintf("s%d", i%2)})
+	}
+	for _, faulted := range []bool{false, true} {
+		saved := make([]string, 2)
+		for side, runs := range []bool{false, true} {
+			tree, err := powertree.Build(powertree.TopologySpec{
+				Name: "r", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 4, LeafBudget: 1000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cfg RuntimeConfig
+			if faulted {
+				p := faults.Heavy(9).Activated(trainEnd, 0)
+				p.LeafOutageRate = 0.3
+				if cfg.Faults, err = faults.New(p, time.Hour, tree); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store := tracestore.New(tracestore.Config{Step: time.Hour, Retention: 4 * dWeek})
+			rt, err := NewRuntime(New(Config{TopServices: 2, Seed: 1}), store, tree, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest := func(days, from int, runs bool) {
+				for i, inst := range instances {
+					for d := from; d < from+days; d++ {
+						day := make([]float64, 24)
+						for h := range day {
+							day[h] = watts(i, 24*d+h)
+						}
+						start := dEpoch.Add(time.Duration(d) * 24 * time.Hour)
+						if runs {
+							if err := rt.IngestRun(inst.ID, start, day); err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						for h, w := range day {
+							if err := rt.Ingest(inst.ID, start.Add(time.Duration(h)*time.Hour), w); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+			}
+			ingest(14, 0, true)
+			if err := rt.Bootstrap(instances, trainEnd, 2); err != nil {
+				t.Fatal(err)
+			}
+			ingest(7, 14, runs)
+			if err := rt.FlushFaults(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := store.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			saved[side] = buf.String()
+		}
+		if saved[0] != saved[1] {
+			t.Fatalf("faulted %v: runs left the store\n%s\nreadings one by one left\n%s", faulted, saved[1], saved[0])
+		}
 	}
 }

@@ -124,11 +124,10 @@ type Profile struct {
 
 // Named validation errors.
 var (
-	ErrBadRate  = errors.New("faults: rates must be in [0, 1]")
-	ErrNeedTree = errors.New("faults: leaf outages need a power tree")
-	ErrBadTrip  = errors.New("faults: trip windows need a node, a positive duration and a budget fraction in [0, 1]")
-	ErrBadStep  = errors.New("faults: step must be positive")
-	ErrBadSpan  = errors.New("faults: ActiveFor needs ActiveFrom")
+	ErrBadRate = errors.New("faults: rates must be in [0, 1]")
+	ErrBadTrip = errors.New("faults: trip windows need a node, a positive duration and a budget fraction in [0, 1]")
+	ErrBadStep = errors.New("faults: step must be positive")
+	ErrBadSpan = errors.New("faults: ActiveFor needs ActiveFrom")
 )
 
 // Fault shapes, in store slots unless noted.
@@ -230,8 +229,9 @@ type pendingReading struct {
 }
 
 // New returns an injector for the profile over telemetry bucketed at step.
-// tree is the power tree whose leaves go dark in whole-leaf outages and
-// whose nodes trips name; it may be nil when the profile uses neither.
+// tree, when non-nil, is the power tree the trips' node names are checked
+// against; leaf outages need none, since Feed's caller names each
+// reading's leaf.
 func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -244,9 +244,6 @@ func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error)
 		step:     step,
 		lastGood: make(map[string]float64),
 		pending:  make(map[string][]pendingReading),
-	}
-	if p.LeafOutageRate > 0 && tree == nil {
-		return nil, ErrNeedTree
 	}
 	for _, t := range p.Trips {
 		if tree != nil && tree.Find(t.Node) == nil {

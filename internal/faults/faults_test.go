@@ -82,8 +82,14 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if _, err := New(Profile{LeafOutageRate: 0.1}, time.Minute, nil); !errors.Is(err, ErrNeedTree) {
-		t.Errorf("leaf outage without tree: %v", err)
+	// Leaf outages read only the leaf Feed's caller names: they need no
+	// tree, and a reading on no leaf never falls in one.
+	inj, err := New(Profile{LeafOutageRate: 1}, time.Minute, nil)
+	if err != nil {
+		t.Fatalf("leaf outage without tree: %v", err)
+	}
+	if got := inj.Feed("a", "", time.Unix(0, 0), 5); len(got) != 1 || got[0].Watts != 5 {
+		t.Errorf("reading on no leaf under a certain outage: %+v", got)
 	}
 	if _, err := New(Profile{}, 0, nil); !errors.Is(err, ErrBadStep) {
 		t.Errorf("zero step accepted")

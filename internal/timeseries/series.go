@@ -112,6 +112,27 @@ func (s Series) IndexOf(t time.Time) (int, bool) {
 	return i, true
 }
 
+// Within returns the index range [lo, hi) of the readings timed in
+// [from, to).
+func (s Series) Within(from, to time.Time) (lo, hi int) {
+	lo = s.firstAtOrAfter(from)
+	return lo, max(lo, s.firstAtOrAfter(to))
+}
+
+// firstAtOrAfter is the index of the first reading timed at or after t,
+// Len() when there is none.
+func (s Series) firstAtOrAfter(t time.Time) int {
+	d := t.Sub(s.Start)
+	if d <= 0 || s.Step <= 0 {
+		return 0
+	}
+	i := d / s.Step
+	if d%s.Step != 0 {
+		i++
+	}
+	return int(min(i, time.Duration(len(s.Values))))
+}
+
 // Clone returns a deep copy of the series.
 func (s Series) Clone() Series {
 	v := make([]float64, len(s.Values))

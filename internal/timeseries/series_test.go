@@ -347,6 +347,29 @@ func TestSliceSharesData(t *testing.T) {
 	}
 }
 
+// TestWithinMatchesTimeFilter: Within returns exactly the indices whose
+// times pass from ≤ t < to, for bounds on, between, before and after the
+// readings, reversed, and far enough out to saturate a Duration.
+func TestWithinMatchesTimeFilter(t *testing.T) {
+	s := mk(1, 2, 3, 4, 5)
+	far := t0.AddDate(400, 0, 0)
+	bounds := []time.Time{t0.AddDate(-400, 0, 0), t0.Add(-Minute), t0, t0.Add(30 * time.Second), t0.Add(2 * Minute), t0.Add(5 * Minute), t0.Add(9 * Minute), far}
+	for _, from := range bounds {
+		for _, to := range bounds {
+			lo, hi := s.Within(from, to)
+			for i := 0; i < s.Len(); i++ {
+				at := s.TimeAt(i)
+				if want := !at.Before(from) && at.Before(to); want != (lo <= i && i < hi) {
+					t.Fatalf("Within(%v, %v) = [%d, %d), reading %d at %v in the window: %v", from, to, lo, hi, i, at, want)
+				}
+			}
+			if lo > hi || hi > s.Len() {
+				t.Fatalf("Within(%v, %v) = [%d, %d)", from, to, lo, hi)
+			}
+		}
+	}
+}
+
 // Property: peak is subadditive — peak(a+b) ≤ peak(a)+peak(b). This is the
 // fact that makes the asynchrony score (Eq. 6) ≥ 1.
 func TestPeakSubadditivityProperty(t *testing.T) {

@@ -149,3 +149,69 @@ func BenchmarkSnapshotQualityBatch(b *testing.B) {
 		}
 	})
 }
+
+// Replay-shaped ingest: fleetIDs instances at a 30-minute step, 4-week
+// rings, fed instance-major one day at a time.
+const (
+	fleetIDs    = 10000
+	fleetDay    = 48
+	fleetFilled = 4 * 7 * fleetDay
+)
+
+// fleetStore returns a store whose fleetIDs rings already hold four weeks
+// of readings, the ids, and one day of readings per id (fleetDay each).
+func fleetStore(b *testing.B) (*Store, []string, []float64) {
+	b.Helper()
+	st := New(Config{Step: 30 * time.Minute, Retention: 4 * 7 * 24 * time.Hour})
+	ids := make([]string, fleetIDs)
+	history := make([]float64, fleetFilled)
+	for i := range history {
+		history[i] = 200 + float64(i%fleetDay)
+	}
+	for k := range ids {
+		ids[k] = fmt.Sprintf("i%05d", k)
+		if err := st.AppendRun(ids[k], t0, history); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st, ids, history[:fleetDay]
+}
+
+// BenchmarkAppendFleet ingests whole fleet-days through Append, reading by
+// reading, into full rings.
+func BenchmarkAppendFleet(b *testing.B) {
+	st, ids, day := fleetStore(b)
+	times := make([]time.Time, fleetDay)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for d := 0; d < b.N; d++ {
+		for i := range times {
+			times[i] = t0.Add(time.Duration(fleetFilled+d*fleetDay+i) * 30 * time.Minute)
+		}
+		for _, id := range ids {
+			for i, w := range day {
+				if err := st.Append(id, times[i], w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fleetIDs*fleetDay), "ns/reading")
+}
+
+// BenchmarkAppendRunDay ingests the same fleet-days as BenchmarkAppendFleet,
+// one AppendRun per instance-day.
+func BenchmarkAppendRunDay(b *testing.B) {
+	st, ids, day := fleetStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for d := 0; d < b.N; d++ {
+		start := t0.Add(time.Duration(fleetFilled+d*fleetDay) * 30 * time.Minute)
+		for _, id := range ids {
+			if err := st.AppendRun(id, start, day); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fleetIDs*fleetDay), "ns/reading")
+}

@@ -40,6 +40,9 @@ func FuzzLoad(f *testing.F) {
 	// A latest reading a year past the ring's last slot, which Load refuses:
 	// Coverage would read 2 readings over a year of slots.
 	f.Add([]byte(`{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2017-07-25T00:00:00Z","values":[2,-1,7,-1,-1]}}}`))
+	// A latest between two slots, which Load refuses: the ring holds it as
+	// a slot number.
+	f.Add([]byte(`{"step_seconds":0.75,"retention_seconds":3,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:00:01Z","values":[1,2,-1,-1]}}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
@@ -56,7 +59,7 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("coverage of loaded ring %q = %v, %v; want a fraction in [%v, 1]", id, c, err, held/slots)
 			}
 			st.mu.RLock()
-			start := st.instances[id].start
+			start := st.slotTime(st.instances[id].start)
 			st.mu.RUnlock()
 			// The slot before the ring and the whole ring: neither window
 			// leaves the Duration range, whatever the step.
@@ -128,7 +131,7 @@ func heldReadings(st *Store, id string) []reading {
 	var out []reading
 	for i, v := range r.slotValues() {
 		if !math.IsNaN(v) {
-			out = append(out, reading{r.start.Add(time.Duration(i) * st.Step()), v})
+			out = append(out, reading{st.slotTime(r.start + int64(i)), v})
 		}
 	}
 	return out

@@ -156,22 +156,25 @@ func (s *Store) AveragedITraceQualityBatch(ids []string, weekEnd time.Time, week
 }
 
 // window is a read's span on the step grid: n slots from from, the grid
-// slot at or before the requested start. A training window is folded onto
-// one week after repair.
+// slot at or before the requested start, whose number is slot (onGrid is
+// false when it lies beyond the grid's range, and so before or after
+// every ring). A training window is folded onto one week after repair.
 type window struct {
 	from, to time.Time
+	slot     int64
+	onGrid   bool
 	n        int
 	fold     bool
 }
 
 func (s *Store) snapshotWindow(from, to time.Time) (window, error) {
-	step := s.cfg.step()
-	from = from.Truncate(step)
-	n := int(to.Sub(from) / step)
+	from = from.Truncate(s.step)
+	n := int(to.Sub(from) / s.step)
 	if n <= 0 {
 		return window{}, fmt.Errorf("tracestore: empty window [%v, %v)", from, to)
 	}
-	return window{from: from, to: to, n: n}, nil
+	slot, onGrid := s.slotOf(from)
+	return window{from: from, to: to, slot: slot, onGrid: onGrid, n: n}, nil
 }
 
 func (s *Store) trainingWindow(weekEnd time.Time, weeks int) (window, error) {
@@ -202,14 +205,14 @@ func (s *Store) readOne(id string, w window) (timeseries.Series, Quality, error)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.read(s.instances[id], id, w, raw, make([]float64, w.slots(s.cfg.step())))
+	return s.read(s.instances[id], id, w, raw, make([]float64, w.slots(s.step)))
 }
 
 // readBatch resolves every id's ring under one read lock and runs the read
 // kernel over them on contiguous runs of indices, one run per worker, each
 // with its own raw-window scratch. Every trace is written into one slab.
 func (s *Store) readBatch(ids []string, w window, workers int, visit func(int, timeseries.Series, Quality)) (int, error) {
-	k := w.slots(s.cfg.step())
+	k := w.slots(s.step)
 	slab := make([]float64, len(ids)*k)
 	rings := make([]*ring, len(ids))
 	runs := min(parallel.Workers(workers), len(ids))
@@ -261,20 +264,19 @@ func (s *Store) read(r *ring, id string, w window, raw, dst []float64) (timeseri
 	if r == nil {
 		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
 	}
-	step := s.cfg.step()
+	step := s.step
 	vals := dst
 	if w.fold {
 		vals = raw
 	}
-	// Window slot i is ring slot base+i: from and every ring start lie on
-	// the step grid (Append truncates, advance/shiftBack move by whole
-	// slots, Load rejects anything else), so one offset maps the window.
-	// A saturated Sub only ever pushes base further outside the ring.
+	// Window slot i is ring slot base+i: both are numbered on the step
+	// grid, so one offset maps the window.
 	n := w.n
-	base := int(w.from.Sub(r.start) / step)
+	base := w.slot - r.start
 	lo, hi := 0, 0 // window slots [lo, hi) overlap the ring
 	real, lastReal := 0, -1
-	if base > -n && base < len(r.values) {
+	if w.onGrid && base > -int64(n) && base < int64(len(r.values)) {
+		base := int(base)
 		lo, hi = max(0, -base), min(n, len(r.values)-base)
 		var last int
 		if real, last = r.copyCount(vals[lo:hi], base+lo, base+hi); last >= 0 {

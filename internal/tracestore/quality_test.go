@@ -382,18 +382,33 @@ func TestRejectImpulsesLeavesNoImpulse(t *testing.T) {
 // time arithmetic. It is kept only as the reference the slice copy must
 // reproduce bit for bit.
 func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.Series, Quality, error) {
-	step := s.cfg.step()
+	s.mu.RLock()
+	var tr *timeRing
+	if r := s.instances[id]; r != nil {
+		tr = &timeRing{start: s.slotTime(r.start), values: r.slotValues()}
+	}
+	s.mu.RUnlock()
+	return timeRingRead(s.cfg, tr, id, from, to)
+}
+
+// timeRing is a ring as the store kept it before slot numbers: its origin
+// and newest reading as times, its slots in time order.
+type timeRing struct {
+	start, latest time.Time
+	values        []float64
+}
+
+// timeRingRead is the oracle read of the ring r (nil for an unknown
+// instance) in a store configured by cfg.
+func timeRingRead(cfg Config, r *timeRing, id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	step := cfg.step()
 	from = from.Truncate(step)
 	n := int(to.Sub(from) / step)
 	if n <= 0 {
 		return timeseries.Series{}, Quality{}, fmt.Errorf("tracestore: empty window [%v, %v)", from, to)
 	}
 	window := time.Duration(n) * step
-
-	s.mu.RLock()
-	r := s.instances[id]
 	if r == nil {
-		s.mu.RUnlock()
 		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
 	}
 	vals := make([]float64, n)
@@ -402,7 +417,7 @@ func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.
 		t := from.Add(time.Duration(i) * step)
 		idx := int(t.Sub(r.start) / step)
 		if idx >= 0 && idx < len(r.values) {
-			vals[i] = r.values[r.pos(idx)]
+			vals[i] = r.values[idx]
 		} else {
 			vals[i] = math.NaN()
 		}
@@ -411,7 +426,6 @@ func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.
 			lastReal = i
 		}
 	}
-	s.mu.RUnlock()
 
 	q := Quality{
 		Coverage:             float64(real) / float64(n),
@@ -426,7 +440,7 @@ func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.
 		q.InterpolatedFraction = 0
 		return timeseries.Series{}, q, nil
 	}
-	if s.cfg.RejectImpulses {
+	if cfg.RejectImpulses {
 		rejectImpulses(vals)
 	}
 	if err := interpolate(vals); err != nil {
@@ -551,7 +565,7 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 		fillRandomRing(t, rng, st, "a", qEpoch, ops)
 
 		st.mu.RLock()
-		start, length := st.instances["a"].start, len(st.instances["a"].values)
+		start, length := st.slotTime(st.instances["a"].start), len(st.instances["a"].values)
 		st.mu.RUnlock()
 		step := cfg.Step
 		for w := 0; w < 40; w++ {
@@ -654,7 +668,7 @@ func FuzzSnapshotQuality(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		fillRandomRing(t, rng, st, "a", qEpoch, 1+int(ops)%2000)
 		st.mu.RLock()
-		start := st.instances["a"].start
+		start := st.slotTime(st.instances["a"].start)
 		st.mu.RUnlock()
 		// Off-grid window ends exercise the truncation of from and the floor
 		// of the slot count.

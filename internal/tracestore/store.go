@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -78,32 +79,47 @@ func (c Config) retention() time.Duration {
 // Store collects per-instance power readings.
 type Store struct {
 	cfg Config
+	// step and slots (the retention in steps) are fixed at New; stepSec is
+	// the step in whole seconds, 0 when it is not a whole number of them.
+	step    time.Duration
+	stepSec int64
+	slots   int
 
 	mu        sync.RWMutex
 	instances map[string]*ring //smoothop:guardedby mu
+	// lastID and lastRing are the instance the last write went to and its
+	// ring, so an instance-major feed skips the map lookup. Nothing deletes
+	// an instance; whatever does must clear them.
+	lastID   string //smoothop:guardedby mu
+	lastRing *ring  //smoothop:guardedby mu
 }
 
 // ring is a per-instance circular buffer of slot values. Slot i, the
-// reading for start+i*step, lives at values[(head+i) mod len(values)], so
-// opening a new slot moves head instead of the values.
+// reading for grid slot start+i, lives at values[(head+i) mod len(values)],
+// so opening a new slot moves head instead of the values.
 type ring struct {
-	// start is the timestamp of slot 0, the oldest.
-	start  time.Time
+	// start is the grid slot of ring slot 0, the oldest.
+	start  int64
 	head   int
 	values []float64
-	// latest is the newest reading's time; count is the number of slots
-	// holding a reading (NaN marks a gap).
-	latest time.Time
+	// latest is the newest reading's grid slot; count is the number of
+	// slots holding a reading (NaN marks a gap).
+	latest int64
 	count  int
 }
 
 // New returns an empty store.
 func New(cfg Config) *Store {
-	return &Store{cfg: cfg, instances: make(map[string]*ring)}
+	step := cfg.step()
+	s := &Store{cfg: cfg, step: step, slots: int(cfg.retention() / step), instances: make(map[string]*ring)}
+	if step%time.Second == 0 {
+		s.stepSec = int64(step / time.Second)
+	}
+	return s
 }
 
 // Step returns the store's bucketing interval.
-func (s *Store) Step() time.Duration { return s.cfg.step() }
+func (s *Store) Step() time.Duration { return s.step }
 
 // Retention returns how much history the store keeps per instance.
 func (s *Store) Retention() time.Duration { return s.cfg.retention() }
@@ -120,54 +136,174 @@ func (s *Store) Instances() []string {
 	return out
 }
 
+// The step grid. Grid slot k begins k steps after the zero time, the
+// origin time.Time.Truncate rounds to, so a reading's slot is the one its
+// truncated time begins and rings keep int64 slot numbers instead of times.
+// Slot numbers are held within ±maxSlot, so the difference of two always
+// fits in an int64. That bounds no step of 2 s or more; a step of d below
+// it reaches 146 years·(d/1 ns) either side of the zero time: a 70 ns step
+// still covers year 9999.
+const (
+	maxSlot = 1<<62 - 1
+	// zeroToUnix is the number of seconds from the zero time to 1970.
+	zeroToUnix = 62135596800
+)
+
+// slotOf returns the grid slot holding at, and false when its number lies
+// beyond ±maxSlot.
+func (s *Store) slotOf(at time.Time) (int64, bool) {
+	// Seconds since the zero time: exact for every time.Time, since the
+	// addition undoes Unix's offset even where that wrapped.
+	sec := at.Unix() + zeroToUnix
+	var k int64
+	ok := true
+	if s.stepSec > 0 {
+		// A whole-second step: the nanoseconds never carry into the slot.
+		if k = sec / s.stepSec; sec%s.stepSec < 0 {
+			k--
+		}
+	} else {
+		k, _, ok = floorDiv128(sec, 1e9, uint64(at.Nanosecond()), uint64(s.step))
+	}
+	return k, ok && -maxSlot <= k && k <= maxSlot
+}
+
+// slotTime returns the time grid slot k begins, in UTC.
+func (s *Store) slotTime(k int64) time.Time {
+	// The quotient overflows only for a slot no time.Time begins.
+	sec, ns, _ := floorDiv128(k, uint64(s.step), 0, 1e9)
+	return time.Unix(sec-zeroToUnix, int64(ns)).UTC()
+}
+
+// floorDiv128 returns floor((x·mul + add) / div) and its remainder,
+// computed in 128 bits, for 0 ≤ add < mul; ok is false when the quotient
+// overflows an int64.
+func floorDiv128(x int64, mul, add, div uint64) (q int64, r uint64, ok bool) {
+	u := uint64(x)
+	if x < 0 {
+		u = -u
+	}
+	hi, lo := bits.Mul64(u, mul)
+	var carry uint64
+	if x < 0 { // |x|·mul − add > 0
+		lo, carry = bits.Sub64(lo, add, 0)
+		hi -= carry
+	} else {
+		lo, carry = bits.Add64(lo, add, 0)
+		hi += carry
+	}
+	if hi >= div {
+		return 0, 0, false
+	}
+	uq, ur := bits.Div64(hi, lo, div)
+	if x >= 0 {
+		return int64(uq), ur, uq <= math.MaxInt64
+	}
+	if uq >= 1<<63 {
+		return 0, 0, false
+	}
+	if ur != 0 { // the floor of a negative quotient
+		uq, ur = uq+1, div-ur
+	}
+	return -int64(uq), ur, true
+}
+
 // Append ingests one power reading. Readings within the same slot overwrite
 // (sensors occasionally double-report); a reading at or before the newest
 // reading minus the retention window is rejected with ErrStale, so a late
-// reading never evicts newer ones; non-finite or negative powers are
-// rejected with ErrBadReading. Newly seen instances are registered
-// implicitly.
+// reading never evicts newer ones; non-finite or negative powers, and
+// times beyond the step grid's range, are rejected with ErrBadReading.
+// Newly seen instances are registered implicitly. It is AppendRun's run of
+// one.
 func (s *Store) Append(id string, at time.Time, watts float64) error {
-	if math.IsNaN(watts) || math.IsInf(watts, 0) || watts < 0 {
-		return fmt.Errorf("%w: %v", ErrBadReading, watts)
+	v := [1]float64{watts}
+	_, err := s.appendRun(id, at, v[:])
+	return err
+}
+
+// AppendRun ingests one instance's readings at consecutive slots:
+// values[i] is the reading at start + i·step. It leaves the store exactly
+// as Append would reading by reading, or, when one would fail, changes
+// nothing and returns the first failure Append would meet, naming its
+// reading. Only the first reading can be stale: the rest are newer.
+func (s *Store) AppendRun(id string, start time.Time, values []float64) error {
+	if i, err := s.appendRun(id, start, values); err != nil {
+		return fmt.Errorf("tracestore: %q reading %d of a run from %v: %w", id, i, start, err)
 	}
-	step := s.cfg.step()
-	slots := int(s.cfg.retention() / step)
-	at = at.Truncate(step)
+	return nil
+}
+
+// appendRun is the one ingest kernel: it validates every reading, then
+// under one lock and one lookup moves the ring's origin at most once and
+// copies the run in. On failure it returns the failing reading's index.
+func (s *Store) appendRun(id string, at time.Time, values []float64) (int, error) {
+	n := len(values)
+	if n == 0 {
+		return 0, nil
+	}
+	// The first reading failing on its own: an invalid value, or a slot
+	// beyond the grid's range.
+	bad, badErr := n, error(nil)
+	for i, w := range values {
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			bad, badErr = i, fmt.Errorf("%w: %v", ErrBadReading, w)
+			break
+		}
+	}
+	first, ok := s.slotOf(at)
+	beyond := 0
+	if ok {
+		beyond = int(min(int64(n), maxSlot-first+1))
+	}
+	if beyond < bad {
+		bad, badErr = beyond, fmt.Errorf("%w: %v is beyond the %v step grid's range", ErrBadReading, at.Add(time.Duration(beyond)*s.step), s.step)
+	}
+	if bad == 0 {
+		return 0, badErr
+	}
+	slots := int64(s.slots)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.instances[id]
-	if r == nil {
-		r = &ring{start: at, values: nanSlice(slots)}
-		s.instances[id] = r
+	r := s.lastRing
+	if r == nil || s.lastID != id {
+		r = s.instances[id]
 	}
-	idx := int(at.Sub(r.start) / step)
+	// Older than the ring's origin: accept only if still within the
+	// retention window that ends at the newest reading, by shifting the
+	// origin back. The slots this drops off the end are then all later
+	// than the newest reading, so empty.
+	if r != nil && first < r.start && (r.start-first >= slots || r.latest-first >= slots) {
+		return 0, ErrStale
+	}
+	if bad < n {
+		return bad, badErr
+	}
+	last := first + int64(n-1)
+	// The origin moves back to the first reading or forward until the last
+	// one fits, as far as the readings one by one would move it.
+	origin := first
+	if r != nil {
+		origin = min(first, r.start)
+	}
+	if last-origin >= slots {
+		origin = last - slots + 1
+	}
 	switch {
-	case idx < 0:
-		// Older than the ring's origin: accept only if still within the
-		// retention window that ends at the newest reading, by shifting the
-		// origin back. The slots this drops off the end are then all later
-		// than the newest reading, so empty.
-		back := -idx
-		if back >= slots || !at.After(r.latest.Add(-time.Duration(slots)*step)) {
-			return ErrStale
-		}
-		r.shiftBack(back, step)
-		idx = 0
-	case idx >= slots:
-		// Advance the window, discarding the oldest slots.
-		r.advance(idx-slots+1, step)
-		idx = slots - 1
+	case r == nil:
+		r = &ring{start: origin, latest: last, values: nanSlice(s.slots)}
+		s.instances[id] = r
+	case origin < r.start:
+		r.shiftBack(int(r.start - origin))
+	case origin > r.start:
+		r.advance(origin - r.start)
 	}
-	p := &r.values[r.pos(idx)]
-	if math.IsNaN(*p) {
-		r.count++
-	}
-	*p = watts
-	if at.After(r.latest) {
-		r.latest = at
-	}
-	return nil
+	s.lastID, s.lastRing = id, r
+	// Readings before the origin were evicted by the later ones.
+	skip := max(0, int(origin-first))
+	r.put(int(first-origin)+skip, values[skip:])
+	r.latest = max(r.latest, last)
+	return 0, nil
 }
 
 func nanSlice(n int) []float64 {
@@ -206,6 +342,25 @@ func (r *ring) span(lo, hi int) (a, b []float64) {
 	}
 }
 
+// put writes vals into slots [i, i+len(vals)), counting the slots it fills.
+func (r *ring) put(i int, vals []float64) {
+	a, b := r.span(i, i+len(vals))
+	r.count += fill(a, vals) + fill(b, vals[len(a):])
+}
+
+// fill copies src into dst and returns how many slots of dst held no
+// reading before.
+func fill(dst, src []float64) int {
+	filled := 0
+	for j := range dst {
+		if math.IsNaN(dst[j]) {
+			filled++
+		}
+		dst[j] = src[j]
+	}
+	return filled
+}
+
 // copyCount copies slots [lo, hi) into dst (hi-lo long) and returns how many hold a
 // reading and the index in dst of the last one (-1 when none).
 func (r *ring) copyCount(dst []float64, lo, hi int) (real, last int) {
@@ -236,25 +391,25 @@ func (r *ring) empty(lo, hi int) {
 
 // shiftBack moves the origin back by n < len(values) slots: the n newest
 // slots are emptied and become the n oldest.
-func (r *ring) shiftBack(n int, step time.Duration) {
+func (r *ring) shiftBack(n int) {
 	slots := len(r.values)
 	r.empty(slots-n, slots)
 	r.head = r.pos(slots - n)
-	r.start = r.start.Add(-time.Duration(n) * step)
+	r.start -= int64(n)
 }
 
 // advance moves the window forward by n slots: the n oldest slots are
 // emptied and become the n newest.
-func (r *ring) advance(n int, step time.Duration) {
+func (r *ring) advance(n int64) {
 	slots := len(r.values)
-	r.start = r.start.Add(time.Duration(n) * step)
-	if n >= slots {
+	r.start += n
+	if n >= int64(slots) {
 		fillNaN(r.values)
 		r.head, r.count = 0, 0
 		return
 	}
-	r.empty(0, n)
-	r.head = r.pos(n)
+	r.empty(0, int(n))
+	r.head = r.pos(int(n))
 }
 
 // Coverage returns the fraction of retained slots holding a reading for an
@@ -266,11 +421,10 @@ func (s *Store) Coverage(id string) (float64, error) {
 	if r == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
 	}
-	span := int(r.latest.Sub(r.start)/s.cfg.step()) + 1
-	if span <= 0 {
+	if r.latest < r.start {
 		return 0, nil
 	}
-	return float64(r.count) / float64(span), nil
+	return float64(r.count) / float64(r.latest-r.start+1), nil
 }
 
 // Snapshot materialises an instance's trace over [from, to) at the store's
@@ -365,7 +519,7 @@ func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	cp := checkpoint{
-		StepSeconds:      s.cfg.step().Seconds(),
+		StepSeconds:      s.step.Seconds(),
 		RetentionSeconds: s.cfg.retention().Seconds(),
 		RejectImpulses:   s.cfg.RejectImpulses,
 		Instances:        make(map[string]instanceDump, len(s.instances)),
@@ -379,8 +533,8 @@ func (s *Store) Save(w io.Writer) error {
 			}
 		}
 		cp.Instances[id] = instanceDump{
-			Start:  r.start.UTC().Format(time.RFC3339Nano),
-			Latest: r.latest.UTC().Format(time.RFC3339Nano),
+			Start:  s.slotTime(r.start).Format(time.RFC3339Nano),
+			Latest: s.slotTime(r.latest).Format(time.RFC3339Nano),
 			Values: vals,
 		}
 	}
@@ -402,7 +556,7 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: retention %v s is shorter than one step", ErrBadCheckpoint, cp.RetentionSeconds)
 	}
 	st := New(Config{Step: step, Retention: retention, RejectImpulses: cp.RejectImpulses})
-	slots := int(retention / step)
+	slots := st.slots
 	// The store is not yet shared, but instances is guarded state: take the
 	// lock so the contract holds on every path.
 	st.mu.Lock()
@@ -419,24 +573,29 @@ func Load(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad latest for %q: %w", ErrBadCheckpoint, id, err)
 		}
-		// SnapshotQuality maps a window onto the ring by one slot offset,
-		// which is exact only for a ring that starts on the step grid.
-		if !start.Truncate(step).Equal(start) {
+		// A ring holds grid slot numbers, so its start and latest must lie on
+		// the step grid, as Append writes them, and within its range.
+		first, ok := st.slotOf(start)
+		if !ok || !start.Truncate(step).Equal(start) {
 			return nil, fmt.Errorf("%w: start %v of %q is off the %v step grid", ErrBadCheckpoint, start, id, step)
+		}
+		newest, ok := st.slotOf(latest)
+		if !ok || !latest.Truncate(step).Equal(latest) {
+			return nil, fmt.Errorf("%w: latest %v of %q is off the %v step grid", ErrBadCheckpoint, latest, id, step)
 		}
 		if len(dump.Values) != slots {
 			return nil, fmt.Errorf("%w: %q holds %d slots, retention needs %d", ErrBadCheckpoint, id, len(dump.Values), slots)
 		}
 		// The newest reading lies in the ring, as Save writes it; Coverage
 		// divides by the span from start to latest.
-		if !latest.Before(start.Add(time.Duration(slots) * step)) {
+		if newest-first >= int64(slots) {
 			return nil, fmt.Errorf("%w: latest %v of %q is past its last slot", ErrBadCheckpoint, latest, id)
 		}
 		// Append trusts latest to bound the readings: shifting the origin
 		// back empties the newest slots, which must all be later than latest.
 		lastSlot := -1
-		if !latest.Before(start) {
-			lastSlot = int(latest.Sub(start) / step)
+		if newest >= first {
+			lastSlot = int(newest - first)
 		}
 		vals := make([]float64, len(dump.Values))
 		count := 0
@@ -451,7 +610,7 @@ func Load(r io.Reader) (*Store, error) {
 			vals[i] = v
 			count++
 		}
-		st.instances[id] = &ring{start: start, latest: latest, values: vals, count: count}
+		st.instances[id] = &ring{start: first, latest: newest, values: vals, count: count}
 	}
 	return st, nil
 }
@@ -464,15 +623,4 @@ func checkpointDuration(seconds float64) (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Duration(ns), true
-}
-
-// IngestSeries bulk-loads an existing trace (e.g. from cmd/tracegen output)
-// into the store, reading by reading.
-func (s *Store) IngestSeries(id string, tr timeseries.Series) error {
-	for i, v := range tr.Values {
-		if err := s.Append(id, tr.TimeAt(i), v); err != nil {
-			return fmt.Errorf("tracestore: ingesting %q at %v: %w", id, tr.TimeAt(i), err)
-		}
-	}
-	return nil
 }

@@ -217,7 +217,7 @@ func TestAppendSteadyStateInPlace(t *testing.T) {
 	must(t, st.Append("a", t0.Add(time.Duration(next+2)*time.Minute), float64(next+2)))
 	st.mu.RLock()
 	r := st.instances["a"]
-	count, start, vals := r.count, r.start, r.slotValues()
+	count, start, vals := r.count, st.slotTime(r.start), r.slotValues()
 	st.mu.RUnlock()
 	if want := t0.Add(time.Duration(next-7) * time.Minute); !start.Equal(want) || count != 8 {
 		t.Fatalf("ring starts %v holding %d readings, want %v and 8", start, count, want)
@@ -293,9 +293,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIngestSeriesAndPipelineIntegration(t *testing.T) {
-	// End-to-end: generated fleet traces flow through the store and come
-	// back out identical (full coverage, no gaps).
+func TestAppendRunPipelineIntegration(t *testing.T) {
+	// End-to-end: generated fleet traces flow through the store as one run
+	// each and come back out identical (full coverage, no gaps).
 	spec := workload.GenSpec{
 		Mix:   map[string]int{"frontend": 2, "hadoop": 2},
 		Start: t0, Step: time.Hour, Weeks: 1,
@@ -307,7 +307,7 @@ func TestIngestSeriesAndPipelineIntegration(t *testing.T) {
 	}
 	st := New(Config{Step: time.Hour, Retention: 8 * 24 * time.Hour})
 	for _, inst := range fleet.Instances {
-		if err := st.IngestSeries(inst.ID, inst.Trace); err != nil {
+		if err := st.AppendRun(inst.ID, inst.Trace.Start, inst.Trace.Values); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,6 +507,9 @@ func TestLoadRejectsBadCheckpoints(t *testing.T) {
 		// Coverage would divide two readings by a year of slots.
 		"latest past the ring": `{"step_seconds":60,"retention_seconds":300,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2017-07-25T00:00:00Z","values":[2,-1,7,-1,-1]}}}`,
 		"latest before start":  `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-24T23:59:00Z","values":[1,-1,-1]}}}`,
+		// The ring holds latest as a slot number; Append never writes one
+		// between two slots.
+		"latest off the grid": `{"step_seconds":60,"retention_seconds":180,"instances":{"a":{"start":"2016-07-25T00:00:00Z","latest":"2016-07-25T00:01:30Z","values":[1,-1,-1]}}}`,
 	} {
 		if _, err := Load(strings.NewReader(cp)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
