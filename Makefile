@@ -156,6 +156,7 @@ FUZZ_TARGETS = \
 	internal/tracestore:FuzzSnapshotQuality \
 	internal/tracestore:FuzzAppendRunMatchesAppend \
 	internal/score:FuzzDifferentialBound \
+	internal/score:FuzzDifferentialBelow \
 	internal/core:FuzzPlanDecoder \
 	internal/core:FuzzAdmitDecoder \
 	internal/placement:FuzzOnlineAdmitMatchesExhaustive \

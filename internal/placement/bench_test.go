@@ -186,10 +186,80 @@ func diurnalFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
 	}
 }
 
-// BenchmarkOnlineAdmitDiurnal is BenchmarkOnlineAdmit over diurnalFixture.
-// Both report passes/op, the trace passes per admission.
+// placedFixture is churnFixture's 640-leaf shape holding a DC2 fleet
+// (one week at 30-minute step) placed by WorkloadAware, the §3.5 placer
+// Bootstrap runs, with its last instance held out as "arrival". Every leaf
+// is then a small copy of the whole fleet, so candidate scores sit close
+// together, as in the end-to-end benchmark after Bootstrap.
+func placedFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
+	tb.Helper()
+	cfg, err := workload.StandardDCConfig(workload.DC2, max(1, residents/100))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Gen.Step, cfg.Gen.Weeks = 30*time.Minute, 1
+	fleet, err := workload.Generate(cfg.Gen, workload.StandardProfiles())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := powertree.Build(powertree.TopologySpec{
+		Name: "c", SuitesPerDC: 4, MSBsPerSuite: 4, SBsPerMSB: 4, RPPsPerSB: 10,
+		LeafBudget: 1e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	last := len(fleet.Instances) - 1
+	instances := make([]Instance, last)
+	for i, inst := range fleet.Instances[:last] {
+		instances[i] = Instance{ID: inst.ID, Service: inst.Service}
+	}
+	power := fleet.PowerFn()
+	if err := (WorkloadAware{Seed: 1}).Place(tree, instances, TraceFn(power)); err != nil {
+		tb.Fatal(err)
+	}
+	arrival := fleet.Instances[last].ID
+	return tree, func(id string) (timeseries.Series, bool) {
+		if id == "arrival" {
+			id = arrival
+		}
+		return power(id)
+	}
+}
+
+// BenchmarkOnlineAdmitDiurnal is BenchmarkOnlineAdmit over diurnalFixture,
+// and BenchmarkOnlineAdmitPlaced over placedFixture. All three report
+// passes/op, the full trace passes per admission.
 func BenchmarkOnlineAdmitDiurnal(b *testing.B) {
 	benchAdmit(b, diurnalFixture)
+}
+
+func BenchmarkOnlineAdmitPlaced(b *testing.B) {
+	benchAdmit(b, placedFixture)
+}
+
+// BenchmarkOnlineChoose is OnlineAsynchrony.Choose alone over placedFixture's
+// 640 candidates: the scoring half of an admission, without the feasibility
+// walk or the ledger update.
+func BenchmarkOnlineChoose(b *testing.B) {
+	tree, traces := placedFixture(b, 10_000)
+	o, err := NewOnline(tree, traces, PolicyConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, _ := traces("arrival")
+	o.arrival, o.arrivalPeak, o.arrivalSlot = tr, tr.Peak(), tr.PeakIndex()
+	cands, err := o.feasibleLeaves()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.policy.Choose(cands, Instance{ID: "arrival"}, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRemapTick is the Remap inside a drift tick at the same shape:

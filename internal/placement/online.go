@@ -53,6 +53,8 @@ type OnlineCandidate struct {
 	post      float64
 	postKnown bool
 	residuals []float64
+	// scored records that differential ran: the full passes a policy paid.
+	scored bool
 	// o is the placer whose admission built the candidate.
 	o *Online
 }
@@ -88,6 +90,7 @@ func (c *OnlineCandidate) differential(tr timeseries.Series) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("differential against %q: %w", c.Leaf.Name, err)
 	}
+	c.scored = true
 	return s, nil
 }
 
@@ -144,14 +147,17 @@ type Online struct {
 	arrivalSlot int
 	demand      powertree.ResourceVector
 	passes      uint64
-	// cands and residuals are feasibleLeaves' reused output buffers; bounds,
-	// scores and order are OnlineAsynchrony.Choose's.
+	// cands and residuals are feasibleLeaves' reused output buffers.
 	cands     []OnlineCandidate
 	residuals []float64
-	bounds    []float64
-	scores    []float64
-	order     []int
+	// hints lists, most recent first, up to maxHints slots at which
+	// score.DifferentialBelow proved a candidate lost. It orders the
+	// kernel's reads and so changes speed only, never a decision.
+	hints []int
 }
+
+// maxHints bounds Online.hints.
+const maxHints = 8
 
 // NewOnline wraps a live (possibly already populated) tree for online
 // placement with the policy cfg describes. Every resident instance's trace
@@ -319,6 +325,20 @@ func (o *Online) Resync(leaves ...*powertree.Node) error {
 	obsResyncs.Inc()
 	obsResyncLeaves.Add(uint64(len(leaves)))
 	return nil
+}
+
+// hint moves slot t to the front of the hint list.
+func (o *Online) hint(t int) {
+	i := slices.Index(o.hints, t)
+	if i < 0 {
+		if i = len(o.hints); i < maxHints {
+			o.hints = append(o.hints, t)
+		} else {
+			i--
+		}
+	}
+	copy(o.hints[1:i+1], o.hints[:i])
+	o.hints[0] = t
 }
 
 // peakWith returns the peak of agg + the arrival without materializing the
@@ -524,15 +544,17 @@ func (OnlineBestFit) Choose(cands []OnlineCandidate, _ Instance, _ timeseries.Se
 // time instead. Empty leaves score +Inf (a lone instance cannot overlap
 // with anything); ties break toward the tighter fit, then tree order.
 //
-// Choose scores only the candidates that can win. Each gets the O(1) upper
-// bound score.DifferentialBound from the arrival's and the aggregate's peak
-// slots. Candidates are popped off a max-heap in descending bound (tree
-// order among equal bounds) and scored until a bound falls below the best
-// score so far; nothing left on the heap can win or tie. A candidate with
-// no defined bound (an empty leaf, a peak ≤ 0, a denominator ≤ 0) gets
-// +Inf: it is always scored, ahead of every finite bound and in tree order,
-// so an error comes back from the same candidate as under exhaustive
-// scoring.
+// Choose scores only the candidates that can win, in one pass in tree
+// order against the best score so far. A candidate whose O(1) upper bound,
+// score.DifferentialBound from the arrival's and the aggregate's peak
+// slots, is below that score cannot win or tie. Otherwise
+// score.DifferentialBelow looks for one slot that proves the candidate's
+// score below it, trying first the slots that proved the last losers
+// (the placer's hint list); only a candidate neither settles is scored in
+// full. Both tests are exact, so the winner, and any error, is the one
+// exhaustive scoring in tree order finds: a candidate with no defined
+// bound (a peak ≤ 0, a denominator ≤ 0, a misaligned aggregate) is always
+// scored.
 type OnlineAsynchrony struct{}
 
 // Name implements Policy.
@@ -541,84 +563,27 @@ func (OnlineAsynchrony) Name() string { return "asynchrony" }
 // Choose implements Policy.
 func (OnlineAsynchrony) Choose(cands []OnlineCandidate, _ Instance, tr timeseries.Series) (int, error) {
 	o := cands[0].o
-	o.bounds, o.scores, o.order = o.bounds[:0], o.scores[:0], o.order[:0]
+	best, incumbent := -1, math.Inf(-1)
 	for i := range cands {
 		c := &cands[i]
-		o.bounds = append(o.bounds, score.DifferentialBound(&tr, o.arrivalSlot, &c.Aggregate, c.slot, c.Count))
-		o.scores = append(o.scores, math.NaN()) // unscored: never wins or ties
-		o.order = append(o.order, i)
-	}
-	h := boundHeap{bounds: o.bounds, order: o.order}
-	h.init()
-	incumbent := math.Inf(-1)
-	for len(h.order) > 0 && !(o.bounds[h.order[0]] < incumbent) {
-		i := h.pop()
 		s := math.Inf(1)
-		if cands[i].Count > 0 {
+		if c.Count > 0 {
+			if score.DifferentialBound(&tr, o.arrivalSlot, &c.Aggregate, c.slot, c.Count) < incumbent {
+				continue
+			}
+			if t := score.DifferentialBelow(&tr, o.arrivalSlot, &c.Aggregate, c.slot, c.Count, incumbent, o.hints); t >= 0 {
+				o.hint(t)
+				continue
+			}
 			var err error
-			if s, err = cands[i].differential(tr); err != nil {
+			if s, err = c.differential(tr); err != nil {
 				return 0, err
 			}
 		}
-		if o.scores[i] = s; s > incumbent {
-			incumbent = s
-		}
-	}
-	// The exhaustive tree-order rule, over the scored candidates (a score
-	// is never −Inf, so a tie always has an incumbent).
-	best, bestScore := -1, math.Inf(-1)
-	for i, s := range o.scores {
-		if s > bestScore || (s == bestScore && cands[i].Headroom() < cands[best].Headroom()) {
-			best, bestScore = i, s
+		// A score is never −Inf, so a tie always has a best.
+		if s > incumbent || (s == incumbent && c.Headroom() < cands[best].Headroom()) {
+			best, incumbent = i, s
 		}
 	}
 	return best, nil
-}
-
-// boundHeap is a binary max-heap of candidate indices in order, keyed by
-// descending bound and then ascending index: a total order (bounds are
-// never NaN), so it pops candidates in exactly the order a sort under the
-// same comparison lists them.
-type boundHeap struct {
-	bounds []float64
-	order  []int
-}
-
-// before reports whether candidate i pops before candidate j.
-func (h *boundHeap) before(i, j int) bool {
-	return h.bounds[i] > h.bounds[j] || (h.bounds[i] == h.bounds[j] && i < j)
-}
-
-// init heapifies order in O(n).
-func (h *boundHeap) init() {
-	for k := len(h.order)/2 - 1; k >= 0; k-- {
-		h.down(k)
-	}
-}
-
-// pop removes and returns the first candidate.
-func (h *boundHeap) pop() int {
-	top, last := h.order[0], len(h.order)-1
-	h.order[0] = h.order[last]
-	h.order = h.order[:last]
-	h.down(0)
-	return top
-}
-
-// down sifts the entry at k down to its place.
-func (h *boundHeap) down(k int) {
-	for {
-		c := 2*k + 1
-		if c >= len(h.order) {
-			return
-		}
-		if r := c + 1; r < len(h.order) && h.before(h.order[r], h.order[c]) {
-			c = r
-		}
-		if !h.before(h.order[c], h.order[k]) {
-			return
-		}
-		h.order[k], h.order[c] = h.order[c], h.order[k]
-		k = c
-	}
 }

@@ -144,12 +144,45 @@ func BenchmarkDifferentialFromSum(b *testing.B) {
 	}
 }
 
+// fuzzSeries decodes a fuzz input into a series: each byte of b is one
+// reading, a special value (NaN, ±Inf, ±0, the largest and smallest
+// magnitudes) or a multiple of 1/2 in [-4, 120); with raw set, each eight
+// bytes are a reading's bits instead. extra appends that many 1 W readings.
+func fuzzSeries(b []byte, raw bool, start time.Time, step time.Duration, extra int) timeseries.Series {
+	s := timeseries.Series{Start: start, Step: step}
+	if raw {
+		for ; len(b) >= 8; b = b[8:] {
+			s.Values = append(s.Values, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		}
+	} else {
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+		for _, x := range b {
+			if int(x) < len(specials) {
+				s.Values = append(s.Values, specials[x])
+			} else {
+				s.Values = append(s.Values, float64(int(x)-8)/2-4)
+			}
+		}
+	}
+	for ; extra > 0; extra-- {
+		s.Values = append(s.Values, 1)
+	}
+	return s
+}
+
+// rawReadings encodes readings for fuzzSeries' raw mode.
+func rawReadings(vs ...float64) []byte {
+	b := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
 // FuzzDifferentialBound checks that DifferentialBound is never below
 // DifferentialFromSum wherever the kernel returns a value, and never NaN.
-// Each byte of cv and sv is one reading: a special value (NaN, ±Inf, ±0,
-// the largest and smallest magnitudes) or a multiple of 1/2 in [-4, 120).
-// With raw set, each eight bytes are a reading's bits instead. shape can
-// stretch sum by a slot, change its step, shift its start or negate n.
+// cv and sv decode through fuzzSeries. shape can stretch sum by a slot,
+// change its step, shift its start or negate n.
 func FuzzDifferentialBound(f *testing.F) {
 	f.Add([]byte{100, 120, 90}, []byte{100, 120, 90}, 1, uint8(0), false)   // peaks in one slot: the bound is exact
 	f.Add([]byte{40, 120, 60}, []byte{120, 40, 60, 80}, 3, uint8(0), false) // peaks apart
@@ -163,28 +196,7 @@ func FuzzDifferentialBound(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, []byte{1, 0, 0, 0, 0, 0, 0, 0}, 1, uint8(0), true)
 	f.Fuzz(func(t *testing.T, cv, sv []byte, n int, shape uint8, raw bool) {
 		start := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
-		series := func(b []byte, start time.Time, step time.Duration, extra int) timeseries.Series {
-			s := timeseries.Series{Start: start, Step: step}
-			if raw {
-				for ; len(b) >= 8; b = b[8:] {
-					s.Values = append(s.Values, math.Float64frombits(binary.LittleEndian.Uint64(b)))
-				}
-			} else {
-				specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64}
-				for _, x := range b {
-					if int(x) < len(specials) {
-						s.Values = append(s.Values, specials[x])
-					} else {
-						s.Values = append(s.Values, float64(int(x)-8)/2-4)
-					}
-				}
-			}
-			for ; extra > 0; extra-- {
-				s.Values = append(s.Values, 1)
-			}
-			return s
-		}
-		c := series(cv, start, time.Minute, 0)
+		c := fuzzSeries(cv, raw, start, time.Minute, 0)
 		sumStep, sumStart, extra := time.Minute, start, 0
 		if shape&1 != 0 {
 			extra = 1
@@ -195,7 +207,7 @@ func FuzzDifferentialBound(f *testing.F) {
 		if shape&4 != 0 {
 			sumStart = start.Add(time.Minute)
 		}
-		sum := series(sv, sumStart, sumStep, extra)
+		sum := fuzzSeries(sv, raw, sumStart, sumStep, extra)
 		if shape&8 != 0 {
 			n = -n
 		}
@@ -205,6 +217,63 @@ func FuzzDifferentialBound(f *testing.F) {
 		}
 		if d, err := DifferentialFromSum(c, sum, n); err == nil && b < d {
 			t.Fatalf("bound %v below differential %v for %v against %v / %d", b, d, c.Values, sum.Values, n)
+		}
+	})
+}
+
+// FuzzDifferentialBelow checks that DifferentialBelow is exact: where it
+// answers (a finite bound, a finite incumbent > 0) it returns a slot in
+// range exactly when DifferentialFromSum succeeds with a score below the
+// incumbent, and elsewhere it returns −1. Each input is tried against the
+// given incumbent and against the exact score and its two neighbouring
+// floats, the incumbents where a threshold one ulp off or a > in place of
+// ≥ would answer wrongly. cv and sv decode through fuzzSeries; n may be
+// anything; each hint byte is a slot, as a signed byte, so hints may be
+// negative, out of range or repeated.
+func FuzzDifferentialBelow(f *testing.F) {
+	f.Add([]byte{40, 120, 60}, []byte{120, 40, 60, 80}, 3, 1.2, []byte{}, false)
+	f.Add([]byte{60, 70, 80, 90}, []byte{90, 80, 70, 60}, 2, 1.9, []byte{3, 3, 200, 1}, false)
+	f.Add([]byte{100, 120, 90}, []byte{100, 120, 90}, 1, 2.0, []byte{2}, false)
+	f.Add([]byte{0, 120, 1, 90, 100}, []byte{120, 2, 90, 3, 110}, 2, 1.5, []byte{0, 1, 4}, false) // NaN and ±Inf readings
+	f.Add([]byte{10, 20, 30, 50}, []byte{5, 6, 7, 60}, 4, 1.1, []byte{255, 128}, false)           // zero and negative readings
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, math.Inf(1), []byte{}, false)
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, math.NaN(), []byte{}, false)
+	f.Add([]byte{100, 120}, []byte{100, 120}, 2, -1.0, []byte{}, false)
+	f.Add([]byte{100, 120}, []byte{100, 120}, 0, 1.0, []byte{}, false)
+	f.Add([]byte{100, 120}, []byte{100, 120}, 3, 1e-300, []byte{}, false) // the threshold overflows
+	f.Add([]byte{100, 120}, []byte{100, 120}, 3, 1e300, []byte{}, false)  // the threshold underflows
+	// The joint peak 2 + 2⁻⁵¹ falls on the slot neither peak is at, and
+	// equals the threshold for incumbent 1.5 = 3/2 exactly.
+	f.Add(rawReadings(1, 0, 0x1p-51), rawReadings(0.5, 2, 2), 1, 1.5, []byte{}, true)
+	f.Fuzz(func(t *testing.T, cv, sv []byte, n int, incumbent float64, hb []byte, raw bool) {
+		start := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
+		c := fuzzSeries(cv, raw, start, time.Minute, 0)
+		sum := fuzzSeries(sv, raw, start, time.Minute, 0)
+		hint := make([]int, len(hb))
+		for i, x := range hb {
+			hint[i] = int(int8(x))
+		}
+		cSlot, sumSlot := c.PeakIndex(), sum.PeakIndex()
+		d, err := DifferentialFromSum(c, sum, n)
+		incumbents := []float64{incumbent}
+		if err == nil {
+			incumbents = append(incumbents, d, math.Nextafter(d, math.Inf(1)), math.Nextafter(d, math.Inf(-1)))
+		}
+		answers := !math.IsInf(DifferentialBound(&c, cSlot, &sum, sumSlot, n), 1)
+		for _, inc := range incumbents {
+			slot := DifferentialBelow(&c, cSlot, &sum, sumSlot, n, inc, hint)
+			switch {
+			case slot >= c.Len() || slot < -1:
+				t.Fatalf("slot %d out of range for %v", slot, c.Values)
+			case slot >= 0 && (err != nil || !(d < inc)):
+				t.Fatalf("below %v at slot %d, but the differential is %v (%v) for %v against %v / %d",
+					inc, slot, d, err, c.Values, sum.Values, n)
+			case slot == -1 && answers && inc > 0 && !math.IsInf(inc, 1) && (err != nil || d < inc):
+				t.Fatalf("no answer for %v, but the differential is %v (%v) for %v against %v / %d",
+					inc, d, err, c.Values, sum.Values, n)
+			case slot >= 0 && !(answers && inc > 0 && !math.IsInf(inc, 1)):
+				t.Fatalf("answered %d where the bound is infinite or incumbent %v is out of range", slot, inc)
+			}
 		}
 	})
 }

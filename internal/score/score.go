@@ -218,6 +218,50 @@ func DifferentialBound(c *timeseries.Series, cSlot int, sum *timeseries.Series, 
 	return b
 }
 
+// DifferentialBelow decides whether DifferentialFromSum(c, sum, n) is
+// strictly below incumbent, reading as few slots as it can; cSlot and
+// sumSlot are the PeakIndex of c and of sum, as for DifferentialBound. It
+// returns a slot whose reading proves the score below incumbent, or −1
+// when the score is not below it. It answers only where DifferentialBound
+// is finite and incumbent is finite and > 0; elsewhere it returns −1. There
+// the kernel cannot fail and returns num/joint, num = ip + ap being its
+// peaks' sum and joint its largest c[t] + float64(sum[t]·(1/n)). T is
+// num/incumbent, nudged up until num/T < incumbent: a reading x ≥ T gives
+// joint ≥ x ≥ T, so num/joint ≤ num/T < incumbent, because division rounds
+// monotonically. Conversely, when every reading is below T (a NaN reading
+// never compares ≥ T and never enters joint), joint is at most the float
+// before T, whose quotient is ≥ incumbent, so −1 is exact too. The bound's
+// two slots are read first, then the hint slots (out of range ones are
+// skipped), then the rest in order.
+func DifferentialBelow(c *timeseries.Series, cSlot int, sum *timeseries.Series, sumSlot int, n int, incumbent float64, hint []int) int {
+	if !(incumbent > 0) || math.IsInf(incumbent, 1) || math.IsInf(DifferentialBound(c, cSlot, sum, sumSlot, n), 1) {
+		return -1
+	}
+	k := 1 / float64(n)
+	cv, sv := c.Values, sum.Values[:len(c.Values)]
+	num := cv[cSlot] + float64(sv[sumSlot]*k)
+	thr := num / incumbent // within a rounding of num/incumbent: a few nudges at most
+	for !(num/thr < incumbent) {
+		thr = math.Nextafter(thr, math.Inf(1))
+	}
+	for _, t := range [2]int{sumSlot, cSlot} {
+		if cv[t]+float64(sv[t]*k) >= thr {
+			return t
+		}
+	}
+	for _, t := range hint {
+		if uint(t) < uint(len(cv)) && cv[t]+float64(sv[t]*k) >= thr {
+			return t
+		}
+	}
+	for t, v := range cv {
+		if v+float64(sv[t]*k) >= thr {
+			return t
+		}
+	}
+	return -1
+}
+
 // ServiceTraces builds the S-trace (Eq. 5) for each named service: the mean
 // of the averaged I-traces of the service's instances. instancesByService
 // maps service name → that service's averaged I-traces. Services are
