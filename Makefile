@@ -155,6 +155,7 @@ FUZZ_TARGETS = \
 	internal/tracestore:FuzzLoad \
 	internal/tracestore:FuzzSnapshotQuality \
 	internal/tracestore:FuzzAppendRunMatchesAppend \
+	internal/cluster:FuzzBalancedKMeansMatchesOracle \
 	internal/score:FuzzDifferentialBound \
 	internal/score:FuzzDifferentialBelow \
 	internal/core:FuzzPlanDecoder \

@@ -9,14 +9,15 @@ import (
 )
 
 // balancedKMeansOracle is BalancedKMeans as it was before refine took each
-// point's centroid distances once per pass: its preference sort recomputes
-// both squared distances inside every comparison. It is kept only as the
+// point's centroid distances once per pass: it starts from kmeansOracle, and
+// its preference sort recomputes both squared distances inside every
+// comparison, then walks each point's full order. It is kept only as the
 // reference the production refine must reproduce bit for bit.
 func balancedKMeansOracle(points [][]float64, cfg Config) (*Result, error) {
 	if err := validate(points, cfg.K); err != nil {
 		return nil, err
 	}
-	base, err := KMeans(points, cfg)
+	base, err := kmeansOracle(points, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -21,6 +22,9 @@ var (
 	ErrNoPoints = errors.New("cluster: no points")
 	ErrBadK     = errors.New("cluster: k must be in [1, len(points)]")
 	ErrRagged   = errors.New("cluster: points have differing dimensions")
+	// ErrNonFinite reports a NaN or ±Inf coordinate; the wrapping error
+	// names the point and dimension.
+	ErrNonFinite = errors.New("cluster: non-finite coordinate")
 )
 
 // Result is a clustering of n points into k clusters.
@@ -73,6 +77,29 @@ func sqDist(a, b []float64) float64 {
 	return d
 }
 
+// sqDists sets row[c] = sqDist(p, centroids[c]) for every centroid, summing
+// four centroids at a time. Each sum is its own chain of additions in
+// sqDist's order, so every value is sqDist's bit for bit; four independent
+// chains keep the floating-point unit busy where one waits on each add.
+func sqDists(row, p []float64, centroids [][]float64) {
+	c := 0
+	for ; c+4 <= len(centroids); c += 4 {
+		c0, c1, c2, c3 := centroids[c][:len(p)], centroids[c+1][:len(p)], centroids[c+2][:len(p)], centroids[c+3][:len(p)]
+		var d0, d1, d2, d3 float64
+		for j, v := range p {
+			x0, x1, x2, x3 := v-c0[j], v-c1[j], v-c2[j], v-c3[j]
+			d0 += x0 * x0
+			d1 += x1 * x1
+			d2 += x2 * x2
+			d3 += x3 * x3
+		}
+		row[c], row[c+1], row[c+2], row[c+3] = d0, d1, d2, d3
+	}
+	for ; c < len(centroids); c++ {
+		row[c] = sqDist(p, centroids[c])
+	}
+}
+
 func validate(points [][]float64, k int) error {
 	if len(points) == 0 {
 		return ErrNoPoints
@@ -81,9 +108,14 @@ func validate(points [][]float64, k int) error {
 		return ErrBadK
 	}
 	dim := len(points[0])
-	for _, p := range points {
+	for i, p := range points {
 		if len(p) != dim {
 			return ErrRagged
+		}
+		for d, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: point %d dimension %d is %v", ErrNonFinite, i, d, v)
+			}
 		}
 	}
 	return nil
@@ -204,6 +236,7 @@ func lloyd(points [][]float64, k int, rng *rand.Rand) *Result {
 		assign[i] = -1
 	}
 	sizes := make([]int, k)
+	row := make([]float64, k)
 	iters := 0
 	for ; iters < maxIters; iters++ {
 		changed := false
@@ -211,10 +244,11 @@ func lloyd(points [][]float64, k int, rng *rand.Rand) *Result {
 			sizes[i] = 0
 		}
 		for i, p := range points {
-			bestC, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := sqDist(p, cent); d < bestD {
-					bestD, bestC = d, c
+			sqDists(row, p, centroids)
+			bestC := 0
+			for c, d := range row {
+				if d < row[bestC] {
+					bestC = c
 				}
 			}
 			if assign[i] != bestC {
@@ -302,30 +336,34 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 	}
 	res := &Result{Centroids: base.Centroids, Assign: make([]int, n), Sizes: make([]int, k), Iterations: base.Iterations}
 
+	// dist holds every point's squared distance to every centroid, row
+	// dist[i*k:(i+1)*k] for point i, refilled by each refine pass.
+	dist := make([]float64, n*k)
+	prefs := make([]int, k)
 	refine := func() {
 		// Order points by how much they prefer their best cluster (most
-		// decisive first), then fill under capacity.
+		// decisive first): the margin between their two smallest distances.
 		type cand struct {
 			point  int
-			prefs  []int // cluster indices sorted by distance
 			margin float64
 		}
 		cands := make([]cand, n)
-		// dist[c] is the point's squared distance to centroid c, computed
-		// once per point and pass, never inside the comparator.
-		dist, order := make([]float64, k), make([]int, n*k)
 		for i, p := range points {
-			prefs := order[i*k : (i+1)*k]
-			for c := range prefs {
-				prefs[c] = c
-				dist[c] = sqDist(p, res.Centroids[c])
+			row := dist[i*k : (i+1)*k]
+			sqDists(row, p, res.Centroids)
+			min1, min2 := math.Inf(1), math.Inf(1)
+			for _, d := range row {
+				if d < min1 {
+					min1, min2 = d, min1
+				} else if d < min2 {
+					min2 = d
+				}
 			}
-			sort.Slice(prefs, func(a, b int) bool { return dist[prefs[a]] < dist[prefs[b]] })
 			margin := 0.0
 			if k > 1 {
-				margin = dist[prefs[1]] - dist[prefs[0]]
+				margin = min2 - min1
 			}
-			cands[i] = cand{point: i, prefs: prefs, margin: margin}
+			cands[i] = cand{point: i, margin: margin}
 		}
 		sort.Slice(cands, func(a, b int) bool {
 			if cands[a].margin != cands[b].margin {
@@ -337,15 +375,39 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 		for i := range res.Sizes {
 			res.Sizes[i] = 0
 		}
+		// Each point takes its nearest centroid with capacity left. That is
+		// the first available cluster in its distance order unless several
+		// available ones tie at that distance; then the order among them is
+		// sort.Slice's, so sort the row and take its first available one.
 		for _, cd := range cands {
-			for _, c := range cd.prefs {
-				if remaining[c] > 0 {
-					res.Assign[cd.point] = c
-					remaining[c]--
-					res.Sizes[c]++
-					break
+			row := dist[cd.point*k : (cd.point+1)*k]
+			best, tied := -1, false
+			for c, d := range row {
+				if remaining[c] == 0 {
+					continue
+				}
+				switch {
+				case best < 0 || d < row[best]:
+					best, tied = c, false
+				case d == row[best]:
+					tied = true
 				}
 			}
+			if tied {
+				for c := range prefs {
+					prefs[c] = c
+				}
+				sort.Slice(prefs, func(a, b int) bool { return row[prefs[a]] < row[prefs[b]] })
+				for _, c := range prefs {
+					if remaining[c] > 0 {
+						best = c
+						break
+					}
+				}
+			}
+			res.Assign[cd.point] = best
+			remaining[best]--
+			res.Sizes[best]++
 		}
 	}
 
