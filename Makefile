@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs experiments-diff smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short loc clean
+.PHONY: all check build vet lint lint-annotate lint-json test test-race race cover bench bench-parallel bench-smoke bench-e2e bench-e2e-smoke bench-pairs experiments-diff digests-diff smoke soak soak-short plan-soak-short frag-sweep frag-sweep-short multidim-sweep multidim-sweep-short experiments ablations extensions fuzz fuzz-short loc clean
 
 all: check
 
@@ -90,6 +90,16 @@ bench-pairs:
 # It needs a parent ref, so it stays out of check.
 experiments-diff:
 	bash scripts/experiments-diff.sh $(PARENT)
+
+# digests-diff is the "no decision changed" oracle for the runtime: the
+# benchmark built from a parent commit and from this checkout, every
+# workload at --seconds 0 --trace 0 on seeds 1..SEEDS, must list identical
+# digests, sum_leaf_peaks_w and placed_pct, e.g.
+#   make digests-diff PARENT=HEAD~1 SEEDS=10
+# It needs a parent ref, so it stays out of check.
+SEEDS ?= 10
+digests-diff:
+	bash scripts/digests-diff.sh $(PARENT) $(SEEDS)
 
 # smoke drives smoothopd's run() end to end twice — replay, flag validation,
 # and a scrape of GET /metrics asserting deterministic counters.

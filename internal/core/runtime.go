@@ -478,8 +478,10 @@ func (r *Runtime) scoringTraces(what string, ids []string, read traceRead) (map[
 // fillReferences is the one reference-trace rule. Each quarantined
 // instance is scored from a population — ids in order, their traces, and
 // the ids to skip as unhealthy — by the mean of its service's healthy
-// traces there, or of all of them when its service has none. The
-// population's order is the summation order. An empty population is
+// traces there (timeseries.Mean), or of all of them when its service has
+// none or they are misaligned. The population's order is the summation
+// order. The mean is snapped to the scoring grid, as every trace the
+// store returns is. An empty or misaligned population is
 // ErrAllQuarantined. The reference traces go into traces.
 //
 // smoothop:locked mu
@@ -495,38 +497,18 @@ func (r *Runtime) fillReferences(what string, quarantined []string, traces map[s
 		fleet = append(fleet, tr)
 	}
 	for _, id := range quarantined {
-		ref, ok := meanSeries(byService[r.services[id]])
-		if !ok {
-			ref, ok = meanSeries(fleet)
+		ref, err := timeseries.Mean(byService[r.services[id]]...)
+		if err != nil {
+			ref, err = timeseries.Mean(fleet...)
 		}
-		if !ok {
+		if err != nil {
 			return fmt.Errorf("core: %s: %w", what, ErrAllQuarantined)
 		}
+		timeseries.SnapAll(ref.Values)
 		traces[id] = ref
 		obsFallbackTraces.Inc()
 	}
 	return nil
-}
-
-// meanSeries folds same-shaped traces into their pointwise mean.
-func meanSeries(traces []timeseries.Series) (timeseries.Series, bool) {
-	if len(traces) == 0 {
-		return timeseries.Series{}, false
-	}
-	n := traces[0].Len()
-	vals := make([]float64, n)
-	for _, tr := range traces {
-		if tr.Len() != n {
-			return timeseries.Series{}, false
-		}
-		for i, v := range tr.Values {
-			vals[i] += v
-		}
-	}
-	for i := range vals {
-		vals[i] /= float64(len(traces))
-	}
-	return timeseries.New(traces[0].Start, traces[0].Step, vals), true
 }
 
 // Tick evaluates the placement against the telemetry window [asOf−window,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/powertree"
+	"repro/internal/timeseries"
 	"repro/internal/tracestore"
 )
 
@@ -161,9 +162,9 @@ func TestBootstrapQuarantinesUnknownInstance(t *testing.T) {
 	}
 	var want []float64
 	for _, id := range []string{"a", "b"} {
-		tr, err := rt.store.Snapshot(id, trainEnd, trainEnd.Add(dWeek))
-		if err != nil {
-			t.Fatal(err)
+		tr, q, err := rt.store.SnapshotQuality(id, trainEnd, trainEnd.Add(dWeek))
+		if err != nil || q.Grade == tracestore.GradeNoData {
+			t.Fatalf("%s: %+v %v", id, q, err)
 		}
 		if want == nil {
 			want = make([]float64, tr.Len())
@@ -179,8 +180,8 @@ func TestBootstrapQuarantinesUnknownInstance(t *testing.T) {
 		t.Fatalf("ghost scored from %d slots, want %d", len(ref.Values), len(want))
 	}
 	for i := range want {
-		if math.Abs(ref.Values[i]-want[i]) > 1e-9 {
-			t.Fatalf("ghost slot %d = %v, want the web mean %v", i, ref.Values[i], want[i])
+		if ref.Values[i] != timeseries.Snap(want[i]) {
+			t.Fatalf("ghost slot %d = %v, want the web mean %v on the scoring grid", i, ref.Values[i], want[i])
 		}
 	}
 }
@@ -211,8 +212,8 @@ func TestIngestRetriesTransientErrors(t *testing.T) {
 	if got := obsIngestRetries.Value() - before; got == 0 || got > ingestRetries {
 		t.Fatalf("%d ingest retries for one transiently failing append, want 1..%d", got, ingestRetries)
 	}
-	if _, err := store.Snapshot("a", dEpoch, dEpoch.Add(time.Hour)); err != nil {
-		t.Fatalf("reading never landed: %v", err)
+	if _, q, err := store.SnapshotQuality("a", dEpoch, dEpoch.Add(time.Hour)); err != nil || q.Grade == tracestore.GradeNoData {
+		t.Fatalf("reading never landed: %+v %v", q, err)
 	}
 
 	// Non-transient errors surface immediately, without retrying. (Checked

@@ -209,10 +209,11 @@ func TestAdmitReferenceUsesCurrentResidents(t *testing.T) {
 	for _, id := range rt.tree.AllInstances() {
 		fleet = append(fleet, rt.view.traces[id])
 	}
-	want, ok := meanSeries(fleet)
-	if !ok {
-		t.Fatal("fixture has no residents left")
+	want, err := timeseries.Mean(fleet...)
+	if err != nil {
+		t.Fatalf("fixture has no residents left: %v", err)
 	}
+	timeseries.SnapAll(want.Values)
 	if _, err := rt.AdmitInstance("ghost-0001", service, trainEnd, 2); err != nil {
 		t.Fatalf("admitting unreported instance: %v", err)
 	}
@@ -288,4 +289,46 @@ func TestHTTPReadsRaceChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestViewTracesOnScoringGrid: every trace the runtime scores from lies on
+// the scoring grid (timeseries.Snap), so its ledger sums are exact in any
+// order — after Bootstrap, a Tick, an admission, and the admission of an
+// unreported instance, whose reference mean fills the view.
+func TestViewTracesOnScoringGrid(t *testing.T) {
+	rt, _, held, trainEnd := admissionFixture(t)
+	check := func(after string) {
+		t.Helper()
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if len(rt.view.traces) == 0 {
+			t.Fatalf("after %s: empty view", after)
+		}
+		for id, tr := range rt.view.traces {
+			for i, v := range tr.Values {
+				if timeseries.Snap(v) != v {
+					t.Fatalf("after %s: %s slot %d = %b, off the grid", after, id, i, v)
+				}
+			}
+		}
+	}
+	check("Bootstrap")
+	if _, err := rt.Tick(trainEnd.Add(7*24*time.Hour), 0); err != nil {
+		t.Fatal(err)
+	}
+	check("Tick")
+	if _, err := rt.AdmitInstance(held[0].ID, held[0].Service, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("AdmitInstance")
+	if _, err := rt.AdmitInstance("ghost-0001", held[1].Service, trainEnd, 2); err != nil {
+		t.Fatal(err)
+	}
+	rt.mu.Lock()
+	filled := rt.view.filled["ghost-0001"]
+	rt.mu.Unlock()
+	if !filled {
+		t.Fatal("the unreported arrival was not scored from a reference mean")
+	}
+	check("a quarantine fill")
 }

@@ -32,7 +32,11 @@ func residentScoring(traces TraceFn, leaf *powertree.Node, tr timeseries.Series)
 			return 0, false, fmt.Errorf("%w for resident %q", ErrMissingTrace, id)
 		}
 	}
-	s, err = differentialOracle(tr, peers)
+	sum, err := timeseries.Sum(peers...)
+	if err != nil {
+		return 0, true, err
+	}
+	s, err = differentialOracle(tr, sum, len(peers))
 	return s, true, err
 }
 

@@ -276,13 +276,14 @@ func (o *Online) repair(nodes []*powertree.Node, cache []*leafState, maxSwaps in
 }
 
 // leafState is a leaf's cached view for the swap search: its residents' IDs
-// and traces and its asynchrony score, then, once prepare has run, per
-// resident j its trace's peak slot, the sum of its peers (the leaf's other
-// residents, in attachment order), that sum's peak slot, and j's current
+// and traces, their sum and its asynchrony score, then, once prepare has
+// run, per resident j its trace's peak slot, the sum of its peers (the
+// leaf's other residents), that sum's peak slot, and j's current
 // differential against it.
 type leafState struct {
 	ids []string
 	trs []timeseries.Series
+	sum timeseries.Series
 	s   float64
 
 	prepared  bool
@@ -292,54 +293,31 @@ type leafState struct {
 	cur       []float64
 }
 
-// prepare fills the per-resident state in one pass. Peer sums add the same
-// traces in the same order as Sum over the peers, so they hold the same
-// bits: the sum for resident j ≥ 1 starts from a copy of the running prefix
-// t0+…+t(j−1) and adds t(j+1), … in order. A sum that will not form (the
-// traces are misaligned) is the zero Series, against which nothing scores.
-// The sums share one backing array when the traces are as long as t0.
+// prepare fills the per-resident state in one pass. Resident j's peer sum
+// is the leaf's sum minus t_j, in one backing array for the leaf. On the
+// scoring grid (timeseries.Snap) the runtime's traces lie on, every sum is
+// exact, so this is Sum over the peers bit for bit; off-grid traces get the
+// rounded difference. A trace misaligned with the sum gets the zero
+// Series, against which nothing scores.
 func (st *leafState) prepare() {
 	if st.prepared {
 		return
 	}
 	st.prepared = true
-	m := len(st.trs)
+	m, n := len(st.trs), st.sum.Len()
 	st.peak, st.peers, st.peersPeak, st.cur = make([]int, m), make([]timeseries.Series, m), make([]int, m), make([]float64, m)
-	n := 0
-	if m > 0 {
-		n = st.trs[0].Len()
-	}
 	buf := make([]float64, m*n)
-	var prefix timeseries.Series
-	prefixOK := true
 	for j, tr := range st.trs {
-		dst := buf[j*n : j*n : (j+1)*n]
-		switch {
-		case j == 0 && m > 1:
-			st.peers[j] = sumOnto(dst, st.trs[1], st.trs[2:])
-		case j > 0 && prefixOK:
-			st.peers[j] = sumOnto(dst, prefix, st.trs[j+1:])
-		}
-		if j == 0 {
-			prefix = tr.Clone()
-		} else if prefixOK && prefix.AddInPlace(tr) != nil {
-			prefixOK = false
+		if tr.Len() == n && tr.Step == st.sum.Step {
+			peers := buf[j*n : (j+1)*n : (j+1)*n]
+			for t, v := range st.sum.Values {
+				peers[t] = v - tr.Values[t]
+			}
+			st.peers[j] = timeseries.New(st.sum.Start, st.sum.Step, peers)
 		}
 		st.peak[j], st.peersPeak[j] = tr.PeakIndex(), st.peers[j].PeakIndex()
 		st.cur[j] = differential(tr, st.peers[j], m-1)
 	}
-}
-
-// sumOnto adds rest, in order, onto a copy of first appended to dst; the
-// zero Series if a trace is misaligned with first.
-func sumOnto(dst []float64, first timeseries.Series, rest []timeseries.Series) timeseries.Series {
-	sum := timeseries.Series{Start: first.Start, Step: first.Step, Values: append(dst, first.Values...)}
-	for _, tr := range rest {
-		if sum.AddInPlace(tr) != nil {
-			return timeseries.Series{}
-		}
-	}
-	return sum
 }
 
 // differential is the differential of a candidate trace against the sum of
@@ -443,11 +421,11 @@ func inRuns(n, workers int, run func(lo, hi int) error) error {
 	})
 }
 
-// newLeafState resolves the traces of n's residents and scores n: against
-// the peak of its aggregate in aggs (score.AsynchronyFromSum, bit-identical
-// to score.Asynchrony at a leaf) or, with aggs nil because the residents
-// changed since, against their own sum. Fewer than two residents score
-// +Inf.
+// newLeafState resolves the traces of n's residents and scores n against
+// the peak of their sum (score.AsynchronyFromSum): its aggregate in aggs
+// (bit-identical to score.Asynchrony at a leaf) or, with aggs nil because
+// the residents changed since, timeseries.Sum over them. Fewer than two
+// residents score +Inf.
 func newLeafState(n *powertree.Node, aggs *powertree.Aggregates, traces TraceFn) (*leafState, error) {
 	st := &leafState{ids: n.AllInstances(), s: math.Inf(1)}
 	st.trs = make([]timeseries.Series, len(st.ids))
@@ -463,9 +441,12 @@ func newLeafState(n *powertree.Node, aggs *powertree.Aggregates, traces TraceFn)
 	}
 	var err error
 	if aggs == nil {
-		st.s, err = score.Asynchrony(st.trs...)
+		st.sum, err = timeseries.Sum(st.trs...)
 	} else {
-		st.s, err = score.AsynchronyFromSum(aggs.Peak(n), st.trs...)
+		st.sum, _ = aggs.Trace(n) // no entry: the empty sum's zero peak fails below
+	}
+	if err == nil {
+		st.s, err = score.AsynchronyFromSum(st.sum.Peak(), st.trs...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("placement: scoring node %q: %w", n.Name, err)

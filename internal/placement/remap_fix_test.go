@@ -45,16 +45,13 @@ func TestRemapConfigRejectsNegatives(t *testing.T) {
 }
 
 // differentialOracle is score.Differential as it stood before the
-// DifferentialFromSum kernel: materialise the peer average, score the pair.
-func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (float64, error) {
-	if len(peers) == 0 {
+// DifferentialFromSum kernel, over the sum of n peers: materialise the peer
+// average as timeseries.Mean does, score the pair.
+func differentialOracle(instance, sum timeseries.Series, n int) (float64, error) {
+	if n == 0 {
 		return 0, score.ErrNoTraces
 	}
-	avg, err := timeseries.Mean(peers...)
-	if err != nil {
-		return 0, err
-	}
-	return score.Pairwise(instance, avg)
+	return score.Pairwise(instance, sum.Scale(1/float64(n)))
 }
 
 // remapReference is a test-local copy of Remap as it stood before per-node
@@ -73,7 +70,11 @@ func differentialOracle(instance timeseries.Series, peers []timeseries.Series) (
 // A leaf not yet swapped is scored against the peak of their sum, as
 // Online.Remap scores it from the ledger, so a TraceFn that changed after
 // the placer was built (the fuzz target's misaligned traces) scores alike.
-func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig) (swaps []Swap, attempted, scored uint64, err error) {
+// With onGrid set every trace lies on the scoring grid (timeseries.Snap),
+// and each peer sum is Sum over the peers. Without it, a peer sum is the
+// leaf's sum minus the resident's trace, as Remap forms it; the leaf's sum
+// is that of its built traces until a swap touches it, then its residents'.
+func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig, onGrid bool) (swaps []Swap, attempted, scored uint64, err error) {
 	maxSwaps := cfg.MaxSwaps
 	if maxSwaps <= 0 {
 		maxSwaps = 32
@@ -150,19 +151,42 @@ func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig
 		}
 		return score.AsynchronyFromSum(sum.Peak(), trs...)
 	}
-	// bound is score.DifferentialBound over a freshly summed peer set.
-	bound := func(cand timeseries.Series, peers []timeseries.Series) float64 {
-		sum, err := timeseries.Sum(peers...)
-		if err != nil {
-			sum = timeseries.Series{}
+	// peerSum is the sum of resident j's peers among trs, the traces of a
+	// leaf whose sum is leafSum; the zero Series when it does not form.
+	peerSum := func(leafSum timeseries.Series, trs []timeseries.Series, j int) timeseries.Series {
+		var sum timeseries.Series
+		var err error
+		if onGrid {
+			sum, err = timeseries.Sum(slices.Delete(slices.Clone(trs), j, j+1)...)
+		} else {
+			sum, err = leafSum.Sub(trs[j])
 		}
-		return score.DifferentialBound(&cand, cand.PeakIndex(), &sum, sum.PeakIndex(), len(peers))
+		if err != nil {
+			return timeseries.Series{}
+		}
+		return sum
 	}
-	diff := func(cand timeseries.Series, peers []timeseries.Series) float64 {
-		if len(peers) == 0 {
+	leafSum := func(n *powertree.Node) (timeseries.Series, error) {
+		fn := built
+		if swapped[n] {
+			fn = traces
+		}
+		_, trs, err := nodeTraces(n, fn)
+		if err != nil {
+			return timeseries.Series{}, err
+		}
+		sum, _ := timeseries.Sum(trs...) // one that does not form stays empty: no peer sum forms from it
+		return sum, nil
+	}
+	// bound is score.DifferentialBound over a peer sum of n traces.
+	bound := func(cand, sum timeseries.Series, n int) float64 {
+		return score.DifferentialBound(&cand, cand.PeakIndex(), &sum, sum.PeakIndex(), n)
+	}
+	diff := func(cand, sum timeseries.Series, n int) float64 {
+		if n == 0 {
 			return math.Inf(1)
 		}
-		d, err := differentialOracle(cand, peers)
+		d, err := differentialOracle(cand, sum, n)
 		if err != nil {
 			return math.Inf(-1)
 		}
@@ -190,18 +214,14 @@ func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig
 		if len(wIDs) < 2 {
 			break
 		}
-		peersOf := func(trs []timeseries.Series, skip int) []timeseries.Series {
-			peers := make([]timeseries.Series, 0, len(trs)-1)
-			for j, tr := range trs {
-				if j != skip {
-					peers = append(peers, tr)
-				}
-			}
-			return peers
+		wSum, err := leafSum(worst)
+		if err != nil {
+			return nil, 0, 0, err
 		}
+		nA := len(wTraces) - 1
 		victim, victimDiff := -1, math.Inf(1)
 		for i := range wIDs {
-			d := diff(wTraces[i], peersOf(wTraces, i))
+			d := diff(wTraces[i], peerSum(wSum, wTraces, i), nA)
 			if d < victimDiff {
 				victimDiff, victim = d, i
 			}
@@ -209,7 +229,7 @@ func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig
 		if victim < 0 {
 			break
 		}
-		victimPeers := peersOf(wTraces, victim)
+		victimPeers := peerSum(wSum, wTraces, victim)
 		type leafScore struct {
 			idx int
 			s   float64
@@ -242,14 +262,19 @@ func remapReference(tree *powertree.Node, built, traces TraceFn, cfg RemapConfig
 			if len(pIDs) < 1 {
 				continue
 			}
+			pSum, err := leafSum(partner)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			nB := len(pTraces) - 1
 			for j := range pIDs {
 				attempted++
-				pPeers := peersOf(pTraces, j)
+				pPeers := peerSum(pSum, pTraces, j)
 				curA := victimDiff
-				curB := diff(pTraces[j], pPeers)
-				newA := diff(pTraces[j], victimPeers)
-				newB := diff(wTraces[victim], pPeers)
-				boundA, boundB := bound(pTraces[j], victimPeers), bound(wTraces[victim], pPeers)
+				curB := diff(pTraces[j], pPeers, nB)
+				newA := diff(pTraces[j], victimPeers, nA)
+				newB := diff(wTraces[victim], pPeers, nB)
+				boundA, boundB := bound(pTraces[j], victimPeers, nA), bound(wTraces[victim], pPeers, nB)
 				if newA > boundA || newB > boundB {
 					return nil, 0, 0, fmt.Errorf("reference: bounds %v, %v below differentials %v, %v", boundA, boundB, newA, newB)
 				}
@@ -389,7 +414,7 @@ func TestRemapCachedScoringEquivalence(t *testing.T) {
 		var unguarded []Swap
 		for _, cfg := range cfgs {
 			refTree := base.Clone()
-			want, wantAttempted, wantScored, err := remapReference(refTree, traces, traces, cfg)
+			want, wantAttempted, wantScored, err := remapReference(refTree, traces, traces, cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,14 +21,21 @@ const (
 	mixMisaligned             // a trace one slot longer than the rest, during the remap only
 )
 
+// mixSnap puts every trace on the scoring grid and none misaligned. Bits 3
+// and 4 of mix, below it, pick the worker count.
+const mixSnap = 1 << 5
+
 // remapFuzzFleet draws a tree of 2–18 leaves holding 0, 1, 2 or (half the
 // time) 3–10 residents each, with one-day traces at 30-minute step: diurnal ones (a
 // sine of random phase and amplitude plus noise) and, as mix allows,
 // constant, zero-peak and misaligned ones. The misaligned kind reads as a
 // diurnal trace until the caller sets misaligned, because a placer's ledger
 // refuses to sum misaligned traces: they reach Remap only through a TraceFn
-// that changed after the placer was built. With tight set, every instance
-// demands 1–4 gpu and each leaf holds one gpu more than it starts with.
+// that changed after the placer was built. mixSnap puts every trace on the
+// scoring grid, as the runtime's are, and leaves the misaligned kind out:
+// a stale ledger's sum is not the sum of the traces Remap reads. With tight
+// set, every instance demands 1–4 gpu and each leaf holds one gpu more than
+// it starts with.
 func remapFuzzFleet(t *testing.T, seed int64, mix uint8, tight bool) (*powertree.Node, *fuzzTraces, DemandFn, func()) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -81,9 +88,12 @@ func remapFuzzFleet(t *testing.T, seed int64, mix uint8, tight bool) (*powertree
 				}
 			case kind == 2 && mix&mixZeroPeak != 0:
 				tr = timeseries.Zeros(t0, 30*time.Minute, slots)
-			case kind == 3 && mix&mixMisaligned != 0:
+			case kind == 3 && mix&mixMisaligned != 0 && mix&mixSnap == 0:
 				misaligned[id] = timeseries.Zeros(t0, 30*time.Minute, slots+1)
 				copy(misaligned[id].Values, tr.Values)
+			}
+			if mix&mixSnap != 0 {
+				timeseries.SnapAll(tr.Values)
 			}
 			traces.m[id] = tr
 			gpus[id] = powertree.ResourceVector{"gpu": float64(1 + rng.Intn(4))}
@@ -118,8 +128,10 @@ func remapFuzzFleet(t *testing.T, seed int64, mix uint8, tight bool) (*powertree
 // remapFuzzFleet trees and requires remapReference's swaps (instances,
 // leaves and gain bits), final placement, tried-pair count and
 // exactly-scored-pair count; the reference also fails if a pair's bound
-// lies below its differential. Remap scores the leaves itself: it must fail
-// wherever LevelAsynchronyFrom over the placer's Aggregates fails (a
+// lies below its differential. Under mixSnap the reference sums each
+// resident's peers afresh, so the leave-one-out difference must be exact.
+// Remap scores the leaves itself: it must fail wherever
+// LevelAsynchronyFrom over the placer's Aggregates fails (a
 // zero-peak resident sharing its leaf), as the reference does, and
 // otherwise report LevelAsynchronyFrom's lowest score, at the lowest leaf
 // name among ties, as the worst leaf. Zero-peak residents alone on their
@@ -131,6 +143,9 @@ func FuzzRemapMatchesReference(f *testing.F) {
 	// A misaligned resident leaves the worst leaf, and the ledger's refold
 	// of its new leaf fails.
 	f.Add(int64(44), uint8(0x14), false, uint8(0x16))
+	for seed := int64(12); seed < 24; seed++ {
+		f.Add(seed, uint8(seed%8)|mixSnap, seed%3 == 0, uint8(seed*5))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, mix uint8, tight bool, maxSwaps uint8) {
 		cfg := RemapConfig{MaxSwaps: int(maxSwaps % 40)}
 		tree, traces, demands, misalign := remapFuzzFleet(t, seed, mix, tight)
@@ -147,7 +162,7 @@ func FuzzRemapMatchesReference(f *testing.F) {
 		misalign()
 		scores, scoreErr := LevelAsynchronyFrom(o.Aggregates(), powertree.RPP, traces.fn, 1)
 		refTree := tree.Clone()
-		want, wantAttempted, wantScored, wantErr := remapReference(refTree, built, traces.fn, cfg)
+		want, wantAttempted, wantScored, wantErr := remapReference(refTree, built, traces.fn, cfg, mix&mixSnap != 0)
 		attempted, scored := obsSwapsAttempted.Value(), obsPairsScored.Value()
 		worst, worstScore, got, err := o.Remap(math.Inf(1), 1+int(mix>>3)%4, cfg.MaxSwaps)
 		if (err == nil) != (wantErr == nil) || (scoreErr != nil && err == nil) {
@@ -193,7 +208,7 @@ func FuzzRemapMatchesReference(f *testing.F) {
 func TestRemapScoresFewPairs(t *testing.T) {
 	tree, traces := diurnalFixture(t, 10_000)
 	cfg := RemapConfig{MaxSwaps: 24}
-	want, wantAttempted, wantScored, err := remapReference(tree.Clone(), traces, traces, cfg)
+	want, wantAttempted, wantScored, err := remapReference(tree.Clone(), traces, traces, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -609,7 +609,8 @@ func (s *Snapshot) peakReader() capping.Reader {
 }
 
 // meanOf folds same-shaped traces into their pointwise mean. ok is false
-// for an empty or misaligned set.
+// for an empty or misaligned set. It divides, not Mean's ·(1/n), because
+// bench/loads repeats the divide bit for bit.
 func meanOf(traces []timeseries.Series) (timeseries.Series, bool) {
 	if len(traces) == 0 {
 		return timeseries.Series{}, false

@@ -231,6 +231,32 @@ func Mean(series ...Series) (Series, error) {
 	return sum.Scale(1 / float64(len(series))), nil
 }
 
+// Snap rounds a reading to the scoring grid: the nearest multiple of
+// 2⁻²⁰ W, ties to even. Sums of readings on the grid are exact below
+// 2³³ W, so they have the same bits in any order. Snap is idempotent;
+// readings of 2³² W or more (and ±Inf, NaN) are returned as they are,
+// since float64 spacing there is 2⁻²⁰ or coarser.
+func Snap(x float64) float64 {
+	// Below 2³¹, x + 1.5·2³² lies in [2³², 2³³), where float64 spacing is
+	// 2⁻²⁰: the add rounds x to the grid, ties to even, and the subtract
+	// is exact.
+	const shift = 0x1.8p32
+	switch a := math.Abs(x); {
+	case a < 0x1p31:
+		return float64(x+shift) - shift
+	case a < 0x1p32:
+		return math.RoundToEven(x*0x1p20) / 0x1p20
+	}
+	return x
+}
+
+// SnapAll snaps every value in place (Snap).
+func SnapAll(vals []float64) {
+	for i, v := range vals {
+		vals[i] = Snap(v)
+	}
+}
+
 // Peak returns the maximum reading, or 0 when the series is empty. It
 // implements peak(P) from Eq. 6. The empty-series convention matches
 // MeanValue and Min: statistics of an empty series are 0, never ±Inf, so a

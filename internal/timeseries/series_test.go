@@ -109,6 +109,43 @@ func TestSumMean(t *testing.T) {
 	}
 }
 
+// TestSnap pins the scoring grid's rounding: nearest multiple of 2⁻²⁰,
+// ties to even, on both sides of the 2³¹ switch between the shift and the
+// scaled round, and identity from 2³² up. Every result is a fixed point,
+// and sampled readings agree with the scaled round.
+func TestSnap(t *testing.T) {
+	for _, c := range []struct{ x, want float64 }{
+		{0, 0},
+		{0x1p-21, 0},             // tie: 0 is even
+		{3 * 0x1p-21, 0x1p-19},   // tie: 2 grid steps, not 1
+		{-3 * 0x1p-21, -0x1p-19}, // and symmetric
+		{1 + 0x1p-20 + 0x1p-22, 1 + 0x1p-20},
+		{math.Nextafter(0x1p31, 0), 0x1p31},           // 2³¹ − 1 ulp
+		{math.Nextafter(0x1p31, math.Inf(1)), 0x1p31}, // 2³¹ + 1 ulp = 2³¹ + 2⁻²¹: a tie
+		{0x1p31 + 3*0x1p-21, 0x1p31 + 0x1p-19},        // a tie above 2³¹
+		{math.Nextafter(0x1p32, 0), 0x1p32},           // 2³² − 1 ulp = 2³² − 2⁻²¹: a tie
+		{0x1p32, 0x1p32},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		if got := Snap(c.x); got != c.want {
+			t.Errorf("Snap(%b) = %b, want %b", c.x, got, c.want)
+		}
+		if got := Snap(Snap(c.x)); got != Snap(c.x) {
+			t.Errorf("Snap(%b) is not a fixed point: %b", Snap(c.x), got)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		x := math.Ldexp(rng.Float64(), rng.Intn(60)-20)
+		if got, want := Snap(x), math.RoundToEven(x*0x1p20)/0x1p20; got != want {
+			t.Fatalf("Snap(%b) = %b, want %b", x, got, want)
+		}
+	}
+	if !math.IsNaN(Snap(math.NaN())) || !math.IsInf(Snap(math.Inf(-1)), -1) {
+		t.Error("Snap must pass NaN and ±Inf through")
+	}
+}
+
 func TestPeakMinMeanEnergy(t *testing.T) {
 	s := mk(2, 8, 4, 6)
 	if s.Peak() != 8 {

@@ -387,9 +387,8 @@ func TestAppendFarJumpEmptiesRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reloading: %v", err)
 	}
-	tr, err := back.Snapshot("a", far.Add(-3*time.Hour), far.Add(time.Hour))
-	if err != nil || !slices.Equal(tr.Values, []float64{2, 2, 2, 2}) {
-		t.Fatalf("reloaded ring reads %v, %v", tr.Values, err)
+	if tr := snapshot(t, back, "a", far.Add(-3*time.Hour), far.Add(time.Hour)); !slices.Equal(tr.Values, []float64{2, 2, 2, 2}) {
+		t.Fatalf("reloaded ring reads %v", tr.Values)
 	}
 }
 

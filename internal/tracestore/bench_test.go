@@ -68,7 +68,7 @@ func BenchmarkSnapshotDay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Snapshot("bench", t0, t0.Add(24*time.Hour)); err != nil {
+		if _, _, err := st.SnapshotQuality("bench", t0, t0.Add(24*time.Hour)); err != nil {
 			b.Fatal(err)
 		}
 	}

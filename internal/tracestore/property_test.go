@@ -5,11 +5,14 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/timeseries"
 )
 
 // TestStoreRecoveryProperty: any set of in-window, in-order-or-not readings
-// is recoverable exactly at its slots, and snapshots never invent values
-// outside the convex hull of what was written.
+// is recoverable exactly at its slots, as the scoring grid holds them, and
+// snapshots never invent values outside the convex hull of what was
+// written (snapping is monotone, so the hull's snapped ends bound them).
 func TestStoreRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -35,21 +38,18 @@ func TestStoreRecoveryProperty(t *testing.T) {
 				maxV = v
 			}
 		}
-		tr, err := st.Snapshot("x", t0, t0.Add(time.Duration(slots)*step))
-		if err != nil {
-			t.Fatalf("trial %d: snapshot: %v", trial, err)
-		}
+		tr := snapshot(t, st, "x", t0, t0.Add(time.Duration(slots)*step))
 		if tr.Len() != slots {
 			t.Fatalf("trial %d: snapshot len %d", trial, tr.Len())
 		}
 		for slot, v := range written {
-			if math.Abs(tr.Values[slot]-v) > 1e-9 {
+			if tr.Values[slot] != timeseries.Snap(v) {
 				t.Fatalf("trial %d: slot %d = %v, want %v", trial, slot, tr.Values[slot], v)
 			}
 		}
 		// Interpolated values stay within the written hull.
 		for i, v := range tr.Values {
-			if v < minV-1e-9 || v > maxV+1e-9 {
+			if v < timeseries.Snap(minV) || v > timeseries.Snap(maxV) {
 				t.Fatalf("trial %d: interpolated value %v at %d outside [%v, %v]", trial, v, i, minV, maxV)
 			}
 		}

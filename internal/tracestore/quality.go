@@ -97,12 +97,13 @@ func (q Quality) grade(window time.Duration) Grade {
 	}
 }
 
-// SnapshotQuality materialises an instance's trace over [from, to) exactly
-// like Snapshot and tags it with the quality of the raw readings behind
-// it. Unlike Snapshot, a window with no readings at all is not an error:
-// it returns a zero Series with GradeNoData so callers can degrade
-// gracefully (quarantine) instead of failing the whole scoring pass.
-// An unknown instance is still an error — the caller asked about an
+// SnapshotQuality materialises an instance's trace over [from, to) at the
+// store's step and tags it with the quality of the raw readings behind it.
+// Gaps are repaired by linear interpolation between neighbouring readings
+// (edge gaps take the nearest reading). A window with no readings at all
+// is not an error: it returns a zero Series with GradeNoData so callers can
+// degrade gracefully (quarantine) instead of failing the whole scoring
+// pass. An unknown instance is an error — the caller asked about an
 // instance the store has never heard of.
 func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Series, Quality, error) {
 	w, err := s.snapshotWindow(from, to)
@@ -112,9 +113,11 @@ func (s *Store) SnapshotQuality(id string, from, to time.Time) (timeseries.Serie
 	return s.readOne(id, w)
 }
 
-// AveragedITraceQuality is AveragedITrace tagged with the quality of the
-// raw readings over the folded span. Like SnapshotQuality it reports an
-// empty span as GradeNoData instead of an error.
+// AveragedITraceQuality folds an instance's last `weeks` full weeks (ending
+// at the given week boundary) onto one time-of-week-aligned week — Eq. 4
+// computed straight from collected telemetry — and tags it with the
+// quality of the raw readings over the folded span. Like SnapshotQuality
+// it reports an empty span as GradeNoData instead of an error.
 func (s *Store) AveragedITraceQuality(id string, weekEnd time.Time, weeks int) (timeseries.Series, Quality, error) {
 	w, err := s.trainingWindow(weekEnd, weeks)
 	if err != nil {
@@ -256,10 +259,12 @@ type batchError struct {
 func (e batchError) Error() string { return e.err.Error() }
 
 // read is the one read kernel: it copies r's slots over w and counts the
-// readings, grades the window, rejects impulses, repairs gaps and, for a
-// training window, folds the repaired window onto one week. The trace is
-// written into dst (w.slots long); a training read repairs its raw window
-// in raw (w.n long) first. The caller holds s.mu for reading.
+// readings, grades the window, rejects impulses, repairs gaps, for a
+// training window folds the repaired window onto one week, and snaps the
+// trace to the scoring grid (timeseries.Snap), so sums of the traces it
+// returns are exact in any order. The trace is written into dst (w.slots
+// long); a training read repairs its raw window in raw (w.n long) first.
+// The caller holds s.mu for reading.
 func (s *Store) read(r *ring, id string, w window, raw, dst []float64) (timeseries.Series, Quality, error) {
 	if r == nil {
 		return timeseries.Series{}, Quality{}, fmt.Errorf("%w: %q", ErrUnknownInstance, id)
@@ -316,14 +321,14 @@ func (s *Store) read(r *ring, id string, w window, raw, dst []float64) (timeseri
 		}
 	}
 	tr := timeseries.New(w.from, step, vals)
-	if !w.fold {
-		return tr, q, nil
+	if w.fold {
+		var err error
+		if tr, err = tr.FoldWeeksInto(dst); err != nil {
+			return timeseries.Series{}, q, err
+		}
 	}
-	folded, err := tr.FoldWeeksInto(dst)
-	if err != nil {
-		return timeseries.Series{}, q, err
-	}
-	return folded, q, nil
+	timeseries.SnapAll(tr.Values)
+	return tr, q, nil
 }
 
 // rejectImpulses drops single-sample glitches from the raw window before

@@ -315,9 +315,12 @@ func TestRejectImpulses(t *testing.T) {
 }
 
 // impulseAt returns the first slot of a read that exceeds twice the larger
-// of its neighbours (its one neighbour at an edge), or -1. A store with
-// RejectImpulses on must never leave one: it is exactly what a second,
-// post-repair impulse filter would clamp, so none is needed.
+// of its neighbours (its one neighbour at an edge) by more than one grid
+// step, 2⁻²⁰ W, or -1. A store with RejectImpulses on must never leave one:
+// it is exactly what a second, post-repair impulse filter would clamp, so
+// none is needed. Repair meets the bound with equality at worst (v beside
+// v/2); the snap moves v and its neighbour by ≤ 2⁻²¹ each, so on the grid
+// the excess is at most one step.
 func impulseAt(vals []float64) int {
 	if len(vals) < 2 {
 		return -1
@@ -332,19 +335,19 @@ func impulseAt(vals []float64) int {
 		default:
 			m = max(vals[i-1], vals[i+1])
 		}
-		if v > 2*m {
+		if v > 2*m+0x1p-20 {
 			return i
 		}
 	}
 	return -1
 }
 
-// TestRejectImpulsesLeavesNoImpulse pins the reads that meet impulseAt's
-// bound with equality: a reading v kept beside a one-slot gap that repair
-// bridges to a 0 W reading, which leaves v/2 next to v. In the first ring
-// the gap is a dropout and v's other neighbour is v/2; in the second the
-// gap is a rejected spike and v's other neighbour is 0 W. With the filter
-// off the spike stays, and impulseAt finds it.
+// TestRejectImpulsesLeavesNoImpulse pins the reads that meet repair's
+// bound, twice the larger neighbour, with equality: a reading v kept beside
+// a one-slot gap that repair bridges to a 0 W reading, which leaves v/2
+// next to v. In the first ring the gap is a dropout and v's other neighbour
+// is v/2; in the second the gap is a rejected spike and v's other neighbour
+// is 0 W. With the filter off the spike stays, and impulseAt finds it.
 func TestRejectImpulsesLeavesNoImpulse(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -382,13 +385,23 @@ func TestRejectImpulsesLeavesNoImpulse(t *testing.T) {
 // time arithmetic. It is kept only as the reference the slice copy must
 // reproduce bit for bit.
 func snapshotQualityOracle(s *Store, id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	return timeRingRead(s.cfg, oracleRing(s, id), id, from, to)
+}
+
+// repairOracle is snapshotQualityOracle before the snap to the scoring grid.
+func repairOracle(s *Store, id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	return timeRingRepair(s.cfg, oracleRing(s, id), id, from, to)
+}
+
+// oracleRing copies the ring of id out of the store as a timeRing, nil for
+// an unknown instance.
+func oracleRing(s *Store, id string) *timeRing {
 	s.mu.RLock()
-	var tr *timeRing
+	defer s.mu.RUnlock()
 	if r := s.instances[id]; r != nil {
-		tr = &timeRing{start: s.slotTime(r.start), values: r.slotValues()}
+		return &timeRing{start: s.slotTime(r.start), values: r.slotValues()}
 	}
-	s.mu.RUnlock()
-	return timeRingRead(s.cfg, tr, id, from, to)
+	return nil
 }
 
 // timeRing is a ring as the store kept it before slot numbers: its origin
@@ -399,8 +412,16 @@ type timeRing struct {
 }
 
 // timeRingRead is the oracle read of the ring r (nil for an unknown
-// instance) in a store configured by cfg.
+// instance) in a store configured by cfg: the repaired window, snapped to
+// the scoring grid.
 func timeRingRead(cfg Config, r *timeRing, id string, from, to time.Time) (timeseries.Series, Quality, error) {
+	tr, q, err := timeRingRepair(cfg, r, id, from, to)
+	timeseries.SnapAll(tr.Values)
+	return tr, q, err
+}
+
+// timeRingRepair is timeRingRead before the snap.
+func timeRingRepair(cfg Config, r *timeRing, id string, from, to time.Time) (timeseries.Series, Quality, error) {
 	step := cfg.step()
 	from = from.Truncate(step)
 	n := int(to.Sub(from) / step)
@@ -449,13 +470,14 @@ func timeRingRead(cfg Config, r *timeRing, id string, from, to time.Time) (times
 	return timeseries.New(from, step, vals), q, nil
 }
 
-// averagedITraceQualityOracle is AveragedITraceQuality over the oracle read.
+// averagedITraceQualityOracle is AveragedITraceQuality over the oracle read:
+// the repaired window folded, then snapped.
 func averagedITraceQualityOracle(s *Store, id string, weekEnd time.Time, weeks int) (timeseries.Series, Quality, error) {
 	if weeks < 1 {
 		return timeseries.Series{}, Quality{}, errWeeks
 	}
 	span := time.Duration(weeks) * 7 * 24 * time.Hour
-	tr, q, err := snapshotQualityOracle(s, id, weekEnd.Add(-span), weekEnd)
+	tr, q, err := repairOracle(s, id, weekEnd.Add(-span), weekEnd)
 	if err != nil || q.Grade == GradeNoData {
 		return timeseries.Series{}, q, err
 	}
@@ -463,6 +485,7 @@ func averagedITraceQualityOracle(s *Store, id string, weekEnd time.Time, weeks i
 	if err != nil {
 		return timeseries.Series{}, q, err
 	}
+	timeseries.SnapAll(folded.Values)
 	return folded, q, nil
 }
 
@@ -648,11 +671,12 @@ func TestSnapshotQualityMatchesSlotOracle(t *testing.T) {
 
 // FuzzSnapshotQuality drives a seeded random ring, as fillRandomRing builds
 // them, and one window chosen by the fuzzer against the per-slot oracle,
-// with the impulse filter on and off. With the filter on, the read must
-// leave no impulse (impulseAt). The same window is then read as a batch of
-// that ring, a gap-free ring over the same span, a second random ring and an
-// unknown id, which must agree with the single reads and the oracle bit for
-// bit (checkBatchReads).
+// with the impulse filter on and off. Every reading must lie on the scoring
+// grid, within 2⁻²¹ W of the oracle's unsnapped repair. With the filter on,
+// the read must leave no impulse (impulseAt). The same window is then read
+// as a batch of that ring, a gap-free ring over the same span, a second
+// random ring and an unknown id, which must agree with the single reads and
+// the oracle bit for bit (checkBatchReads).
 func FuzzSnapshotQuality(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0), uint8(16), false, int16(0), uint16(16), int64(0))
 	f.Add(int64(2), uint16(300), uint8(1), uint8(200), true, int16(-5), uint16(60), int64(0))
@@ -662,6 +686,8 @@ func FuzzSnapshotQuality(f *testing.F) {
 	f.Add(int64(6), uint16(900), uint8(2), uint8(200), true, int16(10), uint16(168), int64(0))
 	// A gap-free window ending on an impulse.
 	f.Add(int64(55), uint16(329), uint8(0x14), uint8('j'), true, int16(43), uint16(60), int64(38))
+	// A reading v beside a gap bridged to 0 W: v snaps up, v/2 down.
+	f.Add(int64(-57), uint16(309), uint8('a'), uint8('3'), true, int16(1), uint16(149), int64(-75))
 	f.Fuzz(func(t *testing.T, seed int64, ops uint16, stepIdx, slots uint8, reject bool, fromSlot int16, n uint16, offset int64) {
 		step := []time.Duration{time.Minute, 30 * time.Minute, time.Hour}[int(stepIdx)%3]
 		st := New(Config{Step: step, Retention: time.Duration(1+int(slots)) * step, RejectImpulses: reject})
@@ -682,6 +708,12 @@ func FuzzSnapshotQuality(f *testing.F) {
 		tr, q, err := st.SnapshotQuality("a", from, to)
 		wtr, wq, werr := snapshotQualityOracle(st, "a", from, to)
 		sameRead(t, label, tr, wtr, q, wq, err, werr)
+		raw, _, _ := repairOracle(st, "a", from, to)
+		for i, v := range tr.Values {
+			if timeseries.Snap(v) != v || math.Abs(v-raw.Values[i]) > 0x1p-21 {
+				t.Fatalf("%s: slot %d = %v, off the grid or more than 2⁻²¹ from the repaired %v", label, i, v, raw.Values[i])
+			}
+		}
 		if i := impulseAt(tr.Values); reject && i >= 0 {
 			t.Fatalf("%s: impulse left at slot %d: %v", label, i, tr.Values)
 		}

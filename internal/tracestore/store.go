@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/detmap"
-	"repro/internal/timeseries"
 )
 
 // Errors returned by the store.
@@ -427,23 +426,6 @@ func (s *Store) Coverage(id string) (float64, error) {
 	return float64(r.count) / float64(r.latest-r.start+1), nil
 }
 
-// Snapshot materialises an instance's trace over [from, to) at the store's
-// step. Gaps are repaired by linear interpolation between neighbouring
-// readings (edge gaps take the nearest reading); a window with no readings
-// at all is an error. Callers that would rather degrade than fail use
-// SnapshotQuality (quality.go), which reports the same window with a
-// quality grade instead of an error.
-func (s *Store) Snapshot(id string, from, to time.Time) (timeseries.Series, error) {
-	tr, q, err := s.SnapshotQuality(id, from, to)
-	if err != nil {
-		return timeseries.Series{}, err
-	}
-	if q.Grade == GradeNoData {
-		return timeseries.Series{}, fmt.Errorf("tracestore: instance %q: no readings in window", id)
-	}
-	return tr, nil
-}
-
 // interpolate repairs NaN gaps in place.
 func interpolate(vals []float64) error {
 	first, last := -1, -1
@@ -483,21 +465,6 @@ func interpolate(vals []float64) error {
 		i = j
 	}
 	return nil
-}
-
-// AveragedITrace folds an instance's last `weeks` full weeks (ending at the
-// given week boundary) onto one time-of-week-aligned week — Eq. 4 computed
-// straight from collected telemetry.
-func (s *Store) AveragedITrace(id string, weekEnd time.Time, weeks int) (timeseries.Series, error) {
-	if weeks < 1 {
-		return timeseries.Series{}, errWeeks
-	}
-	span := time.Duration(weeks) * 7 * 24 * time.Hour
-	tr, err := s.Snapshot(id, weekEnd.Add(-span), weekEnd)
-	if err != nil {
-		return timeseries.Series{}, err
-	}
-	return tr.FoldWeeks()
 }
 
 // checkpoint is the persisted form of the store.

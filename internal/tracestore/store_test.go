@@ -24,10 +24,7 @@ func TestAppendAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, err := st.Snapshot("a", t0, t0.Add(10*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, st, "a", t0, t0.Add(10*time.Minute))
 	if tr.Len() != 10 {
 		t.Fatalf("len = %d", tr.Len())
 	}
@@ -59,10 +56,7 @@ func TestAppendOverwriteSameSlot(t *testing.T) {
 	st := New(Config{Step: time.Minute})
 	must(t, st.Append("a", t0, 5))
 	must(t, st.Append("a", t0.Add(10*time.Second), 7)) // same slot
-	tr, err := st.Snapshot("a", t0, t0.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, st, "a", t0, t0.Add(time.Minute))
 	if tr.Values[0] != 7 {
 		t.Fatalf("overwrite: %v", tr.Values[0])
 	}
@@ -72,10 +66,7 @@ func TestGapInterpolation(t *testing.T) {
 	st := New(Config{Step: time.Minute})
 	must(t, st.Append("a", t0, 10))
 	must(t, st.Append("a", t0.Add(4*time.Minute), 50))
-	tr, err := st.Snapshot("a", t0, t0.Add(5*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, st, "a", t0, t0.Add(5*time.Minute))
 	want := []float64{10, 20, 30, 40, 50}
 	for i, v := range tr.Values {
 		if math.Abs(v-want[i]) > 1e-9 {
@@ -92,10 +83,7 @@ func TestGapInterpolation(t *testing.T) {
 func TestEdgeGapExtension(t *testing.T) {
 	st := New(Config{Step: time.Minute})
 	must(t, st.Append("a", t0.Add(2*time.Minute), 30))
-	tr, err := st.Snapshot("a", t0, t0.Add(5*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, st, "a", t0, t0.Add(5*time.Minute))
 	for _, v := range tr.Values {
 		if v != 30 {
 			t.Fatalf("edge extension: %v", tr.Values)
@@ -105,18 +93,19 @@ func TestEdgeGapExtension(t *testing.T) {
 
 func TestSnapshotErrors(t *testing.T) {
 	st := New(Config{Step: time.Minute})
-	if _, err := st.Snapshot("nope", t0, t0.Add(time.Minute)); err == nil {
-		t.Fatal("unknown instance must error")
+	if _, _, err := st.SnapshotQuality("nope", t0, t0.Add(time.Minute)); !errors.Is(err, ErrUnknownInstance) {
+		t.Fatalf("unknown instance: %v, want ErrUnknownInstance", err)
 	}
 	must(t, st.Append("a", t0, 1))
-	if _, err := st.Snapshot("a", t0, t0); err == nil {
+	if _, _, err := st.SnapshotQuality("a", t0, t0); err == nil {
 		t.Fatal("empty window must error")
 	}
 	// Window entirely outside readings: the ring has data but the window
 	// sees none... edge extension uses readings inside the window only, so
-	// this must error.
-	if _, err := st.Snapshot("a", t0.Add(time.Hour), t0.Add(2*time.Hour)); err == nil {
-		t.Fatal("window with no readings must error")
+	// it grades no-data with an empty trace.
+	tr, q, err := st.SnapshotQuality("a", t0.Add(time.Hour), t0.Add(2*time.Hour))
+	if err != nil || q.Grade != GradeNoData || !tr.Empty() {
+		t.Fatalf("window with no readings: %v %+v %v, want an empty no-data trace", tr, q, err)
 	}
 }
 
@@ -125,12 +114,11 @@ func TestRetentionWindowAdvance(t *testing.T) {
 	must(t, st.Append("a", t0, 1))
 	// A reading far in the future advances the window past the original.
 	must(t, st.Append("a", t0.Add(30*time.Minute), 2))
-	if _, err := st.Snapshot("a", t0, t0.Add(time.Minute)); err == nil {
-		t.Fatal("evicted slot must no longer resolve")
+	if _, q, err := st.SnapshotQuality("a", t0, t0.Add(time.Minute)); err != nil || q.Grade != GradeNoData {
+		t.Fatalf("evicted slot must no longer resolve: %+v %v", q, err)
 	}
-	tr, err := st.Snapshot("a", t0.Add(30*time.Minute), t0.Add(31*time.Minute))
-	if err != nil || tr.Values[0] != 2 {
-		t.Fatalf("latest reading lost: %v %v", tr, err)
+	if tr := snapshot(t, st, "a", t0.Add(30*time.Minute), t0.Add(31*time.Minute)); tr.Values[0] != 2 {
+		t.Fatalf("latest reading lost: %v", tr)
 	}
 	// Too-old readings are rejected.
 	if err := st.Append("a", t0, 9); err != ErrStale {
@@ -142,10 +130,7 @@ func TestOutOfOrderWithinRetention(t *testing.T) {
 	st := New(Config{Step: time.Minute, Retention: time.Hour})
 	must(t, st.Append("a", t0.Add(10*time.Minute), 10))
 	must(t, st.Append("a", t0.Add(5*time.Minute), 5)) // older, still in window
-	tr, err := st.Snapshot("a", t0.Add(5*time.Minute), t0.Add(11*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, st, "a", t0.Add(5*time.Minute), t0.Add(11*time.Minute))
 	if tr.Values[0] != 5 || tr.Values[5] != 10 {
 		t.Fatalf("out-of-order ingest: %v", tr.Values)
 	}
@@ -187,10 +172,7 @@ func TestLateReadingKeepsNewest(t *testing.T) {
 	if err := young.Append("b", t0.Add(-14*time.Hour), 2); !errors.Is(err, ErrStale) {
 		t.Fatalf("reading a retention before the newest: err %v, want ErrStale", err)
 	}
-	tr, err = young.Snapshot("b", t0.Add(-13*time.Hour), t0.Add(11*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr = snapshot(t, young, "b", t0.Add(-13*time.Hour), t0.Add(11*time.Hour))
 	if tr.Values[0] != 3 || tr.Values[23] != 10 {
 		t.Fatalf("young ring lost a reading: %v", tr.Values)
 	}
@@ -244,9 +226,9 @@ func TestAveragedITrace(t *testing.T) {
 		}
 		must(t, st.Append("a", t0.Add(time.Duration(i)*time.Hour), v))
 	}
-	avg, err := st.AveragedITrace("a", t0.Add(2*7*24*time.Hour), 2)
-	if err != nil {
-		t.Fatal(err)
+	avg, q, err := st.AveragedITraceQuality("a", t0.Add(2*7*24*time.Hour), 2)
+	if err != nil || q.Grade != GradeGood {
+		t.Fatalf("%+v %v", q, err)
 	}
 	if avg.Len() != 7*24 {
 		t.Fatalf("len = %d", avg.Len())
@@ -256,7 +238,7 @@ func TestAveragedITrace(t *testing.T) {
 			t.Fatalf("fold at %d = %v", i, v)
 		}
 	}
-	if _, err := st.AveragedITrace("a", t0, 0); err == nil {
+	if _, _, err := st.AveragedITraceQuality("a", t0, 0); err == nil {
 		t.Fatal("weeks < 1 must error")
 	}
 }
@@ -277,10 +259,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got := back.Instances(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("instances = %v", got)
 	}
-	tr, err := back.Snapshot("a", t0, t0.Add(3*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := snapshot(t, back, "a", t0, t0.Add(3*time.Minute))
 	if tr.Values[0] != 10 || tr.Values[1] != 20 || tr.Values[2] != 30 {
 		t.Fatalf("restored trace: %v", tr.Values)
 	}
@@ -324,8 +303,8 @@ func TestAppendRunPipelineIntegration(t *testing.T) {
 			t.Fatalf("%s: len %d vs %d", inst.ID, got.Len(), inst.Trace.Len())
 		}
 		for i := range got.Values {
-			if math.Abs(got.Values[i]-inst.Trace.Values[i]) > 1e-9 {
-				t.Fatalf("%s: value %d mismatch", inst.ID, i)
+			if got.Values[i] != timeseries.Snap(inst.Trace.Values[i]) {
+				t.Fatalf("%s: value %d = %v, want %v on the grid", inst.ID, i, got.Values[i], inst.Trace.Values[i])
 			}
 		}
 	}
@@ -349,7 +328,7 @@ func TestConcurrentAppendAndSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_, _ = st.Snapshot("a", t0, t0.Add(30*time.Minute))
+				_, _, _ = st.SnapshotQuality("a", t0, t0.Add(30*time.Minute))
 				_ = st.Instances()
 			}
 		}()
@@ -406,6 +385,20 @@ func TestDefaults(t *testing.T) {
 	if (Config{}).retention() != 3*7*24*time.Hour {
 		t.Fatal("default retention")
 	}
+}
+
+// snapshot is SnapshotQuality's trace, failing the test on an error or a
+// window with no readings.
+func snapshot(t *testing.T, st *Store, id string, from, to time.Time) timeseries.Series {
+	t.Helper()
+	tr, q, err := st.SnapshotQuality(id, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Grade == GradeNoData {
+		t.Fatalf("%q: no readings in [%v, %v)", id, from, to)
+	}
+	return tr
 }
 
 func must(t *testing.T, err error) {
@@ -468,14 +461,8 @@ func TestSaveLoadSubSecondStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	from := t0.Add(1750 * time.Millisecond)
-	want, err := st.Snapshot("a", from, from.Add(10*step))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Snapshot("a", from, from.Add(10*step))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := snapshot(t, st, "a", from, from.Add(10*step))
+	got := snapshot(t, back, "a", from, from.Add(10*step))
 	if !reflect.DeepEqual(got, want) || back.Step() != step {
 		t.Fatalf("restored %v at step %v, saved %v at step %v", got.Values, back.Step(), want.Values, step)
 	}
