@@ -105,7 +105,6 @@ func run(dc string, scale int, step time.Duration, seed int64, topB, workers int
 	fmt.Printf("  oblivious:      mean %.3f  min %.3f\n", meanOf(pr.BaselineLeafScores), minOf(pr.BaselineLeafScores))
 	fmt.Printf("  workload-aware: mean %.3f  min %.3f\n", meanOf(pr.OptimizedLeafScores), minOf(pr.OptimizedLeafScores))
 
-	testFn := powertree.PowerFn(workload.SubPowerFn(pr.TestTraces))
 	extra, err := metrics.ExtraServers(pr.OptimizedAggs, 310)
 	if err != nil {
 		return err
@@ -116,18 +115,10 @@ func run(dc string, scale int, step time.Duration, seed int64, topB, workers int
 	}
 	fmt.Printf("\nExtra 310W servers hostable: %d (oblivious: %d)\n", extra, extraBase)
 
-	util, err := metrics.UtilizationReport(pr.OptimizedTree, testFn)
-	if err != nil {
-		return err
-	}
 	fmt.Println()
-	fmt.Print(util)
-	hot, err := metrics.FragmentedNodes(pr.BaselineTree, testFn, 3)
-	if err != nil {
-		return err
-	}
+	fmt.Print(metrics.UtilizationReport(pr.OptimizedAggs))
 	fmt.Println()
-	fmt.Print(metrics.FormatFragmented(hot))
+	fmt.Print(metrics.FormatFragmented(metrics.FragmentedNodes(pr.BaselineAggs, 3)))
 
 	rr, err := fw.Reshape(fleet, pr)
 	if err != nil {

@@ -130,13 +130,13 @@ func TestIsPipelinePackage(t *testing.T) {
 	}
 }
 
-// keptUncalled lists the exported package-level identifiers under
-// repro/internal/ that no non-test code outside repro/bench/ references but
-// that stay, each with the reason it stays. Everything else without a
-// caller is deleted.
+// keptUncalled lists the exported package-level identifiers and methods
+// under repro/internal/ that no non-test code outside repro/bench/
+// references but that stay, each with the reason it stays. Everything else
+// without a caller is deleted.
 var keptUncalled = map[string]string{
 	"repro/internal/placement.Verify":                "test oracle shared by the placement and core tests: the tree hosts exactly the given instances, each once",
-	"repro/internal/score.Vector":                    "test oracle: the one-shot I-to-S vector that Basis.Vector and Vectors must match",
+	"repro/internal/score.Vector":                    "test oracle: the one-shot I-to-S vector that Basis.VectorInto must match",
 	"repro/internal/timeseries.Constant":             "test fixture shared by the timeseries, score, sim and workload tests",
 	"repro/internal/timeseries.ReadCSV":              "round-trip oracle for WriteCSV, which tracegen and smoothop write",
 	"repro/internal/forecast.Evaluate":               "judges the live NextWeek in the forecast-beats-average test",
@@ -144,19 +144,34 @@ var keptUncalled = map[string]string{
 	"repro/internal/analysis.LoadSource":             "the analyzer fixture loader: every analyzer test type-checks its fixture through it",
 	"repro/internal/score.Differential":              "only bench/ calls it (the admission layer's scoring cost); deleting it or giving it a program caller waits for a benchmark change",
 	"repro/internal/metrics.MultiFragmentationRates": "only bench/ calls it (its fragmentation oracle); deleting it or giving it a program caller waits for a benchmark change",
+
+	"repro/internal/core.Runtime.AdmitInstance":             "only bench/ calls it (the shadow's admission re-enactment); it goes with item 1's shadow",
+	"repro/internal/core.Runtime.Ingest":                    "only bench/ calls it (per-reading ingest); it goes with item 1's shadow",
+	"repro/internal/tracestore.Store.SnapshotQuality":       "only bench/ calls it (the shadow's per-instance read); it goes with item 1's shadow",
+	"repro/internal/tracestore.Store.AveragedITraceQuality": "only bench/ calls it (the shadow's per-instance read); it goes with item 1's shadow",
+	"repro/internal/powertree.Node.CheckBreakers":           "only bench/ calls it (the breaker output check); it goes with item 1's shadow",
+	"repro/internal/core.Runtime.InstanceQuality":           "the root Example and the core tests observe a degraded instance's telemetry grade through it",
+	"repro/internal/tracestore.Store.Coverage":              "the tracestore property, fuzz and stress tests observe a ring's coverage through it",
+	"repro/internal/tracestore.Store.Instances":             "the tracestore fuzz, stress and checkpoint tests list the stored ids through it",
+	"repro/internal/workload.Fleet.PowerFn":                 "the esd and statprof tests resolve a generated fleet's traces through it",
+	"repro/internal/timeseries.Series.Sub":                  "the placement remap test forms a leave-one-out sum through it",
+	"repro/internal/esd.ShaveResult.Covered":                "the esd doc Example prints the §1 verdict through it",
+	"repro/internal/score.Basis.VectorInto":                 "the one-instance entry to the fused kernel Vectors batches: the score tests hold that kernel to the score.Vector oracle and to zero allocations through it",
+	"repro/internal/tracestore.Store.Save":                  "the checkpoint writer whose output tracestore.Load reads",
+	"repro/internal/timeseries.Series.Resample":             "the downsampling rule ROADMAP item 17 names for paper-rate telemetry",
 }
 
 // TestInternalAPIHasCallers keeps uncalled internal API deleted: every
-// exported package-level func, type and var under repro/internal/ must be
-// referenced from non-test code somewhere in the module outside repro/bench/
-// (an internal package has no callers outside it), or be listed in
-// keptUncalled with a reason. A reference from inside the identifier's own
-// declaration — a recursive call, a type named in its own methods — does
-// not count. Methods are not checked:
-// interfaces call them without naming them, and the methods of every type
-// the root facade re-exports or hands out (Series, TraceStore, PowerNode and
-// its Aggregates, Runtime and its plan.Snapshot, sim.Result, Fleet, Profile)
-// are the module's public API.
+// exported package-level func, type and var under repro/internal/, and every
+// exported method of a type declared there, must be referenced from non-test
+// code somewhere in the module outside repro/bench/ (an internal package has
+// no callers outside it), or be listed in keptUncalled with a reason. A
+// reference from inside the identifier's own declaration — a recursive call,
+// a type named in its own methods — does not count. A method also passes when
+// it implements an interface whose callers reach it without naming it: one
+// declared in the module outside repro/bench/, or one of stdlibInterfaces.
+// The facade's public API is what some program reaches; a method only tests
+// call is not part of it.
 func TestInternalAPIHasCallers(t *testing.T) {
 	pkgs := loadRepo(t)
 	used := make(map[types.Object]bool)
@@ -172,7 +187,11 @@ func TestInternalAPIHasCallers(t *testing.T) {
 					if !ok {
 						return true
 					}
-					if obj := pkg.Info.Uses[id]; obj != nil && !self[obj] {
+					obj := pkg.Info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
+					}
+					if obj != nil && !self[obj] {
 						used[obj] = true
 					}
 					return true
@@ -180,7 +199,19 @@ func TestInternalAPIHasCallers(t *testing.T) {
 			}
 		}
 	}
+	ifaces := calledThrough(pkgs)
 	seen := make(map[string]bool)
+	check := func(pkg *analysis.Package, key string, obj types.Object, reached bool) {
+		_, kept := keptUncalled[key]
+		seen[key] = true
+		switch {
+		case reached && kept:
+			t.Errorf("%s is referenced from non-test code now: drop it from keptUncalled", key)
+		case !reached && !kept:
+			t.Errorf("%s: exported %s has no reference from non-test code: delete it, or add it to keptUncalled with the reason it stays",
+				pkg.Fset.Position(obj.Pos()), key)
+		}
+	}
 	for _, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.Path, "repro/internal/") {
 			continue
@@ -193,18 +224,18 @@ func TestInternalAPIHasCallers(t *testing.T) {
 			default:
 				continue
 			}
-			if !obj.Exported() {
+			if obj.Exported() {
+				check(pkg, pkg.Path+"."+name, obj, used[obj])
+			}
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
 				continue
 			}
-			key := pkg.Path + "." + name
-			_, kept := keptUncalled[key]
-			seen[key] = true
-			switch {
-			case used[obj] && kept:
-				t.Errorf("%s is referenced from non-test code now: drop it from keptUncalled", key)
-			case !used[obj] && !kept:
-				t.Errorf("%s: exported %s has no reference from non-test code: delete it, or add it to keptUncalled with the reason it stays",
-					pkg.Fset.Position(obj.Pos()), key)
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() {
+					check(pkg, pkg.Path+"."+name+"."+m.Name(), m, used[m] || implementsAny(named, m.Name(), ifaces))
+				}
 			}
 		}
 	}
@@ -279,7 +310,7 @@ func isBench(pkg *analysis.Package) bool {
 }
 
 // declaredBy returns the package-level objects decl declares; a method
-// declaration belongs to its receiver's base type.
+// declaration declares itself and belongs to its receiver's base type.
 func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
 	self := make(map[types.Object]bool)
 	switch d := decl.(type) {
@@ -289,6 +320,7 @@ func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
 			break
 		}
 		if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+			self[fn] = true
 			recv := fn.Type().(*types.Signature).Recv().Type()
 			if p, ok := recv.(*types.Pointer); ok {
 				recv = p.Elem()
@@ -312,6 +344,81 @@ func declaredBy(pkg *analysis.Package, decl ast.Decl) map[types.Object]bool {
 	return self
 }
 
+// stdlibInterfaces lists the standard-library interfaces, by package path
+// and name, through which the standard library calls a module type's
+// methods without naming them: fmt prints a Stringer, encoding/json runs the
+// codecs, go/types resolves imports. error is always included.
+var stdlibInterfaces = []string{
+	"fmt.Stringer",
+	"encoding/json.Marshaler",
+	"encoding/json.Unmarshaler",
+	"go/types.Importer",
+}
+
+// calledThrough returns the interfaces a method can be reached through
+// without being named: every non-generic interface type declared at package
+// level in the module outside repro/bench/, error, and those of
+// stdlibInterfaces that the module imports.
+func calledThrough(pkgs []*analysis.Package) []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	add := func(obj types.Object) {
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			return
+		}
+		if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			ifaces = append(ifaces, iface)
+		}
+	}
+	imported := make(map[string]*types.Package)
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if _, ok := imported[p.Path()]; ok {
+			return
+		}
+		imported[p.Path()] = p
+		for _, dep := range p.Imports() {
+			walk(dep)
+		}
+	}
+	for _, pkg := range pkgs {
+		walk(pkg.Types)
+		if isBench(pkg) {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			add(scope.Lookup(name))
+		}
+	}
+	for _, qualified := range stdlibInterfaces {
+		dot := strings.LastIndex(qualified, ".")
+		if p, ok := imported[qualified[:dot]]; ok {
+			add(p.Scope().Lookup(qualified[dot+1:]))
+		}
+	}
+	return ifaces
+}
+
+// implementsAny reports whether named, or a pointer to it, implements one
+// of ifaces that has a method called method.
+func implementsAny(named *types.Named, method string, ifaces []*types.Interface) bool {
+	ptr := types.NewPointer(named)
+	for _, iface := range ifaces {
+		declares := false
+		for i := 0; i < iface.NumMethods(); i++ {
+			declares = declares || iface.Method(i).Name() == method
+		}
+		if declares && (types.Implements(named, iface) || types.Implements(ptr, iface)) {
+			return true
+		}
+	}
+	return false
+}
+
 // keptUnset lists the exported option fields under repro/internal/ that
 // non-test code reads but never sets outside repro/bench/ and that stay,
 // each with the reason it stays. Every other such field is a switch no program moves: fold it into a
@@ -326,15 +433,81 @@ var keptUnset = map[string]string{
 // TestOptionsHaveSetters keeps unset options deleted: every exported,
 // non-embedded field of an exported struct under repro/internal/ that
 // non-test code reads must also be written by non-test code outside
-// repro/bench/, or be listed in keptUnset with a reason. A read is a field
-// selector that is not a write target. A write is a key in a keyed
-// composite literal, an unkeyed literal of the struct, the target of an
-// assignment or ++/--, or the operand of &. Fields with a json tag are
-// exempt: decoders write them.
+// repro/bench/, or be listed in keptUnset with a reason. Reads and writes
+// are those fieldAccesses counts. Fields with a json tag are exempt:
+// decoders write them.
 func TestOptionsHaveSetters(t *testing.T) {
 	pkgs := loadRepo(t)
-	read := make(map[*types.Var]bool)
-	written := make(map[*types.Var]bool)
+	read, written := fieldAccesses(pkgs)
+	seen := make(map[string]bool)
+	eachField(pkgs, func(pkg *analysis.Package, key string, field *types.Var) {
+		_, kept := keptUnset[key]
+		seen[key] = true
+		unset := read[field] && !written[field]
+		switch {
+		case kept && !unset:
+			t.Errorf("%s is no longer read-but-unset: drop it from keptUnset", key)
+		case unset && !kept:
+			t.Errorf("%s: option %s is read but never set by non-test code: fold it into a constant, or add it to keptUnset with the reason it stays",
+				pkg.Fset.Position(field.Pos()), key)
+		}
+	})
+	for key := range keptUnset {
+		if !seen[key] {
+			t.Errorf("keptUnset names %s, which no longer exists", key)
+		}
+	}
+}
+
+// keptUnread lists the exported result fields under repro/internal/ that no
+// non-test code outside repro/bench/ reads but that stay, each with the
+// reason it stays. Every other such field is work no program looks at:
+// delete it, and the code that only fills it.
+var keptUnread = map[string]string{
+	"repro/internal/forecast.Accuracy.MAPE":                  "part of what the kept forecast.Evaluate returns; the forecast tests check it",
+	"repro/internal/forecast.Accuracy.RMSE":                  "part of what the kept forecast.Evaluate returns; the forecast tests check it",
+	"repro/internal/forecast.Accuracy.PeakErrorPct":          "part of what the kept forecast.Evaluate returns; the forecast tests check it",
+	"repro/internal/tracestore.Quality.InterpolatedFraction": "one of DESIGN.md's documented Quality fields; the grading property test checks it against the store's gap interpolation",
+	"repro/internal/workload.ServicePower.Instances":         "tracegen -format json encodes it",
+}
+
+// TestOutputsHaveReaders keeps unread results deleted: every exported,
+// non-embedded field of an exported struct under repro/internal/ must be
+// read by non-test code outside repro/bench/, or be listed in keptUnread
+// with a reason. Reads are those fieldAccesses counts. Fields with a json
+// tag are exempt: encoders read them. An untagged field of a struct some
+// program encodes by reflection is read too, but no selector shows it: it
+// needs a keptUnread entry or a json tag.
+func TestOutputsHaveReaders(t *testing.T) {
+	pkgs := loadRepo(t)
+	read, _ := fieldAccesses(pkgs)
+	seen := make(map[string]bool)
+	eachField(pkgs, func(pkg *analysis.Package, key string, field *types.Var) {
+		_, kept := keptUnread[key]
+		seen[key] = true
+		switch {
+		case kept && read[field]:
+			t.Errorf("%s is read by non-test code now: drop it from keptUnread", key)
+		case !read[field] && !kept:
+			t.Errorf("%s: field %s is never read by non-test code: delete it, or add it to keptUnread with the reason it stays",
+				pkg.Fset.Position(field.Pos()), key)
+		}
+	})
+	for key := range keptUnread {
+		if !seen[key] {
+			t.Errorf("keptUnread names %s, which no longer exists", key)
+		}
+	}
+}
+
+// fieldAccesses returns the struct fields that non-test code outside
+// repro/bench/ reads and writes. A read is a field selector that is not a
+// write target. A write is a key in a keyed composite literal, an unkeyed
+// literal of the struct, the target of an assignment or ++/--, or the
+// operand of &.
+func fieldAccesses(pkgs []*analysis.Package) (read, written map[*types.Var]bool) {
+	read = make(map[*types.Var]bool)
+	written = make(map[*types.Var]bool)
 	for _, pkg := range pkgs {
 		if isBench(pkg) {
 			continue
@@ -376,7 +549,13 @@ func TestOptionsHaveSetters(t *testing.T) {
 			})
 		}
 	}
-	seen := make(map[string]bool)
+	return read, written
+}
+
+// eachField calls fn with every exported, non-embedded field without a json
+// tag of an exported struct type under repro/internal/, keyed
+// path.Type.Field.
+func eachField(pkgs []*analysis.Package, fn func(pkg *analysis.Package, key string, field *types.Var)) {
 	for _, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.Path, "repro/internal/") {
 			continue
@@ -399,23 +578,8 @@ func TestOptionsHaveSetters(t *testing.T) {
 				if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); decoded {
 					continue
 				}
-				key := pkg.Path + "." + name + "." + field.Name()
-				_, kept := keptUnset[key]
-				seen[key] = true
-				unset := read[field] && !written[field]
-				switch {
-				case kept && !unset:
-					t.Errorf("%s is no longer read-but-unset: drop it from keptUnset", key)
-				case unset && !kept:
-					t.Errorf("%s: option %s is read but never set by non-test code: fold it into a constant, or add it to keptUnset with the reason it stays",
-						pkg.Fset.Position(field.Pos()), key)
-				}
+				fn(pkg, pkg.Path+"."+name+"."+field.Name(), field)
 			}
-		}
-	}
-	for key := range keptUnset {
-		if !seen[key] {
-			t.Errorf("keptUnset names %s, which no longer exists", key)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func TestStepWithBudgetsOverrideArmsAndSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctl.Armed(leaf) {
+	if !ctl.armed[leaf] {
 		t.Fatal("override did not arm the tripped leaf")
 	}
 	if len(events) == 0 || !events[0].Armed {
@@ -78,7 +78,7 @@ func TestStepWithBudgetsOverrideArmsAndSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.Armed(leaf) {
+	if ctl.armed[leaf] {
 		t.Fatal("cap still armed after the trip cleared")
 	}
 	released := false

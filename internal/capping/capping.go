@@ -113,8 +113,6 @@ type Throttle struct {
 type Event struct {
 	// Node is the power node.
 	Node string
-	// Step is the controller step index.
-	Step int
 	// Armed is true when the cap engaged, false when it released.
 	Armed bool
 }
@@ -126,7 +124,6 @@ type Controller struct {
 
 	overCount map[string]int
 	armed     map[string]bool
-	step      int
 }
 
 // ErrNilTree is returned by New for a nil tree.
@@ -144,9 +141,6 @@ func New(tree *powertree.Node, cfg Config) (*Controller, error) {
 		armed:     make(map[string]bool),
 	}, nil
 }
-
-// Armed reports whether the node's cap is currently engaged.
-func (c *Controller) Armed(node string) bool { return c.armed[node] }
 
 // Step observes the current per-instance state and returns the throttles to
 // apply plus any arm/release events. The controller walks the tree bottom-up
@@ -175,7 +169,6 @@ func (c *Controller) Step(read Reader) ([]Throttle, []Event, error) {
 // runtime never places one twice), so one position per instance holds what
 // an ID-keyed map would.
 func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay) ([]Throttle, []Event, error) {
-	c.step++
 	var throttles []Throttle
 	var events []Event
 
@@ -214,10 +207,10 @@ func (c *Controller) StepWithBudgets(read Reader, budget powertree.BudgetOverlay
 		switch {
 		case !c.armed[nd.Name] && over && c.overCount[nd.Name] >= c.cfg.sustain():
 			c.armed[nd.Name] = true
-			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: true})
+			events = append(events, Event{Node: nd.Name, Armed: true})
 		case c.armed[nd.Name] && draw < nodeBudget*releaseFraction:
 			c.armed[nd.Name] = false
-			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: false})
+			events = append(events, Event{Node: nd.Name, Armed: false})
 		}
 		if !c.armed[nd.Name] {
 			continue

@@ -197,7 +197,7 @@ func TestReleaseHysteresis(t *testing.T) {
 	if _, _, err := ctrl.Step(reader(over)); err != nil {
 		t.Fatal(err)
 	}
-	if !ctrl.Armed(tree.Leaves()[0].Name) {
+	if !ctrl.armed[tree.Leaves()[0].Name] {
 		t.Fatal("cap should be armed")
 	}
 	// Draw at 96: under budget but above the 95 release line → stays armed.
@@ -205,7 +205,7 @@ func TestReleaseHysteresis(t *testing.T) {
 	if _, _, err := ctrl.Step(reader(mid)); err != nil {
 		t.Fatal(err)
 	}
-	if !ctrl.Armed(tree.Leaves()[0].Name) {
+	if !ctrl.armed[tree.Leaves()[0].Name] {
 		t.Fatal("cap must hold until the release line")
 	}
 	low := map[string]InstanceState{"a": {Power: 80, MinPower: 10, Priority: PriorityBatch}}
@@ -213,7 +213,7 @@ func TestReleaseHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Armed(tree.Leaves()[0].Name) {
+	if ctrl.armed[tree.Leaves()[0].Name] {
 		t.Fatal("cap must release below the line")
 	}
 	found := false

@@ -19,7 +19,6 @@ type mapController struct {
 	tree      *powertree.Node
 	overCount map[string]int
 	armed     map[string]bool
-	step      int
 }
 
 func newMapController(tree *powertree.Node, cfg Config) *mapController {
@@ -27,7 +26,6 @@ func newMapController(tree *powertree.Node, cfg Config) *mapController {
 }
 
 func (c *mapController) stepWithBudgets(read Reader, budget func(node string) (float64, bool)) ([]Throttle, []Event, error) {
-	c.step++
 	var throttles []Throttle
 	var events []Event
 	effective := make(map[string]float64)
@@ -67,10 +65,10 @@ func (c *mapController) stepWithBudgets(read Reader, budget func(node string) (f
 		switch {
 		case !c.armed[nd.Name] && over && c.overCount[nd.Name] >= c.cfg.sustain():
 			c.armed[nd.Name] = true
-			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: true})
+			events = append(events, Event{Node: nd.Name, Armed: true})
 		case c.armed[nd.Name] && draw < nodeBudget*releaseFraction:
 			c.armed[nd.Name] = false
-			events = append(events, Event{Node: nd.Name, Step: c.step, Armed: false})
+			events = append(events, Event{Node: nd.Name, Armed: false})
 		}
 		if !c.armed[nd.Name] {
 			continue
@@ -219,8 +217,8 @@ func TestSlabStepMatchesMapOracle(t *testing.T) {
 				t.Fatalf("trial %d step %d: events\n got %+v\nwant %+v", trial, step, gotE, wantE)
 			}
 			for _, n := range nodes {
-				if slab.Armed(n.Name) != oracle.armed[n.Name] {
-					t.Fatalf("trial %d step %d: node %s armed %v, oracle %v", trial, step, n.Name, slab.Armed(n.Name), oracle.armed[n.Name])
+				if slab.armed[n.Name] != oracle.armed[n.Name] {
+					t.Fatalf("trial %d step %d: node %s armed %v, oracle %v", trial, step, n.Name, slab.armed[n.Name], oracle.armed[n.Name])
 				}
 			}
 		}

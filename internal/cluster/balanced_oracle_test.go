@@ -153,44 +153,7 @@ func sameClustering(t *testing.T, label string, got, want *Result) {
 // coincident and lattice points, whose tied distances make the result depend
 // on the preference sort's order among equal keys.
 func TestBalancedKMeansMatchesOracle(t *testing.T) {
-	type input struct {
-		name   string
-		points [][]float64
-		k      int
-	}
-	var inputs []input
-	for seed := int64(1); seed <= 6; seed++ {
-		blobPts, _ := blobs(4, 15, 3, seed)
-		inputs = append(inputs,
-			input{fmt.Sprintf("blobs seed %d", seed), blobPts, 2 + int(seed)%5},
-			input{fmt.Sprintf("uniform seed %d", seed), uniformPoints(40+int(seed)*7, 2, seed), 1 + int(seed)*3})
-	}
-	inputs = append(inputs, input{"bootstrap shape", uniformPoints(625, 8, 99), 80})
-
-	// Coincident points: every point sits on one of three values, so most
-	// centroids coincide with others and whole rows of distances tie.
-	// Past 12 clusters sort.Slice leaves insertion sort, so only there does
-	// the order among tied keys depend on the sort itself.
-	rng := rand.New(rand.NewSource(5))
-	coincident := make([][]float64, 160)
-	for i := range coincident {
-		v := float64(rng.Intn(3))
-		coincident[i] = []float64{v, v}
-	}
-	inputs = append(inputs,
-		input{"coincident", coincident[:60], 7},
-		input{"coincident k=n", coincident[:9], 9},
-		input{"coincident k=40", coincident, 40})
-	// An integer lattice: distinct centroids at equal distances.
-	var lattice [][]float64
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			lattice = append(lattice, []float64{float64(x), float64(y)})
-		}
-	}
-	inputs = append(inputs, input{"lattice", lattice, 6}, input{"lattice k=32", lattice, 32})
-
-	for _, in := range inputs {
+	for _, in := range oracleInputs() {
 		for _, restarts := range []int{1, 3} {
 			cfg := Config{K: in.k, Seed: 11, Restarts: restarts}
 			got, err := BalancedKMeans(in.points, cfg)

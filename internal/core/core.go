@@ -228,9 +228,9 @@ type ReshapeResult struct {
 	// Lconv is the conversion threshold used.
 	Lconv float64
 	// Baseline is the pre-SmoothOperator run (original fleet, original
-	// traffic). StaticLC, Conversion and ThrottleBoost are the three §4
-	// strategies serving grown traffic.
-	Baseline, StaticLC, Conversion, ThrottleBoost *sim.Result
+	// traffic). Conversion and ThrottleBoost are two of the three §4
+	// strategies serving grown traffic; StaticImp reports the third.
+	Baseline, Conversion, ThrottleBoost *sim.Result
 	// StaticImp, ConvImp and TBImp compare each strategy to Baseline
 	// (Fig. 13's bars).
 	StaticImp, ConvImp, TBImp sim.Improvement
@@ -239,9 +239,9 @@ type ReshapeResult struct {
 	// AvgSlackReductionPct and OffPeakSlackReductionPct compare
 	// ThrottleBoost to Baseline (Fig. 14's bars).
 	AvgSlackReductionPct, OffPeakSlackReductionPct float64
-	// BaselineLatency and TBLatency are present when the framework was
-	// configured with a latency model: the QoS story in milliseconds.
-	BaselineLatency, TBLatency *sim.LatencyReport
+	// TBLatency is present when the framework was configured with a
+	// latency model: ThrottleBoost's QoS story in milliseconds.
+	TBLatency *sim.LatencyReport
 }
 
 // Reshape sizes a conversion-server fleet from the placement's unlocked
@@ -357,7 +357,7 @@ func (f *Framework) Reshape(fleet *workload.Fleet, pr *PlacementResult) (*Reshap
 	res := &ReshapeResult{
 		NLC: nLC, NBatch: nBatch, NConv: nConv, NThrottleConv: nExtra,
 		Lconv:    lconv,
-		Baseline: baseline, StaticLC: static, Conversion: conv, ThrottleBoost: tb,
+		Baseline: baseline, Conversion: conv, ThrottleBoost: tb,
 		StaticImp: sim.Compare(baseline, static),
 		ConvImp:   sim.Compare(baseline, conv),
 		TBImp:     sim.Compare(baseline, tb),
@@ -381,15 +381,10 @@ func (f *Framework) Reshape(fleet *workload.Fleet, pr *PlacementResult) (*Reshap
 		res.OffPeakSlackReductionPct = 100 * metrics.Reduction(baseOff, tbOff)
 	}
 	if f.cfg.Latency.ServiceTimeMs > 0 {
-		baseLat, err := sim.Latency(baseline, f.cfg.Latency)
-		if err != nil {
-			return nil, err
-		}
 		tbLat, err := sim.Latency(tb, f.cfg.Latency)
 		if err != nil {
 			return nil, err
 		}
-		res.BaselineLatency = &baseLat
 		res.TBLatency = &tbLat
 	}
 	return res, nil

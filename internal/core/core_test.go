@@ -211,10 +211,11 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestReshapeWithLatencyModel(t *testing.T) {
 	fleet, tree, dcCfg := testDC(t, workload.DC3)
+	latency := sim.LatencyModel{ServiceTimeMs: 2, SLAms: 92} // knee 0.9
 	fw := New(Config{
 		TopServices: 8, Seed: 1,
 		Baseline: placement.Oblivious{MixFraction: dcCfg.BaselineMix},
-		Latency:  sim.LatencyModel{ServiceTimeMs: 2, SLAms: 92}, // knee 0.9
+		Latency:  latency,
 	})
 	pr, err := fw.Optimize(fleet, tree)
 	if err != nil {
@@ -224,13 +225,17 @@ func TestReshapeWithLatencyModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.BaselineLatency == nil || rr.TBLatency == nil {
-		t.Fatal("latency reports missing")
+	if rr.TBLatency == nil {
+		t.Fatal("latency report missing")
+	}
+	baseLat, err := sim.Latency(rr.Baseline, latency)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The guarded threshold keeps both strategies within the SLA.
-	if rr.BaselineLatency.SLAViolations != 0 || rr.TBLatency.SLAViolations != 0 {
+	if baseLat.SLAViolations != 0 || rr.TBLatency.SLAViolations != 0 {
 		t.Fatalf("SLA violations: baseline %d, tb %d",
-			rr.BaselineLatency.SLAViolations, rr.TBLatency.SLAViolations)
+			baseLat.SLAViolations, rr.TBLatency.SLAViolations)
 	}
 	if rr.TBLatency.PeakP99Ms <= 0 || rr.TBLatency.MeanMs <= 2 {
 		t.Fatalf("latency report: %+v", rr.TBLatency)

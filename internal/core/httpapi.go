@@ -161,7 +161,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 	fragmentation := func(w http.ResponseWriter, r *http.Request) {
 		rows, err := rt.MultiFragmentationRates()
 		if err != nil {
-			api.writeAdmissionError(w, err)
+			api.writeFailure(w, err)
 			return
 		}
 		views := make([]fragRowView, len(rows))
@@ -219,7 +219,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 			Demands:    body.Demands,
 		})
 		if err != nil {
-			api.writeAdmissionError(w, err)
+			api.writeFailure(w, err)
 			return
 		}
 		api.writeJSONStatus(w, http.StatusCreated, instanceView{ID: body.ID, Leaf: leaf})
@@ -231,7 +231,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 		}
 		res, err := planner.Evaluate(r.Context(), q)
 		if err != nil {
-			api.writePlanError(w, err)
+			api.writeFailure(w, err)
 			return
 		}
 		api.writeJSON(w, res)
@@ -248,7 +248,7 @@ func HTTPHandlerWithPlanner(rt *Runtime, planner *plan.Service, now func() time.
 		}
 		leaf, err := rt.RetireInstance(id)
 		if err != nil {
-			api.writeAdmissionError(w, err)
+			api.writeFailure(w, err)
 			return
 		}
 		api.writeJSON(w, instanceView{ID: id, Leaf: leaf})
@@ -355,58 +355,55 @@ func (a *httpAPI) writeDecodeError(w http.ResponseWriter, err error) {
 	a.writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 }
 
-// writeAdmissionError maps AdmitInstance/RetireInstance failures onto the
-// error envelope.
-func (a *httpAPI) writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNotPlaced):
-		a.writeError(w, http.StatusConflict, "not_placed", err.Error())
-	case errors.Is(err, placement.ErrAlreadyAdmitted):
-		a.writeError(w, http.StatusConflict, "already_admitted", err.Error())
-	case errors.Is(err, placement.ErrNoCapacity):
-		a.writeError(w, http.StatusConflict, "no_capacity", err.Error())
-	case errors.Is(err, placement.ErrUnknownInstance):
-		a.writeError(w, http.StatusNotFound, "unknown_instance", err.Error())
-	case errors.Is(err, powertree.ErrBadDimension), errors.Is(err, powertree.ErrReservedPower),
-		errors.Is(err, ErrTrainWeeks):
-		// A malformed demand vector or an over-long training window is the
-		// caller's input, not server state.
-		a.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, ErrAllQuarantined):
-		// No healthy trace in the requested window (e.g. an "as_of" far from
-		// the stored telemetry): a conflict with the data, not a server bug.
-		a.writeError(w, http.StatusConflict, "all_quarantined", err.Error())
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// A deadline or disconnect is the caller's (or the limiter's) doing,
-		// not a server bug — 503, not the 500 this used to fall through to.
-		a.writeError(w, http.StatusServiceUnavailable, "deadline_exceeded", err.Error())
-	default:
-		a.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-	}
+// failureCodes maps each sentinel a /v1 handler's call can fail with onto
+// its status and error code; the first match wins. Admission, retirement
+// and fragmentation calls see the core, placement and powertree sentinels,
+// /v1/plan the plan ones; ErrNotPlaced and the context errors reach both.
+// The table is one for every route: a placement sentinel that a plan query
+// wraps maps as it does on /v1/instances.
+var failureCodes = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{plan.ErrOverloaded, http.StatusTooManyRequests, "overloaded"},
+	{plan.ErrBadQuery, http.StatusBadRequest, "bad_request"},
+	{plan.ErrUnknownService, http.StatusNotFound, "unknown_service"},
+	{plan.ErrUnknownNode, http.StatusNotFound, "unknown_node"},
+	{ErrNotPlaced, http.StatusConflict, "not_placed"},
+	{placement.ErrAlreadyAdmitted, http.StatusConflict, "already_admitted"},
+	{placement.ErrNoCapacity, http.StatusConflict, "no_capacity"},
+	{placement.ErrUnknownInstance, http.StatusNotFound, "unknown_instance"},
+	// A malformed demand vector or an over-long training window is the
+	// caller's input, not server state.
+	{powertree.ErrBadDimension, http.StatusBadRequest, "bad_request"},
+	{powertree.ErrReservedPower, http.StatusBadRequest, "bad_request"},
+	{ErrTrainWeeks, http.StatusBadRequest, "bad_request"},
+	// No healthy trace in the requested window (e.g. an "as_of" far from
+	// the stored telemetry): a conflict with the data, not a server bug.
+	{ErrAllQuarantined, http.StatusConflict, "all_quarantined"},
+	// A deadline or disconnect is the caller's (or the limiter's) doing,
+	// not a server bug.
+	{context.DeadlineExceeded, http.StatusServiceUnavailable, "deadline_exceeded"},
+	{context.Canceled, http.StatusServiceUnavailable, "deadline_exceeded"},
 }
 
-// writePlanError maps plan.Service failures onto the error envelope. Shed
-// queries carry a Retry-After hint sized to the planner's deadline: by then
-// at least one in-flight slot must have freed.
-func (a *httpAPI) writePlanError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, plan.ErrOverloaded):
-		secs := int(a.planner.RetryAfter() / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		a.writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
-	case errors.Is(err, plan.ErrBadQuery):
-		a.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, plan.ErrUnknownService):
-		a.writeError(w, http.StatusNotFound, "unknown_service", err.Error())
-	case errors.Is(err, plan.ErrUnknownNode):
-		a.writeError(w, http.StatusNotFound, "unknown_node", err.Error())
-	case errors.Is(err, ErrNotPlaced):
-		a.writeError(w, http.StatusConflict, "not_placed", err.Error())
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		a.writeError(w, http.StatusServiceUnavailable, "deadline_exceeded", err.Error())
-	default:
-		a.writeError(w, http.StatusInternalServerError, "internal", err.Error())
+// writeFailure maps a handler call's error onto the error envelope through
+// failureCodes; any other error is 500 "internal". Shed plan queries carry
+// a Retry-After hint sized to the planner's deadline: by then at least one
+// in-flight slot must have freed.
+func (a *httpAPI) writeFailure(w http.ResponseWriter, err error) {
+	for _, f := range failureCodes {
+		if !errors.Is(err, f.err) {
+			continue
+		}
+		if f.err == plan.ErrOverloaded {
+			w.Header().Set("Retry-After", strconv.Itoa(int(a.planner.RetryAfter()/time.Second)))
+		}
+		a.writeError(w, f.status, f.code, err.Error())
+		return
 	}
+	a.writeError(w, http.StatusInternalServerError, "internal", err.Error())
 }
 
 // fragRowView is the wire form of one stranded-headroom row: one (level,

@@ -57,8 +57,6 @@ func TypicalUPS(fullPowerW float64, minutes float64) Battery {
 
 // ShaveResult reports one node's peak-shaving outcome over a trace window.
 type ShaveResult struct {
-	// Node is the power node.
-	Node string
 	// OverEnergyWh is the total energy above budget in the raw trace.
 	OverEnergyWh float64
 	// AbsorbedWh is the over-budget energy the battery supplied.
@@ -66,8 +64,6 @@ type ShaveResult struct {
 	// UncoveredSteps counts steps where draw stayed over budget because the
 	// battery was empty or power-limited — each is a breaker-trip risk.
 	UncoveredSteps int
-	// DepletedSteps counts steps spent at zero charge.
-	DepletedSteps int
 	// MinChargeWh is the lowest state of charge reached.
 	MinChargeWh float64
 	// Shaved is the post-shaving power trace.
@@ -127,9 +123,6 @@ func Shave(trace timeseries.Series, budget float64, bat Battery) (ShaveResult, e
 			charge += stored
 			res.Shaved.Values[i] = p + chargeP
 		}
-		if charge <= 1e-9 {
-			res.DepletedSteps++
-		}
 		if charge < res.MinChargeWh {
 			res.MinChargeWh = charge
 		}
@@ -143,8 +136,6 @@ func Shave(trace timeseries.Series, budget float64, bat Battery) (ShaveResult, e
 type TreeReport struct {
 	// Results holds one ShaveResult per node with instances, in tree order.
 	Results []ShaveResult
-	// CoveredNodes counts nodes the batteries fully covered.
-	CoveredNodes int
 	// TotalOverWh and TotalAbsorbedWh aggregate over nodes.
 	TotalOverWh, TotalAbsorbedWh float64
 }
@@ -158,22 +149,18 @@ func (r TreeReport) CoverageFraction() float64 {
 	return r.TotalAbsorbedWh / r.TotalOverWh
 }
 
-// EvaluateTree shaves every node at the given level of a placed tree.
-// budgetFraction scales node budgets into shaving thresholds — evaluating
-// against (say) 0.9 of the budget measures how batteries would support
-// under-provisioning, which is how [28] banks its savings. Each node's
-// subtree is aggregated on its own, so traces misaligned only across two
-// nodes of the level do not fail the evaluation.
-func EvaluateTree(tree *powertree.Node, level powertree.Level, power powertree.PowerFn, autonomyMinutes, budgetFraction float64) (TreeReport, error) {
+// EvaluateTree shaves every node at the given level of a placed tree,
+// reading each node's aggregate trace from the tree's aggregation aggs and
+// its budget from the node. budgetFraction scales node budgets into shaving
+// thresholds — evaluating against (say) 0.9 of the budget measures how
+// batteries would support under-provisioning, which is how [28] banks its
+// savings.
+func EvaluateTree(aggs *powertree.Aggregates, level powertree.Level, autonomyMinutes, budgetFraction float64) (TreeReport, error) {
 	if budgetFraction <= 0 || budgetFraction > 1 {
 		return TreeReport{}, errors.New("esd: budgetFraction must be in (0,1]")
 	}
 	var rep TreeReport
-	for _, nd := range tree.NodesAtLevel(level) {
-		aggs, err := nd.AggregateAll(power)
-		if err != nil {
-			return TreeReport{}, err
-		}
+	for _, nd := range aggs.NodesAtLevel(level) {
 		agg, _ := aggs.Trace(nd)
 		if agg.Empty() {
 			continue
@@ -183,13 +170,9 @@ func EvaluateTree(tree *powertree.Node, level powertree.Level, power powertree.P
 		if err != nil {
 			return TreeReport{}, fmt.Errorf("esd: node %q: %w", nd.Name, err)
 		}
-		res.Node = nd.Name
 		rep.Results = append(rep.Results, res)
 		rep.TotalOverWh += res.OverEnergyWh
 		rep.TotalAbsorbedWh += res.AbsorbedWh
-		if res.Covered() {
-			rep.CoveredNodes++
-		}
 	}
 	return rep, nil
 }

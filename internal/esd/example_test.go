@@ -36,7 +36,7 @@ func ExampleShave() {
 
 	fmt.Println("5-minute spike covered:", short.Covered())
 	fmt.Println("3-hour peak covered:  ", sustained.Covered())
-	fmt.Println("battery ran dry:      ", sustained.DepletedSteps > 0)
+	fmt.Println("battery ran dry:      ", sustained.MinChargeWh <= 1e-9)
 	// Output:
 	// 5-minute spike covered: true
 	// 3-hour peak covered:   false

@@ -58,7 +58,6 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 	if err != nil {
 		return nil, err
 	}
-	testFn := powertree.PowerFn(workload.SubPowerFn(res.TestTraces))
 	oblivious, smart := res.BaselineTree, res.OptimizedTree
 
 	// Tight per-leaf budgets: the ideal smooth share of the fleet peak.
@@ -70,7 +69,7 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 		return nil, err
 	}
 
-	obRep, err := esd.EvaluateTree(oblivious, powertree.RPP, testFn, autonomyMinutes, 1)
+	obRep, err := esd.EvaluateTree(obAggs, powertree.RPP, autonomyMinutes, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +91,7 @@ func ExtensionESD(name workload.DCName, opt Options, autonomyMinutes, budgetMult
 		}
 	}
 	// SmoothOperator with no batteries: remaining over-budget energy.
-	smRep, err := esd.EvaluateTree(smart, powertree.RPP, testFn, 0.0001, 1)
+	smRep, err := esd.EvaluateTree(res.OptimizedAggs, powertree.RPP, 0.0001, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -253,9 +253,6 @@ func New(p Profile, step time.Duration, tree *powertree.Node) (*Injector, error)
 	return inj, nil
 }
 
-// Profile returns the injector's profile.
-func (f *Injector) Profile() Profile { return f.p }
-
 // fault kinds, mixed into the decision hash so the streams are independent.
 const (
 	kindDropout = iota + 1

@@ -41,7 +41,7 @@ func TestNextWeekStationary(t *testing.T) {
 		}
 	}
 	// Forecast starts right after the history's whole weeks.
-	if !fc.Start.Equal(hist.End()) {
+	if !fc.Start.Equal(hist.TimeAt(hist.Len())) {
 		t.Fatalf("forecast start = %v", fc.Start)
 	}
 }

@@ -46,7 +46,7 @@ func TestEnergyAndAverageSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es := slack.Energy(); math.Abs(es-40) > 1e-9 {
+	if es := slack.Total() * slack.Step.Hours(); math.Abs(es-40) > 1e-9 {
 		t.Fatalf("energy slack = %v", es)
 	}
 	avg, err := AverageSlack(s, 100)
@@ -101,8 +101,8 @@ func TestSlackConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		es := slack.Energy()
-		wantES := budget*s.Step.Hours()*float64(s.Len()) - s.Energy()
+		es := slack.Total() * slack.Step.Hours()
+		wantES := budget*s.Step.Hours()*float64(s.Len()) - s.Total()*s.Step.Hours()
 		return math.Abs(es-wantES) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

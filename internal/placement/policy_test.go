@@ -111,7 +111,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if n := tree.InstanceCount(); n != 2 {
 		t.Fatalf("rejected admission mutated the tree: %d instances", n)
 	}
-	if _, ok := o.Demand("c"); ok {
+	if _, ok := o.demandOf["c"]; ok {
 		t.Fatal("rejected admission leaked a demand record")
 	}
 
@@ -137,7 +137,7 @@ func TestOnlineEnforcesCapacities(t *testing.T) {
 	if _, err := o.Admit(Instance{ID: "d", Service: "s", Demands: powertree.ResourceVector{"net": 1}}); err != nil {
 		t.Fatalf("inline demand override: %v", err)
 	}
-	if d, _ := o.Demand("d"); d.Get("net") != 1 {
+	if d := o.demandOf["d"]; d.Get("net") != 1 {
 		t.Fatalf("recorded demand = %v, want inline net:1", d)
 	}
 
@@ -231,7 +231,7 @@ func TestOnlineResyncPreservesDemands(t *testing.T) {
 	if err := o.Resync(la, other); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := o.Demand("a"); !ok || d.Get("net") != 3 {
+	if d, ok := o.demandOf["a"]; !ok || d.Get("net") != 3 {
 		t.Fatalf("demand for a after resync = %v (ok=%v), want net:3", d, ok)
 	}
 	if got := o.Used(other).Get("net"); got < 3 {

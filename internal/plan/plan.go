@@ -307,9 +307,6 @@ func NewSnapshot(tree *powertree.Node, traces map[string]timeseries.Series, serv
 	return snap, nil
 }
 
-// AsOf returns the evaluation time the snapshot was captured at.
-func (s *Snapshot) AsOf() time.Time { return s.asOf }
-
 // sustain is the breaker-scan episode length: twice the sampling step, the
 // same convention the runtime uses for trip re-checks.
 func (s *Snapshot) sustain() time.Duration { return 2 * s.step }

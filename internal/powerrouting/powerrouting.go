@@ -42,10 +42,6 @@ type Server struct {
 
 // Assignment records, per epoch, which feed each server used.
 type Assignment struct {
-	// Epochs is the number of scheduling epochs.
-	Epochs int
-	// StepsPerEpoch is the trace resolution of one epoch.
-	StepsPerEpoch int
 	// Choice[e][s] is 0 (FeedA) or 1 (FeedB) for server s during epoch e.
 	Choice [][]uint8
 	// FeedPeaks is each feed's peak draw under the assignment.
@@ -103,10 +99,8 @@ func Route(servers []Server, cfg Config) (*Assignment, error) {
 	epochs := (n + stepsPerEpoch - 1) / stepsPerEpoch
 
 	asg := &Assignment{
-		Epochs:        epochs,
-		StepsPerEpoch: stepsPerEpoch,
-		Choice:        make([][]uint8, epochs),
-		FeedPeaks:     make([]float64, cfg.Feeds),
+		Choice:    make([][]uint8, epochs),
+		FeedPeaks: make([]float64, cfg.Feeds),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

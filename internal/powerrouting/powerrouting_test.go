@@ -100,8 +100,8 @@ func TestRouteEpochGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asg.Epochs != 3 || asg.StepsPerEpoch != 6 { // ceil(13/6)
-		t.Fatalf("epochs = %d of %d steps", asg.Epochs, asg.StepsPerEpoch)
+	if len(asg.Choice) != 3 || stepsPerEpoch != 6 { // ceil(13/6)
+		t.Fatalf("epochs = %d of %d steps", len(asg.Choice), stepsPerEpoch)
 	}
 	for _, c := range asg.Choice {
 		if len(c) != 1 {

@@ -1,7 +1,7 @@
 // One-pass bottom-up aggregation of the whole power tree.
 //
 // The fragmentation metrics walk the same tree over and over: SumOfPeaks at
-// five levels, LevelPeaks per figure, breaker checks per node. Computing each
+// five levels, per-node peaks per figure, breaker checks per node. Computing each
 // node's aggregate independently re-sums every instance trace once per
 // ancestor — O(depth × instances × len) for a full-tree sweep. AggregateAll
 // instead folds each leaf's instances once (in parallel, one leaf per index)
@@ -151,7 +151,6 @@ func (ix *treeIndex) recombine(entries []*aggEntry, leaves, queue []int, power P
 // traces at computation time; it is immutable and safe for concurrent
 // reads.
 type Aggregates struct {
-	root    *Node
 	entries []*aggEntry
 	index   *treeIndex
 }
@@ -230,7 +229,7 @@ func (n *Node) AggregateAll(power PowerFn) (*Aggregates, error) {
 func (n *Node) AggregateAllParallel(power PowerFn, workers int) (*Aggregates, error) {
 	timer := obsAggregateSpan.Start()
 	index := buildTreeIndex(n)
-	a := &Aggregates{root: n, entries: make([]*aggEntry, len(index.nodes)), index: index}
+	a := &Aggregates{entries: make([]*aggEntry, len(index.nodes)), index: index}
 	if err := index.recombine(a.entries, index.leafPos, nil, power, workers); err != nil {
 		return nil, err
 	}
@@ -241,9 +240,6 @@ func (n *Node) AggregateAllParallel(power PowerFn, workers int) (*Aggregates, er
 	timer.End()
 	return a, nil
 }
-
-// Root returns the node the aggregation was rooted at.
-func (a *Aggregates) Root() *Node { return a.root }
 
 // Leaves returns every leaf of the aggregated tree in tree order, from the
 // snapshot's cached walk. The slice is shared with the snapshot and must not
@@ -324,10 +320,6 @@ func (a *Aggregates) Trace(n *Node) (timeseries.Series, bool) { return a.TraceAt
 // aggregated tree.
 func (a *Aggregates) Peak(n *Node) float64 { return a.PeakAt(a.Position(n)) }
 
-// PeakSlot is PeakSlotAt at the node's position: -1 for a node outside the
-// aggregated tree.
-func (a *Aggregates) PeakSlot(n *Node) int { return a.PeakSlotAt(a.Position(n)) }
-
 // Missing returns the instance IDs under the node whose traces were unknown
 // at aggregation time: the node's own instances in attachment order, then
 // each child's missing list in child order (pre-order tree order). It is
@@ -357,17 +349,6 @@ func (a *Aggregates) SumOfPeaks(level Level) float64 {
 		}
 	}
 	return total
-}
-
-// LevelPeaks returns the peak aggregate power of every node at a level,
-// keyed by node name.
-func (a *Aggregates) LevelPeaks(level Level) map[string]float64 {
-	nodes := a.index.byLevel[level]
-	out := make(map[string]float64, len(nodes))
-	for _, m := range nodes {
-		out[m.Name] = a.Peak(m)
-	}
-	return out
 }
 
 // CheckBreakers scans every aggregated node's trace and reports episodes

@@ -181,7 +181,7 @@ func (g *Aggregator) Update() (*Aggregates, error) {
 		return nil, err
 	}
 
-	snap := &Aggregates{root: g.tree, entries: entries, index: ix}
+	snap := &Aggregates{entries: entries, index: ix}
 	g.snap = snap
 	for _, p := range g.dirty {
 		g.marked[p] = false

@@ -35,9 +35,10 @@ func requireSameAggs(t *testing.T, tree *Node, got, want *Aggregates, ctx string
 		if got.Peak(nd) != want.Peak(nd) {
 			t.Fatalf("%s: peak differs at %s: %v vs %v", ctx, nd.Name, got.Peak(nd), want.Peak(nd))
 		}
-		if got.PeakSlot(nd) != want.PeakSlot(nd) || got.PeakSlot(nd) != gs.PeakIndex() {
+		gslot, wslot := got.PeakSlotAt(got.Position(nd)), want.PeakSlotAt(want.Position(nd))
+		if gslot != wslot || gslot != gs.PeakIndex() {
 			t.Fatalf("%s: peak slot differs at %s: %d vs %d (PeakIndex %d)",
-				ctx, nd.Name, got.PeakSlot(nd), want.PeakSlot(nd), gs.PeakIndex())
+				ctx, nd.Name, gslot, wslot, gs.PeakIndex())
 		}
 		gm, wm := got.Missing(nd), want.Missing(nd)
 		if len(gm) != len(wm) {
@@ -87,20 +88,21 @@ func requirePositional(t *testing.T, root *Node, aggs *Aggregates, ctx string) {
 		if math.Float64bits(aggs.PeakAt(p)) != math.Float64bits(aggs.Peak(n)) {
 			t.Fatalf("%s: PeakAt(%d) = %v, Peak(%s) = %v", ctx, p, aggs.PeakAt(p), n.Name, aggs.Peak(n))
 		}
-		if aggs.PeakSlotAt(p) != aggs.PeakSlot(n) {
-			t.Fatalf("%s: PeakSlotAt(%d) = %d, PeakSlot(%s) = %d", ctx, p, aggs.PeakSlotAt(p), n.Name, aggs.PeakSlot(n))
+		if aggs.PeakSlotAt(p) != ns.PeakIndex() {
+			t.Fatalf("%s: PeakSlotAt(%d) = %d, Trace(%s).PeakIndex() = %d", ctx, p, aggs.PeakSlotAt(p), n.Name, ns.PeakIndex())
 		}
 	}
 }
 
 // requireForeign fails unless n reads as outside the aggregation: Position
-// -1, Peak 0, PeakSlot -1, Trace false and Missing nil.
+// -1, Peak 0, PeakSlotAt -1, Trace false and Missing nil.
 func requireForeign(t *testing.T, aggs *Aggregates, n *Node, ctx string) {
 	t.Helper()
 	_, ok := aggs.Trace(n)
-	if aggs.Position(n) != -1 || aggs.Peak(n) != 0 || aggs.PeakSlot(n) != -1 || ok || aggs.Missing(n) != nil {
+	slot := aggs.PeakSlotAt(aggs.Position(n))
+	if aggs.Position(n) != -1 || aggs.Peak(n) != 0 || slot != -1 || ok || aggs.Missing(n) != nil {
 		t.Fatalf("%s: foreign node %s reads position %d, peak %v, slot %d, trace %v, missing %v",
-			ctx, n.Name, aggs.Position(n), aggs.Peak(n), aggs.PeakSlot(n), ok, aggs.Missing(n))
+			ctx, n.Name, aggs.Position(n), aggs.Peak(n), slot, ok, aggs.Missing(n))
 	}
 }
 

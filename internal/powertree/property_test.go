@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -238,15 +237,15 @@ func TestAggregateAllMatchesPerNodeOracle(t *testing.T) {
 					t.Fatalf("trial %d workers %d: SumOfPeaks(%s) differs: %v vs %v",
 						trial, workers, level, direct, aggs.SumOfPeaks(level))
 				}
-				want := make(map[string]float64)
 				for _, nd := range tree.NodesAtLevel(level) {
-					if want[nd.Name], err = oraclePeak(nd, pf); err != nil {
+					want, err := oraclePeak(nd, pf)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if got := aggs.LevelPeaks(level); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d workers %d: LevelPeaks(%s) = %v, oracle %v",
-						trial, workers, level, got, want)
+					if got := aggs.Peak(nd); got != want {
+						t.Fatalf("trial %d workers %d: %s peak at %s = %v, oracle %v",
+							trial, workers, level, nd.Name, got, want)
+					}
 				}
 			}
 		}

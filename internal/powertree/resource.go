@@ -62,22 +62,6 @@ func (v ResourceVector) Clone() ResourceVector {
 // Get returns the quantity for a dimension, 0 when absent.
 func (v ResourceVector) Get(dim string) float64 { return v[dim] }
 
-// Add returns v + w as a fresh vector; dimensions absent on one side count
-// as 0. Two nil vectors stay nil.
-func (v ResourceVector) Add(w ResourceVector) ResourceVector {
-	if len(v) == 0 && len(w) == 0 {
-		return nil
-	}
-	out := make(ResourceVector, len(v)+len(w))
-	for k, val := range v {
-		out[k] = val
-	}
-	for k, val := range w {
-		out[k] += val
-	}
-	return out
-}
-
 // AddInPlace folds w into v (allocating only when v is nil) and returns the
 // result — the vector analogue of Series.AddInPlace.
 func (v ResourceVector) AddInPlace(w ResourceVector) ResourceVector {

@@ -28,18 +28,6 @@ func TestResourceVectorHelpers(t *testing.T) {
 		t.Fatal("Clone(nil) must stay nil")
 	}
 
-	sum := v.Add(ResourceVector{"net": 5, "thermal": 1})
-	want := ResourceVector{"net": 15, "space": 4, "thermal": 1}
-	if !reflect.DeepEqual(sum, want) {
-		t.Fatalf("Add = %v, want %v", sum, want)
-	}
-	if v["net"] != 10 {
-		t.Fatal("Add must not mutate the receiver")
-	}
-	if ResourceVector(nil).Add(nil) != nil {
-		t.Fatal("nil+nil must stay nil")
-	}
-
 	acc := ResourceVector(nil).AddInPlace(v)
 	acc = acc.AddInPlace(ResourceVector{"net": 1})
 	if acc["net"] != 11 || acc["space"] != 4 {

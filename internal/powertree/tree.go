@@ -54,14 +54,6 @@ func (l Level) String() string {
 	}
 }
 
-// Below returns the next level toward the leaves, and false at RPP.
-func (l Level) Below() (Level, bool) {
-	if l >= RPP {
-		return l, false
-	}
-	return l + 1, true
-}
-
 // Node is one power delivery device in the tree. Interior nodes have
 // children; leaf nodes (level RPP) host service instances.
 type Node struct {

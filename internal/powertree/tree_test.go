@@ -372,12 +372,12 @@ func TestLevelPeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peaks := aggs.LevelPeaks(RPP)
-	if len(peaks) != 16 {
-		t.Fatalf("LevelPeaks count = %d", len(peaks))
+	leaves := aggs.NodesAtLevel(RPP)
+	if len(leaves) != 16 {
+		t.Fatalf("RPP count = %d", len(leaves))
 	}
-	if peaks[root.Leaves()[0].Name] != 4 {
-		t.Fatalf("peak = %v", peaks[root.Leaves()[0].Name])
+	if p := aggs.Peak(leaves[0]); p != 4 {
+		t.Fatalf("peak = %v", p)
 	}
 }
 
@@ -394,12 +394,6 @@ func TestStringOutline(t *testing.T) {
 func TestLevelStringAndBelow(t *testing.T) {
 	if DC.String() != "DC" || RPP.String() != "RPP" || Level(99).String() == "" {
 		t.Fatal("Level.String broken")
-	}
-	if l, ok := DC.Below(); !ok || l != Suite {
-		t.Fatal("DC.Below")
-	}
-	if _, ok := RPP.Below(); ok {
-		t.Fatal("RPP.Below should be false")
 	}
 }
 

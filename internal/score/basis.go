@@ -52,15 +52,6 @@ func NewBasis(straces []timeseries.Series) (*Basis, error) {
 // Len returns |B|, the dimensionality of the score vectors.
 func (b *Basis) Len() int { return len(b.straces) }
 
-// Vector computes the instance's I-to-S score vector against the basis.
-func (b *Basis) Vector(instance timeseries.Series) ([]float64, error) {
-	v := make([]float64, len(b.straces))
-	if err := b.VectorInto(v, instance); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // VectorInto computes the score vector into dst (len(dst) must equal
 // b.Len()) without allocating: batch callers own the destination memory.
 func (b *Basis) VectorInto(dst []float64, instance timeseries.Series) error {
@@ -160,7 +151,7 @@ func VectorsParallel(instances []timeseries.Series, straces []timeseries.Series,
 	err := parallel.ForEach(context.Background(), len(instances), workers, func(i int) error {
 		// Replicate the serial per-instance check order: missing basis,
 		// then instance peak, then basis validation — so the lowest-index
-		// error is the same one Vector would have returned.
+		// error is the same one a serial per-instance loop would return.
 		score := func() error {
 			if len(straces) == 0 {
 				return ErrNoTraces

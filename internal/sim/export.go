@@ -39,10 +39,3 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// Summary renders the run's aggregates as a one-paragraph report.
-func (r *Result) Summary(policy string) string {
-	return fmt.Sprintf(
-		"%s: LC served %.0f (dropped %.0f), batch work %.0f, QoS violations %d, cap events %d, power peak %.0f",
-		policy, r.TotalLC, r.DroppedLC, r.TotalBatch, r.QoSViolations, r.CapEvents, r.Power.Peak())
-}

@@ -46,16 +46,3 @@ func TestResultWriteCSVEmpty(t *testing.T) {
 		t.Fatal("empty result must error")
 	}
 }
-
-func TestResultSummary(t *testing.T) {
-	res, err := Run(baseConfig(0, 50, fixedPolicy{Action{BatchFreq: 1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Summary("baseline")
-	for _, want := range []string{"baseline", "LC served", "batch work", "power peak"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q: %s", want, s)
-		}
-	}
-}

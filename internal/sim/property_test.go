@@ -80,7 +80,7 @@ func TestSimInvariantsUnderRandomPolicies(t *testing.T) {
 		if res.OverBudgetSteps != 0 {
 			t.Fatalf("trial %d: %d steps over budget despite capping", trial, res.OverBudgetSteps)
 		}
-		if res.DroppedLC < -1e-9 {
+		if droppedLC(cfg, res) < -1e-9 {
 			t.Fatalf("trial %d: negative dropped load", trial)
 		}
 	}

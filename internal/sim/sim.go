@@ -8,20 +8,10 @@ import (
 
 // State is what a reshaping policy observes at each step.
 type State struct {
-	// Step is the current step index.
-	Step int
 	// OfferedLoad is the LC load offered this step, in units of one
 	// server's guarded capacity (so OfferedLoad/NLC is the per-original-
 	// LC-server load when no conversion server helps).
 	OfferedLoad float64
-	// AvgLCLoadOriginal is the average per-server load over the original LC
-	// servers, assuming offered load spreads over original + currently
-	// LC-converted servers (the §4.2 trigger signal).
-	AvgLCLoadOriginal float64
-	// ConvLC is the number of conversion servers currently in LC mode.
-	ConvLC int
-	// BatchFreq is the current Batch relative frequency.
-	BatchFreq float64
 }
 
 // Action is what a policy decides for the next step.
@@ -129,8 +119,6 @@ type Result struct {
 	Power timeseries.Series
 	// TotalLC and TotalBatch are summed throughputs.
 	TotalLC, TotalBatch float64
-	// DroppedLC is offered-but-unserved LC load.
-	DroppedLC float64
 	// QoSViolations counts steps where per-LC-server load exceeded QoSKnee.
 	QoSViolations int
 	// CapEvents counts steps where the capping backstop had to act.
@@ -160,22 +148,13 @@ func Run(cfg Config) (*Result, error) {
 		BatchThroughput: series(2),
 		Power:           series(3),
 	}
-	convLC, batchFreq := 0, 1.0
 	for i := 0; i < n; i++ {
 		offered := cfg.LCLoad.Values[i]
-		state := State{
-			Step:              i,
-			OfferedLoad:       offered,
-			AvgLCLoadOriginal: offered / float64(cfg.NLC+convLC),
-			ConvLC:            convLC,
-			BatchFreq:         batchFreq,
-		}
-		act := cfg.Policy.Decide(state)
+		act := cfg.Policy.Decide(State{OfferedLoad: offered})
 		act.ConvLC = clampInt(act.ConvLC, 0, cfg.NConv)
 		act.ThrottleConvLC = clampInt(act.ThrottleConvLC, 0, cfg.NThrottleConv)
 		act.BatchFreq = cfg.Freq.Clamp(act.BatchFreq)
-		convLC = act.ConvLC
-		batchFreq = act.BatchFreq
+		batchFreq := act.BatchFreq
 
 		// LC serving: offered load spreads over all LC-mode servers; each
 		// server serves at most load 1.0 (QoS degrades past the knee).
@@ -281,7 +260,6 @@ func Run(cfg Config) (*Result, error) {
 		res.Power.Values[i] = power
 		res.TotalLC += served
 		res.TotalBatch += batchWork
-		res.DroppedLC += offered - served
 	}
 	obsRuns.Inc()
 	obsSteps.Add(uint64(n))

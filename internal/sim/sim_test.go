@@ -80,6 +80,15 @@ type fixedPolicy struct{ act Action }
 func (p fixedPolicy) Decide(State) Action { return p.act }
 func (fixedPolicy) Name() string          { return "fixed" }
 
+// droppedLC is a run's offered-but-unserved LC load, summed step by step.
+func droppedLC(cfg Config, res *Result) float64 {
+	var d float64
+	for i, served := range res.LCThroughput.Values {
+		d += cfg.LCLoad.Values[i] - served
+	}
+	return d
+}
+
 func baseConfig(nConv int, peakLoad float64, policy Policy) Config {
 	return Config{
 		LCLoad: diurnalLoad(7*24, time.Hour, peakLoad),
@@ -104,8 +113,8 @@ func TestRunBaseline(t *testing.T) {
 	if res.QoSViolations != 0 {
 		t.Fatalf("baseline QoS violations: %d", res.QoSViolations)
 	}
-	if res.DroppedLC > 1e-9 {
-		t.Fatalf("baseline dropped load: %v", res.DroppedLC)
+	if d := droppedLC(cfg, res); d > 1e-9 {
+		t.Fatalf("baseline dropped load: %v", d)
 	}
 	if res.CapEvents != 0 || res.OverBudgetSteps != 0 {
 		t.Fatalf("unexpected capping: %+v", res)
@@ -130,7 +139,7 @@ func TestRunOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DroppedLC <= 0 {
+	if droppedLC(cfg, res) <= 0 {
 		t.Fatal("overload must drop LC load")
 	}
 	if res.QoSViolations == 0 {

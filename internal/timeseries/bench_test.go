@@ -38,15 +38,6 @@ func BenchmarkPeakWeek(b *testing.B) {
 	_ = p
 }
 
-func BenchmarkPercentileWeek(b *testing.B) {
-	s := benchSeries(MinutesPerWeek, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Percentile(95)
-	}
-}
-
 func BenchmarkPercentileCalcWeek(b *testing.B) {
 	s := benchSeries(MinutesPerWeek, 4)
 	var calc PercentileCalc

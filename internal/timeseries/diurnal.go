@@ -13,16 +13,12 @@ type DiurnalStats struct {
 	// PeakHour is the mean hour-of-day of the daily maximum, on the
 	// 24-hour circle.
 	PeakHour float64
-	// TroughHour is the mean hour-of-day of the daily minimum.
-	TroughHour float64
 	// SwingRatio is (mean daily max − mean daily min) / mean daily max;
 	// 0 for a flat trace, →1 for a deeply diurnal one.
 	SwingRatio float64
 	// DayToDayCorrelation is the mean Pearson correlation between
 	// consecutive days — high for repeatable diurnal workloads.
 	DayToDayCorrelation float64
-	// Days is how many whole days the statistics cover.
-	Days int
 }
 
 // Diurnal computes daily-rhythm statistics over whole days of the series.
@@ -38,8 +34,8 @@ func (s Series) Diurnal() (DiurnalStats, error) {
 	}
 	days := s.Len() / perDay
 	var maxSum, minSum float64
-	// Circular means of peak/trough positions.
-	var peakSin, peakCos, troughSin, troughCos float64
+	// Circular mean of the peak positions.
+	var peakSin, peakCos float64
 	var corrSum float64
 	corrN := 0
 	var prev Series
@@ -56,16 +52,10 @@ func (s Series) Diurnal() (DiurnalStats, error) {
 		}
 		maxSum += day.Values[maxI]
 		minSum += day.Values[minI]
-		hourOf := func(i int) float64 {
-			t := day.TimeAt(i)
-			return float64(t.Hour()) + float64(t.Minute())/60
-		}
-		pa := hourOf(maxI) / 24 * 2 * math.Pi
-		ta := hourOf(minI) / 24 * 2 * math.Pi
+		peakAt := day.TimeAt(maxI)
+		pa := (float64(peakAt.Hour()) + float64(peakAt.Minute())/60) / 24 * 2 * math.Pi
 		peakSin += math.Sin(pa)
 		peakCos += math.Cos(pa)
-		troughSin += math.Sin(ta)
-		troughCos += math.Cos(ta)
 		if d > 0 {
 			if r, err := Correlation(prev, day); err == nil {
 				corrSum += r
@@ -74,14 +64,13 @@ func (s Series) Diurnal() (DiurnalStats, error) {
 		}
 		prev = day
 	}
-	stats := DiurnalStats{Days: days}
+	var stats DiurnalStats
 	meanMax := maxSum / float64(days)
 	meanMin := minSum / float64(days)
 	if meanMax > 0 {
 		stats.SwingRatio = (meanMax - meanMin) / meanMax
 	}
 	stats.PeakHour = circularHour(peakSin, peakCos)
-	stats.TroughHour = circularHour(troughSin, troughCos)
 	if corrN > 0 {
 		stats.DayToDayCorrelation = corrSum / float64(corrN)
 	}

@@ -25,33 +25,15 @@ type PercentileCalc struct {
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the readings with
-// linear interpolation between closest ranks — bit-identical to
-// Series.Percentile, without the per-call sort allocation once the buffer
-// has grown to the largest series seen.
+// linear interpolation between closest ranks, without a per-call sort
+// allocation once the buffer has grown to the largest series seen. It is the
+// c_{i,u} primitive of the statistical-profiling baseline (§5.2.1).
 func (c *PercentileCalc) Percentile(s Series, p float64) float64 {
 	if s.Empty() {
 		return math.NaN()
 	}
 	c.load(s)
 	return percentileOfSorted(c.buf, p)
-}
-
-// PercentilesAppend appends the given percentiles of s to dst over a single
-// sort and returns the extended slice — the allocation-free counterpart of
-// Series.Percentiles. An empty series appends one NaN per requested
-// percentile.
-func (c *PercentileCalc) PercentilesAppend(dst []float64, s Series, ps ...float64) []float64 {
-	if s.Empty() {
-		for range ps {
-			dst = append(dst, math.NaN())
-		}
-		return dst
-	}
-	c.load(s)
-	for _, p := range ps {
-		dst = append(dst, percentileOfSorted(c.buf, p))
-	}
-	return dst
 }
 
 // load copies the series values into the calculator's buffer and sorts them.

@@ -7,8 +7,8 @@ import (
 )
 
 // TestEmptySeriesStatistics pins the empty-series convention: Peak, Min and
-// MeanValue of an empty series are all 0 (never ±Inf), Percentile is NaN,
-// and PeakIndex is -1.
+// MeanValue of an empty series are all 0 (never ±Inf), its percentiles are
+// NaN, and PeakIndex is -1.
 func TestEmptySeriesStatistics(t *testing.T) {
 	for name, s := range map[string]Series{
 		"zero value": {},
@@ -26,23 +26,15 @@ func TestEmptySeriesStatistics(t *testing.T) {
 		if got := s.PeakIndex(); got != -1 {
 			t.Fatalf("%s: PeakIndex = %v, want -1", name, got)
 		}
-		if got := s.Percentile(50); !math.IsNaN(got) {
+		var calc PercentileCalc
+		if got := calc.Percentile(s, 50); !math.IsNaN(got) {
 			t.Fatalf("%s: Percentile = %v, want NaN", name, got)
-		}
-		got := s.Percentiles(5, 50, 95)
-		if len(got) != 3 {
-			t.Fatalf("%s: Percentiles returned %d values", name, len(got))
-		}
-		for i, v := range got {
-			if !math.IsNaN(v) {
-				t.Fatalf("%s: Percentiles[%d] = %v, want NaN", name, i, v)
-			}
 		}
 	}
 }
 
 // TestPercentileCalcMatchesSeries: the buffer-reusing calculator must be
-// bit-identical to Series.Percentile across random series and percentiles,
+// bit-identical to a fresh one across random series and percentiles,
 // including when the buffer shrinks and grows between calls.
 func TestPercentileCalcMatchesSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -53,7 +45,7 @@ func TestPercentileCalcMatchesSeries(t *testing.T) {
 			s.Values[i] = rng.NormFloat64() * 100
 		}
 		p := rng.Float64() * 100
-		want := s.Percentile(p)
+		want := new(PercentileCalc).Percentile(s, p)
 		if got := calc.Percentile(s, p); got != want {
 			t.Fatalf("trial %d: calc.Percentile(%v) = %v, want %v", trial, p, got, want)
 		}
@@ -65,34 +57,6 @@ func TestPercentileCalcEmpty(t *testing.T) {
 	if got := calc.Percentile(Series{}, 50); !math.IsNaN(got) {
 		t.Fatalf("Percentile of empty = %v, want NaN", got)
 	}
-	out := calc.PercentilesAppend(nil, Series{}, 5, 95)
-	if len(out) != 2 || !math.IsNaN(out[0]) || !math.IsNaN(out[1]) {
-		t.Fatalf("PercentilesAppend of empty = %v, want two NaNs", out)
-	}
-}
-
-func TestPercentilesAppendMatchesSeries(t *testing.T) {
-	s := Zeros(t0, Minute, 101)
-	for i := range s.Values {
-		s.Values[i] = float64((i * 37) % 101)
-	}
-	ps := []float64{0, 5, 37.5, 50, 95, 100}
-	want := s.Percentiles(ps...)
-	var calc PercentileCalc
-	got := calc.PercentilesAppend(make([]float64, 0, len(ps)), s, ps...)
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("percentile %v: %v vs %v", ps[i], got[i], want[i])
-		}
-	}
-	// Appending must extend dst, not clobber it.
-	prefix := calc.PercentilesAppend([]float64{-1}, s, 50)
-	if len(prefix) != 2 || prefix[0] != -1 || prefix[1] != want[3] {
-		t.Fatalf("append semantics broken: %v", prefix)
-	}
 }
 
 // TestPercentileCalcAllocBudget pins the steady-state allocation count of
@@ -101,10 +65,8 @@ func TestPercentileCalcAllocBudget(t *testing.T) {
 	s := benchSeries(MinutesPerWeek, 9)
 	var calc PercentileCalc
 	calc.Percentile(s, 50) // warm the buffer
-	dst := make([]float64, 0, 4)
 	if n := testing.AllocsPerRun(20, func() {
 		calc.Percentile(s, 95)
-		dst = calc.PercentilesAppend(dst[:0], s, 5, 50, 95)
 	}); n != 0 {
 		t.Fatalf("steady-state PercentileCalc allocs = %v, want 0", n)
 	}

@@ -92,26 +92,6 @@ func (s Series) Validate() error {
 // TimeAt returns the timestamp of reading i.
 func (s Series) TimeAt(i int) time.Time { return s.Start.Add(time.Duration(i) * s.Step) }
 
-// End returns the timestamp one step past the final reading.
-func (s Series) End() time.Time { return s.TimeAt(len(s.Values)) }
-
-// IndexOf returns the index of the reading covering time t, and whether t
-// falls within the series.
-func (s Series) IndexOf(t time.Time) (int, bool) {
-	if s.Step <= 0 || s.Empty() {
-		return 0, false
-	}
-	d := t.Sub(s.Start)
-	if d < 0 {
-		return 0, false
-	}
-	i := int(d / s.Step)
-	if i >= len(s.Values) {
-		return 0, false
-	}
-	return i, true
-}
-
 // Within returns the index range [lo, hi) of the readings timed in
 // [from, to).
 func (s Series) Within(from, to time.Time) (lo, hi int) {
@@ -158,18 +138,6 @@ func (s Series) alignedWith(o Series) error {
 		return ErrMisaligned
 	}
 	return nil
-}
-
-// Add returns the element-wise sum s + o.
-func (s Series) Add(o Series) (Series, error) {
-	if err := s.alignedWith(o); err != nil {
-		return Series{}, err
-	}
-	out := s.Clone()
-	for i, v := range o.Values {
-		out.Values[i] += v
-	}
-	return out, nil
 }
 
 // AddInPlace accumulates o into s element-wise.
@@ -323,29 +291,6 @@ func (s Series) Total() float64 {
 	return t
 }
 
-// Energy returns the integral of the series over its whole span, in
-// value-hours (e.g. watt-hours when readings are watts).
-func (s Series) Energy() float64 {
-	return s.Total() * s.Step.Hours()
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the readings
-// using linear interpolation between closest ranks. It is the c_{i,u}
-// primitive used by the statistical-profiling baseline (§5.2.1). Each call
-// sorts a fresh copy; callers computing many percentiles should hold a
-// PercentileCalc, which reuses one sort buffer across calls.
-func (s Series) Percentile(p float64) float64 {
-	var c PercentileCalc
-	return c.Percentile(s, p)
-}
-
-// Percentiles returns several percentiles in one pass over a single sort.
-// As with Percentile, repeated callers should prefer a PercentileCalc.
-func (s Series) Percentiles(ps ...float64) []float64 {
-	var c PercentileCalc
-	return c.PercentilesAppend(make([]float64, 0, len(ps)), s, ps...)
-}
-
 func percentileOfSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
@@ -408,36 +353,6 @@ func CrossSectionBands(population []Series, pairs [][2]float64) ([]Band, error) 
 		}
 	}
 	return bands, nil
-}
-
-// SmoothMovingAverage returns the series smoothed with a centred moving
-// average of the given window (in readings). Window values < 2 return a
-// clone unchanged.
-func (s Series) SmoothMovingAverage(window int) Series {
-	out := s.Clone()
-	if window < 2 || s.Empty() {
-		return out
-	}
-	half := window / 2
-	var acc float64
-	// Prefix-sum approach keeps this O(n).
-	prefix := make([]float64, len(s.Values)+1)
-	for i, v := range s.Values {
-		acc += v
-		prefix[i+1] = acc
-	}
-	for i := range out.Values {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		out.Values[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
-	}
-	return out
 }
 
 // Resample returns the series resampled to a new step by block-averaging

@@ -37,27 +37,17 @@ func TestValidate(t *testing.T) {
 
 func TestTimeIndexRoundTrip(t *testing.T) {
 	s := Zeros(t0, Minute, 100)
-	for _, i := range []int{0, 1, 50, 99} {
-		got, ok := s.IndexOf(s.TimeAt(i))
-		if !ok || got != i {
-			t.Fatalf("IndexOf(TimeAt(%d)) = %d,%v", i, got, ok)
+	for _, i := range []int{0, 1, 50, 99, 100} {
+		if got := s.TimeAt(i); !got.Equal(t0.Add(time.Duration(i) * Minute)) {
+			t.Fatalf("TimeAt(%d) = %v", i, got)
 		}
-	}
-	if _, ok := s.IndexOf(t0.Add(-time.Second)); ok {
-		t.Fatal("IndexOf before start should fail")
-	}
-	if _, ok := s.IndexOf(s.End()); ok {
-		t.Fatal("IndexOf at End should fail")
-	}
-	if !s.End().Equal(t0.Add(100 * Minute)) {
-		t.Fatalf("End = %v", s.End())
 	}
 }
 
 func TestAddSubScale(t *testing.T) {
 	a, b := mk(1, 2, 3), mk(10, 20, 30)
-	sum, err := a.Add(b)
-	if err != nil {
+	sum := a.Clone()
+	if err := sum.AddInPlace(b); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{11, 22, 33}
@@ -87,11 +77,11 @@ func TestAddSubScale(t *testing.T) {
 
 func TestAddMismatch(t *testing.T) {
 	a, b := mk(1, 2), mk(1, 2, 3)
-	if _, err := a.Add(b); err != ErrLenMismatch {
+	if err := a.AddInPlace(b); err != ErrLenMismatch {
 		t.Fatalf("want ErrLenMismatch, got %v", err)
 	}
 	c := New(t0, 2*Minute, []float64{1, 2})
-	if _, err := a.Add(c); err != ErrMisaligned {
+	if err := a.AddInPlace(c); err != ErrMisaligned {
 		t.Fatalf("want ErrMisaligned, got %v", err)
 	}
 }
@@ -161,8 +151,8 @@ func TestPeakMinMeanEnergy(t *testing.T) {
 		t.Fatalf("Mean = %v", s.MeanValue())
 	}
 	// 20 value-minutes = 1/3 value-hour.
-	if math.Abs(s.Energy()-20.0/60.0) > 1e-12 {
-		t.Fatalf("Energy = %v", s.Energy())
+	if e := s.Total() * s.Step.Hours(); math.Abs(e-20.0/60.0) > 1e-12 {
+		t.Fatalf("Energy = %v", e)
 	}
 }
 
@@ -171,20 +161,18 @@ func TestPercentile(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {105, 5},
 	}
+	var calc PercentileCalc
 	for _, c := range cases {
-		if got := s.Percentile(c.p); math.Abs(got-c.want) > 1e-12 {
+		if got := calc.Percentile(s, c.p); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-	multi := s.Percentiles(0, 50, 100)
-	if multi[0] != 1 || multi[1] != 3 || multi[2] != 5 {
-		t.Fatalf("Percentiles = %v", multi)
 	}
 }
 
 func TestPercentileInterpolates(t *testing.T) {
 	s := mk(0, 10)
-	if got := s.Percentile(50); got != 5 {
+	var calc PercentileCalc
+	if got := calc.Percentile(s, 50); got != 5 {
 		t.Fatalf("Percentile(50) of {0,10} = %v, want 5", got)
 	}
 }
@@ -203,29 +191,6 @@ func TestCrossSectionBands(t *testing.T) {
 	}
 	if _, err := CrossSectionBands(nil, nil); err != ErrEmpty {
 		t.Fatalf("empty population: %v", err)
-	}
-}
-
-func TestSmoothMovingAverage(t *testing.T) {
-	s := mk(0, 0, 9, 0, 0)
-	sm := s.SmoothMovingAverage(3)
-	if sm.Values[2] != 3 {
-		t.Fatalf("center: %v", sm.Values)
-	}
-	if sm.Values[0] != 0 {
-		t.Fatalf("edge: %v", sm.Values)
-	}
-	// Smoothing preserves the total approximately in the interior; the exact
-	// invariant we check is that a constant series is unchanged.
-	c := Constant(t0, Minute, 10, 4.2)
-	cs := c.SmoothMovingAverage(5)
-	for i, v := range cs.Values {
-		if math.Abs(v-4.2) > 1e-12 {
-			t.Fatalf("constant series changed at %d: %v", i, v)
-		}
-	}
-	if got := s.SmoothMovingAverage(1); got.Values[2] != 9 {
-		t.Fatal("window 1 must be identity")
 	}
 }
 
@@ -416,8 +381,8 @@ func TestPeakSubadditivityProperty(t *testing.T) {
 			a.Values[i] = math.Abs(math.Mod(raw[i], 1000))
 			b.Values[i] = math.Abs(math.Mod(raw2[i], 1000))
 		}
-		sum, err := a.Add(b)
-		if err != nil {
+		sum := a.Clone()
+		if err := sum.AddInPlace(b); err != nil {
 			return false
 		}
 		return sum.Peak() <= a.Peak()+b.Peak()+1e-9
@@ -468,8 +433,9 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			s.Values[i] = rng.NormFloat64() * 100
 		}
 		prev := math.Inf(-1)
+		var calc PercentileCalc
 		for p := 0.0; p <= 100; p += 7 {
-			v := s.Percentile(p)
+			v := calc.Percentile(s, p)
 			if v < prev-1e-9 || v < s.Min()-1e-9 || v > s.Peak()+1e-9 {
 				return false
 			}

@@ -94,7 +94,9 @@ func TestConcurrentWritersAndPipelineReaders(t *testing.T) {
 					return
 				}
 				_ = aggs.SumOfPeaks(powertree.RPP)
-				_ = aggs.LevelPeaks(powertree.SB)
+				for _, n := range aggs.NodesAtLevel(powertree.SB) {
+					_ = aggs.Peak(n)
+				}
 				for _, id := range allIDs {
 					if _, err := st.Coverage(id); err != nil {
 						t.Error(err)

@@ -130,12 +130,6 @@ type Profile struct {
 	Shape Shape
 }
 
-// Power returns the profile's nominal per-server power at time t, before
-// per-instance heterogeneity is applied.
-func (p Profile) Power(t time.Time) float64 {
-	return p.IdlePower + (p.PeakPower-p.IdlePower)*p.Shape.Activity(t)
-}
-
 // weekdayBusiness is a weekday weighting with quieter weekends, the paper's
 // "strong day-of-the-week activity patterns" (§3.3).
 func weekdayBusiness(weekend float64) []float64 {

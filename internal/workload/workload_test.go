@@ -49,24 +49,30 @@ func TestShapeWeekdayWeights(t *testing.T) {
 	}
 }
 
+// nominalPower is a profile's per-server draw at t before per-instance
+// heterogeneity: idle power plus the shape's activity share of the span.
+func nominalPower(p Profile, t time.Time) float64 {
+	return p.IdlePower + (p.PeakPower-p.IdlePower)*p.Shape.Activity(t)
+}
+
 func TestStandardProfilesShapes(t *testing.T) {
 	profiles := StandardProfiles()
 	web, db, hadoop := profiles["frontend"], profiles["dbA"], profiles["hadoop"]
 
 	// Fig. 6: web peaks in the afternoon, db at night, hadoop is flat-high.
-	webDay := web.Power(monday.Add(15 * time.Hour))
-	webNight := web.Power(monday.Add(3 * time.Hour))
+	webDay := nominalPower(web, monday.Add(15*time.Hour))
+	webNight := nominalPower(web, monday.Add(3*time.Hour))
 	if webDay <= webNight {
 		t.Fatalf("web day %v must exceed night %v", webDay, webNight)
 	}
-	dbNight := db.Power(monday.Add(2 * time.Hour))
-	dbDay := db.Power(monday.Add(14 * time.Hour))
+	dbNight := nominalPower(db, monday.Add(2*time.Hour))
+	dbDay := nominalPower(db, monday.Add(14*time.Hour))
 	if dbNight <= dbDay {
 		t.Fatalf("db night %v must exceed day %v", dbNight, dbDay)
 	}
 	var hMin, hMax = math.Inf(1), math.Inf(-1)
 	for h := 0; h < 24; h++ {
-		p := hadoop.Power(monday.Add(time.Duration(h) * time.Hour))
+		p := nominalPower(hadoop, monday.Add(time.Duration(h)*time.Hour))
 		hMin, hMax = math.Min(hMin, p), math.Max(hMax, p)
 	}
 	if (hMax-hMin)/hMax > 0.25 {

@@ -11,8 +11,12 @@
 # goes first. Prints every pair, each side's median and quartiles, the win
 # count (ties count for neither side) and whether the §8 rule holds: the
 # change wins at least nine tenths of the pairs and the medians differ by
-# more than the distance between the parent's quartiles. The direction of
-# "better" is read from BENCHMARK.json. Changes nothing under bench/.
+# more than the distance between the parent's quartiles. It also prints the
+# parent's median over the first and over the second half of the pairs, and
+# warns that host load drifted when the two differ by more than the parent's
+# quartile spread: drift widens that spread and can hide a real gain. The
+# direction of "better" is read from BENCHMARK.json. Changes nothing under
+# bench/.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -69,9 +73,21 @@ awk -v better="$better" -v metric="$metric" -v workload="$workload" '
 		r = 1 + p * (n - 1); lo = int(r); f = r - lo
 		return lo >= n ? v[n] : v[lo] * (1 - f) + v[lo + 1] * f
 	}
+	# halfmedian returns the median of the parent values seq[lo..hi], in run
+	# order, after sorting a copy of them.
+	function halfmedian(lo, hi,    v, n, i, j, x) {
+		n = 0
+		for (i = lo; i <= hi; i++) {
+			x = seq[i]
+			for (j = ++n; j > 1 && v[j - 1] > x; j--) v[j] = v[j - 1]
+			v[j] = x
+		}
+		return q(v, n, .5)
+	}
 	FILENAME ~ /\.old$/ { o[++no] = $1; next }
 	FILENAME ~ /\.new$/ { c[++nc] = $1; next }
 	{
+		seq[++np] = $1
 		if ($1 == $2) ties++
 		else if ((better == "lower") == ($2 < $1)) wins++
 		else losses++
@@ -88,4 +104,14 @@ awk -v better="$better" -v metric="$metric" -v workload="$workload" '
 			print "  gain holds: wins >= 9/10 of the pairs and the medians differ by more than the parent IQR (" iqr ")"
 		else
 			print "  no gain by the pairs rule (parent IQR " iqr ")"
+		# With fewer than four pairs each half is a run or two, whose
+		# medians differ by about the whole spread: no drift to read.
+		if (np >= 4) {
+			h = int(np / 2)
+			m1 = halfmedian(1, h); m2 = halfmedian(h + 1, np)
+			printf "  parent  median %g over pairs 1..%d, %g over pairs %d..%d\n", m1, h, m2, h + 1, np
+			drift = m2 - m1; if (drift < 0) drift = -drift
+			if (drift > iqr)
+				print "  warning: host load drifted: the parent halves differ by " drift ", more than its IQR (" iqr "); rerun on a steadier host before reading the verdict"
+		}
 	}' "$parent/.old" "$parent/.new" "$parent/.pairs"
