@@ -162,6 +162,7 @@ FUZZ_TARGETS = \
 	internal/timeseries:FuzzReadCSV \
 	internal/timeseries:FuzzSeriesJSON \
 	internal/powertree:FuzzLoadTree \
+	internal/powertree:FuzzAggregatorAppendMatchesFresh \
 	internal/tracestore:FuzzLoad \
 	internal/tracestore:FuzzSnapshotQuality \
 	internal/tracestore:FuzzAppendRunMatchesAppend \

@@ -7,12 +7,13 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -365,11 +366,18 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 			}
 			cands[i] = cand{point: i, margin: margin}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].margin != cands[b].margin {
-				return cands[a].margin > cands[b].margin
+		// slices.SortFunc is sort.Slice's pdqsort with "cmp < 0" as its less,
+		// so a comparison negative exactly where balancedKMeansOracle's less
+		// is true makes the same comparisons and swaps: the same order, NaN
+		// margins (unequal, never greater) included.
+		slices.SortFunc(cands, func(a, b cand) int {
+			if a.margin != b.margin {
+				if a.margin > b.margin {
+					return -1
+				}
+				return 1
 			}
-			return cands[a].point < cands[b].point
+			return cmp.Compare(a.point, b.point)
 		})
 		remaining := append([]int(nil), capacity...)
 		for i := range res.Sizes {
@@ -378,7 +386,7 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 		// Each point takes its nearest centroid with capacity left. That is
 		// the first available cluster in its distance order unless several
 		// available ones tie at that distance; then the order among them is
-		// sort.Slice's, so sort the row and take its first available one.
+		// the sort's, so sort the row and take its first available one.
 		for _, cd := range cands {
 			row := dist[cd.point*k : (cd.point+1)*k]
 			best, tied := -1, false
@@ -397,7 +405,12 @@ func BalancedKMeans(points [][]float64, cfg Config) (*Result, error) {
 				for c := range prefs {
 					prefs[c] = c
 				}
-				sort.Slice(prefs, func(a, b int) bool { return row[prefs[a]] < row[prefs[b]] })
+				slices.SortFunc(prefs, func(a, b int) int {
+					if row[a] < row[b] {
+						return -1
+					}
+					return 1
+				})
 				for _, c := range prefs {
 					if remaining[c] > 0 {
 						best = c

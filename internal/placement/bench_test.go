@@ -227,8 +227,28 @@ func placedFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
 	}
 }
 
+// tightFixture is placedFixture with every leaf's budget between its
+// aggregate's peak and that peak plus the arrival's: the peak plus 0.890 to
+// 0.902 of the arrival's peak, in steps of 0.002 over the leaves. The
+// arrival lifts a leaf's peak by 0.898 to 0.928 of its own, so most leaves
+// cannot take it and some can, and no leaf passes the peak-sum bound: the
+// feasibility walk must decide each one from its readings.
+func tightFixture(tb testing.TB, residents int) (*powertree.Node, TraceFn) {
+	tb.Helper()
+	tree, traces := placedFixture(tb, residents)
+	aggs, err := tree.AggregateAll(powertree.PowerFn(traces))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, _ := traces("arrival")
+	for i, leaf := range tree.Leaves() {
+		leaf.Budget = aggs.Peak(leaf) + tr.Peak()*(0.89+0.002*float64(i%7))
+	}
+	return tree, traces
+}
+
 // BenchmarkOnlineAdmitDiurnal is BenchmarkOnlineAdmit over diurnalFixture,
-// and BenchmarkOnlineAdmitPlaced over placedFixture. All three report
+// and BenchmarkOnlineAdmitPlaced over placedFixture. All four report
 // passes/op, the full trace passes per admission.
 func BenchmarkOnlineAdmitDiurnal(b *testing.B) {
 	benchAdmit(b, diurnalFixture)
@@ -236,6 +256,12 @@ func BenchmarkOnlineAdmitDiurnal(b *testing.B) {
 
 func BenchmarkOnlineAdmitPlaced(b *testing.B) {
 	benchAdmit(b, placedFixture)
+}
+
+// BenchmarkOnlineAdmitTight is BenchmarkOnlineAdmit over tightFixture, where
+// the feasibility walk, not Choose, makes most of the passes.
+func BenchmarkOnlineAdmitTight(b *testing.B) {
+	benchAdmit(b, tightFixture)
 }
 
 // BenchmarkOnlineChoose is OnlineAsynchrony.Choose alone over placedFixture's

@@ -121,9 +121,10 @@ type OnlinePlacer interface {
 // Remap and Resync: a powertree.Aggregator holding each node's aggregate
 // power trace and a powertree.Usage holding each node's used capacity. Both
 // recompute whole nodes from their parts (dirty leaves and their root paths
-// only), so the placer's state is a pure function of (tree, traces,
-// demands): a placer that has lived through any admit/retire/remap/resync
-// history is bit-identical to one freshly built over the same tree.
+// only; an admission's leaf entry is its fold's own last add, see
+// Aggregator.Append), so the placer's state is a pure function of (tree,
+// traces, demands): a placer that has lived through any admit/retire/remap/
+// resync history is bit-identical to one freshly built over the same tree.
 type Online struct {
 	tree    *powertree.Node
 	traces  TraceFn
@@ -283,6 +284,12 @@ func (o *Online) refold(leaves ...*powertree.Node) error {
 	if _, err := o.ledger.Update(); err != nil {
 		return err
 	}
+	return o.reroll(leaves...)
+}
+
+// reroll finishes a ledger update of the given leaves: a resident left
+// untraced is an error, and the usage ledger is rolled up along their paths.
+func (o *Online) reroll(leaves ...*powertree.Node) error {
 	if err := o.missingTrace(leaves...); err != nil {
 		return err
 	}
@@ -350,6 +357,13 @@ func (o *Online) peakWith(agg timeseries.Series) float64 {
 	return peak
 }
 
+// overAt reports whether agg + the arrival reads over budget at slot t, a
+// reading peakWith's maximum is at least (a sum over budget is not NaN). It
+// is false for t < 0 and for an empty agg, whose peakWith is no pass.
+func (o *Online) overAt(agg timeseries.Series, t int, budget float64) bool {
+	return t >= 0 && !agg.Empty() && agg.Values[t]+o.arrival.Values[t] > budget
+}
+
 // appendResiduals appends a candidate leaf's post-admission residual vector
 // to the placer's flat residuals buffer and returns the appended window:
 // power headroom fraction first, then free/capacity for each declared
@@ -380,7 +394,10 @@ func (o *Online) appendResiduals(leaf *powertree.Node, headroom float64) []float
 // node that cannot absorb the instance. A node whose ledger peak plus the
 // arrival's peak is within budget is feasible without a pass: every reading
 // of the sum is at most that sum of peaks, because float addition rounds
-// monotonically. Only where that bound fails does peakWith decide. The walk
+// monotonically. Where that bound fails, the sum is read at the arrival's
+// peak slot and at the aggregate's: a reading over budget proves the node
+// infeasible, since the peak is at least every reading. Only a node neither
+// proves infeasible takes a peakWith pass, which decides it. The walk
 // is the ledger's pre-order by position, and a pruned subtree is skipped by
 // jumping to its end. Candidates come back in tree (leaf) order, in buffers
 // the next call overwrites.
@@ -398,8 +415,12 @@ func (o *Online) feasibleLeaves() ([]OnlineCandidate, error) {
 		}
 		post, postKnown := 0.0, false
 		if !(aggs.PeakAt(p)+o.arrivalPeak <= n.Budget) {
-			if post, postKnown = o.peakWith(agg), true; post > n.Budget {
+			if o.overAt(agg, o.arrivalSlot, n.Budget) || o.overAt(agg, aggs.PeakSlotAt(p), n.Budget) {
 				p = end // this node's breaker would trip; nothing below fits
+				continue
+			}
+			if post, postKnown = o.peakWith(agg), true; post > n.Budget {
+				p = end
 				continue
 			}
 		}
@@ -469,7 +490,13 @@ func (o *Online) Admit(inst Instance) (*powertree.Node, error) {
 	if demand != nil {
 		o.demandOf[inst.ID] = demand
 	}
-	if err := o.refold(leaf); err != nil {
+	// The arrival is the leaf's last resident, so its ledger entry is the
+	// old one plus the arrival's trace: the fold's own last add.
+	_, err = o.ledger.Append(leaf)
+	if err == nil {
+		err = o.reroll(leaf)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("placement: admitting %q onto %q: %w", inst.ID, leaf.Name, err)
 	}
 	obsAdmissions.Inc()

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -202,9 +203,15 @@ func combineEntry(m *Node, power PowerFn, entries []*aggEntry, end []int, p int)
 			return nil, fmt.Errorf("powertree: combining %q into %q: %w", child.Name, m.Name, err)
 		}
 	}
+	e.findPeak()
+	return e, nil
+}
+
+// findPeak sets the entry's peak and slot from its trace in one loop: the
+// comparisons of Series.Peak, so the peak is bit-identical to it and slot is
+// Series.PeakIndex. An entry with no readings keeps peak 0 and slot -1.
+func (e *aggEntry) findPeak() {
 	if e.started && !e.trace.Empty() {
-		// One loop for both: the comparisons of Series.Peak, so the peak is
-		// bit-identical to it and slot is Series.PeakIndex.
 		e.peak = math.Inf(-1)
 		for i, v := range e.trace.Values {
 			if v > e.peak {
@@ -212,6 +219,32 @@ func combineEntry(m *Node, power PowerFn, entries []*aggEntry, end []int, p int)
 			}
 		}
 	}
+}
+
+// appendEntry returns the entry of leaf m given old, the entry of m without
+// its last instance. combineEntry's fold of m is old's fold plus one last
+// add, so a copy of old's trace plus the instance's trace (or, when that
+// trace is unknown, old with the instance appended to missing) is
+// bit-identical to combineEntry(m), error text included. old stays live in
+// its snapshot and is not modified; the peak and slot are found afresh.
+func appendEntry(old *aggEntry, m *Node, power PowerFn) (*aggEntry, error) {
+	id := m.Instances[len(m.Instances)-1]
+	s, ok := power(id)
+	if !ok {
+		e := *old
+		e.missing = append(slices.Clip(old.missing), id)
+		return &e, nil
+	}
+	e := &aggEntry{slot: -1, started: true, missing: old.missing}
+	if !old.started {
+		e.trace = s.Clone()
+	} else {
+		e.trace = old.trace.Clone()
+		if err := e.trace.AddInPlace(s); err != nil {
+			return nil, fmt.Errorf("powertree: aggregating %q under %q: %w", id, m.Name, err)
+		}
+	}
+	e.findPeak()
 	return e, nil
 }
 

@@ -16,7 +16,10 @@
 // subtree's instance traces under that order, so reusing a clean child's
 // entry and recomputing a dirty one compose into bit-identical per-node
 // results versus a fresh AggregateAll, at any worker count (pinned by
-// TestAggregatorUpdateMatchesFresh).
+// TestAggregatorUpdateMatchesFresh). Append, for an instance attached as a
+// leaf's last, keeps the contract without the re-fold: the leaf's fold is
+// its previous fold plus one last add, so only that add is made (pinned by
+// FuzzAggregatorAppendMatchesFresh).
 //
 // Staleness contract: the dirty set must cover every leaf whose instance
 // set or traces changed since the last Update. A trace change the caller
@@ -110,12 +113,19 @@ func (g *Aggregator) MarkDirty(leaves ...*Node) error {
 		}
 	}
 	for _, leaf := range leaves {
-		if p := g.snap.Position(leaf); !g.marked[p] {
-			g.marked[p] = true
-			g.dirty = append(g.dirty, p)
-		}
+		g.mark(g.snap.Position(leaf))
 	}
 	return nil
+}
+
+// mark adds the leaf at position p to the dirty set.
+//
+// smoothop:locked mu
+func (g *Aggregator) mark(p int) {
+	if !g.marked[p] {
+		g.marked[p] = true
+		g.dirty = append(g.dirty, p)
+	}
 }
 
 // checkLeaf validates one dirty-mark target against the snapshot's index.
@@ -145,7 +155,13 @@ func (g *Aggregator) checkLeaf(leaf *Node) error {
 func (g *Aggregator) Update() (*Aggregates, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.update()
+}
 
+// update is Update under the lock.
+//
+// smoothop:locked mu
+func (g *Aggregator) update() (*Aggregates, error) {
 	if len(g.dirty) == 0 {
 		obsDeltaNoops.Inc()
 		return g.snap, nil
@@ -198,4 +214,56 @@ func (g *Aggregator) Update() (*Aggregates, error) {
 	obsDeltaLastDirty.Set(float64(dirtyLeaves))
 	timer.End()
 	return snap, nil
+}
+
+// Append folds in the instance just attached to leaf as its last one and
+// returns the new snapshot: MarkDirty(leaf) + Update() in every bit, without
+// re-folding the leaf. The leaf's new entry is its snapshot entry plus the
+// instance's trace, the last add of the leaf's fold (see appendEntry), and
+// only its ancestors are recombined. The caller must not have changed the
+// leaf otherwise since the snapshot; when leaves are already marked dirty,
+// Append is MarkDirty(leaf) + Update(). On error the snapshot is unchanged
+// and the leaf is left marked dirty, as a failed MarkDirty + Update leaves
+// it, so a later Update retries the fold.
+func (g *Aggregator) Append(leaf *Node) (*Aggregates, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.checkLeaf(leaf); err != nil {
+		return nil, err
+	}
+	old := g.snap
+	ix := old.index
+	p := old.Position(leaf)
+	if len(g.dirty) > 0 || len(leaf.Instances) == 0 {
+		g.mark(p)
+		return g.update()
+	}
+
+	timer := obsDeltaSpan.Start()
+	e, err := appendEntry(old.entries[p], leaf, g.power)
+	if err != nil {
+		g.mark(p)
+		return nil, err
+	}
+	// The root path, ascending, as recombine takes it.
+	queue := g.queue[:0]
+	for q := ix.parent[p]; q >= 0; q = ix.parent[q] {
+		queue = append(queue, q)
+	}
+	slices.Reverse(queue)
+	g.queue = queue
+	entries := slices.Clone(old.entries)
+	entries[p] = e
+	if err := ix.recombine(entries, nil, queue, g.power, 0); err != nil {
+		g.mark(p)
+		return nil, err
+	}
+	g.snap = &Aggregates{entries: entries, index: ix}
+
+	obsDeltaUpdates.Inc()
+	obsDeltaDirtyLeaves.Inc()
+	obsDeltaNodesRecombined.Add(uint64(len(queue) + 1))
+	obsDeltaLastDirty.Set(1)
+	timer.End()
+	return g.snap, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -581,4 +582,188 @@ func TestAggregatesCachedWalks(t *testing.T) {
 	if len(aggs.Leaves()) > 0 && &aggs.Leaves()[0] != &gotLeaves[0] {
 		t.Fatal("Leaves() re-allocated on second call")
 	}
+}
+
+// requireSameEntries fails unless got and want hold the same entry at every
+// position: presence, trace shape and value bits, peak bits, slot and
+// missing list.
+func requireSameEntries(t *testing.T, got, want *Aggregates, ctx string) {
+	t.Helper()
+	if len(got.entries) != len(want.entries) {
+		t.Fatalf("%s: %d entries, want %d", ctx, len(got.entries), len(want.entries))
+	}
+	for p, w := range want.entries {
+		g, name := got.entries[p], want.index.nodes[p].Name
+		if g.started != w.started || !g.trace.Start.Equal(w.trace.Start) || g.trace.Step != w.trace.Step ||
+			len(g.trace.Values) != len(w.trace.Values) {
+			t.Fatalf("%s: %s holds a %d-slot trace (started %v), want %d slots (started %v)",
+				ctx, name, len(g.trace.Values), g.started, len(w.trace.Values), w.started)
+		}
+		for i, v := range w.trace.Values {
+			if math.Float64bits(g.trace.Values[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: %s reads %v at slot %d, want %v", ctx, name, g.trace.Values[i], i, v)
+			}
+		}
+		if math.Float64bits(g.peak) != math.Float64bits(w.peak) || g.slot != w.slot {
+			t.Fatalf("%s: %s peak %v at slot %d, want %v at %d", ctx, name, g.peak, g.slot, w.peak, w.slot)
+		}
+		if !slices.Equal(g.missing, w.missing) {
+			t.Fatalf("%s: %s missing %v, want %v", ctx, name, g.missing, w.missing)
+		}
+	}
+}
+
+// FuzzAggregatorAppendMatchesFresh runs a random sequence of ledger steps on
+// a random tree (empty leaves included): appends, each an instance attached
+// as a leaf's last and folded in by Append; detaches and trace changes,
+// each folded in by MarkDirty + Update; and appends made while another leaf
+// is marked dirty. Readings are mostly off the grid, so a sum's bits depend
+// on its order, and the rest are small integers, so peaks tie; some
+// instances have no trace. After every step every entry must match a fresh
+// AggregateAll. An arrival whose trace is one slot too long must fail as a
+// twin aggregator's MarkDirty + Update fails, with the same text, leave the
+// snapshot as it was, and leave the leaf marked dirty: once its trace is
+// repaired, Update folds it in.
+func FuzzAggregatorAppendMatchesFresh(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	base := time.Date(2016, 7, 25, 0, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		tree := randomTree(rng)
+		leaves := tree.Leaves()
+		slots := 1 + rng.Intn(6)
+		traces := make(map[string]timeseries.Series)
+		pf := func(id string) (timeseries.Series, bool) {
+			s, ok := traces[id]
+			return s, ok
+		}
+		draw := func(id string, n int) {
+			if rng.Intn(8) == 0 {
+				delete(traces, id) // unknown: the fold lists it as missing
+				return
+			}
+			s := timeseries.Zeros(base, time.Minute, n)
+			for j := range s.Values {
+				if rng.Intn(4) == 0 {
+					s.Values[j] = float64(rng.Intn(5) - 1)
+				} else {
+					s.Values[j] = rng.NormFloat64() * 10
+				}
+			}
+			traces[id] = s
+		}
+		next := 0
+		attach := func(leaf *Node) string {
+			id := fmt.Sprintf("i%d", next)
+			next++
+			if err := leaf.Attach(id); err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		for _, leaf := range leaves {
+			for k := rng.Intn(3); k > 0; k-- {
+				draw(attach(leaf), slots)
+			}
+		}
+		agg, err := NewAggregator(tree, pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewAggregator(tree, pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refold := func(g *Aggregator, leaf *Node) error {
+			if err := g.MarkDirty(leaf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := g.Update()
+			return err
+		}
+		for step := 0; step < 24; step++ {
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			leaf := leaves[rng.Intn(len(leaves))]
+			switch k := rng.Intn(8); {
+			case k < 4: // append
+				id := attach(leaf)
+				misaligned := rng.Intn(8) == 0
+				if misaligned {
+					traces[id] = timeseries.Zeros(base, time.Minute, slots+1)
+				} else {
+					draw(id, slots)
+				}
+				before := agg.Snapshot()
+				_, err := agg.Append(leaf)
+				twinErr := refold(twin, leaf)
+				if fmt.Sprint(err) != fmt.Sprint(twinErr) {
+					t.Fatalf("%s: Append on %s: %v, MarkDirty + Update: %v", ctx, leaf.Name, err, twinErr)
+				}
+				if err != nil && agg.Snapshot() != before {
+					t.Fatalf("%s: a failed Append replaced the snapshot", ctx)
+				}
+				if !misaligned {
+					break
+				}
+				// Repair the trace. After a failed Append only its kept
+				// dirty mark folds the repair in; an Append that met no
+				// trace to misalign with succeeded, and the repair is a
+				// trace change.
+				draw(id, slots)
+				if err == nil {
+					if err := agg.MarkDirty(leaf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := agg.Update(); err != nil {
+					t.Fatalf("%s: retry after repair: %v", ctx, err)
+				}
+				if err := refold(twin, leaf); err != nil {
+					t.Fatal(err)
+				}
+			case k == 4 && len(leaf.Instances) > 0: // detach
+				leaf.Detach(leaf.Instances[rng.Intn(len(leaf.Instances))])
+				if err := refold(agg, leaf); err != nil {
+					t.Fatal(err)
+				}
+				if err := refold(twin, leaf); err != nil {
+					t.Fatal(err)
+				}
+			case k == 5 && len(leaf.Instances) > 0: // trace change
+				draw(leaf.Instances[rng.Intn(len(leaf.Instances))], slots)
+				if err := refold(agg, leaf); err != nil {
+					t.Fatal(err)
+				}
+				if err := refold(twin, leaf); err != nil {
+					t.Fatal(err)
+				}
+			default: // a trace change left marked, then an append elsewhere
+				other := leaves[rng.Intn(len(leaves))]
+				if len(other.Instances) > 0 {
+					draw(other.Instances[0], slots)
+					if err := agg.MarkDirty(other); err != nil {
+						t.Fatal(err)
+					}
+				}
+				draw(attach(leaf), slots)
+				if _, err := agg.Append(leaf); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.MarkDirty(other); err != nil {
+					t.Fatal(err)
+				}
+				if err := refold(twin, leaf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := tree.AggregateAll(pf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameEntries(t, agg.Snapshot(), want, ctx)
+			requireSameEntries(t, twin.Snapshot(), want, ctx+" (MarkDirty + Update)")
+		}
+	})
 }
